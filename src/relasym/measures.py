@@ -32,13 +32,9 @@ __all__ = [
 
 WEIGHT_KINDS = ("chebyshev_first_kind", "chebyshev_second_kind", "legendre", "jacobi")
 
-# Stieltjes discretization control (doubling until coefficients settle).
-STIELTJES_TOL = 1e-12
-STIELTJES_MAX_DOUBLINGS = 6
-
 
 class MeasureError(ValueError):
-    """Invalid measure description or failed discretization."""
+    """Invalid measure description or table request."""
 
 
 @dataclass(frozen=True)
@@ -199,107 +195,64 @@ def _tau_from(asq: np.ndarray, total_mass: float) -> np.ndarray:
     return tau
 
 
-def _discrete_recurrence(nodes: np.ndarray, weights: np.ndarray, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients of the discrete measure sum w_i delta(x_i).
+def _add_point(b: np.ndarray, asq: np.ndarray, mass: float,
+               x: float, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi matrix of a discrete measure after adding w * delta(x).
 
-    Lanczos-type updating (Rutishauser/Kahan/Pal/Walker kernel): points are
-    absorbed one at a time by orthogonal similarity on the growing Jacobi
-    matrix.  The naive moment-iteration form of the Stieltjes procedure
-    loses most digits here when a point mass sits outside [-1, 1].
+    ``b``, ``asq`` (``asq[0]`` unused) hold the Jacobi matrix of a discrete
+    measure with len(b) points and total mass ``mass``; the result has one
+    row more.  One sweep of the Rutishauser/Kahan/Pal/Walker kernel: the
+    point is absorbed by orthogonal similarity, so a point mass outside
+    [-1, 1] costs no digits (the naive Stieltjes moment iteration loses
+    most of them there).  Gragg & Harrod 1984, Gautschi 2004 sec. 2.2.3.
     """
-    ncap = len(nodes)
-    if nmax + 1 >= ncap:
-        raise MeasureError("discretization too small for requested nmax")
-    p0 = np.asarray(nodes, dtype=float).copy()
-    p1 = np.zeros(ncap)
-    p1[0] = weights[0]
-    for n in range(ncap - 1):
-        pn = float(weights[n + 1])
-        gam, sig, t = 1.0, 0.0, 0.0
-        xlam = float(nodes[n + 1])
-        for k in range(n + 2):
-            rho = p1[k] + pn
-            tmp = gam * rho
-            tsig = sig
-            if rho <= 0.0:
-                gam, sig = 1.0, 0.0
-            else:
-                gam = p1[k] / rho
-                sig = pn / rho
-            tk = sig * (p0[k] - xlam) - gam * t
-            p0[k] -= tk - t
-            t = tk
-            if sig <= 0.0:
-                pn = tsig * p1[k]
-            else:
-                pn = t * t / sig
-            p1[k] = tmp
-    b = p0[: nmax + 1].copy()
-    asq = p1[: nmax + 1].copy()
-    asq[0] = 0.0
-    return b, asq
-
-
-def _pure_rule(spec: BaseMeasureSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    alpha, beta = spec.jacobi_exponents()
-    b, asq = _jacobi_ab(alpha, beta, m)
-    vals, vecs = eigh_tridiagonal(b[:m], np.sqrt(asq[1:m]))
-    nodes = np.clip(vals, -1.0, 1.0)
-    weights = spec.continuous_mass() * vecs[0] ** 2
-    return nodes, weights
-
-
-_ATOM_RECURRENCE_CACHE: dict[BaseMeasureSpec, tuple[int, np.ndarray, np.ndarray]] = {}
-
-
-def _atom_recurrence(spec: BaseMeasureSpec, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    atom_locs = np.array([loc for loc, _ in spec.mass_points])
-    atom_masses = np.array([mass for _, mass in spec.mass_points])
-    m = max(4 * nmax, 200)
-    prev = None
-    for _ in range(STIELTJES_MAX_DOUBLINGS):
-        nodes, weights = _pure_rule(spec, m)
-        all_nodes = np.concatenate([nodes, atom_locs])
-        all_weights = np.concatenate([weights, atom_masses])
-        b, asq = _discrete_recurrence(all_nodes, all_weights, nmax)
-        if prev is not None:
-            b0, asq0 = prev
-            if max(np.max(np.abs(b - b0)), np.max(np.abs(asq - asq0))) < STIELTJES_TOL:
-                return b, asq
-        prev = (b, asq)
-        m *= 2
-    raise MeasureError("discretized recurrence did not converge under rule doubling")
+    p0 = np.append(b, x)
+    p1 = np.append(asq, 0.0)
+    p1[0] = mass
+    pn = w
+    gam, sig, t = 1.0, 0.0, 0.0
+    for k in range(len(p0)):
+        rho = p1[k] + pn
+        tmp = gam * rho
+        tsig = sig
+        if rho <= 0.0:
+            gam, sig = 1.0, 0.0
+        else:
+            gam = p1[k] / rho
+            sig = pn / rho
+        tk = sig * (p0[k] - x) - gam * t
+        p0[k] -= tk - t
+        t = tk
+        if sig <= 0.0:
+            pn = tsig * p1[k]
+        else:
+            pn = t * t / sig
+        p1[k] = tmp
+    p1[0] = 0.0
+    return p0, p1
 
 
 def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
     """Recurrence table for the measure, atoms folded into the inner product.
 
-    Pure weights use the closed-form Jacobi coefficients.  With atoms the
-    coefficients come from a discretized inner product (Gauss rule of the
-    pure weight plus the exact point masses, reduced by the Lanczos-type
-    kernel); the rule is doubled until no coefficient moves by more than
-    STIELTJES_TOL.  Atom tables are memoized per spec since the reduction
-    costs O(m^2).
+    The closed-form Jacobi matrix of the pure weight, truncated at
+    N = nmax + 2, is the Jacobi matrix of its N-point Gauss rule.  That
+    rule plus the exact point masses matches the measure's moments through
+    degree 2N - 1, so its coefficients through degree nmax are those of
+    the measure itself.  Each point mass is absorbed by one O(N) sweep
+    (`_add_point`), so a table of degree nmax is bit for bit the leading
+    part of any longer one.
     """
     if nmax < 1:
         raise MeasureError("nmax must be >= 1")
     alpha, beta = spec.jacobi_exponents()
-    if not spec.has_atoms:
-        b, asq = _jacobi_ab(alpha, beta, nmax)
-        tau = _tau_from(asq, spec.continuous_mass())
-        a = np.concatenate([[0.0], np.sqrt(asq[1:])])
-        return RecurrenceTable(a=a, b=b, tau=tau, spec=spec)
-
-    cached = _ATOM_RECURRENCE_CACHE.get(spec)
-    if cached is None or cached[0] < nmax:
-        b_full, asq_full = _atom_recurrence(spec, nmax)
-        _ATOM_RECURRENCE_CACHE[spec] = (nmax, b_full, asq_full)
-    else:
-        _, b_full, asq_full = cached
-    b = b_full[: nmax + 1].copy()
-    asq = asq_full[: nmax + 1].copy()
-    total = spec.continuous_mass() + sum(mass for _, mass in spec.mass_points)
-    tau = _tau_from(asq, total)
+    b, asq = _jacobi_ab(alpha, beta, nmax + 1)
+    mass = spec.continuous_mass()
+    for x, w in spec.mass_points:
+        b, asq = _add_point(b, asq, mass, x, w)
+        mass += w
+    b, asq = b[: nmax + 1], asq[: nmax + 1]
+    tau = _tau_from(asq, mass)
     a = np.concatenate([[0.0], np.sqrt(asq[1:])])
     return RecurrenceTable(a=a, b=b, tau=tau, spec=spec)
 
@@ -313,13 +266,12 @@ def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
     """
     if m < 1:
         raise MeasureError("rule size must be >= 1")
+    if table.spec is not None and table.spec.has_atoms:
+        return rule_for(table.spec, m)
     if m > table.nmax:
         if table.spec is None:
             raise MeasureError(f"rule size {m} exceeds table nmax {table.nmax}")
         table = recurrence_for(table.spec, m)
-    if table.spec is not None and table.spec.has_atoms:
-        nodes, weights = _pure_rule(table.spec, m)
-        return QuadratureRule(nodes=nodes, weights=weights, atoms=table.spec.mass_points)
     offdiag = table.a[1:m]
     vals, vecs = eigh_tridiagonal(table.b[:m], offdiag)
     nodes = np.clip(vals, -1.0, 1.0)
@@ -329,7 +281,11 @@ def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
 
 def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:
     """Gauss rule of the pure weight plus the measure's atoms."""
-    nodes, weights = _pure_rule(spec, m)
+    alpha, beta = spec.jacobi_exponents()
+    b, asq = _jacobi_ab(alpha, beta, m)
+    vals, vecs = eigh_tridiagonal(b[:m], np.sqrt(asq[1:m]))
+    nodes = np.clip(vals, -1.0, 1.0)
+    weights = spec.continuous_mass() * vecs[0] ** 2
     return QuadratureRule(nodes=nodes, weights=weights, atoms=spec.mass_points)
 
 

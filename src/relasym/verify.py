@@ -236,8 +236,10 @@ class _TargetPolys:
             elif cfg.target_kind == "sobolev":
                 if cfg.precision == "extended":
                     op = sn_lambda(n, cfg.sobolev, self.table, extended=True)
-                else:
+                elif cfg.sobolev.is_diagonal_real_positive():
                     op = sn_kernel(n, cfg.sobolev, self.table)
+                else:
+                    op = sn_lambda(n, cfg.sobolev, self.table)
                 self._cache[n] = op.rep
             elif cfg.target_kind == "pade":
                 self._cache[n] = pade_denominator(n, cfg.stieltjes, self.table)

@@ -49,13 +49,43 @@ def test_atom_table_asymptotics():
     assert abs(t.b[2]) > 1e-3  # but the head is genuinely modified
 
 
-def test_atom_table_orthonormal_on_rule():
-    t = recurrence_for(ATOM, 15)
-    rule = rule_for(ATOM, 40)
+@pytest.mark.parametrize("spec", [
+    ATOM,
+    BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 3.0))),
+    BaseMeasureSpec("chebyshev_first_kind", mass_points=((1.05, 1e-3),)),
+    BaseMeasureSpec("jacobi", alpha=0.3, beta=-0.4, mass_points=((2.3, 0.7),)),
+], ids=["cheb_atom", "leg_two_atoms", "cheb_near_atom", "jacobi_atom"])
+def test_atom_table_orthonormal_on_rule(spec):
+    # Gram matrix of l_0..l_80 on a rule built without the package:
+    # scipy's Gauss-Jacobi nodes for the weight plus the exact atoms.
+    # Values at an atom are the minimal solution of the recurrence, so
+    # they come from the backward-stable evaluation, not forward jets
+    from scipy.special import roots_jacobi
+    from relasym.measures import atom_basis_values
     from relasym.polybasis import ORTHONORMAL, basis_jets
-    V = basis_jets(t, 15, rule.all_points(), 0, ORTHONORMAL)[0]
-    G = (V * rule.all_weights()) @ V.T
-    assert np.max(np.abs(G - np.eye(16))) < 1e-8
+    n = 80
+    t = recurrence_for(spec, n)
+    alpha, beta = spec.jacobi_exponents()
+    nodes, weights = roots_jacobi(n + 10, alpha, beta)
+    V = basis_jets(t, n, nodes, 0, ORTHONORMAL)[0]
+    G = (V * weights) @ V.T
+    for loc, mass in spec.mass_points:
+        v = atom_basis_values(t, n, loc)
+        G += mass * np.outer(v, v)
+    assert np.max(np.abs(G - np.eye(n + 1))) < 1e-8
+
+
+def test_atom_table_independent_of_call_history():
+    # a table is the leading part of any longer one, and asking for a
+    # longer table first must not change the bits of a shorter one
+    spec = BaseMeasureSpec("jacobi", alpha=0.5, beta=0.5,
+                           mass_points=((-2.0, 0.25), (1.5, 2.0)))
+    first = recurrence_for(spec, 40)
+    longer = recurrence_for(spec, 80)
+    again = recurrence_for(spec, 40)
+    for name in ("a", "b", "tau"):
+        assert np.array_equal(getattr(first, name), getattr(again, name))
+        assert np.array_equal(getattr(first, name), getattr(longer, name)[:41])
 
 
 def test_gauss_rule_exactness():

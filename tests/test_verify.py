@@ -18,6 +18,7 @@ from relasym import (
     run_zero_attraction,
     scenario,
 )
+from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import CSV_COLUMNS, boundary_grid
 
 LEG = BaseMeasureSpec("legendre")
@@ -101,6 +102,20 @@ def test_pre_asymptotic_degrees_flagged_not_fatal():
     assert not rows[1].flag and rows[1].abs_err < 1.0
     # flagged rows surface through the violation list
     assert (rows[0].law, rows[0].z, 0, 1) in monotone_violations(rows)
+
+
+def test_non_diagonal_sobolev_reaches_general_lane():
+    # a regular complex center with coupled value/derivative masses is
+    # outside the diagonal kernel path; it must still be built
+    gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
+    cfg = dataclasses.replace(
+        scenario("sobolev_point_pair"),
+        sobolev=SobolevSpec(terms=(SobolevTerm(c=2j, gamma=gamma),)),
+        probe_points=(3.0, -2.5, -2j, 1.5 + 1.5j))
+    rows = run_ratio_ladder(cfg)
+    assert len(rows) == 4 * 2 * 4                  # probes x jets x degrees
+    assert [r.flag for r in rows if r.flag] == []
+    assert monotone_violations(rows) == []
 
 
 def test_monotone_violations_synthetic():
