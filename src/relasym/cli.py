@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .joukowski import CutDomainError
@@ -108,21 +107,9 @@ def cmd_recurrence(args) -> int:
     return EXIT_OK
 
 
-def _ladder_rows(cfg: ExperimentConfig, jobs: int) -> list:
-    laws = cfg.resolved_laws
-    if jobs <= 1 or len(laws) <= 1:
-        return run_ratio_ladder(cfg)
-    # one worker per law; concatenation order is fixed by the law list,
-    # so parallel runs emit the same bytes as serial ones
-    per_law = [dataclasses.replace(cfg, laws=(law,)) for law in laws]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(pool.map(run_ratio_ladder, per_law))
-    return [row for chunk in chunks for row in chunk]
-
-
 def cmd_verify(args) -> int:
     cfg = _apply_overrides(load_experiment(args.config), args)
-    rows = _ladder_rows(cfg, args.jobs)
+    rows = run_ratio_ladder(cfg)
     out = _out_dir(args)
     written = []
     for law in cfg.resolved_laws:
@@ -185,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--precision", choices=("double", "extended"),
                        default=None, help="override the config's precision lane")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent report rows")
 
     p_rec = sub.add_parser("recurrence", help="emit a recurrence table as JSON")
     common(p_rec)

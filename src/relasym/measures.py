@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .joukowski import phi
+
 __all__ = [
     "MeasureError",
     "BaseMeasureSpec",
@@ -27,6 +29,7 @@ __all__ = [
     "recurrence_for",
     "gauss_rule",
     "rule_for",
+    "minimal_solution",
     "inner_mu",
 ]
 
@@ -289,7 +292,62 @@ def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, atoms=spec.mass_points)
 
 
-_ATOM_VALUE_PAD = 40
+def _series_recip(s: list) -> list:
+    """1/s for a truncated Taylor series s (s[0] != 0)."""
+    out = [1.0 / s[0]]
+    for k in range(1, len(s)):
+        out.append(-sum(s[i] * out[k - i] for i in range(1, k + 1)) * out[0])
+    return out
+
+
+def _series_mul(s: list, t: list) -> list:
+    return [sum(s[i] * t[k - i] for i in range(k + 1)) for k in range(len(s))]
+
+
+def minimal_solution(table: RecurrenceTable, z, lo: int, hi: int,
+                     order: int = 0) -> np.ndarray:
+    """Taylor jets of q_m(z) = integral L_m(x)/(z - x) dmu(x), m = lo..hi,
+    divided by q_lo(z): out[s, m - lo] = q_m^(s)(z) / (s! q_lo(z)).
+
+    The q_m (m >= 1) are the minimal solution of the three-term recurrence
+    (Gautschi, SIAM Rev. 9, 1967), found by backward recurrence on ratios
+    h_m = q_m/q_{m-1} = a_m^2 / (z - b_m - h_{m+1}), each a truncated Taylor
+    series in z, so nothing under- or overflows at any degree.  Starting
+    from h = 0 leaves a dominant share shrinking like |phi(z)|^-2 per step;
+    a tail of log(1/eps) / log|phi(z)| steps puts it below eps^2.  q_lo's
+    own z-dependence, needed for the jets, follows from the inhomogeneous
+    first step q_1 = (z - b_0) q_0 - mu_0, valid for atom tables too.  At a
+    mass point of the measure the minimal solution is L_m itself, and
+    order 0 gives L_m(z) / L_lo(z).
+    """
+    z = complex(z)
+    top = hi + math.ceil(-math.log(np.finfo(float).eps) / math.log(abs(phi(z))))
+    if table.nmax < top:
+        if table.spec is None:
+            raise MeasureError(f"table nmax {table.nmax} too short, need {top}")
+        table = recurrence_for(table.spec, top)
+    a, b = table.a, table.b
+    h, hs = [0j] * (order + 1), {}
+    for m in range(top, lo if order == 0 else 0, -1):
+        den = [-v for v in h]
+        den[0] += z - b[m]
+        if order:
+            den[1] += 1.0
+        h = hs[m] = [a[m] * a[m] * v for v in _series_recip(den)]
+    cols = [[1.0 + 0j] + [0j] * order]              # q_m(z) / q_lo(z)
+    for m in range(lo + 1, hi + 1):
+        cols.append(_series_mul(cols[-1], hs[m]))
+    if order:
+        # q_lo(z)/q_lo(z0) = [q_0(z)/q_0(z0)] prod_{k<=lo} h_k(z)/h_k(z0), with
+        # q_0 = mu_0 / (z - b_0 - h_1) by the inhomogeneous first step
+        den = [-v for v in hs[1]]
+        den[0] += z - b[0]
+        den[1] += 1.0
+        scale = _series_recip([v / den[0] for v in den])
+        for k in range(1, lo + 1):
+            scale = _series_mul(scale, [v / hs[k][0] for v in hs[k]])
+        cols = [_series_mul(col, scale) for col in cols]
+    return np.array(cols, dtype=complex).T
 
 
 def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarray:
@@ -298,25 +356,10 @@ def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarra
 
     Forward recurrence is useless here: the values at a mass point are
     square summable, hence the minimal solution of the three-term
-    recurrence, and forward errors grow with the dominant one.  Backward
-    recurrence from a padded tail with normalization through l_0 recovers
-    them to near machine accuracy.
+    recurrence, and forward errors grow with the dominant one.  They are
+    the order-0 case of `minimal_solution`, normalized by l_0 = tau_0.
     """
-    need = deg + _ATOM_VALUE_PAD
-    tab = table
-    if tab.nmax < need + 1:
-        if tab.spec is None:
-            raise MeasureError("table too short for stable evaluation at its atom")
-        tab = recurrence_for(tab.spec, need + 1)
-    a, b = tab.a, tab.b
-    vals = np.zeros(need + 1)
-    vals[need] = 0.0
-    vals[need - 1] = 1.0
-    for k in range(need - 1, 0, -1):
-        vals[k - 1] = ((loc - b[k]) * vals[k] - a[k + 1] * vals[k + 1]) / a[k]
-        if abs(vals[k - 1]) > 1e250:
-            vals[k - 1 :] *= 1e-250
-    return vals[: deg + 1] * (tab.tau[0] / vals[0])
+    return table.tau[: deg + 1] * minimal_solution(table, loc, 0, deg)[0].real
 
 
 def _value_at_atom(p, loc: float) -> complex:

@@ -13,15 +13,15 @@ leading coefficients, weak limits) is read off the solved expansion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut
-from .measures import (BaseMeasureSpec, MeasureError, QuadratureRule,
-                       RecurrenceTable, gauss_rule, recurrence_for)
-from .polybasis import (MONIC, ORTHONORMAL, PolyInBasis, basis_jets,
-                        divide_out_zeros, rule_basis_values, xmul)
+from .measures import (BaseMeasureSpec, QuadratureRule, RecurrenceTable,
+                       gauss_rule, minimal_solution, recurrence_for)
+from .polybasis import MONIC, PolyInBasis, basis_jets, divide_out_zeros, xmul
 
 __all__ = [
     "RationalModifier",
@@ -30,15 +30,11 @@ __all__ = [
     "solve_Q",
     "recurrence_extract",
     "weak_limit_probe",
-    "bilinear_pole_integral",
     "inner_rho",
 ]
 
 # Condition-number gate: a solve above this is reported as pre-asymptotic.
 COND_LIMIT = 1e10
-# Relative drift allowed between quadrature doublings of the lambda system.
-DOUBLING_TOL = 1e-8
-MAX_DOUBLINGS = 4
 
 
 class ModifiedError(ValueError):
@@ -142,10 +138,30 @@ def _check_off_atoms(r: RationalModifier, spec: BaseMeasureSpec | None):
                 raise ModifiedError(f"modifier point {p} coincides with a mass point")
 
 
-def _lambda_system(n: int, r: RationalModifier, base: RecurrenceTable,
-                   rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Rows: divisibility jets at each zero, then pole moments; unknowns
-    lambda_1..lambda_{A+B}; the lambda_0 = 1 column moves to the rhs."""
+def _pole_moments(base: RecurrenceTable, d: complex, mult: int, j: int,
+                  hi: int) -> np.ndarray:
+    """out[nu-1, m-j] = integral L_m L_j (x-d)^-nu dmu / q_j(d), nu = 1..mult,
+    m = j..hi, with q_m(d) = integral L_m/(d-x) dmu the minimal solution.
+
+    Past its Taylor terms at d through order nu-1, L_j is (x-d)^nu times a
+    polynomial of degree j-nu, orthogonal to L_m for m > j-nu.  That leaves
+    -sum_{t<nu} [L_j^(t)(d)/t!] [q_m^(nu-1-t)(d)/(nu-1-t)!], exactly.
+    """
+    lj = basis_jets(base, j, d, order=mult - 1)[:, j]
+    qj = minimal_solution(base, d, j, hi, mult - 1)
+    out = np.zeros((mult, hi - j + 1), dtype=complex)
+    for nu in range(1, mult + 1):
+        for t in range(nu):
+            out[nu - 1] -= lj[t] / math.factorial(t) * qj[nu - 1 - t]
+    return out
+
+
+def _lambda_system(n: int, r: RationalModifier,
+                   base: RecurrenceTable) -> tuple[np.ndarray, np.ndarray]:
+    """Rows: divisibility jets at each zero, then pole moments against
+    L_{n-B}; unknowns lambda_1..lambda_{A+B}; the lambda_0 = 1 column moves
+    to the rhs.  Pole rows carry a common factor 1/q_{n-B}(d) per pole, which
+    the row scaling in `_solve_lambda` removes."""
     A, B = r.A, r.B
     ab = A + B
     degs = [n + A - k for k in range(ab + 1)]   # degree paired with lambda_k
@@ -158,23 +174,16 @@ def _lambda_system(n: int, r: RationalModifier, base: RecurrenceTable,
             rows[i] = [jets[nu, degs[k]] for k in range(1, ab + 1)]
             rhs[i] = -jets[nu, degs[0]]
             i += 1
-    if B > 0:
-        pts = rule.all_points()
-        w = rule.all_weights()
-        lv = rule_basis_values(base, n + A, rule, MONIC)
-        lo = lv[n - B]
-        for d, mult in r.poles:
-            for nu in range(1, mult + 1):
-                f = w * lo / (pts - d) ** nu
-                vec = lv @ f
-                rows[i] = [vec[degs[k]] for k in range(1, ab + 1)]
-                rhs[i] = -vec[degs[0]]
-                i += 1
+    for d, mult in r.poles:
+        mom = _pole_moments(base, d, mult, n - B, n + A)   # column k: degree n-B+k
+        rows[i:i + mult] = mom[:, ab - 1::-1]
+        rhs[i:i + mult] = -mom[:, ab]
+        i += mult
     return rows, rhs
 
 
-def _solve_lambda(n, r, base, rule):
-    rows, rhs = _lambda_system(n, r, base, rule)
+def _solve_lambda(n, r, base):
+    rows, rhs = _lambda_system(n, r, base)
     scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
     scale[scale == 0.0] = 1.0
     rows = rows / scale[:, None]
@@ -188,12 +197,23 @@ def _solve_lambda(n, r, base, rule):
     return lam, cond
 
 
-def _beta_numerator(q: PolyInBasis, r: RationalModifier, rule: QuadratureRule) -> complex:
-    xq = xmul(q)
-    pts = rule.all_points()
-    w = rule.all_weights()
-    return complex(np.sum(w * xq.values_on_rule(rule) * q.values_on_rule(rule)
-                          * r.values(pts)))
+def _beta(n: int, lam: np.ndarray, r: RationalModifier,
+          base: RecurrenceTable) -> complex:
+    """beta_n = kappa_n^2 integral x Q_n^2 r dmu, exactly.
+
+    Write x Q_n = T u + v with deg v < B.  The v part vanishes against
+    Q_n r dmu by orthogonality, and u (degree n+1-B) pairs with
+    R_n = S Q_n only through its two lowest terms, which gives
+
+        beta_n = lambda_1 + sum A_i c_i + sum B_j d_j
+                 - sum_{k=n-B+1}^{n+A-1} b_k
+                 + (lambda_{A+B-1} / lambda_{A+B}) a_{n-B+1}^2.
+    """
+    A, B = r.A, r.B
+    shift = sum(m * c for c, m in r.zeros) + sum(m * d for d, m in r.poles)
+    tail = np.sum(base.b[n - B + 1: n + A])
+    return complex(lam[1] + shift - tail
+                   + lam[A + B - 1] / lam[A + B] * base.a[n - B + 1] ** 2)
 
 
 def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable,
@@ -201,9 +221,10 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable,
     """Monic Q_n orthogonal to lower degrees under the bilinear form of r d(mu).
 
     The lambda system couples divisibility (jets at modifier zeros) with the
-    pole moments; with poles present the quadrature is doubled until the
-    solution settles.  kappa_sq_inv comes from the expansion itself
-    (lambda_{A+B}/tau_{n-B}^2), not from quadrature.
+    pole moments, both exact recurrence quantities, and is solved once.
+    kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
+    itself; quadrature enters only through the division by S, on the
+    caller's rule when one is given.
     """
     A, B = r.A, r.B
     if n < A + B + 1:
@@ -219,26 +240,14 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable,
             beta=complex(base.b[n]), cond=1.0,
             alpha_sq=complex(base.a[n] ** 2))
 
-    m = rule.size if rule is not None else n + A + B + 50
-    cur_rule = rule if rule is not None else gauss_rule(base, m)
-    lam, cond = _solve_lambda(n, r, base, cur_rule)
-    if B > 0:
-        for _ in range(MAX_DOUBLINGS):
-            m *= 2
-            next_rule = gauss_rule(base, m)
-            lam2, cond2 = _solve_lambda(n, r, base, next_rule)
-            drift = np.max(np.abs(lam2 - lam)) / max(1.0, float(np.max(np.abs(lam2))))
-            lam, cond, cur_rule = lam2, cond2, next_rule
-            if drift < DOUBLING_TOL:
-                break
-        else:
-            raise ModifiedError("pole-condition quadrature did not settle under doubling")
-
+    lam, cond = _solve_lambda(n, r, base)
     coeffs = np.zeros(n + A + 1, dtype=complex)
     for k in range(A + B + 1):
         coeffs[n + A - k] = lam[k]
     rep = PolyInBasis(MONIC, coeffs, n + A, base)
-    q = divide_out_zeros(rep, list(r.zeros), cur_rule)
+    # n + 1 nodes: the fewest for which project_values is exact at degree n
+    q = divide_out_zeros(rep, list(r.zeros),
+                         rule if rule is not None else gauss_rule(base, n + 1))
     top = abs(q.coeffs[n]) / float(np.max(np.abs(q.coeffs)))
     if top < 1e-8:
         raise ModifiedError(f"degree collapse at n={n} (top coefficient {top:.2e})", cond=cond)
@@ -246,7 +255,7 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable,
     kappa_sq_inv = lam[A + B] / base.tau[n - B] ** 2
     if abs(kappa_sq_inv) == 0.0:
         raise ModifiedError(f"kappa_n^2 undefined at n={n} (vanishing norm)")
-    beta = _beta_numerator(q, r, cur_rule) / kappa_sq_inv
+    beta = _beta(n, lam, r, base)
     return ModifiedOP(n=n, lam=lam, rep=rep, q=q,
                       kappa_sq_inv=complex(kappa_sq_inv), beta=complex(beta), cond=cond)
 
@@ -355,21 +364,3 @@ def monomial_to_coeffs(p: PolyInBasis) -> np.ndarray:
         nxt -= table.a[k] ** 2 * prev
         tri[k + 1] = nxt
     return pm.coeffs @ tri
-
-
-def bilinear_pole_integral(n: int, k: int, nu: int, pole: complex,
-                           base: RecurrenceTable,
-                           rule: QuadratureRule | None = None) -> complex:
-    """integral l_{n+k}(x) l_n(x) / (pole - x)^nu dmu(x), orthonormal basis."""
-    if n + k < 0 or n < 0:
-        raise ModifiedError("degrees must be nonnegative")
-    if dist_to_cut(complex(pole)) <= NEAR_CUT:
-        raise ModifiedError("pole must stay off [-1, 1]")
-    deg = max(n + k, n)
-    base = _ensure_table(base, deg + 1)
-    if rule is None:
-        rule = gauss_rule(base, deg + 60)
-    pts = rule.all_points()
-    w = rule.all_weights()
-    lv = rule_basis_values(base, deg, rule, ORTHONORMAL)
-    return complex(np.sum(w * lv[n + k] * lv[n] / (pole - pts) ** nu))

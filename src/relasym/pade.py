@@ -18,7 +18,6 @@ terms for the poles.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,9 +25,10 @@ import mpmath
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import BaseMeasureSpec, QuadratureRule, RecurrenceTable, gauss_rule
+from .measures import (BaseMeasureSpec, QuadratureRule, RecurrenceTable, gauss_rule,
+                       minimal_solution)
 from .modified import _ensure_table, monomial_to_coeffs
-from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul
+from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
 from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_lambda,
                       _extended_core, _mp_ab, _mp_basis_jets, _mp_poly_jet)
 
@@ -174,14 +174,7 @@ def _second_kind(base: RecurrenceTable, nmax: int) -> list[np.ndarray]:
     out = [np.zeros(1, dtype=complex), np.array([m0], dtype=complex)]
     for m in range(1, nmax):
         cur, prev = out[m], out[m - 1]
-        nxt = np.zeros(m + 1, dtype=complex)
-        # x * E_m in the monic mu-basis
-        for t in range(m):
-            c = cur[t]
-            nxt[t + 1] += c
-            nxt[t] += b[t] * c
-            if t >= 1:
-                nxt[t - 1] += a[t] * a[t] * c
+        nxt = xmul_coeffs(cur, base)
         nxt[: m] -= b[m] * cur
         nxt[: m - 1 if m >= 2 else 0] -= (a[m] * a[m]) * prev[: max(m - 1, 0)]
         out.append(nxt)
@@ -238,43 +231,29 @@ def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable,
     return PadeApproximant(n=n, Q_n=qn, P_n=pn)
 
 
-_F_CACHE: dict[tuple, complex] = {}
+def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
+    """f(z): the Cauchy transform q_0(z) = integral dmu/(z - x) plus the
+    exact pole terms.
 
-
-def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable,
-            rule: QuadratureRule | None = None) -> complex:
-    """f(z) by quadrature of the Cauchy integral plus exact pole terms."""
+    q_0 follows from the ratio q_1/q_0 of the recurrence's minimal solution
+    through the first step q_1 = (z - b_0) q_0 - mu_0; no quadrature.
+    """
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
         raise PadeError(f"evaluation point {z} lies on or near [-1, 1]")
-    use_rule = rule if rule is not None else gauss_rule(base, max(base.nmax, 60))
-    key = (json.dumps(f.to_json_dict(), sort_keys=True), z, use_rule.size)
-    hit = _F_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pts = use_rule.all_points()
-    w = use_rule.all_weights()
-    val = complex(np.sum(w / (z - pts))) + f.pole_value(z)
-    _F_CACHE[key] = val
-    return val
+    h1 = minimal_solution(base, z, 0, 1)[0, 1]
+    return complex(base.total_mass / (z - base.b[0] - h1)) + f.pole_value(z)
 
 
 def mu_moments(base: RecurrenceTable, count: int) -> np.ndarray:
     """m_s = integral x^s dmu for s < count, from the recurrence (exact
     sparse expansion of x^s over the basis; no quadrature)."""
-    a, b = base.a, base.b
     m0 = 1.0 / base.tau[0] ** 2
     e = np.array([1.0 + 0.0j])
     out = np.zeros(count, dtype=complex)
     for s in range(count):
         out[s] = e[0] * m0
-        nxt = np.zeros(len(e) + 1, dtype=complex)
-        for t, c in enumerate(e):
-            nxt[t + 1] += c
-            nxt[t] += b[t] * c
-            if t >= 1:
-                nxt[t - 1] += a[t] * a[t] * c
-        e = nxt
+        e = xmul_coeffs(e, base)
     return out
 
 
@@ -395,7 +374,7 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
     if precision != "double":
         raise PadeError(f"unknown precision {precision!r}")
     base = _ensure_table(base, n + 2)
-    fz = f_value(f, z, base, rule)
+    fz = f_value(f, z, base)
     errs = []
     for appr in (pade_approximant(n, f, base, rule),
                  pade_approximant(n + 1, f, base, rule)):

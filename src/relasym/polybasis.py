@@ -19,6 +19,7 @@ __all__ = [
     "eval_jet",
     "monomial_in_basis",
     "xmul",
+    "xmul_coeffs",
     "lincomb",
     "project_values",
     "divide_out_zeros",
@@ -148,18 +149,21 @@ def lincomb(polys: list[PolyInBasis], weights) -> PolyInBasis:
     return PolyInBasis(basis, out, deg, table)
 
 
+def xmul_coeffs(coeffs: np.ndarray, table: RecurrenceTable) -> np.ndarray:
+    """Monic mu-basis coefficients of x * p: x L_m = L_{m+1} + b_m L_m + a_m^2 L_{m-1}."""
+    d = len(coeffs)
+    a, b = table.a, table.b
+    out = np.zeros(d + 1, dtype=complex)
+    out[1:] += coeffs
+    out[:-1] += b[:d] * coeffs
+    out[:d - 1] += a[1:d] * a[1:d] * coeffs[1:]
+    return out
+
+
 def xmul(p: PolyInBasis) -> PolyInBasis:
     """Multiplication by x, exact in the monic mu-basis."""
     q = p.to_basis(MONIC)
-    a, b = p.table.a, p.table.b
-    out = np.zeros(q.degree + 2, dtype=complex)
-    for m in range(q.degree + 1):
-        c = q.coeffs[m]
-        out[m + 1] += c
-        out[m] += b[m] * c
-        if m >= 1:
-            out[m - 1] += a[m] * a[m] * c
-    res = PolyInBasis(MONIC, out, q.degree + 1, p.table)
+    res = PolyInBasis(MONIC, xmul_coeffs(q.coeffs, p.table), q.degree + 1, p.table)
     return res.to_basis(p.basis)
 
 

@@ -289,16 +289,14 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable,
     return SobolevOP(n=n, rep=rep, lam=None, norm_sq=ns, gamma_n=gam, cond=cond)
 
 
-def _monomial_jets(nu_max: int, order: int, c: complex) -> np.ndarray:
-    """out[nu, i] = d^i/dx^i x^nu at c."""
-    out = np.zeros((nu_max + 1, order + 1), dtype=complex)
-    for nu in range(nu_max + 1):
-        for i in range(min(order, nu) + 1):
-            fall = 1.0
-            for t in range(i):
-                fall *= nu - t
-            out[nu, i] = fall * c ** (nu - i)
-    return out
+def _mono_jet(nu: int, i: int, c):
+    """d^i/dx^i x^nu at c; c may be a float, complex or mpmath number."""
+    if i > nu:
+        return 0
+    fall = 1
+    for t in range(i):
+        fall *= nu - t
+    return fall * c ** (nu - i)
 
 
 def digit_loss(n: int, spec: SobolevSpec) -> float:
@@ -417,15 +415,6 @@ def _mp_poly_jet(coeffs: list, jets: list, order: int) -> list:
     return out
 
 
-def _mp_mono_jet(nu: int, i: int, c):
-    if i > nu:
-        return mpmath.mpc(0)
-    fall = 1
-    for t in range(i):
-        fall *= nu - t
-    return fall * c ** (nu - i)
-
-
 def _extended_core(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:
     """Solve the lambda expansion entirely in mpmath coefficient space."""
     A = spec.A
@@ -480,7 +469,7 @@ def _extended_core(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -
                 g = gammas[t.c]
                 qj = qjets[k][t.c]
                 for i in range(t.N + 1):
-                    mj = _mp_mono_jet(nu, i, cpts[t.c])
+                    mj = _mono_jet(nu, i, cpts[t.c])
                     if mj != 0:
                         val += mj * mpmath.fsum(g[i][kk] * qj[kk]
                                                 for kk in range(t.J + 1))
@@ -577,12 +566,12 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable,
     w = use_rule.all_weights()
     qvals = {k: ops[k].q.values_on_rule(use_rule) for k in range(A + 1)}
     qjets = {k: {t.c: ops[k].q.jet(t.c, t.J) for t in spec.terms} for k in range(A + 1)}
-    mono_jets = {t.c: _monomial_jets(A - 1, t.N, t.c) for t in spec.terms}
 
     def pairing(nu: int, k: int) -> complex:
         val = np.sum(w * pts ** nu * qvals[k])
         for t in spec.terms:
-            val += mono_jets[t.c][nu, : t.N + 1] @ t.gamma @ qjets[k][t.c]
+            mono = np.array([_mono_jet(nu, i, t.c) for i in range(t.N + 1)], dtype=complex)
+            val += mono @ t.gamma @ qjets[k][t.c]
         return complex(val)
 
     rows = np.zeros((A, A), dtype=complex)
@@ -642,7 +631,7 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
             for t in spec.terms:
                 g = core["gammas"][t.c]
                 sj = core["sjets"][t.c]
-                mj = [_mp_mono_jet(k, i, core["cpts"][t.c])
+                mj = [_mono_jet(k, i, core["cpts"][t.c])
                       for i in range(max(t.N, t.J) + 1)]
                 xk2 += mpmath.fsum(mj[i] * g[i][kk] * mj[kk]
                                    for i in range(t.N + 1)

@@ -31,7 +31,7 @@ from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
                         limit_sobolev, phi, sqrt_z2m1)
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 from .modified import ModifiedError, RationalModifier, solve_Q
-from .pade import PadeError, StieltjesFn, pade_denominator
+from .pade import PadeError, StieltjesFn, pade_denominator, to_sobolev_spec
 from .polybasis import PolyInBasis, eval_jet
 from .sobolev import SobolevError, SobolevSpec, regularity, sn_kernel, sn_lambda
 from .zeros import ZeroReport, cluster, default_radius, roots
@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise VerifyConfigError(f"target {self.target_kind!r} needs its payload")
         if self.precision not in ("double", "extended"):
             raise VerifyConfigError(f"unknown precision {self.precision!r}")
+        if self.precision == "extended" and self.target_kind == "modified":
+            raise VerifyConfigError("target 'modified' has no extended-precision lane")
         self.probe_points = tuple(complex(z) for z in self.probe_points)
         self.n_ladder = tuple(int(n) for n in self.n_ladder)
         self.zero_degrees = tuple(int(n) for n in self.zero_degrees)
@@ -241,6 +243,10 @@ class _TargetPolys:
                 else:
                     op = sn_lambda(n, cfg.sobolev, self.table)
                 self._cache[n] = op.rep
+            elif (cfg.target_kind == "pade" and cfg.precision == "extended"
+                  and cfg.stieltjes.poles):
+                spec = to_sobolev_spec(cfg.stieltjes)
+                self._cache[n] = sn_lambda(n, spec, self.table, extended=True).rep
             elif cfg.target_kind == "pade":
                 self._cache[n] = pade_denominator(n, cfg.stieltjes, self.table)
             else:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .joukowski import dist_to_cut
 from .polybasis import ORTHONORMAL, PolyInBasis
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "cluster",
     "default_radius",
     "radius_halving_stable",
-    "segment_distance",
 ]
 
 RESIDUAL_TOL = 1e-7
@@ -46,16 +46,6 @@ class ZerosError(ValueError):
 
 class ClusterConfigError(ZerosError):
     """Attraction disks overlap each other or are not separated from [-1, 1]."""
-
-
-def segment_distance(z: complex) -> float:
-    """Euclidean distance from z to the segment [-1, 1]."""
-    z = complex(z)
-    if z.real < -1.0:
-        return abs(z + 1.0)
-    if z.real > 1.0:
-        return abs(z - 1.0)
-    return abs(z.imag)
 
 
 @dataclass
@@ -170,7 +160,7 @@ def default_radius(centers) -> float:
     cs = [complex(c) for c in centers]
     if not cs:
         raise ClusterConfigError("no attraction centers")
-    d = min(segment_distance(c) for c in cs)
+    d = min(float(dist_to_cut(c)) for c in cs)
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
             d = min(d, abs(cs[i] - cs[j]))
@@ -197,7 +187,7 @@ def cluster(root_list, centers, radius: float | None = None,
         r = default_radius(cs) if radius is None else float(radius)
         if r <= 0:
             raise ClusterConfigError("radius must be positive")
-        sep = min(segment_distance(c) for c in cs)
+        sep = min(float(dist_to_cut(c)) for c in cs)
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
                 sep = min(sep, abs(cs[i] - cs[j]))
@@ -217,7 +207,7 @@ def cluster(root_list, centers, radius: float | None = None,
                 break
         if hit is not None:
             counts[hit] += 1
-        elif segment_distance(z) <= band:
+        elif float(dist_to_cut(z)) <= band:
             support += 1
         else:
             leftovers.append(z)

@@ -12,6 +12,7 @@ import numpy as np
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
 QUAD_DPS = 80    # rational-modifier moments via tanh-sinh quadrature
+POLE_DPS = 30    # Legendre pole moments: smooth integrands, ~1e-31 accurate
 
 
 def jacobi_moment(a, b, k: int) -> mp.mpf:
@@ -68,6 +69,28 @@ def modified_moment(spec, r, k: int) -> mp.mpc:
     for loc, mass in spec.mass_points:
         out += mp.mpf(mass) * mp.mpf(loc) ** k * _r_value(r, mp.mpf(loc))
     return out
+
+
+def _legendre_pair(m: int, j: int, x) -> mp.mpf:
+    """P_m(x) P_j(x) by Bonnet's recursion (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    vals = [mp.mpf(1), x]
+    for k in range(1, max(m, j)):
+        vals.append(((2 * k + 1) * x * vals[k] - k * vals[k - 1]) / (k + 1))
+    return vals[m] * vals[j]
+
+
+def legendre_pole_moment(m: int, j: int, d, nu: int) -> mp.mpc:
+    """integral L_m L_j (x - d)^-nu dx over [-1, 1] for the monic Legendre
+    polynomials L_k = P_k / lead_k, lead_k = binom(2k, k) / 2^k, by
+    tanh-sinh quadrature.  The break at 0.9 keeps nodes dense next to a
+    pole just right of the interval."""
+    with mp.workdps(POLE_DPS):
+        dd = mp.mpc(d)
+        lead = (mp.binomial(2 * m, m) / mp.mpf(2) ** m
+                * mp.binomial(2 * j, j) / mp.mpf(2) ** j)
+        val = mp.quad(lambda x: _legendre_pair(m, j, x) / (x - dd) ** nu,
+                      [-1, 0.9, 1])
+        return val / lead
 
 
 def _mono_jet(nu: int, i: int, c) -> mp.mpc:

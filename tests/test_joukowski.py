@@ -45,11 +45,18 @@ def test_cut_rejection(z):
         phi(z)
 
 
-def test_dist_to_cut():
-    assert dist_to_cut(2.0) == pytest.approx(1.0)
-    assert dist_to_cut(2j) == pytest.approx(2.0)
-    assert dist_to_cut(-1.0 - 1.0j) == pytest.approx(1.0)
-    assert dist_to_cut(0.5) == 0.0
+@pytest.mark.parametrize("z,d", [
+    (2.0, 1.0),
+    (2j, 2.0),
+    (-3.0, 2.0),
+    (0.5, 0.0),
+    (0.5 + 0.3j, 0.3),
+    (-1.5 - 2.0j, abs(-0.5 - 2.0j)),
+    (-1.0 - 1.0j, 1.0),
+])
+def test_dist_to_cut(z, d):
+    # exactly zero on the segment, elsewhere exact to rounding
+    assert dist_to_cut(z) == pytest.approx(d, abs=1e-15 if d else 0.0)
 
 
 def test_cheb_transform_frozen_and_negative_order():

@@ -1,18 +1,20 @@
 """Orthogonal polynomials for rational complex modifications r d(mu)."""
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _mp_oracles import compare_monomial, oracle_modified_monic
+from _mp_oracles import compare_monomial, legendre_pole_moment, oracle_modified_monic
 
 from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier,
-                     limit_modified, recurrence_extract, recurrence_for,
-                     rule_for, solve_Q, weak_limit_probe)
-from relasym.modified import inner_rho
-from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets
+                     StieltjesFn, f_value, limit_modified, recurrence_extract,
+                     recurrence_for, rule_for, solve_Q, weak_limit_probe)
+from relasym.measures import minimal_solution
+from relasym.modified import _pole_moments, inner_rho
+from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, xmul
 
 LEG = BaseMeasureSpec("legendre")
 TAB = recurrence_for(LEG, 70)
@@ -20,6 +22,7 @@ TAB = recurrence_for(LEG, 70)
 R_LIN = RationalModifier(zeros=((3.0 + 0j, 1),))
 R_CPX = RationalModifier(zeros=((2j, 1),))
 R_RAT = RationalModifier(zeros=((2j, 1),), poles=((3j, 1),))
+R_DBL = RationalModifier(zeros=((2j, 1),), poles=((1.1, 2),))
 
 
 def test_modifier_counts_and_values():
@@ -53,16 +56,52 @@ def test_degree_floor():
         solve_Q(2, R_RAT, TAB)  # needs n >= A + B + 1 = 3
 
 
+def _orthogonality_residual(op, r, tab):
+    n = op.n
+    rule = rule_for(tab.spec, n + 60)
+    pts, w = rule.all_points(), rule.all_weights()
+    V = basis_jets(tab, n - 1, pts, 0, ORTHONORMAL)[0]
+    terms = V * (w * r.values(pts) * op.q.values(pts))
+    return float(np.max(np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)))
+
+
 @pytest.mark.parametrize("r", [R_LIN, R_CPX, R_RAT], ids=["x-3", "x-2i", "rational"])
 def test_bilinear_orthogonality(r):
-    n = 24
-    rule = rule_for(LEG, n + 60)
-    q = solve_Q(n, r, TAB).q
-    pts, w = rule.all_points(), rule.all_weights()
-    V = basis_jets(TAB, n - 1, pts, 0, ORTHONORMAL)[0]
-    terms = V * (w * r.values(pts) * q.values(pts))
-    rel = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
-    assert np.max(rel) < 1e-10
+    assert _orthogonality_residual(solve_Q(24, r, TAB), r, TAB) < 1e-10
+
+
+@pytest.mark.parametrize("n", [320, 500])
+@pytest.mark.parametrize("r", [R_RAT, R_DBL], ids=["pole_3i", "double_pole_1.1"])
+def test_deep_degrees_solve_cleanly(r, n):
+    # no degree ceiling from scaling: the pole rows stay in ratio form
+    tab = recurrence_for(LEG, n + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        op = solve_Q(n, r, tab)
+    assert _orthogonality_residual(op, r, tab) < 1e-9
+
+
+@pytest.mark.parametrize("j", [10, 20])
+@pytest.mark.parametrize("d", [3j, 1.1], ids=["3i", "1.1"])
+def test_pole_moments_against_oracle(d, j):
+    # the rows carry 1/q_j(d); restore it from q_0(d) = f(d) of the plain
+    # Markov function and the minimal solution's ratio q_j/q_0
+    q_j = f_value(StieltjesFn(LEG), d, TAB) * minimal_solution(TAB, d, 0, j)[0, j]
+    got = _pole_moments(TAB, d, 2, j, j + 3) * q_j
+    for nu in (1, 2):
+        want = np.array([complex(legendre_pole_moment(m, j, d, nu))
+                         for m in range(j, j + 4)])
+        assert np.max(np.abs(got[nu - 1] - want) / np.abs(want)) < 1e-11
+
+
+@pytest.mark.parametrize("r", [R_DBL, RationalModifier(poles=((-1.5 + 0.5j, 2),))],
+                         ids=["zero_double_pole", "double_pole"])
+def test_beta_matches_quadrature(r):
+    n = 20
+    op = solve_Q(n, r, TAB)
+    rule = rule_for(LEG, 400)
+    want = inner_rho(xmul(op.q), op.q, r, rule) / inner_rho(op.q, op.q, r, rule)
+    assert abs(op.beta - want) < 1e-12
 
 
 def test_monic_and_exact_degree():

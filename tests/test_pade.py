@@ -5,7 +5,8 @@ import pytest
 from relasym import (BaseMeasureSpec, PadeError, SaturatedRatioError,
                      StieltjesFn, error_ratio, f_value, laurent_moments,
                      pade_approximant, pade_denominator, pade_numerator,
-                     pade_order_residuals, phi, recurrence_for, to_sobolev_spec)
+                     pade_order_residuals, phi, recurrence_for, rule_for,
+                     to_sobolev_spec)
 from relasym.pade import mu_moments, value_at
 from relasym.polybasis import MONIC, PolyInBasis
 
@@ -64,6 +65,16 @@ def test_f_value_matches_closed_form():
     got = f_value(F_POLE, z, TCHEB)
     want = np.pi / np.sqrt(8.0) + 1.0 / (z - 2j) ** 2
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_f_value_on_atom_measure_matches_quadrature():
+    spec = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 0.3)))
+    tab = recurrence_for(spec, 40)
+    rule = rule_for(spec, 200)
+    pts, w = rule.all_points(), rule.all_weights()
+    for z in (3j, 1.5 + 1.5j, -2.5 + 0j, 2.2 + 0j):
+        want = complex(np.sum(w / (z - pts)))
+        assert f_value(StieltjesFn(spec), z, tab) == pytest.approx(want, rel=1e-13)
 
 
 def test_order_conditions():

@@ -16,10 +16,13 @@ from relasym import (
     monotone_violations,
     run_ratio_ladder,
     run_zero_attraction,
+    recurrence_for,
     scenario,
+    sn_lambda,
+    to_sobolev_spec,
 )
 from relasym.sobolev import SobolevSpec, SobolevTerm
-from relasym.verify import CSV_COLUMNS, boundary_grid
+from relasym.verify import CSV_COLUMNS, _TargetPolys, boundary_grid
 
 LEG = BaseMeasureSpec("legendre")
 
@@ -116,6 +119,17 @@ def test_non_diagonal_sobolev_reaches_general_lane():
     assert len(rows) == 4 * 2 * 4                  # probes x jets x degrees
     assert [r.flag for r in rows if r.flag] == []
     assert monotone_violations(rows) == []
+
+
+def test_pade_extended_precision_reaches_extended_lane():
+    # at n = 6 the auto lane stays in double, so only an honored
+    # "extended" setting gives the mpmath denominator bit for bit
+    cfg = dataclasses.replace(scenario("pade_gonchar"), precision="extended",
+                              n_ladder=(6,))
+    table = recurrence_for(cfg.measure, 12)
+    got = _TargetPolys(cfg, table).poly(6)
+    want = sn_lambda(6, to_sobolev_spec(cfg.stieltjes), table, extended=True).rep
+    assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_monotone_violations_synthetic():

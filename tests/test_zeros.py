@@ -17,7 +17,7 @@ from relasym import (
     sn_kernel,
 )
 from relasym.polybasis import MONIC
-from relasym.zeros import default_radius, segment_distance
+from relasym.zeros import default_radius
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -57,18 +57,6 @@ def test_zero_leading_coefficient_rejected():
 def test_residual_check_optional():
     p = PolyInBasis.basis_poly(LEG, 7)
     assert roots(p, check_residual=False) == roots(p)
-
-
-@pytest.mark.parametrize("z,d", [
-    (2.0, 1.0),
-    (2j, 2.0),
-    (-3.0, 2.0),
-    (0.5, 0.0),
-    (0.5 + 0.3j, 0.3),
-    (-1.5 - 2.0j, abs(-0.5 - 2.0j)),
-])
-def test_segment_distance(z, d):
-    assert segment_distance(z) == pytest.approx(d, abs=1e-15)
 
 
 def test_default_radius():
