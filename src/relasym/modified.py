@@ -184,6 +184,8 @@ def _lambda_system(n: int, r: RationalModifier,
 
 def _solve_lambda(n, r, base):
     rows, rhs = _lambda_system(n, r, base)
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+        raise ModifiedError(f"lambda system overflows the double range at n={n}")
     scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
     scale[scale == 0.0] = 1.0
     rows = rows / scale[:, None]
@@ -216,15 +218,13 @@ def _beta(n: int, lam: np.ndarray, r: RationalModifier,
                    + lam[A + B - 1] / lam[A + B] * base.a[n - B + 1] ** 2)
 
 
-def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable,
-            rule: QuadratureRule | None = None) -> ModifiedOP:
+def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
     """Monic Q_n orthogonal to lower degrees under the bilinear form of r d(mu).
 
     The lambda system couples divisibility (jets at modifier zeros) with the
     pole moments, both exact recurrence quantities, and is solved once.
     kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
-    itself; quadrature enters only through the division by S, on the
-    caller's rule when one is given.
+    itself; quadrature enters only through the division by S.
     """
     A, B = r.A, r.B
     if n < A + B + 1:
@@ -245,14 +245,16 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable,
     for k in range(A + B + 1):
         coeffs[n + A - k] = lam[k]
     rep = PolyInBasis(MONIC, coeffs, n + A, base)
-    # n + 1 nodes: the fewest for which project_values is exact at degree n
-    q = divide_out_zeros(rep, list(r.zeros),
-                         rule if rule is not None else gauss_rule(base, n + 1))
+    q = divide_out_zeros(rep, list(r.zeros))
     top = abs(q.coeffs[n]) / float(np.max(np.abs(q.coeffs)))
     if top < 1e-8:
         raise ModifiedError(f"degree collapse at n={n} (top coefficient {top:.2e})", cond=cond)
 
-    kappa_sq_inv = lam[A + B] / base.tau[n - B] ** 2
+    with np.errstate(over="ignore"):
+        tau_sq = base.tau[n - B] ** 2
+    if not np.isfinite(tau_sq):
+        raise ModifiedError(f"tau_{n - B}^2 overflows the double range at n={n}", cond=cond)
+    kappa_sq_inv = lam[A + B] / tau_sq
     if abs(kappa_sq_inv) == 0.0:
         raise ModifiedError(f"kappa_n^2 undefined at n={n} (vanishing norm)")
     beta = _beta(n, lam, r, base)
@@ -304,8 +306,7 @@ def _alpha_chain(ops: list[ModifiedOP]) -> complex:
 
 
 def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
-                     base: RecurrenceTable,
-                     rule: QuadratureRule | None = None) -> tuple[complex, complex]:
+                     base: RecurrenceTable) -> tuple[complex, complex]:
     """lhs = integral f q_n q_{n+nu} r dmu against the orthonormalized pair;
     rhs = (1/pi) integral f T_nu / sqrt(1-x^2) dx by Gauss-Chebyshev.
 
@@ -316,7 +317,7 @@ def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
     if nu < 0:
         raise ModifiedError("nu must be >= 0")
     base = _ensure_table(base, n + nu + r.A + 1)
-    ops = [solve_Q(k, r, base, rule) for k in range(n, n + nu + 1)]
+    ops = [solve_Q(k, r, base) for k in range(n, n + nu + 1)]
     m = n + nu + r.A + r.B + 60 + f.degree
     big = gauss_rule(base, m)
     s = inner_rho(f_times(f, ops[0].q), ops[-1].q, r, big)

@@ -25,8 +25,7 @@ import mpmath
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import (BaseMeasureSpec, QuadratureRule, RecurrenceTable, gauss_rule,
-                       minimal_solution)
+from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
 from .modified import _ensure_table, monomial_to_coeffs
 from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
 from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_lambda,
@@ -153,14 +152,11 @@ def to_sobolev_spec(f: StieltjesFn) -> SobolevSpec:
     return SobolevSpec(terms=tuple(terms))
 
 
-def pade_denominator(n: int, f: StieltjesFn, base: RecurrenceTable,
-                     rule: QuadratureRule | None = None) -> PolyInBasis:
+def pade_denominator(n: int, f: StieltjesFn, base: RecurrenceTable) -> PolyInBasis:
     """Monic denominator of the [n-1, n] approximant."""
     if not f.poles:
         return PolyInBasis.basis_poly(base, n)
-    spec = to_sobolev_spec(f)
-    op = sn_lambda(n, spec, base, rule=rule)
-    return op.rep
+    return sn_lambda(n, to_sobolev_spec(f), base).rep
 
 
 def _second_kind(base: RecurrenceTable, nmax: int) -> list[np.ndarray]:
@@ -196,13 +192,12 @@ def _taylor_at(p: PolyInBasis, c: complex, order: int) -> PolyInBasis:
 
 
 def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
-                   base: RecurrenceTable,
-                   rule: QuadratureRule | None = None) -> PolyInBasis:
+                   base: RecurrenceTable) -> PolyInBasis:
     """Polynomial part of f * Q_n at infinity (degree <= n-1).
 
     P = sum_m q_m E_m  +  sum_{j,i} A_{j,i} i! (Q_n - T_{j,i}) / (x-c_j)^{i+1},
     with T_{j,i} the Taylor polynomial of Q_n at c_j through order i, so the
-    division is exact; it is done at the quadrature nodes and re-projected.
+    division is exact; it is done at Gauss nodes and re-projected.
     """
     q = Q_n.to_basis(MONIC)
     E = _second_kind(base, n)
@@ -211,23 +206,21 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
         acc[: m] += q.coeffs[m] * E[m]
     parts = [PolyInBasis(MONIC, acc[: max(q.degree, 1)], max(q.degree - 1, 0), base)]
     weights = [1.0 + 0.0j]
-    use_rule = rule if rule is not None else gauss_rule(base, n + 40)
     for c, A in f.poles:
         for i, a in enumerate(A):
             if a == 0:
                 continue
             tay = _taylor_at(q, c, i)
             diff = lincomb([q, tay], [1.0, -1.0])
-            piece = divide_out_zeros(diff, [(c, i + 1)], use_rule)
+            piece = divide_out_zeros(diff, [(c, i + 1)])
             parts.append(piece)
             weights.append(a * math.factorial(i))
     return lincomb(parts, weights).trimmed()
 
 
-def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable,
-                     rule: QuadratureRule | None = None) -> PadeApproximant:
-    qn = pade_denominator(n, f, base, rule)
-    pn = pade_numerator(n, f, qn, base, rule)
+def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable) -> PadeApproximant:
+    qn = pade_denominator(n, f, base)
+    pn = pade_numerator(n, f, qn, base)
     return PadeApproximant(n=n, Q_n=qn, P_n=pn)
 
 
@@ -343,7 +336,6 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
 
 
 def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
-                rule: QuadratureRule | None = None,
                 precision: str = "double") -> complex:
     """(f(z) - pi_{n+1}(z)) / (f(z) - pi_n(z)); the geometric-rate probe.
 
@@ -376,8 +368,8 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
     base = _ensure_table(base, n + 2)
     fz = f_value(f, z, base)
     errs = []
-    for appr in (pade_approximant(n, f, base, rule),
-                 pade_approximant(n + 1, f, base, rule)):
+    for appr in (pade_approximant(n, f, base),
+                 pade_approximant(n + 1, f, base)):
         Pz = value_at(appr.P_n, z)
         Qz = value_at(appr.Q_n, z)
         # resolution of the computed difference: the cancellation inside

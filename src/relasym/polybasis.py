@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MeasureError, QuadratureRule, RecurrenceTable, atom_basis_values
+from .measures import (MeasureError, QuadratureRule, RecurrenceTable,
+                       atom_basis_values, gauss_rule)
 
 __all__ = [
     "PolyInBasis",
@@ -216,19 +217,20 @@ def project_values(fvals: np.ndarray, rule: QuadratureRule, table: RecurrenceTab
     return p.to_basis(basis)
 
 
-def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]],
-                     rule: QuadratureRule) -> PolyInBasis:
+def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]]) -> PolyInBasis:
     """p / prod (x - c)^mult for zeros off [-1, 1], assuming divisibility.
 
-    Done by pointwise division at the quadrature points followed by
+    Done by pointwise division at the nodes of a Gauss rule followed by
     re-projection; deflation in coefficient space amplifies roundoff
-    geometrically and is avoided.
+    geometrically and is avoided.  The rule has deg(p) - deg(divisor) + 1
+    nodes, the fewest for which the projection is exact.
     """
     total = sum(mult for _, mult in zeros)
     if total == 0:
         return p
     if total > p.degree:
         raise ValueError("divisor degree exceeds polynomial degree")
+    rule = gauss_rule(p.table, p.degree - total + 1)
     x = rule.all_points()
     svals = np.ones(len(x), dtype=complex)
     for c, mult in zeros:

@@ -9,9 +9,10 @@ coefficient matrices Gamma_j* square and nonsingular) is what the
 construction and the asymptotics need.  Two independent builders:
 
 * sn_kernel: positive-definite diagonal case, solved through a bordered
-  system on the Christoffel-Darboux kernel of mu;
+  system on the Christoffel-Darboux kernel of mu, in double precision;
 * sn_lambda: general regular case, expanding S_n over monic orthogonal
-  polynomials Q_{n-k} of s dmu with s = prod (z-c_j)^{N_j+1}.
+  polynomials Q_{n-k} of s dmu with s = prod (z-c_j)^{N_j+1}, by exact
+  coefficient algebra over the recurrence table in mpmath.
 """
 from __future__ import annotations
 
@@ -22,9 +23,11 @@ import mpmath
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import QuadratureRule, RecurrenceTable, gauss_rule, inner_mu
-from .modified import RationalModifier, solve_Q, _ensure_table
-from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, lincomb
+from .measures import QuadratureRule, RecurrenceTable, inner_mu
+# solve_Q is unused here; perfbench's tracer test checks that this module's
+# name for it is wrapped, so it stays until that test changes
+from .modified import _ensure_table, solve_Q  # noqa: F401
+from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets
 
 __all__ = [
     "SobolevTerm",
@@ -223,21 +226,13 @@ class SobolevOP:
     cond: float
 
 
-def _norm_and_gamma(rep, spec, base, rule):
-    ns = sobolev_inner(rep, rep, spec, base, rule)
-    if ns == 0:
-        raise SobolevError("degenerate S_n: <S_n, S_n> = 0")
-    return complex(ns), complex(1.0 / np.sqrt(complex(ns)))
-
-
-def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable,
-              rule: QuadratureRule | None = None) -> SobolevOP:
+def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """Positive-definite diagonal path.
 
     With masses M_{j,i} >= 0 at real points, S_n = L_n - sum M_{j,i}
     S_n^(i)(c_j) K_{n-1}^{(0,i)}(x, c_j); the unknown jets solve a bordered
     system on the Christoffel-Darboux kernel slices.  norm_sq is assembled
-    from the solved jets and the Parseval sum, so `rule` is not consulted.
+    from the solved jets and the Parseval sum, with no quadrature.
     """
     masses = spec.diagonal_masses()
     base = _ensure_table(base, n + 1)
@@ -290,7 +285,7 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable,
 
 
 def _mono_jet(nu: int, i: int, c):
-    """d^i/dx^i x^nu at c; c may be a float, complex or mpmath number."""
+    """d^i/dx^i x^nu at the mpmath number c."""
     if i > nu:
         return 0
     fall = 1
@@ -305,8 +300,8 @@ def digit_loss(n: int, spec: SobolevSpec) -> float:
 
     The jets S_n^(k)(c_j) collapse against the generic size of the expansion
     terms by a factor ~ |phi(c_j)|^n, so the linear system for lambda loses
-    about n * log10 max_j |phi(c_j)| digits.  Past ~9 the double-precision
-    path degrades and the extended lane takes over.
+    about n * log10 max_j |phi(c_j)| digits.  sn_lambda sets its working
+    precision from this; orthogonality_residuals_extended from twice it.
     """
     return n * max(math.log10(abs(phi(t.c))) for t in spec.terms)
 
@@ -520,20 +515,17 @@ def _extended_core(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -
         }
 
 
-def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable,
-              rule: QuadratureRule | None = None,
-              extended: bool | str = "auto",
-              dps: int | None = None) -> SobolevOP:
+def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """General regular path through the modified measure s dmu.
 
     s(z) = prod (z - c_j)^{N_j+1}; S_n = sum_{k=0}^{A} lambda_k Q_{n-k} with
     lambda_0 = 1, the remaining lambda pinned by <x^nu, S_n> = 0 for
     nu = 0..A-1.  Orthogonality against s * (lower degrees) is automatic.
 
-    The expansion conditions cancel ~ n * log10 |phi(c)| digits, so past
-    that budget the system is assembled and solved in mpmath ("auto"
-    switches over once ~9 digits would be lost; the whole lane is exact
-    coefficient algebra, no quadrature, so this stays cheap).
+    The expansion conditions cancel ~ n * log10 |phi(c)| digits, so the
+    system is assembled and solved in mpmath with that many digits plus 35
+    (30 at least).  Every step is exact coefficient algebra over the
+    recurrence table, with no quadrature.
     """
     report = regularity(spec)
     if not report.overall_regular:
@@ -542,58 +534,14 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable,
     if n < 2 * A + 1:
         raise SobolevError(f"need n >= 2A+1 = {2 * A + 1} for the expansion, got {n}")
 
-    loss = digit_loss(n, spec)
-    # moment-only rows (coupling identically zero) decay like |phi(c)|^{-2n},
-    # twice the jet-collapse rate, so the auto switch uses 2*loss
-    use_extended = extended is True or (extended == "auto" and 2.0 * loss > 9.0)
-    if use_extended:
-        wp = dps if dps is not None else max(30, int(loss) + 35)
-        core = _extended_core(n, spec, base, wp)
-        if not np.isfinite(core["cond"]) or core["cond"] > COND_LIMIT:
-            raise SobolevError(
-                f"lambda system ill-conditioned (cond ~ {core['cond']:.2e}) at n={n}: "
-                "index below the asymptotic regime")
-        rep = PolyInBasis(MONIC, core["coeffs"], n, core["base"])
-        return SobolevOP(n=n, rep=rep, lam=core["lam"], norm_sq=core["norm_sq"],
-                         gamma_n=core["gamma_n"], cond=core["cond"])
-
-    r = RationalModifier(zeros=tuple((t.c, t.N + 1) for t in spec.terms))
-    base = _ensure_table(base, n + A + 1)
-    ops = {k: solve_Q(n - k, r, base) for k in range(A + 1)}
-    use_rule = rule if rule is not None else gauss_rule(base, n + A + 50)
-
-    pts = use_rule.all_points()
-    w = use_rule.all_weights()
-    qvals = {k: ops[k].q.values_on_rule(use_rule) for k in range(A + 1)}
-    qjets = {k: {t.c: ops[k].q.jet(t.c, t.J) for t in spec.terms} for k in range(A + 1)}
-
-    def pairing(nu: int, k: int) -> complex:
-        val = np.sum(w * pts ** nu * qvals[k])
-        for t in spec.terms:
-            mono = np.array([_mono_jet(nu, i, t.c) for i in range(t.N + 1)], dtype=complex)
-            val += mono @ t.gamma @ qjets[k][t.c]
-        return complex(val)
-
-    rows = np.zeros((A, A), dtype=complex)
-    rhs = np.zeros(A, dtype=complex)
-    for nu in range(A):
-        for k in range(1, A + 1):
-            rows[nu, k - 1] = pairing(nu, k)
-        rhs[nu] = -pairing(nu, 0)
-    scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
-    scale[scale == 0.0] = 1.0
-    rows /= scale[:, None]
-    rhs /= scale
-    cond = float(np.linalg.cond(rows))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    core = _extended_core(n, spec, base, max(30, int(digit_loss(n, spec)) + 35))
+    if not np.isfinite(core["cond"]) or core["cond"] > COND_LIMIT:
         raise SobolevError(
-            f"lambda system ill-conditioned (cond ~ {cond:.2e}) at n={n}: "
+            f"lambda system ill-conditioned (cond ~ {core['cond']:.2e}) at n={n}: "
             "index below the asymptotic regime")
-    lam = np.concatenate([[1.0 + 0.0j], np.linalg.solve(rows, rhs)])
-
-    rep = lincomb([ops[k].q for k in range(A + 1)], lam)
-    ns, gam = _norm_and_gamma(rep, spec, base, use_rule)
-    return SobolevOP(n=n, rep=rep, lam=lam, norm_sq=ns, gamma_n=gam, cond=cond)
+    rep = PolyInBasis(MONIC, core["coeffs"], n, core["base"])
+    return SobolevOP(n=n, rep=rep, lam=core["lam"], norm_sq=core["norm_sq"],
+                     gamma_n=core["gamma_n"], cond=core["cond"])
 
 
 def orthogonality_residuals_extended(n: int, spec: SobolevSpec,

@@ -31,7 +31,7 @@ from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
                         limit_sobolev, phi, sqrt_z2m1)
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 from .modified import ModifiedError, RationalModifier, solve_Q
-from .pade import PadeError, StieltjesFn, pade_denominator, to_sobolev_spec
+from .pade import PadeError, StieltjesFn, pade_denominator
 from .polybasis import PolyInBasis, eval_jet
 from .sobolev import SobolevError, SobolevSpec, regularity, sn_kernel, sn_lambda
 from .zeros import ZeroReport, cluster, default_radius, roots
@@ -236,17 +236,12 @@ class _TargetPolys:
             if cfg.target_kind == "modified":
                 self._cache[n] = solve_Q(n, cfg.modifier, self.table).q
             elif cfg.target_kind == "sobolev":
-                if cfg.precision == "extended":
-                    op = sn_lambda(n, cfg.sobolev, self.table, extended=True)
-                elif cfg.sobolev.is_diagonal_real_positive():
+                if (cfg.precision == "double"
+                        and cfg.sobolev.is_diagonal_real_positive()):
                     op = sn_kernel(n, cfg.sobolev, self.table)
                 else:
                     op = sn_lambda(n, cfg.sobolev, self.table)
                 self._cache[n] = op.rep
-            elif (cfg.target_kind == "pade" and cfg.precision == "extended"
-                  and cfg.stieltjes.poles):
-                spec = to_sobolev_spec(cfg.stieltjes)
-                self._cache[n] = sn_lambda(n, spec, self.table, extended=True).rep
             elif cfg.target_kind == "pade":
                 self._cache[n] = pade_denominator(n, cfg.stieltjes, self.table)
             else:

@@ -45,7 +45,11 @@ def _r_value(r, x):
 def modified_moment(spec, r, k: int) -> mp.mpc:
     """integral x^k r(x) dmu.  Polynomial r reduces to measure moments;
     rational r integrates the continuous part by tanh-sinh quadrature
-    (smooth on [-1, 1]: poles sit off the segment)."""
+    (smooth on [-1, 1]: poles sit off the segment).  A negative Jacobi
+    exponent makes the weight singular at an endpoint; there x = cos t,
+    (1-x)^a (1+x)^b dx = 2^(a+b+1) sin^(2a+1)(t/2) cos^(2b+1)(t/2) dt
+    on [0, pi], which removes the singularity (smooth and periodic for
+    Chebyshev)."""
     if not r.poles:
         coeffs = [mp.mpc(1)]
         for c, mult in r.zeros:
@@ -63,8 +67,15 @@ def modified_moment(spec, r, k: int) -> mp.mpc:
         )
     a, b = (mp.mpf(v) for v in spec.jacobi_exponents())
     with mp.workdps(QUAD_DPS):
-        integrand = lambda x: x ** k * _r_value(r, x) * (1 - x) ** a * (1 + x) ** b
-        val = mp.quad(integrand, [-1, 1])
+        if a < 0 or b < 0:
+            def integrand(t):
+                x = mp.cos(t)
+                return (x ** k * _r_value(r, x) * mp.sin(t / 2) ** (2 * a + 1)
+                        * mp.cos(t / 2) ** (2 * b + 1))
+            val = mp.mpf(2) ** (a + b + 1) * mp.quad(integrand, [0, mp.pi])
+        else:
+            integrand = lambda x: x ** k * _r_value(r, x) * (1 - x) ** a * (1 + x) ** b
+            val = mp.quad(integrand, [-1, 1])
     out = mp.mpc(val)
     for loc, mass in spec.mass_points:
         out += mp.mpf(mass) * mp.mpf(loc) ** k * _r_value(r, mp.mpf(loc))

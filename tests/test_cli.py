@@ -1,5 +1,6 @@
 """Exit codes, report files, and byte determinism of the command line."""
 import json
+import warnings
 
 import pytest
 
@@ -115,3 +116,14 @@ def test_extended_precision_rejected_for_modified(tmp_path):
     assert main(["verify", "--config", "modified_rational", "--out", str(tmp_path),
                  "--precision", "extended"]) == 3
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_zeros_past_double_range_is_numerical_exit(tmp_path):
+    # at degree 1000 the lambda system of this modifier overflows; the
+    # refusal maps to the numerics exit instead of ending in a traceback
+    payload = scenario("modified_rational").to_json_dict()
+    payload["zero_degrees"] = [1000]
+    cfg = _write_json(tmp_path / "deep.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the jets overflow
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4

@@ -81,6 +81,19 @@ def test_deep_degrees_solve_cleanly(r, n):
     assert _orthogonality_residual(op, r, tab) < 1e-9
 
 
+@pytest.mark.parametrize("n, label", [(600, r"tau_599\^2 overflows"),
+                                      (1000, "lambda system overflows")],
+                         ids=["600", "1000"])
+def test_refusal_past_double_range_names_the_overflow(n, label):
+    # past the double range the refusal is a typed ModifiedError that says
+    # what overflowed, not "vanishing norm" or a LinAlgError from the solve
+    tab = recurrence_for(LEG, n + 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # jets overflow at n = 1000
+        with pytest.raises(ModifiedError, match=label):
+            solve_Q(n, R_RAT, tab)
+
+
 @pytest.mark.parametrize("j", [10, 20])
 @pytest.mark.parametrize("d", [3j, 1.1], ids=["3i", "1.1"])
 def test_pole_moments_against_oracle(d, j):

@@ -10,9 +10,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _mp_oracles import compare_monomial, oracle_sobolev_monic
 
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
-                     digit_loss, gamma_sequence, orthogonality_residuals_extended,
-                     phi, recurrence_for, regularity, rule_for, sn_kernel,
-                     sn_lambda, sobolev_inner)
+                     StieltjesFn, digit_loss, gamma_sequence,
+                     orthogonality_residuals_extended, phi, recurrence_for,
+                     regularity, rule_for, sn_kernel, sn_lambda, sobolev_inner,
+                     to_sobolev_spec)
 from relasym.sobolev import SobolevTerm
 from relasym.polybasis import MONIC
 
@@ -76,9 +77,19 @@ def test_kernel_vs_lambda_paths():
         assert np.max(np.abs(k.coeffs - l.coeffs)) < 1e-9
 
 
+COUPLED = SobolevSpec((SobolevTerm(c=2j, gamma=np.array([[1.0, 0.5], [0.5, 1.0]])),))
+TWO_POLE = to_sobolev_spec(StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0 + 0j, (2.0,)))))
+
+
 def test_against_dense_oracle():
     got = sn_kernel(9, PAIR, TAB).rep
     assert compare_monomial(got, oracle_sobolev_monic(LEG, PAIR, 9), 0) < 1e-10
+    # the smallest degrees the expansion admits, n = 2A+1 and 2A+3
+    for spec in (PAIR, COUPLED, TWO_POLE):
+        for n in (2 * spec.A + 1, 2 * spec.A + 3):
+            got = sn_lambda(n, spec, TAB).rep
+            gap = compare_monomial(got, oracle_sobolev_monic(LEG, spec, n), 0)
+            assert gap < 1e-10, f"sn_lambda vs oracle {gap:.2e} at n={n}"
 
 
 def test_digit_loss_scaling():
@@ -89,7 +100,7 @@ def test_digit_loss_scaling():
 
 def test_extended_lane_engages_and_matches():
     # by n=60 the expansion conditions cancel ~34 digits: the lambda path
-    # must have switched to exact arithmetic and still match the kernel path
+    # works at enough digits to absorb that and still matches the kernel path
     n = 60
     k = sn_kernel(n, PAIR, TAB).rep.to_basis(MONIC)
     l = sn_lambda(n, PAIR, TAB).rep.to_basis(MONIC)

@@ -122,13 +122,13 @@ def test_non_diagonal_sobolev_reaches_general_lane():
 
 
 def test_pade_extended_precision_reaches_extended_lane():
-    # at n = 6 the auto lane stays in double, so only an honored
-    # "extended" setting gives the mpmath denominator bit for bit
+    # pade denominators have one lane, the mpmath expansion; an
+    # "extended" setting must reach it bit for bit even at small n
     cfg = dataclasses.replace(scenario("pade_gonchar"), precision="extended",
                               n_ladder=(6,))
     table = recurrence_for(cfg.measure, 12)
     got = _TargetPolys(cfg, table).poly(6)
-    want = sn_lambda(6, to_sobolev_spec(cfg.stieltjes), table, extended=True).rep
+    want = sn_lambda(6, to_sobolev_spec(cfg.stieltjes), table).rep
     assert np.array_equal(got.coeffs, want.coeffs)
 
 
