@@ -28,7 +28,7 @@ from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
 from .modified import _ensure_table, monomial_to_coeffs
 from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
-from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_lambda,
+from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel, sn_lambda,
                       _extended_core, _mp_ab, _mp_basis_jets, _mp_poly_jet)
 
 __all__ = [
@@ -94,11 +94,6 @@ class StieltjesFn:
                     raise PadeError("pole locations must be distinct")
         object.__setattr__(self, "poles", tuple(canon))
 
-    @property
-    def total_pole_order(self) -> int:
-        """sum (N_j + 1), the degree excess the poles force on Q_n."""
-        return sum(len(A) for _, A in self.poles)
-
     def pole_value(self, z: complex) -> complex:
         val = 0.0 + 0.0j
         for c, A in self.poles:
@@ -153,10 +148,10 @@ def to_sobolev_spec(f: StieltjesFn) -> SobolevSpec:
 
 
 def pade_denominator(n: int, f: StieltjesFn, base: RecurrenceTable) -> PolyInBasis:
-    """Monic denominator of the [n-1, n] approximant."""
+    """Monic denominator of the [n-1, n] approximant (kernel lane)."""
     if not f.poles:
         return PolyInBasis.basis_poly(base, n)
-    return sn_lambda(n, to_sobolev_spec(f), base).rep
+    return sn_kernel(n, to_sobolev_spec(f), base).rep
 
 
 def _second_kind(base: RecurrenceTable, nmax: int) -> list[np.ndarray]:
@@ -219,7 +214,10 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
 
 
 def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable) -> PadeApproximant:
-    qn = pade_denominator(n, f, base)
+    # exact-lane denominator: error_ratio's double lane resolves errors
+    # below the kernel lane's coefficient accuracy
+    qn = (sn_lambda(n, to_sobolev_spec(f), base).rep if f.poles
+          else PolyInBasis.basis_poly(base, n))
     pn = pade_numerator(n, f, qn, base)
     return PadeApproximant(n=n, Q_n=qn, P_n=pn)
 

@@ -18,7 +18,6 @@ __all__ = [
     "PolyInBasis",
     "basis_jets",
     "eval_jet",
-    "monomial_in_basis",
     "xmul",
     "xmul_coeffs",
     "lincomb",
@@ -166,14 +165,6 @@ def xmul(p: PolyInBasis) -> PolyInBasis:
     q = p.to_basis(MONIC)
     res = PolyInBasis(MONIC, xmul_coeffs(q.coeffs, p.table), q.degree + 1, p.table)
     return res.to_basis(p.basis)
-
-
-def monomial_in_basis(table: RecurrenceTable, k: int) -> PolyInBasis:
-    """x^k over the monic mu-basis (small k only; exact sparse recursion)."""
-    p = PolyInBasis(MONIC, np.ones(1, dtype=complex), 0, table)
-    for _ in range(k):
-        p = xmul(p)
-    return p
 
 
 def rule_basis_values(table: RecurrenceTable, deg: int, rule: QuadratureRule,

@@ -6,13 +6,15 @@ The bilinear form is
 
 with finitely many points c_j off the support.  Regularity (the reduced
 coefficient matrices Gamma_j* square and nonsingular) is what the
-construction and the asymptotics need.  Two independent builders:
+construction and the asymptotics need.  Two independent builders, both
+for every regular spec (complex points, non-diagonal and indefinite gamma,
+the Pade coupling matrices alike):
 
-* sn_kernel: positive-definite diagonal case, solved through a bordered
-  system on the Christoffel-Darboux kernel of mu, in double precision;
-* sn_lambda: general regular case, expanding S_n over monic orthogonal
-  polynomials Q_{n-k} of s dmu with s = prod (z-c_j)^{N_j+1}, by exact
-  coefficient algebra over the recurrence table in mpmath.
+* sn_kernel: a bordered system on the Christoffel-Darboux kernel of mu,
+  one unknown per nonzero column of each gamma_j, in double precision;
+* sn_lambda: an expansion of S_n over monic orthogonal polynomials Q_{n-k}
+  of s dmu with s = prod (z-c_j)^{N_j+1}, by exact coefficient algebra over
+  the recurrence table in mpmath.
 """
 from __future__ import annotations
 
@@ -102,27 +104,6 @@ class SobolevSpec:
         """Degree of s(z) = prod (z - c_j)^{N_j + 1}."""
         return sum(t.N + 1 for t in self.terms)
 
-    def is_diagonal_real_positive(self) -> bool:
-        for t in self.terms:
-            if abs(t.c.imag) > 0.0:
-                return False
-            g = t.gamma
-            if g.shape[0] != g.shape[1]:
-                return False
-            off = g - np.diag(np.diag(g))
-            if np.any(off != 0.0):
-                return False
-            d = np.diag(g)
-            if np.any(np.abs(d.imag) > 0.0) or np.any(d.real < 0.0):
-                return False
-        return True
-
-    def diagonal_masses(self) -> list[tuple[float, np.ndarray]]:
-        """[(c_j, M_j)] with M_j the diagonal of gamma; positive case only."""
-        if not self.is_diagonal_real_positive():
-            raise SobolevError("spec is not diagonal real nonnegative")
-        return [(t.c.real, np.real(np.diag(t.gamma)).copy()) for t in self.terms]
-
     @classmethod
     def diagonal(cls, points) -> "SobolevSpec":
         """Build from [(c, [M_0, ..., M_N])]."""
@@ -140,10 +121,7 @@ class SobolevSpec:
                 "N": t.N,
                 "gamma": [[[v.real, v.imag] for v in row] for row in t.gamma],
             })
-        doc = {"terms": out_terms}
-        if self.is_diagonal_real_positive():
-            doc["diagonal"] = [list(np.real(np.diag(t.gamma))) for t in self.terms]
-        return doc
+        return {"terms": out_terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SobolevSpec":
@@ -178,6 +156,12 @@ class RegularityReport:
     N_total: int
 
 
+def _support(g: np.ndarray) -> tuple[list[int], list[int]]:
+    """Indices of the nonzero rows and of the nonzero columns of gamma."""
+    return ([i for i in range(g.shape[0]) if np.any(g[i])],
+            [k for k in range(g.shape[1]) if np.any(g[:, k])])
+
+
 def regularity(spec: SobolevSpec) -> RegularityReport:
     """Reduce each gamma by deleting zero rows and zero columns; the inner
     product is regular when every reduced matrix is square with det != 0
@@ -185,8 +169,7 @@ def regularity(spec: SobolevSpec) -> RegularityReport:
     reports = []
     for t in spec.terms:
         g = t.gamma
-        rows = [i for i in range(g.shape[0]) if np.any(g[i])]
-        cols = [k for k in range(g.shape[1]) if np.any(g[:, k])]
+        rows, cols = _support(g)
         star = g[np.ix_(rows, cols)]
         if star.shape[0] != star.shape[1] or star.size == 0:
             reports.append(TermRegularity(False, 0, 0.0 + 0.0j))
@@ -220,68 +203,80 @@ def sobolev_inner(h: PolyInBasis, g: PolyInBasis, spec: SobolevSpec,
 class SobolevOP:
     n: int
     rep: PolyInBasis                  # monic mu-basis coefficients of S_n
-    lam: np.ndarray | None            # expansion over Q_{n-k} (lambda path)
     norm_sq: complex                  # <S_n, S_n>
     gamma_n: complex                  # principal branch of norm_sq^{-1/2}
     cond: float
 
 
 def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
-    """Positive-definite diagonal path.
+    """Double-precision path for every regular spec.
 
-    With masses M_{j,i} >= 0 at real points, S_n = L_n - sum M_{j,i}
-    S_n^(i)(c_j) K_{n-1}^{(0,i)}(x, c_j); the unknown jets solve a bordered
-    system on the Christoffel-Darboux kernel slices.  norm_sq is assembled
-    from the solved jets and the Parseval sum, with no quadrature.
+    S_n = L_n - sum_j sum_{i,k} gamma^j_{ik} S_n^(k)(c_j) K_{n-1}^{(0,i)}(x, c_j)
+    with K the unconjugated kernel sum_{m<n} l_m(x) l_m(c).  The unknowns
+    u = S_n^(k)(c_j), k over the nonzero columns of gamma_j, solve
+    (I + J W^T) u = (L_n^(k)(c_j)): J holds the jet rows l_m^(k)(c_j), m < n,
+    W = Gamma*^T (jet rows at the nonzero rows of gamma_j).  Then s = -W^T u
+    and norm_sq = <L_n, S_n> = 1/tau_n^2 + W[:, n] . u / tau_n.  Jet rows are
+    divided by their largest entry, and each point's J and W blocks are
+    factored as P L Q (scalar, small lower triangle, orthonormal rows).  The
+    solve runs on v = P' L'^T u with diag(L^-1 L'^-T / (P P')) + Q Q'^T, which
+    equilibrates rows and columns and takes in the near-parallel derivative
+    rows of each point; then s = -Q'^T v.
     """
-    masses = spec.diagonal_masses()
+    if not regularity(spec).overall_regular:
+        raise SobolevError("inner product is not regular; construction undefined")
+    order = max(max(t.gamma.shape) for t in spec.terms) - 1
+    if n <= order:
+        raise SobolevError(f"need n > {order}, the highest coupled derivative, got {n}")
     base = _ensure_table(base, n + 1)
-    pairs = []                       # (c_j, i, M_ji)
-    for c, M in masses:
-        for i, m in enumerate(M):
-            if m > 0.0:
-                pairs.append((c, i, float(m)))
-    ln_orth = np.zeros(n + 1)
-    ln_orth[n] = 1.0 / base.tau[n]   # monic L_n over the orthonormal basis
-
-    if not pairs:
-        rep = PolyInBasis.basis_poly(base, n)
-        ns = 1.0 / base.tau[n] ** 2
-        return SobolevOP(n=n, rep=rep, lam=None, norm_sq=complex(ns),
-                         gamma_n=complex(1.0 / math.sqrt(ns)), cond=1.0)
-
-    max_order = max(i for _, i, _ in pairs)
-    jets = {}                        # c -> (order+1, n+1) orthonormal jets
-    for c, _, _ in pairs:
-        if c not in jets:
-            jets[c] = basis_jets(base, n, c, order=max_order, basis=ORTHONORMAL).real
-    p = len(pairs)
-    G = np.zeros((p, p))
-    rhs = np.zeros(p)
-    for a, (ca, ia, _) in enumerate(pairs):
-        rhs[a] = float(jets[ca][ia, n] / base.tau[n])     # L_n^(ia)(ca)
-        for b, (cb, ib, mb) in enumerate(pairs):
-            # K_{n-1}^{(ia, ib)}(ca, cb), kernel truncated below degree n
-            G[a, b] = mb * float(jets[ca][ia, :n] @ jets[cb][ib, :n])
-    M_sys = np.eye(p) + G
-    cond = float(np.linalg.cond(M_sys))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if not np.isfinite(base.tau[n]):
+        raise SobolevError(f"tau_{n} overflows the double range")
+    atoms = base.spec.mass_points if base.spec is not None else ()
+    if any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms):
+        # forward jets at an atom follow a decaying solution into rounding noise
+        raise SobolevError("a coupling point coincides with a mass point")
+    inv_tau = 1.0 / base.tau[n]
+    Q, Qw, D, rhs, wn = [], [], [], [], []
+    for t in spec.terms:
+        rows, cols = _support(t.gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = basis_jets(base, n, t.c, order=max(rows + cols), basis=ORTHONORMAL)
+        if not np.all(np.isfinite(E)):
+            raise SobolevError(f"jets at c = {t.c} overflow the double range at n={n}")
+        peak = np.abs(E).max(axis=1)
+        E = E / peak[:, None]
+        pj, pw = peak[cols].max(), peak[rows].max()
+        J = E[cols] * (peak[cols] / pj)[:, None]
+        W = t.gamma[np.ix_(rows, cols)].T @ (E[rows] * (peak[rows] / pw)[:, None])
+        q, r = np.linalg.qr(J[:, :n].T)
+        qw, rw = np.linalg.qr(W[:, :n].T)
+        Li, Lwi = np.linalg.inv(r.T), np.linalg.inv(rw.T)
+        Q.append(q.T)
+        Qw.append(qw.T)
+        # 1/(P P') underflows harmlessly once the kernel part dominates
+        D.append(Li @ Lwi.T * ((1.0 / pj) * (1.0 / pw)))
+        rhs.append(Li @ J[:, n] * inv_tau)
+        wn.append(Lwi @ W[:, n])
+    Q, Qw = np.vstack(Q), np.vstack(Qw)
+    M_sys = Q @ Qw.T
+    i = 0
+    for d in D:
+        M_sys[i:i + len(d), i:i + len(d)] += d
+        i += len(d)
+    cond = float(np.linalg.cond(M_sys)) if np.all(np.isfinite(M_sys)) else math.inf
+    if not cond <= COND_LIMIT:
         raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
-    s = np.linalg.solve(M_sys, rhs)
-
-    coeffs = ln_orth.astype(complex)
-    for (c, i, m), sv in zip(pairs, s):
-        coeffs[:n] -= m * sv * jets[c][i, :n]
+    v = np.linalg.solve(M_sys, np.concatenate(rhs))
+    coeffs = np.empty(n + 1, dtype=complex)
+    coeffs[:n] = -(Qw.T @ v)
+    coeffs[n] = inv_tau
     rep = PolyInBasis(ORTHONORMAL, coeffs, n, base).to_basis(MONIC)
-    # <S,S> from the solved jets: the S^(i)(c_j) collapse exponentially and
-    # cannot be re-evaluated from the double coefficients at large n, but
-    # they are solution variables here, accurate in the relative sense.
-    ns = complex(np.sum(coeffs ** 2)) + complex(
-        sum(m * sv ** 2 for (_, _, m), sv in zip(pairs, s)))
+    ns = complex(inv_tau * (inv_tau + np.concatenate(wn) @ v))
     if ns == 0:
-        raise SobolevError("degenerate S_n: <S_n, S_n> = 0")
-    gam = complex(1.0 / np.sqrt(ns))
-    return SobolevOP(n=n, rep=rep, lam=None, norm_sq=ns, gamma_n=gam, cond=cond)
+        raise SobolevError(f"1/tau_{n}^2 underflows the double range" if inv_tau ** 2 == 0
+                           else "degenerate S_n: <S_n, S_n> = 0")
+    return SobolevOP(n=n, rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)),
+                     cond=cond)
 
 
 def _mono_jet(nu: int, i: int, c):
@@ -300,10 +295,18 @@ def digit_loss(n: int, spec: SobolevSpec) -> float:
 
     The jets S_n^(k)(c_j) collapse against the generic size of the expansion
     terms by a factor ~ |phi(c_j)|^n, so the linear system for lambda loses
-    about n * log10 max_j |phi(c_j)| digits.  sn_lambda sets its working
-    precision from this; orthogonality_residuals_extended from twice it.
+    about n * log10 max_j |phi(c_j)| digits.  A condition that meets a zero
+    row of gamma is a bare mu-moment of the Q_{n-k}, which has collapsed by
+    about the same factor before the solve, so sn_lambda and
+    orthogonality_residuals_extended set their working precision from twice
+    this estimate.
     """
     return n * max(math.log10(abs(phi(t.c))) for t in spec.terms)
+
+
+def _lambda_dps(n: int, spec: SobolevSpec) -> int:
+    """Working digits of sn_lambda at degree n."""
+    return max(30, int(2 * digit_loss(n, spec)) + 35)
 
 
 # ---- extended-precision coefficient algebra over the recurrence table ----
@@ -502,7 +505,6 @@ def _extended_core(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -
         gam = 1 / mpmath.sqrt(ns)
         return {
             "base": base,
-            "lam": np.array([complex(v) for v in lam_mp]),
             "coeffs_mp": coeffs,
             "coeffs": np.array([complex(v) for v in coeffs]),
             "norm_sq": complex(ns),
@@ -510,8 +512,7 @@ def _extended_core(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -
             "gamma_n": complex(gam),
             "cond": cond,
             "a2": a2, "b": b, "normsq": normsq,
-            "jets_all": jets_all, "sjets": sjets, "gammas": gammas,
-            "cpts": cpts, "dps": dps,
+            "sjets": sjets, "gammas": gammas, "cpts": cpts,
         }
 
 
@@ -522,10 +523,10 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     lambda_0 = 1, the remaining lambda pinned by <x^nu, S_n> = 0 for
     nu = 0..A-1.  Orthogonality against s * (lower degrees) is automatic.
 
-    The expansion conditions cancel ~ n * log10 |phi(c)| digits, so the
-    system is assembled and solved in mpmath with that many digits plus 35
-    (30 at least).  Every step is exact coefficient algebra over the
-    recurrence table, with no quadrature.
+    The expansion cancels up to twice digit_loss digits, so the system is
+    assembled and solved in mpmath with that many digits plus 35 (30 at
+    least).  Every step is exact coefficient algebra over the recurrence
+    table, with no quadrature.
     """
     report = regularity(spec)
     if not report.overall_regular:
@@ -534,20 +535,18 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     if n < 2 * A + 1:
         raise SobolevError(f"need n >= 2A+1 = {2 * A + 1} for the expansion, got {n}")
 
-    core = _extended_core(n, spec, base, max(30, int(digit_loss(n, spec)) + 35))
+    core = _extended_core(n, spec, base, _lambda_dps(n, spec))
     if not np.isfinite(core["cond"]) or core["cond"] > COND_LIMIT:
         raise SobolevError(
             f"lambda system ill-conditioned (cond ~ {core['cond']:.2e}) at n={n}: "
             "index below the asymptotic regime")
     rep = PolyInBasis(MONIC, core["coeffs"], n, core["base"])
-    return SobolevOP(n=n, rep=rep, lam=core["lam"], norm_sq=core["norm_sq"],
+    return SobolevOP(n=n, rep=rep, norm_sq=core["norm_sq"],
                      gamma_n=core["gamma_n"], cond=core["cond"])
 
 
 def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
-                                     base: RecurrenceTable,
-                                     dps: int | None = None,
-                                     kmax: int | None = None) -> np.ndarray:
+                                     base: RecurrenceTable) -> np.ndarray:
     """Relative residuals |<x^k, S_n>| / scale_k for k < n, measured in
     extended precision so the collapsed jet values are actually resolved.
 
@@ -556,18 +555,15 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
     The norm product keeps the scale meaningful when the termwise sum
     degenerates to a single term (k = 0 with derivative-only couplings).
     """
-    loss = digit_loss(n, spec)
-    # the residual check cancels roughly twice the construction loss
-    wp = dps if dps is not None else max(40, int(2 * loss) + 40)
+    wp = max(40, int(2 * digit_loss(n, spec)) + 40)
     core = _extended_core(n, spec, base, wp)
-    kmax = n - 1 if kmax is None else min(kmax, n - 1)
-    out = np.zeros(kmax + 1)
+    out = np.zeros(n)
     with mpmath.workdps(wp):
         a2, b = core["a2"], core["b"]
         coeffs = core["coeffs_mp"]
         sn_norm = mpmath.sqrt(abs(core["norm_sq_mp"]))
         e = [mpmath.mpf(1)]
-        for k in range(kmax + 1):
+        for k in range(n):
             val = mpmath.mpc(0)
             sc = mpmath.mpf(0)
             xk2 = mpmath.fsum(e[i] ** 2 * core["normsq"][i]
@@ -593,7 +589,7 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
                         sc += abs(term)
             sc += sn_norm * mpmath.sqrt(abs(xk2))
             out[k] = float(abs(val) / sc) if sc > 0 else float(abs(val))
-            if k < kmax:
+            if k < n - 1:
                 e = _mp_xmul(e, a2, b)
     return out
 

@@ -20,9 +20,10 @@ configs produce identical bytes.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,10 @@ from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
                         limit_sobolev, phi, sqrt_z2m1)
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 from .modified import ModifiedError, RationalModifier, solve_Q
-from .pade import PadeError, StieltjesFn, pade_denominator
+from .pade import PadeError, StieltjesFn, to_sobolev_spec
 from .polybasis import PolyInBasis, eval_jet
 from .sobolev import SobolevError, SobolevSpec, regularity, sn_kernel, sn_lambda
-from .zeros import ZeroReport, cluster, default_radius, roots
+from .zeros import cluster, roots
 
 __all__ = [
     "VerifyConfigError",
@@ -223,27 +224,26 @@ def boundary_grid(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
 
 
 class _TargetPolys:
-    """Degree -> monic target polynomial, built once per ladder run."""
+    """Degree -> monic target polynomial, built once per ladder run.  Sobolev
+    targets and Pade denominators come from sn_kernel, or from sn_lambda
+    when the precision is extended."""
 
     def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable):
         self.cfg = cfg
         self.table = table
         self._cache: dict[int, PolyInBasis] = {}
+        self._spec = cfg.sobolev if cfg.target_kind == "sobolev" else None
+        if cfg.target_kind == "pade" and cfg.stieltjes.poles:
+            self._spec = to_sobolev_spec(cfg.stieltjes)
 
     def poly(self, n: int) -> PolyInBasis:
         if n not in self._cache:
             cfg = self.cfg
             if cfg.target_kind == "modified":
                 self._cache[n] = solve_Q(n, cfg.modifier, self.table).q
-            elif cfg.target_kind == "sobolev":
-                if (cfg.precision == "double"
-                        and cfg.sobolev.is_diagonal_real_positive()):
-                    op = sn_kernel(n, cfg.sobolev, self.table)
-                else:
-                    op = sn_lambda(n, cfg.sobolev, self.table)
-                self._cache[n] = op.rep
-            elif cfg.target_kind == "pade":
-                self._cache[n] = pade_denominator(n, cfg.stieltjes, self.table)
+            elif self._spec is not None:
+                build = sn_lambda if cfg.precision == "extended" else sn_kernel
+                self._cache[n] = build(n, self._spec, self.table).rep
             else:
                 self._cache[n] = PolyInBasis.basis_poly(self.table, n)
         return self._cache[n]
@@ -259,10 +259,12 @@ def _law_point(law: str, cfg: ExperimentConfig, table: RecurrenceTable,
     if law == "base_log_derivative":
         jets = eval_jet(table, n, z, nu + 1)
         return jets[nu + 1] / (n * jets[nu]), 1.0 / sqrt_z2m1(z)
-    if law == "modified_vs_base":
+    if law in ("modified_vs_base", "sobolev_vs_base", "pade_vs_base"):
         q = polys.poly(n).jet(z, nu)[nu]
         l = eval_jet(table, n, z, nu)[nu]
-        return q / l, limit_modified(z, cfg.modifier)
+        if law == "modified_vs_base":
+            return q / l, limit_modified(z, cfg.modifier)
+        return q / l, limit_sobolev(z, attraction_factors(cfg))
     if law == "modified_ratio":
         top = polys.poly(n + 1).jet(z, nu)[nu]
         bot = polys.poly(n).jet(z, nu)[nu]
@@ -277,10 +279,6 @@ def _law_point(law: str, cfg: ExperimentConfig, table: RecurrenceTable,
         # structural 1/n offset a flat n^2 would add
         jets = polys.poly(n).jet(z, nu + 2)
         return jets[nu + 2] / (n * (n - 1) * jets[nu]), 1.0 / (z * z - 1.0)
-    if law in ("sobolev_vs_base", "pade_vs_base"):
-        s = polys.poly(n).jet(z, nu)[nu]
-        l = eval_jet(table, n, z, nu)[nu]
-        return s / l, limit_sobolev(z, attraction_factors(cfg))
     raise VerifyConfigError(f"unknown law {law!r}")
 
 
@@ -290,7 +288,8 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     Rows are ordered deterministically and each carries the two-point
     geometric rate log(err_prev/err_cur)/(n_cur - n_prev) against the
     previous ladder degree (nan on the first rung).  Degrees the target
-    cannot be built at are flagged pre_asymptotic instead of aborting
+    cannot be built at are flagged pre_asymptotic, and ratios or limits
+    that leave the double range are flagged overflow, instead of aborting
     the run.
     """
     nmax = max(cfg.n_ladder) + 1
@@ -304,14 +303,17 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                 for n in cfg.n_ladder:
                     flag = ""
                     try:
-                        ratio, limit = _law_point(law, cfg, table, polys, n, z, nu)
-                        ratio, limit = complex(ratio), complex(limit)
-                        abs_err = abs(ratio - limit)
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            ratio, limit = map(complex, _law_point(
+                                law, cfg, table, polys, n, z, nu))
+                        if not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
+                            flag = "overflow: ratio or limit leaves the double range"
                     except (SobolevError, ModifiedError, PadeError, MeasureError,
                             CutDomainError, np.linalg.LinAlgError) as exc:
-                        ratio = limit = complex(float("nan"), float("nan"))
-                        abs_err = float("nan")
                         flag = f"pre_asymptotic: {exc}"
+                    if flag:
+                        ratio = limit = complex(float("nan"), float("nan"))
+                    abs_err = abs(ratio - limit)
                     rate = float("nan")
                     if (prev is not None and not flag and not prev.flag
                             and prev.abs_err > 0 and abs_err > 0):

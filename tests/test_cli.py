@@ -101,8 +101,8 @@ def test_zeros_scenario(tmp_path, capsys):
 
 
 def test_zeros_numerical_failure_exit(tmp_path):
-    # value coupling sitting on a measure atom: the bordered solve is
-    # rejected by the conditioning gate, which is a numerics exit
+    # value coupling sitting on a measure atom: the kernel lane refuses it
+    # (forward jets at an atom are rounding noise), which is a numerics exit
     payload = scenario("sobolev_point_pair").to_json_dict()
     payload["measure"] = {"weight_kind": "chebyshev_first_kind",
                           "mass_points": [[2.0, 0.5]]}
@@ -127,3 +127,27 @@ def test_zeros_past_double_range_is_numerical_exit(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # the jets overflow
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("name", ["sobolev_point_derivative", "sobolev_point_pair",
+                                  "pade_gonchar"])
+def test_extended_precision_verify_passes(tmp_path, name):
+    # the exact lane must carry every bundled Sobolev and Pade ladder
+    assert main(["verify", "--config", name, "--out", str(tmp_path),
+                 "--precision", "extended"]) == 0
+
+
+def test_overflowed_ladder_rows_are_flagged(tmp_path):
+    # past the double range the jets overflow; those rows carry a flag that
+    # names the overflow and the run is a numerics exit, not a violation
+    payload = {"measure": {"weight_kind": "legendre"},
+               "n_ladder": [200, 400, 700, 1000]}
+    cfg = _write_json(tmp_path / "deep.json", payload)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 4
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    flags = [entry[5] for entry in summary["flagged"]]
+    assert flags and all(f.startswith("overflow") for f in flags)
+    nan_rows = sum(line.split(",")[8] == "nan"
+                   for law in summary["laws"]
+                   for line in (tmp_path / f"ratios_{law}.csv").read_text().splitlines())
+    assert nan_rows == len(flags)

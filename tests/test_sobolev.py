@@ -1,6 +1,7 @@
 """Discrete Sobolev inner products: regularity, both construction paths,
 collapse-aware residuals, and normalization sequences."""
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      orthogonality_residuals_extended, phi, recurrence_for,
                      regularity, rule_for, sn_kernel, sn_lambda, sobolev_inner,
                      to_sobolev_spec)
-from relasym.sobolev import SobolevTerm
+from relasym.sobolev import SobolevTerm, _extended_core, _lambda_dps
 from relasym.polybasis import MONIC
 
 LEG = BaseMeasureSpec("legendre")
@@ -45,12 +46,6 @@ def test_spec_validation():
         SobolevTerm(c=2.0, gamma=np.ones(3))           # not a matrix
 
 
-def test_diagonal_detection():
-    assert PAIR.is_diagonal_real_positive()
-    skew = SobolevSpec((SobolevTerm(c=2j, gamma=np.diag([1.0 + 0j, 2.0])),))
-    assert not skew.is_diagonal_real_positive()
-
-
 def test_inner_product_is_bilinear_symmetric():
     rule = rule_for(LEG, 30)
     h = PolyInBasis.basis_poly(TAB, 3)
@@ -70,15 +65,69 @@ def test_kernel_path_orthogonality_small_n():
         assert abs(ip) < 1e-11 * max(1.0, scale)
 
 
-def test_kernel_vs_lambda_paths():
-    for n in (9, 21, 33):
-        k = sn_kernel(n, PAIR, TAB).rep.to_basis(MONIC)
-        l = sn_lambda(n, PAIR, TAB).rep.to_basis(MONIC)
-        assert np.max(np.abs(k.coeffs - l.coeffs)) < 1e-9
-
-
 COUPLED = SobolevSpec((SobolevTerm(c=2j, gamma=np.array([[1.0, 0.5], [0.5, 1.0]])),))
 TWO_POLE = to_sobolev_spec(StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0 + 0j, (2.0,)))))
+GONCHAR = to_sobolev_spec(StieltjesFn(LEG, ((2j, (0.0, 1.0)),)))
+SECOND_ONLY = SobolevSpec.diagonal([(-2.5, [0.0, 0.0, 1.0])])
+MIXED = SobolevSpec((SobolevTerm(c=2.0, gamma=np.diag([0.0, 1.0])),
+                     SobolevTerm(c=-3.0, gamma=np.array([[1.0]]))))
+KERNEL_SPECS = {"pair": PAIR, "coupled_2i": COUPLED, "pade_gonchar": GONCHAR,
+                "two_pole": TWO_POLE, "second_only": SECOND_ONLY, "mixed": MIXED}
+
+
+def _exact_monic(n, spec):
+    # sn_lambda's algebra at its own working precision, without its cond
+    # gate: that gate refuses the two-pole and mixed specs at these degrees
+    return _extended_core(n, spec, TAB, _lambda_dps(n, spec))["coeffs"]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_kernel_vs_lambda_paths(name):
+    spec = KERNEL_SPECS[name]
+    for n in (9, 21, 33, 40):
+        k = sn_kernel(n, spec, TAB).rep.to_basis(MONIC)
+        assert np.max(np.abs(k.coeffs - _exact_monic(n, spec))) < 1e-9
+
+
+def test_two_pole_kernel_reach():
+    # the double lane keeps the two-pole Pade spec under the cond gate
+    table = recurrence_for(LEG, 410)
+    for n in (50, 100, 200, 300, 400):
+        assert sn_kernel(n, TWO_POLE, table).cond < 1e10
+
+
+# two_pole: sn_lambda's own gate refuses it from n = 50 on; derivative at
+# 320: the products of unscaled jets at c = 2 pass the double range
+@pytest.mark.parametrize("name, n", [("two_pole", 80), ("two_pole", 240),
+                                     ("derivative", 320)])
+def test_kernel_deep_degrees_match_exact_lane(name, n):
+    spec = {"two_pole": TWO_POLE, "derivative": DERIV}[name]
+    k = sn_kernel(n, spec, TAB).rep.to_basis(MONIC)
+    assert np.max(np.abs(k.coeffs - _exact_monic(n, spec))) < 1e-8
+
+
+def test_kernel_refusal_past_double_range_names_the_overflow():
+    deep = recurrence_for(LEG, 605)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        huge = recurrence_for(LEG, 1031)              # tau overflows from ~1025
+    near = SobolevSpec.diagonal([(1.2, [1.0, 1.0])])  # jets fit, 1/tau_n^2 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, spec, table in ((500, TWO_POLE, deep), (1030, DERIV, huge),
+                               (600, near, deep)):
+            with pytest.raises(SobolevError, match="flows? the double range"):
+                sn_kernel(n, spec, table)
+
+
+def test_lambda_precision_covers_zero_rows():
+    # a zero row of gamma doubles the digits the expansion cancels
+    got = sn_lambda(80, DERIV, TAB).rep.coeffs
+    ref = _extended_core(80, DERIV, TAB, 3 * _lambda_dps(80, DERIV))["coeffs"]
+    assert np.max(np.abs(got - ref)) < 1e-12
+    for n in (200, 240):
+        got = sn_lambda(n, SECOND_ONLY, TAB).rep.coeffs
+        assert np.max(np.abs(got - sn_kernel(n, SECOND_ONLY, TAB).rep.coeffs)) < 1e-12
 
 
 def test_against_dense_oracle():

@@ -18,6 +18,7 @@ from relasym import (
     run_zero_attraction,
     recurrence_for,
     scenario,
+    sn_kernel,
     sn_lambda,
     to_sobolev_spec,
 )
@@ -109,7 +110,7 @@ def test_pre_asymptotic_degrees_flagged_not_fatal():
 
 def test_non_diagonal_sobolev_reaches_general_lane():
     # a regular complex center with coupled value/derivative masses is
-    # outside the diagonal kernel path; it must still be built
+    # built like any other regular spec
     gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
     cfg = dataclasses.replace(
         scenario("sobolev_point_pair"),
@@ -122,14 +123,24 @@ def test_non_diagonal_sobolev_reaches_general_lane():
 
 
 def test_pade_extended_precision_reaches_extended_lane():
-    # pade denominators have one lane, the mpmath expansion; an
-    # "extended" setting must reach it bit for bit even at small n
+    # an "extended" setting must reach the mpmath expansion bit for bit
+    # even at small n
     cfg = dataclasses.replace(scenario("pade_gonchar"), precision="extended",
                               n_ladder=(6,))
     table = recurrence_for(cfg.measure, 12)
     got = _TargetPolys(cfg, table).poly(6)
     want = sn_lambda(6, to_sobolev_spec(cfg.stieltjes), table).rep
     assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("name", ["pade_gonchar", "sobolev_point_pair"])
+def test_double_precision_reaches_kernel_lane(name):
+    # "double" builds every Sobolev target and Pade denominator with sn_kernel
+    cfg = scenario(name)
+    spec = cfg.sobolev if cfg.sobolev is not None else to_sobolev_spec(cfg.stieltjes)
+    table = recurrence_for(cfg.measure, 22)
+    got = _TargetPolys(cfg, table).poly(20)
+    assert np.array_equal(got.coeffs, sn_kernel(20, spec, table).rep.coeffs)
 
 
 def test_monotone_violations_synthetic():
