@@ -7,11 +7,10 @@ from .measures import (
     QuadratureRule,
     RecurrenceTable,
     gauss_rule,
-    inner_mu,
     recurrence_for,
     rule_for,
 )
-from .polybasis import PolyInBasis, basis_jets, eval_jet
+from .polybasis import PolyInBasis, basis_jets, eval_jet, inner_mu
 from .joukowski import (
     CutDomainError,
     cheb_transform,

@@ -1,4 +1,4 @@
-"""Base measures on [-1, 1]: recurrence tables, Gauss rules, inner products.
+"""Base measures on [-1, 1]: recurrence tables, Gauss rules, Cauchy transforms.
 
 A measure is a classical weight on [-1, 1] (Chebyshev, Legendre, Jacobi)
 plus finitely many point masses strictly outside the interval.  Everything
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .joukowski import phi
 
@@ -30,7 +29,6 @@ __all__ = [
     "gauss_rule",
     "rule_for",
     "minimal_solution",
-    "inner_mu",
 ]
 
 WEIGHT_KINDS = ("chebyshev_first_kind", "chebyshev_second_kind", "legendre", "jacobi")
@@ -260,25 +258,28 @@ def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
     return RecurrenceTable(a=a, b=b, tau=tau, spec=spec)
 
 
+def _golub_welsch(b: np.ndarray, a: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule whose Jacobi matrix has diagonal
+    b and off-diagonal a: its eigenvalues, and mass times the squared first
+    eigenvector components (Golub & Welsch, Math. Comp. 23, 1969)."""
+    vals, vecs = np.linalg.eigh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1))
+    return np.clip(vals, -1.0, 1.0), mass * vecs[0] ** 2
+
+
 def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
     """m-point Gauss rule.  Atoms of the generating measure ride along.
 
-    For a table built from a measure with atoms the nodes/weights are those
-    of the pure weight (so nodes stay inside [-1,1]) and the atoms are kept
-    as exact point masses; otherwise plain Golub-Welsch on the table.
+    A table that knows its measure gets `rule_for` (nodes of the pure
+    weight, so they stay inside [-1,1], and the atoms as exact point
+    masses); otherwise plain Golub-Welsch on the table.
     """
     if m < 1:
         raise MeasureError("rule size must be >= 1")
-    if table.spec is not None and table.spec.has_atoms:
+    if table.spec is not None:
         return rule_for(table.spec, m)
     if m > table.nmax:
-        if table.spec is None:
-            raise MeasureError(f"rule size {m} exceeds table nmax {table.nmax}")
-        table = recurrence_for(table.spec, m)
-    offdiag = table.a[1:m]
-    vals, vecs = eigh_tridiagonal(table.b[:m], offdiag)
-    nodes = np.clip(vals, -1.0, 1.0)
-    weights = table.total_mass * vecs[0] ** 2
+        raise MeasureError(f"rule size {m} exceeds table nmax {table.nmax}")
+    nodes, weights = _golub_welsch(table.b[:m], table.a[1:m], table.total_mass)
     return QuadratureRule(nodes=nodes, weights=weights, atoms=())
 
 
@@ -286,9 +287,7 @@ def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:
     """Gauss rule of the pure weight plus the measure's atoms."""
     alpha, beta = spec.jacobi_exponents()
     b, asq = _jacobi_ab(alpha, beta, m)
-    vals, vecs = eigh_tridiagonal(b[:m], np.sqrt(asq[1:m]))
-    nodes = np.clip(vals, -1.0, 1.0)
-    weights = spec.continuous_mass() * vecs[0] ** 2
+    nodes, weights = _golub_welsch(b[:m], np.sqrt(asq[1:m]), spec.continuous_mass())
     return QuadratureRule(nodes=nodes, weights=weights, atoms=spec.mass_points)
 
 
@@ -360,31 +359,3 @@ def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarra
     the order-0 case of `minimal_solution`, normalized by l_0 = tau_0.
     """
     return table.tau[: deg + 1] * minimal_solution(table, loc, 0, deg)[0].real
-
-
-def _value_at_atom(p, loc: float) -> complex:
-    """p(loc) for an atom of the measure behind p's table."""
-    table = p.table
-    spec = getattr(table, "spec", None)
-    if spec is None or all(abs(al - loc) > 0.0 for al, _ in spec.mass_points):
-        return p.values(complex(loc))
-    lvals = atom_basis_values(table, p.degree, loc)
-    if p.basis == "monic_mu":
-        lvals = lvals / table.tau[: p.degree + 1]
-    return complex(np.sum(p.coeffs * lvals))
-
-
-def inner_mu(p, q, rule: QuadratureRule) -> complex:
-    """Bilinear integral of p*q against the measure (no conjugation).
-
-    p and q are PolyInBasis values; the rule must be exact for
-    deg p + deg q against the continuous part.  Atom contributions use the
-    backward-stable point evaluation when the atom belongs to the measure
-    behind the polynomial's table.
-    """
-    if 2 * rule.size - 1 < p.degree + q.degree:
-        raise MeasureError("quadrature rule too small for requested inner product")
-    total = np.sum(rule.weights * p.values(rule.nodes) * q.values(rule.nodes))
-    for loc, mass in rule.atoms:
-        total += mass * _value_at_atom(p, loc) * _value_at_atom(q, loc)
-    return complex(total)

@@ -183,7 +183,8 @@ def _lambda_system(n: int, r: RationalModifier,
 
 
 def _solve_lambda(n, r, base):
-    rows, rhs = _lambda_system(n, r, base)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, rhs = _lambda_system(n, r, base)
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
         raise ModifiedError(f"lambda system overflows the double range at n={n}")
     scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
@@ -224,7 +225,7 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
     The lambda system couples divisibility (jets at modifier zeros) with the
     pole moments, both exact recurrence quantities, and is solved once.
     kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
-    itself; quadrature enters only through the division by S.
+    itself, and Q_n from R_n by exact division by S; no quadrature.
     """
     A, B = r.A, r.B
     if n < A + B + 1:

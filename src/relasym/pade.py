@@ -29,7 +29,8 @@ from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
 from .modified import _ensure_table, monomial_to_coeffs
 from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
 from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel, sn_lambda,
-                      _extended_core, _mp_ab, _mp_basis_jets, _mp_poly_jet)
+                      _extended_core, _mp_ab, _mp_basis_jets, _mp_normsq,
+                      _mp_poly_jet)
 
 __all__ = [
     "PadeError",
@@ -192,7 +193,7 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
 
     P = sum_m q_m E_m  +  sum_{j,i} A_{j,i} i! (Q_n - T_{j,i}) / (x-c_j)^{i+1},
     with T_{j,i} the Taylor polynomial of Q_n at c_j through order i, so the
-    division is exact; it is done at Gauss nodes and re-projected.
+    division is exact; it is done by `divide_out_zeros`.
     """
     q = Q_n.to_basis(MONIC)
     E = _second_kind(base, n)
@@ -281,46 +282,34 @@ def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
     return out
 
 
-def _mp_cheb_rule(m: int):
-    """Gauss rule for the pure first-kind weight, exact nodes in mp."""
-    nodes = [mpmath.cos(mpmath.mpf(2 * t - 1) * mpmath.pi / (2 * m))
-             for t in range(1, m + 1)]
-    w = mpmath.pi / m
-    return nodes, w
-
-
 def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
     """(f - P_n/Q_n)(z) = R_n(z)/Q_n(z) in extended precision, with
 
     R_n(z) = integral Q_n(x)/(z-x) dmu + sum_{j,i} A_{j,i} i! T_{j,i}(z)/(z-c_j)^{i+1}.
 
-    Requires the pure first-kind weight so the quadrature nodes are exact.
-    Q_n itself is rebuilt in mp through the expansion lane.
+    With Q_n = sum_m c_m L_m the integral is sum_m c_m q_m(z), q_m the
+    Cauchy transforms: the minimal solution of the recurrence, from the
+    backward ratio recurrence of `measures.minimal_solution` run in mp.
+    Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
+    from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
+    through the expansion lane.
     """
     if f.poles:
-        spec = to_sobolev_spec(f)
-        core = _extended_core(n, spec, base, dps)
-        coeffs = core["coeffs_mp"]
+        coeffs = _extended_core(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
     else:
-        coeffs = None
+        coeffs = [mpmath.mpc(0)] * n + [mpmath.mpc(1)]
     with mpmath.workdps(dps):
-        a2, b = _mp_ab(base, n + 1)
-        if coeffs is None:
-            coeffs = [mpmath.mpc(0)] * (n + 1)
-            coeffs[n] = mpmath.mpc(1)
         zz = mpmath.mpc(z)
-
-        def qval(x):
-            lm1, l = mpmath.mpc(0), mpmath.mpc(1)
-            tot = coeffs[0]
-            for m in range(n):
-                l, lm1 = (x - b[m]) * l - a2[m] * lm1, l
-                tot += coeffs[m + 1] * l
-            return tot
-
-        mq = 2 * n + 120
-        nodes, w = _mp_cheb_rule(mq)
-        R = w * mpmath.fsum(qval(x) / (zz - x) for x in nodes)
+        top = n + math.ceil(dps / math.log10(abs(phi(z))))
+        a2, b = _mp_ab(_ensure_table(base, top), top)
+        h, hs = mpmath.mpc(0), {}           # hs[m] = q_m / q_{m-1}
+        for m in range(top, 0, -1):
+            h = hs[m] = a2[m] / (zz - b[m] - h)
+        q = _mp_normsq(base, a2, 0)[0] / (zz - b[0] - hs[1])
+        R = coeffs[0] * q
+        for m in range(1, n + 1):
+            q *= hs[m]
+            R += coeffs[m] * q
         for c, A in f.poles:
             cc = mpmath.mpc(c)
             order = len(A) - 1
@@ -330,7 +319,7 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
                 tay = mpmath.fsum(qjets[t] / mpmath.factorial(t) * (zz - cc) ** t
                                   for t in range(i + 1))
                 R += mpmath.mpc(av) * mpmath.factorial(i) * tay / (zz - cc) ** (i + 1)
-        return R / qval(zz)
+        return R / _mp_poly_jet(coeffs, _mp_basis_jets(n, 0, zz, a2, b), 0)[0]
 
 
 def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
@@ -339,8 +328,9 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
 
     In double precision the errors drown below ~1e-15 * |f| quickly (the
     rate is |phi(z)|^{-2}); that state raises SaturatedRatioError.  The
-    extended lane recomputes both remainders in mpmath (pure first-kind
-    weight only) and has no such ceiling.
+    extended lane recomputes both remainders in mpmath from the Cauchy
+    transforms of the basis and has no such ceiling; it takes every
+    atom-free measure, since `_mp_ab` has no closed form for atom tables.
     """
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
@@ -349,8 +339,9 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
         if abs(z - c) < 1e-8:
             raise PadeError(f"probe {z} collides with pole {c}")
     if precision == "extended":
-        if f.base.weight_kind != "chebyshev_first_kind" or f.base.has_atoms:
-            raise PadeError("extended ratio lane supports the pure first-kind weight only")
+        if f.base.has_atoms:
+            raise PadeError("extended ratio lane needs an atom-free measure: "
+                            "atom tables have no closed form in mp")
         need = 2.0 * (n + 1) * math.log10(abs(phi(z)))
         if f.poles:
             need += digit_loss(n + 1, to_sobolev_spec(f))

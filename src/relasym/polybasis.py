@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (MeasureError, QuadratureRule, RecurrenceTable,
-                       atom_basis_values, gauss_rule)
+from .measures import MeasureError, QuadratureRule, RecurrenceTable, atom_basis_values
 
 __all__ = [
     "PolyInBasis",
@@ -21,9 +20,9 @@ __all__ = [
     "xmul",
     "xmul_coeffs",
     "lincomb",
-    "project_values",
     "divide_out_zeros",
     "rule_basis_values",
+    "inner_mu",
 ]
 
 MONIC = "monic_mu"
@@ -192,39 +191,38 @@ def rule_basis_values(table: RecurrenceTable, deg: int, rule: QuadratureRule,
     return np.concatenate(cols, axis=1)
 
 
-def project_values(fvals: np.ndarray, rule: QuadratureRule, table: RecurrenceTable,
-                   degree: int, basis: str = MONIC) -> PolyInBasis:
-    """Expand a polynomial given by its values at the rule points.
+def inner_mu(p: PolyInBasis, q: PolyInBasis, rule: QuadratureRule) -> complex:
+    """Bilinear integral of p*q against the measure (no conjugation).
 
-    Exact when the sampled function is a polynomial of the stated degree and
-    the rule integrates degree 2*degree against the measure.
+    The rule must be exact for deg p + deg q against the continuous part;
+    its atoms are evaluated as in `rule_basis_values`.
     """
-    if 2 * rule.size - 1 < 2 * degree:
-        raise MeasureError("projection rule too small for requested degree")
-    w = rule.all_weights()
-    lvals = rule_basis_values(table, degree, rule, ORTHONORMAL)
-    coeffs = lvals @ (w * np.asarray(fvals, dtype=complex))
-    p = PolyInBasis(ORTHONORMAL, coeffs, degree, table)
-    return p.to_basis(basis)
+    if 2 * rule.size - 1 < p.degree + q.degree:
+        raise MeasureError("quadrature rule too small for requested inner product")
+    return complex(np.sum(rule.all_weights() * p.values_on_rule(rule) * q.values_on_rule(rule)))
 
 
 def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]]) -> PolyInBasis:
     """p / prod (x - c)^mult for zeros off [-1, 1], assuming divisibility.
 
-    Done by pointwise division at the nodes of a Gauss rule followed by
-    re-projection; deflation in coefficient space amplifies roundoff
-    geometrically and is avoided.  The rule has deg(p) - deg(divisor) + 1
-    nodes, the fewest for which the projection is exact.
+    In the orthonormal basis multiplication by x is the Jacobi matrix J, so
+    q = p / (x - c) solves (J_D - c I) q = p[:D], D = deg p; the top
+    coefficient of p only states divisibility.  One pivoted solve per
+    linear factor: on atom tables J_D has eigenvalues off [-1, 1], near
+    which an unpivoted sweep breaks down.
     """
     total = sum(mult for _, mult in zeros)
     if total == 0:
         return p
     if total > p.degree:
         raise ValueError("divisor degree exceeds polynomial degree")
-    rule = gauss_rule(p.table, p.degree - total + 1)
-    x = rule.all_points()
-    svals = np.ones(len(x), dtype=complex)
+    table = p.table
+    coeffs = p.to_basis(ORTHONORMAL).coeffs
     for c, mult in zeros:
-        svals *= (x - c) ** mult
-    qvals = p.values_on_rule(rule) / svals
-    return project_values(qvals, rule, p.table, p.degree - total, p.basis)
+        for _ in range(mult):
+            d = len(coeffs) - 1
+            off = table.a[1:d]
+            jac = np.diag(table.b[:d] - c) + np.diag(off, 1) + np.diag(off, -1)
+            coeffs = np.linalg.solve(jac, coeffs[:d])
+    q = PolyInBasis(ORTHONORMAL, coeffs, p.degree - total, table)
+    return q.to_basis(p.basis)

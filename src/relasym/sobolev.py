@@ -25,11 +25,11 @@ import mpmath
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import QuadratureRule, RecurrenceTable, inner_mu
+from .measures import QuadratureRule, RecurrenceTable
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import _ensure_table, solve_Q  # noqa: F401
-from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets
+from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, inner_mu
 
 __all__ = [
     "SobolevTerm",

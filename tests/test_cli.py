@@ -1,5 +1,7 @@
 """Exit codes, report files, and byte determinism of the command line."""
 import json
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -125,7 +127,7 @@ def test_zeros_past_double_range_is_numerical_exit(tmp_path):
     payload["zero_degrees"] = [1000]
     cfg = _write_json(tmp_path / "deep.json", payload)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # the jets overflow
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
@@ -151,3 +153,11 @@ def test_overflowed_ladder_rows_are_flagged(tmp_path):
                    for law in summary["laws"]
                    for line in (tmp_path / f"ratios_{law}.csv").read_text().splitlines())
     assert nan_rows == len(flags)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; the command line must not pay its import
+    code = "import sys, relasym.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -89,7 +89,7 @@ def test_refusal_past_double_range_names_the_overflow(n, label):
     # what overflowed, not "vanishing norm" or a LinAlgError from the solve
     tab = recurrence_for(LEG, n + 5)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # jets overflow at n = 1000
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ModifiedError, match=label):
             solve_Q(n, R_RAT, tab)
 

@@ -101,11 +101,20 @@ def test_double_lane_saturates():
         error_ratio(40, 3.0, F_POLE, TCHEB, precision="double")
 
 
+def test_double_lane_flags_what_it_used_to_return():
+    # numerators divided through a Gauss rule were off enough here to give
+    # unflagged O(1) ratios; with exact division the state is saturation
+    for n in (30, 50, 55):
+        with pytest.raises(SaturatedRatioError):
+            error_ratio(n, 3.0, F_POLE, TCHEB, precision="double")
+
+
 def test_double_lane_rejects_cancelled_evaluation():
-    # at n=60 P and Q individually overflow the cancellation budget and
-    # P/Q is garbage, which is a different failure than saturation
+    # close to the cut at n=60, P and Q individually overflow the
+    # cancellation budget and P/Q is garbage, which is a different failure
+    # than saturation
     with pytest.raises(PadeError) as exc:
-        error_ratio(60, 3.0, F_POLE, TCHEB, precision="double")
+        error_ratio(60, 0.3 + 0.2j, F_POLE, TCHEB, precision="double")
     assert not isinstance(exc.value, SaturatedRatioError)
 
 
@@ -115,9 +124,30 @@ def test_extended_lane_hits_geometric_rate():
     assert abs(got - lim) < 1e-8
 
 
+def test_extended_lane_frozen_value():
+    # the value of the former Gauss-Chebyshev remainder, to all its digits
+    got = error_ratio(30, 3.0, F_POLE, TCHEB, precision="extended")
+    assert got == pytest.approx(0.029437251522859413, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", [LEG, BaseMeasureSpec("jacobi", alpha=0.3, beta=-0.4)],
+                         ids=["legendre", "jacobi"])
+def test_extended_lane_on_other_weights(spec):
+    f = StieltjesFn(spec, ((2j, (0.0, 1.0)),))
+    tab = recurrence_for(spec, 130)
+    dbl = error_ratio(5, 3.0, f, tab, precision="double")
+    assert error_ratio(5, 3.0, f, tab, precision="extended") == pytest.approx(dbl, rel=1e-7)
+    lim = 1.0 / phi(3.0) ** 2
+    gaps = [abs(error_ratio(n, 3.0, f, tab, precision="extended") - lim)
+            for n in (10, 20, 40, 80)]
+    assert all(hi > lo for hi, lo in zip(gaps, gaps[1:]))
+
+
 def test_extended_lane_guards():
+    atom = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
     with pytest.raises(PadeError):
-        error_ratio(10, 3.0, F_LEG, TLEG, precision="extended")
+        error_ratio(10, 3.0, StieltjesFn(atom, ((2j, (0.0, 1.0)),)),
+                    recurrence_for(atom, 20), precision="extended")
     with pytest.raises(PadeError):
         error_ratio(10, 2j, F_POLE, TCHEB, precision="extended")  # probe on pole
     with pytest.raises(PadeError):

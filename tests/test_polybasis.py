@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from relasym import BaseMeasureSpec, PolyInBasis, basis_jets, eval_jet, recurrence_for
-from relasym.polybasis import MONIC, ORTHONORMAL
+from relasym.polybasis import MONIC, ORTHONORMAL, divide_out_zeros, lincomb, xmul
 from relasym import rule_for
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
@@ -62,6 +62,27 @@ def test_values_on_rule_matches_values():
     p = PolyInBasis.basis_poly(LEG, 5)
     assert np.allclose(p.values_on_rule(rule), p.values(rule.all_points()),
                        rtol=1e-14)
+
+
+@pytest.mark.parametrize("deg", [20, 200])
+@pytest.mark.parametrize("spec", [BaseMeasureSpec("chebyshev_first_kind"),
+                                  BaseMeasureSpec("legendre"),
+                                  BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))],
+                         ids=["chebyshev", "legendre", "legendre_atom"])
+def test_divide_out_zeros_round_trip(spec, deg):
+    # the atom at 2 puts an eigenvalue of the Jacobi matrix next to c = 1.5
+    tab = recurrence_for(spec, deg + 3)
+    rng = np.random.default_rng(7)
+    q = PolyInBasis(ORTHONORMAL, rng.standard_normal(deg + 1), deg, tab)
+    for c in (3.0, 2j, 1.05, 1.5):
+        for mult in (1, 2):
+            p = q
+            for _ in range(mult):
+                p = lincomb([xmul(p), p], [1.0, -c])
+            back = divide_out_zeros(p, [(c, mult)])
+            assert back.degree == deg
+            err = np.linalg.norm(back.coeffs - q.coeffs) / np.linalg.norm(q.coeffs)
+            assert err < 1e-12, (c, mult, err)
 
 
 def test_monomial_conversion_against_known_form():
