@@ -33,7 +33,7 @@ from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 from .modified import ModifiedError, RationalModifier, solve_Q
 from .pade import PadeError, StieltjesFn, to_sobolev_spec
-from .polybasis import PolyInBasis, eval_jet
+from .polybasis import MONIC, PolyInBasis, basis_jets
 from .sobolev import SobolevError, SobolevSpec, regularity, sn_kernel, sn_lambda
 from .zeros import cluster, roots
 
@@ -248,36 +248,36 @@ class _TargetPolys:
                 self._cache[n] = PolyInBasis.basis_poly(self.table, n)
         return self._cache[n]
 
+    def jet(self, n: int, base: np.ndarray, order: int) -> np.ndarray:
+        """Degree-n target jet at a point, from its monic jets base[j, k] = L_k^(j)."""
+        q = self.poly(n).to_basis(MONIC)
+        # contiguous, as in PolyInBasis.jet: a strided matmul sums in another order
+        return np.ascontiguousarray(base[: order + 1, : n + 1]) @ q.coeffs
 
-def _law_point(law: str, cfg: ExperimentConfig, table: RecurrenceTable,
+
+def _law_point(law: str, cfg: ExperimentConfig, base: np.ndarray,
                polys: _TargetPolys, n: int, z: complex, nu: int):
-    """(ratio, limit) for one law at one (n, z, nu)."""
+    """(ratio, limit) for one law at one (n, z, nu); base[j, k] = L_k^(j)(z)."""
     if law == "base_ratio":
-        top = eval_jet(table, n + 1, z, nu)[nu]
-        bot = eval_jet(table, n, z, nu)[nu]
-        return top / bot, phi(z) / 2.0
+        return base[nu, n + 1] / base[nu, n], phi(z) / 2.0
     if law == "base_log_derivative":
-        jets = eval_jet(table, n, z, nu + 1)
-        return jets[nu + 1] / (n * jets[nu]), 1.0 / sqrt_z2m1(z)
+        return base[nu + 1, n] / (n * base[nu, n]), 1.0 / sqrt_z2m1(z)
     if law in ("modified_vs_base", "sobolev_vs_base", "pade_vs_base"):
-        q = polys.poly(n).jet(z, nu)[nu]
-        l = eval_jet(table, n, z, nu)[nu]
+        ratio = polys.jet(n, base, nu)[nu] / base[nu, n]
         if law == "modified_vs_base":
-            return q / l, limit_modified(z, cfg.modifier)
-        return q / l, limit_sobolev(z, attraction_factors(cfg))
+            return ratio, limit_modified(z, cfg.modifier)
+        return ratio, limit_sobolev(z, attraction_factors(cfg))
     if law == "modified_ratio":
-        top = polys.poly(n + 1).jet(z, nu)[nu]
-        bot = polys.poly(n).jet(z, nu)[nu]
-        return top / bot, phi(z) / 2.0
+        return polys.jet(n + 1, base, nu)[nu] / polys.jet(n, base, nu)[nu], phi(z) / 2.0
     if law == "modified_log_derivative":
-        jets = polys.poly(n).jet(z, nu + 1)
+        jets = polys.jet(n, base, nu + 1)
         return jets[nu + 1] / (n * jets[nu]), 1.0 / sqrt_z2m1(z)
     if law == "modified_derivative_gap":
         # degree-drop normalization n(n-1): the leading coefficient of
         # the second derivative carries exactly that factor, so the
         # finite-n ratio is centered on the same limit without the
         # structural 1/n offset a flat n^2 would add
-        jets = polys.poly(n).jet(z, nu + 2)
+        jets = polys.jet(n, base, nu + 2)
         return jets[nu + 2] / (n * (n - 1) * jets[nu]), 1.0 / (z * z - 1.0)
     raise VerifyConfigError(f"unknown law {law!r}")
 
@@ -295,9 +295,12 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     nmax = max(cfg.n_ladder) + 1
     table = recurrence_for(cfg.measure, nmax + 2)
     polys = _TargetPolys(cfg, table)
+    # all probes, degrees and orders at once; elementwise, so scalar calls agree
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = basis_jets(table, nmax, np.array(cfg.probe_points), cfg.jets + 2)
     rows: list[RatioRow] = []
     for law in cfg.resolved_laws:
-        for z in cfg.probe_points:
+        for p, z in enumerate(cfg.probe_points):
             for nu in range(cfg.jets + 1):
                 prev: RatioRow | None = None
                 for n in cfg.n_ladder:
@@ -305,7 +308,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                     try:
                         with np.errstate(over="ignore", invalid="ignore"):
                             ratio, limit = map(complex, _law_point(
-                                law, cfg, table, polys, n, z, nu))
+                                law, cfg, base[:, :, p], polys, n, z, nu))
                         if not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
                             flag = "overflow: ratio or limit leaves the double range"
                     except (SobolevError, ModifiedError, PadeError, MeasureError,

@@ -8,7 +8,10 @@ polynomial p = sum c_k l_k (c_n != 0) the matrix
     A = J_n - (a_n / c_n) e_{n-1} c[0:n]^T
 
 has characteristic polynomial p / (c_n tau_n x^0-lead), so its
-eigenvalues are exactly the roots of p, with multiplicity.
+eigenvalues are exactly the roots of p, with multiplicity.  The residual
+gate checks all of them in one forward sweep of the orthonormal
+recurrence over the root array; a sweep that leaves the double range
+refuses instead of passing a nan residual.
 
 cluster() sorts a root set into disjoint attraction disks around given
 centers, a band around the support [-1, 1], and leftovers.  Counts per
@@ -94,30 +97,32 @@ def _comrade_matrix(p: PolyInBasis) -> np.ndarray:
     return A
 
 
-def _running_scale(coeffs: np.ndarray, table, z: complex) -> float:
-    """Error-bound scale of evaluating sum c_k l_k at z (orthonormal c).
-
-    Runs the orthonormal recurrence alongside an accumulated bound: at
-    each step the bound is propagated like the values and topped up by
-    the term magnitude of that step, which is the standard running
-    error estimate up to the unit roundoff factor.  |p(z)| below eps
-    times this scale means z is a root to working precision, no matter
-    how sparse the coefficient vector or where z sits.
-    """
-    n = len(coeffs) - 1
-    az, a, b = abs(z), table.a, table.b
-    v_prev, v_cur = 0.0 + 0.0j, complex(table.tau[0])
-    e_prev, e_cur = 0.0, abs(table.tau[0])
-    total = abs(coeffs[0]) * (e_cur + abs(v_cur))
-    for k in range(n):
-        grow = az + abs(b[k])
-        step = (grow * abs(v_cur) + a[k] * abs(v_prev)) / a[k + 1]
-        v_next = ((z - b[k]) * v_cur - a[k] * v_prev) / a[k + 1]
-        e_next = (grow * e_cur + a[k] * e_prev) / a[k + 1] + step
-        v_prev, v_cur = v_cur, v_next
-        e_prev, e_cur = e_cur, e_next
-        total += abs(coeffs[k + 1]) * (e_cur + abs(v_cur))
-    return total
+def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
+    """|p(z)| / scale at every z (orthonormal q).  Per point the sweep carries
+    l_k, l_k' and a running error bound e_k (Higham, Accuracy and Stability,
+    sec. 3.3); the scale adds ||A|| |p'(z)|, since z sits an O(eps ||A||)
+    eigenvalue perturbation away from the true root."""
+    c, a, b = q.coeffs, q.table.a, q.table.b
+    az = np.abs(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_prev = d_prev = d = e_prev = der = 0.0
+        v, e = np.full_like(z, q.table.tau[0]), np.full_like(az, abs(q.table.tau[0]))
+        val, total = c[0] * v, abs(c[0]) * (e + np.abs(v))
+        for k in range(q.degree):
+            grow = az + abs(b[k])
+            step = (grow * np.abs(v) + a[k] * np.abs(v_prev)) / a[k + 1]
+            v_prev, v = v, ((z - b[k]) * v - a[k] * v_prev) / a[k + 1]
+            d_prev, d = d, ((z - b[k]) * d + v_prev - a[k] * d_prev) / a[k + 1]
+            e_prev, e = e, (grow * e + a[k] * e_prev) / a[k + 1] + step
+            val = val + c[k + 1] * v
+            der = der + c[k + 1] * d
+            total = total + abs(c[k + 1]) * (e + np.abs(v))
+        scale = total + norm_a * np.abs(der)
+    if not np.all(np.isfinite(val) & np.isfinite(scale)):
+        raise ZerosError(f"residual gate overflows the double range at degree {q.degree}")
+    if np.any(scale == 0.0):
+        raise ZerosError("zero evaluation scale at computed root")
+    return np.abs(val) / scale
 
 
 def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
@@ -139,17 +144,8 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
         vals = np.linalg.eigvals(A)
     out = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
     if check_residual:
-        q = p.to_basis(ORTHONORMAL)
-        # two noise channels: evaluating p at z, and z itself sitting an
-        # O(eps ||A||) eigenvalue perturbation away from the true root
         norm_a = float(np.linalg.norm(A, np.inf))
-        worst = 0.0
-        for z in out:
-            jet = q.jet(z, 1)
-            scale = _running_scale(q.coeffs, q.table, z) + norm_a * abs(jet[1])
-            if scale == 0.0:
-                raise ZerosError("zero evaluation scale at computed root")
-            worst = max(worst, abs(jet[0]) / scale)
+        worst = float(np.max(_root_residuals(p.to_basis(ORTHONORMAL), np.array(out), norm_a)))
         if worst > RESIDUAL_TOL:
             raise ZerosError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return out

@@ -131,6 +131,20 @@ def test_zeros_past_double_range_is_numerical_exit(tmp_path):
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+def test_zeros_overflowed_residual_is_numerical_exit(tmp_path, capsys):
+    # at degree 600 the recurrence at the root next to the atom at 2
+    # leaves the double range; a gate that cannot evaluate its residual
+    # refuses instead of letting a nan pass as a small one
+    payload = {"measure": {"weight_kind": "legendre", "mass_points": [[2.0, 0.5]]},
+               "zero_degrees": [600]}
+    cfg = _write_json(tmp_path / "atom.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "zeros.json").exists()
+
+
 @pytest.mark.parametrize("name", ["sobolev_point_derivative", "sobolev_point_pair",
                                   "pade_gonchar"])
 def test_extended_precision_verify_passes(tmp_path, name):

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from relasym import (
     run_ratio_ladder,
     run_zero_attraction,
     recurrence_for,
+    roots,
     scenario,
     sn_kernel,
     sn_lambda,
     to_sobolev_spec,
 )
+from relasym import polybasis
+from relasym.polybasis import eval_jet
+from relasym.scenarios import SCENARIOS
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import CSV_COLUMNS, _TargetPolys, boundary_grid
 
@@ -226,3 +231,59 @@ def test_zero_attraction_keying():
             == len(rep.roots)
     # default degrees come from the config
     assert sorted(run_zero_attraction(cfg)) == sorted(cfg.zero_degrees or cfg.n_ladder)
+
+
+def _pointwise_ratio(law, table, polys, n, z, nu):
+    """One row's ratio from scalar eval_jet and PolyInBasis.jet calls."""
+    if law == "base_ratio":
+        return eval_jet(table, n + 1, z, nu)[nu] / eval_jet(table, n, z, nu)[nu]
+    if law == "base_log_derivative":
+        jets = eval_jet(table, n, z, nu + 1)
+        return jets[nu + 1] / (n * jets[nu])
+    if law.endswith("_vs_base"):
+        return polys.poly(n).jet(z, nu)[nu] / eval_jet(table, n, z, nu)[nu]
+    if law == "modified_ratio":
+        return polys.poly(n + 1).jet(z, nu)[nu] / polys.poly(n).jet(z, nu)[nu]
+    if law == "modified_log_derivative":
+        jets = polys.poly(n).jet(z, nu + 1)
+        return jets[nu + 1] / (n * jets[nu])
+    assert law == "modified_derivative_gap"
+    jets = polys.poly(n).jet(z, nu + 2)
+    return jets[nu + 2] / (n * (n - 1) * jets[nu])
+
+
+def test_batched_ladder_matches_pointwise(monkeypatch):
+    # basis_jets calls as (points, made while a target was being built)
+    calls, building = [], []
+    orig_jets, orig_poly = polybasis.basis_jets, _TargetPolys.poly
+
+    def counting_jets(table, deg, z, *args, **kwargs):
+        calls.append((tuple(np.atleast_1d(z)), bool(building)))
+        return orig_jets(table, deg, z, *args, **kwargs)
+
+    def tracking_poly(self, n):
+        building.append(n)
+        try:
+            return orig_poly(self, n)
+        finally:
+            building.pop()
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("relasym") and getattr(mod, "basis_jets", None) is orig_jets:
+            monkeypatch.setattr(mod, "basis_jets", counting_jets)
+    monkeypatch.setattr(_TargetPolys, "poly", tracking_poly)
+    for name in SCENARIOS:
+        cfg = scenario(name)
+        calls.clear()
+        rows = run_ratio_ladder(cfg)
+        assert [pts for pts, in_build in calls if not in_build] == [cfg.probe_points]
+        table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
+        polys = _TargetPolys(cfg, table)
+        for row in rows:
+            assert not row.flag
+            want = complex(_pointwise_ratio(row.law, table, polys, row.n, row.z, row.nu))
+            assert row.ratio == want, (name, row)
+    target = polys.poly(max(cfg.n_ladder))
+    calls.clear()
+    assert len(roots(target)) == target.degree
+    assert calls == []

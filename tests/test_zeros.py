@@ -16,8 +16,8 @@ from relasym import (
     scenario,
     sn_kernel,
 )
-from relasym.polybasis import MONIC
-from relasym.zeros import default_radius
+from relasym.polybasis import MONIC, ORTHONORMAL
+from relasym.zeros import RESIDUAL_TOL, _comrade_matrix, _root_residuals, default_radius
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -57,6 +57,36 @@ def test_zero_leading_coefficient_rejected():
 def test_residual_check_optional():
     p = PolyInBasis.basis_poly(LEG, 7)
     assert roots(p, check_residual=False) == roots(p)
+
+
+def _pointwise_residual(q, z, norm_a):
+    """One root at a time: PolyInBasis.jet plus the scalar running scale."""
+    c, a, b = q.coeffs, q.table.a, q.table.b
+    v_prev, v_cur = 0j, complex(q.table.tau[0])
+    e_prev, e_cur = 0.0, abs(q.table.tau[0])
+    total = abs(c[0]) * (e_cur + abs(v_cur))
+    for k in range(q.degree):
+        grow = abs(z) + abs(b[k])
+        step = (grow * abs(v_cur) + a[k] * abs(v_prev)) / a[k + 1]
+        v_prev, v_cur = v_cur, ((z - b[k]) * v_cur - a[k] * v_prev) / a[k + 1]
+        e_prev, e_cur = e_cur, (grow * e_cur + a[k] * e_prev) / a[k + 1] + step
+        total += abs(c[k + 1]) * (e_cur + abs(v_cur))
+    jet = q.jet(z, 1)
+    return abs(jet[0]) / (total + norm_a * abs(jet[1]))
+
+
+def test_residual_gate_rejects_perturbed_roots():
+    n = 60
+    p = PolyInBasis.basis_poly(recurrence_for(BaseMeasureSpec("legendre"), n), n)
+    q = p.to_basis(ORTHONORMAL)
+    norm_a = float(np.linalg.norm(_comrade_matrix(p), np.inf))
+    nodes = roots_legendre(n)[0].astype(complex)
+    assert np.max(_root_residuals(q, nodes, norm_a)) <= 1e-12
+    moved = nodes * (1.0 + 1e-5)
+    got = _root_residuals(q, moved, norm_a)
+    assert np.max(got) > RESIDUAL_TOL
+    want = [_pointwise_residual(q, z, norm_a) for z in moved]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_default_radius():
