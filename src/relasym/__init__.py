@@ -43,7 +43,6 @@ from .sobolev import (
 )
 from .pade import (
     PadeError,
-    SaturatedRatioError,
     StieltjesFn,
     error_ratio,
     f_value,

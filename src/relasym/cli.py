@@ -13,7 +13,7 @@ byte-identical report files.
 
 Exit codes: 0 success, 1 a monotone-decrease assertion failed, 2 I/O
 (unreadable config, unwritable output), 3 bad configuration, 4 the
-numerics gave out (singular solve, saturated ratio, residual gate).
+numerics gave out (singular solve, overflow, residual gate).
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ orthogonality
 which is a derivative-coupled inner product in disguise: expanding
 (p q)^{(i)} by Leibniz turns the pole data into the coupling matrices
 gamma^j_{i,k} = A_{j,k+i} * binom(k+i, i).  The denominator is therefore
-built by the same expansion machinery as the Sobolev polynomials, and the
-numerator is the classical second-kind companion plus Taylor-remainder
-terms for the poles.
+built by the Sobolev kernel lane (`sn_kernel`), and the numerator is the
+classical second-kind companion plus Taylor-remainder terms for the poles.
+The error ratio (f - pi_{n+1})/(f - pi_n) -> 1/phi(z)^2 is evaluated from
+the Cauchy transforms of the basis in mpmath, where the geometrically
+small remainders stay resolved.
 """
 from __future__ import annotations
 
@@ -28,13 +30,12 @@ from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
 from .modified import _ensure_table, monomial_to_coeffs
 from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
-from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel, sn_lambda,
+from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel,
                       _extended_core, _mp_ab, _mp_basis_jets, _mp_normsq,
                       _mp_poly_jet)
 
 __all__ = [
     "PadeError",
-    "SaturatedRatioError",
     "StieltjesFn",
     "PadeApproximant",
     "to_sobolev_spec",
@@ -46,22 +47,11 @@ __all__ = [
     "laurent_moments",
     "pade_order_residuals",
     "error_ratio",
-    "value_at",
 ]
-
-SATURATION_FLOOR = 1e-15
 
 
 class PadeError(ValueError):
     pass
-
-
-class SaturatedRatioError(PadeError):
-    """The approximation error has converged past double precision."""
-
-    def __init__(self, msg: str, floor: float):
-        super().__init__(msg)
-        self.floor = floor
 
 
 @dataclass(frozen=True)
@@ -215,10 +205,7 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
 
 
 def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable) -> PadeApproximant:
-    # exact-lane denominator: error_ratio's double lane resolves errors
-    # below the kernel lane's coefficient accuracy
-    qn = (sn_lambda(n, to_sobolev_spec(f), base).rep if f.poles
-          else PolyInBasis.basis_poly(base, n))
+    qn = pade_denominator(n, f, base)
     pn = pade_numerator(n, f, qn, base)
     return PadeApproximant(n=n, Q_n=qn, P_n=pn)
 
@@ -301,7 +288,9 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
     with mpmath.workdps(dps):
         zz = mpmath.mpc(z)
         top = n + math.ceil(dps / math.log10(abs(phi(z))))
-        a2, b = _mp_ab(_ensure_table(base, top), top)
+        with np.errstate(over="ignore"):    # only a, b and tau_0 are read
+            deep = _ensure_table(base, top)
+        a2, b = _mp_ab(deep, top)
         h, hs = mpmath.mpc(0), {}           # hs[m] = q_m / q_{m-1}
         for m in range(top, 0, -1):
             h = hs[m] = a2[m] / (zz - b[m] - h)
@@ -322,15 +311,13 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
         return R / _mp_poly_jet(coeffs, _mp_basis_jets(n, 0, zz, a2, b), 0)[0]
 
 
-def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
-                precision: str = "double") -> complex:
+def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable) -> complex:
     """(f(z) - pi_{n+1}(z)) / (f(z) - pi_n(z)); the geometric-rate probe.
 
-    In double precision the errors drown below ~1e-15 * |f| quickly (the
-    rate is |phi(z)|^{-2}); that state raises SaturatedRatioError.  The
-    extended lane recomputes both remainders in mpmath from the Cauchy
-    transforms of the basis and has no such ceiling; it takes every
-    atom-free measure, since `_mp_ab` has no closed form for atom tables.
+    The errors shrink like |phi(z)|^{-2n}, so both remainders come from the
+    Cauchy transforms of the basis in mpmath (`_mp_remainder`), with enough
+    digits to resolve them at any n.  Atom tables enter through their
+    double a and b, as in the Sobolev expansion lane.
     """
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
@@ -338,45 +325,13 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
     for c, _ in f.poles:
         if abs(z - c) < 1e-8:
             raise PadeError(f"probe {z} collides with pole {c}")
-    if precision == "extended":
-        if f.base.has_atoms:
-            raise PadeError("extended ratio lane needs an atom-free measure: "
-                            "atom tables have no closed form in mp")
-        need = 2.0 * (n + 1) * math.log10(abs(phi(z)))
-        if f.poles:
-            need += digit_loss(n + 1, to_sobolev_spec(f))
-        dps = int(need) + 50
-        base = _ensure_table(base, n + 2)
-        e0 = _mp_remainder(n, f, base, z, dps)
-        e1 = _mp_remainder(n + 1, f, base, z, dps)
-        if e0 == 0:
-            raise PadeError("zero remainder in extended lane")
-        return complex(e1 / e0)
-    if precision != "double":
-        raise PadeError(f"unknown precision {precision!r}")
+    need = 2.0 * (n + 1) * math.log10(abs(phi(z)))
+    if f.poles:
+        need += digit_loss(n + 1, to_sobolev_spec(f))
+    dps = int(need) + 50
     base = _ensure_table(base, n + 2)
-    fz = f_value(f, z, base)
-    errs = []
-    for appr in (pade_approximant(n, f, base),
-                 pade_approximant(n + 1, f, base)):
-        Pz = value_at(appr.P_n, z)
-        Qz = value_at(appr.Q_n, z)
-        # resolution of the computed difference: the cancellation inside
-        # P(z)/Q(z) caps how small a remainder double can still represent
-        scale = (abs(fz) + appr.P_n.term_magnitude(z) / abs(Qz)
-                 + abs(Pz / Qz) * appr.Q_n.term_magnitude(z) / abs(Qz))
-        if scale > 1e6 * max(1.0, abs(fz)):
-            raise PadeError(
-                f"evaluation cancellation beyond double range at n={appr.n}; "
-                "use precision='extended'")
-        e = fz - Pz / Qz
-        if abs(e) < SATURATION_FLOOR * scale:
-            raise SaturatedRatioError(
-                f"approximation error below the double-precision floor at "
-                f"n={appr.n}; use precision='extended'", SATURATION_FLOOR * scale)
-        errs.append(e)
-    return complex(errs[1] / errs[0])
-
-
-def value_at(p: PolyInBasis, z: complex) -> complex:
-    return complex(p.jet(complex(z), 0)[0])
+    e0 = _mp_remainder(n, f, base, z, dps)
+    e1 = _mp_remainder(n + 1, f, base, z, dps)
+    if e0 == 0:
+        raise PadeError(f"zero remainder at n={n}")
+    return complex(e1 / e0)

@@ -117,11 +117,6 @@ class PolyInBasis:
         vals = basis_jets(self.table, self.degree, z, order, self.basis)
         return vals @ self.coeffs
 
-    def term_magnitude(self, z: complex) -> float:
-        """Sum of |c_k p_k(z)|: the natural scale of an evaluation at z."""
-        vals = basis_jets(self.table, self.degree, z, 0, self.basis)
-        return float(np.sum(np.abs(self.coeffs * vals[0])))
-
     def norm_mu(self) -> float:
         """Hermitian L2(mu) norm, from the orthonormal coefficients."""
         return float(np.linalg.norm(self.to_basis(ORTHONORMAL).coeffs))

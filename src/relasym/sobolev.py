@@ -272,9 +272,11 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     coeffs[n] = inv_tau
     rep = PolyInBasis(ORTHONORMAL, coeffs, n, base).to_basis(MONIC)
     ns = complex(inv_tau * (inv_tau + np.concatenate(wn) @ v))
-    if ns == 0:
-        raise SobolevError(f"1/tau_{n}^2 underflows the double range" if inv_tau ** 2 == 0
-                           else "degenerate S_n: <S_n, S_n> = 0")
+    tiny = np.finfo(float).tiny
+    if abs(ns) < tiny:
+        # a subnormal norm_sq carries too few digits for gamma_n
+        raise SobolevError("degenerate S_n: <S_n, S_n> = 0" if ns == 0 and inv_tau ** 2 >= tiny
+                           else f"1/tau_{n}^2 underflows the double range")
     return SobolevOP(n=n, rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)),
                      cond=cond)
 
@@ -551,27 +553,26 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
     extended precision so the collapsed jet values are actually resolved.
 
     scale_k sums the magnitudes of every contributing term (moment products
-    and coupling products) plus the Cauchy-Schwarz product ||x^k|| ||S_n||.
-    The norm product keeps the scale meaningful when the termwise sum
-    degenerates to a single term (k = 0 with derivative-only couplings).
+    and coupling products), so a residual sits at the working precision
+    when S_n is right and near 1 when it is not.  A row with a single term
+    (k = 0 with derivative-only couplings) has nothing to cancel against;
+    its scale is the Cauchy-Schwarz product ||x^k|| ||S_n||.
     """
     wp = max(40, int(2 * digit_loss(n, spec)) + 40)
-    core = _extended_core(n, spec, base, wp)
+    return _residuals(spec, _extended_core(n, spec, base, wp), wp)
+
+
+def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
+    a2, b, normsq = core["a2"], core["b"], core["normsq"]
+    coeffs = core["coeffs_mp"]
+    n = len(coeffs) - 1
     out = np.zeros(n)
     with mpmath.workdps(wp):
-        a2, b = core["a2"], core["b"]
-        coeffs = core["coeffs_mp"]
         sn_norm = mpmath.sqrt(abs(core["norm_sq_mp"]))
         e = [mpmath.mpf(1)]
         for k in range(n):
-            val = mpmath.mpc(0)
-            sc = mpmath.mpf(0)
-            xk2 = mpmath.fsum(e[i] ** 2 * core["normsq"][i]
-                              for i in range(min(len(e), len(coeffs))))
-            for i in range(min(len(e), len(coeffs))):
-                term = e[i] * coeffs[i] * core["normsq"][i]
-                val += term
-                sc += abs(term)
+            terms = [v * coeffs[i] * normsq[i] for i, v in enumerate(e)]
+            xk2 = mpmath.fsum(v ** 2 * normsq[i] for i, v in enumerate(e))
             for t in spec.terms:
                 g = core["gammas"][t.c]
                 sj = core["sjets"][t.c]
@@ -580,14 +581,12 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
                 xk2 += mpmath.fsum(mj[i] * g[i][kk] * mj[kk]
                                    for i in range(t.N + 1)
                                    for kk in range(t.J + 1))
-                for i in range(t.N + 1):
-                    if mj[i] == 0:
-                        continue
-                    for kk in range(t.J + 1):
-                        term = mj[i] * g[i][kk] * sj[kk]
-                        val += term
-                        sc += abs(term)
-            sc += sn_norm * mpmath.sqrt(abs(xk2))
+                terms += [mj[i] * g[i][kk] * sj[kk]
+                          for i in range(t.N + 1) for kk in range(t.J + 1)]
+            terms = [v for v in terms if v != 0]
+            val = mpmath.fsum(terms)
+            sc = (mpmath.fsum(abs(v) for v in terms) if len(terms) > 1
+                  else sn_norm * mpmath.sqrt(abs(xk2)))
             out[k] = float(abs(val) / sc) if sc > 0 else float(abs(val))
             if k < n - 1:
                 e = _mp_xmul(e, a2, b)

@@ -300,8 +300,8 @@ def test_criterion_09_pade_error_ratio_rate():
         f = StieltjesFn(CHEB, ((2j, (0.0, 1.0)),))
         tab = recurrence_for(CHEB, 45)
         lim = 1.0 / phi(3.0) ** 2
-        d30 = abs(error_ratio(30, 3.0, f, tab, precision="extended") - lim)
-        d40 = abs(error_ratio(40, 3.0, f, tab, precision="extended") - lim)
+        d30 = abs(error_ratio(30, 3.0, f, tab) - lim)
+        d40 = abs(error_ratio(40, 3.0, f, tab) - lim)
         assert d30 < 0.1, f"ratio off the geometric rate by {d30:.2e} at n=30"
         # both land on the double-rounding floor of the returned ratio
         # (6.94e-18, dps-invariant), so "closer" admits equality

@@ -1,13 +1,15 @@
 """Pade approximants to Markov functions with polar parts."""
+import warnings
+
 import numpy as np
 import pytest
 
-from relasym import (BaseMeasureSpec, PadeError, SaturatedRatioError,
-                     StieltjesFn, error_ratio, f_value, laurent_moments,
-                     pade_approximant, pade_denominator, pade_numerator,
+from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio,
+                     f_value, laurent_moments, pade_approximant,
+                     pade_denominator, pade_numerator,
                      pade_order_residuals, phi, recurrence_for, rule_for,
                      to_sobolev_spec)
-from relasym.pade import mu_moments, value_at
+from relasym.pade import mu_moments
 from relasym.polybasis import MONIC, PolyInBasis
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -41,7 +43,7 @@ def test_numerator_first_degree_is_mass():
     # second-kind recursion starts at E_1 = total mass
     q1 = pade_denominator(1, F_PLAIN, TCHEB)
     p1 = pade_numerator(1, F_PLAIN, q1, TCHEB)
-    assert value_at(p1, 0.0 + 0.0j) == pytest.approx(np.pi, rel=1e-13)
+    assert p1.values(0.0 + 0.0j) == pytest.approx(np.pi, rel=1e-13)
 
 
 def test_mu_moments_closed_form():
@@ -90,68 +92,74 @@ def test_interpolation_error_decays_geometrically():
     errs = []
     for n in (5, 10, 15):
         a = pade_approximant(n, F_LEG, TLEG)
-        errs.append(abs(fz - value_at(a.P_n, z) / value_at(a.Q_n, z)))
+        errs.append(abs(fz - a.P_n.values(z) / a.Q_n.values(z)))
     assert errs[1] < errs[0] * 1e-2
     assert errs[2] < errs[1] * 1e-2
 
 
-def test_double_lane_saturates():
-    # by n=40 the true remainder sits below the double rounding floor
-    with pytest.raises(SaturatedRatioError):
-        error_ratio(40, 3.0, F_POLE, TCHEB, precision="double")
-
-
-def test_double_lane_flags_what_it_used_to_return():
-    # numerators divided through a Gauss rule were off enough here to give
-    # unflagged O(1) ratios; with exact division the state is saturation
-    for n in (30, 50, 55):
-        with pytest.raises(SaturatedRatioError):
-            error_ratio(n, 3.0, F_POLE, TCHEB, precision="double")
-
-
-def test_double_lane_rejects_cancelled_evaluation():
-    # close to the cut at n=60, P and Q individually overflow the
-    # cancellation budget and P/Q is garbage, which is a different failure
-    # than saturation
-    with pytest.raises(PadeError) as exc:
-        error_ratio(60, 0.3 + 0.2j, F_POLE, TCHEB, precision="double")
-    assert not isinstance(exc.value, SaturatedRatioError)
+@pytest.mark.parametrize("n, z, want, tol", [
+    # past the double rounding floor of the remainders
+    (30, 3.0, 0.029437251522859413, 1e-17),
+    (40, 3.0, 0.029437251522859413, 1e-17),
+    (50, 3.0, 0.029437251522859413, 1e-17),
+    (55, 3.0, 0.029437251522859413, 1e-17),
+    # close to the cut, where P/Q cancels the most
+    (30, -1.05, 1.0 / phi(-1.05) ** 2, 1e-8),
+    (40, -1.05, 1.0 / phi(-1.05) ** 2, 1e-8),
+    (60, 0.3 + 0.2j, -0.5462165519217 - 0.3705429781221j, 1e-9),
+    (80, 0.3 + 0.2j, -0.5462165519217 - 0.3705429781221j, 1e-9),
+    (10, 1.5 + 1.5j, -0.006043224891979847 - 0.05471977528928362j, 1e-9),
+])
+def test_ratio_resolved_at_every_probe(n, z, want, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = error_ratio(n, z, F_POLE, TCHEB)
+    assert abs(got - want) < tol
 
 
 def test_extended_lane_hits_geometric_rate():
     lim = 1.0 / phi(3.0) ** 2
-    got = error_ratio(10, 3.0, F_POLE, TCHEB, precision="extended")
+    got = error_ratio(10, 3.0, F_POLE, TCHEB)
     assert abs(got - lim) < 1e-8
 
 
 def test_extended_lane_frozen_value():
     # the value of the former Gauss-Chebyshev remainder, to all its digits
-    got = error_ratio(30, 3.0, F_POLE, TCHEB, precision="extended")
+    got = error_ratio(30, 3.0, F_POLE, TCHEB)
     assert got == pytest.approx(0.029437251522859413, rel=1e-15)
 
 
-@pytest.mark.parametrize("spec", [LEG, BaseMeasureSpec("jacobi", alpha=0.3, beta=-0.4)],
-                         ids=["legendre", "jacobi"])
-def test_extended_lane_on_other_weights(spec):
+def _decreasing_gaps(f, tab):
+    lim = 1.0 / phi(3.0) ** 2
+    gaps = [abs(error_ratio(n, 3.0, f, tab) - lim) for n in (10, 20, 40, 80)]
+    return all(hi > lo for hi, lo in zip(gaps, gaps[1:]))
+
+
+# frozen values at n = 5 of the former double-precision evaluation of P/Q
+@pytest.mark.parametrize("spec, dbl", [
+    (LEG, 0.029496269638749434 + 0.00014457713938376777j),
+    (BaseMeasureSpec("jacobi", alpha=0.3, beta=-0.4),
+     0.029369053452539012 - 3.905812953541551e-05j),
+], ids=["legendre", "jacobi"])
+def test_extended_lane_on_other_weights(spec, dbl):
     f = StieltjesFn(spec, ((2j, (0.0, 1.0)),))
     tab = recurrence_for(spec, 130)
-    dbl = error_ratio(5, 3.0, f, tab, precision="double")
-    assert error_ratio(5, 3.0, f, tab, precision="extended") == pytest.approx(dbl, rel=1e-7)
-    lim = 1.0 / phi(3.0) ** 2
-    gaps = [abs(error_ratio(n, 3.0, f, tab, precision="extended") - lim)
-            for n in (10, 20, 40, 80)]
-    assert all(hi > lo for hi, lo in zip(gaps, gaps[1:]))
+    assert error_ratio(5, 3.0, f, tab) == pytest.approx(dbl, rel=1e-7)
+    assert _decreasing_gaps(f, tab)
 
 
 def test_extended_lane_guards():
-    atom = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
     with pytest.raises(PadeError):
-        error_ratio(10, 3.0, StieltjesFn(atom, ((2j, (0.0, 1.0)),)),
-                    recurrence_for(atom, 20), precision="extended")
-    with pytest.raises(PadeError):
-        error_ratio(10, 2j, F_POLE, TCHEB, precision="extended")  # probe on pole
+        error_ratio(10, 2j, F_POLE, TCHEB)                        # probe on pole
     with pytest.raises(PadeError):
         error_ratio(10, 0.2, F_POLE, TCHEB)                       # probe on cut
+    # atom tables run on their double a and b
+    atom = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
+    f = StieltjesFn(atom, ((2j, (0.0, 1.0)),))
+    tab = recurrence_for(atom, 20)
+    want = 0.03117832880519057 + 0.0016004534757202067j
+    assert error_ratio(5, 3.0, f, tab) == pytest.approx(want, rel=1e-7)
+    assert _decreasing_gaps(f, tab)
 
 
 def test_coupling_map_mirrors_denominator():

@@ -15,7 +15,7 @@ from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      orthogonality_residuals_extended, phi, recurrence_for,
                      regularity, rule_for, sn_kernel, sn_lambda, sobolev_inner,
                      to_sobolev_spec)
-from relasym.sobolev import SobolevTerm, _extended_core, _lambda_dps
+from relasym.sobolev import SobolevTerm, _extended_core, _lambda_dps, _residuals
 from relasym.polybasis import MONIC
 
 LEG = BaseMeasureSpec("legendre")
@@ -114,7 +114,9 @@ def test_kernel_refusal_past_double_range_names_the_overflow():
     near = SobolevSpec.diagonal([(1.2, [1.0, 1.0])])  # jets fit, 1/tau_n^2 does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # norm_sq is subnormal at 520 and 540 and reads 0 at 600
         for n, spec, table in ((500, TWO_POLE, deep), (1030, DERIV, huge),
+                               (520, near, deep), (540, near, deep),
                                (600, near, deep)):
             with pytest.raises(SobolevError, match="flows? the double range"):
                 sn_kernel(n, spec, table)
@@ -159,6 +161,17 @@ def test_extended_lane_engages_and_matches():
 def test_extended_residuals_at_collapsed_scale():
     res = orthogonality_residuals_extended(60, DERIV, TAB)
     assert np.max(res) < 1e-20
+    # k = 0 is a lone moment term whose exact value is 0
+    res = orthogonality_residuals_extended(20, SECOND_ONLY, TAB)
+    assert np.max(res) < 1e-20
+
+
+@pytest.mark.parametrize("spec", [DERIV, PAIR], ids=["deriv", "pair"])
+def test_extended_residuals_fail_an_underresolved_sn(spec):
+    # 65 digits do not resolve the collapse at c = 2, so S_n is wrong by
+    # O(1); the check, run at those digits, must see it
+    res = _residuals(spec, _extended_core(60, spec, TAB, 65), 65)
+    assert np.max(res) > 0.5
 
 
 def test_degenerate_degree_floor():
