@@ -1,17 +1,31 @@
 """Polynomial roots in the mu-basis and zero-attraction bookkeeping.
 
-Roots are computed as eigenvalues of the comrade matrix: the symmetric
-tridiagonal recurrence matrix of the orthonormal basis with a rank-one
-last-row correction from the coefficient vector.  For a degree-n
-polynomial p = sum c_k l_k (c_n != 0) the matrix
+For a degree-n polynomial p = sum c_k l_k (orthonormal basis, c_n != 0)
+the comrade matrix
 
-    A = J_n - (a_n / c_n) e_{n-1} c[0:n]^T
+    A = J_n - e_{n-1} f^T,    f = (a_n / c_n) c[0:n],
 
-has characteristic polynomial p / (c_n tau_n x^0-lead), so its
-eigenvalues are exactly the roots of p, with multiplicity.  The residual
-gate checks all of them in one forward sweep of the orthonormal
-recurrence over the root array; a sweep that leaves the double range
-refuses instead of passing a nan residual.
+the symmetric tridiagonal recurrence matrix with a rank-one last-row
+correction, has the roots of p as its eigenvalues, with multiplicity.
+roots() takes one of three routes:
+
+- f = 0 (p is a multiple of l_n): A = J_n, and the roots are the Gauss
+  nodes from the symmetric eigensolver.
+- real f: the real nonsymmetric eigensolver on A.  Its real Schur form
+  gives exactly real roots and exactly conjugate pairs.
+- complex f: with J_n = V diag(x) V^T, A is similar to diag(x) - y w^T,
+  y = V[n-1, :], w = V^T f, so its eigenvalues are the zeros of the
+  secular function g(z) = 1 + sum_i beta_i / (z - x_i), beta_i = y_i w_i
+  (Golub, SIAM Rev. 15, 1973).  Vectorized Aberth sweeps on g find them
+  in O(n^2) per sweep (Bini & Robol, J. Comput. Appl. Math. 272, 2014);
+  roots off the support band, where the sum cancels, take a few more
+  Aberth steps on p itself, with p and p' from the orthonormal
+  recurrence in extended precision.  A solve that does not converge
+  refuses; no route falls back to another.
+
+The residual gate checks every root set in one forward sweep of the
+orthonormal recurrence over the root array; a sweep that leaves the
+double range refuses instead of passing a nan residual.
 
 cluster() sorts a root set into disjoint attraction disks around given
 centers, a band around the support [-1, 1], and leftovers.  Counts per
@@ -22,7 +36,7 @@ fixed finite number of roots while the rest crowd the interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +55,15 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-7
+EPS = float(np.finfo(float).eps)
+# Aberth sweeps on the secular function before the solve refuses
+MAX_SWEEPS = 60
+# roots farther than POLISH_BAND from [-1, 1] take Aberth steps on p itself
+# (at most POLISH_STEPS, until a step is at most POLISH_TOL |z|): there the
+# secular sum cancels and leaves them ~1e-6 off
+POLISH_BAND = 0.05
+POLISH_TOL = 1e-10
+POLISH_STEPS = 10
 
 
 class ZerosError(ValueError):
@@ -80,72 +103,195 @@ class ZeroReport:
         }
 
 
-def _comrade_matrix(p: PolyInBasis) -> np.ndarray:
-    table = p.table
-    q = p.to_basis(ORTHONORMAL)
-    n = q.degree
-    c = q.coeffs
+def _last_row(q: PolyInBasis) -> np.ndarray:
+    """f = (a_n / c_n) c[0:n] of the comrade matrix (q orthonormal)."""
+    n, c = q.degree, q.coeffs
     if c[n] == 0:
         raise ZerosError("degree mismatch: leading coefficient is zero")
-    if table.nmax < n:
-        raise ZerosError(f"table nmax {table.nmax} < degree {n}")
-    A = np.diag(table.b[:n].astype(complex))
-    if n > 1:
-        off = table.a[1:n].astype(complex)
-        A += np.diag(off, 1) + np.diag(off, -1)
-    A[n - 1, :] -= (table.a[n] / c[n]) * c[:n]
+    if q.table.nmax < n:
+        raise ZerosError(f"table nmax {q.table.nmax} < degree {n}")
+    return (q.table.a[n] / c[n]) * c[:n]
+
+
+def _jacobi(table, n: int, dtype=float) -> np.ndarray:
+    """Dense J_n: diagonal b_0..b_{n-1}, off-diagonal a_1..a_{n-1}."""
+    J = np.zeros((n, n), dtype=dtype)
+    i = np.arange(n)
+    J[i, i] = table.b[:n]
+    J[i[1:], i[:-1]] = J[i[:-1], i[1:]] = table.a[1:n]
+    return J
+
+
+def _comrade_matrix(p: PolyInBasis) -> np.ndarray:
+    """A = J_n - e_{n-1} f^T, real when f is."""
+    q = p.to_basis(ORTHONORMAL)
+    f = _last_row(q)
+    real = not np.any(f.imag)
+    A = _jacobi(q.table, q.degree, float if real else complex)
+    A[-1] -= f.real if real else f
     return A
 
 
-def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
-    """|p(z)| / scale at every z (orthonormal q).  Per point the sweep carries
-    l_k, l_k' and a running error bound e_k (Higham, Accuracy and Stability,
-    sec. 3.3); the scale adds ||A|| |p'(z)|, since z sits an O(eps ||A||)
-    eigenvalue perturbation away from the true root."""
-    c, a, b = q.coeffs, q.table.a, q.table.b
-    az = np.abs(z)
+def _comrade_norm(q: PolyInBasis, f: np.ndarray) -> float:
+    """||A||_inf in O(n): the tridiagonal rows, then the last row."""
+    n, a, b = q.degree, q.table.a, q.table.b
+    last = np.abs(f)
+    last[-1] = abs(b[n - 1] - f[-1])
+    if n == 1:
+        return float(last[0])
+    last[-2] = abs(a[n - 1] - f[-2])
+    rows = np.abs(b[: n - 1]) + a[1:n]
+    rows[1:] += a[1 : n - 1]
+    return max(float(rows.max()), float(last.sum()))
+
+
+def _sweep(q: PolyInBasis, z, dtype=np.float64, bound: bool = True):
+    """p(z), p'(z) and a running error bound for p(z) (Higham, Accuracy and
+    Stability, sec. 3.3; 0 when bound is off), from one forward sweep of
+    the orthonormal recurrence (q orthonormal) in the float type dtype.  z
+    is a scalar of the matching complex type or an array of points; a
+    sweep that leaves the double range refuses."""
+    # double runs on Python floats, whose scalar arithmetic is the faster
+    scalars = np.ndarray.tolist if dtype is np.float64 else list
+    c = scalars(q.coeffs.astype(np.result_type(dtype, np.complex64)))
+    a, b = scalars(q.table.a.astype(dtype)), scalars(q.table.b.astype(dtype))
+    tau0 = dtype(q.table.tau[0])
+    az = abs(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_prev = d_prev = d = e_prev = der = 0.0
-        v, e = np.full_like(z, q.table.tau[0]), np.full_like(az, abs(q.table.tau[0]))
-        val, total = c[0] * v, abs(c[0]) * (e + np.abs(v))
+        v_prev = d_prev = d = e_prev = der = total = 0.0
+        v, e = tau0, abs(tau0)
+        val = c[0] * v
+        if bound:
+            total = abs(c[0]) * (e + abs(v))
         for k in range(q.degree):
-            grow = az + abs(b[k])
-            step = (grow * np.abs(v) + a[k] * np.abs(v_prev)) / a[k + 1]
+            if bound:
+                grow = az + abs(b[k])
+                step = (grow * abs(v) + a[k] * abs(v_prev)) / a[k + 1]
+                e_prev, e = e, (grow * e + a[k] * e_prev) / a[k + 1] + step
             v_prev, v = v, ((z - b[k]) * v - a[k] * v_prev) / a[k + 1]
             d_prev, d = d, ((z - b[k]) * d + v_prev - a[k] * d_prev) / a[k + 1]
-            e_prev, e = e, (grow * e + a[k] * e_prev) / a[k + 1] + step
             val = val + c[k + 1] * v
             der = der + c[k + 1] * d
-            total = total + abs(c[k + 1]) * (e + np.abs(v))
-        scale = total + norm_a * np.abs(der)
-    if not np.all(np.isfinite(val) & np.isfinite(scale)):
-        raise ZerosError(f"residual gate overflows the double range at degree {q.degree}")
+            if bound:
+                total = total + abs(c[k + 1]) * (e + abs(v))
+    if not np.all(np.isfinite(val) & np.isfinite(der) & np.isfinite(total)):
+        raise ZerosError(f"recurrence sweep overflows the double range at degree {q.degree}")
+    return val, der, total
+
+
+def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
+    """|p(z)| / scale at every z (orthonormal q).  The scale is the running
+    error bound plus ||A|| |p'(z)|, since z sits an O(eps ||A||) eigenvalue
+    perturbation away from the true root."""
+    val, der, total = _sweep(q, z)
+    scale = total + norm_a * np.abs(der)
     if np.any(scale == 0.0):
         raise ZerosError("zero evaluation scale at computed root")
     return np.abs(val) / scale
 
 
+def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
+    """Roots of p for complex f: the zeros of the secular function at the
+    Gauss nodes, then Aberth steps on p itself for the roots off the band.
+    A pole with |beta_i| below the rounding level of J_n is deflated: its
+    root is the node x_i."""
+    n = q.degree
+    x, V = np.linalg.eigh(_jacobi(q.table, n))
+    beta = V[-1] * (f.real @ V + 1j * (f.imag @ V))
+    del V   # the n x n eigenvectors go before the sweeps allocate theirs
+    z = x.astype(complex)
+    live = np.abs(beta) > EPS * np.max(np.abs(x))
+    z[live] = _aberth(x[live], beta[live], n)
+    _polish(q, z)
+    return z
+
+
+def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
+    """Zeros of g(z) = 1 + sum_i beta_i / (z - x_i) by simultaneous Aberth
+    sweeps over the roots still active.  p'/p = g'/g + sum_i 1/(z - x_i)
+    for p ~ g prod (z - x_i).  Root i starts at x_i - beta_i / g_i(x_i),
+    the zero of its own pole term against the sum g_i of the others, and
+    retires once its step is at most eps |z| or |g| is at its rounding
+    level m eps (1 + sum_i |beta_i / (z - x_i)|).  Temporaries are
+    (active, m): retired roots cost nothing."""
+    m = x.size
+    abs_beta = np.abs(beta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = np.subtract.outer(x, x)
+        np.fill_diagonal(inv, np.inf)
+        np.reciprocal(inv, out=inv)
+        z = x - beta / (1.0 + inv @ beta.real + 1j * (inv @ beta.imag))
+        del inv
+        active = np.arange(m)
+        for _ in range(MAX_SWEEPS):
+            if not active.size:
+                return z
+            za = z[active]
+            buf = np.subtract.outer(za, x)
+            np.reciprocal(buf, out=buf)
+            g = 1.0 + buf @ beta
+            done = np.abs(g) <= m * EPS * (1.0 + np.abs(buf) @ abs_beta)
+            poles = buf.sum(axis=1)
+            np.multiply(buf, buf, out=buf)
+            newton = g / (poles * g - buf @ beta)
+            np.subtract(za[:, None], z, out=buf)
+            buf[np.arange(active.size), active] = np.inf
+            np.reciprocal(buf, out=buf)
+            step = newton / (1.0 - newton * buf.sum(axis=1))
+            step[done] = 0.0
+            z[active] = za - step
+            active = active[~done & (np.abs(step) > EPS * np.abs(z[active]))]
+    if active.size:
+        raise ZerosError(f"root iteration did not converge at degree {n}")
+    return z
+
+
+def _polish(q: PolyInBasis, z: np.ndarray) -> None:
+    """Aberth steps on p itself, in place, for the roots off the band.  p
+    and p' come from the recurrence sweep in extended precision: in double,
+    its rounding error alone moves a near-double attracted pair by ~1e-8."""
+    off = np.flatnonzero(dist_to_cut(z) > POLISH_BAND)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(POLISH_STEPS):
+            moving = []
+            for j in off:
+                zj = np.clongdouble(z[j])
+                val, der, _ = _sweep(q, zj, np.longdouble, bound=False)
+                if der == 0:
+                    continue
+                newton = val / der
+                gaps = z[j] - z
+                gaps[j] = np.inf
+                step = newton / (1 - newton * np.sum(1.0 / gaps))
+                z[j] = complex(zj - step)
+                if abs(step) > POLISH_TOL * abs(z[j]):
+                    moving.append(j)
+            off = moving
+
+
 def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     """All deg(p) roots, sorted by (re, im).
 
-    Eigenvalues of the comrade matrix.  Each root is validated against
-    the running-error scale of the evaluation; a relative residual
-    above RESIDUAL_TOL raises, since it means the root set cannot be
-    trusted at the advertised accuracy.
+    Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
+    nodes when f = 0, the real nonsymmetric eigensolver when f is real,
+    and the secular Aberth solve when f is complex (module docstring).
+    Each root is validated against the running-error scale of the
+    evaluation; a relative residual above RESIDUAL_TOL raises, since it
+    means the root set cannot be trusted at the advertised accuracy.
     """
     if p.degree == 0:
         return []
-    A = _comrade_matrix(p)
-    # real coefficient data keeps the eigensolve in real arithmetic so
-    # conjugate pairs come out exact
-    if np.max(np.abs(A.imag)) == 0.0:
-        vals = np.linalg.eigvals(A.real).astype(complex)
+    q = p.to_basis(ORTHONORMAL)
+    f = _last_row(q)
+    if not np.any(f):
+        vals = np.linalg.eigvalsh(_jacobi(q.table, q.degree))
+    elif not np.any(f.imag):
+        vals = np.linalg.eigvals(_comrade_matrix(q))
     else:
-        vals = np.linalg.eigvals(A)
+        vals = _secular_roots(q, f)
     out = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
     if check_residual:
-        norm_a = float(np.linalg.norm(A, np.inf))
-        worst = float(np.max(_root_residuals(p.to_basis(ORTHONORMAL), np.array(out), norm_a)))
+        worst = float(np.max(_root_residuals(q, np.array(out), _comrade_norm(q, f))))
         if worst > RESIDUAL_TOL:
             raise ZerosError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return out
@@ -192,21 +338,17 @@ def cluster(root_list, centers, radius: float | None = None,
                 f"radius {r:g} >= half the minimum center separation {sep:g}")
     else:
         r = 0.0 if radius is None else float(radius)
+    zs = np.array(rts, dtype=complex)
     counts = [0] * len(cs)
-    support = 0
-    leftovers: list[complex] = []
-    for z in rts:
-        hit = None
-        for i, c in enumerate(cs):
-            if abs(z - c) <= r:
-                hit = i
-                break
-        if hit is not None:
-            counts[hit] += 1
-        elif float(dist_to_cut(z)) <= band:
-            support += 1
-        else:
-            leftovers.append(z)
+    in_disk = np.zeros(zs.size, dtype=bool)
+    if cs:
+        # argmax: the first disk that holds the root, as in a scan over centers
+        hits = np.abs(zs[:, None] - np.array(cs)) <= r
+        in_disk = hits.any(axis=1)
+        counts = np.bincount(hits.argmax(axis=1)[in_disk], minlength=len(cs)).tolist()
+    in_band = ~in_disk & (dist_to_cut(zs) <= band)
+    support = int(np.count_nonzero(in_band))
+    leftovers = [z for z, kept in zip(rts, in_disk | in_band) if not kept]
     return ZeroReport(roots=rts, centers=cs, cluster_counts=counts,
                       support_count=support, unassigned=leftovers,
                       radius=r, support_band=band)

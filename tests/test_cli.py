@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import relasym.zeros
 from relasym import scenario
 from relasym.cli import main
 
@@ -143,6 +144,28 @@ def test_zeros_overflowed_residual_is_numerical_exit(tmp_path, capsys):
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
     assert "overflow" in capsys.readouterr().err
     assert not (tmp_path / "zeros.json").exists()
+
+
+def test_unconverged_root_iteration_is_numerical_exit(tmp_path, monkeypatch, capsys):
+    # pade_gonchar has complex coefficients, so its roots come from the
+    # secular iteration; past the sweep cap it refuses with a typed error
+    monkeypatch.setattr(relasym.zeros, "MAX_SWEEPS", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["zeros", "--config", "pade_gonchar", "--out", str(tmp_path)]) == 4
+    assert "did not converge at degree 60" in capsys.readouterr().err
+    assert not (tmp_path / "zeros.json").exists()
+
+
+def test_zeros_report_is_byte_identical_across_processes(tmp_path):
+    outs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}"
+        subprocess.run([sys.executable, "-m", "relasym.cli", "zeros", "--config",
+                        "pade_gonchar", "--out", str(out)], check=True,
+                       capture_output=True)
+        outs.append((out / "zeros.json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("name", ["sobolev_point_derivative", "sobolev_point_pair",

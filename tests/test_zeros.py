@@ -1,4 +1,5 @@
 """Comrade-matrix roots and attraction-disk sorting."""
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -16,8 +17,12 @@ from relasym import (
     scenario,
     sn_kernel,
 )
+from relasym.joukowski import dist_to_cut
 from relasym.polybasis import MONIC, ORTHONORMAL
-from relasym.zeros import RESIDUAL_TOL, _comrade_matrix, _root_residuals, default_radius
+from relasym.sobolev import SobolevSpec, SobolevTerm
+from relasym.verify import _TargetPolys
+from relasym.zeros import (RESIDUAL_TOL, _comrade_matrix, _comrade_norm, _last_row,
+                           _root_residuals, default_radius)
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -146,3 +151,133 @@ def test_sobolev_zero_attraction_end_to_end():
     assert rep.cluster_counts == [1]
     assert rep.support_count == 59
     assert not rep.unassigned
+
+
+ATOM_LEG = BaseMeasureSpec("legendre", mass_points=((2.2, 0.5),))
+SECULAR_MEASURES = [BaseMeasureSpec("legendre"), BaseMeasureSpec("chebyshev_first_kind"),
+                    BaseMeasureSpec("jacobi", 0.3, -0.4), ATOM_LEG]
+
+
+def _complex_sobolev_spec(rng) -> SobolevSpec:
+    """One or two coupling points off [-1, 1] (clear of the atom at 2.2),
+    each with a diagonal gamma of one or two complex masses."""
+    terms = []
+    for _ in range(rng.integers(1, 3)):
+        while True:
+            c = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.0, 2.0))
+            if (dist_to_cut(c) > 0.3 and abs(c - 2.2) > 0.2
+                    and all(abs(c - t.c) > 0.3 for t in terms)):
+                break
+        masses = rng.uniform(0.2, 2.0, rng.integers(1, 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        terms.append(SobolevTerm(c, np.diag(masses)))
+    return SobolevSpec(tuple(terms))
+
+
+@pytest.mark.parametrize("measure", SECULAR_MEASURES,
+                         ids=["legendre", "chebyshev", "jacobi", "legendre_atom"])
+def test_secular_roots_match_the_eigensolver(measure):
+    # complex coefficient data takes the secular solve; its interval roots
+    # agree with the dense eigensolver to 1e-12 on the interval's scale
+    # (relative to max(1, |z|): roots near 0 have no relative digits to spare)
+    rng = np.random.default_rng(20)
+    for n in (25, 60, 120, 180):
+        q = sn_kernel(n, _complex_sobolev_spec(rng), recurrence_for(measure, n + 2)).rep
+        assert np.any(_last_row(q.to_basis(ORTHONORMAL)).imag)
+        got = np.array(roots(q))
+        want = np.linalg.eigvals(_comrade_matrix(q))
+        band = dist_to_cut(want) <= 0.05
+        near = got[dist_to_cut(got) <= 0.05]
+        assert near.size == np.count_nonzero(band)
+        for z in want[band]:
+            assert np.min(np.abs(near - z)) <= 1e-12 * max(1.0, abs(z))
+
+
+def _mp_refined(q, starts, dps=50):
+    """Newton steps with deflation at dps digits on the double coefficients
+    of orthonormal q, one root per start."""
+    with mp.workdps(dps):
+        c = [mp.mpc(complex(v)) for v in q.coeffs]
+        a = [mp.mpf(float(v)) for v in q.table.a]
+        b = [mp.mpf(float(v)) for v in q.table.b]
+        tau0 = mp.mpf(float(q.table.tau[0]))
+        found = []
+        for start in starts:
+            z = mp.mpc(start)
+            for _ in range(60):
+                v_prev, v, d_prev, d = 0, tau0, 0, 0
+                val, der = c[0] * v, 0
+                for k in range(q.degree):
+                    v_prev, v = v, ((z - b[k]) * v - a[k] * v_prev) / a[k + 1]
+                    d_prev, d = d, ((z - b[k]) * d + v_prev - a[k] * d_prev) / a[k + 1]
+                    val += c[k + 1] * v
+                    der += c[k + 1] * d
+                if val == 0:
+                    break
+                step = 1 / (der / val - sum(1 / (z - r) for r in found))
+                z -= step
+                if abs(step) < mp.mpf(10) ** (5 - dps):
+                    break
+            found.append(z)
+        return [complex(r) for r in found]
+
+
+def test_attracted_pair_matches_extended_precision_refinement():
+    # the two zeros pade_gonchar attracts to 2i form a near-double pair; the
+    # polish puts them within 1e-8 of their 50-digit values for the same
+    # double coefficients
+    n = 180
+    cfg = scenario("pade_gonchar")
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    got = np.array(roots(q))
+    pair = got[dist_to_cut(got) > 0.05]
+    assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
+    for t in _mp_refined(q, pair):
+        assert np.min(np.abs(pair - t)) <= 1e-8
+
+
+@pytest.mark.parametrize("measure", [BaseMeasureSpec("legendre"), ATOM_LEG],
+                         ids=["legendre", "legendre_atom"])
+def test_linear_norm_matches_dense(measure):
+    table = recurrence_for(measure, 62)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 60):
+        real = rng.standard_normal(n + 1) + 0j
+        for coeffs in (real, real + 1j * rng.standard_normal(n + 1)):
+            p = PolyInBasis(ORTHONORMAL, coeffs, n, table)
+            dense = float(np.linalg.norm(_comrade_matrix(p), np.inf))
+            assert _comrade_norm(p, _last_row(p)) == pytest.approx(dense, rel=1e-15)
+
+
+def _scalar_cluster(rts, centers, r, band):
+    """Reference: one root at a time, first disk wins."""
+    counts, support, leftovers = [0] * len(centers), 0, []
+    for z in rts:
+        hit = next((i for i, c in enumerate(centers) if abs(z - c) <= r), None)
+        if hit is not None:
+            counts[hit] += 1
+        elif float(dist_to_cut(z)) <= band:
+            support += 1
+        else:
+            leftovers.append(z)
+    return counts, support, leftovers
+
+
+def test_cluster_matches_scalar_reference():
+    centers = [2.0 + 0.0j, -1.5 + 1.5j, 3.0j]
+    r, band = 0.25, 0.05
+    # exactly on a disk rim, exactly on the band edge, just outside both
+    edges = [2.25, 2.0 - 0.25j, -1.5 + 1.75j, 1.0 + 0.05j, -1.0 - 0.05j,
+             0.3 + 0.05j, 1.05, 2.2500000000000004, 0.3 + 0.05000000000000001j]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        pts = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+        near = np.array(centers)[rng.integers(0, 3, 10)] + 0.3 * rng.standard_normal(10)
+        rts = [complex(z) for z in np.concatenate([pts, near, edges])]
+        rng.shuffle(rts)
+        rep = cluster(rts, centers, r, band)
+        counts, support, leftovers = _scalar_cluster(rts, centers, r, band)
+        assert rep.cluster_counts == counts
+        assert rep.support_count == support
+        assert rep.unassigned == leftovers
+    assert cluster([], centers, r, band).cluster_counts == [0, 0, 0]
+    assert cluster([0.5, 4.0], [], None, band).unassigned == [4.0]
