@@ -24,6 +24,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .joukowski import CutDomainError
 from .measures import BaseMeasureSpec, MeasureError, recurrence_for
 from .modified import ModifiedError
@@ -94,7 +96,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def cmd_recurrence(args) -> int:
     spec, nmax = load_measure(args.config)
-    table = recurrence_for(spec, nmax)
+    with np.errstate(over="ignore"):
+        table = recurrence_for(spec, nmax)
+    over = np.flatnonzero(~np.isfinite(table.tau))
+    if over.size:
+        # JSON has no Infinity: refuse instead of writing an invalid file
+        print(f"numerical error: tau_{over[0]} overflows the double range",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     out = _out_dir(args)
     payload = {
         "measure": spec.to_json_dict(),

@@ -132,7 +132,7 @@ class RecurrenceTable:
             "b": [float(v) for v in self.b],
             "tau": [float(v) for v in self.tau],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str, spec: BaseMeasureSpec | None = None) -> "RecurrenceTable":

@@ -194,8 +194,7 @@ def _solve_lambda(n, r, base):
     cond = float(np.linalg.cond(rows))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ModifiedError(
-            f"lambda system ill-conditioned (cond ~ {cond:.2e}) at n={n}: "
-            "index below the asymptotic regime", cond=cond)
+            f"lambda system ill-conditioned (cond ~ {cond:.2e}) at n={n}", cond=cond)
     lam = np.concatenate([[1.0 + 0.0j], np.linalg.solve(rows, rhs)])
     return lam, cond
 

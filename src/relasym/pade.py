@@ -30,9 +30,8 @@ from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
 from .modified import _ensure_table, monomial_to_coeffs
 from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
-from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel,
-                      _extended_core, _mp_ab, _mp_basis_jets, _mp_normsq,
-                      _mp_poly_jet)
+from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel, _mp_ab,
+                      _mp_basis_jets, _mp_kernel, _mp_normsq, _mp_poly_jet)
 
 __all__ = [
     "PadeError",
@@ -279,10 +278,10 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
     backward ratio recurrence of `measures.minimal_solution` run in mp.
     Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
     from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
-    through the expansion lane.
+    by the kernel identity of `sn_lambda`, at the same dps.
     """
     if f.poles:
-        coeffs = _extended_core(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
+        coeffs = _mp_kernel(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
     else:
         coeffs = [mpmath.mpc(0)] * n + [mpmath.mpc(1)]
     with mpmath.workdps(dps):
@@ -317,7 +316,7 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable) -> co
     The errors shrink like |phi(z)|^{-2n}, so both remainders come from the
     Cauchy transforms of the basis in mpmath (`_mp_remainder`), with enough
     digits to resolve them at any n.  Atom tables enter through their
-    double a and b, as in the Sobolev expansion lane.
+    double a and b, as in the mpmath Sobolev lane `sn_lambda`.
     """
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:

@@ -6,15 +6,16 @@ The bilinear form is
 
 with finitely many points c_j off the support.  Regularity (the reduced
 coefficient matrices Gamma_j* square and nonsingular) is what the
-construction and the asymptotics need.  Two independent builders, both
-for every regular spec (complex points, non-diagonal and indefinite gamma,
-the Pade coupling matrices alike):
+construction and the asymptotics need.  One construction, for every
+regular spec (complex points, non-diagonal and indefinite gamma, the Pade
+coupling matrices alike): a bordered system on the Christoffel-Darboux
+kernel of mu, one unknown per nonzero column of each gamma_j.  It runs in
+two arithmetics, which gate on the same equilibrated system and report the
+same condition number:
 
-* sn_kernel: a bordered system on the Christoffel-Darboux kernel of mu,
-  one unknown per nonzero column of each gamma_j, in double precision;
-* sn_lambda: an expansion of S_n over monic orthogonal polynomials Q_{n-k}
-  of s dmu with s = prod (z-c_j)^{N_j+1}, by exact coefficient algebra over
-  the recurrence table in mpmath.
+* sn_kernel: in double precision, solving the equilibrated system;
+* sn_lambda: in mpmath, by exact coefficient algebra over the recurrence
+  table, at the digits the collapse of the jets at the c_j needs.
 """
 from __future__ import annotations
 
@@ -208,6 +209,53 @@ class SobolevOP:
     cond: float
 
 
+def _buildable(n: int, spec: SobolevSpec, base: RecurrenceTable) -> RecurrenceTable:
+    """Refusals both lanes share; returns a table through degree n + 1."""
+    if not regularity(spec).overall_regular:
+        raise SobolevError("inner product is not regular; construction undefined")
+    order = max(max(t.gamma.shape) for t in spec.terms) - 1
+    if n <= order:
+        raise SobolevError(f"need n > {order}, the highest coupled derivative, got {n}")
+    with np.errstate(over="ignore"):    # sn_kernel refuses an infinite tau_n
+        base = _ensure_table(base, n + 1)
+    atoms = base.spec.mass_points if base.spec is not None else ()
+    if any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms):
+        # forward jets at an atom follow a decaying solution into rounding noise
+        raise SobolevError("a coupling point coincides with a mass point")
+    return base
+
+
+def _kernel_system(blocks: list, n: int) -> tuple:
+    """The equilibrated bordered system from each point's (J, W, 1/(P P')).
+
+    J and W are the point's orthonormal jet blocks divided by their largest
+    entries P and P'.  Each is factored as P L Q; returns the matrix
+    diag(L^-1 L'^-T / (P P')) + Q Q'^T, its condition number, the stacked
+    Q', and L^-1 J[:, n] and L'^-1 W[:, n] stacked.  Refuses past COND_LIMIT.
+    """
+    Q, Qw, D, rhs, wn = [], [], [], [], []
+    for J, W, scale in blocks:
+        q, r = np.linalg.qr(J[:, :n].T)
+        qw, rw = np.linalg.qr(W[:, :n].T)
+        Li, Lwi = np.linalg.inv(r.T), np.linalg.inv(rw.T)
+        Q.append(q.T)
+        Qw.append(qw.T)
+        # 1/(P P') underflows harmlessly once the kernel part dominates
+        D.append(Li @ Lwi.T * scale)
+        rhs.append(Li @ J[:, n])
+        wn.append(Lwi @ W[:, n])
+    Q, Qw = np.vstack(Q), np.vstack(Qw)
+    M_sys = Q @ Qw.T
+    i = 0
+    for d in D:
+        M_sys[i:i + len(d), i:i + len(d)] += d
+        i += len(d)
+    cond = float(np.linalg.cond(M_sys)) if np.all(np.isfinite(M_sys)) else math.inf
+    if not cond <= COND_LIMIT:
+        raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
+    return M_sys, cond, Qw, np.concatenate(rhs), np.concatenate(wn)
+
+
 def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """Double-precision path for every regular spec.
 
@@ -223,20 +271,11 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     equilibrates rows and columns and takes in the near-parallel derivative
     rows of each point; then s = -Q'^T v.
     """
-    if not regularity(spec).overall_regular:
-        raise SobolevError("inner product is not regular; construction undefined")
-    order = max(max(t.gamma.shape) for t in spec.terms) - 1
-    if n <= order:
-        raise SobolevError(f"need n > {order}, the highest coupled derivative, got {n}")
-    base = _ensure_table(base, n + 1)
+    base = _buildable(n, spec, base)
     if not np.isfinite(base.tau[n]):
         raise SobolevError(f"tau_{n} overflows the double range")
-    atoms = base.spec.mass_points if base.spec is not None else ()
-    if any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms):
-        # forward jets at an atom follow a decaying solution into rounding noise
-        raise SobolevError("a coupling point coincides with a mass point")
     inv_tau = 1.0 / base.tau[n]
-    Q, Qw, D, rhs, wn = [], [], [], [], []
+    blocks = []
     for t in spec.terms:
         rows, cols = _support(t.gamma)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -248,30 +287,14 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
         pj, pw = peak[cols].max(), peak[rows].max()
         J = E[cols] * (peak[cols] / pj)[:, None]
         W = t.gamma[np.ix_(rows, cols)].T @ (E[rows] * (peak[rows] / pw)[:, None])
-        q, r = np.linalg.qr(J[:, :n].T)
-        qw, rw = np.linalg.qr(W[:, :n].T)
-        Li, Lwi = np.linalg.inv(r.T), np.linalg.inv(rw.T)
-        Q.append(q.T)
-        Qw.append(qw.T)
-        # 1/(P P') underflows harmlessly once the kernel part dominates
-        D.append(Li @ Lwi.T * ((1.0 / pj) * (1.0 / pw)))
-        rhs.append(Li @ J[:, n] * inv_tau)
-        wn.append(Lwi @ W[:, n])
-    Q, Qw = np.vstack(Q), np.vstack(Qw)
-    M_sys = Q @ Qw.T
-    i = 0
-    for d in D:
-        M_sys[i:i + len(d), i:i + len(d)] += d
-        i += len(d)
-    cond = float(np.linalg.cond(M_sys)) if np.all(np.isfinite(M_sys)) else math.inf
-    if not cond <= COND_LIMIT:
-        raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
-    v = np.linalg.solve(M_sys, np.concatenate(rhs))
+        blocks.append((J, W, (1.0 / pj) * (1.0 / pw)))
+    M_sys, cond, Qw, rhs, wn = _kernel_system(blocks, n)
+    v = np.linalg.solve(M_sys, rhs * inv_tau)
     coeffs = np.empty(n + 1, dtype=complex)
     coeffs[:n] = -(Qw.T @ v)
     coeffs[n] = inv_tau
     rep = PolyInBasis(ORTHONORMAL, coeffs, n, base).to_basis(MONIC)
-    ns = complex(inv_tau * (inv_tau + np.concatenate(wn) @ v))
+    ns = complex(inv_tau * (inv_tau + wn @ v))
     tiny = np.finfo(float).tiny
     if abs(ns) < tiny:
         # a subnormal norm_sq carries too few digits for gamma_n
@@ -292,37 +315,29 @@ def _mono_jet(nu: int, i: int, c):
 
 
 def digit_loss(n: int, spec: SobolevSpec) -> float:
-    """Estimated decimal digits cancelled when the expansion coefficients
-    are pinned in fixed precision.
+    """Estimated decimal digits cancelled when S_n is pinned in fixed
+    precision: the jets S_n^(k)(c_j) collapse against the jets of L_n by a
+    factor ~ |phi(c_j)|^n.
 
-    The jets S_n^(k)(c_j) collapse against the generic size of the expansion
-    terms by a factor ~ |phi(c_j)|^n, so the linear system for lambda loses
-    about n * log10 max_j |phi(c_j)| digits.  A condition that meets a zero
-    row of gamma is a bare mu-moment of the Q_{n-k}, which has collapsed by
-    about the same factor before the solve, so sn_lambda and
+    The bordered system of sn_lambda is solved without equilibration, and
+    its entries range from 1 to ~ |phi(c_j)|^(2n), so sn_lambda and
     orthogonality_residuals_extended set their working precision from twice
-    this estimate.
+    this estimate; error_ratio adds it once to its own budget.
     """
     return n * max(math.log10(abs(phi(t.c))) for t in spec.terms)
 
 
-def _lambda_dps(n: int, spec: SobolevSpec) -> int:
-    """Working digits of sn_lambda at degree n."""
-    return max(30, int(2 * digit_loss(n, spec)) + 35)
-
-
 # ---- extended-precision coefficient algebra over the recurrence table ----
 #
-# For polynomial s there are no quadrature steps anywhere in the lambda
-# construction: jet conditions, division by (x - c) factors, and mu-moments
-# are all exact recurrences on the (a, b, tau) data.  That makes a clean
-# arbitrary-precision lane possible without re-deriving the measure.
+# Jets, norms and mu-moments are all exact recurrences on the (a, b, tau)
+# data, with no quadrature anywhere.  That makes a clean arbitrary-precision
+# lane possible without re-deriving the measure.
 
 def _mp_ab(base: RecurrenceTable, deg: int):
     """Recurrence coefficients as mp numbers.
 
     For atom-free bases the Jacobi formulas are re-evaluated in mp: the
-    double table carries ~1e-16 dirt that is invisible to the lambda solve
+    double table carries ~1e-16 dirt that is invisible to the bordered solve
     but fatal to collapsed-scale quantities downstream (a perturbed a_k
     leaks an O(eps) L_0 component into polynomials whose true low-order
     coefficients are exponentially small).  Atom tables have no closed form
@@ -375,20 +390,6 @@ def _mp_xmul(p: list, a2: list, b: list) -> list:
     return out
 
 
-def _mp_divide_linear(p: list, c, a2: list, b: list) -> list:
-    """q with (x - c) q = p, top-down back-substitution; remainder dropped."""
-    D = len(p) - 1
-    q = [mpmath.mpc(0)] * D
-    for k in range(D, 0, -1):
-        v = p[k]
-        if k < D:
-            v = v - (b[k] - c) * q[k]
-        if k + 1 < D:
-            v = v - a2[k + 1] * q[k + 1]
-        q[k - 1] = v
-    return q
-
-
 def _mp_basis_jets(deg: int, order: int, c, a2: list, b: list) -> list:
     """jets[i][m] = (d/dx)^i L_m at c for the monic basis polynomials."""
     jets = [[mpmath.mpc(0)] * (deg + 1) for _ in range(order + 1)]
@@ -415,136 +416,66 @@ def _mp_poly_jet(coeffs: list, jets: list, order: int) -> list:
     return out
 
 
-def _extended_core(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:
-    """Solve the lambda expansion entirely in mpmath coefficient space."""
-    A = spec.A
-    deg_top = n + A
-    base = _ensure_table(base, deg_top + 1)
+def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:
+    """sn_kernel's identity in mpmath at dps digits, over the monic basis.
+
+    With D = diag(1/||L_m||^2), m < n, J the monic jet rows L_m^(k)(c_j) at
+    the nonzero columns of each gamma_j and W = Gamma*^T (jet rows at its
+    nonzero rows), u = S_n^(k)(c_j) solves (I + J D W^T) u = (L_n^(k)(c_j)).
+    S_n has monic coefficients -D W^T u below L_n, and
+    <S_n, S_n> = ||L_n||^2 + W[:, n] . u.  The gate is sn_kernel's
+    equilibrated system, built from the orthonormal jets divided by their
+    row peaks: those entries fit in double even where the jets do not.
+    """
+    base = _buildable(n, spec, base)
     with mpmath.workdps(dps):
-        a2, b = _mp_ab(base, deg_top)
+        a2, b = _mp_ab(base, n)
         normsq = _mp_normsq(base, a2, n)
-        orders = {t.c: max(t.N, t.J) for t in spec.terms}
-        cpts = {t.c: mpmath.mpc(t.c) for t in spec.terms}
-        jets_all = {t.c: _mp_basis_jets(deg_top, orders[t.c], cpts[t.c], a2, b)
-                    for t in spec.terms}
-        gammas = {t.c: [[mpmath.mpc(v) for v in row] for row in t.gamma]
-                  for t in spec.terms}
-
-        def solve_q(m: int) -> list:
-            # R_m = L_{m+A} + sum lamp_k L_{m+A-k} with R_m^(nu)(c_j) = 0
-            rows = mpmath.matrix(A, A)
-            rhs = mpmath.matrix(A, 1)
-            ridx = 0
-            for t in spec.terms:
-                J = jets_all[t.c]
-                for nu in range(t.N + 1):
-                    for k in range(1, A + 1):
-                        rows[ridx, k - 1] = J[nu][m + A - k]
-                    rhs[ridx] = -J[nu][m + A]
-                    ridx += 1
-            lamp = mpmath.lu_solve(rows, rhs)
-            coeffs = [mpmath.mpc(0)] * (m + A + 1)
-            coeffs[m + A] = mpmath.mpc(1)
-            for k in range(1, A + 1):
-                coeffs[m + A - k] = lamp[k - 1]
-            for t in spec.terms:
-                for _ in range(t.N + 1):
-                    coeffs = _mp_divide_linear(coeffs, cpts[t.c], a2, b)
-            return coeffs
-
-        qs = {k: solve_q(n - k) for k in range(A + 1)}
-        qjets = {k: {t.c: _mp_poly_jet(qs[k], jets_all[t.c], orders[t.c])
-                     for t in spec.terms} for k in range(A + 1)}
-
-        # eta[nu] = monic-basis expansion of x^nu; mu-moments come out exact
-        eta = [[mpmath.mpf(1)]]
-        for _ in range(A - 1):
-            eta.append(_mp_xmul(eta[-1], a2, b))
-
-        def pairing(nu: int, k: int):
-            e = eta[nu]
-            val = mpmath.fsum(e[i] * qs[k][i] * normsq[i]
-                              for i in range(min(len(e), len(qs[k]))))
-            for t in spec.terms:
-                g = gammas[t.c]
-                qj = qjets[k][t.c]
-                for i in range(t.N + 1):
-                    mj = _mono_jet(nu, i, cpts[t.c])
-                    if mj != 0:
-                        val += mj * mpmath.fsum(g[i][kk] * qj[kk]
-                                                for kk in range(t.J + 1))
-            return val
-
-        rows = mpmath.matrix(A, A)
-        rhs = mpmath.matrix(A, 1)
-        for nu in range(A):
-            for k in range(1, A + 1):
-                rows[nu, k - 1] = pairing(nu, k)
-            rhs[nu] = -pairing(nu, 0)
-        scaled = np.zeros((A, A + 1), dtype=complex)
-        for nu in range(A):
-            sc = max([abs(rows[nu, k]) for k in range(A)] + [abs(rhs[nu])])
-            sc = sc if sc > 0 else mpmath.mpf(1)
-            for k in range(A):
-                scaled[nu, k] = complex(rows[nu, k] / sc)
-            scaled[nu, A] = complex(rhs[nu] / sc)
-        cond = float(np.linalg.cond(scaled[:, :A]))
-        lam_mp = [mpmath.mpc(1)] + list(mpmath.lu_solve(rows, rhs))
-
-        coeffs = [mpmath.mpc(0)] * (n + 1)
-        for k in range(A + 1):
-            qk = qs[k]
-            for m, cm in enumerate(qk):
-                coeffs[m] += lam_mp[k] * cm
-        sjets = {t.c: _mp_poly_jet(coeffs, jets_all[t.c], orders[t.c])
-                 for t in spec.terms}
-        ns = mpmath.fsum(coeffs[i] ** 2 * normsq[i] for i in range(n + 1))
+        tau = [1 / mpmath.sqrt(v) for v in normsq]
+        Js, Ws, blocks = [], [], []
         for t in spec.terms:
-            g = gammas[t.c]
-            sj = sjets[t.c]
-            ns += mpmath.fsum(sj[i] * g[i][kk] * sj[kk]
-                              for i in range(t.N + 1) for kk in range(t.J + 1))
-        gam = 1 / mpmath.sqrt(ns)
-        return {
-            "base": base,
-            "coeffs_mp": coeffs,
-            "coeffs": np.array([complex(v) for v in coeffs]),
-            "norm_sq": complex(ns),
-            "norm_sq_mp": ns,
-            "gamma_n": complex(gam),
-            "cond": cond,
-            "a2": a2, "b": b, "normsq": normsq,
-            "sjets": sjets, "gammas": gammas, "cpts": cpts,
-        }
+            rows, cols = _support(t.gamma)
+            jets = _mp_basis_jets(n, max(rows + cols), mpmath.mpc(t.c), a2, b)
+            g = [[mpmath.mpc(v) for v in row] for row in t.gamma]
+            Js += [jets[k] for k in cols]
+            Ws += [[mpmath.fdot([g[i][k] for i in rows], [jets[i][m] for i in rows])
+                    for m in range(n + 1)] for k in cols]
+            orth = {i: [v * s for v, s in zip(jets[i], tau)] for i in set(rows + cols)}
+            peak = {i: max(abs(v) for v in row) for i, row in orth.items()}
+            pj, pw = max(peak[k] for k in cols), max(peak[i] for i in rows)
+            J = np.array([[complex(v / pj) for v in orth[k]] for k in cols])
+            W = t.gamma[np.ix_(rows, cols)].T @ np.array(
+                [[complex(v / pw) for v in orth[i]] for i in rows])
+            blocks.append((J, W, float(1 / (pj * pw))))
+        cond = _kernel_system(blocks, n)[1]
+        WD = [[w[m] / normsq[m] for m in range(n)] for w in Ws]
+        M = mpmath.eye(len(Js))
+        for p, J in enumerate(Js):
+            for q, w in enumerate(WD):
+                M[p, q] += mpmath.fdot(J[:n], w)
+        u = list(mpmath.lu_solve(M, mpmath.matrix([J[n] for J in Js])))
+        coeffs = [-mpmath.fdot([w[m] for w in WD], u) for m in range(n)] + [mpmath.mpc(1)]
+        ns = normsq[n] + mpmath.fdot([w[n] for w in Ws], u)
+        return {"base": base, "coeffs_mp": coeffs, "norm_sq_mp": ns,
+                "gamma_n": complex(1 / mpmath.sqrt(ns)), "cond": cond,
+                "a2": a2, "b": b, "normsq": normsq}
 
 
 def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
-    """General regular path through the modified measure s dmu.
+    """sn_kernel's construction in mpmath, for every regular spec.
 
-    s(z) = prod (z - c_j)^{N_j+1}; S_n = sum_{k=0}^{A} lambda_k Q_{n-k} with
-    lambda_0 = 1, the remaining lambda pinned by <x^nu, S_n> = 0 for
-    nu = 0..A-1.  Orthogonality against s * (lower degrees) is automatic.
-
-    The expansion cancels up to twice digit_loss digits, so the system is
-    assembled and solved in mpmath with that many digits plus 35 (30 at
-    least).  Every step is exact coefficient algebra over the recurrence
-    table, with no quadrature.
+    The bordered kernel identity runs on the monic jets, solved as it
+    stands at twice digit_loss plus 35 digits.  Every step is exact
+    coefficient algebra over the recurrence table, with no quadrature.  The
+    gate is sn_kernel's equilibrated system, so both lanes report the same
+    cond and refuse the same ill-conditioned specs; only sn_kernel refuses
+    degrees past the double range.
     """
-    report = regularity(spec)
-    if not report.overall_regular:
-        raise SobolevError("inner product is not regular; construction undefined")
-    A = spec.A
-    if n < 2 * A + 1:
-        raise SobolevError(f"need n >= 2A+1 = {2 * A + 1} for the expansion, got {n}")
-
-    core = _extended_core(n, spec, base, _lambda_dps(n, spec))
-    if not np.isfinite(core["cond"]) or core["cond"] > COND_LIMIT:
-        raise SobolevError(
-            f"lambda system ill-conditioned (cond ~ {core['cond']:.2e}) at n={n}: "
-            "index below the asymptotic regime")
-    rep = PolyInBasis(MONIC, core["coeffs"], n, core["base"])
-    return SobolevOP(n=n, rep=rep, norm_sq=core["norm_sq"],
-                     gamma_n=core["gamma_n"], cond=core["cond"])
+    core = _mp_kernel(n, spec, base, int(2 * digit_loss(n, spec)) + 35)
+    coeffs = np.array([complex(v) for v in core["coeffs_mp"]])
+    return SobolevOP(n=n, rep=PolyInBasis(MONIC, coeffs, n, core["base"]),
+                     norm_sq=complex(core["norm_sq_mp"]), gamma_n=core["gamma_n"],
+                     cond=core["cond"])
 
 
 def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
@@ -559,25 +490,29 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
     its scale is the Cauchy-Schwarz product ||x^k|| ||S_n||.
     """
     wp = max(40, int(2 * digit_loss(n, spec)) + 40)
-    return _residuals(spec, _extended_core(n, spec, base, wp), wp)
+    return _residuals(spec, _mp_kernel(n, spec, base, wp), wp)
 
 
 def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
+    """The residuals of the monic mp coefficients core["coeffs_mp"], with
+    core's mp recurrence coefficients a2, b, norms normsq and norm_sq_mp."""
     a2, b, normsq = core["a2"], core["b"], core["normsq"]
     coeffs = core["coeffs_mp"]
     n = len(coeffs) - 1
     out = np.zeros(n)
     with mpmath.workdps(wp):
         sn_norm = mpmath.sqrt(abs(core["norm_sq_mp"]))
+        points = []
+        for t in spec.terms:
+            c, order = mpmath.mpc(t.c), max(t.N, t.J)
+            sj = _mp_poly_jet(coeffs, _mp_basis_jets(n, order, c, a2, b), order)
+            points.append((t, c, [[mpmath.mpc(v) for v in row] for row in t.gamma], sj))
         e = [mpmath.mpf(1)]
         for k in range(n):
             terms = [v * coeffs[i] * normsq[i] for i, v in enumerate(e)]
             xk2 = mpmath.fsum(v ** 2 * normsq[i] for i, v in enumerate(e))
-            for t in spec.terms:
-                g = core["gammas"][t.c]
-                sj = core["sjets"][t.c]
-                mj = [_mono_jet(k, i, core["cpts"][t.c])
-                      for i in range(max(t.N, t.J) + 1)]
+            for t, c, g, sj in points:
+                mj = [_mono_jet(k, i, c) for i in range(max(t.N, t.J) + 1)]
                 xk2 += mpmath.fsum(mj[i] * g[i][kk] * mj[kk]
                                    for i in range(t.N + 1)
                                    for kk in range(t.J + 1))

@@ -225,8 +225,8 @@ def boundary_grid(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
 
 class _TargetPolys:
     """Degree -> monic target polynomial, built once per ladder run.  Sobolev
-    targets and Pade denominators come from sn_kernel, or from sn_lambda
-    when the precision is extended."""
+    targets and Pade denominators come from the kernel identity: sn_kernel
+    in double, or sn_lambda in mpmath when the precision is extended."""
 
     def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable):
         self.cfg = cfg

@@ -1,14 +1,25 @@
 """Independent extended-precision references for the test suite.
 
-Everything here is built from raw monomial moments and dense linear
+Most of what is here is built from raw monomial moments and dense linear
 algebra in mpmath: monic orthogonal polynomials come out of normal
 equations on Hankel/Gram matrices, never out of the package's own
-recurrence, kernel, or expansion paths.  Slow and simple on purpose.
+recurrence or kernel paths.  Slow and simple on purpose.
+
+The one exception is the lambda expansion of Sobolev polynomials at the
+end, which reaches degrees no Gram matrix can.  It starts from the
+package's mp recurrence coefficients and jets, but pins S_n by another
+algebra than the kernel identity both package lanes use: an expansion
+over the monic orthogonal polynomials of s dmu, built by exact division
+by (x - c), with its coefficients fixed by moment conditions.
 """
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+
+from relasym.modified import _ensure_table
+from relasym.sobolev import (_mp_ab, _mp_basis_jets, _mp_normsq, _mp_poly_jet, _mp_xmul,
+                             digit_loss)
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
 QUAD_DPS = 80    # rational-modifier moments via tanh-sinh quadrature
@@ -205,3 +216,125 @@ def compare_monomial(p, oracle: list, tol: float) -> float:
     w[: len(want)] = want
     scale = max(1.0, float(np.max(np.abs(w))))
     return float(np.max(np.abs(g - w))) / scale
+
+
+# ---- the lambda expansion of S_n over the Q_{n-k} of s dmu ----
+
+def lambda_dps(n: int, sob) -> int:
+    """Working digits of the expansion at degree n: a condition that meets
+    a zero row of gamma is a bare mu-moment of the Q_{n-k}, collapsed by
+    about digit_loss digits before the solve cancels as many again."""
+    return int(2 * digit_loss(n, sob)) + 35
+
+
+def _divide_linear(p: list, c, a2: list, b: list) -> list:
+    """q with (x - c) q = p, top-down back-substitution; remainder dropped."""
+    D = len(p) - 1
+    q = [mp.mpc(0)] * D
+    for k in range(D, 0, -1):
+        v = p[k]
+        if k < D:
+            v = v - (b[k] - c) * q[k]
+        if k + 1 < D:
+            v = v - a2[k + 1] * q[k + 1]
+        q[k - 1] = v
+    return q
+
+
+def lambda_expansion(n: int, sob, base, dps: int) -> dict:
+    """S_n = sum_{k=0}^{A} lambda_k Q_{n-k}, entirely in mpmath coefficient
+    space.  s(z) = prod (z - c_j)^{N_j+1} has degree A; Q_m is the monic
+    orthogonal polynomial of degree m of s dmu, from R_m = s Q_m, whose
+    jets vanish at each c_j; lambda_0 = 1 and the rest are pinned by
+    <x^nu, S_n> = 0 for nu < A.  Returns the monic coefficients in mp
+    and in double, <S_n, S_n> in mp, and the mp recurrence data."""
+    A = sob.A
+    deg_top = n + A
+    base = _ensure_table(base, deg_top + 1)
+    with mp.workdps(dps):
+        a2, b = _mp_ab(base, deg_top)
+        normsq = _mp_normsq(base, a2, n)
+        orders = {t.c: max(t.N, t.J) for t in sob.terms}
+        cpts = {t.c: mp.mpc(t.c) for t in sob.terms}
+        jets_all = {t.c: _mp_basis_jets(deg_top, orders[t.c], cpts[t.c], a2, b)
+                    for t in sob.terms}
+        gammas = {t.c: [[mp.mpc(v) for v in row] for row in t.gamma]
+                  for t in sob.terms}
+
+        def solve_q(m: int) -> list:
+            # R_m = L_{m+A} + sum lamp_k L_{m+A-k} with R_m^(nu)(c_j) = 0
+            rows = mp.matrix(A, A)
+            rhs = mp.matrix(A, 1)
+            ridx = 0
+            for t in sob.terms:
+                J = jets_all[t.c]
+                for nu in range(t.N + 1):
+                    for k in range(1, A + 1):
+                        rows[ridx, k - 1] = J[nu][m + A - k]
+                    rhs[ridx] = -J[nu][m + A]
+                    ridx += 1
+            lamp = mp.lu_solve(rows, rhs)
+            coeffs = [mp.mpc(0)] * (m + A + 1)
+            coeffs[m + A] = mp.mpc(1)
+            for k in range(1, A + 1):
+                coeffs[m + A - k] = lamp[k - 1]
+            for t in sob.terms:
+                for _ in range(t.N + 1):
+                    coeffs = _divide_linear(coeffs, cpts[t.c], a2, b)
+            return coeffs
+
+        qs = {k: solve_q(n - k) for k in range(A + 1)}
+        qjets = {k: {t.c: _mp_poly_jet(qs[k], jets_all[t.c], orders[t.c])
+                     for t in sob.terms} for k in range(A + 1)}
+
+        # eta[nu] = monic-basis expansion of x^nu; mu-moments come out exact
+        eta = [[mp.mpf(1)]]
+        for _ in range(A - 1):
+            eta.append(_mp_xmul(eta[-1], a2, b))
+
+        def pairing(nu: int, k: int):
+            e = eta[nu]
+            val = mp.fsum(e[i] * qs[k][i] * normsq[i]
+                          for i in range(min(len(e), len(qs[k]))))
+            for t in sob.terms:
+                g = gammas[t.c]
+                qj = qjets[k][t.c]
+                for i in range(t.N + 1):
+                    mj = _mono_jet(nu, i, cpts[t.c])
+                    if mj != 0:
+                        val += mj * mp.fsum(g[i][kk] * qj[kk]
+                                            for kk in range(t.J + 1))
+            return val
+
+        rows = mp.matrix(A, A)
+        rhs = mp.matrix(A, 1)
+        for nu in range(A):
+            for k in range(1, A + 1):
+                rows[nu, k - 1] = pairing(nu, k)
+            rhs[nu] = -pairing(nu, 0)
+        lam_mp = [mp.mpc(1)] + list(mp.lu_solve(rows, rhs))
+
+        coeffs = [mp.mpc(0)] * (n + 1)
+        for k in range(A + 1):
+            qk = qs[k]
+            for m, cm in enumerate(qk):
+                coeffs[m] += lam_mp[k] * cm
+        sjets = {t.c: _mp_poly_jet(coeffs, jets_all[t.c], orders[t.c])
+                 for t in sob.terms}
+        ns = mp.fsum(coeffs[i] ** 2 * normsq[i] for i in range(n + 1))
+        for t in sob.terms:
+            g = gammas[t.c]
+            sj = sjets[t.c]
+            ns += mp.fsum(sj[i] * g[i][kk] * sj[kk]
+                          for i in range(t.N + 1) for kk in range(t.J + 1))
+        return {
+            "coeffs_mp": coeffs,
+            "coeffs": np.array([complex(v) for v in coeffs]),
+            "norm_sq_mp": ns,
+            "a2": a2, "b": b, "normsq": normsq,
+        }
+
+
+def lambda_monic(n: int, sob, base) -> np.ndarray:
+    """Monic coefficients of S_n from the expansion at lambda_dps digits."""
+    return lambda_expansion(n, sob, base, lambda_dps(n, sob))["coeffs"]

@@ -47,6 +47,7 @@ from relasym.verify import monotone_violations, run_ratio_ladder, run_zero_attra
 
 from _mp_oracles import (
     compare_monomial,
+    lambda_monic,
     monomial_coeffs,
     oracle_base_monic,
     oracle_modified_monic,
@@ -173,15 +174,17 @@ def test_criterion_03_orthogonality_residuals():
 def test_criterion_04_cross_method_equality():
     with _budget(30.0):
         tab = recurrence_for(LEG, 45)
-        # kernel path vs expansion path on the positive-diagonal overlap
+        # both kernel lanes vs the lambda expansion (test oracle) on the
+        # positive-diagonal overlap
         for sob in (SobolevSpec.diagonal([(2.0, [0.0, 1.0])]),
                     SobolevSpec.diagonal([(2.0, [1.0, 1.0])])):
             for n in (10, 20, 40):
-                k = sn_kernel(n, sob, tab).rep.to_basis(MONIC)
-                l = sn_lambda(n, sob, tab).rep.to_basis(MONIC)
-                diff = float(np.max(np.abs(k.coeffs - l.coeffs)))
-                scale = max(1.0, float(np.max(np.abs(l.coeffs))))
-                assert diff / scale < 1e-8, f"kernel vs lambda {diff:.2e} at n={n}"
+                l = lambda_monic(n, sob, tab)
+                scale = max(1.0, float(np.max(np.abs(l))))
+                for build in (sn_kernel, sn_lambda):
+                    k = build(n, sob, tab).rep.to_basis(MONIC)
+                    diff = float(np.max(np.abs(k.coeffs - l)))
+                    assert diff / scale < 1e-8, f"kernel vs lambda {diff:.2e} at n={n}"
 
         # polar-part pairing vs its coupling-matrix image
         f = StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0 + 0j, (2.0,))))
@@ -196,9 +199,9 @@ def test_criterion_04_cross_method_equality():
         from relasym import pade_denominator
         for n in (13, 20, 40):
             q1 = pade_denominator(n, f, tab).to_basis(MONIC)
-            q2 = sn_lambda(n, spec, tab).rep.to_basis(MONIC)
-            diff = float(np.max(np.abs(q1.coeffs - q2.coeffs)))
-            scale = max(1.0, float(np.max(np.abs(q2.coeffs))))
+            q2 = lambda_monic(n, spec, tab)
+            diff = float(np.max(np.abs(q1.coeffs - q2)))
+            scale = max(1.0, float(np.max(np.abs(q2))))
             assert diff / scale < 1e-10, f"denominator mismatch {diff:.2e} at n={n}"
 
 

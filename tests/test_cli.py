@@ -4,10 +4,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import relasym.zeros
-from relasym import scenario
+from relasym import BaseMeasureSpec, recurrence_for, scenario
 from relasym.cli import main
 
 
@@ -31,6 +32,22 @@ def test_recurrence_from_measure_file(tmp_path):
     rc = main(["recurrence", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     assert json.loads((tmp_path / "recurrence.json").read_text())["nmax"] == 12
+
+
+def test_recurrence_refuses_overflowing_tau(tmp_path, capsys):
+    # Legendre tau_k ~ 2^k leaves the double range at k = 1025, and JSON has
+    # no Infinity: the command refuses instead of writing an invalid file
+    cfg = _write_json(tmp_path / "m.json", {"weight_kind": "legendre", "nmax": 1100})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["recurrence", "--config", cfg, "--out", str(out)]) == 4
+    assert "tau_1025 overflows the double range" in capsys.readouterr().err
+    assert not (out / "recurrence.json").exists()
+    with np.errstate(over="ignore"):
+        table = recurrence_for(BaseMeasureSpec("legendre"), 1100)
+    with pytest.raises(ValueError):
+        table.to_json()
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -168,11 +185,31 @@ def test_zeros_report_is_byte_identical_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+# specs whose ladders the double lane carries; the probes stay off the
+# coupling points and poles (the default probe 2i is a pole of two_pole)
+EXTENDED_TARGETS = {
+    "mixed": {"kind": "sobolev", "sobolev": {"terms": [
+        {"c": [2.0, 0.0], "gamma": [[0.0, 0.0], [0.0, 1.0]]},
+        {"c": [-3.0, 0.0], "gamma": [[1.0]]}]}},
+    "two_pole": {"kind": "pade", "stieltjes": {
+        "base": {"weight_kind": "legendre"},
+        "poles": [{"c": [0.0, 2.0], "A": [[0.3, 0.0], [1.0, 0.0]]},
+                  {"c": [-3.0, 0.0], "A": [[2.0, 0.0]]}]}},
+}
+
+
 @pytest.mark.parametrize("name", ["sobolev_point_derivative", "sobolev_point_pair",
-                                  "pade_gonchar"])
+                                  "pade_gonchar", "mixed", "two_pole"])
 def test_extended_precision_verify_passes(tmp_path, name):
-    # the exact lane must carry every bundled Sobolev and Pade ladder
-    assert main(["verify", "--config", name, "--out", str(tmp_path),
+    # the mpmath lane must carry every bundled Sobolev and Pade ladder, and
+    # every ladder the double lane carries
+    config = name
+    if name in EXTENDED_TARGETS:
+        config = _write_json(tmp_path / f"{name}.json", {
+            "measure": {"weight_kind": "legendre"}, "target": EXTENDED_TARGETS[name],
+            "probe_points": [[3.0, 0.0], [-2.5, 0.0], [0.0, -2.0], [1.5, 1.5]],
+            "n_ladder": [10, 20, 40, 80], "jets": 1})
+    assert main(["verify", "--config", config, "--out", str(tmp_path),
                  "--precision", "extended"]) == 0
 
 

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _mp_oracles import compare_monomial, oracle_sobolev_monic
+from _mp_oracles import (compare_monomial, lambda_dps, lambda_expansion, lambda_monic,
+                         oracle_sobolev_monic)
 
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      StieltjesFn, digit_loss, gamma_sequence,
                      orthogonality_residuals_extended, phi, recurrence_for,
                      regularity, rule_for, sn_kernel, sn_lambda, sobolev_inner,
                      to_sobolev_spec)
-from relasym.sobolev import SobolevTerm, _extended_core, _lambda_dps, _residuals
+from relasym.sobolev import SobolevTerm, _residuals
 from relasym.polybasis import MONIC
 
 LEG = BaseMeasureSpec("legendre")
@@ -75,18 +76,24 @@ KERNEL_SPECS = {"pair": PAIR, "coupled_2i": COUPLED, "pade_gonchar": GONCHAR,
                 "two_pole": TWO_POLE, "second_only": SECOND_ONLY, "mixed": MIXED}
 
 
-def _exact_monic(n, spec):
-    # sn_lambda's algebra at its own working precision, without its cond
-    # gate: that gate refuses the two-pole and mixed specs at these degrees
-    return _extended_core(n, spec, TAB, _lambda_dps(n, spec))["coeffs"]
-
-
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_kernel_vs_lambda_paths(name):
+    # the lambda expansion is the independent reference: both lanes of the
+    # package run the kernel identity
     spec = KERNEL_SPECS[name]
     for n in (9, 21, 33, 40):
         k = sn_kernel(n, spec, TAB).rep.to_basis(MONIC)
-        assert np.max(np.abs(k.coeffs - _exact_monic(n, spec))) < 1e-9
+        assert np.max(np.abs(k.coeffs - lambda_monic(n, spec, TAB))) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_both_lanes_report_the_same_cond(name):
+    # the mpmath lane gates on the double lane's equilibrated system
+    spec = KERNEL_SPECS[name]
+    table = recurrence_for(LEG, 201)
+    for n in (12, 40, 200):
+        want = sn_kernel(n, spec, table).cond
+        assert sn_lambda(n, spec, table).cond == pytest.approx(want, rel=1e-6)
 
 
 def test_two_pole_kernel_reach():
@@ -96,14 +103,17 @@ def test_two_pole_kernel_reach():
         assert sn_kernel(n, TWO_POLE, table).cond < 1e10
 
 
-# two_pole: sn_lambda's own gate refuses it from n = 50 on; derivative at
-# 320: the products of unscaled jets at c = 2 pass the double range
+# derivative at 320: the products of unscaled jets at c = 2 pass the
+# double range; two_pole_mp runs the kernel identity in mpmath, also at
+# 500, where sn_kernel refuses because the jets at 2i overflow
 @pytest.mark.parametrize("name, n", [("two_pole", 80), ("two_pole", 240),
-                                     ("derivative", 320)])
+                                     ("derivative", 320), ("two_pole_mp", 240),
+                                     ("two_pole_mp", 500)])
 def test_kernel_deep_degrees_match_exact_lane(name, n):
-    spec = {"two_pole": TWO_POLE, "derivative": DERIV}[name]
-    k = sn_kernel(n, spec, TAB).rep.to_basis(MONIC)
-    assert np.max(np.abs(k.coeffs - _exact_monic(n, spec))) < 1e-8
+    spec, build = {"two_pole": (TWO_POLE, sn_kernel), "derivative": (DERIV, sn_kernel),
+                   "two_pole_mp": (TWO_POLE, sn_lambda)}[name]
+    k = build(n, spec, TAB).rep.to_basis(MONIC)
+    assert np.max(np.abs(k.coeffs - lambda_monic(n, spec, TAB))) < 1e-8
 
 
 def test_kernel_refusal_past_double_range_names_the_overflow():
@@ -123,9 +133,10 @@ def test_kernel_refusal_past_double_range_names_the_overflow():
 
 
 def test_lambda_precision_covers_zero_rows():
-    # a zero row of gamma doubles the digits the expansion cancels
+    # the digit rule covers a zero row of gamma: the expansion at three
+    # times its own digits agrees
     got = sn_lambda(80, DERIV, TAB).rep.coeffs
-    ref = _extended_core(80, DERIV, TAB, 3 * _lambda_dps(80, DERIV))["coeffs"]
+    ref = lambda_expansion(80, DERIV, TAB, 3 * lambda_dps(80, DERIV))["coeffs"]
     assert np.max(np.abs(got - ref)) < 1e-12
     for n in (200, 240):
         got = sn_lambda(n, SECOND_ONLY, TAB).rep.coeffs
@@ -135,9 +146,9 @@ def test_lambda_precision_covers_zero_rows():
 def test_against_dense_oracle():
     got = sn_kernel(9, PAIR, TAB).rep
     assert compare_monomial(got, oracle_sobolev_monic(LEG, PAIR, 9), 0) < 1e-10
-    # the smallest degrees the expansion admits, n = 2A+1 and 2A+3
+    # the smallest degrees: n = 3 is past the highest coupled derivative
     for spec in (PAIR, COUPLED, TWO_POLE):
-        for n in (2 * spec.A + 1, 2 * spec.A + 3):
+        for n in (3, 2 * spec.A + 1, 2 * spec.A + 3):
             got = sn_lambda(n, spec, TAB).rep
             gap = compare_monomial(got, oracle_sobolev_monic(LEG, spec, n), 0)
             assert gap < 1e-10, f"sn_lambda vs oracle {gap:.2e} at n={n}"
@@ -150,8 +161,8 @@ def test_digit_loss_scaling():
 
 
 def test_extended_lane_engages_and_matches():
-    # by n=60 the expansion conditions cancel ~34 digits: the lambda path
-    # works at enough digits to absorb that and still matches the kernel path
+    # by n=60 the collapsed jets cancel ~34 digits: the mpmath lane works at
+    # enough digits to absorb that and still matches the double lane
     n = 60
     k = sn_kernel(n, PAIR, TAB).rep.to_basis(MONIC)
     l = sn_lambda(n, PAIR, TAB).rep.to_basis(MONIC)
@@ -168,15 +179,17 @@ def test_extended_residuals_at_collapsed_scale():
 
 @pytest.mark.parametrize("spec", [DERIV, PAIR], ids=["deriv", "pair"])
 def test_extended_residuals_fail_an_underresolved_sn(spec):
-    # 65 digits do not resolve the collapse at c = 2, so S_n is wrong by
-    # O(1); the check, run at those digits, must see it
-    res = _residuals(spec, _extended_core(60, spec, TAB, 65), 65)
+    # 65 digits do not resolve the expansion's collapse at c = 2, so S_n is
+    # wrong by O(1); the check, run at those digits, must see it
+    res = _residuals(spec, lambda_expansion(60, spec, TAB, 65), 65)
     assert np.max(res) > 0.5
 
 
 def test_degenerate_degree_floor():
-    with pytest.raises(SobolevError):
-        sn_lambda(3, PAIR, TAB)   # needs n >= 2A+1 = 5
+    # both lanes need n past the highest coupled derivative
+    for build in (sn_kernel, sn_lambda):
+        with pytest.raises(SobolevError, match="need n > 1"):
+            build(1, PAIR, TAB)
 
 
 def test_gamma_sequence_doubling():

@@ -128,8 +128,8 @@ def test_non_diagonal_sobolev_reaches_general_lane():
 
 
 def test_pade_extended_precision_reaches_extended_lane():
-    # an "extended" setting must reach the mpmath expansion bit for bit
-    # even at small n
+    # an "extended" setting must reach the mpmath lane bit for bit even
+    # at small n
     cfg = dataclasses.replace(scenario("pade_gonchar"), precision="extended",
                               n_ladder=(6,))
     table = recurrence_for(cfg.measure, 12)
