@@ -36,21 +36,32 @@ def basis_jets(table: RecurrenceTable, deg: int, z, order: int = 0,
     Returns an array of shape (order+1, deg+1) for scalar z, or
     (order+1, deg+1, npts) for a 1-d array of points.  Entry [j, k]
     holds the j-th derivative of L_k (or l_k) at z.
+
+    Differentiating L_{k+1} = (x - b_k) L_k - a_k^2 L_{k-1} j times gives
+    L_{k+1}^(j) = (x - b_k) L_k^(j) + j L_k^(j-1) - a_k^2 L_{k-1}^(j), so
+    one array step per degree advances every order and point at once.
     """
     if deg > table.nmax:
         raise MeasureError(f"degree {deg} exceeds table nmax {table.nmax}")
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    npts = zz.size
     a, b = table.a, table.b
-    vals = np.zeros((order + 1, deg + 1, zz.size), dtype=complex)
-    vals[0, 0] = 1.0
+    # row k holds L_k^(j)(z_p) at [j * npts + p]; flat 1-d rows keep numpy's
+    # complex multiply on the same loop (and rounding) for any order or npts
+    rows = np.zeros((deg + 1, (order + 1) * npts), dtype=complex)
+    rows[0, :npts] = 1.0
+    shifted = list(np.concatenate([zz] * (order + 1)) - b[:deg, None])
+    asq = (a[:deg] * a[:deg]).tolist()
+    jrow = np.arange(1, order + 1).repeat(npts).astype(complex)
+    row = list(rows)
     for k in range(deg):
-        asq = a[k] * a[k]
-        lower = vals[:, k - 1] if k >= 1 else 0.0
-        vals[0, k + 1] = (zz - b[k]) * vals[0, k] - asq * (lower[0] if k >= 1 else 0.0)
-        for j in range(1, order + 1):
-            vals[j, k + 1] = (zz - b[k]) * vals[j, k] + j * vals[j - 1, k]
-            if k >= 1:
-                vals[j, k + 1] -= asq * lower[j]
+        nxt = row[k + 1]
+        np.multiply(shifted[k], row[k], out=nxt)
+        if order:
+            nxt[npts:] += jrow * row[k][:-npts]
+        if k >= 1:
+            nxt -= asq[k] * row[k - 1]
+    vals = np.ascontiguousarray(rows.reshape(deg + 1, order + 1, npts).transpose(1, 0, 2))
     if basis == ORTHONORMAL:
         vals = vals * table.tau[: deg + 1][None, :, None]
     elif basis != MONIC:

@@ -255,31 +255,47 @@ class _TargetPolys:
         return np.ascontiguousarray(base[: order + 1, : n + 1]) @ q.coeffs
 
 
-def _law_point(law: str, cfg: ExperimentConfig, base: np.ndarray,
-               polys: _TargetPolys, n: int, z: complex, nu: int):
-    """(ratio, limit) for one law at one (n, z, nu); base[j, k] = L_k^(j)(z)."""
+def _law_ratio(law: str, base: np.ndarray, polys: _TargetPolys, n: int, nu: int):
+    """The ratio of one law at one (n, z, nu); base[j, k] = L_k^(j)(z)."""
     if law == "base_ratio":
-        return base[nu, n + 1] / base[nu, n], phi(z) / 2.0
+        return base[nu, n + 1] / base[nu, n]
     if law == "base_log_derivative":
-        return base[nu + 1, n] / (n * base[nu, n]), 1.0 / sqrt_z2m1(z)
+        return base[nu + 1, n] / (n * base[nu, n])
     if law in ("modified_vs_base", "sobolev_vs_base", "pade_vs_base"):
-        ratio = polys.jet(n, base, nu)[nu] / base[nu, n]
-        if law == "modified_vs_base":
-            return ratio, limit_modified(z, cfg.modifier)
-        return ratio, limit_sobolev(z, attraction_factors(cfg))
+        return polys.jet(n, base, nu)[nu] / base[nu, n]
     if law == "modified_ratio":
-        return polys.jet(n + 1, base, nu)[nu] / polys.jet(n, base, nu)[nu], phi(z) / 2.0
+        return polys.jet(n + 1, base, nu)[nu] / polys.jet(n, base, nu)[nu]
     if law == "modified_log_derivative":
         jets = polys.jet(n, base, nu + 1)
-        return jets[nu + 1] / (n * jets[nu]), 1.0 / sqrt_z2m1(z)
+        return jets[nu + 1] / (n * jets[nu])
     if law == "modified_derivative_gap":
         # degree-drop normalization n(n-1): the leading coefficient of
         # the second derivative carries exactly that factor, so the
         # finite-n ratio is centered on the same limit without the
         # structural 1/n offset a flat n^2 would add
         jets = polys.jet(n, base, nu + 2)
-        return jets[nu + 2] / (n * (n - 1) * jets[nu]), 1.0 / (z * z - 1.0)
+        return jets[nu + 2] / (n * (n - 1) * jets[nu])
     raise VerifyConfigError(f"unknown law {law!r}")
+
+
+def _law_limit(law: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
+    """The closed-form limit of one law at z; it depends on neither n nor nu."""
+    if law in ("base_ratio", "modified_ratio"):
+        return phi(z) / 2.0
+    if law in ("base_log_derivative", "modified_log_derivative"):
+        return 1.0 / sqrt_z2m1(z)
+    if law == "modified_vs_base":
+        return limit_modified(z, cfg.modifier)
+    if law in ("sobolev_vs_base", "pade_vs_base"):
+        return limit_sobolev(z, factors)
+    if law == "modified_derivative_gap":
+        return 1.0 / (z * z - 1.0)
+    raise VerifyConfigError(f"unknown law {law!r}")
+
+
+_REFUSALS = (SobolevError, ModifiedError, PadeError, MeasureError,
+             CutDomainError, np.linalg.LinAlgError)
+_NAN = complex(float("nan"), float("nan"))
 
 
 def run_ratio_ladder(cfg: ExperimentConfig) -> list:
@@ -290,42 +306,49 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     previous ladder degree (nan on the first rung).  Degrees the target
     cannot be built at are flagged pre_asymptotic, and ratios or limits
     that leave the double range are flagged overflow, instead of aborting
-    the run.
+    the run.  Each limit is computed once per (law, probe).
     """
     nmax = max(cfg.n_ladder) + 1
     table = recurrence_for(cfg.measure, nmax + 2)
     polys = _TargetPolys(cfg, table)
-    # all probes, degrees and orders at once; elementwise, so scalar calls agree
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = basis_jets(table, nmax, np.array(cfg.probe_points), cfg.jets + 2)
+    factors = attraction_factors(cfg)
     rows: list[RatioRow] = []
-    for law in cfg.resolved_laws:
-        for p, z in enumerate(cfg.probe_points):
-            for nu in range(cfg.jets + 1):
-                prev: RatioRow | None = None
-                for n in cfg.n_ladder:
-                    flag = ""
-                    try:
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            ratio, limit = map(complex, _law_point(
-                                law, cfg, base[:, :, p], polys, n, z, nu))
-                        if not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # all probes, degrees and orders at once; elementwise, so scalar calls agree
+        jets = basis_jets(table, nmax, np.array(cfg.probe_points), cfg.jets + 2)
+        for law in cfg.resolved_laws:
+            for p, z in enumerate(cfg.probe_points):
+                base = jets[:, :, p]
+                try:
+                    limit, refusal = complex(_law_limit(law, cfg, factors, z)), ""
+                except _REFUSALS as exc:
+                    limit, refusal = _NAN, f"pre_asymptotic: {exc}"
+                for nu in range(cfg.jets + 1):
+                    prev: RatioRow | None = None
+                    for n in cfg.n_ladder:
+                        # a refused ratio names the flag before a refused limit
+                        try:
+                            ratio, flag = complex(_law_ratio(law, base, polys, n, nu)), refusal
+                        except _REFUSALS as exc:
+                            ratio, flag = _NAN, f"pre_asymptotic: {exc}"
+                        if not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
                             flag = "overflow: ratio or limit leaves the double range"
-                    except (SobolevError, ModifiedError, PadeError, MeasureError,
-                            CutDomainError, np.linalg.LinAlgError) as exc:
-                        flag = f"pre_asymptotic: {exc}"
-                    if flag:
-                        ratio = limit = complex(float("nan"), float("nan"))
-                    abs_err = abs(ratio - limit)
-                    rate = float("nan")
-                    if (prev is not None and not flag and not prev.flag
-                            and prev.abs_err > 0 and abs_err > 0):
-                        rate = math.log(prev.abs_err / abs_err) / (n - prev.n)
-                    row = RatioRow(law=law, n=n, z=z, nu=nu, ratio=ratio,
-                                   limit=limit, abs_err=abs_err, est_rate=rate,
-                                   flag=flag)
-                    rows.append(row)
-                    prev = row
+                        # no abs() of a nan complex: CPython leaves errno alone
+                        # there, so an ERANGE left by a refused build would
+                        # raise OverflowError
+                        if flag:
+                            ratio, row_limit, abs_err = _NAN, _NAN, math.nan
+                        else:
+                            row_limit, abs_err = limit, abs(ratio - limit)
+                        rate = float("nan")
+                        if (prev is not None and not flag and not prev.flag
+                                and prev.abs_err > 0 and abs_err > 0):
+                            rate = math.log(prev.abs_err / abs_err) / (n - prev.n)
+                        row = RatioRow(law=law, n=n, z=z, nu=nu, ratio=ratio,
+                                       limit=row_limit, abs_err=abs_err,
+                                       est_rate=rate, flag=flag)
+                        rows.append(row)
+                        prev = row
     return rows
 
 
@@ -376,18 +399,20 @@ def rows_to_csv(rows) -> str:
 
 
 def _json_num(x: float):
-    return None if math.isnan(x) else float(x)
+    # JSON has no NaN or Infinity: a non-finite value is written as null
+    return float(x) if math.isfinite(x) else None
 
 
 def rows_to_json(rows) -> str:
     payload = {
         "schema_version": 1,
         "columns": list(CSV_COLUMNS),
-        "rows": [[r.n, r.z.real, r.z.imag, r.nu,
-                  r.ratio.real, r.ratio.imag, r.limit.real, r.limit.imag,
-                  _json_num(r.abs_err), _json_num(r.est_rate)] for r in rows],
+        "rows": [[r.n, _json_num(r.z.real), _json_num(r.z.imag), r.nu,
+                  *map(_json_num, (r.ratio.real, r.ratio.imag, r.limit.real,
+                                   r.limit.imag, r.abs_err, r.est_rate))]
+                 for r in rows],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_report(rows, fmt: str, path) -> Path:
@@ -413,7 +438,7 @@ def load_rows(path) -> list:
         cols = payload["columns"]
         for raw in payload["rows"]:
             d = dict(zip(cols, raw))
-            for k in ("abs_err", "est_rate"):
+            for k in cols:
                 if d[k] is None:
                     d[k] = float("nan")
             out.append(d)

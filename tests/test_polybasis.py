@@ -104,3 +104,57 @@ def test_trimmed_drops_zero_tail():
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         PolyInBasis(MONIC, np.ones(3, dtype=complex), 4, LEG)
+
+
+def _jets_by_order(table, deg, z, order, basis):
+    """Reference: one numpy statement per derivative order at every degree."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    a, b = table.a, table.b
+    vals = np.zeros((order + 1, deg + 1, zz.size), dtype=complex)
+    vals[0, 0] = 1.0
+    for k in range(deg):
+        asq = a[k] * a[k]
+        lower = vals[:, k - 1] if k >= 1 else 0.0
+        vals[0, k + 1] = (zz - b[k]) * vals[0, k] - asq * (lower[0] if k >= 1 else 0.0)
+        for j in range(1, order + 1):
+            vals[j, k + 1] = (zz - b[k]) * vals[j, k] + j * vals[j - 1, k]
+            if k >= 1:
+                vals[j, k + 1] -= asq * lower[j]
+    if basis == ORTHONORMAL:
+        vals = vals * table.tau[: deg + 1][None, :, None]
+    return vals
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.ascontiguousarray(x).tobytes() == \
+        np.ascontiguousarray(y).tobytes()
+
+
+@pytest.mark.parametrize("basis", [MONIC, ORTHONORMAL])
+@pytest.mark.parametrize("spec", [BaseMeasureSpec("legendre"),
+                                  BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))],
+                         ids=["legendre", "legendre_atom"])
+def test_jets_all_orders_match_per_order_recurrence_bitwise(spec, basis):
+    # one array step per degree for every order must round exactly as the
+    # per-order loop does, batched and per point (complex multiply rounds
+    # differently on 2-d operands, so a reshaped derivative block would not)
+    tab = recurrence_for(spec, 120)
+    rng = np.random.default_rng(11)
+    cases = [(81, np.array([3.0, -2.5, 2j, 1.5 + 1.5j]), 3),
+             (40, np.array([1.3 - 0.4j]), 1), (0, np.array([0.0j]), 2),
+             (120, np.array([0.0, -1.7, 0.5 + 2j]), 0)]
+    for _ in range(16):
+        npts = int(rng.integers(1, 6))
+        kind = rng.integers(0, 3, npts)
+        z = np.where(kind == 0, rng.normal(0.0, 1.5, npts),
+                     np.where(kind == 1, rng.normal(0.0, 1.5, npts)
+                              + 1j * rng.normal(0.0, 1.5, npts), 0.0)).astype(complex)
+        cases.append((int(rng.integers(0, 121)), z, int(rng.integers(0, 4))))
+    for deg, z, order in cases:
+        want = _jets_by_order(tab, deg, z, order, basis)
+        got = basis_jets(tab, deg, z, order, basis)
+        assert got.flags.c_contiguous
+        assert _same_bits(got, want), (deg, z, order)
+        for p in range(z.size):
+            one = basis_jets(tab, deg, z[p], order, basis)
+            assert _same_bits(one, want[:, :, p]), (deg, z[p], order)

@@ -287,3 +287,58 @@ def test_batched_ladder_matches_pointwise(monkeypatch):
     calls.clear()
     assert len(roots(target)) == target.degree
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["sobolev_point_pair", "modified_rational"])
+def test_limits_computed_once_per_law_and_probe(monkeypatch, name):
+    # a limit depends only on (law, z): its cost must not scale with the rows
+    from relasym import verify
+    counts: dict = {}
+
+    def counting(fname):
+        orig = getattr(verify, fname)
+
+        def wrapped(*args, **kwargs):
+            counts[fname] = counts.get(fname, 0) + 1
+            return orig(*args, **kwargs)
+        return wrapped
+
+    cfg = scenario(name)
+    for fname in ("regularity", "limit_sobolev", "limit_modified", "phi", "sqrt_z2m1"):
+        monkeypatch.setattr(verify, fname, counting(fname))
+    rows = run_ratio_ladder(cfg)
+    per_law_probe = len(cfg.resolved_laws) * len(cfg.probe_points)
+    assert len(rows) == per_law_probe * (cfg.jets + 1) * len(cfg.n_ladder)
+    assert counts.get("regularity", 0) <= 1
+    limit_calls = sum(n for f, n in counts.items() if f != "regularity")
+    assert 0 < limit_calls <= per_law_probe, counts
+
+
+def test_builder_refusal_flags_only_its_rows():
+    cfg = dataclasses.replace(scenario("sobolev_point_derivative"), n_ladder=(1, 10, 20))
+    rows = run_ratio_ladder(cfg)
+    want = "pre_asymptotic: need n > 1, the highest coupled derivative, got 1"
+    order = [(z, nu, n) for z in cfg.probe_points for nu in (0, 1) for n in (1, 10, 20)]
+    assert [(r.z, r.nu, r.n) for r in rows] == order
+    assert [r.flag for r in rows] == [want if n == 1 else "" for _, _, n in order]
+    assert all(r.law == "sobolev_vs_base" for r in rows)
+
+
+def test_flagged_rows_write_strict_json(tmp_path):
+    # JSON has no NaN: every non-finite value of a flagged row is null
+    cfg = dataclasses.replace(scenario("sobolev_point_derivative"), n_ladder=(1, 10, 20))
+    rows = run_ratio_ladder(cfg)
+    path = emit_report(rows, "json", tmp_path / "r.json")
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(path.read_text(), parse_constant=refuse)
+    back = load_rows(path)
+    floats = CSV_COLUMNS[4:]
+    for row, raw, d in zip(rows, payload["rows"], back):
+        if row.flag:
+            assert raw[4:] == [None] * len(floats)
+            assert all(math.isnan(d[k]) for k in floats)
+        else:
+            assert d["ratio_re"] == row.ratio.real and d["abs_err"] == row.abs_err
