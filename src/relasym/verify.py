@@ -278,6 +278,12 @@ def _law_ratio(law: str, base: np.ndarray, polys: _TargetPolys, n: int, nu: int)
     raise VerifyConfigError(f"unknown law {law!r}")
 
 
+# derivative orders a law reads above nu: L_n^(k) = 0 for k > n, so such a
+# row is 0/0 or x/0, not a ratio
+_LAW_EXTRA_ORDER = {"base_log_derivative": 1, "modified_log_derivative": 1,
+                    "modified_derivative_gap": 2}
+
+
 def _law_limit(law: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
     """The closed-form limit of one law at z; it depends on neither n nor nu."""
     if law in ("base_ratio", "modified_ratio"):
@@ -304,9 +310,10 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     Rows are ordered deterministically and each carries the two-point
     geometric rate log(err_prev/err_cur)/(n_cur - n_prev) against the
     previous ladder degree (nan on the first rung).  Degrees the target
-    cannot be built at are flagged pre_asymptotic, and ratios or limits
-    that leave the double range are flagged overflow, instead of aborting
-    the run.  Each limit is computed once per (law, probe).
+    cannot be built at, or below the derivative order the law reads, are
+    flagged pre_asymptotic, and ratios or limits that leave the double
+    range are flagged overflow, instead of aborting the run.  Each limit
+    is computed once per (law, probe).
     """
     nmax = max(cfg.n_ladder) + 1
     table = recurrence_for(cfg.measure, nmax + 2)
@@ -325,12 +332,18 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                     limit, refusal = _NAN, f"pre_asymptotic: {exc}"
                 for nu in range(cfg.jets + 1):
                     prev: RatioRow | None = None
+                    order = nu + _LAW_EXTRA_ORDER.get(law, 0)
                     for n in cfg.n_ladder:
                         # a refused ratio names the flag before a refused limit
-                        try:
-                            ratio, flag = complex(_law_ratio(law, base, polys, n, nu)), refusal
-                        except _REFUSALS as exc:
-                            ratio, flag = _NAN, f"pre_asymptotic: {exc}"
+                        if order > n:
+                            ratio, flag = _NAN, (f"pre_asymptotic: derivative order "
+                                                 f"{order} exceeds degree {n}")
+                        else:
+                            try:
+                                ratio = complex(_law_ratio(law, base, polys, n, nu))
+                                flag = refusal
+                            except _REFUSALS as exc:
+                                ratio, flag = _NAN, f"pre_asymptotic: {exc}"
                         if not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
                             flag = "overflow: ratio or limit leaves the double range"
                         # no abs() of a nan complex: CPython leaves errno alone

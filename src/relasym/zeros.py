@@ -24,8 +24,11 @@ roots() takes one of three routes:
   refuses; no route falls back to another.
 
 The residual gate checks every root set in one forward sweep of the
-orthonormal recurrence over the root array; a sweep that leaves the
-double range refuses instead of passing a nan residual.
+orthonormal recurrence over the root array.  l_k and l_k' at all m roots
+form one flat complex row of length 2m, advanced by a fixed handful of
+in-place ufunc calls per degree, and the running error bound carries
+s_k = e_k + |l_k| alongside it.  A sweep that leaves the double range
+refuses instead of passing a nan residual.
 
 cluster() sorts a root set into disjoint attraction disks around given
 centers, a band around the support [-1, 1], and leftovers.  Counts per
@@ -145,49 +148,88 @@ def _comrade_norm(q: PolyInBasis, f: np.ndarray) -> float:
     return max(float(rows.max()), float(last.sum()))
 
 
-def _sweep(q: PolyInBasis, z, dtype=np.float64, bound: bool = True):
-    """p(z), p'(z) and a running error bound for p(z) (Higham, Accuracy and
-    Stability, sec. 3.3; 0 when bound is off), from one forward sweep of
-    the orthonormal recurrence (q orthonormal) in the float type dtype.  z
-    is a scalar of the matching complex type or an array of points; a
-    sweep that leaves the double range refuses."""
-    # double runs on Python floats, whose scalar arithmetic is the faster
-    scalars = np.ndarray.tolist if dtype is np.float64 else list
-    c = scalars(q.coeffs.astype(np.result_type(dtype, np.complex64)))
-    a, b = scalars(q.table.a.astype(dtype)), scalars(q.table.b.astype(dtype))
-    tau0 = dtype(q.table.tau[0])
-    az = abs(z)
+def _sweep(q: PolyInBasis, z):
+    """p(z) and p'(z) at one point z of type np.clongdouble, from one forward
+    sweep of the orthonormal recurrence (q orthonormal) in extended
+    precision; a sweep that overflows refuses."""
+    c = list(q.coeffs.astype(np.clongdouble))
+    a, b = list(q.table.a.astype(np.longdouble)), list(q.table.b.astype(np.longdouble))
     with np.errstate(over="ignore", invalid="ignore"):
-        v_prev = d_prev = d = e_prev = der = total = 0.0
-        v, e = tau0, abs(tau0)
+        v_prev = d_prev = d = der = 0.0
+        v = np.longdouble(q.table.tau[0])
         val = c[0] * v
-        if bound:
-            total = abs(c[0]) * (e + abs(v))
         for k in range(q.degree):
-            if bound:
-                grow = az + abs(b[k])
-                step = (grow * abs(v) + a[k] * abs(v_prev)) / a[k + 1]
-                e_prev, e = e, (grow * e + a[k] * e_prev) / a[k + 1] + step
             v_prev, v = v, ((z - b[k]) * v - a[k] * v_prev) / a[k + 1]
             d_prev, d = d, ((z - b[k]) * d + v_prev - a[k] * d_prev) / a[k + 1]
             val = val + c[k + 1] * v
             der = der + c[k + 1] * d
-            if bound:
-                total = total + abs(c[k + 1]) * (e + abs(v))
-    if not np.all(np.isfinite(val) & np.isfinite(der) & np.isfinite(total)):
+    if not (np.isfinite(val) and np.isfinite(der)):
         raise ZerosError(f"recurrence sweep overflows the double range at degree {q.degree}")
-    return val, der, total
+    return val, der
 
 
 def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
     """|p(z)| / scale at every z (orthonormal q).  The scale is the running
-    error bound plus ||A|| |p'(z)|, since z sits an O(eps ||A||) eigenvalue
-    perturbation away from the true root."""
-    val, der, total = _sweep(q, z)
-    scale = total + norm_a * np.abs(der)
+    error bound of the recurrence (Higham, Accuracy and Stability, sec. 3.3)
+    plus ||A|| |p'(z)|, since z sits an O(eps ||A||) eigenvalue perturbation
+    away from the true root.
+
+    One forward sweep over all m roots at once.  l_k and l_k' share one
+    flat complex row, l_k at [:m] and l_k' at [m:], so a degree is one step
+    l_{k+1} = ((z - b_k) l_k + [0, l_k] - a_k l_{k-1}) / a_{k+1}, and p, p'
+    accumulate as c_{k+1} l_{k+1}.  The bound carries s_k = e_k + |l_k| in
+    place of the error e_k: e_{k+1} = (g_k s_k + a_k s_{k-1}) / a_{k+1}, with
+    g_k = |z| + |b_k|, and it sums |c_k| s_k.  A sweep that leaves the
+    double range refuses instead of passing a nan residual."""
+    z = np.asarray(z, dtype=complex)
+    m, n = z.size, q.degree
+    a, b, c = q.table.a, q.table.b, q.coeffs
+    # column k: b_k, a_k, 1/a_{k+1}, c_{k+1}; complex for the row, absolute
+    # for the bound (a_k > 0)
+    coef = np.stack([b[:n], a[:n], 1.0 / a[1 : n + 1], c[1:]]).astype(complex)
+    zz, az = np.concatenate([z, z]), np.abs(z)
+    tmp = np.zeros(2 * m, dtype=complex)
+    # each row with its value and derivative blocks as views
+    prev, row, nxt = ((w, w[:m], w[m:]) for w in np.zeros((3, 2 * m), dtype=complex))
+    row[1][:] = q.table.tau[0]
+    acc = c[0] * row[0]
+    s_prev, s, s_next = np.zeros((3, m))
+    g, u = np.zeros((2, m))
+    s[:] = 2.0 * abs(q.table.tau[0])   # e_0 = |l_0|
+    total = abs(c[0]) * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (zk, rk) in enumerate(zip(coef.T, np.abs(coef).T)):
+            # 0-d views: numpy converts a Python scalar on every call, which
+            # costs as much as the call itself on rows this short
+            bk, ak, inv_a, ck = zk[0, ...], zk[1, ...], zk[2, ...], zk[3, ...]
+            abs_bk, abs_ak, abs_inv_a, abs_ck = rk[0, ...], rk[1, ...], rk[2, ...], rk[3, ...]
+            w, w_val, w_der = nxt
+            np.subtract(zz, bk, out=tmp)
+            np.multiply(tmp, row[0], out=w)
+            np.add(w_der, row[1], out=w_der)
+            np.add(az, abs_bk, out=g)
+            np.multiply(g, s, out=g)
+            if k:   # l_{-1} = 0 and s_{-1} = 0
+                np.multiply(prev[0], ak, out=tmp)
+                np.subtract(w, tmp, out=w)
+                np.multiply(s_prev, abs_ak, out=u)
+                np.add(g, u, out=g)
+            np.multiply(w, inv_a, out=w)
+            np.multiply(w, ck, out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(g, abs_inv_a, out=s_next)
+            np.abs(w_val, out=u)
+            np.add(s_next, u, out=s_next)
+            np.multiply(s_next, abs_ck, out=u)
+            np.add(total, u, out=total)
+            prev, row, nxt = row, nxt, prev
+            s_prev, s, s_next = s, s_next, s_prev
+    if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
+        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}")
+    scale = total + norm_a * np.abs(acc[m:])
     if np.any(scale == 0.0):
         raise ZerosError("zero evaluation scale at computed root")
-    return np.abs(val) / scale
+    return np.abs(acc[:m]) / scale
 
 
 def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
@@ -256,7 +298,7 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
             moving = []
             for j in off:
                 zj = np.clongdouble(z[j])
-                val, der, _ = _sweep(q, zj, np.longdouble, bound=False)
+                val, der = _sweep(q, zj)
                 if der == 0:
                     continue
                 newton = val / der

@@ -229,6 +229,36 @@ def test_overflowed_ladder_rows_are_flagged(tmp_path):
     assert nan_rows == len(flags)
 
 
+def test_derivative_order_above_degree_is_pre_asymptotic(tmp_path, capsys):
+    # L_n^(k) = 0 for k > n, so a row whose law reads such an order is 0/0
+    # or x/0: it is flagged by the order it reads (nu for base_ratio, nu + 1
+    # for the log-derivative), without a division and without a warning
+    payload = scenario("base_legendre").to_json_dict()
+    payload["jets"] = 3
+    payload["n_ladder"] = [1, 2, 10]
+    cfg = _write_json(tmp_path / "low.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "FAIL: 32 rows could not be evaluated\n"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    flags = {(law, nu, n): flag for law, _, _, nu, n, flag in summary["flagged"]}
+    want = {}
+    for law, extra in (("base_ratio", 0), ("base_log_derivative", 1)):
+        for nu in range(4):
+            for n in (1, 2, 10):
+                if nu + extra > n:
+                    want[law, nu, n] = (f"pre_asymptotic: derivative order "
+                                        f"{nu + extra} exceeds degree {n}")
+    assert flags == want
+    assert len(summary["flagged"]) == len(want) * len(payload["probe_points"])
+    # every other row keeps a finite ratio
+    kept = [line.split(",") for law in summary["laws"]
+            for line in (tmp_path / f"ratios_{law}.csv").read_text().splitlines()[1:]]
+    assert len(kept) == summary["rows"]
+    assert sum(np.isfinite(float(cols[8])) for cols in kept) == summary["rows"] - 32
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only oracle; the command line must not pay its import
     code = "import sys, relasym.cli; print('scipy' in sys.modules)"

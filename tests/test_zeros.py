@@ -1,4 +1,6 @@
 """Comrade-matrix roots and attraction-disk sorting."""
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from relasym.joukowski import dist_to_cut
 from relasym.polybasis import MONIC, ORTHONORMAL
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import _TargetPolys
-from relasym.zeros import (RESIDUAL_TOL, _comrade_matrix, _comrade_norm, _last_row,
-                           _root_residuals, default_radius)
+from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_matrix, _comrade_norm,
+                           _last_row, _root_residuals, default_radius)
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -92,6 +94,40 @@ def test_residual_gate_rejects_perturbed_roots():
     assert np.max(got) > RESIDUAL_TOL
     want = [_pointwise_residual(q, z, norm_a) for z in moved]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["base_legendre", "sobolev_point_pair", "pade_gonchar"])
+def test_fused_gate_matches_pointwise_residual_at_180(name):
+    # the three zeros_deep targets, one per root route: Gauss nodes (f = 0),
+    # the real comrade matrix and the secular solve (complex f), at roots
+    # moved by 1e-5.  Both evaluations of p lie within u times the running
+    # bound of p, so the residuals also agree to eps absolutely; that is all
+    # one can ask at the roots attracted to 2 and 2i, where |p| is ~1e-20 of
+    # the bound
+    n = 180
+    cfg = scenario(name)
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    f = _last_row(q)
+    route = "gauss" if not np.any(f) else "real" if not np.any(f.imag) else "secular"
+    assert route == {"base_legendre": "gauss", "sobolev_point_pair": "real",
+                     "pade_gonchar": "secular"}[name]
+    norm_a = _comrade_norm(q, f)
+    moved = np.array(roots(q)) * (1.0 + 1e-5)
+    got = _root_residuals(q, moved, norm_a)
+    want = [_pointwise_residual(q, z, norm_a) for z in moved]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=EPS)
+
+
+def test_gate_overflow_boundary_on_legendre():
+    # the running bound grows like (1 + sqrt 2)^k at the roots next to +-1
+    # and leaves the double range between degrees 804 and 805
+    table = recurrence_for(BaseMeasureSpec("legendre"), 806)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert len(roots(PolyInBasis.basis_poly(table, 804))) == 804
+        with pytest.raises(ZerosError, match="recurrence sweep overflows the double "
+                                             "range at degree 805"):
+            roots(PolyInBasis.basis_poly(table, 805))
 
 
 def test_default_radius():
