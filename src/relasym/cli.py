@@ -82,6 +82,12 @@ def load_measure(name_or_path: str) -> tuple[BaseMeasureSpec, int]:
     return BaseMeasureSpec.from_json_dict(data), nmax
 
 
+def _write_json(path: Path, payload: dict) -> Path:
+    """The one JSON writer: sorted keys, 2-space indent, a final newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,13 +111,11 @@ def cmd_recurrence(args) -> int:
               file=sys.stderr)
         return EXIT_NUMERICAL
     out = _out_dir(args)
-    payload = {
+    path = _write_json(out / "recurrence.json", {
         "measure": spec.to_json_dict(),
         "nmax": table.nmax,
-        "table": json.loads(table.to_json()),
-    }
-    path = out / "recurrence.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        "table": table.to_json_dict(),
+    })
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -136,9 +140,7 @@ def cmd_verify(args) -> int:
                     for r in flagged],
         "pass": not bad,
     }
-    spath = out / "summary.json"
-    spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    written.append(spath)
+    written.append(_write_json(out / "summary.json", summary))
     for p in written:
         print(f"wrote {p}")
     if flagged:
@@ -155,12 +157,10 @@ def cmd_zeros(args) -> int:
     cfg = _apply_overrides(load_experiment(args.config), args)
     reports = run_zero_attraction(cfg)
     out = _out_dir(args)
-    payload = {
+    path = _write_json(out / "zeros.json", {
         "config": cfg.to_json_dict(),
         "reports": {str(n): rep.to_json_dict() for n, rep in sorted(reports.items())},
-    }
-    path = out / "zeros.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
     print(f"wrote {path}")
     for n, rep in sorted(reports.items()):
         print(f"n={n}: clusters={list(rep.cluster_counts)} "

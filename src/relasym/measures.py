@@ -126,13 +126,15 @@ class RecurrenceTable:
     def total_mass(self) -> float:
         return float(1.0 / self.tau[0] ** 2)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "a": [float(v) for v in self.a[1:]],
             "b": [float(v) for v in self.b],
             "tau": [float(v) for v in self.tau],
         }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str, spec: BaseMeasureSpec | None = None) -> "RecurrenceTable":

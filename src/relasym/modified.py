@@ -38,9 +38,13 @@ COND_LIMIT = 1e10
 
 
 class ModifiedError(ValueError):
-    def __init__(self, message: str, cond: float | None = None):
+    """A refused solve; kind names the cause ("pre_asymptotic" or "overflow")."""
+
+    def __init__(self, message: str, cond: float | None = None,
+                 kind: str = "pre_asymptotic"):
         super().__init__(message)
         self.cond = cond
+        self.kind = kind
 
 
 def _canon_points(points) -> tuple[tuple[complex, int], ...]:
@@ -138,16 +142,17 @@ def _check_off_atoms(r: RationalModifier, spec: BaseMeasureSpec | None):
                 raise ModifiedError(f"modifier point {p} coincides with a mass point")
 
 
-def _pole_moments(base: RecurrenceTable, d: complex, mult: int, j: int,
+def _pole_moments(base: RecurrenceTable, d: complex, lj: np.ndarray, j: int,
                   hi: int) -> np.ndarray:
     """out[nu-1, m-j] = integral L_m L_j (x-d)^-nu dmu / q_j(d), nu = 1..mult,
-    m = j..hi, with q_m(d) = integral L_m/(d-x) dmu the minimal solution.
+    m = j..hi, with q_m(d) = integral L_m/(d-x) dmu the minimal solution and
+    lj = (L_j^(t)(d)), t < mult.
 
     Past its Taylor terms at d through order nu-1, L_j is (x-d)^nu times a
     polynomial of degree j-nu, orthogonal to L_m for m > j-nu.  That leaves
     -sum_{t<nu} [L_j^(t)(d)/t!] [q_m^(nu-1-t)(d)/(nu-1-t)!], exactly.
     """
-    lj = basis_jets(base, j, d, order=mult - 1)[:, j]
+    mult = len(lj)
     qj = minimal_solution(base, d, j, hi, mult - 1)
     out = np.zeros((mult, hi - j + 1), dtype=complex)
     for nu in range(1, mult + 1):
@@ -156,37 +161,54 @@ def _pole_moments(base: RecurrenceTable, d: complex, mult: int, j: int,
     return out
 
 
-def _lambda_system(n: int, r: RationalModifier,
-                   base: RecurrenceTable) -> tuple[np.ndarray, np.ndarray]:
+def modifier_jets(r: RationalModifier, base: RecurrenceTable,
+                  top: int) -> tuple[RecurrenceTable, list]:
+    """The table solve_Q needs through degree top, and on it the monic jets
+    at each modifier zero through degree top + A, then at each pole through
+    degree top - B, to the order its multiplicity needs.
+
+    One forward sweep per point serves every degree n <= top: a value at
+    degree k does not depend on how far the sweep runs.
+    """
+    A, B = r.A, r.B
+    base = _ensure_table(base, top + A + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = [basis_jets(base, max(top + A, 0), c, order=mult - 1) for c, mult in r.zeros]
+        jets += [basis_jets(base, max(top - B, 0), d, order=mult - 1) for d, mult in r.poles]
+    return base, jets
+
+
+def _lambda_system(n: int, r: RationalModifier, base: RecurrenceTable,
+                   jets: list) -> tuple[np.ndarray, np.ndarray]:
     """Rows: divisibility jets at each zero, then pole moments against
     L_{n-B}; unknowns lambda_1..lambda_{A+B}; the lambda_0 = 1 column moves
     to the rhs.  Pole rows carry a common factor 1/q_{n-B}(d) per pole, which
-    the row scaling in `_solve_lambda` removes."""
+    the row scaling in `_solve_lambda` removes.  jets as from modifier_jets."""
     A, B = r.A, r.B
     ab = A + B
     degs = [n + A - k for k in range(ab + 1)]   # degree paired with lambda_k
     rows = np.zeros((ab, ab), dtype=complex)
     rhs = np.zeros(ab, dtype=complex)
     i = 0
-    for c, mult in r.zeros:
-        jets = basis_jets(base, n + A, c, order=mult - 1)
+    for (c, mult), cj in zip(r.zeros, jets):
         for nu in range(mult):
-            rows[i] = [jets[nu, degs[k]] for k in range(1, ab + 1)]
-            rhs[i] = -jets[nu, degs[0]]
+            rows[i] = [cj[nu, degs[k]] for k in range(1, ab + 1)]
+            rhs[i] = -cj[nu, degs[0]]
             i += 1
-    for d, mult in r.poles:
-        mom = _pole_moments(base, d, mult, n - B, n + A)   # column k: degree n-B+k
+    for (d, mult), dj in zip(r.poles, jets[len(r.zeros):]):
+        mom = _pole_moments(base, d, dj[:, n - B], n - B, n + A)   # column k: degree n-B+k
         rows[i:i + mult] = mom[:, ab - 1::-1]
         rhs[i:i + mult] = -mom[:, ab]
         i += mult
     return rows, rhs
 
 
-def _solve_lambda(n, r, base):
+def _solve_lambda(n, r, base, jets):
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, rhs = _lambda_system(n, r, base)
+        rows, rhs = _lambda_system(n, r, base, jets)
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
-        raise ModifiedError(f"lambda system overflows the double range at n={n}")
+        raise ModifiedError(f"lambda system overflows the double range at n={n}",
+                            kind="overflow")
     scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
     scale[scale == 0.0] = 1.0
     rows = rows / scale[:, None]
@@ -226,11 +248,16 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
     kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
     itself, and Q_n from R_n by exact division by S; no quadrature.
     """
+    return solve_Q_jets(n, r, *modifier_jets(r, base, n))
+
+
+def solve_Q_jets(n: int, r: RationalModifier, base: RecurrenceTable,
+                 jets: list) -> ModifiedOP:
+    """solve_Q from (base, jets) = modifier_jets(r, table, top), any top >= n."""
     A, B = r.A, r.B
     if n < A + B + 1:
         raise ModifiedError(f"need n >= A+B+1 = {A + B + 1}, got {n}")
     _check_off_atoms(r, base.spec)
-    base = _ensure_table(base, n + A + 1)
 
     if r.is_trivial:
         q = PolyInBasis.basis_poly(base, n)
@@ -240,7 +267,7 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
             beta=complex(base.b[n]), cond=1.0,
             alpha_sq=complex(base.a[n] ** 2))
 
-    lam, cond = _solve_lambda(n, r, base)
+    lam, cond = _solve_lambda(n, r, base, jets)
     coeffs = np.zeros(n + A + 1, dtype=complex)
     for k in range(A + B + 1):
         coeffs[n + A - k] = lam[k]
@@ -253,7 +280,8 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
     with np.errstate(over="ignore"):
         tau_sq = base.tau[n - B] ** 2
     if not np.isfinite(tau_sq):
-        raise ModifiedError(f"tau_{n - B}^2 overflows the double range at n={n}", cond=cond)
+        raise ModifiedError(f"tau_{n - B}^2 overflows the double range at n={n}",
+                            cond=cond, kind="overflow")
     kappa_sq_inv = lam[A + B] / tau_sq
     if abs(kappa_sq_inv) == 0.0:
         raise ModifiedError(f"kappa_n^2 undefined at n={n} (vanishing norm)")

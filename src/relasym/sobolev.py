@@ -52,7 +52,12 @@ DET_TOL = 1e-12
 
 
 class SobolevError(ValueError):
-    pass
+    """A refused construction; kind names the cause ("pre_asymptotic",
+    "overflow" or "underflow")."""
+
+    def __init__(self, message: str, kind: str = "pre_asymptotic"):
+        super().__init__(message)
+        self.kind = kind
 
 
 def _as_complex_matrix(gamma) -> np.ndarray:
@@ -256,6 +261,25 @@ def _kernel_system(blocks: list, n: int) -> tuple:
     return M_sys, cond, Qw, np.concatenate(rhs), np.concatenate(wn)
 
 
+def coupling_jets(spec: SobolevSpec, base: RecurrenceTable,
+                  top: int) -> tuple[RecurrenceTable, list]:
+    """The table sn_kernel needs through degree top, and on it the
+    orthonormal jets at each coupling point through degree top, to the
+    highest derivative its gamma couples.
+
+    One forward sweep per point serves every degree n <= top: a value at
+    degree k does not depend on how far the sweep runs.
+    """
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
+        base = _ensure_table(base, top + 1)
+        for t in spec.terms:
+            rows, cols = _support(t.gamma)
+            out.append(basis_jets(base, max(top, 0), t.c, order=max(rows + cols),
+                                  basis=ORTHONORMAL))
+    return base, out
+
+
 def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """Double-precision path for every regular spec.
 
@@ -271,17 +295,23 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     equilibrates rows and columns and takes in the near-parallel derivative
     rows of each point; then s = -Q'^T v.
     """
+    return sn_kernel_jets(n, spec, *coupling_jets(spec, base, n))
+
+
+def sn_kernel_jets(n: int, spec: SobolevSpec, base: RecurrenceTable,
+                   jets: list) -> SobolevOP:
+    """sn_kernel from (base, jets) = coupling_jets(spec, table, top), any top >= n."""
     base = _buildable(n, spec, base)
     if not np.isfinite(base.tau[n]):
-        raise SobolevError(f"tau_{n} overflows the double range")
+        raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
     inv_tau = 1.0 / base.tau[n]
     blocks = []
-    for t in spec.terms:
+    for t, E in zip(spec.terms, jets):
         rows, cols = _support(t.gamma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = basis_jets(base, n, t.c, order=max(rows + cols), basis=ORTHONORMAL)
+        E = E[:, : n + 1]
         if not np.all(np.isfinite(E)):
-            raise SobolevError(f"jets at c = {t.c} overflow the double range at n={n}")
+            raise SobolevError(f"jets at c = {t.c} overflow the double range at n={n}",
+                               kind="overflow")
         peak = np.abs(E).max(axis=1)
         E = E / peak[:, None]
         pj, pw = peak[cols].max(), peak[rows].max()
@@ -298,8 +328,9 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     tiny = np.finfo(float).tiny
     if abs(ns) < tiny:
         # a subnormal norm_sq carries too few digits for gamma_n
-        raise SobolevError("degenerate S_n: <S_n, S_n> = 0" if ns == 0 and inv_tau ** 2 >= tiny
-                           else f"1/tau_{n}^2 underflows the double range")
+        if ns == 0 and inv_tau ** 2 >= tiny:
+            raise SobolevError("degenerate S_n: <S_n, S_n> = 0")
+        raise SobolevError(f"1/tau_{n}^2 underflows the double range", kind="underflow")
     return SobolevOP(n=n, rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)),
                      cond=cond)
 

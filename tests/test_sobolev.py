@@ -132,6 +132,24 @@ def test_kernel_refusal_past_double_range_names_the_overflow():
                 sn_kernel(n, spec, table)
 
 
+def test_kernel_refusals_carry_their_kind():
+    # overflow at the jet and tau sites, underflow where 1/tau_n^2 leaves
+    # the range, pre_asymptotic for the degree floor
+    deep = recurrence_for(LEG, 605)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        huge = recurrence_for(LEG, 1031)
+    near = SobolevSpec.diagonal([(1.2, [1.0, 1.0])])
+    for n, spec, table, kind in ((500, TWO_POLE, deep, "overflow"),
+                                 (1030, DERIV, huge, "overflow"),
+                                 (520, near, deep, "underflow"),
+                                 (600, near, deep, "underflow"),
+                                 (1, PAIR, TAB, "pre_asymptotic")):
+        with pytest.raises(SobolevError) as info:
+            sn_kernel(n, spec, table)
+        assert info.value.kind == kind, (n, str(info.value))
+
+
 def test_lambda_precision_covers_zero_rows():
     # the digit rule covers a zero row of gamma: the expansion at three
     # times its own digits agrees

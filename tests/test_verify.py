@@ -10,7 +10,10 @@ import pytest
 from relasym import (
     BaseMeasureSpec,
     ExperimentConfig,
+    RationalModifier,
     RatioRow,
+    SobolevError,
+    StieltjesFn,
     VerifyConfigError,
     emit_report,
     load_rows,
@@ -22,6 +25,7 @@ from relasym import (
     scenario,
     sn_kernel,
     sn_lambda,
+    solve_Q,
     to_sobolev_spec,
 )
 from relasym import polybasis
@@ -342,3 +346,146 @@ def test_flagged_rows_write_strict_json(tmp_path):
             assert all(math.isnan(d[k]) for k in floats)
         else:
             assert d["ratio_re"] == row.ratio.real and d["abs_err"] == row.abs_err
+
+
+# Legendre plus an atom, with a double zero (A = 2: the top rung needs a
+# table one degree past the ladder's) and a real pole
+ATOM_RATIONAL = ExperimentConfig(
+    measure=BaseMeasureSpec("legendre", mass_points=((1.8, 0.5),)),
+    target_kind="modified",
+    modifier=RationalModifier(zeros=((2j, 2),), poles=((3.0, 1),)),
+    probe_points=(-2.5, 3j, 1.5 + 1.5j))
+
+
+def _per_degree_target(cfg, n, table):
+    """The degree-n target from its builder alone, which sweeps through n."""
+    if cfg.target_kind == "base_only":
+        return polybasis.PolyInBasis.basis_poly(table, n)
+    if cfg.target_kind == "modified":
+        return solve_Q(n, cfg.modifier, table).q
+    spec = cfg.sobolev if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.stieltjes)
+    return sn_kernel(n, spec, table).rep
+
+
+def _count_jets(monkeypatch) -> list:
+    calls = []
+    orig = polybasis.basis_jets
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("relasym") and getattr(mod, "basis_jets", None) is orig:
+            monkeypatch.setattr(mod, "basis_jets", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", [*SCENARIOS, "atom_rational"])
+def test_shared_jets_match_per_degree_builders(monkeypatch, name):
+    # one sweep per coupling point serves every rung, bit for bit: a value
+    # at degree k does not depend on how far the forward recurrence runs
+    cfg = ATOM_RATIONAL if name == "atom_rational" else scenario(name)
+    points = []
+    if cfg.target_kind == "modified":
+        points = [c for c, _ in cfg.modifier.zeros + cfg.modifier.poles]
+    elif cfg.target_kind == "sobolev":
+        points = [t.c for t in cfg.sobolev.terms]
+    elif cfg.target_kind == "pade":
+        points = [c for c, _ in cfg.stieltjes.poles]
+    calls = _count_jets(monkeypatch)
+    rows = run_ratio_ladder(cfg)
+    assert not any(r.flag for r in rows)
+    assert np.array_equal(calls[0], np.array(cfg.probe_points))
+    assert [complex(z) for z in calls[1:]] == [complex(c) for c in points]
+    table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
+    polys = _TargetPolys(cfg, table)
+    degrees = sorted({m for n in cfg.n_ladder for m in (n, n + 1)})
+    shared = {n: repr(polys.poly(n).coeffs.tolist()) for n in degrees}
+    monkeypatch.undo()
+    for n in degrees:
+        assert shared[n] == repr(_per_degree_target(cfg, n, table).coeffs.tolist()), n
+
+
+def test_shared_jets_refuse_like_the_per_degree_builder():
+    # the sweep runs to 601, past the double range at c = 2; the 100 rung
+    # reads its leading part unchanged and the 600 rung refuses as sn_kernel
+    # does on its own
+    cfg = dataclasses.replace(scenario("sobolev_point_pair"), n_ladder=(100, 600))
+    table = recurrence_for(cfg.measure, 603)
+    polys = _TargetPolys(cfg, table)
+    got = polys.poly(100).coeffs
+    assert repr(got.tolist()) == repr(sn_kernel(100, cfg.sobolev, table).rep.coeffs.tolist())
+    with pytest.raises(SobolevError) as shared:
+        polys.poly(600)
+    with pytest.raises(SobolevError) as alone:
+        sn_kernel(600, cfg.sobolev, table)
+    assert str(shared.value) == str(alone.value)
+    assert "jets at c = (2+0j) overflow the double range at n=600" in str(alone.value)
+    assert shared.value.kind == alone.value.kind == "overflow"
+
+
+def test_builder_overflow_is_flagged_overflow():
+    # a refusal at the top of the double range is labelled by its kind, not
+    # pre_asymptotic; the extended lane carries the same ladder
+    cfg = ExperimentConfig(
+        measure=LEG, target_kind="pade",
+        stieltjes=StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0, (2.0,)))),
+        probe_points=(3.0, -2.5, -2j, 1.5 + 1.5j), n_ladder=(100, 500))
+    rows = run_ratio_ladder(cfg)
+    want = "overflow: jets at c = 2j overflow the double range at n=500"
+    assert [r.flag for r in rows] == [want if r.n == 500 else "" for r in rows]
+    assert sum(r.n == 500 for r in rows) == 8
+
+
+def _old_rows_to_csv(rows) -> str:
+    """The report writers as they were before rows carried their cells."""
+    def fmt(x):
+        return repr(float(x))
+    lines = [",".join(CSV_COLUMNS)]
+    for r in rows:
+        lines.append(",".join((
+            str(r.n), fmt(r.z.real), fmt(r.z.imag), str(r.nu),
+            fmt(r.ratio.real), fmt(r.ratio.imag), fmt(r.limit.real), fmt(r.limit.imag),
+            fmt(r.abs_err), fmt(r.est_rate))))
+    return "\n".join(lines) + "\n"
+
+
+def _old_rows_to_json(rows) -> str:
+    def num(x):
+        return float(x) if math.isfinite(x) else None
+    payload = {
+        "schema_version": 1,
+        "columns": list(CSV_COLUMNS),
+        "rows": [[r.n, num(r.z.real), num(r.z.imag), r.nu,
+                  *map(num, (r.ratio.real, r.ratio.imag, r.limit.real,
+                             r.limit.imag, r.abs_err, r.est_rate))]
+                 for r in rows],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _odd_rows() -> list:
+    odd = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300,
+           -1e300, 0.1, 1.0 / 3.0, 1e16, 2.5e-8]
+    rows = []
+    for i in range(3 * len(odd)):
+        v = [odd[(i + 3 * k) % len(odd)] for k in range(8)]
+        rows.append(RatioRow(law="base_ratio", n=[0, 7, 10 ** 30][i % 3],
+                             z=complex(v[0], v[1]), nu=[0, 3, 2 ** 70][i % 3],
+                             ratio=complex(v[2], v[3]), limit=complex(v[4], v[5]),
+                             abs_err=v[6], est_rate=v[7], flag=""))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["empty", "one", "odd_values", "ladder", "flagged"])
+def test_emission_matches_the_encoders_byte_for_byte(tmp_path, case):
+    rows = {"empty": lambda: [],
+            "one": lambda: run_ratio_ladder(_small_base(n_ladder=(5,))),
+            "odd_values": _odd_rows,
+            "ladder": lambda: run_ratio_ladder(scenario("modified_rational")),
+            "flagged": lambda: run_ratio_ladder(dataclasses.replace(
+                scenario("sobolev_point_derivative"), n_ladder=(1, 10, 20)))}[case]()
+    for fmt, old in (("csv", _old_rows_to_csv), ("json", _old_rows_to_json)):
+        got = emit_report(rows, fmt, tmp_path / f"r.{fmt}").read_bytes()
+        assert got == old(rows).encode(), fmt
