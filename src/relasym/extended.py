@@ -1,0 +1,239 @@
+"""The extended-precision lane: every mpmath computation of the package.
+
+Double precision is the default everywhere; mpmath is kept for the
+quantities double cannot resolve.  This module is the only one that
+imports mpmath, and no double-precision path imports it: the lane's
+entry points `sobolev.sn_lambda`, `sobolev.orthogonality_residuals_extended`
+and `pade.error_ratio` load it on their first call.
+
+Jets, norms and mu-moments are all exact recurrences on the (a, b, tau)
+data, with no quadrature anywhere.  That makes a clean arbitrary-precision
+lane possible without re-deriving the measure.
+"""
+from __future__ import annotations
+
+import math
+
+import mpmath
+import numpy as np
+
+from .joukowski import phi
+from .measures import RecurrenceTable
+from .modified import _ensure_table
+from .pade import StieltjesFn, to_sobolev_spec
+from .sobolev import SobolevSpec, _buildable, _kernel_system, _support
+
+
+def _mp_ab(base: RecurrenceTable, deg: int):
+    """Recurrence coefficients as mp numbers.
+
+    For atom-free bases the Jacobi formulas are re-evaluated in mp: the
+    double table carries ~1e-16 dirt that is invisible to the bordered solve
+    but fatal to collapsed-scale quantities downstream (a perturbed a_k
+    leaks an O(eps) L_0 component into polynomials whose true low-order
+    coefficients are exponentially small).  Atom tables have no closed form
+    and keep their double values.
+    """
+    spec = base.spec
+    if spec is not None and not spec.has_atoms:
+        al = mpmath.mpf(spec.jacobi_exponents()[0])
+        be = mpmath.mpf(spec.jacobi_exponents()[1])
+        s = al + be
+        b = [(be - al) / (s + 2)]
+        a2 = [mpmath.mpf(0)]
+        for k in range(1, deg + 1):
+            b.append((be * be - al * al) / ((2 * k + s) * (2 * k + s + 2)))
+        if deg >= 1:
+            a2.append(4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s)))
+        for k in range(2, deg + 1):
+            nab = 2 * k + s
+            a2.append(4 * k * (k + al) * (k + be) * (k + s)
+                      / (nab * nab * (nab + 1) * (nab - 1)))
+        return a2, b
+    a2 = [mpmath.mpf(float(x)) ** 2 for x in base.a[: deg + 1]]
+    b = [mpmath.mpf(float(x)) for x in base.b[: deg + 1]]
+    return a2, b
+
+
+def _mp_normsq(base: RecurrenceTable, a2: list, deg: int) -> list:
+    """||L_m||^2 = m_0 * prod a2_k, with the total mass in mp for atom-free
+    bases (beta integral) so no double tau dirt enters the moment rows."""
+    spec = base.spec
+    if spec is not None and not spec.has_atoms:
+        al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
+        m0 = 2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1)
+    else:
+        m0 = 1 / mpmath.mpf(float(base.tau[0])) ** 2
+    out = [m0]
+    for k in range(1, deg + 1):
+        out.append(out[-1] * a2[k])
+    return out
+
+
+def _mp_xmul(p: list, a2: list, b: list) -> list:
+    """Coefficients of x * p over the monic basis."""
+    out = [mpmath.mpf(0)] * (len(p) + 1)
+    for m, cm in enumerate(p):
+        out[m + 1] += cm
+        out[m] += b[m] * cm
+        if m > 0:
+            out[m - 1] += a2[m] * cm
+    return out
+
+
+def _mp_basis_jets(deg: int, order: int, c, a2: list, b: list) -> list:
+    """jets[i][m] = (d/dx)^i L_m at c for the monic basis polynomials."""
+    jets = [[mpmath.mpc(0)] * (deg + 1) for _ in range(order + 1)]
+    jets[0][0] = mpmath.mpc(1)
+    if deg == 0:
+        return jets
+    jets[0][1] = c - b[0]
+    for i in range(1, order + 1):
+        jets[i][1] = mpmath.mpc(1) if i == 1 else mpmath.mpc(0)
+    for m in range(1, deg):
+        for i in range(order, -1, -1):
+            v = (c - b[m]) * jets[i][m] - a2[m] * jets[i][m - 1]
+            if i > 0:
+                v += i * jets[i - 1][m]
+            jets[i][m + 1] = v
+    return jets
+
+
+def _mp_poly_jet(coeffs: list, jets: list, order: int) -> list:
+    out = []
+    for i in range(order + 1):
+        row = jets[i]
+        out.append(mpmath.fsum(cm * row[m] for m, cm in enumerate(coeffs)))
+    return out
+
+
+def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:
+    """sn_kernel's identity in mpmath at dps digits, over the monic basis.
+
+    With D = diag(1/||L_m||^2), m < n, J the monic jet rows L_m^(k)(c_j) at
+    the nonzero columns of each gamma_j and W = Gamma*^T (jet rows at its
+    nonzero rows), u = S_n^(k)(c_j) solves (I + J D W^T) u = (L_n^(k)(c_j)).
+    S_n has monic coefficients -D W^T u below L_n, and
+    <S_n, S_n> = ||L_n||^2 + W[:, n] . u.  The gate is sn_kernel's
+    equilibrated system, built from the orthonormal jets divided by their
+    row peaks: those entries fit in double even where the jets do not.
+    """
+    base = _buildable(n, spec, base)
+    with mpmath.workdps(dps):
+        a2, b = _mp_ab(base, n)
+        normsq = _mp_normsq(base, a2, n)
+        tau = [1 / mpmath.sqrt(v) for v in normsq]
+        Js, Ws, blocks = [], [], []
+        for t in spec.terms:
+            rows, cols = _support(t.gamma)
+            jets = _mp_basis_jets(n, max(rows + cols), mpmath.mpc(t.c), a2, b)
+            g = [[mpmath.mpc(v) for v in row] for row in t.gamma]
+            Js += [jets[k] for k in cols]
+            Ws += [[mpmath.fdot([g[i][k] for i in rows], [jets[i][m] for i in rows])
+                    for m in range(n + 1)] for k in cols]
+            orth = {i: [v * s for v, s in zip(jets[i], tau)] for i in set(rows + cols)}
+            peak = {i: max(abs(v) for v in row) for i, row in orth.items()}
+            pj, pw = max(peak[k] for k in cols), max(peak[i] for i in rows)
+            J = np.array([[complex(v / pj) for v in orth[k]] for k in cols])
+            W = t.gamma[np.ix_(rows, cols)].T @ np.array(
+                [[complex(v / pw) for v in orth[i]] for i in rows])
+            blocks.append((J, W, float(1 / (pj * pw))))
+        cond = _kernel_system(blocks, n)[1]
+        WD = [[w[m] / normsq[m] for m in range(n)] for w in Ws]
+        M = mpmath.eye(len(Js))
+        for p, J in enumerate(Js):
+            for q, w in enumerate(WD):
+                M[p, q] += mpmath.fdot(J[:n], w)
+        u = list(mpmath.lu_solve(M, mpmath.matrix([J[n] for J in Js])))
+        coeffs = [-mpmath.fdot([w[m] for w in WD], u) for m in range(n)] + [mpmath.mpc(1)]
+        ns = normsq[n] + mpmath.fdot([w[n] for w in Ws], u)
+        return {"base": base, "coeffs_mp": coeffs, "norm_sq_mp": ns,
+                "gamma_n": complex(1 / mpmath.sqrt(ns)), "cond": cond,
+                "a2": a2, "b": b, "normsq": normsq}
+
+
+def _mono_jet(nu: int, i: int, c):
+    """d^i/dx^i x^nu at the mpmath number c."""
+    if i > nu:
+        return 0
+    fall = 1
+    for t in range(i):
+        fall *= nu - t
+    return fall * c ** (nu - i)
+
+
+def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
+    """The residuals of the monic mp coefficients core["coeffs_mp"], with
+    core's mp recurrence coefficients a2, b, norms normsq and norm_sq_mp."""
+    a2, b, normsq = core["a2"], core["b"], core["normsq"]
+    coeffs = core["coeffs_mp"]
+    n = len(coeffs) - 1
+    out = np.zeros(n)
+    with mpmath.workdps(wp):
+        sn_norm = mpmath.sqrt(abs(core["norm_sq_mp"]))
+        points = []
+        for t in spec.terms:
+            c, order = mpmath.mpc(t.c), max(t.N, t.J)
+            sj = _mp_poly_jet(coeffs, _mp_basis_jets(n, order, c, a2, b), order)
+            points.append((t, c, [[mpmath.mpc(v) for v in row] for row in t.gamma], sj))
+        e = [mpmath.mpf(1)]
+        for k in range(n):
+            terms = [v * coeffs[i] * normsq[i] for i, v in enumerate(e)]
+            xk2 = mpmath.fsum(v ** 2 * normsq[i] for i, v in enumerate(e))
+            for t, c, g, sj in points:
+                mj = [_mono_jet(k, i, c) for i in range(max(t.N, t.J) + 1)]
+                xk2 += mpmath.fsum(mj[i] * g[i][kk] * mj[kk]
+                                   for i in range(t.N + 1)
+                                   for kk in range(t.J + 1))
+                terms += [mj[i] * g[i][kk] * sj[kk]
+                          for i in range(t.N + 1) for kk in range(t.J + 1)]
+            terms = [v for v in terms if v != 0]
+            val = mpmath.fsum(terms)
+            sc = (mpmath.fsum(abs(v) for v in terms) if len(terms) > 1
+                  else sn_norm * mpmath.sqrt(abs(xk2)))
+            out[k] = float(abs(val) / sc) if sc > 0 else float(abs(val))
+            if k < n - 1:
+                e = _mp_xmul(e, a2, b)
+    return out
+
+
+def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
+    """(f - P_n/Q_n)(z) = R_n(z)/Q_n(z) in extended precision, with
+
+    R_n(z) = integral Q_n(x)/(z-x) dmu + sum_{j,i} A_{j,i} i! T_{j,i}(z)/(z-c_j)^{i+1}.
+
+    With Q_n = sum_m c_m L_m the integral is sum_m c_m q_m(z), q_m the
+    Cauchy transforms: the minimal solution of the recurrence, from the
+    backward ratio recurrence of `measures.minimal_solution` run in mp.
+    Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
+    from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
+    by the kernel identity of `sn_lambda`, at the same dps.
+    """
+    if f.poles:
+        coeffs = _mp_kernel(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
+    else:
+        coeffs = [mpmath.mpc(0)] * n + [mpmath.mpc(1)]
+    with mpmath.workdps(dps):
+        zz = mpmath.mpc(z)
+        top = n + math.ceil(dps / math.log10(abs(phi(z))))
+        with np.errstate(over="ignore"):    # only a, b and tau_0 are read
+            deep = _ensure_table(base, top)
+        a2, b = _mp_ab(deep, top)
+        h, hs = mpmath.mpc(0), {}           # hs[m] = q_m / q_{m-1}
+        for m in range(top, 0, -1):
+            h = hs[m] = a2[m] / (zz - b[m] - h)
+        q = _mp_normsq(base, a2, 0)[0] / (zz - b[0] - hs[1])
+        R = coeffs[0] * q
+        for m in range(1, n + 1):
+            q *= hs[m]
+            R += coeffs[m] * q
+        for c, A in f.poles:
+            cc = mpmath.mpc(c)
+            order = len(A) - 1
+            jets = _mp_basis_jets(n, order, cc, a2, b)
+            qjets = _mp_poly_jet(coeffs, jets, order)
+            for i, av in enumerate(A):
+                tay = mpmath.fsum(qjets[t] / mpmath.factorial(t) * (zz - cc) ** t
+                                  for t in range(i + 1))
+                R += mpmath.mpc(av) * mpmath.factorial(i) * tay / (zz - cc) ** (i + 1)
+        return R / _mp_poly_jet(coeffs, _mp_basis_jets(n, 0, zz, a2, b), 0)[0]

@@ -51,9 +51,11 @@ class BaseMeasureSpec:
         if self.weight_kind not in WEIGHT_KINDS:
             raise MeasureError(f"unknown weight_kind {self.weight_kind!r}")
         a, b = self.jacobi_exponents()
-        if a <= -1.0 or b <= -1.0:
-            raise MeasureError("jacobi exponents must exceed -1")
+        if not (-1.0 < a < np.inf and -1.0 < b < np.inf):
+            raise MeasureError("jacobi exponents must be finite and exceed -1")
         for loc, mass in self.mass_points:
+            if not (np.isfinite(loc) and np.isfinite(mass)):
+                raise MeasureError(f"mass point ({loc}, {mass}) is not finite")
             if abs(loc) <= 1.0:
                 raise MeasureError(f"mass point location {loc} must lie outside [-1,1]")
             if mass <= 0.0:

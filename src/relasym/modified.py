@@ -54,6 +54,8 @@ def _canon_points(points) -> tuple[tuple[complex, int], ...]:
         mult = int(mult)
         if mult < 1:
             raise ModifiedError("multiplicities must be positive")
+        if not np.isfinite(loc):
+            raise ModifiedError(f"modifier point {loc} is not finite")
         if dist_to_cut(loc) <= NEAR_CUT:
             raise ModifiedError(f"modifier point {loc} lies on or near [-1, 1]")
         out.append((loc, mult))

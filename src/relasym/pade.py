@@ -16,22 +16,21 @@ built by the Sobolev kernel lane (`sn_kernel`), and the numerator is the
 classical second-kind companion plus Taylor-remainder terms for the poles.
 The error ratio (f - pi_{n+1})/(f - pi_n) -> 1/phi(z)^2 is evaluated from
 the Cauchy transforms of the basis in mpmath, where the geometrically
-small remainders stay resolved.
+small remainders stay resolved; that computation lives in
+`relasym.extended`, which `error_ratio` loads on its first call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
 from .modified import _ensure_table, monomial_to_coeffs
 from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
-from .sobolev import (SobolevSpec, SobolevTerm, digit_loss, sn_kernel, _mp_ab,
-                      _mp_basis_jets, _mp_kernel, _mp_normsq, _mp_poly_jet)
+from .sobolev import SobolevSpec, SobolevTerm, digit_loss, sn_kernel
 
 __all__ = [
     "PadeError",
@@ -72,6 +71,8 @@ class StieltjesFn:
                 raise PadeError("pole needs at least one coefficient")
             if A[-1] == 0:
                 raise PadeError(f"leading pole coefficient at {c} must be nonzero")
+            if not np.isfinite(c):
+                raise PadeError(f"pole {c} is not finite")
             if dist_to_cut(c) <= NEAR_CUT:
                 raise PadeError(f"pole {c} lies on or near [-1, 1]")
             for loc, _ in self.base.mass_points:
@@ -268,56 +269,15 @@ def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
     return out
 
 
-def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
-    """(f - P_n/Q_n)(z) = R_n(z)/Q_n(z) in extended precision, with
-
-    R_n(z) = integral Q_n(x)/(z-x) dmu + sum_{j,i} A_{j,i} i! T_{j,i}(z)/(z-c_j)^{i+1}.
-
-    With Q_n = sum_m c_m L_m the integral is sum_m c_m q_m(z), q_m the
-    Cauchy transforms: the minimal solution of the recurrence, from the
-    backward ratio recurrence of `measures.minimal_solution` run in mp.
-    Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
-    from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
-    by the kernel identity of `sn_lambda`, at the same dps.
-    """
-    if f.poles:
-        coeffs = _mp_kernel(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
-    else:
-        coeffs = [mpmath.mpc(0)] * n + [mpmath.mpc(1)]
-    with mpmath.workdps(dps):
-        zz = mpmath.mpc(z)
-        top = n + math.ceil(dps / math.log10(abs(phi(z))))
-        with np.errstate(over="ignore"):    # only a, b and tau_0 are read
-            deep = _ensure_table(base, top)
-        a2, b = _mp_ab(deep, top)
-        h, hs = mpmath.mpc(0), {}           # hs[m] = q_m / q_{m-1}
-        for m in range(top, 0, -1):
-            h = hs[m] = a2[m] / (zz - b[m] - h)
-        q = _mp_normsq(base, a2, 0)[0] / (zz - b[0] - hs[1])
-        R = coeffs[0] * q
-        for m in range(1, n + 1):
-            q *= hs[m]
-            R += coeffs[m] * q
-        for c, A in f.poles:
-            cc = mpmath.mpc(c)
-            order = len(A) - 1
-            jets = _mp_basis_jets(n, order, cc, a2, b)
-            qjets = _mp_poly_jet(coeffs, jets, order)
-            for i, av in enumerate(A):
-                tay = mpmath.fsum(qjets[t] / mpmath.factorial(t) * (zz - cc) ** t
-                                  for t in range(i + 1))
-                R += mpmath.mpc(av) * mpmath.factorial(i) * tay / (zz - cc) ** (i + 1)
-        return R / _mp_poly_jet(coeffs, _mp_basis_jets(n, 0, zz, a2, b), 0)[0]
-
-
 def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable) -> complex:
     """(f(z) - pi_{n+1}(z)) / (f(z) - pi_n(z)); the geometric-rate probe.
 
     The errors shrink like |phi(z)|^{-2n}, so both remainders come from the
-    Cauchy transforms of the basis in mpmath (`_mp_remainder`), with enough
-    digits to resolve them at any n.  Atom tables enter through their
-    double a and b, as in the mpmath Sobolev lane `sn_lambda`.
+    Cauchy transforms of the basis in mpmath (`extended._mp_remainder`),
+    with enough digits to resolve them at any n.  Atom tables enter through
+    their double a and b, as in the mpmath Sobolev lane `sn_lambda`.
     """
+    from .extended import _mp_remainder    # mpmath loads on the first call
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
         raise PadeError(f"probe {z} lies on or near [-1, 1]")

@@ -15,14 +15,15 @@ same condition number:
 
 * sn_kernel: in double precision, solving the equilibrated system;
 * sn_lambda: in mpmath, by exact coefficient algebra over the recurrence
-  table, at the digits the collapse of the jets at the c_j needs.
+  table, at the digits the collapse of the jets at the c_j needs.  Its
+  mpmath core lives in `relasym.extended`, which it loads on its first
+  call, so double-precision runs never load mpmath.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
@@ -77,6 +78,8 @@ class SobolevTerm:
     def __post_init__(self):
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "gamma", _as_complex_matrix(self.gamma))
+        if not np.isfinite(self.c):
+            raise SobolevError(f"coupling point {self.c} is not finite")
         if dist_to_cut(self.c) <= NEAR_CUT:
             raise SobolevError(f"coupling point {self.c} lies on or near [-1, 1]")
         if not np.any(self.gamma[-1]):
@@ -335,16 +338,6 @@ def sn_kernel_jets(n: int, spec: SobolevSpec, base: RecurrenceTable,
                      cond=cond)
 
 
-def _mono_jet(nu: int, i: int, c):
-    """d^i/dx^i x^nu at the mpmath number c."""
-    if i > nu:
-        return 0
-    fall = 1
-    for t in range(i):
-        fall *= nu - t
-    return fall * c ** (nu - i)
-
-
 def digit_loss(n: int, spec: SobolevSpec) -> float:
     """Estimated decimal digits cancelled when S_n is pinned in fixed
     precision: the jets S_n^(k)(c_j) collapse against the jets of L_n by a
@@ -358,155 +351,30 @@ def digit_loss(n: int, spec: SobolevSpec) -> float:
     return n * max(math.log10(abs(phi(t.c))) for t in spec.terms)
 
 
-# ---- extended-precision coefficient algebra over the recurrence table ----
-#
-# Jets, norms and mu-moments are all exact recurrences on the (a, b, tau)
-# data, with no quadrature anywhere.  That makes a clean arbitrary-precision
-# lane possible without re-deriving the measure.
-
-def _mp_ab(base: RecurrenceTable, deg: int):
-    """Recurrence coefficients as mp numbers.
-
-    For atom-free bases the Jacobi formulas are re-evaluated in mp: the
-    double table carries ~1e-16 dirt that is invisible to the bordered solve
-    but fatal to collapsed-scale quantities downstream (a perturbed a_k
-    leaks an O(eps) L_0 component into polynomials whose true low-order
-    coefficients are exponentially small).  Atom tables have no closed form
-    and keep their double values.
-    """
-    spec = base.spec
-    if spec is not None and not spec.has_atoms:
-        al = mpmath.mpf(spec.jacobi_exponents()[0])
-        be = mpmath.mpf(spec.jacobi_exponents()[1])
-        s = al + be
-        b = [(be - al) / (s + 2)]
-        a2 = [mpmath.mpf(0)]
-        for k in range(1, deg + 1):
-            b.append((be * be - al * al) / ((2 * k + s) * (2 * k + s + 2)))
-        if deg >= 1:
-            a2.append(4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s)))
-        for k in range(2, deg + 1):
-            nab = 2 * k + s
-            a2.append(4 * k * (k + al) * (k + be) * (k + s)
-                      / (nab * nab * (nab + 1) * (nab - 1)))
-        return a2, b
-    a2 = [mpmath.mpf(float(x)) ** 2 for x in base.a[: deg + 1]]
-    b = [mpmath.mpf(float(x)) for x in base.b[: deg + 1]]
-    return a2, b
-
-
-def _mp_normsq(base: RecurrenceTable, a2: list, deg: int) -> list:
-    """||L_m||^2 = m_0 * prod a2_k, with the total mass in mp for atom-free
-    bases (beta integral) so no double tau dirt enters the moment rows."""
-    spec = base.spec
-    if spec is not None and not spec.has_atoms:
-        al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
-        m0 = 2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1)
-    else:
-        m0 = 1 / mpmath.mpf(float(base.tau[0])) ** 2
-    out = [m0]
-    for k in range(1, deg + 1):
-        out.append(out[-1] * a2[k])
-    return out
-
-
-def _mp_xmul(p: list, a2: list, b: list) -> list:
-    """Coefficients of x * p over the monic basis."""
-    out = [mpmath.mpf(0)] * (len(p) + 1)
-    for m, cm in enumerate(p):
-        out[m + 1] += cm
-        out[m] += b[m] * cm
-        if m > 0:
-            out[m - 1] += a2[m] * cm
-    return out
-
-
-def _mp_basis_jets(deg: int, order: int, c, a2: list, b: list) -> list:
-    """jets[i][m] = (d/dx)^i L_m at c for the monic basis polynomials."""
-    jets = [[mpmath.mpc(0)] * (deg + 1) for _ in range(order + 1)]
-    jets[0][0] = mpmath.mpc(1)
-    if deg == 0:
-        return jets
-    jets[0][1] = c - b[0]
-    for i in range(1, order + 1):
-        jets[i][1] = mpmath.mpc(1) if i == 1 else mpmath.mpc(0)
-    for m in range(1, deg):
-        for i in range(order, -1, -1):
-            v = (c - b[m]) * jets[i][m] - a2[m] * jets[i][m - 1]
-            if i > 0:
-                v += i * jets[i - 1][m]
-            jets[i][m + 1] = v
-    return jets
-
-
-def _mp_poly_jet(coeffs: list, jets: list, order: int) -> list:
-    out = []
-    for i in range(order + 1):
-        row = jets[i]
-        out.append(mpmath.fsum(cm * row[m] for m, cm in enumerate(coeffs)))
-    return out
-
-
-def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:
-    """sn_kernel's identity in mpmath at dps digits, over the monic basis.
-
-    With D = diag(1/||L_m||^2), m < n, J the monic jet rows L_m^(k)(c_j) at
-    the nonzero columns of each gamma_j and W = Gamma*^T (jet rows at its
-    nonzero rows), u = S_n^(k)(c_j) solves (I + J D W^T) u = (L_n^(k)(c_j)).
-    S_n has monic coefficients -D W^T u below L_n, and
-    <S_n, S_n> = ||L_n||^2 + W[:, n] . u.  The gate is sn_kernel's
-    equilibrated system, built from the orthonormal jets divided by their
-    row peaks: those entries fit in double even where the jets do not.
-    """
-    base = _buildable(n, spec, base)
-    with mpmath.workdps(dps):
-        a2, b = _mp_ab(base, n)
-        normsq = _mp_normsq(base, a2, n)
-        tau = [1 / mpmath.sqrt(v) for v in normsq]
-        Js, Ws, blocks = [], [], []
-        for t in spec.terms:
-            rows, cols = _support(t.gamma)
-            jets = _mp_basis_jets(n, max(rows + cols), mpmath.mpc(t.c), a2, b)
-            g = [[mpmath.mpc(v) for v in row] for row in t.gamma]
-            Js += [jets[k] for k in cols]
-            Ws += [[mpmath.fdot([g[i][k] for i in rows], [jets[i][m] for i in rows])
-                    for m in range(n + 1)] for k in cols]
-            orth = {i: [v * s for v, s in zip(jets[i], tau)] for i in set(rows + cols)}
-            peak = {i: max(abs(v) for v in row) for i, row in orth.items()}
-            pj, pw = max(peak[k] for k in cols), max(peak[i] for i in rows)
-            J = np.array([[complex(v / pj) for v in orth[k]] for k in cols])
-            W = t.gamma[np.ix_(rows, cols)].T @ np.array(
-                [[complex(v / pw) for v in orth[i]] for i in rows])
-            blocks.append((J, W, float(1 / (pj * pw))))
-        cond = _kernel_system(blocks, n)[1]
-        WD = [[w[m] / normsq[m] for m in range(n)] for w in Ws]
-        M = mpmath.eye(len(Js))
-        for p, J in enumerate(Js):
-            for q, w in enumerate(WD):
-                M[p, q] += mpmath.fdot(J[:n], w)
-        u = list(mpmath.lu_solve(M, mpmath.matrix([J[n] for J in Js])))
-        coeffs = [-mpmath.fdot([w[m] for w in WD], u) for m in range(n)] + [mpmath.mpc(1)]
-        ns = normsq[n] + mpmath.fdot([w[n] for w in Ws], u)
-        return {"base": base, "coeffs_mp": coeffs, "norm_sq_mp": ns,
-                "gamma_n": complex(1 / mpmath.sqrt(ns)), "cond": cond,
-                "a2": a2, "b": b, "normsq": normsq}
-
-
 def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """sn_kernel's construction in mpmath, for every regular spec.
 
     The bordered kernel identity runs on the monic jets, solved as it
-    stands at twice digit_loss plus 35 digits.  Every step is exact
-    coefficient algebra over the recurrence table, with no quadrature.  The
-    gate is sn_kernel's equilibrated system, so both lanes report the same
-    cond and refuse the same ill-conditioned specs; only sn_kernel refuses
-    degrees past the double range.
+    stands at twice digit_loss plus 35 digits (`extended._mp_kernel`).
+    Every step is exact coefficient algebra over the recurrence table, with
+    no quadrature.  The gate is sn_kernel's equilibrated system, so both
+    lanes report the same cond and refuse the same ill-conditioned specs.
+    The solve runs past the double range, but the results are cast to
+    double: a coefficient or gamma_n that overflows refuses with kind
+    "overflow", and a nonzero norm_sq below the smallest normal double with
+    kind "underflow", as in sn_kernel.
     """
+    from .extended import _mp_kernel    # mpmath loads on the first call
     core = _mp_kernel(n, spec, base, int(2 * digit_loss(n, spec)) + 35)
     coeffs = np.array([complex(v) for v in core["coeffs_mp"]])
+    if not (np.all(np.isfinite(coeffs)) and np.isfinite(core["gamma_n"])):
+        raise SobolevError(f"S_{n} overflows the double range", kind="overflow")
+    ns = complex(core["norm_sq_mp"])
+    if abs(ns) < np.finfo(float).tiny and core["norm_sq_mp"] != 0:
+        raise SobolevError(f"<S_{n}, S_{n}> underflows the double range",
+                           kind="underflow")
     return SobolevOP(n=n, rep=PolyInBasis(MONIC, coeffs, n, core["base"]),
-                     norm_sq=complex(core["norm_sq_mp"]), gamma_n=core["gamma_n"],
-                     cond=core["cond"])
+                     norm_sq=ns, gamma_n=core["gamma_n"], cond=core["cond"])
 
 
 def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
@@ -520,43 +388,9 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
     (k = 0 with derivative-only couplings) has nothing to cancel against;
     its scale is the Cauchy-Schwarz product ||x^k|| ||S_n||.
     """
+    from .extended import _mp_kernel, _residuals    # mpmath loads on the first call
     wp = max(40, int(2 * digit_loss(n, spec)) + 40)
     return _residuals(spec, _mp_kernel(n, spec, base, wp), wp)
-
-
-def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
-    """The residuals of the monic mp coefficients core["coeffs_mp"], with
-    core's mp recurrence coefficients a2, b, norms normsq and norm_sq_mp."""
-    a2, b, normsq = core["a2"], core["b"], core["normsq"]
-    coeffs = core["coeffs_mp"]
-    n = len(coeffs) - 1
-    out = np.zeros(n)
-    with mpmath.workdps(wp):
-        sn_norm = mpmath.sqrt(abs(core["norm_sq_mp"]))
-        points = []
-        for t in spec.terms:
-            c, order = mpmath.mpc(t.c), max(t.N, t.J)
-            sj = _mp_poly_jet(coeffs, _mp_basis_jets(n, order, c, a2, b), order)
-            points.append((t, c, [[mpmath.mpc(v) for v in row] for row in t.gamma], sj))
-        e = [mpmath.mpf(1)]
-        for k in range(n):
-            terms = [v * coeffs[i] * normsq[i] for i, v in enumerate(e)]
-            xk2 = mpmath.fsum(v ** 2 * normsq[i] for i, v in enumerate(e))
-            for t, c, g, sj in points:
-                mj = [_mono_jet(k, i, c) for i in range(max(t.N, t.J) + 1)]
-                xk2 += mpmath.fsum(mj[i] * g[i][kk] * mj[kk]
-                                   for i in range(t.N + 1)
-                                   for kk in range(t.J + 1))
-                terms += [mj[i] * g[i][kk] * sj[kk]
-                          for i in range(t.N + 1) for kk in range(t.J + 1)]
-            terms = [v for v in terms if v != 0]
-            val = mpmath.fsum(terms)
-            sc = (mpmath.fsum(abs(v) for v in terms) if len(terms) > 1
-                  else sn_norm * mpmath.sqrt(abs(xk2)))
-            out[k] = float(abs(val) / sc) if sc > 0 else float(abs(val))
-            if k < n - 1:
-                e = _mp_xmul(e, a2, b)
-    return out
 
 
 def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees,

@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise VerifyConfigError("jets must be nonnegative")
         centers = [c for c, _ in attraction_factors(self)]
         for z in self.probe_points:
+            if not np.isfinite(z):
+                raise VerifyConfigError(f"probe point {z} is not finite")
             if dist_to_cut(z) < 1e-9:
                 raise VerifyConfigError(f"probe point {z} lies on the cut")
             for c in centers:

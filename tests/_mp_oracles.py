@@ -17,9 +17,9 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
+from relasym.extended import _mp_ab, _mp_basis_jets, _mp_normsq, _mp_poly_jet, _mp_xmul
 from relasym.modified import _ensure_table
-from relasym.sobolev import (_mp_ab, _mp_basis_jets, _mp_normsq, _mp_poly_jet, _mp_xmul,
-                             digit_loss)
+from relasym.sobolev import digit_loss
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
 QUAD_DPS = 80    # rational-modifier moments via tanh-sinh quadrature

@@ -1,5 +1,6 @@
 """Exit codes, report files, and byte determinism of the command line."""
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -66,6 +67,36 @@ def test_probe_on_cut_is_config_error(tmp_path):
     payload["probe_points"] = [[0.5, 0.0]]
     cfg = _write_json(tmp_path / "cut.json", payload)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+LEGENDRE = {"weight_kind": "legendre"}
+# one config per kind of placed value (a point or an exponent), set to v
+NONFINITE_CONFIGS = {
+    "probe": lambda v: {"measure": LEGENDRE, "probe_points": [[v, 0.0]]},
+    "mass_point": lambda v: {"measure": {"weight_kind": "legendre",
+                                         "mass_points": [[v, 0.5]]}},
+    "jacobi_exponent": lambda v: {"measure": {"weight_kind": "jacobi", "alpha": v}},
+    "modifier_zero": lambda v: {"measure": LEGENDRE, "target": {
+        "kind": "modified", "modifier": {"zeros": [{"c": [v, 0.0], "mult": 1}]}}},
+    "modifier_pole": lambda v: {"measure": LEGENDRE, "target": {
+        "kind": "modified", "modifier": {"poles": [{"d": [v, 0.0], "mult": 1}]}}},
+    "coupling_point": lambda v: {"measure": LEGENDRE, "target": {
+        "kind": "sobolev", "sobolev": {"terms": [{"c": [v, 0.0], "gamma": [[1.0]]}]}}},
+    "pade_pole": lambda v: {"measure": LEGENDRE, "target": {
+        "kind": "pade", "stieltjes": {"base": LEGENDRE,
+                                      "poles": [{"c": [v, 0.0], "A": [[1.0, 0.0]]}]}}},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(NONFINITE_CONFIGS))
+def test_nonfinite_value_is_config_error(tmp_path, kind, value):
+    # NaN passes every distance-to-cut comparison and inf lies far from the
+    # cut: both are refused before anything is built or written
+    cfg = _write_json(tmp_path / "c.json", NONFINITE_CONFIGS[kind](value))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "summary.json").exists()
 
 
 def test_verify_sobolev_scenario(tmp_path, capsys):
@@ -265,3 +296,35 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _mpmath_loaded_after(code: str, *argv) -> bool:
+    """Whether a fresh interpreter has imported mpmath after running code."""
+    out = subprocess.run([sys.executable, "-c", code + "\nprint('mpmath' in sys.modules)",
+                          *map(str, argv)], capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def test_double_precision_commands_never_load_mpmath(tmp_path):
+    # mpmath is the extended lane's alone: every bundled double-precision
+    # run finishes without importing it
+    code = """
+import sys
+from relasym.cli import main
+from relasym.scenarios import scenario_names
+runs = [["recurrence", "--config", "legendre"]]
+runs += [[cmd, "--config", name] for name in scenario_names() for cmd in ("verify", "zeros")]
+assert all(main(argv + ["--out", sys.argv[1]]) == 0 for argv in runs)"""
+    assert not _mpmath_loaded_after(code, tmp_path)
+
+
+@pytest.mark.parametrize("code", [
+    "from relasym.cli import main\n"
+    "assert main(['verify', '--config', 'sobolev_point_pair', '--out', sys.argv[1],"
+    " '--precision', 'extended']) == 0",
+    "from relasym import error_ratio, recurrence_for, scenario\n"
+    "f = scenario('pade_gonchar').stieltjes\n"
+    "error_ratio(5, 3.0, f, recurrence_for(f.base, 10))",
+], ids=["verify_extended", "error_ratio"])
+def test_extended_lane_loads_mpmath_on_demand(tmp_path, code):
+    assert _mpmath_loaded_after("import sys\n" + code, tmp_path)

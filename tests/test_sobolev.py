@@ -16,7 +16,8 @@ from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      orthogonality_residuals_extended, phi, recurrence_for,
                      regularity, rule_for, sn_kernel, sn_lambda, sobolev_inner,
                      to_sobolev_spec)
-from relasym.sobolev import SobolevTerm, _residuals
+from relasym.extended import _residuals
+from relasym.sobolev import SobolevTerm
 from relasym.polybasis import MONIC
 
 LEG = BaseMeasureSpec("legendre")
@@ -148,6 +149,18 @@ def test_kernel_refusals_carry_their_kind():
         with pytest.raises(SobolevError) as info:
             sn_kernel(n, spec, table)
         assert info.value.kind == kind, (n, str(info.value))
+
+
+def test_lambda_refuses_results_past_double_range():
+    # the mp solve runs past the double range, its cast results do not: at
+    # 600 norm_sq ~ 1/tau_n^2 is below the smallest normal double, at 1030
+    # gamma_n = norm_sq^(-1/2) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, spec, kind in ((600, PAIR, "underflow"), (1030, DERIV, "overflow")):
+            with pytest.raises(SobolevError, match="flows the double range") as info:
+                sn_lambda(n, spec, TAB)
+            assert info.value.kind == kind, (n, str(info.value))
 
 
 def test_lambda_precision_covers_zero_rows():
