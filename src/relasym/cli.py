@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,9 +83,31 @@ def load_measure(name_or_path: str) -> tuple[BaseMeasureSpec, int]:
     return BaseMeasureSpec.from_json_dict(data), nmax
 
 
+def _is_root_list(obj) -> bool:
+    """A nonempty list of [re, im] pairs of finite floats."""
+    return type(obj) is list and bool(obj) and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float
+        and math.isfinite(p[0]) and math.isfinite(p[1]) for p in obj)
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) at indent pad.
+    Root lists come from one fixed template, the way emit_report writes
+    rows; anything else, non-finite floats included, goes through
+    json.dumps, which writes repr(x) for a finite float as the template does."""
+    inner = pad + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        return ("{\n" + ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(obj[k], inner)}"
+                                    for k in sorted(obj)) + f"\n{pad}}}")
+    if _is_root_list(obj):
+        pair = f"{inner}[\n{inner}  {{!r}},\n{inner}  {{!r}}\n{inner}]"
+        return "[\n" + ",\n".join(pair.format(*p) for p in obj) + f"\n{pad}]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _write_json(path: Path, payload: dict) -> Path:
     """The one JSON writer: sorted keys, 2-space indent, a final newline."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(payload) + "\n")
     return path
 
 
@@ -168,38 +191,29 @@ def cmd_zeros(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"recurrence": cmd_recurrence, "verify": cmd_verify, "zeros": cmd_zeros}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relasym",
-        description="Ratio-asymptotic experiments for modified orthogonal polynomials.",
+        description="Ratio-asymptotic experiments for modified orthogonal polynomials. "
+                    "recurrence emits a recurrence table as JSON, verify runs ratio "
+                    "ladders and reports errors, zeros locates zeros and clusters them.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True,
-                       help="bundled scenario name or path to a JSON config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--precision", choices=("double", "extended"),
-                       default=None, help="override the config's precision lane")
-
-    p_rec = sub.add_parser("recurrence", help="emit a recurrence table as JSON")
-    common(p_rec)
-    p_rec.set_defaults(func=cmd_recurrence)
-
-    p_ver = sub.add_parser("verify", help="run ratio ladders and report errors")
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_zer = sub.add_parser("zeros", help="locate zeros and cluster them")
-    common(p_zer)
-    p_zer.set_defaults(func=cmd_zeros)
+    parser.add_argument("subcommand", choices=COMMANDS)
+    parser.add_argument("--config", required=True,
+                        help="bundled scenario name or path to a JSON config")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--precision", choices=("double", "extended"),
+                        default=None, help="override the config's precision lane")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.subcommand](args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

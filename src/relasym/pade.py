@@ -69,6 +69,8 @@ class StieltjesFn:
             A = tuple(complex(v) for v in A)
             if not A:
                 raise PadeError("pole needs at least one coefficient")
+            if not np.all(np.isfinite(A)):
+                raise PadeError(f"pole coefficients at {c} are not finite")
             if A[-1] == 0:
                 raise PadeError(f"leading pole coefficient at {c} must be nonzero")
             if not np.isfinite(c):

@@ -80,6 +80,8 @@ class SobolevTerm:
         object.__setattr__(self, "gamma", _as_complex_matrix(self.gamma))
         if not np.isfinite(self.c):
             raise SobolevError(f"coupling point {self.c} is not finite")
+        if not np.all(np.isfinite(self.gamma)):
+            raise SobolevError(f"coupling weights at {self.c} are not finite")
         if dist_to_cut(self.c) <= NEAR_CUT:
             raise SobolevError(f"coupling point {self.c} lies on or near [-1, 1]")
         if not np.any(self.gamma[-1]):

@@ -11,17 +11,23 @@ roots() takes one of three routes:
 
 - f = 0 (p is a multiple of l_n): A = J_n, and the roots are the Gauss
   nodes from the symmetric eigensolver.
-- real f: the real nonsymmetric eigensolver on A.  Its real Schur form
-  gives exactly real roots and exactly conjugate pairs.
+- real f: the real nonsymmetric eigensolver on the transpose
+  A^T = J_n - f e_{n-1}^T, which is already upper Hessenberg and has the
+  same eigenvalues.  Its real Schur form gives exactly real roots and
+  exactly conjugate pairs.
 - complex f: with J_n = V diag(x) V^T, A is similar to diag(x) - y w^T,
   y = V[n-1, :], w = V^T f, so its eigenvalues are the zeros of the
   secular function g(z) = 1 + sum_i beta_i / (z - x_i), beta_i = y_i w_i
   (Golub, SIAM Rev. 15, 1973).  Vectorized Aberth sweeps on g find them
-  in O(n^2) per sweep (Bini & Robol, J. Comput. Appl. Math. 272, 2014);
-  roots off the support band, where the sum cancels, take a few more
-  Aberth steps on p itself, with p and p' from the orthonormal
-  recurrence in extended precision.  A solve that does not converge
-  refuses; no route falls back to another.
+  in O(n^2) per sweep (Bini & Robol, J. Comput. Appl. Math. 272, 2014).
+  Roots off the support band, where the sum cancels, are finished on p
+  itself in extended precision: a cluster of k roots, where Aberth steps
+  converge only linearly, restarts from the zeros of the degree-k Taylor
+  polynomial of p at its centroid (the cluster analysis of Bini &
+  Fiorentino, Numer. Algorithms 23, 2000), and every off-band root then
+  takes Aberth steps on p until they are below POLISH_TOL or |p| is at
+  its rounding level.  A solve that does not converge refuses with the
+  kind "unconverged"; no route falls back to another.
 
 The residual gate checks every root set in one forward sweep of the
 orthonormal recurrence over the root array.  l_k and l_k' at all m roots
@@ -59,18 +65,32 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-7
 EPS = float(np.finfo(float).eps)
+LD_EPS = np.finfo(np.longdouble).eps
 # Aberth sweeps on the secular function before the solve refuses
 MAX_SWEEPS = 60
 # roots farther than POLISH_BAND from [-1, 1] take Aberth steps on p itself
-# (at most POLISH_STEPS, until a step is at most POLISH_TOL |z|): there the
-# secular sum cancels and leaves them ~1e-6 off
+# (at most POLISH_STEPS, until a step is at most POLISH_TOL |z| or |p| is at
+# its rounding level): there the secular sum cancels and leaves them ~1e-6 off
 POLISH_BAND = 0.05
 POLISH_TOL = 1e-10
 POLISH_STEPS = 10
+# an off-band root leaves the secular sweeps once its step is at most
+# CLUSTER_STEP times its distance to [-1, 1] but above CLUSTER_RATE times its
+# previous step: the linear rate of Aberth steps on a cluster.  Off-band
+# roots within CLUSTER_SPREAD times that distance of each other form one
+# cluster for the polish.
+CLUSTER_STEP = 1e-4
+CLUSTER_RATE = 0.25
+CLUSTER_SPREAD = 1e-2
 
 
 class ZerosError(ValueError):
-    pass
+    """A refused root solve; kind names the cause ("unconverged" for an
+    iteration that does not converge, else "pre_asymptotic")."""
+
+    def __init__(self, message: str, kind: str = "pre_asymptotic"):
+        super().__init__(message)
+        self.kind = kind
 
 
 class ClusterConfigError(ZerosError):
@@ -148,24 +168,38 @@ def _comrade_norm(q: PolyInBasis, f: np.ndarray) -> float:
     return max(float(rows.max()), float(last.sum()))
 
 
-def _sweep(q: PolyInBasis, z):
-    """p(z) and p'(z) at one point z of type np.clongdouble, from one forward
-    sweep of the orthonormal recurrence (q orthonormal) in extended
-    precision; a sweep that overflows refuses."""
+def _sweep(q: PolyInBasis, z, order: int = 1):
+    """Taylor coefficients p^(j)(z) / j!, j = 0..order, at one point z of
+    type np.clongdouble, from one forward sweep of the orthonormal recurrence
+    (q orthonormal) in extended precision, and the rounding level
+    u sum_k |c_k l_k(z)| of p(z).  Differentiating the recurrence j times and
+    dividing by j! gives t_{k+1,j} = ((z - b_k) t_{k,j} + t_{k,j-1}
+    - a_k t_{k-1,j}) / a_{k+1} for t_{k,j} = l_k^(j)(z) / j!.  A sweep that
+    overflows refuses."""
+    n = q.degree
     c = list(q.coeffs.astype(np.clongdouble))
-    a, b = list(q.table.a.astype(np.longdouble)), list(q.table.b.astype(np.longdouble))
+    a = list(q.table.a[: n + 1].astype(np.longdouble))
+    shifted = list(z - q.table.b[:n].astype(np.longdouble))
+    orders = range(1, order + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_prev = d_prev = d = der = 0.0
-        v = np.longdouble(q.table.tau[0])
-        val = c[0] * v
-        for k in range(q.degree):
-            v_prev, v = v, ((z - b[k]) * v - a[k] * v_prev) / a[k + 1]
-            d_prev, d = d, ((z - b[k]) * d + v_prev - a[k] * d_prev) / a[k + 1]
-            val = val + c[k + 1] * v
-            der = der + c[k + 1] * d
-    if not (np.isfinite(val) and np.isfinite(der)):
-        raise ZerosError(f"recurrence sweep overflows the double range at degree {q.degree}")
-    return val, der
+        prev = [0.0] * (order + 1)
+        row = [np.longdouble(q.table.tau[0])] + [0.0] * order
+        acc = [c[0] * row[0]] + [0.0] * order
+        level = abs(acc[0])
+        for g, ak, a_next, ck in zip(shifted, a, a[1:], c[1:]):
+            v = (g * row[0] - ak * prev[0]) / a_next
+            nxt = [v]
+            term = ck * v
+            acc[0] += term
+            level += abs(term)
+            for j in orders:
+                v = (g * row[j] + row[j - 1] - ak * prev[j]) / a_next
+                nxt.append(v)
+                acc[j] += ck * v
+            prev, row = row, nxt
+    if not all(np.isfinite(t) for t in acc + [level]):
+        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}")
+    return acc, LD_EPS * level
 
 
 def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
@@ -253,11 +287,14 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     sweeps over the roots still active.  p'/p = g'/g + sum_i 1/(z - x_i)
     for p ~ g prod (z - x_i).  Root i starts at x_i - beta_i / g_i(x_i),
     the zero of its own pole term against the sum g_i of the others, and
-    retires once its step is at most eps |z| or |g| is at its rounding
-    level m eps (1 + sum_i |beta_i / (z - x_i)|).  Temporaries are
+    retires once its step is at most eps |z|, once |g| is at its rounding
+    level m eps (1 + sum_i |beta_i / (z - x_i)|), or once it is off the
+    band and shrinks only linearly (CLUSTER_STEP, CLUSTER_RATE): _polish
+    resolves such a cluster from its centroid.  Temporaries are
     (active, m): retired roots cost nothing."""
     m = x.size
     abs_beta = np.abs(beta)
+    last = np.full(m, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv = np.subtract.outer(x, x)
         np.fill_diagonal(inv, np.inf)
@@ -281,25 +318,56 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
             np.reciprocal(buf, out=buf)
             step = newton / (1.0 - newton * buf.sum(axis=1))
             step[done] = 0.0
-            z[active] = za - step
-            active = active[~done & (np.abs(step) > EPS * np.abs(z[active]))]
+            za = z[active] = za - step
+            size, dist = np.abs(step), dist_to_cut(za)
+            linear = ((dist > POLISH_BAND) & (size <= CLUSTER_STEP * dist)
+                      & (size > CLUSTER_RATE * last[active]))
+            last[active] = size
+            active = active[~done & ~linear & (size > EPS * np.abs(za))]
     if active.size:
-        raise ZerosError(f"root iteration did not converge at degree {n}")
+        raise ZerosError(f"root iteration did not converge at degree {n}",
+                         kind="unconverged")
     return z
 
 
+def _clusters(z: np.ndarray, idx, dist: np.ndarray) -> list:
+    """Index lists of the connected components of z[idx], two roots being
+    linked when they lie within CLUSTER_SPREAD times the larger of their
+    distances dist to [-1, 1] of each other."""
+    groups = []
+    for i in idx:
+        linked = [g for g in groups if any(
+            abs(z[i] - z[j]) <= CLUSTER_SPREAD * max(dist[i], dist[j]) for j in g)]
+        groups = [g for g in groups if g not in linked]
+        groups.append([i] + [j for g in linked for j in g])
+    return groups
+
+
 def _polish(q: PolyInBasis, z: np.ndarray) -> None:
-    """Aberth steps on p itself, in place, for the roots off the band.  p
-    and p' come from the recurrence sweep in extended precision: in double,
-    its rounding error alone moves a near-double attracted pair by ~1e-8."""
-    off = np.flatnonzero(dist_to_cut(z) > POLISH_BAND)
+    """Finish the roots off the band in place, in extended precision: in
+    double, the recurrence's rounding error alone moves a near-double
+    attracted pair by ~1e-8.  A cluster of k > 1 roots first moves to the k
+    zeros of the degree-k Taylor polynomial of p at its centroid, from one
+    sweep that carries orders 0..k.  Then each off-band root takes Aberth
+    steps on p until a step is at most POLISH_TOL |z| or |p| is at its
+    rounding level, where a step is noise; a root still moving after
+    POLISH_STEPS refuses."""
+    dist = dist_to_cut(z)
+    off = np.flatnonzero(dist > POLISH_BAND).tolist()
     with np.errstate(divide="ignore", invalid="ignore"):
+        for group in _clusters(z, off, dist):
+            if len(group) > 1:
+                center = np.clongdouble(z[group].mean())
+                taylor = _sweep(q, center, len(group))[0]
+                if taylor[-1] != 0:   # monic in extended precision: no double overflow
+                    monic = np.array([t / taylor[-1] for t in taylor[::-1]], dtype=complex)
+                    z[group] = complex(center) + np.roots(monic)
         for _ in range(POLISH_STEPS):
             moving = []
             for j in off:
                 zj = np.clongdouble(z[j])
-                val, der = _sweep(q, zj)
-                if der == 0:
+                (val, der), level = _sweep(q, zj)
+                if der == 0 or abs(val) <= level:
                     continue
                 newton = val / der
                 gaps = z[j] - z
@@ -308,15 +376,20 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
                 z[j] = complex(zj - step)
                 if abs(step) > POLISH_TOL * abs(z[j]):
                     moving.append(j)
+            if not moving:
+                return
             off = moving
+    raise ZerosError(f"root polish did not converge at degree {q.degree}",
+                     kind="unconverged")
 
 
 def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     """All deg(p) roots, sorted by (re, im).
 
     Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
-    nodes when f = 0, the real nonsymmetric eigensolver when f is real,
-    and the secular Aberth solve when f is complex (module docstring).
+    nodes when f = 0, the real nonsymmetric eigensolver on the Hessenberg
+    A^T when f is real, and the secular Aberth solve with the extended
+    precision finish when f is complex (module docstring).
     Each root is validated against the running-error scale of the
     evaluation; a relative residual above RESIDUAL_TOL raises, since it
     means the root set cannot be trusted at the advertised accuracy.
@@ -328,7 +401,7 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     if not np.any(f):
         vals = np.linalg.eigvalsh(_jacobi(q.table, q.degree))
     elif not np.any(f.imag):
-        vals = np.linalg.eigvals(_comrade_matrix(q))
+        vals = np.linalg.eigvals(_comrade_matrix(q).T)
     else:
         vals = _secular_roots(q, f)
     out = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))

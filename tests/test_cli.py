@@ -10,7 +10,9 @@ import pytest
 
 import relasym.zeros
 from relasym import BaseMeasureSpec, recurrence_for, scenario
+from relasym.cli import _write_json as cli_write_json
 from relasym.cli import main
+from relasym.verify import run_zero_attraction
 
 
 def _write_json(path, payload):
@@ -85,6 +87,12 @@ NONFINITE_CONFIGS = {
     "pade_pole": lambda v: {"measure": LEGENDRE, "target": {
         "kind": "pade", "stieltjes": {"base": LEGENDRE,
                                       "poles": [{"c": [v, 0.0], "A": [[1.0, 0.0]]}]}}},
+    # weights and coefficients: NaN != 0 passes the nonzero-top-row checks
+    "coupling_weight": lambda v: {"measure": LEGENDRE, "target": {
+        "kind": "sobolev", "sobolev": {"terms": [{"c": [2.0, 0.0], "gamma": [[v]]}]}}},
+    "pade_coefficient": lambda v: {"measure": LEGENDRE, "target": {
+        "kind": "pade", "stieltjes": {"base": LEGENDRE,
+                                      "poles": [{"c": [0.0, 3.0], "A": [[v, 0.0]]}]}}},
 }
 
 
@@ -328,3 +336,54 @@ assert all(main(argv + ["--out", sys.argv[1]]) == 0 for argv in runs)"""
 ], ids=["verify_extended", "error_ratio"])
 def test_extended_lane_loads_mpmath_on_demand(tmp_path, code):
     assert _mpmath_loaded_after("import sys\n" + code, tmp_path)
+
+
+def _zeros_payload(name, n):
+    cfg = scenario(name)
+    reps = run_zero_attraction(cfg, degrees=(n,))
+    return {"config": cfg.to_json_dict(),
+            "reports": {str(k): rep.to_json_dict() for k, rep in reps.items()}}
+
+
+WRITER_EDGES = {
+    "empty": {"roots": [], "centers": [], "reports": {}},
+    "signed_zero_subnormal_huge": {"roots": [[-0.0, 5e-324], [1e300, -1e300], [0.1, -2.5]]},
+    "nan": {"roots": [[float("nan"), 0.0], [1.0, 2.0]], "x": float("nan")},
+    "inf": {"roots": [[1.0, float("-inf")]]},
+    "ints_and_bools": {"roots": [[1, 2]], "mixed": [[1.0, 2]], "flags": [[True, 1.0]]},
+    "nested": {"a": [[[1.0, 2.0]], {"roots": [[3.0, 4.0]]}], "b": {"c": {"roots": [[5.0, 6.0]]}},
+               "triples": [[1.0, 2.0, 3.0]], "s": "tab\there é"},
+}
+
+
+@pytest.mark.parametrize("payload", [pytest.param(p, id=k) for k, p in WRITER_EDGES.items()]
+                         + [pytest.param(name, id=name) for name in
+                            ("sobolev_point_pair", "pade_gonchar", "base_legendre")])
+def test_json_writer_matches_json_dumps(tmp_path, payload):
+    # root lists go through a template; the bytes are json.dumps's
+    if isinstance(payload, str):
+        payload = _zeros_payload(payload, 180)
+    path = cli_write_json(tmp_path / "out.json", payload)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("sub", ["recurrence", "verify", "zeros"])
+def test_each_subcommand_runs(tmp_path, sub):
+    config = "legendre" if sub == "recurrence" else "sobolev_point_derivative"
+    assert main([sub, "--config", config, "--out", str(tmp_path)]) == 0
+    name = {"recurrence": "recurrence.json", "verify": "summary.json",
+            "zeros": "zeros.json"}[sub]
+    assert (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "base_legendre", "--precision", "quad"],
+    ["verify"],
+    ["--config", "base_legendre"],
+    ["solve", "--config", "base_legendre"],
+], ids=["bad_precision", "missing_config", "missing_subcommand", "unknown_subcommand"])
+def test_bad_command_line_exits_2(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "usage: relasym" in capsys.readouterr().err

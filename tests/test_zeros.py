@@ -19,6 +19,7 @@ from relasym import (
     scenario,
     sn_kernel,
 )
+from relasym import zeros as zeros_module
 from relasym.joukowski import dist_to_cut
 from relasym.polybasis import MONIC, ORTHONORMAL
 from relasym.sobolev import SobolevSpec, SobolevTerm
@@ -269,6 +270,96 @@ def test_attracted_pair_matches_extended_precision_refinement():
     assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
     for t in _mp_refined(q, pair):
         assert np.min(np.abs(pair - t)) <= 1e-8
+
+
+def _ring(center, k, radius=1e-4):
+    """k complex starts around center, off the real axis."""
+    return [center + radius * np.exp(2j * np.pi * (t + 0.1) / k) for t in range(k)]
+
+
+@pytest.mark.parametrize("n", [60, 120, 180])
+def test_attracted_pair_finishes_within_sweep_budget(monkeypatch, n):
+    # the pair pade_gonchar attracts to 2i is a k = 2 cluster.  It leaves
+    # the secular sweeps once its steps shrink linearly, within 18 sweeps
+    # (their rounding stall comes at 21 or 22); then one Taylor sweep at its
+    # centroid and at most two Aberth rounds finish it, 2k + 1 extended
+    # sweeps in all, within 1e-8 of its 50-digit values
+    monkeypatch.setattr(zeros_module, "MAX_SWEEPS", 18)
+    cfg = scenario("pade_gonchar")
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    sweeps = []
+    real_sweep = zeros_module._sweep
+
+    def counting(*args):
+        sweeps.append(args)
+        return real_sweep(*args)
+
+    monkeypatch.setattr(zeros_module, "_sweep", counting)
+    got = np.array(roots(q))
+    pair = got[dist_to_cut(got) > 0.05]
+    assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
+    assert len(sweeps) <= 2 * pair.size + 1
+    for t in _mp_refined(q, _ring(2j, 2)):
+        assert np.min(np.abs(pair - t)) <= 1e-8
+
+
+def test_cluster_started_on_the_real_axis_converges_or_refuses():
+    # a triple cluster at 2 + 1e-30j: complex data, but the secular sweeps
+    # start on the real axis and stay there, while two of the three roots
+    # are a conjugate pair 1.553e-5 off it.  The solve must find them or
+    # refuse, not return real roots that pass the residual gate
+    table = recurrence_for(BaseMeasureSpec("legendre"), 62)
+    spec = SobolevSpec((SobolevTerm(2.0 + 1e-30j, np.eye(3)),))
+    q = sn_kernel(60, spec, table).rep.to_basis(ORTHONORMAL)
+    try:
+        got = np.array(roots(q))
+    except ZerosError as exc:
+        assert exc.kind == "unconverged"
+        return
+    near = got[dist_to_cut(got) > 0.05]
+    assert near.size == 3
+    for t in _mp_refined(q, _ring(2.0, 3)):
+        assert np.min(np.abs(near - t)) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1.5j, 2.0 + 0.5j])
+def test_triple_cluster_converges_at_its_rounding_level(c):
+    # three roots ~2e-5 apart: longdouble steps stall near 1e-9, above
+    # POLISH_TOL, where |p| is at its rounding level; the finish stops there
+    table = recurrence_for(BaseMeasureSpec("legendre"), 62)
+    q = sn_kernel(60, SobolevSpec((SobolevTerm(c, np.eye(3)),)), table).rep.to_basis(ORTHONORMAL)
+    got = np.array(roots(q))
+    near = got[dist_to_cut(got) > 0.05]
+    assert near.size == 3
+    for t in _mp_refined(q, _ring(c, 3)):
+        assert np.min(np.abs(near - t)) <= 1e-8
+
+
+def test_unconverged_polish_refuses(monkeypatch):
+    cfg = scenario("pade_gonchar")
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, 62)).poly(60).to_basis(ORTHONORMAL)
+    monkeypatch.setattr(zeros_module, "POLISH_STEPS", 0)
+    with pytest.raises(ZerosError, match="did not converge") as info:
+        roots(q)
+    assert info.value.kind == "unconverged"
+
+
+def test_real_route_hands_the_eigensolver_a_hessenberg_matrix(monkeypatch):
+    # A^T = J_n - f e_{n-1}^T is upper Hessenberg with the eigenvalues of A
+    cfg = scenario("sobolev_point_pair")
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, 62)).poly(60).to_basis(ORTHONORMAL)
+    seen = []
+    real_eigvals = np.linalg.eigvals
+
+    def spy(m):
+        seen.append(np.array(m))
+        return real_eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    got = roots(q)
+    assert len(seen) == 1 and not np.any(np.tril(seen[0], -2))
+    np.testing.assert_array_equal(seen[0], _comrade_matrix(q).T)
+    assert len(got) == 60
 
 
 @pytest.mark.parametrize("measure", [BaseMeasureSpec("legendre"), ATOM_LEG],
