@@ -1,15 +1,7 @@
 """Orthogonal polynomials for modified measures and discrete Sobolev
 inner products, with closed-form limit functions and verification tooling."""
 
-from .measures import (
-    BaseMeasureSpec,
-    MeasureError,
-    QuadratureRule,
-    RecurrenceTable,
-    gauss_rule,
-    recurrence_for,
-    rule_for,
-)
+from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 from .polybasis import PolyInBasis, basis_jets, eval_jet, inner_mu
 from .joukowski import (
     CutDomainError,

@@ -275,7 +275,10 @@ def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
 
     A table that knows its measure gets `rule_for` (nodes of the pure
     weight, so they stay inside [-1,1], and the atoms as exact point
-    masses); otherwise plain Golub-Welsch on the table.
+    masses); otherwise plain Golub-Welsch on the table.  No construction
+    or check of the package uses it: every integral there is exact
+    recurrence algebra.  It stays as the tests' independent quadrature
+    oracle, and as the layer perfbench's tracer wraps.
     """
     if m < 1:
         raise MeasureError("rule size must be >= 1")
@@ -288,7 +291,11 @@ def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
 
 
 def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:
-    """Gauss rule of the pure weight plus the measure's atoms."""
+    """Gauss rule of the pure weight plus the measure's atoms.
+
+    Kept, like `gauss_rule`, only as an independent quadrature oracle for
+    the tests; the package itself integrates by recurrence algebra.
+    """
     alpha, beta = spec.jacobi_exponents()
     b, asq = _jacobi_ab(alpha, beta, m)
     nodes, weights = _golub_welsch(b[:m], np.sqrt(asq[1:m]), spec.continuous_mass())

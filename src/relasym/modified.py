@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut
-from .measures import (BaseMeasureSpec, QuadratureRule, RecurrenceTable,
-                       gauss_rule, minimal_solution, recurrence_for)
-from .polybasis import MONIC, PolyInBasis, basis_jets, divide_out_zeros, xmul
+from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution, recurrence_for
+from .polybasis import MONIC, PolyInBasis, basis_jets, divide_out_zeros, xmul, xmul_coeffs
 
 __all__ = [
     "RationalModifier",
@@ -30,7 +29,6 @@ __all__ = [
     "solve_Q",
     "recurrence_extract",
     "weak_limit_probe",
-    "inner_rho",
 ]
 
 # Condition-number gate: a solve above this is reported as pre-asymptotic.
@@ -292,15 +290,6 @@ def solve_Q_jets(n: int, r: RationalModifier, base: RecurrenceTable,
                       kappa_sq_inv=complex(kappa_sq_inv), beta=complex(beta), cond=cond)
 
 
-def inner_rho(p: PolyInBasis, q: PolyInBasis, r: RationalModifier,
-              rule: QuadratureRule) -> complex:
-    """Bilinear integral of p*q*r against mu (no conjugation)."""
-    pts = rule.all_points()
-    w = rule.all_weights()
-    return complex(np.sum(w * p.values_on_rule(rule) * q.values_on_rule(rule)
-                          * r.values(pts)))
-
-
 def recurrence_extract(op_prev: ModifiedOP, op_mid: ModifiedOP,
                        op_next: ModifiedOP) -> tuple[complex, complex, float]:
     """(alpha_n^2, beta_n, residual) from three consecutive solved degrees.
@@ -338,7 +327,14 @@ def _alpha_chain(ops: list[ModifiedOP]) -> complex:
 def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
                      base: RecurrenceTable) -> tuple[complex, complex]:
     """lhs = integral f q_n q_{n+nu} r dmu against the orthonormalized pair;
-    rhs = (1/pi) integral f T_nu / sqrt(1-x^2) dx by Gauss-Chebyshev.
+    rhs = (1/pi) integral f T_nu / sqrt(1-x^2) dx by Gauss-Chebyshev, whose
+    closed-form nodes are exact for its degree.
+
+    f = sum f_j L_j acts on Q_n's monic coefficients as sum f_j L_j(J), one
+    recurrence step on `xmul_coeffs` per degree of f.  Peeling f Q_n from
+    the top over Q_m, m > n + nu, leaves c L_{n+nu} plus lower degrees, and
+    by orthogonality integral f Q_n Q_{n+nu} r dmu = c / kappa_{n+nu}^2,
+    exactly: no quadrature, no pole moments, nothing special for atoms.
 
     kappa_n kappa_{n+nu} is evaluated as kappa_n^2 / (alpha_{n+1}..alpha_{n+nu})
     with principal-root alphas, the recursive normalization choice; no global
@@ -346,52 +342,27 @@ def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
     """
     if nu < 0:
         raise ModifiedError("nu must be >= 0")
-    base = _ensure_table(base, n + nu + r.A + 1)
-    ops = [solve_Q(k, r, base) for k in range(n, n + nu + 1)]
-    m = n + nu + r.A + r.B + 60 + f.degree
-    big = gauss_rule(base, m)
-    s = inner_rho(f_times(f, ops[0].q), ops[-1].q, r, big)
-    kk = (1.0 / ops[0].kappa_sq_inv) / _alpha_chain(ops) if nu > 0 else 1.0 / ops[0].kappa_sq_inv
-    lhs = complex(s * kk)
+    top = n + max(nu, f.degree)
+    base, jets = modifier_jets(r, base, top)
+    ops = [solve_Q_jets(k, r, base, jets) for k in range(n, top + 1)]
+    fc = f.to_basis(MONIC).coeffs
+    a, b = f.table.a, f.table.b
+    lo, cur = np.zeros(0, dtype=complex), ops[0].q.coeffs
+    fq = np.zeros(top + 1, dtype=complex)          # f Q_n over the monic mu-basis
+    fq[: n + 1] = fc[0] * cur
+    for j in range(f.degree):                      # L_{j+1} Q_n from L_j Q_n, L_{j-1} Q_n
+        nxt = xmul_coeffs(cur, base)
+        nxt[:-1] -= b[j] * cur
+        nxt[: len(lo)] -= a[j] ** 2 * lo
+        lo, cur = cur, nxt
+        fq[: len(cur)] += fc[j + 1] * cur
+    for op in ops[:nu:-1]:                         # peel Q_top .. Q_{n+nu+1}
+        fq[: op.n + 1] -= fq[op.n] * op.q.coeffs
+    kk = (1.0 / ops[0].kappa_sq_inv) / _alpha_chain(ops[: nu + 1])
+    lhs = complex(fq[n + nu] * ops[nu].kappa_sq_inv * kk)
 
     mc = f.degree + nu + 32
     theta = (2 * np.arange(1, mc + 1) - 1) * np.pi / (2 * mc)
     xc = np.cos(theta)
     rhs = complex(np.sum(f.values(xc) * np.cos(nu * theta)) / mc)
     return lhs, rhs
-
-
-def f_times(f: PolyInBasis, g: PolyInBasis) -> PolyInBasis:
-    """Product f*g, Horner in x over the basis (f of small degree)."""
-    fm = f.to_basis(MONIC)
-    gm = g.to_basis(MONIC)
-    mono = monomial_to_coeffs(fm)
-    acc = PolyInBasis(MONIC, gm.coeffs * mono[fm.degree], gm.degree, gm.table)
-    for k in range(fm.degree - 1, -1, -1):
-        acc = xmul(acc)
-        cc = acc.coeffs.copy()
-        cc[: gm.degree + 1] += mono[k] * gm.coeffs
-        acc = PolyInBasis(MONIC, cc, acc.degree, gm.table)
-    return acc.to_basis(g.basis)
-
-
-def monomial_to_coeffs(p: PolyInBasis) -> np.ndarray:
-    """Monomial coefficients of a low-degree polynomial given over the mu-basis."""
-    pm = p.to_basis(MONIC)
-    deg = pm.degree
-    table = pm.table
-    # Build the change-of-basis triangle L_k -> monomials by the recurrence.
-    tri = np.zeros((deg + 1, deg + 1), dtype=complex)
-    tri[0, 0] = 1.0
-    if deg >= 1:
-        tri[1, 1] = 1.0
-        tri[1, 0] = -table.b[0]
-    for k in range(1, deg):
-        prev = tri[k - 1]
-        cur = tri[k]
-        nxt = np.zeros(deg + 1, dtype=complex)
-        nxt[1:] += cur[:-1]
-        nxt -= table.b[k] * cur
-        nxt -= table.a[k] ** 2 * prev
-        tri[k + 1] = nxt
-    return pm.coeffs @ tri

@@ -28,8 +28,9 @@ import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
-from .modified import _ensure_table, monomial_to_coeffs
-from .polybasis import MONIC, PolyInBasis, divide_out_zeros, lincomb, xmul, xmul_coeffs
+from .modified import _ensure_table
+from .polybasis import (MONIC, PolyInBasis, basis_jets, divide_out_zeros, lincomb, xmul,
+                        xmul_coeffs)
 from .sobolev import SobolevSpec, SobolevTerm, digit_loss, sn_kernel
 
 __all__ = [
@@ -226,16 +227,19 @@ def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
     return complex(base.total_mass / (z - base.b[0] - h1)) + f.pole_value(z)
 
 
+def _power_coeffs(base: RecurrenceTable, count: int) -> list[np.ndarray]:
+    """Monic mu-basis coefficients of x^s for s < count, x^{s+1} = J x^s."""
+    out = [np.ones(1, dtype=complex)][:count]
+    while len(out) < count:
+        out.append(xmul_coeffs(out[-1], base))
+    return out
+
+
 def mu_moments(base: RecurrenceTable, count: int) -> np.ndarray:
     """m_s = integral x^s dmu for s < count, from the recurrence (exact
     sparse expansion of x^s over the basis; no quadrature)."""
     m0 = 1.0 / base.tau[0] ** 2
-    e = np.array([1.0 + 0.0j])
-    out = np.zeros(count, dtype=complex)
-    for s in range(count):
-        out[s] = e[0] * m0
-        e = xmul_coeffs(e, base)
-    return out
+    return np.array([e[0] * m0 for e in _power_coeffs(base, count)], dtype=complex)
 
 
 def laurent_moments(f: StieltjesFn, base: RecurrenceTable, count: int) -> np.ndarray:
@@ -255,19 +259,38 @@ def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
                          count: int | None = None) -> np.ndarray:
     """Relative sizes of the first Laurent coefficients of f*Q_n - P_n.
 
-    Exactly zero through order n for a true [n-1, n] pair; evaluated by
-    moment matching in coefficient space (conditioning limits this check to
-    moderate n, which is where it is used).
+    Exactly zero through order n for a true [n-1, n] pair.  The coefficient
+    of z^(-t-1) is integral x^t Q_n dmu + sum_{j,i} A_{j,i} (x^t Q_n)^(i)(c_j).
+    The integral pairs the monic coefficients of x^t with those of Q_n,
+    weighted by ||L_k||^2 = 1/tau_k^2; the pole terms follow by Leibniz from
+    one `basis_jets` sweep per pole.  Each residual is relative to the sum
+    of the magnitudes of every product it adds up, Q_n^(s)(c_j) taken term
+    by term as sum_k q_k L_k^(s)(c_j), whose sum double does not resolve.
     """
     n = appr.n
     count = n if count is None else count
-    qt = monomial_to_coeffs(appr.Q_n.to_basis(MONIC))
-    fs = laurent_moments(f, base, count + n + 1)
+    base = _ensure_table(base, max(n, count))
+    q = appr.Q_n.to_basis(MONIC).coeffs
+    w = q / base.tau[: len(q)] ** 2
+    vals = np.zeros(count, dtype=complex)
+    mags = np.zeros(count)
+    for t, e in enumerate(_power_coeffs(base, count)):
+        terms = e[: len(w)] * w[: len(e)]
+        vals[t] = np.sum(terms)
+        mags[t] = np.sum(np.abs(terms))
+    t = np.arange(count)
+    for c, A in f.poles:
+        jets = basis_jets(base, len(q) - 1, c, order=len(A) - 1) * q
+        qd, qm = jets.sum(axis=1), np.abs(jets).sum(axis=1)   # Q_n^(s)(c), term sizes
+        for r in range(len(A)):
+            # (x^t)^(r)(c) = t!/(t-r)! c^(t-r), zero for t < r
+            dpow = np.array([math.perm(k, r) for k in range(count)]) * c ** (t - r)
+            for i in range(r, len(A)):
+                binom = math.comb(i, r) * A[i]
+                vals += binom * dpow * qd[i - r]
+                mags += abs(binom) * np.abs(dpow) * qm[i - r]
     out = np.zeros(count)
-    for t in range(count):
-        terms = qt * fs[t: t + n + 1]
-        scale = float(np.sum(np.abs(terms)))
-        out[t] = abs(complex(np.sum(terms))) / scale if scale > 0 else 0.0
+    np.divide(np.abs(vals), mags, out=out, where=mags > 0)
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MeasureError, QuadratureRule, RecurrenceTable, atom_basis_values
+from .measures import MeasureError, RecurrenceTable
 
 __all__ = [
     "PolyInBasis",
@@ -21,7 +21,6 @@ __all__ = [
     "xmul_coeffs",
     "lincomb",
     "divide_out_zeros",
-    "rule_basis_values",
     "inner_mu",
 ]
 
@@ -119,11 +118,6 @@ class PolyInBasis:
             return complex(np.dot(self.coeffs, vals[0]))
         return np.tensordot(self.coeffs, vals[0], axes=(0, 0))
 
-    def values_on_rule(self, rule: QuadratureRule) -> np.ndarray:
-        """Values at every rule point (nodes, then atoms; stable at atoms)."""
-        vals = rule_basis_values(self.table, self.degree, rule, self.basis)
-        return self.coeffs @ vals
-
     def jet(self, z: complex, order: int) -> np.ndarray:
         vals = basis_jets(self.table, self.degree, z, order, self.basis)
         return vals @ self.coeffs
@@ -172,40 +166,17 @@ def xmul(p: PolyInBasis) -> PolyInBasis:
     return res.to_basis(p.basis)
 
 
-def rule_basis_values(table: RecurrenceTable, deg: int, rule: QuadratureRule,
-                      basis: str = MONIC) -> np.ndarray:
-    """Basis values through degree deg at every rule point (nodes, then atoms).
-
-    Atom columns for mass points of the table's own measure come from the
-    backward-stable point evaluation; forward recurrence at those points is
-    noise beyond moderate degrees.
-    """
-    node_vals = basis_jets(table, deg, rule.nodes, 0, basis)[0]
-    if not rule.atoms:
-        return node_vals
-    spec = table.spec
-    spec_locs = tuple(loc for loc, _ in spec.mass_points) if spec is not None else ()
-    cols = [node_vals]
-    for loc, _ in rule.atoms:
-        if loc in spec_locs:
-            col = atom_basis_values(table, deg, loc).astype(complex)
-            if basis == MONIC:
-                col = col / table.tau[: deg + 1]
-        else:
-            col = basis_jets(table, deg, complex(loc), 0, basis)[0]
-        cols.append(col[:, None])
-    return np.concatenate(cols, axis=1)
-
-
-def inner_mu(p: PolyInBasis, q: PolyInBasis, rule: QuadratureRule) -> complex:
+def inner_mu(p: PolyInBasis, q: PolyInBasis) -> complex:
     """Bilinear integral of p*q against the measure (no conjugation).
 
-    The rule must be exact for deg p + deg q against the continuous part;
-    its atoms are evaluated as in `rule_basis_values`.
+    The orthonormal basis is orthonormal for the whole measure, atoms
+    included, so the integral is sum p_k q_k over the orthonormal
+    coefficients, exactly.
     """
-    if 2 * rule.size - 1 < p.degree + q.degree:
-        raise MeasureError("quadrature rule too small for requested inner product")
-    return complex(np.sum(rule.all_weights() * p.values_on_rule(rule) * q.values_on_rule(rule)))
+    pc = p.to_basis(ORTHONORMAL).coeffs
+    qc = q.to_basis(ORTHONORMAL).coeffs
+    d = min(len(pc), len(qc))
+    return complex(np.dot(pc[:d], qc[:d]))
 
 
 def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]]) -> PolyInBasis:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import QuadratureRule, RecurrenceTable
+from .measures import RecurrenceTable
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import _ensure_table, solve_Q  # noqa: F401
@@ -198,11 +198,10 @@ def regularity(spec: SobolevSpec) -> RegularityReport:
     )
 
 
-def sobolev_inner(h: PolyInBasis, g: PolyInBasis, spec: SobolevSpec,
-                  base: RecurrenceTable, rule: QuadratureRule) -> complex:
+def sobolev_inner(h: PolyInBasis, g: PolyInBasis, spec: SobolevSpec) -> complex:
     """<h, g>: mu integral plus the derivative coupling terms (bilinear,
     no conjugation; h sits in the left slot of the couplings)."""
-    total = inner_mu(h, g, rule)
+    total = inner_mu(h, g)
     for t in spec.terms:
         hj = h.jet(t.c, t.N)
         gj = g.jet(t.c, t.J)

@@ -34,13 +34,13 @@ from relasym import (
     phi,
     recurrence_extract,
     recurrence_for,
-    rule_for,
     sn_kernel,
     sn_lambda,
     solve_Q,
     to_sobolev_spec,
     weak_limit_probe,
 )
+from relasym.measures import rule_for
 from relasym.polybasis import MONIC, ORTHONORMAL, basis_jets
 from relasym.scenarios import SCENARIOS, scenario
 from relasym.verify import monotone_violations, run_ratio_ladder, run_zero_attraction

@@ -28,3 +28,19 @@ def test_package_imports_resolve():
         mod = importlib.import_module(f"relasym.{module}")
         assert hasattr(mod, name), f"relasym.{module} has no {name}"
         assert getattr(relasym, name) is getattr(mod, name)
+
+
+QUADRATURE = {"gauss_rule", "rule_for", "QuadratureRule", "_golub_welsch"}
+NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_quadrature_stays_in_measures():
+    # every construction and check integrates by recurrence algebra; the
+    # Gauss rule is the tests' oracle, so no other module may name it
+    for path in sorted(Path(relasym.__file__).parent.glob("*.py")):
+        if path.stem == "measures":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {getattr(node, NAME_FIELD[type(node)]) for node in ast.walk(tree)
+                 if type(node) in NAME_FIELD}
+        assert not names & QUADRATURE, f"{path.name} names {sorted(names & QUADRATURE)}"

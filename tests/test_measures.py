@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from relasym import (BaseMeasureSpec, MeasureError, RecurrenceTable,
-                     gauss_rule, inner_mu, recurrence_for, rule_for)
+from relasym import BaseMeasureSpec, MeasureError, RecurrenceTable, inner_mu, recurrence_for
+from relasym.measures import gauss_rule, rule_for
 from relasym.polybasis import PolyInBasis
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -103,9 +103,10 @@ def test_rule_for_includes_atoms():
     rule = rule_for(ATOM, 12)
     assert rule.atoms == ((2.0, 0.5),)
     assert 2.0 in rule.all_points()
+    assert np.sum(rule.all_weights()) == pytest.approx(np.pi + 0.5, rel=1e-12)
     t = recurrence_for(ATOM, 4)
     one = PolyInBasis.basis_poly(t, 0)
-    assert inner_mu(one, one, rule) == pytest.approx(np.pi + 0.5, rel=1e-12)
+    assert inner_mu(one, one) == pytest.approx(np.pi + 0.5, rel=1e-12)
 
 
 def test_recurrence_json_round_trip():

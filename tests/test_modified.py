@@ -8,12 +8,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from _mp_oracles import compare_monomial, legendre_pole_moment, oracle_modified_monic
+from _quadrature import inner_rho, values_on_rule
 
 from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier,
                      StieltjesFn, f_value, limit_modified, recurrence_extract,
-                     recurrence_for, rule_for, solve_Q, weak_limit_probe)
-from relasym.measures import minimal_solution
-from relasym.modified import _pole_moments, inner_rho
+                     recurrence_for, solve_Q, weak_limit_probe)
+from relasym.measures import minimal_solution, rule_for
+from relasym.modified import _alpha_chain, _pole_moments
 from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, xmul
 
 LEG = BaseMeasureSpec("legendre")
@@ -169,6 +170,29 @@ def test_weak_limit_probe_trivial_f():
     lhs, rhs = weak_limit_probe(one, 0, 40, R_CPX, TAB)
     assert rhs == pytest.approx(1.0, rel=1e-13)      # (1/pi) integral of 1
     assert abs(lhs - rhs) < 1e-3
+
+
+ATOMS2 = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 0.3)))
+R_ATOMS2 = RationalModifier(zeros=((3.0 + 0j, 1),), poles=((-1.5 + 0.5j, 2),))
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+@pytest.mark.parametrize("fdeg", [0, 1, 2, 6])
+def test_weak_limit_probe_on_atoms_with_double_pole(fdeg, nu):
+    # the exact lhs against Gauss quadrature with stable atom columns, on a
+    # double complex pole half a unit from the support and an atom below it
+    n = 60
+    tab = recurrence_for(ATOMS2, 70)
+    coeffs = np.array([0.3, -0.2j, 1.0, 0.5, 0.1, -0.7, 1.0])[-fdeg - 1:]
+    f = PolyInBasis(MONIC, coeffs, fdeg, tab)
+    lhs, _ = weak_limit_probe(f, nu, n, R_ATOMS2, tab)
+    ops = [solve_Q(k, R_ATOMS2, tab) for k in range(n, n + nu + 1)]
+    rule = rule_for(ATOMS2, n + nu + R_ATOMS2.A + R_ATOMS2.B + 60 + fdeg)
+    pts = rule.all_points()
+    s = np.sum(rule.all_weights() * values_on_rule(f, rule) * values_on_rule(ops[0].q, rule)
+               * values_on_rule(ops[-1].q, rule) * R_ATOMS2.values(pts))
+    want = s / ops[0].kappa_sq_inv / _alpha_chain(ops)
+    assert abs(lhs - want) < 1e-12
 
 
 def test_modifier_json_round_trip():

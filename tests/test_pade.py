@@ -7,8 +7,9 @@ import pytest
 from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio,
                      f_value, laurent_moments, pade_approximant,
                      pade_denominator, pade_numerator,
-                     pade_order_residuals, phi, recurrence_for, rule_for,
+                     pade_order_residuals, phi, recurrence_for,
                      to_sobolev_spec)
+from relasym.measures import rule_for
 from relasym.pade import mu_moments
 from relasym.polybasis import MONIC, PolyInBasis
 
@@ -84,6 +85,25 @@ def test_order_conditions():
         appr = pade_approximant(n, F_LEG, TLEG)
         res = pade_order_residuals(appr, F_LEG, TLEG)
         assert np.max(res) < 1e-12
+
+
+def test_order_conditions_with_third_order_pole_on_atoms():
+    # Leibniz weights binom(i, r) other than 1 need a pole of order 3
+    spec = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
+    f = StieltjesFn(spec, ((2j, (0.5, 0.3, 1.0)), (-3.0 + 0j, (2.0,))))
+    tab = recurrence_for(spec, 40)
+    for n in (10, 25):
+        res = pade_order_residuals(pade_approximant(n, f, tab), f, tab)
+        assert np.max(res) < 1e-12
+
+
+def test_order_residuals_read_the_table_through_degree_n():
+    # the residuals need Q_n's degree of the table, not 2n + 1 moments
+    tab = recurrence_for(LEG, 125)
+    appr = pade_approximant(100, F_LEG, tab)
+    res = pade_order_residuals(appr, F_LEG, tab)
+    assert res.shape == (100,)
+    assert np.max(res) < 1e-12
 
 
 def test_interpolation_error_decays_geometrically():

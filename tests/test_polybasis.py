@@ -1,10 +1,16 @@
 """Polynomial values, jets, and basis conversions over recurrence tables."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+from _quadrature import values_on_rule
+
 from relasym import BaseMeasureSpec, PolyInBasis, basis_jets, eval_jet, recurrence_for
-from relasym.polybasis import MONIC, ORTHONORMAL, divide_out_zeros, lincomb, xmul
-from relasym import rule_for
+from relasym.measures import rule_for
+from relasym.polybasis import MONIC, ORTHONORMAL, divide_out_zeros, inner_mu, lincomb, xmul
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -52,16 +58,23 @@ def test_norm_via_recurrence_matches_quadrature():
     p = PolyInBasis.basis_poly(LEG, 6)
     rule = rule_for(LEG.spec, 20)
     w = rule.all_weights()
-    v = p.values_on_rule(rule)
+    v = p.values(rule.all_points())
     quad_norm = np.sqrt(np.sum(w * v * v).real)
     assert p.norm_mu() == pytest.approx(quad_norm, rel=1e-12)
 
 
-def test_values_on_rule_matches_values():
-    rule = rule_for(LEG.spec, 12)
-    p = PolyInBasis.basis_poly(LEG, 5)
-    assert np.allclose(p.values_on_rule(rule), p.values(rule.all_points()),
-                       rtol=1e-14)
+def test_inner_mu_exact_with_atoms():
+    # sum of orthonormal coefficient products against a Gauss rule whose
+    # atom columns come from the stable evaluation
+    spec = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 0.3)))
+    tab = recurrence_for(spec, 60)
+    rng = np.random.default_rng(3)
+    p = PolyInBasis(ORTHONORMAL, rng.standard_normal(41) + 1j * rng.standard_normal(41), 40, tab)
+    q = PolyInBasis(ORTHONORMAL, rng.standard_normal(31), 30, tab).to_basis(MONIC)
+    rule = rule_for(spec, 40)
+    want = np.sum(rule.all_weights() * values_on_rule(p, rule) * values_on_rule(q, rule))
+    assert abs(inner_mu(p, q) - want) < 1e-12 * np.linalg.norm(p.coeffs) * np.linalg.norm(
+        q.to_basis(ORTHONORMAL).coeffs)
 
 
 @pytest.mark.parametrize("deg", [20, 200])

@@ -14,7 +14,7 @@ from _mp_oracles import (compare_monomial, lambda_dps, lambda_expansion, lambda_
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      StieltjesFn, digit_loss, gamma_sequence,
                      orthogonality_residuals_extended, phi, recurrence_for,
-                     regularity, rule_for, sn_kernel, sn_lambda, sobolev_inner,
+                     regularity, sn_kernel, sn_lambda, sobolev_inner,
                      to_sobolev_spec)
 from relasym.extended import _residuals
 from relasym.sobolev import SobolevTerm
@@ -49,21 +49,19 @@ def test_spec_validation():
 
 
 def test_inner_product_is_bilinear_symmetric():
-    rule = rule_for(LEG, 30)
     h = PolyInBasis.basis_poly(TAB, 3)
     g = PolyInBasis.basis_poly(TAB, 5)
-    lhs = sobolev_inner(h, g, PAIR, TAB, rule)
-    rhs = sobolev_inner(g, h, PAIR, TAB, rule)
+    lhs = sobolev_inner(h, g, PAIR)
+    rhs = sobolev_inner(g, h, PAIR)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_kernel_path_orthogonality_small_n():
-    rule = rule_for(LEG, 40)
     op = sn_kernel(9, PAIR, TAB)
     for k in range(9):
         basis_k = PolyInBasis.basis_poly(TAB, k)
-        ip = sobolev_inner(basis_k, op.rep, PAIR, TAB, rule)
-        scale = abs(sobolev_inner(basis_k, basis_k, PAIR, TAB, rule))
+        ip = sobolev_inner(basis_k, op.rep, PAIR)
+        scale = abs(sobolev_inner(basis_k, basis_k, PAIR))
         assert abs(ip) < 1e-11 * max(1.0, scale)
 
 
