@@ -33,7 +33,7 @@ from .modified import ModifiedError
 from .pade import PadeError
 from .sobolev import SobolevError
 from .verify import (ExperimentConfig, VerifyConfigError, emit_report,
-                     monotone_violations, run_ratio_ladder,
+                     monotone_violations, report_cells, run_ratio_ladder,
                      run_zero_attraction)
 from .zeros import ClusterConfigError, ZerosError
 from .scenarios import BUNDLED_MEASURES, SCENARIOS, bundled_measure, scenario
@@ -150,8 +150,9 @@ def cmd_verify(args) -> int:
     written = []
     for law in cfg.resolved_laws:
         law_rows = [r for r in rows if r.law == law]
-        written.append(emit_report(law_rows, "csv", out / f"ratios_{law}.csv"))
-        written.append(emit_report(law_rows, "json", out / f"ratios_{law}.json"))
+        cells = report_cells(law_rows)
+        written.append(emit_report(law_rows, "csv", out / f"ratios_{law}.csv", cells))
+        written.append(emit_report(law_rows, "json", out / f"ratios_{law}.json", cells))
     bad = monotone_violations(rows)
     flagged = [r for r in rows if r.flag]
     summary = {

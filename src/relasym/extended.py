@@ -21,7 +21,7 @@ from .joukowski import phi
 from .measures import RecurrenceTable
 from .modified import _ensure_table
 from .pade import StieltjesFn, to_sobolev_spec
-from .sobolev import SobolevSpec, _buildable, _kernel_system, _support
+from .sobolev import SobolevError, SobolevSpec, _buildable, _kernel_conds, _kernel_system, _support
 
 
 def _mp_ab(base: RecurrenceTable, deg: int):
@@ -138,7 +138,9 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
             W = t.gamma[np.ix_(rows, cols)].T @ np.array(
                 [[complex(v / pw) for v in orth[i]] for i in rows])
             blocks.append((J, W, float(1 / (pj * pw))))
-        cond = _kernel_system(blocks, n)[1]
+        cond, = _kernel_conds([_kernel_system(blocks, n)[0]])
+        if isinstance(cond, SobolevError):
+            raise cond
         WD = [[w[m] / normsq[m] for m in range(n)] for w in Ws]
         M = mpmath.eye(len(Js))
         for p, J in enumerate(Js):

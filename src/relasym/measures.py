@@ -314,6 +314,12 @@ def _series_mul(s: list, t: list) -> list:
     return [sum(s[i] * t[k - i] for i in range(k + 1)) for k in range(len(s))]
 
 
+def minimal_solution_depth(z: complex, hi: int) -> int:
+    """The table degree minimal_solution at z through degree hi starts its
+    backward recurrence from."""
+    return hi + math.ceil(-math.log(np.finfo(float).eps) / math.log(abs(phi(z))))
+
+
 def minimal_solution(table: RecurrenceTable, z, lo: int, hi: int,
                      order: int = 0) -> np.ndarray:
     """Taylor jets of q_m(z) = integral L_m(x)/(z - x) dmu(x), m = lo..hi,
@@ -331,7 +337,7 @@ def minimal_solution(table: RecurrenceTable, z, lo: int, hi: int,
     order 0 gives L_m(z) / L_lo(z).
     """
     z = complex(z)
-    top = hi + math.ceil(-math.log(np.finfo(float).eps) / math.log(abs(phi(z))))
+    top = minimal_solution_depth(z, hi)
     if table.nmax < top:
         if table.spec is None:
             raise MeasureError(f"table nmax {table.nmax} too short, need {top}")

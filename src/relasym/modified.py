@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut
-from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution, recurrence_for
+from .measures import (BaseMeasureSpec, MeasureError, RecurrenceTable, minimal_solution,
+                       minimal_solution_depth, recurrence_for)
 from .polybasis import MONIC, PolyInBasis, basis_jets, divide_out_zeros, xmul, xmul_coeffs
 
 __all__ = [
@@ -161,20 +162,32 @@ def _pole_moments(base: RecurrenceTable, d: complex, lj: np.ndarray, j: int,
     return out
 
 
-def modifier_jets(r: RationalModifier, base: RecurrenceTable,
-                  top: int) -> tuple[RecurrenceTable, list]:
-    """The table solve_Q needs through degree top, and on it the monic jets
-    at each modifier zero through degree top + A, then at each pole through
-    degree top - B, to the order its multiplicity needs.
+def modifier_jets(r: RationalModifier, base: RecurrenceTable, top: int,
+                  probes: tuple = (), order: int = 0) -> tuple[RecurrenceTable, list]:
+    """The table solve_Q needs through degree top, pole moments included,
+    and on it the monic jets at each modifier zero, then at each pole,
+    through degree top + A, to the order its multiplicity needs.
 
-    One forward sweep per point serves every degree n <= top: a value at
-    degree k does not depend on how far the sweep runs.
+    One forward sweep serves every point and every degree n <= top: a value
+    at degree k depends neither on how far the sweep runs nor on the other
+    points and orders swept with it.  The probes, if any, ride the same
+    sweep to `order`; their jets (order+1, top+A+1, len(probes)) come last
+    in the list.
     """
-    A, B = r.A, r.B
-    base = _ensure_table(base, top + A + 1)
+    A = r.A
+    # deep enough for every pole moment's minimal solution too
+    base = _ensure_table(base, max([top + A + 1] + [minimal_solution_depth(d, top + A)
+                                                    for d, _ in r.poles]))
+    points = r.zeros + r.poles
+    orders = [mult - 1 for _, mult in points]
+    zz = np.array([p for p, _ in points] + list(probes), dtype=complex)
+    if not zz.size:
+        return base, []
     with np.errstate(over="ignore", invalid="ignore"):
-        jets = [basis_jets(base, max(top + A, 0), c, order=mult - 1) for c, mult in r.zeros]
-        jets += [basis_jets(base, max(top - B, 0), d, order=mult - 1) for d, mult in r.poles]
+        swept = basis_jets(base, max(top + A, 0), zz, max(orders + [order]))
+    jets = [swept[: k + 1, :, i] for i, k in enumerate(orders)]
+    if probes:
+        jets.append(swept[: order + 1, :, len(points):])
     return base, jets
 
 
@@ -183,7 +196,7 @@ def _lambda_system(n: int, r: RationalModifier, base: RecurrenceTable,
     """Rows: divisibility jets at each zero, then pole moments against
     L_{n-B}; unknowns lambda_1..lambda_{A+B}; the lambda_0 = 1 column moves
     to the rhs.  Pole rows carry a common factor 1/q_{n-B}(d) per pole, which
-    the row scaling in `_solve_lambda` removes.  jets as from modifier_jets."""
+    the row scaling in `_equilibrated` removes.  jets as from modifier_jets."""
     A, B = r.A, r.B
     ab = A + B
     degs = [n + A - k for k in range(ab + 1)]   # degree paired with lambda_k
@@ -203,7 +216,8 @@ def _lambda_system(n: int, r: RationalModifier, base: RecurrenceTable,
     return rows, rhs
 
 
-def _solve_lambda(n, r, base, jets):
+def _equilibrated(n, r, base, jets):
+    """The degree-n lambda system with every row scaled to a largest entry 1."""
     with np.errstate(over="ignore", invalid="ignore"):
         rows, rhs = _lambda_system(n, r, base, jets)
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
@@ -211,14 +225,7 @@ def _solve_lambda(n, r, base, jets):
                             kind="overflow")
     scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
     scale[scale == 0.0] = 1.0
-    rows = rows / scale[:, None]
-    rhs = rhs / scale
-    cond = float(np.linalg.cond(rows))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ModifiedError(
-            f"lambda system ill-conditioned (cond ~ {cond:.2e}) at n={n}", cond=cond)
-    lam = np.concatenate([[1.0 + 0.0j], np.linalg.solve(rows, rhs)])
-    return lam, cond
+    return rows / scale[:, None], rhs / scale
 
 
 def _beta(n: int, lam: np.ndarray, r: RationalModifier,
@@ -240,34 +247,10 @@ def _beta(n: int, lam: np.ndarray, r: RationalModifier,
                    + lam[A + B - 1] / lam[A + B] * base.a[n - B + 1] ** 2)
 
 
-def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
-    """Monic Q_n orthogonal to lower degrees under the bilinear form of r d(mu).
-
-    The lambda system couples divisibility (jets at modifier zeros) with the
-    pole moments, both exact recurrence quantities, and is solved once.
-    kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
-    itself, and Q_n from R_n by exact division by S; no quadrature.
-    """
-    return solve_Q_jets(n, r, *modifier_jets(r, base, n))
-
-
-def solve_Q_jets(n: int, r: RationalModifier, base: RecurrenceTable,
-                 jets: list) -> ModifiedOP:
-    """solve_Q from (base, jets) = modifier_jets(r, table, top), any top >= n."""
+def _expand(n: int, lam: np.ndarray, cond: float, r: RationalModifier,
+            base: RecurrenceTable) -> ModifiedOP:
+    """ModifiedOP from the solved lambda: R_n, Q_n = R_n / S, kappa and beta."""
     A, B = r.A, r.B
-    if n < A + B + 1:
-        raise ModifiedError(f"need n >= A+B+1 = {A + B + 1}, got {n}")
-    _check_off_atoms(r, base.spec)
-
-    if r.is_trivial:
-        q = PolyInBasis.basis_poly(base, n)
-        return ModifiedOP(
-            n=n, lam=np.array([1.0 + 0.0j]), rep=q, q=q,
-            kappa_sq_inv=1.0 / base.tau[n] ** 2,
-            beta=complex(base.b[n]), cond=1.0,
-            alpha_sq=complex(base.a[n] ** 2))
-
-    lam, cond = _solve_lambda(n, r, base, jets)
     coeffs = np.zeros(n + A + 1, dtype=complex)
     for k in range(A + B + 1):
         coeffs[n + A - k] = lam[k]
@@ -288,6 +271,80 @@ def solve_Q_jets(n: int, r: RationalModifier, base: RecurrenceTable,
     beta = _beta(n, lam, r, base)
     return ModifiedOP(n=n, lam=lam, rep=rep, q=q,
                       kappa_sq_inv=complex(kappa_sq_inv), beta=complex(beta), cond=cond)
+
+
+# what refuses one degree and leaves the others to their own solves
+_DEGREE_REFUSALS = (ModifiedError, MeasureError, np.linalg.LinAlgError)
+
+
+def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
+    """Monic Q_n orthogonal to lower degrees under the bilinear form of r d(mu).
+
+    The lambda system couples divisibility (jets at modifier zeros) with the
+    pole moments, both exact recurrence quantities, and is solved once.
+    kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
+    itself, and Q_n from R_n by exact division by S; no quadrature.
+    """
+    op = solve_Q_many((n,), r, *modifier_jets(r, base, n))[n]
+    if isinstance(op, Exception):
+        raise op
+    return op
+
+
+def solve_Q_many(degrees, r: RationalModifier, base: RecurrenceTable,
+                 jets: list) -> dict:
+    """solve_Q at each degree, from (base, jets) = modifier_jets(r, table, top)
+    with top >= every degree: degree -> ModifiedOP, or the error that degree
+    refuses with.
+
+    Each lambda system is assembled and equilibrated on its own.  Those that
+    pass the overflow check meet the condition gate in one stacked cond call
+    and are solved in one stacked solve.  numpy's gufuncs run LAPACK once per
+    matrix, so every degree gets the numbers of its own solve.
+    """
+    A, B = r.A, r.B
+    try:
+        _check_off_atoms(r, base.spec)
+        on_atom = None
+    except ModifiedError as exc:
+        on_atom = exc
+    out: dict = {}
+    systems: dict = {}
+    for n in degrees:
+        if n < A + B + 1:
+            out[n] = ModifiedError(f"need n >= A+B+1 = {A + B + 1}, got {n}")
+        elif on_atom is not None:
+            out[n] = on_atom
+        elif r.is_trivial:
+            q = PolyInBasis.basis_poly(base, n)
+            out[n] = ModifiedOP(
+                n=n, lam=np.array([1.0 + 0.0j]), rep=q, q=q,
+                kappa_sq_inv=1.0 / base.tau[n] ** 2,
+                beta=complex(base.b[n]), cond=1.0,
+                alpha_sq=complex(base.a[n] ** 2))
+        else:
+            try:
+                systems[n] = _equilibrated(n, r, base, jets)
+            except _DEGREE_REFUSALS as exc:
+                out[n] = exc
+    if systems:
+        rows = np.array([rows for rows, _ in systems.values()])
+        rhs = np.array([rhs for _, rhs in systems.values()])
+        conds = np.linalg.cond(rows)
+        ok = np.isfinite(conds) & (conds <= COND_LIMIT)
+        # the gate leaves no singular matrix for the solve
+        lams = iter(np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0])
+        for n, cond, good in zip(systems, conds.tolist(), ok.tolist()):
+            if not good:
+                out[n] = ModifiedError(
+                    f"lambda system ill-conditioned (cond ~ {cond:.2e}) at n={n}", cond=cond)
+                continue
+            lam = np.concatenate([[1.0 + 0.0j], next(lams)])
+            try:
+                out[n] = _expand(n, lam, cond, r, base)
+            except _DEGREE_REFUSALS as exc:
+                out[n] = exc
+    return {n: out[n] for n in degrees}
 
 
 def recurrence_extract(op_prev: ModifiedOP, op_mid: ModifiedOP,
@@ -343,8 +400,11 @@ def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
     if nu < 0:
         raise ModifiedError("nu must be >= 0")
     top = n + max(nu, f.degree)
-    base, jets = modifier_jets(r, base, top)
-    ops = [solve_Q_jets(k, r, base, jets) for k in range(n, top + 1)]
+    built = solve_Q_many(range(n, top + 1), r, *modifier_jets(r, base, top))
+    ops = list(built.values())
+    for op in ops:
+        if isinstance(op, Exception):
+            raise op
     fc = f.to_basis(MONIC).coeffs
     a, b = f.table.a, f.table.b
     lo, cur = np.zeros(0, dtype=complex), ops[0].q.coeffs

@@ -218,19 +218,33 @@ class SobolevOP:
     cond: float
 
 
-def _buildable(n: int, spec: SobolevSpec, base: RecurrenceTable) -> RecurrenceTable:
-    """Refusals both lanes share; returns a table through degree n + 1."""
-    if not regularity(spec).overall_regular:
-        raise SobolevError("inner product is not regular; construction undefined")
-    order = max(max(t.gamma.shape) for t in spec.terms) - 1
-    if n <= order:
-        raise SobolevError(f"need n > {order}, the highest coupled derivative, got {n}")
+def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
+    """Refusals both lanes share, the spec's own checked once: a table through
+    the deepest degree + 1, and degree -> SobolevError for each refused degree."""
+    regular = regularity(spec).overall_regular
     with np.errstate(over="ignore"):    # sn_kernel refuses an infinite tau_n
-        base = _ensure_table(base, n + 1)
+        base = _ensure_table(base, max(degrees) + 1)
+    order = max(max(t.gamma.shape) for t in spec.terms) - 1
     atoms = base.spec.mass_points if base.spec is not None else ()
-    if any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms):
-        # forward jets at an atom follow a decaying solution into rounding noise
-        raise SobolevError("a coupling point coincides with a mass point")
+    # forward jets at an atom follow a decaying solution into rounding noise
+    on_atom = any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms)
+    refused = {}
+    for n in degrees:
+        if not regular:
+            refused[n] = SobolevError("inner product is not regular; construction undefined")
+        elif n <= order:
+            refused[n] = SobolevError(
+                f"need n > {order}, the highest coupled derivative, got {n}")
+        elif on_atom:
+            refused[n] = SobolevError("a coupling point coincides with a mass point")
+    return base, refused
+
+
+def _buildable(n: int, spec: SobolevSpec, base: RecurrenceTable) -> RecurrenceTable:
+    """_refusals at one degree: its table, or its refusal raised."""
+    base, refused = _refusals((n,), spec, base)
+    if refused:
+        raise refused[n]
     return base
 
 
@@ -239,8 +253,8 @@ def _kernel_system(blocks: list, n: int) -> tuple:
 
     J and W are the point's orthonormal jet blocks divided by their largest
     entries P and P'.  Each is factored as P L Q; returns the matrix
-    diag(L^-1 L'^-T / (P P')) + Q Q'^T, its condition number, the stacked
-    Q', and L^-1 J[:, n] and L'^-1 W[:, n] stacked.  Refuses past COND_LIMIT.
+    diag(L^-1 L'^-T / (P P')) + Q Q'^T, the stacked Q', and L^-1 J[:, n]
+    and L'^-1 W[:, n] stacked.
     """
     Q, Qw, D, rhs, wn = [], [], [], [], []
     for J, W, scale in blocks:
@@ -259,28 +273,49 @@ def _kernel_system(blocks: list, n: int) -> tuple:
     for d in D:
         M_sys[i:i + len(d), i:i + len(d)] += d
         i += len(d)
-    cond = float(np.linalg.cond(M_sys)) if np.all(np.isfinite(M_sys)) else math.inf
-    if not cond <= COND_LIMIT:
-        raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
-    return M_sys, cond, Qw, np.concatenate(rhs), np.concatenate(wn)
+    return M_sys, Qw, np.concatenate(rhs), np.concatenate(wn)
 
 
-def coupling_jets(spec: SobolevSpec, base: RecurrenceTable,
-                  top: int) -> tuple[RecurrenceTable, list]:
+def _kernel_conds(systems: list) -> list:
+    """The condition number of each kernel matrix, from one stacked cond call
+    over the finite ones (inf for the rest), or the SobolevError a matrix
+    past COND_LIMIT refuses with."""
+    finite = [bool(np.all(np.isfinite(m))) for m in systems]
+    conds = iter(np.linalg.cond(np.array([m for m, f in zip(systems, finite) if f]))
+                 .tolist() if any(finite) else [])
+    out = []
+    for f in finite:
+        cond = next(conds) if f else math.inf
+        out.append(cond if cond <= COND_LIMIT else SobolevError(
+            f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})"))
+    return out
+
+
+def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
+                  probes: tuple = (), order: int = 0) -> tuple[RecurrenceTable, list]:
     """The table sn_kernel needs through degree top, and on it the
     orthonormal jets at each coupling point through degree top, to the
     highest derivative its gamma couples.
 
-    One forward sweep per point serves every degree n <= top: a value at
-    degree k does not depend on how far the sweep runs.
+    One forward sweep serves every point and every degree n <= top: a value
+    at degree k depends neither on how far the sweep runs nor on the other
+    points and orders swept with it.  Each point's slice is scaled to
+    orthonormal on its own.  The probes, if any, ride the same sweep to
+    `order`; their monic jets (order+1, top+1, len(probes)) come last.
     """
-    out = []
+    deg = max(top, 0)
+    orders = []
+    for t in spec.terms:
+        rows, cols = _support(t.gamma)
+        orders.append(max(rows + cols))
     with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
         base = _ensure_table(base, top + 1)
-        for t in spec.terms:
-            rows, cols = _support(t.gamma)
-            out.append(basis_jets(base, max(top, 0), t.c, order=max(rows + cols),
-                                  basis=ORTHONORMAL))
+        swept = basis_jets(base, deg, np.array([t.c for t in spec.terms] + list(probes)),
+                           max(orders + [order]))
+        tau = base.tau[: deg + 1]
+        out = [swept[: k + 1, :, i] * tau for i, k in enumerate(orders)]
+    if probes:
+        out.append(swept[: order + 1, :, len(orders):])
     return base, out
 
 
@@ -299,16 +334,16 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     equilibrates rows and columns and takes in the near-parallel derivative
     rows of each point; then s = -Q'^T v.
     """
-    return sn_kernel_jets(n, spec, *coupling_jets(spec, base, n))
+    op = sn_kernel_many((n,), spec, *coupling_jets(spec, base, n))[n]
+    if isinstance(op, Exception):
+        raise op
+    return op
 
 
-def sn_kernel_jets(n: int, spec: SobolevSpec, base: RecurrenceTable,
-                   jets: list) -> SobolevOP:
-    """sn_kernel from (base, jets) = coupling_jets(spec, table, top), any top >= n."""
-    base = _buildable(n, spec, base)
+def _kernel_blocks(n: int, spec: SobolevSpec, base: RecurrenceTable, jets: list) -> list:
+    """Each point's (J, W, 1/(P P')) at degree n, for _kernel_system."""
     if not np.isfinite(base.tau[n]):
         raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
-    inv_tau = 1.0 / base.tau[n]
     blocks = []
     for t, E in zip(spec.terms, jets):
         rows, cols = _support(t.gamma)
@@ -322,8 +357,13 @@ def sn_kernel_jets(n: int, spec: SobolevSpec, base: RecurrenceTable,
         J = E[cols] * (peak[cols] / pj)[:, None]
         W = t.gamma[np.ix_(rows, cols)].T @ (E[rows] * (peak[rows] / pw)[:, None])
         blocks.append((J, W, (1.0 / pj) * (1.0 / pw)))
-    M_sys, cond, Qw, rhs, wn = _kernel_system(blocks, n)
-    v = np.linalg.solve(M_sys, rhs * inv_tau)
+    return blocks
+
+
+def _kernel_op(n: int, base: RecurrenceTable, v: np.ndarray, Qw: np.ndarray,
+               wn: np.ndarray, cond: float) -> SobolevOP:
+    """SobolevOP from the solved v: s = -Q'^T v and norm_sq."""
+    inv_tau = 1.0 / base.tau[n]
     coeffs = np.empty(n + 1, dtype=complex)
     coeffs[:n] = -(Qw.T @ v)
     coeffs[n] = inv_tau
@@ -337,6 +377,50 @@ def sn_kernel_jets(n: int, spec: SobolevSpec, base: RecurrenceTable,
         raise SobolevError(f"1/tau_{n}^2 underflows the double range", kind="underflow")
     return SobolevOP(n=n, rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)),
                      cond=cond)
+
+
+# what refuses one degree and leaves the others to their own solves
+_DEGREE_REFUSALS = (SobolevError, np.linalg.LinAlgError)
+
+
+def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
+                   jets: list) -> dict:
+    """sn_kernel at each degree, from (base, jets) = coupling_jets(spec, table,
+    top) with top >= every degree: degree -> SobolevOP, or the SobolevError
+    that degree refuses with.
+
+    The spec's refusals are checked once.  Each degree's bordered system is
+    assembled on its own; the finite ones meet the condition gate in one
+    stacked cond call, and those that pass are solved in one stacked solve.
+    numpy's gufuncs run LAPACK once per matrix, so every degree gets the
+    numbers of its own solve.
+    """
+    base, out = _refusals(degrees, spec, base)
+    systems = {}
+    for n in degrees:
+        if n not in out:
+            try:
+                systems[n] = _kernel_system(_kernel_blocks(n, spec, base, jets), n)
+            except _DEGREE_REFUSALS as exc:
+                out[n] = exc
+    solve = {}
+    for (n, system), cond in zip(systems.items(),
+                                 _kernel_conds([m for m, *_ in systems.values()])):
+        if isinstance(cond, SobolevError):
+            out[n] = cond
+        else:
+            solve[n] = (*system, cond)
+    if solve:
+        # the gate leaves no singular matrix for the solve
+        vs = np.linalg.solve(np.array([m for m, *_ in solve.values()]),
+                             np.array([rhs * (1.0 / base.tau[n])
+                                       for n, (_, _, rhs, _, _) in solve.items()])[..., None])
+        for (n, (_, Qw, _, wn, cond)), v in zip(solve.items(), vs[..., 0]):
+            try:
+                out[n] = _kernel_op(n, base, v, Qw, wn, cond)
+            except SobolevError as exc:
+                out[n] = exc
+    return {n: out[n] for n in degrees}
 
 
 def digit_loss(n: int, spec: SobolevSpec) -> float:

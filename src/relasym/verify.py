@@ -24,7 +24,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +34,11 @@ from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import (ModifiedError, RationalModifier, modifier_jets,  # noqa: F401
-                       solve_Q, solve_Q_jets)
+                       solve_Q, solve_Q_many)
 from .pade import PadeError, StieltjesFn, to_sobolev_spec
 from .polybasis import MONIC, PolyInBasis, basis_jets
 from .sobolev import (SobolevError, SobolevSpec, coupling_jets, regularity,
-                      sn_kernel_jets, sn_lambda)
+                      sn_kernel_many, sn_lambda)
 from .zeros import cluster, roots
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "run_ratio_ladder",
     "run_zero_attraction",
     "emit_report",
+    "report_cells",
     "load_rows",
     "monotone_violations",
     "boundary_grid",
@@ -92,16 +92,6 @@ class RatioRow:
     est_rate: float
     flag: str = ""
 
-    @cached_property
-    def cells(self) -> tuple:
-        """The row's CSV_COLUMNS as report text, made once for both formats:
-        ints as str, floats as repr.  Reports read rows as they were made,
-        so a row changed after it was reported keeps its old text."""
-        return (str(self.n), repr(float(self.z.real)), repr(float(self.z.imag)),
-                str(self.nu), repr(float(self.ratio.real)), repr(float(self.ratio.imag)),
-                repr(float(self.limit.real)), repr(float(self.limit.imag)),
-                repr(float(self.abs_err)), repr(float(self.est_rate)))
-
 
 @dataclass
 class ExperimentConfig:
@@ -134,10 +124,14 @@ class ExperimentConfig:
         self.probe_points = tuple(complex(z) for z in self.probe_points)
         self.n_ladder = tuple(int(n) for n in self.n_ladder)
         self.zero_degrees = tuple(int(n) for n in self.zero_degrees)
-        if not self.n_ladder or sorted(self.n_ladder) != list(self.n_ladder):
-            raise VerifyConfigError("n_ladder must be a nonempty increasing sequence")
+        if (not self.n_ladder or self.n_ladder[0] < 0
+                or any(m <= n for n, m in zip(self.n_ladder, self.n_ladder[1:]))):
+            raise VerifyConfigError(
+                "n_ladder must be a nonempty, strictly increasing sequence of nonnegative degrees")
         if self.jets < 0:
             raise VerifyConfigError("jets must be nonnegative")
+        if not self.probe_points:
+            raise VerifyConfigError("probe_points is empty: a run would check nothing")
         centers = [c for c, _ in attraction_factors(self)]
         for z in self.probe_points:
             if not np.isfinite(z):
@@ -245,70 +239,131 @@ class _TargetPolys:
     targets and Pade denominators come from the kernel identity: sn_kernel
     in double, or sn_lambda in mpmath when the precision is extended.
 
-    Callers build the table two degrees past the deepest target.  The first
-    double build sweeps the jets at every modifier zero and pole, or at every
+    Callers build the table two degrees past the deepest target.  The double
+    builders sweep the jets at every modifier zero and pole, or at every
     coupling point, once through that degree (modifier_jets, coupling_jets),
-    and every degree reads its leading part.
+    and `build` makes all the degrees it is given in one builder call
+    (solve_Q_many, sn_kernel_many).  Probes given here ride the same sweep:
+    probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order`.
     """
 
-    def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable):
+    def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable,
+                 probes: tuple = (), order: int = 0):
         self.cfg = cfg
         self.table = table
-        self._cache: dict[int, PolyInBasis] = {}
+        self._built: dict = {}                  # degree -> PolyInBasis, or its refusal
         self._swept: tuple | None = None        # (top, builder table, jets)
         self._spec = cfg.sobolev if cfg.target_kind == "sobolev" else None
         if cfg.target_kind == "pade" and cfg.stieltjes.poles:
             self._spec = to_sobolev_spec(cfg.stieltjes)
+        self.probe_jets = self._sweep(table.nmax - 2, tuple(probes), order) if probes else None
 
-    def poly(self, n: int) -> PolyInBasis:
-        if n not in self._cache:
-            cfg = self.cfg
-            if cfg.target_kind == "modified":
-                self._cache[n] = solve_Q_jets(n, cfg.modifier, *self._sweep(n)).q
-            elif self._spec is not None and cfg.precision == "extended":
-                self._cache[n] = sn_lambda(n, self._spec, self.table).rep
-            elif self._spec is not None:
-                self._cache[n] = sn_kernel_jets(n, self._spec, *self._sweep(n)).rep
-            else:
-                self._cache[n] = PolyInBasis.basis_poly(self.table, n)
-        return self._cache[n]
+    def _sweep(self, top: int, probes: tuple = (), order: int = 0):
+        """Sweep the builder's points, with the probes, through degree top;
+        returns the probes' jets."""
+        cfg = self.cfg
+        if cfg.target_kind == "modified":
+            base, jets = modifier_jets(cfg.modifier, self.table, top, probes, order)
+        elif self._spec is not None and cfg.precision == "double":
+            base, jets = coupling_jets(self._spec, self.table, top, probes, order)
+        else:
+            return basis_jets(self.table, top, np.array(probes), order)
+        probe_jets = jets.pop() if probes else None
+        self._swept = (top, base, jets)
+        return probe_jets
 
-    def _sweep(self, n: int) -> tuple:
+    def _jets(self, n: int) -> tuple:
         """The builder's table and jets, swept through degree n or deeper."""
         if self._swept is None or n > self._swept[0]:
-            top = max(n, self.table.nmax - 2)
-            if self.cfg.target_kind == "modified":
-                self._swept = (top, *modifier_jets(self.cfg.modifier, self.table, top))
-            else:
-                self._swept = (top, *coupling_jets(self._spec, self.table, top))
+            self._sweep(max(n, self.table.nmax - 2))
         return self._swept[1:]
 
-    def jet(self, n: int, base: np.ndarray, order: int) -> np.ndarray:
-        """Degree-n target jet at a point, from its monic jets base[j, k] = L_k^(j)."""
-        q = self.poly(n).to_basis(MONIC)
-        # contiguous, as in PolyInBasis.jet: a strided matmul sums in another order
-        return np.ascontiguousarray(base[: order + 1, : n + 1]) @ q.coeffs
+    def build(self, degrees) -> None:
+        """Build every degree not built yet, in one builder call.  A refused
+        degree keeps its refusal, which `poly` raises."""
+        todo = [n for n in dict.fromkeys(degrees) if n not in self._built]
+        if not todo:
+            return
+        cfg, spec = self.cfg, self._spec
+        if cfg.target_kind == "modified":
+            ops = solve_Q_many(todo, cfg.modifier, *self._jets(max(todo)))
+            built = {n: op if isinstance(op, Exception) else op.q for n, op in ops.items()}
+        elif spec is not None and cfg.precision == "extended":
+            built = {}
+            for n in todo:
+                try:
+                    built[n] = sn_lambda(n, spec, self.table).rep
+                except _REFUSALS as exc:
+                    built[n] = exc
+        elif spec is not None:
+            ops = sn_kernel_many(todo, spec, *self._jets(max(todo)))
+            built = {n: op if isinstance(op, Exception) else op.rep for n, op in ops.items()}
+        else:
+            built = {n: PolyInBasis.basis_poly(self.table, n) for n in todo}
+        self._built.update(built)
+
+    def poly(self, n: int) -> PolyInBasis:
+        self.build((n,))
+        got = self._built[n]
+        if isinstance(got, Exception):
+            raise got
+        return got
 
 
-def _law_ratio(law: str, base: np.ndarray, polys: _TargetPolys, n: int, nu: int):
-    """The ratio of one law at one (n, z, nu); base[j, k] = L_k^(j)(z)."""
+def _target_jets(polys: _TargetPolys, degrees, order: int) -> dict:
+    """Degree -> (dots, block) of the target's jets at every probe, or the
+    refusal of its build.  dots[p] is the order-0 value as a one-row product,
+    block[j, p] the order-j value (j <= order) from one product over every
+    order and probe.  numpy takes a one-row product as a dot, which sums in
+    another order than a multi-row one, so each value keeps the kind of
+    product a law reading it has always had."""
+    pj = polys.probe_jets
+    out: dict = {}
+    for n in degrees:
+        try:
+            q = polys.poly(n).to_basis(MONIC).coeffs
+        except _REFUSALS as exc:
+            out[n] = exc
+            continue
+        dots = (np.ascontiguousarray(pj[0, : n + 1].T)[:, None, :] @ q)[:, 0]
+        block = None
+        if order:
+            rows = np.ascontiguousarray(pj[: order + 1, : n + 1].transpose(0, 2, 1))
+            block = (rows.reshape(-1, n + 1) @ q).reshape(order + 1, -1)
+        out[n] = (dots, block)
+    return out
+
+
+def _jet(target: dict, n: int, p: int, order: int):
+    """Orders 0..order of the degree-n target at probe p, as a product of
+    that many rows gives them; raises the refusal of a degree not built."""
+    got = target[n]
+    if isinstance(got, Exception):
+        raise got
+    dots, block = got
+    return (dots[p],) if order == 0 else block[: order + 1, p]
+
+
+def _law_ratio(law: str, base: np.ndarray, target: dict, n: int, nu: int, p: int):
+    """The ratio of one law at one (n, z, nu); base[j, k] = L_k^(j)(z), z the
+    p-th probe, and target as from _target_jets."""
     if law == "base_ratio":
         return base[nu, n + 1] / base[nu, n]
     if law == "base_log_derivative":
         return base[nu + 1, n] / (n * base[nu, n])
     if law in ("modified_vs_base", "sobolev_vs_base", "pade_vs_base"):
-        return polys.jet(n, base, nu)[nu] / base[nu, n]
+        return _jet(target, n, p, nu)[nu] / base[nu, n]
     if law == "modified_ratio":
-        return polys.jet(n + 1, base, nu)[nu] / polys.jet(n, base, nu)[nu]
+        return _jet(target, n + 1, p, nu)[nu] / _jet(target, n, p, nu)[nu]
     if law == "modified_log_derivative":
-        jets = polys.jet(n, base, nu + 1)
+        jets = _jet(target, n, p, nu + 1)
         return jets[nu + 1] / (n * jets[nu])
     if law == "modified_derivative_gap":
         # degree-drop normalization n(n-1): the leading coefficient of
         # the second derivative carries exactly that factor, so the
         # finite-n ratio is centered on the same limit without the
         # structural 1/n offset a flat n^2 would add
-        jets = polys.jet(n, base, nu + 2)
+        jets = _jet(target, n, p, nu + 2)
         return jets[nu + 2] / (n * (n - 1) * jets[nu])
     raise VerifyConfigError(f"unknown law {law!r}")
 
@@ -317,6 +372,8 @@ def _law_ratio(law: str, base: np.ndarray, polys: _TargetPolys, n: int, nu: int)
 # row is 0/0 or x/0, not a ratio
 _LAW_EXTRA_ORDER = {"base_log_derivative": 1, "modified_log_derivative": 1,
                     "modified_derivative_gap": 2}
+# laws that read the base polynomials alone, no target
+_BASE_LAWS = LAWS_BY_TARGET["base_only"]
 
 
 def _law_limit(law: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
@@ -357,24 +414,32 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     limits that leave the double range overflow, instead of aborting the
     run.  Each limit is computed once per (law, probe).
     """
-    nmax = max(cfg.n_ladder) + 1
-    table = recurrence_for(cfg.measure, nmax + 2)
-    polys = _TargetPolys(cfg, table)
+    table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
+    laws = cfg.resolved_laws
     factors = attraction_factors(cfg)
     rows: list[RatioRow] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        # all probes, degrees and orders at once; elementwise, so scalar calls agree
-        jets = basis_jets(table, nmax, np.array(cfg.probe_points), cfg.jets + 2)
-        for law in cfg.resolved_laws:
+        # every probe, degree and order in the builder's own sweep
+        polys = _TargetPolys(cfg, table, cfg.probe_points, cfg.jets + 2)
+        target_laws = [law for law in laws if law not in _BASE_LAWS]
+        target = {}
+        if target_laws:
+            degrees = sorted({m for n in cfg.n_ladder
+                              for m in ((n, n + 1) if "modified_ratio" in laws else (n,))})
+            polys.build(degrees)
+            target = _target_jets(polys, degrees, cfg.jets + max(
+                _LAW_EXTRA_ORDER.get(law, 0) for law in target_laws))
+        for law in laws:
+            extra = _LAW_EXTRA_ORDER.get(law, 0)
             for p, z in enumerate(cfg.probe_points):
-                base = jets[:, :, p]
+                base = polys.probe_jets[:, :, p]
                 try:
                     limit, refusal = complex(_law_limit(law, cfg, factors, z)), ""
                 except _REFUSALS as exc:
                     limit, refusal = _NAN, _refusal_flag(exc)
                 for nu in range(cfg.jets + 1):
                     prev: RatioRow | None = None
-                    order = nu + _LAW_EXTRA_ORDER.get(law, 0)
+                    order = nu + extra
                     for n in cfg.n_ladder:
                         # a refused ratio names the flag before a refused limit
                         if order > n:
@@ -382,7 +447,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                                                  f"{order} exceeds degree {n}")
                         else:
                             try:
-                                ratio = complex(_law_ratio(law, base, polys, n, nu))
+                                ratio = complex(_law_ratio(law, base, target, n, nu, p))
                                 flag = refusal
                             except _REFUSALS as exc:
                                 ratio, flag = _NAN, _refusal_flag(exc)
@@ -395,13 +460,11 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                             ratio, row_limit, abs_err = _NAN, _NAN, math.nan
                         else:
                             row_limit, abs_err = limit, abs(ratio - limit)
-                        rate = float("nan")
+                        rate = math.nan
                         if (prev is not None and not flag and not prev.flag
                                 and prev.abs_err > 0 and abs_err > 0):
                             rate = math.log(prev.abs_err / abs_err) / (n - prev.n)
-                        row = RatioRow(law=law, n=n, z=z, nu=nu, ratio=ratio,
-                                       limit=row_limit, abs_err=abs_err,
-                                       est_rate=rate, flag=flag)
+                        row = RatioRow(law, n, z, nu, ratio, row_limit, abs_err, rate, flag)
                         rows.append(row)
                         prev = row
     return rows
@@ -415,6 +478,7 @@ def run_zero_attraction(cfg: ExperimentConfig, degrees=None,
     centers = [c for c, _ in attraction_factors(cfg)]
     table = recurrence_for(cfg.measure, max(degs) + 2)
     polys = _TargetPolys(cfg, table)
+    polys.build(degs)
     out = {}
     for n in degs:
         rts = roots(polys.poly(n))
@@ -447,15 +511,39 @@ _JSON_ROW = "    [\n" + ",\n".join(["      {}"] * len(CSV_COLUMNS)) + "\n    ]"
 _JSON_TAIL = '],\n  "schema_version": 1\n}\n'
 
 
-def emit_report(rows, fmt: str, path) -> Path:
-    """Write rows as csv or json; identical rows give identical bytes."""
+def report_cells(rows) -> list:
+    """The report text of rows, one list per CSV_COLUMNS entry, made column
+    by column for both formats: ints as str, floats as repr.  A probe's
+    coordinates and a law's limit repeat down their columns, so there each
+    distinct value is formatted once."""
+    def floats(values):
+        return list(map(repr, map(float, values)))
+
+    def repeating(values):
+        values = list(map(float, values))
+        text = {x: repr(x) for x in set(values) if x}   # 0.0 == -0.0: zeros apart
+        return [text[x] if x else repr(x) for x in values]
+
+    return [list(map(str, [r.n for r in rows])),
+            repeating([r.z.real for r in rows]), repeating([r.z.imag for r in rows]),
+            list(map(str, [r.nu for r in rows])),
+            floats([r.ratio.real for r in rows]), floats([r.ratio.imag for r in rows]),
+            repeating([r.limit.real for r in rows]), repeating([r.limit.imag for r in rows]),
+            floats([r.abs_err for r in rows]), floats([r.est_rate for r in rows])]
+
+
+def emit_report(rows, fmt: str, path, cells=None) -> Path:
+    """Write rows as csv or json; identical rows give identical bytes.
+    cells, when given, are report_cells(rows), made once for both formats."""
     path = Path(path)
+    if cells is None:
+        cells = report_cells(rows)
     if fmt == "csv":
-        text = "\n".join([",".join(CSV_COLUMNS), *(",".join(r.cells) for r in rows)]) + "\n"
+        text = "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
     elif fmt == "json":
-        body = ",\n".join(_JSON_ROW.format(*[_JSON_TOKENS.get(c, c) for c in r.cells])
-                          for r in rows)
-        text = _JSON_HEAD + (f"\n{body}\n  " if rows else "") + _JSON_TAIL
+        body = ",\n".join(map(_JSON_ROW.format,
+                              *(map(_JSON_TOKENS.get, col, col) for col in cells)))
+        text = _JSON_HEAD + (f"\n{body}\n  " if body else "") + _JSON_TAIL
     else:
         raise VerifyConfigError(f"unknown report format {fmt!r}")
     path.write_text(text)

@@ -71,6 +71,21 @@ def test_probe_on_cut_is_config_error(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_ladder", [10, 10, 20]),        # a repeated rung divided by zero in the rate
+    ("n_ladder", [-1, 10]),
+    ("probe_points", []),              # a run that checks nothing is no pass
+])
+def test_ladder_that_checks_nothing_is_config_error(tmp_path, key, value, capsys):
+    payload = scenario("base_legendre").to_json_dict()
+    payload[key] = value
+    cfg = _write_json(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "summary.json").exists()
+    assert "config error" in capsys.readouterr().err
+
+
 LEGENDRE = {"weight_kind": "legendre"}
 # one config per kind of placed value (a point or an exponent), set to v
 NONFINITE_CONFIGS = {

@@ -28,7 +28,7 @@ from relasym import (
     solve_Q,
     to_sobolev_spec,
 )
-from relasym import polybasis
+from relasym import modified, polybasis, sobolev
 from relasym.polybasis import eval_jet
 from relasym.scenarios import SCENARIOS
 from relasym.sobolev import SobolevSpec, SobolevTerm
@@ -48,6 +48,9 @@ def _small_base(**kw):
     {"probe_points": (0.5,)},                       # on the cut
     {"probe_points": (3.0,), "n_ladder": (20, 10)},
     {"probe_points": (3.0,), "n_ladder": ()},
+    {"probe_points": (3.0,), "n_ladder": (10, 10, 20)},     # repeated rung
+    {"probe_points": (3.0,), "n_ladder": (-1, 10)},         # negative degree
+    {"probe_points": ()},                                   # nothing to check
     {"target_kind": "nonsense"},
     {"target_kind": "modified"},                    # payload missing
     {"precision": "quad"},
@@ -257,30 +260,14 @@ def _pointwise_ratio(law, table, polys, n, z, nu):
 
 
 def test_batched_ladder_matches_pointwise(monkeypatch):
-    # basis_jets calls as (points, made while a target was being built)
-    calls, building = [], []
-    orig_jets, orig_poly = polybasis.basis_jets, _TargetPolys.poly
-
-    def counting_jets(table, deg, z, *args, **kwargs):
-        calls.append((tuple(np.atleast_1d(z)), bool(building)))
-        return orig_jets(table, deg, z, *args, **kwargs)
-
-    def tracking_poly(self, n):
-        building.append(n)
-        try:
-            return orig_poly(self, n)
-        finally:
-            building.pop()
-
-    for key, mod in list(sys.modules.items()):
-        if key.startswith("relasym") and getattr(mod, "basis_jets", None) is orig_jets:
-            monkeypatch.setattr(mod, "basis_jets", counting_jets)
-    monkeypatch.setattr(_TargetPolys, "poly", tracking_poly)
+    # one basis_jets call per run: the builder's points, then the probes
+    calls = _count_jets(monkeypatch)
     for name in SCENARIOS:
         cfg = scenario(name)
         calls.clear()
         rows = run_ratio_ladder(cfg)
-        assert [pts for pts, in_build in calls if not in_build] == [cfg.probe_points]
+        assert [list(np.atleast_1d(z)) for z in calls] == [
+            _builder_points(cfg) + list(cfg.probe_points)]
         table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
         polys = _TargetPolys(cfg, table)
         for row in rows:
@@ -367,6 +354,17 @@ def _per_degree_target(cfg, n, table):
     return sn_kernel(n, spec, table).rep
 
 
+def _builder_points(cfg) -> list:
+    """The points the double builder sweeps its jets at, in sweep order."""
+    if cfg.target_kind == "modified":
+        return [c for c, _ in cfg.modifier.zeros + cfg.modifier.poles]
+    if cfg.target_kind == "sobolev":
+        return [t.c for t in cfg.sobolev.terms]
+    if cfg.target_kind == "pade":
+        return [c for c, _ in cfg.stieltjes.poles]
+    return []
+
+
 def _count_jets(monkeypatch) -> list:
     calls = []
     orig = polybasis.basis_jets
@@ -386,18 +384,11 @@ def test_shared_jets_match_per_degree_builders(monkeypatch, name):
     # one sweep per coupling point serves every rung, bit for bit: a value
     # at degree k does not depend on how far the forward recurrence runs
     cfg = ATOM_RATIONAL if name == "atom_rational" else scenario(name)
-    points = []
-    if cfg.target_kind == "modified":
-        points = [c for c, _ in cfg.modifier.zeros + cfg.modifier.poles]
-    elif cfg.target_kind == "sobolev":
-        points = [t.c for t in cfg.sobolev.terms]
-    elif cfg.target_kind == "pade":
-        points = [c for c, _ in cfg.stieltjes.poles]
     calls = _count_jets(monkeypatch)
     rows = run_ratio_ladder(cfg)
     assert not any(r.flag for r in rows)
-    assert np.array_equal(calls[0], np.array(cfg.probe_points))
-    assert [complex(z) for z in calls[1:]] == [complex(c) for c in points]
+    # the probes ride the builder's one sweep
+    assert [list(z) for z in calls] == [_builder_points(cfg) + list(cfg.probe_points)]
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
     polys = _TargetPolys(cfg, table)
     degrees = sorted({m for n in cfg.n_ladder for m in (n, n + 1)})
@@ -423,6 +414,88 @@ def test_shared_jets_refuse_like_the_per_degree_builder():
     assert str(shared.value) == str(alone.value)
     assert "jets at c = (2+0j) overflow the double range at n=600" in str(alone.value)
     assert shared.value.kind == alone.value.kind == "overflow"
+
+
+def test_modified_ladder_keeps_per_degree_refusals():
+    # degrees 1 and 2 refuse on their own inside the batch; the ratio law
+    # names degree n + 1's refusal first, as it reads that degree first
+    cfg = dataclasses.replace(scenario("modified_rational"), n_ladder=(1, 2, 10))
+    rows = run_ratio_ladder(cfg)
+
+    def want(row):
+        order = row.nu + {"modified_log_derivative": 1,
+                          "modified_derivative_gap": 2}.get(row.law, 0)
+        if order > row.n:
+            return (f"pre_asymptotic: derivative order {order} exceeds degree {row.n}")
+        reads = (row.n + 1, row.n) if row.law == "modified_ratio" else (row.n,)
+        bad = [m for m in reads if m < 3]
+        return f"pre_asymptotic: need n >= A+B+1 = 3, got {bad[0]}" if bad else ""
+
+    assert len(rows) == 4 * 4 * 2 * 3
+    assert [r.flag for r in rows] == [want(r) for r in rows]
+    # degree 10 is the one solve_Q makes alone, and the stacked solve gives
+    # the lambda of an unstacked one
+    table = recurrence_for(cfg.measure, 13)
+    polys = _TargetPolys(cfg, table)
+    polys.build((1, 2, 3, 10, 11))
+    alone = solve_Q(10, cfg.modifier, table)
+    assert repr(polys.poly(10).coeffs.tolist()) == repr(alone.q.coeffs.tolist())
+    rows10, rhs10 = modified._equilibrated(10, cfg.modifier,
+                                           *modified.modifier_jets(cfg.modifier, table, 10))
+    lam = np.concatenate([[1.0 + 0.0j], np.linalg.solve(rows10, rhs10)])
+    assert repr(lam.tolist()) == repr(alone.lam.tolist())
+    assert alone.cond == float(np.linalg.cond(rows10))
+
+
+def test_modified_ladder_makes_one_stacked_lambda_solve(monkeypatch):
+    # every rung's lambda system meets one cond call and one solve call;
+    # the other solves are divide_out_zeros' Jacobi systems, one per degree
+    cond_calls, stacked = [], []
+    orig_cond, orig_solve = np.linalg.cond, np.linalg.solve
+
+    def cond(a, *args, **kwargs):
+        cond_calls.append(np.shape(a))
+        return orig_cond(a, *args, **kwargs)
+
+    def solve(a, b):
+        if np.ndim(a) == 3:
+            stacked.append(np.shape(a))
+        return orig_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    cfg = scenario("modified_rational")
+    run_ratio_ladder(cfg)
+    degrees = {m for n in cfg.n_ladder for m in (n, n + 1)}
+    assert cond_calls == [(len(degrees), 2, 2)]
+    assert stacked == [(len(degrees), 2, 2)]
+
+
+@pytest.mark.parametrize("name", ["sobolev_point_pair", "sobolev_point_derivative",
+                                  "pade_gonchar"])
+def test_kernel_ladder_checks_the_spec_once(monkeypatch, name):
+    # regularity is a property of the spec, not of a degree; the kernel
+    # systems of every rung meet one stacked cond call and one solve call
+    counts = {"regularity": 0}
+    orig = sobolev.regularity
+
+    def counting(spec):
+        counts["regularity"] += 1
+        return orig(spec)
+
+    monkeypatch.setattr(sobolev, "regularity", counting)
+    stacked = []
+    orig_solve = np.linalg.solve
+
+    def solve(a, b):
+        stacked.append(np.ndim(a))
+        return orig_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    cfg = scenario(name)
+    run_ratio_ladder(cfg)
+    assert counts["regularity"] <= 1
+    assert stacked == [3]
 
 
 def test_builder_overflow_is_flagged_overflow():
