@@ -17,7 +17,7 @@ from .modified import (
     ModifiedError,
     ModifiedOP,
     RationalModifier,
-    recurrence_extract,
+    modified_table,
     solve_Q,
     weak_limit_probe,
 )

@@ -18,8 +18,7 @@ import mpmath
 import numpy as np
 
 from .joukowski import phi
-from .measures import RecurrenceTable
-from .modified import _ensure_table
+from .measures import RecurrenceTable, table_through
 from .pade import StieltjesFn, to_sobolev_spec
 from .sobolev import SobolevError, SobolevSpec, _buildable, _kernel_conds, _kernel_system, _support
 
@@ -206,7 +205,7 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
 
     With Q_n = sum_m c_m L_m the integral is sum_m c_m q_m(z), q_m the
     Cauchy transforms: the minimal solution of the recurrence, from the
-    backward ratio recurrence of `measures.minimal_solution` run in mp.
+    backward ratio recurrence of `measures.minimal_ratios` run in mp.
     Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
     from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
     by the kernel identity of `sn_lambda`, at the same dps.
@@ -219,7 +218,7 @@ def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
         zz = mpmath.mpc(z)
         top = n + math.ceil(dps / math.log10(abs(phi(z))))
         with np.errstate(over="ignore"):    # only a, b and tau_0 are read
-            deep = _ensure_table(base, top)
+            deep = table_through(base, top)
         a2, b = _mp_ab(deep, top)
         h, hs = mpmath.mpc(0), {}           # hs[m] = q_m / q_{m-1}
         for m in range(top, 0, -1):

@@ -8,7 +8,9 @@ polynomials
     L_{k+1}(x) = (x - b_k) L_k(x) - a_k^2 L_{k-1}(x),
 
 with orthonormal off-diagonal entries a_k > 0 and leading coefficients
-tau_k such that l_k = tau_k L_k is orthonormal.
+tau_k such that l_k = tau_k L_k is orthonormal.  A point mass, a pole
+1/(x - d) and a polynomial factor S each transform that recurrence in one
+O(n) sweep (`_add_point`, `geronimus_step`, `christoffel_step`).
 """
 from __future__ import annotations
 
@@ -28,7 +30,10 @@ __all__ = [
     "recurrence_for",
     "gauss_rule",
     "rule_for",
-    "minimal_solution",
+    "table_through",
+    "minimal_ratios",
+    "geronimus_step",
+    "christoffel_step",
 ]
 
 WEIGHT_KINDS = ("chebyshev_first_kind", "chebyshev_second_kind", "legendre", "jacobi")
@@ -302,68 +307,129 @@ def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, atoms=spec.mass_points)
 
 
-def _series_recip(s: list) -> list:
-    """1/s for a truncated Taylor series s (s[0] != 0)."""
-    out = [1.0 / s[0]]
-    for k in range(1, len(s)):
-        out.append(-sum(s[i] * out[k - i] for i in range(1, k + 1)) * out[0])
-    return out
-
-
-def _series_mul(s: list, t: list) -> list:
-    return [sum(s[i] * t[k - i] for i in range(k + 1)) for k in range(len(s))]
+def table_through(table: RecurrenceTable, deg: int) -> RecurrenceTable:
+    """table itself if it reaches degree deg, else its measure's table
+    through deg; a table that knows no measure cannot be extended."""
+    if table.nmax >= deg:
+        return table
+    if table.spec is None:
+        raise MeasureError(f"table nmax {table.nmax} too short for degree {deg}")
+    return recurrence_for(table.spec, deg)
 
 
 def minimal_solution_depth(z: complex, hi: int) -> int:
-    """The table degree minimal_solution at z through degree hi starts its
+    """The degree `minimal_ratios` at z through degree hi starts its
     backward recurrence from."""
     return hi + math.ceil(-math.log(np.finfo(float).eps) / math.log(abs(phi(z))))
 
 
-def minimal_solution(table: RecurrenceTable, z, lo: int, hi: int,
-                     order: int = 0) -> np.ndarray:
-    """Taylor jets of q_m(z) = integral L_m(x)/(z - x) dmu(x), m = lo..hi,
-    divided by q_lo(z): out[s, m - lo] = q_m^(s)(z) / (s! q_lo(z)).
+def minimal_ratios(b: np.ndarray, asq: np.ndarray, z, hi: int) -> list:
+    """h[k] = q_k(z) / q_{k-1}(z) for k = 1..hi (h[0] = 0), where
+    q_m(z) = integral L_m(x)/(z - x) dmu(x) for the (possibly complex)
+    measure with recurrence data b_k, asq_k = a_k^2.
 
     The q_m (m >= 1) are the minimal solution of the three-term recurrence
-    (Gautschi, SIAM Rev. 9, 1967), found by backward recurrence on ratios
-    h_m = q_m/q_{m-1} = a_m^2 / (z - b_m - h_{m+1}), each a truncated Taylor
-    series in z, so nothing under- or overflows at any degree.  Starting
-    from h = 0 leaves a dominant share shrinking like |phi(z)|^-2 per step;
-    a tail of log(1/eps) / log|phi(z)| steps puts it below eps^2.  q_lo's
-    own z-dependence, needed for the jets, follows from the inhomogeneous
-    first step q_1 = (z - b_0) q_0 - mu_0, valid for atom tables too.  At a
-    mass point of the measure the minimal solution is L_m itself, and
-    order 0 gives L_m(z) / L_lo(z).
+    (Gautschi, SIAM Rev. 9, 1967), found by backward recurrence on the
+    ratios h_m = a_m^2 / (z - b_m - h_{m+1}), so nothing under- or
+    overflows at any degree.  Starting from h = 0 at
+    minimal_solution_depth(z, hi), which b and asq must reach, leaves a
+    dominant share below eps^2.  q_0 itself is mu_0 / (z - b_0 - h_1), by
+    the inhomogeneous first step.  At a mass point of the measure the
+    minimal solution is L_m itself.
     """
     z = complex(z)
     top = minimal_solution_depth(z, hi)
-    if table.nmax < top:
-        if table.spec is None:
-            raise MeasureError(f"table nmax {table.nmax} too short, need {top}")
-        table = recurrence_for(table.spec, top)
-    a, b = table.a, table.b
-    h, hs = [0j] * (order + 1), {}
-    for m in range(top, lo if order == 0 else 0, -1):
-        den = [-v for v in h]
-        den[0] += z - b[m]
-        if order:
-            den[1] += 1.0
-        h = hs[m] = [a[m] * a[m] * v for v in _series_recip(den)]
-    cols = [[1.0 + 0j] + [0j] * order]              # q_m(z) / q_lo(z)
-    for m in range(lo + 1, hi + 1):
-        cols.append(_series_mul(cols[-1], hs[m]))
-    if order:
-        # q_lo(z)/q_lo(z0) = [q_0(z)/q_0(z0)] prod_{k<=lo} h_k(z)/h_k(z0), with
-        # q_0 = mu_0 / (z - b_0 - h_1) by the inhomogeneous first step
-        den = [-v for v in hs[1]]
-        den[0] += z - b[0]
-        den[1] += 1.0
-        scale = _series_recip([v / den[0] for v in den])
-        for k in range(1, lo + 1):
-            scale = _series_mul(scale, [v / hs[k][0] for v in hs[k]])
-        cols = [_series_mul(col, scale) for col in cols]
-    return np.array(cols, dtype=complex).T
+    if len(b) <= top:
+        raise MeasureError(f"recurrence data through {len(b) - 1} too short, need {top}")
+    bb, aa = b[: top + 1].tolist(), asq[: top + 1].tolist()
+    h = [0j] * (hi + 1)
+    cur = 0j
+    for m in range(top, 0, -1):
+        den = z - bb[m] - cur
+        cur = aa[m] / den if den else complex(math.inf)   # q_{m-1}(z) = 0
+        if m <= hi:
+            h[m] = cur
+    return h
+
+
+def geronimus_step(b: np.ndarray, asq: np.ndarray, mass: complex, d: complex,
+                   top: int) -> tuple:
+    """Recurrence data of dmu/(x - d) through degree top, d off the support.
+
+    With l_k = -q_k(d)/q_{k-1}(d) from `minimal_ratios`, the new monic
+    polynomials are Q_k = L_k + l_k L_{k-1}, and J - dI = UL with
+    u_k = b_k - d - l_{k+1} gives the new Jacobi matrix LU + dI:
+    b'_k = d + u_k + l_k and a'_k^2 = l_k u_{k-1}.  The new mass is
+    integral dmu/(x - d) = -q_0(d).  Returns (b', asq', mass', l), l[0] = 0;
+    b and asq must reach minimal_solution_depth(d, top + 1).
+    (Gautschi, Orthogonal Polynomials: Computation and Approximation,
+    OUP 2004, sec. 2.4; Bueno & Marcellan, Linear Algebra Appl. 384, 2004.)
+    """
+    d = complex(d)
+    h = minimal_ratios(b, asq, d, top + 1)
+    l = -np.array(h)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = b[: top + 1] - d - l[1:]
+        new_asq = np.zeros(top + 1, dtype=complex)
+        new_asq[1:] = l[1: top + 1] * u[:top]
+        return d + u + l[: top + 1], new_asq, -mass / (d - b[0] - h[1]), l[: top + 1]
+
+
+def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tuple:
+    """Recurrence data of S dmu, S = prod (x - c) over `zeros` (a zero once
+    per unit of multiplicity, all off the support), A = len(zeros) degrees
+    short.
+
+    With J the monic Jacobi matrix (x L_k = L_{k+1} + b_k L_k + a_k^2 L_{k-1}),
+    the banded S(J) = LU without pivoting, L unit lower and U upper with
+    A superdiagonals, gives the new monic polynomials by
+    S Q_k = sum_{j<=A} U[k, j] L_{k+j}, U[k, A] = 1, and the new Jacobi
+    matrix U J U^-1: b'_k = U[k, A-1] + b_{k+A} - U[k+1, A-1] and
+    a'_k^2 = a_k^2 U[k, 0] / U[k-1, 0].  The pivot U[k, 0] is
+    integral Q_k^2 S dmu / integral L_k^2 dmu, so it depends on S dmu alone:
+    one factorization for all of S never passes through the measures of its
+    partial products, which may be nearly degenerate where S dmu is not.
+    The new mass is mass * U[0, 0].  For A = 1 the pivots are the forward
+    ratios -L_{k+1}(c)/L_k(c).  A zero pivot makes the next row infinite:
+    Q_{k+1} is not unique there.  With one zero the rows after it recover;
+    with more, NaN reaches every later row.  Returns (b', asq', mass', U).  (Bueno &
+    Marcellan, Linear Algebra Appl. 384, 2004; Gautschi, OUP 2004, sec. 2.4.)
+    """
+    A, n = len(zeros), len(b)
+    # band[i][o + A] = S(J)[i, i + o], one factor (J - cI) at a time
+    band = np.zeros((n, 2 * A + 1), dtype=complex)
+    band[:, A] = 1.0
+    pad = np.zeros(n + 2 * A, dtype=complex)
+    for c in zeros:
+        bc, sub = pad.copy(), pad.copy()
+        bc[A: A + n] = b - complex(c)
+        sub[A: A + n] = asq
+        new = np.zeros_like(band)
+        for o in range(-A, A + 1):
+            col = band[:, o + A]
+            new[:, o + A] += col * bc[A + o: A + o + n]
+            if o < A:
+                new[:, o + A + 1] += col
+            if o > -A:
+                new[:, o + A - 1] += col * sub[A + o: A + o + n]
+        band = new
+    rows = band.tolist()
+    U = []
+    for i, w in enumerate(rows):
+        for r in range(max(0, i - A), i):       # eliminate S(J)[i, r] with row r of U
+            o = r - i + A
+            if w[o]:
+                m = w[o] / U[r][0] if U[r][0] else complex(math.inf)
+                for k in range(A):
+                    w[o + k] -= m * U[r][k]
+                w[o + A] -= m                   # U[r][A] = 1: no inf * 0 past a zero pivot
+        U.append(w[A:])
+    U = np.array(U)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        new_asq = np.zeros(n - A, dtype=complex)
+        new_asq[1:] = asq[1: n - A] * U[1: n - A, 0] / U[: n - A - 1, 0]
+        new_b = U[: n - A, A - 1] + b[A:] - U[1: n - A + 1, A - 1]
+    return new_b, new_asq, mass * U[0, 0], U
 
 
 def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarray:
@@ -373,6 +439,9 @@ def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarra
     Forward recurrence is useless here: the values at a mass point are
     square summable, hence the minimal solution of the three-term
     recurrence, and forward errors grow with the dominant one.  They are
-    the order-0 case of `minimal_solution`, normalized by l_0 = tau_0.
+    the minimal solution's ratios `minimal_ratios`, multiplied up and
+    normalized by l_0 = tau_0.
     """
-    return table.tau[: deg + 1] * minimal_solution(table, loc, 0, deg)[0].real
+    deep = table_through(table, minimal_solution_depth(loc, deg))
+    h = minimal_ratios(deep.b, deep.a * deep.a, loc, deg)
+    return table.tau[: deg + 1] * np.cumprod([1.0] + h[1:]).real

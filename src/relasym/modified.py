@@ -1,48 +1,51 @@
 """Orthogonal polynomials for rationally modified measures r d(mu).
 
 The modifier r = S/T is a rational function with zeros and poles off the
-support.  Monic orthogonal polynomials Q_n of r d(mu) are obtained through
-R_n = S Q_n, expanded over the monic mu-basis as
+support, and r dmu is a complex measure with its own three-term recurrence.
+Its table follows from the base table by factorizations of the Jacobi
+matrix: one bidiagonal Geronimus step per pole on the real base table,
+then one banded Christoffel step for S (`measures.geronimus_step`,
+`measures.christoffel_step`).  beta_n = b'_n, alpha_n^2 = a'_n^2 and
+1/kappa_n^2 = mass' prod a'_k^2 are read off that table.  Walking the step
+factors back from Q_n gives
 
-    R_n = L_{n+A} + lambda_1 L_{n+A-1} + ... + lambda_{A+B} L_{n-B},
+    R_n = S Q_n = L_{n+A} + lambda_1 L_{n+A-1} + ... + lambda_{A+B} L_{n-B}
 
-where the lambda solve a square linear system: divisibility of R_n by S
-(jet conditions at each zero) plus pole conditions (moment integrals
-against L_{n-B}/(x-d_j)^nu).  Everything downstream (recurrence data,
-leading coefficients, weak limits) is read off the solved expansion.
+over the monic mu-basis: the zero step has S Q_n = sum_j U[n, j] P_{n+j}
+and a pole step Q_k = P_k + l_k P_{k-1}, P the polynomials one step
+earlier.  Q_n is R_n divided by S.  Nothing is integrated.
 """
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut
-from .measures import (BaseMeasureSpec, MeasureError, RecurrenceTable, minimal_solution,
-                       minimal_solution_depth, recurrence_for)
-from .polybasis import MONIC, PolyInBasis, basis_jets, divide_out_zeros, xmul, xmul_coeffs
+from .measures import (BaseMeasureSpec, MeasureError, RecurrenceTable, christoffel_step,
+                       geronimus_step, minimal_solution_depth, table_through)
+from .polybasis import MONIC, PolyInBasis, divide_out_zeros
 
 __all__ = [
     "RationalModifier",
+    "ModifiedTable",
     "ModifiedOP",
     "ModifiedError",
+    "modified_table",
     "solve_Q",
-    "recurrence_extract",
     "weak_limit_probe",
 ]
 
-# Condition-number gate: a solve above this is reported as pre-asymptotic.
-COND_LIMIT = 1e10
+_TINY = np.finfo(float).tiny
 
 
 class ModifiedError(ValueError):
-    """A refused solve; kind names the cause ("pre_asymptotic" or "overflow")."""
+    """A refused degree or reading; kind names the cause ("pre_asymptotic",
+    "degree_collapse", "underflow" or "overflow")."""
 
-    def __init__(self, message: str, cond: float | None = None,
-                 kind: str = "pre_asymptotic"):
+    def __init__(self, message: str, kind: str = "pre_asymptotic"):
         super().__init__(message)
-        self.cond = cond
         self.kind = kind
 
 
@@ -112,26 +115,99 @@ class RationalModifier:
         return cls(zeros=zeros, poles=poles)
 
 
+def _breakdown(n: int, step: str, k: int) -> ModifiedError:
+    return ModifiedError(f"recurrence of r dmu breaks down at n={n}: the {step} has "
+                         f"a non-finite factor at k={k}", kind="degree_collapse")
+
+
+@dataclass
+class ModifiedTable:
+    """Recurrence data of r dmu through degree nmax, and the factors of the
+    steps that lead there from the base table, in the order applied."""
+
+    r: RationalModifier
+    base: RecurrenceTable
+    b: np.ndarray               # b'_k, k = 0..nmax
+    asq: np.ndarray             # a'_k^2, k = 1..nmax; asq[0] = 0
+    mass: complex               # integral r dmu
+    poles: list                 # (d, l) per pole step, in the order applied
+    zero_rows: np.ndarray | None    # U of the zero step: S Q_k = sum_j U[k, j] P_{k+j}
+
+    @property
+    def nmax(self) -> int:
+        return len(self.b) - 1
+
+    def kappa_sq_inv(self, n: int) -> complex:
+        """integral Q_n^2 r dmu = mass' prod_{k<=n} a'_k^2.  Refused where a
+        factor vanishes or is not finite, or the product leaves the double
+        range."""
+        terms = np.concatenate([[self.mass], self.asq[1: n + 1]])
+        if not np.all(np.isfinite(terms) & (terms != 0)):
+            raise ModifiedError(f"kappa_{n}^-2 undefined: the recurrence of r dmu "
+                                f"breaks down at or below n={n}", kind="degree_collapse")
+        val = complex(np.prod(terms))
+        if abs(val) < _TINY:
+            raise ModifiedError(f"kappa_{n}^-2 underflows the double range at n={n}",
+                                kind="underflow")
+        if not cmath.isfinite(val):
+            raise ModifiedError(f"kappa_{n}^-2 overflows the double range at n={n}",
+                                kind="overflow")
+        return val
+
+    def op(self, n: int) -> "ModifiedOP":
+        """Degree n: R_n = S Q_n from the step factors walked back from Q_n,
+        O((A + B)^2), and Q_n by exact division by S.  Refused only where a
+        factor it reads is not finite: a step broke down there, and the
+        polynomial of that degree is not unique."""
+        if not 0 <= n <= self.nmax:
+            raise ModifiedError(f"degree {n} outside the table's 0..{self.nmax}")
+        lo, w = n, np.ones(1, dtype=complex)        # w[i]: coefficient of degree lo + i
+        if self.zero_rows is not None:
+            w = self.zero_rows[n]
+            if not np.all(np.isfinite(w)):
+                raise _breakdown(n, "zero step", n)
+        for d, l in reversed(self.poles):
+            read = l[lo: lo + len(w)]
+            bad = np.flatnonzero(~np.isfinite(read))
+            if bad.size:
+                raise _breakdown(n, f"pole step at {d}", lo + bad[0])
+            nxt = np.zeros(len(w) + 1, dtype=complex)
+            nxt[1:] = w
+            nxt[:-1] += read * w
+            lo, w = lo - 1, nxt
+            if lo < 0:                              # l_0 = 0: nothing below degree 0
+                lo, w = 0, w[1:]
+        A = self.r.A
+        coeffs = np.zeros(n + A + 1, dtype=complex)
+        coeffs[lo:] = w
+        rep = PolyInBasis(MONIC, coeffs, n + A, self.base)
+        return ModifiedOP(n=n, rep=rep, q=divide_out_zeros(rep, list(self.r.zeros)),
+                          table=self)
+
+
 @dataclass
 class ModifiedOP:
-    """One solved degree: expansion, monic polynomial, and recurrence data."""
+    """One degree read off the table of r dmu."""
 
     n: int
-    lam: np.ndarray                 # lambda_0..lambda_{A+B}, lambda_0 = 1
     rep: PolyInBasis                # R_n = S*Q_n over the monic mu-basis
     q: PolyInBasis                  # Q_n, monic of exact degree n
-    kappa_sq_inv: complex           # integral Q_n^2 r dmu = 1/kappa_n^2
-    beta: complex                   # kappa_n^2 * integral x Q_n^2 r dmu
-    cond: float
-    alpha_sq: complex | None = None  # kappa_{n-1}^2/kappa_n^2, set when known
+    table: ModifiedTable
 
+    @property
+    def beta(self) -> complex:
+        """kappa_n^2 integral x Q_n^2 r dmu = b'_n."""
+        return complex(self.table.b[self.n])
 
-def _ensure_table(base: RecurrenceTable, deg: int) -> RecurrenceTable:
-    if base.nmax >= deg:
-        return base
-    if base.spec is None:
-        raise ModifiedError(f"table nmax {base.nmax} too small for degree {deg}")
-    return recurrence_for(base.spec, deg)
+    @property
+    def alpha_sq(self) -> complex:
+        """kappa_{n-1}^2 / kappa_n^2 = a'_n^2 (0 at n = 0)."""
+        return complex(self.table.asq[self.n])
+
+    @property
+    def kappa_sq_inv(self) -> complex:
+        """integral Q_n^2 r dmu = 1/kappa_n^2."""
+        return self.table.kappa_sq_inv(self.n)
 
 
 def _check_off_atoms(r: RationalModifier, spec: BaseMeasureSpec | None):
@@ -143,242 +219,55 @@ def _check_off_atoms(r: RationalModifier, spec: BaseMeasureSpec | None):
                 raise ModifiedError(f"modifier point {p} coincides with a mass point")
 
 
-def _pole_moments(base: RecurrenceTable, d: complex, lj: np.ndarray, j: int,
-                  hi: int) -> np.ndarray:
-    """out[nu-1, m-j] = integral L_m L_j (x-d)^-nu dmu / q_j(d), nu = 1..mult,
-    m = j..hi, with q_m(d) = integral L_m/(d-x) dmu the minimal solution and
-    lj = (L_j^(t)(d)), t < mult.
-
-    Past its Taylor terms at d through order nu-1, L_j is (x-d)^nu times a
-    polynomial of degree j-nu, orthogonal to L_m for m > j-nu.  That leaves
-    -sum_{t<nu} [L_j^(t)(d)/t!] [q_m^(nu-1-t)(d)/(nu-1-t)!], exactly.
-    """
-    mult = len(lj)
-    qj = minimal_solution(base, d, j, hi, mult - 1)
-    out = np.zeros((mult, hi - j + 1), dtype=complex)
-    for nu in range(1, mult + 1):
-        for t in range(nu):
-            out[nu - 1] -= lj[t] / math.factorial(t) * qj[nu - 1 - t]
-    return out
-
-
-def modifier_jets(r: RationalModifier, base: RecurrenceTable, top: int,
-                  probes: tuple = (), order: int = 0) -> tuple[RecurrenceTable, list]:
-    """The table solve_Q needs through degree top, pole moments included,
-    and on it the monic jets at each modifier zero, then at each pole,
-    through degree top + A, to the order its multiplicity needs.
-
-    One forward sweep serves every point and every degree n <= top: a value
-    at degree k depends neither on how far the sweep runs nor on the other
-    points and orders swept with it.  The probes, if any, ride the same
-    sweep to `order`; their jets (order+1, top+A+1, len(probes)) come last
-    in the list.
-    """
-    A = r.A
-    # deep enough for every pole moment's minimal solution too
-    base = _ensure_table(base, max([top + A + 1] + [minimal_solution_depth(d, top + A)
-                                                    for d, _ in r.poles]))
-    points = r.zeros + r.poles
-    orders = [mult - 1 for _, mult in points]
-    zz = np.array([p for p, _ in points] + list(probes), dtype=complex)
-    if not zz.size:
-        return base, []
-    with np.errstate(over="ignore", invalid="ignore"):
-        swept = basis_jets(base, max(top + A, 0), zz, max(orders + [order]))
-    jets = [swept[: k + 1, :, i] for i, k in enumerate(orders)]
-    if probes:
-        jets.append(swept[: order + 1, :, len(points):])
-    return base, jets
+def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> ModifiedTable:
+    """The table of r dmu through degree top: one Geronimus step per pole,
+    a step per unit of multiplicity, then one Christoffel step for all of S."""
+    _check_off_atoms(r, base.spec)
+    poles = [d for d, mult in r.poles for _ in range(mult)]
+    zeros = [c for c, mult in r.zeros for _ in range(mult)]
+    # the zero step loses a degree per zero, each pole step its backward tail
+    tops = [top + len(zeros)]
+    for d in reversed(poles):
+        tops.append(minimal_solution_depth(d, tops[-1] + 1))
+    with np.errstate(over="ignore"):        # only a and b are read
+        base = table_through(base, tops[-1])
+    b = base.b[: tops[-1] + 1].astype(complex)
+    asq = (base.a * base.a)[: tops[-1] + 1].astype(complex)
+    mass = complex(base.total_mass)
+    steps, rows = [], None
+    for d, t in zip(poles, reversed(tops[:-1])):
+        b, asq, mass, l = geronimus_step(b, asq, mass, d, t)
+        steps.append((d, l))
+    if zeros:
+        b, asq, mass, rows = christoffel_step(b, asq, mass, zeros)
+    return ModifiedTable(r=r, base=base, b=b, asq=asq, mass=mass, poles=steps,
+                         zero_rows=rows)
 
 
-def _lambda_system(n: int, r: RationalModifier, base: RecurrenceTable,
-                   jets: list) -> tuple[np.ndarray, np.ndarray]:
-    """Rows: divisibility jets at each zero, then pole moments against
-    L_{n-B}; unknowns lambda_1..lambda_{A+B}; the lambda_0 = 1 column moves
-    to the rhs.  Pole rows carry a common factor 1/q_{n-B}(d) per pole, which
-    the row scaling in `_equilibrated` removes.  jets as from modifier_jets."""
-    A, B = r.A, r.B
-    ab = A + B
-    degs = [n + A - k for k in range(ab + 1)]   # degree paired with lambda_k
-    rows = np.zeros((ab, ab), dtype=complex)
-    rhs = np.zeros(ab, dtype=complex)
-    i = 0
-    for (c, mult), cj in zip(r.zeros, jets):
-        for nu in range(mult):
-            rows[i] = [cj[nu, degs[k]] for k in range(1, ab + 1)]
-            rhs[i] = -cj[nu, degs[0]]
-            i += 1
-    for (d, mult), dj in zip(r.poles, jets[len(r.zeros):]):
-        mom = _pole_moments(base, d, dj[:, n - B], n - B, n + A)   # column k: degree n-B+k
-        rows[i:i + mult] = mom[:, ab - 1::-1]
-        rhs[i:i + mult] = -mom[:, ab]
-        i += mult
-    return rows, rhs
-
-
-def _equilibrated(n, r, base, jets):
-    """The degree-n lambda system with every row scaled to a largest entry 1."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows, rhs = _lambda_system(n, r, base, jets)
-    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
-        raise ModifiedError(f"lambda system overflows the double range at n={n}",
-                            kind="overflow")
-    scale = np.maximum(np.abs(rows).max(axis=1), np.abs(rhs))
-    scale[scale == 0.0] = 1.0
-    return rows / scale[:, None], rhs / scale
-
-
-def _beta(n: int, lam: np.ndarray, r: RationalModifier,
-          base: RecurrenceTable) -> complex:
-    """beta_n = kappa_n^2 integral x Q_n^2 r dmu, exactly.
-
-    Write x Q_n = T u + v with deg v < B.  The v part vanishes against
-    Q_n r dmu by orthogonality, and u (degree n+1-B) pairs with
-    R_n = S Q_n only through its two lowest terms, which gives
-
-        beta_n = lambda_1 + sum A_i c_i + sum B_j d_j
-                 - sum_{k=n-B+1}^{n+A-1} b_k
-                 + (lambda_{A+B-1} / lambda_{A+B}) a_{n-B+1}^2.
-    """
-    A, B = r.A, r.B
-    shift = sum(m * c for c, m in r.zeros) + sum(m * d for d, m in r.poles)
-    tail = np.sum(base.b[n - B + 1: n + A])
-    return complex(lam[1] + shift - tail
-                   + lam[A + B - 1] / lam[A + B] * base.a[n - B + 1] ** 2)
-
-
-def _expand(n: int, lam: np.ndarray, cond: float, r: RationalModifier,
-            base: RecurrenceTable) -> ModifiedOP:
-    """ModifiedOP from the solved lambda: R_n, Q_n = R_n / S, kappa and beta."""
-    A, B = r.A, r.B
-    coeffs = np.zeros(n + A + 1, dtype=complex)
-    for k in range(A + B + 1):
-        coeffs[n + A - k] = lam[k]
-    rep = PolyInBasis(MONIC, coeffs, n + A, base)
-    q = divide_out_zeros(rep, list(r.zeros))
-    top = abs(q.coeffs[n]) / float(np.max(np.abs(q.coeffs)))
-    if top < 1e-8:
-        raise ModifiedError(f"degree collapse at n={n} (top coefficient {top:.2e})", cond=cond)
-
-    with np.errstate(over="ignore"):
-        tau_sq = base.tau[n - B] ** 2
-    if not np.isfinite(tau_sq):
-        raise ModifiedError(f"tau_{n - B}^2 overflows the double range at n={n}",
-                            cond=cond, kind="overflow")
-    kappa_sq_inv = lam[A + B] / tau_sq
-    if abs(kappa_sq_inv) == 0.0:
-        raise ModifiedError(f"kappa_n^2 undefined at n={n} (vanishing norm)")
-    beta = _beta(n, lam, r, base)
-    return ModifiedOP(n=n, lam=lam, rep=rep, q=q,
-                      kappa_sq_inv=complex(kappa_sq_inv), beta=complex(beta), cond=cond)
-
-
-# what refuses one degree and leaves the others to their own solves
+# what refuses one degree and leaves the others to their own reading
 _DEGREE_REFUSALS = (ModifiedError, MeasureError, np.linalg.LinAlgError)
 
 
 def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
-    """Monic Q_n orthogonal to lower degrees under the bilinear form of r d(mu).
-
-    The lambda system couples divisibility (jets at modifier zeros) with the
-    pole moments, both exact recurrence quantities, and is solved once.
-    kappa_sq_inv (lambda_{A+B}/tau_{n-B}^2) and beta come from the expansion
-    itself, and Q_n from R_n by exact division by S; no quadrature.
-    """
-    op = solve_Q_many((n,), r, *modifier_jets(r, base, n))[n]
-    if isinstance(op, Exception):
-        raise op
-    return op
+    """Monic Q_n orthogonal to lower degrees under the bilinear form of
+    r d(mu), with its recurrence data, read off the table of r dmu."""
+    return modified_table(r, base, n).op(n)
 
 
-def solve_Q_many(degrees, r: RationalModifier, base: RecurrenceTable,
-                 jets: list) -> dict:
-    """solve_Q at each degree, from (base, jets) = modifier_jets(r, table, top)
-    with top >= every degree: degree -> ModifiedOP, or the error that degree
-    refuses with.
-
-    Each lambda system is assembled and equilibrated on its own.  Those that
-    pass the overflow check meet the condition gate in one stacked cond call
-    and are solved in one stacked solve.  numpy's gufuncs run LAPACK once per
-    matrix, so every degree gets the numbers of its own solve.
-    """
-    A, B = r.A, r.B
+def solve_Q_many(degrees, r: RationalModifier, base: RecurrenceTable) -> dict:
+    """solve_Q at each degree, from one table through the deepest: degree ->
+    ModifiedOP, or the error that degree refuses with."""
     try:
-        _check_off_atoms(r, base.spec)
-        on_atom = None
-    except ModifiedError as exc:
-        on_atom = exc
+        table = modified_table(r, base, max(degrees))
+    except _DEGREE_REFUSALS as exc:
+        return {n: exc for n in degrees}
     out: dict = {}
-    systems: dict = {}
     for n in degrees:
-        if n < A + B + 1:
-            out[n] = ModifiedError(f"need n >= A+B+1 = {A + B + 1}, got {n}")
-        elif on_atom is not None:
-            out[n] = on_atom
-        elif r.is_trivial:
-            q = PolyInBasis.basis_poly(base, n)
-            out[n] = ModifiedOP(
-                n=n, lam=np.array([1.0 + 0.0j]), rep=q, q=q,
-                kappa_sq_inv=1.0 / base.tau[n] ** 2,
-                beta=complex(base.b[n]), cond=1.0,
-                alpha_sq=complex(base.a[n] ** 2))
-        else:
-            try:
-                systems[n] = _equilibrated(n, r, base, jets)
-            except _DEGREE_REFUSALS as exc:
-                out[n] = exc
-    if systems:
-        rows = np.array([rows for rows, _ in systems.values()])
-        rhs = np.array([rhs for _, rhs in systems.values()])
-        conds = np.linalg.cond(rows)
-        ok = np.isfinite(conds) & (conds <= COND_LIMIT)
-        # the gate leaves no singular matrix for the solve
-        lams = iter(np.linalg.solve(rows[ok], rhs[ok][..., None])[..., 0])
-        for n, cond, good in zip(systems, conds.tolist(), ok.tolist()):
-            if not good:
-                out[n] = ModifiedError(
-                    f"lambda system ill-conditioned (cond ~ {cond:.2e}) at n={n}", cond=cond)
-                continue
-            lam = np.concatenate([[1.0 + 0.0j], next(lams)])
-            try:
-                out[n] = _expand(n, lam, cond, r, base)
-            except _DEGREE_REFUSALS as exc:
-                out[n] = exc
-    return {n: out[n] for n in degrees}
-
-
-def recurrence_extract(op_prev: ModifiedOP, op_mid: ModifiedOP,
-                       op_next: ModifiedOP) -> tuple[complex, complex, float]:
-    """(alpha_n^2, beta_n, residual) from three consecutive solved degrees.
-
-    alpha_n^2 = kappa_{n-1}^2/kappa_n^2; beta_n comes with op_mid.  The
-    residual is the coefficient norm of Q_{n+1} - (x - beta_n) Q_n
-    + alpha_n^2 Q_{n-1}, relative to the largest term.
-    """
-    if not (op_prev.n + 1 == op_mid.n and op_mid.n + 1 == op_next.n):
-        raise ModifiedError("recurrence extraction needs consecutive degrees")
-    alpha_sq = complex(op_mid.kappa_sq_inv / op_prev.kappa_sq_inv)
-    beta = complex(op_mid.beta)
-    xq = xmul(op_mid.q)
-    resid_c = np.zeros(op_next.n + 1, dtype=complex)
-    resid_c[: op_next.n + 1] += op_next.q.coeffs
-    resid_c[: xq.degree + 1] -= xq.coeffs
-    resid_c[: op_mid.n + 1] += beta * op_mid.q.coeffs
-    resid_c[: op_prev.n + 1] += alpha_sq * op_prev.q.coeffs
-    scale = max(float(np.max(np.abs(op_next.q.coeffs))),
-                float(np.max(np.abs(xq.coeffs))))
-    residual = float(np.max(np.abs(resid_c))) / scale
-    op_mid.alpha_sq = alpha_sq
-    return alpha_sq, beta, residual
-
-
-def _alpha_chain(ops: list[ModifiedOP]) -> complex:
-    """Product alpha_{n+1}..alpha_{n+nu} over consecutive solved degrees,
-    each alpha the principal root of kappa_sq_inv ratios."""
-    prod = 1.0 + 0.0j
-    for lo, hi in zip(ops[:-1], ops[1:]):
-        prod *= np.sqrt(hi.kappa_sq_inv / lo.kappa_sq_inv)
-    return complex(prod)
+        try:
+            out[n] = table.op(n)
+        except _DEGREE_REFUSALS as exc:
+            out[n] = exc
+    return out
 
 
 def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
@@ -387,39 +276,35 @@ def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
     rhs = (1/pi) integral f T_nu / sqrt(1-x^2) dx by Gauss-Chebyshev, whose
     closed-form nodes are exact for its degree.
 
-    f = sum f_j L_j acts on Q_n's monic coefficients as sum f_j L_j(J), one
-    recurrence step on `xmul_coeffs` per degree of f.  Peeling f Q_n from
-    the top over Q_m, m > n + nu, leaves c L_{n+nu} plus lower degrees, and
-    by orthogonality integral f Q_n Q_{n+nu} r dmu = c / kappa_{n+nu}^2,
-    exactly: no quadrature, no pole moments, nothing special for atoms.
-
-    kappa_n kappa_{n+nu} is evaluated as kappa_n^2 / (alpha_{n+1}..alpha_{n+nu})
-    with principal-root alphas, the recursive normalization choice; no global
-    square-root chain is ever taken.
+    f = sum f_j L_j acts on Q_n as f(J'), J' the monic Jacobi matrix of
+    r dmu, by L_{j+1}(J') = (J' - b_j) L_j(J') - a_j^2 L_{j-1}(J') from e_n:
+    one banded step per degree of f.  That gives f Q_n = sum_m c_m Q_m, and
+    by orthogonality integral f Q_n Q_{n+nu} r dmu = c_{n+nu} / kappa_{n+nu}^2,
+    so lhs = c_{n+nu} kappa_n / kappa_{n+nu} = c_{n+nu} alpha_{n+1}..alpha_{n+nu}
+    with principal-root alphas, the recursive normalization choice.  Exact:
+    nothing is integrated, and no kappa is formed.
     """
     if nu < 0:
         raise ModifiedError("nu must be >= 0")
     top = n + max(nu, f.degree)
-    built = solve_Q_many(range(n, top + 1), r, *modifier_jets(r, base, top))
-    ops = list(built.values())
-    for op in ops:
-        if isinstance(op, Exception):
-            raise op
+    table = modified_table(r, base, top)
+    bt, asqt = table.b, table.asq
     fc = f.to_basis(MONIC).coeffs
     a, b = f.table.a, f.table.b
-    lo, cur = np.zeros(0, dtype=complex), ops[0].q.coeffs
-    fq = np.zeros(top + 1, dtype=complex)          # f Q_n over the monic mu-basis
-    fq[: n + 1] = fc[0] * cur
-    for j in range(f.degree):                      # L_{j+1} Q_n from L_j Q_n, L_{j-1} Q_n
-        nxt = xmul_coeffs(cur, base)
-        nxt[:-1] -= b[j] * cur
-        nxt[: len(lo)] -= a[j] ** 2 * lo
-        lo, cur = cur, nxt
-        fq[: len(cur)] += fc[j + 1] * cur
-    for op in ops[:nu:-1]:                         # peel Q_top .. Q_{n+nu+1}
-        fq[: op.n + 1] -= fq[op.n] * op.q.coeffs
-    kk = (1.0 / ops[0].kappa_sq_inv) / _alpha_chain(ops[: nu + 1])
-    lhs = complex(fq[n + nu] * ops[nu].kappa_sq_inv * kk)
+    prev, cur = np.zeros(top + 1, dtype=complex), np.zeros(top + 1, dtype=complex)
+    cur[n] = 1.0
+    fq = fc[0] * cur                               # f(J') e_n over Q_0..Q_top
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(f.degree):                  # L_{j+1}(J') e_n from the two before
+            nxt = (bt - b[j]) * cur - a[j] ** 2 * prev
+            nxt[1:] += cur[:-1]
+            nxt[:-1] += asqt[1:] * cur[1:]
+            prev, cur = cur, nxt
+            fq += fc[j + 1] * cur
+        lhs = complex(fq[n + nu] * np.prod(np.sqrt(asqt[n + 1: n + nu + 1])))
+    if not cmath.isfinite(lhs):
+        raise ModifiedError(f"recurrence of r dmu breaks down near n={n}",
+                            kind="degree_collapse")
 
     mc = f.degree + nu + 32
     theta = (2 * np.arange(1, mc + 1) - 1) * np.pi / (2 * mc)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import BaseMeasureSpec, RecurrenceTable, minimal_solution
-from .modified import _ensure_table
+from .measures import (BaseMeasureSpec, RecurrenceTable, minimal_ratios, minimal_solution_depth,
+                       table_through)
 from .polybasis import (MONIC, PolyInBasis, basis_jets, divide_out_zeros, lincomb, xmul,
                         xmul_coeffs)
 from .sobolev import SobolevSpec, SobolevTerm, digit_loss, sn_kernel
@@ -223,7 +223,8 @@ def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
         raise PadeError(f"evaluation point {z} lies on or near [-1, 1]")
-    h1 = minimal_solution(base, z, 0, 1)[0, 1]
+    deep = table_through(base, minimal_solution_depth(z, 1))
+    h1 = minimal_ratios(deep.b, deep.a * deep.a, z, 1)[1]
     return complex(base.total_mass / (z - base.b[0] - h1)) + f.pole_value(z)
 
 
@@ -269,7 +270,7 @@ def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
     """
     n = appr.n
     count = n if count is None else count
-    base = _ensure_table(base, max(n, count))
+    base = table_through(base, max(n, count))
     q = appr.Q_n.to_basis(MONIC).coeffs
     w = q / base.tau[: len(q)] ** 2
     vals = np.zeros(count, dtype=complex)
@@ -313,7 +314,7 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable) -> co
     if f.poles:
         need += digit_loss(n + 1, to_sobolev_spec(f))
     dps = int(need) + 50
-    base = _ensure_table(base, n + 2)
+    base = table_through(base, n + 2)
     e0 = _mp_remainder(n, f, base, z, dps)
     e1 = _mp_remainder(n + 1, f, base, z, dps)
     if e0 == 0:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import RecurrenceTable
+from .measures import RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
-from .modified import _ensure_table, solve_Q  # noqa: F401
+from .modified import solve_Q  # noqa: F401
 from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, inner_mu
 
 __all__ = [
@@ -223,7 +223,7 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     the deepest degree + 1, and degree -> SobolevError for each refused degree."""
     regular = regularity(spec).overall_regular
     with np.errstate(over="ignore"):    # sn_kernel refuses an infinite tau_n
-        base = _ensure_table(base, max(degrees) + 1)
+        base = table_through(base, max(degrees) + 1)
     order = max(max(t.gamma.shape) for t in spec.terms) - 1
     atoms = base.spec.mass_points if base.spec is not None else ()
     # forward jets at an atom follow a decaying solution into rounding noise
@@ -309,7 +309,7 @@ def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
         rows, cols = _support(t.gamma)
         orders.append(max(rows + cols))
     with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
-        base = _ensure_table(base, top + 1)
+        base = table_through(base, top + 1)
         swept = basis_jets(base, deg, np.array([t.c for t in spec.terms] + list(probes)),
                            max(orders + [order]))
         tau = base.tau[: deg + 1]

@@ -33,8 +33,7 @@ from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
-from .modified import (ModifiedError, RationalModifier, modifier_jets,  # noqa: F401
-                       solve_Q, solve_Q_many)
+from .modified import ModifiedError, RationalModifier, solve_Q, solve_Q_many  # noqa: F401
 from .pade import PadeError, StieltjesFn, to_sobolev_spec
 from .polybasis import MONIC, PolyInBasis, basis_jets
 from .sobolev import (SobolevError, SobolevSpec, coupling_jets, regularity,
@@ -128,6 +127,8 @@ class ExperimentConfig:
                 or any(m <= n for n, m in zip(self.n_ladder, self.n_ladder[1:]))):
             raise VerifyConfigError(
                 "n_ladder must be a nonempty, strictly increasing sequence of nonnegative degrees")
+        if any(n < 0 for n in self.zero_degrees):
+            raise VerifyConfigError("zero_degrees must be nonnegative")
         if self.jets < 0:
             raise VerifyConfigError("jets must be nonnegative")
         if not self.probe_points:
@@ -235,16 +236,16 @@ def boundary_grid(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
 
 
 class _TargetPolys:
-    """Degree -> monic target polynomial, built once per ladder run.  Sobolev
-    targets and Pade denominators come from the kernel identity: sn_kernel
-    in double, or sn_lambda in mpmath when the precision is extended.
+    """Degree -> monic target polynomial, built once per ladder run.  Modified
+    targets are read off the table of r dmu (solve_Q_many); Sobolev targets
+    and Pade denominators come from the kernel identity: sn_kernel in
+    double, or sn_lambda in mpmath when the precision is extended.
 
     Callers build the table two degrees past the deepest target.  The double
-    builders sweep the jets at every modifier zero and pole, or at every
-    coupling point, once through that degree (modifier_jets, coupling_jets),
-    and `build` makes all the degrees it is given in one builder call
-    (solve_Q_many, sn_kernel_many).  Probes given here ride the same sweep:
-    probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order`.
+    kernel builder sweeps the jets at every coupling point once through that
+    degree (coupling_jets), and `build` makes all the degrees it is given in
+    one builder call (solve_Q_many, sn_kernel_many).  Probes given here ride
+    the same sweep: probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order`.
     """
 
     def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable,
@@ -261,13 +262,9 @@ class _TargetPolys:
     def _sweep(self, top: int, probes: tuple = (), order: int = 0):
         """Sweep the builder's points, with the probes, through degree top;
         returns the probes' jets."""
-        cfg = self.cfg
-        if cfg.target_kind == "modified":
-            base, jets = modifier_jets(cfg.modifier, self.table, top, probes, order)
-        elif self._spec is not None and cfg.precision == "double":
-            base, jets = coupling_jets(self._spec, self.table, top, probes, order)
-        else:
+        if self._spec is None or self.cfg.precision != "double":
             return basis_jets(self.table, top, np.array(probes), order)
+        base, jets = coupling_jets(self._spec, self.table, top, probes, order)
         probe_jets = jets.pop() if probes else None
         self._swept = (top, base, jets)
         return probe_jets
@@ -286,7 +283,7 @@ class _TargetPolys:
             return
         cfg, spec = self.cfg, self._spec
         if cfg.target_kind == "modified":
-            ops = solve_Q_many(todo, cfg.modifier, *self._jets(max(todo)))
+            ops = solve_Q_many(todo, cfg.modifier, self.table)
             built = {n: op if isinstance(op, Exception) else op.q for n, op in ops.items()}
         elif spec is not None and cfg.precision == "extended":
             built = {}

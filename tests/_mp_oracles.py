@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from relasym.extended import _mp_ab, _mp_basis_jets, _mp_normsq, _mp_poly_jet, _mp_xmul
-from relasym.modified import _ensure_table
+from relasym.measures import table_through
 from relasym.sobolev import digit_loss
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
@@ -160,11 +160,14 @@ def oracle_base_monic(spec, n: int) -> list:
 
 
 def oracle_modified_monic(spec, r, n: int) -> list:
+    return oracle_modified_monics(spec, r, (n,))[n]
+
+
+def oracle_modified_monics(spec, r, degrees) -> dict:
+    """Degree -> oracle_modified_monic, from one set of moments."""
     with mp.workdps(DPS):
-        mom = {}
-        for k in range(2 * n + 1):
-            mom[k] = modified_moment(spec, r, k)
-        return _monic_from_gram(lambda i, j: mom[i + j], n)
+        mom = [modified_moment(spec, r, k) for k in range(2 * max(degrees) + 1)]
+        return {n: _monic_from_gram(lambda i, j: mom[i + j], n) for n in degrees}
 
 
 def oracle_sobolev_monic(spec, sob, n: int) -> list:
@@ -250,7 +253,7 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
     and in double, <S_n, S_n> in mp, and the mp recurrence data."""
     A = sob.A
     deg_top = n + A
-    base = _ensure_table(base, deg_top + 1)
+    base = table_through(base, deg_top + 1)
     with mp.workdps(dps):
         a2, b = _mp_ab(base, deg_top)
         normsq = _mp_normsq(base, a2, n)

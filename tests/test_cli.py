@@ -86,6 +86,18 @@ def test_ladder_that_checks_nothing_is_config_error(tmp_path, key, value, capsys
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["base_legendre", "pade_gonchar"])
+def test_negative_zero_degree_is_config_error(tmp_path, name, capsys):
+    # it used to crash in basis_poly (exit 1) or refuse in the kernel (exit 4)
+    payload = scenario(name).to_json_dict()
+    payload["zero_degrees"] = [-1]
+    cfg = _write_json(tmp_path / "z.json", payload)
+    out = tmp_path / "out"
+    assert main(["zeros", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "zeros.json").exists()
+    assert "config error" in capsys.readouterr().err
+
+
 LEGENDRE = {"weight_kind": "legendre"}
 # one config per kind of placed value (a point or an exponent), set to v
 NONFINITE_CONFIGS = {
@@ -135,14 +147,19 @@ def test_verify_sobolev_scenario(tmp_path, capsys):
 
 
 def test_verify_flags_unbuildable_degree(tmp_path):
+    # the zero 2.5 is b_0 of Legendre plus the atom (3, 10), the zero of
+    # L_1: (x - 2.5) dmu has no unique Q_1, and degree 1 is flagged
     payload = scenario("modified_rational").to_json_dict()
+    payload["measure"]["mass_points"] = [[3.0, 10.0]]
+    payload["target"]["modifier"] = {"zeros": [{"c": [2.5, 0.0], "mult": 1}]}
     payload["n_ladder"] = [1, 10]
     payload["laws"] = ["modified_vs_base"]
-    payload["probe_points"] = [[3.0, 0.0]]
+    payload["probe_points"] = [[-2.0, 0.0]]
     cfg = _write_json(tmp_path / "early.json", payload)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 4
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["flagged"] and summary["flagged"][0][4] == 1
+    assert [row[4] for row in summary["flagged"]] == [1, 1]
+    assert summary["flagged"][0][5].startswith("degree_collapse: ")
 
 
 def test_verify_monotone_failure_exit(tmp_path, monkeypatch):

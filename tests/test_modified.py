@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _mp_oracles import compare_monomial, legendre_pole_moment, oracle_modified_monic
+from _mp_oracles import compare_monomial, legendre_pole_moment, oracle_modified_monics
 from _quadrature import inner_rho, values_on_rule
 
-from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier,
-                     StieltjesFn, f_value, limit_modified, recurrence_extract,
-                     recurrence_for, solve_Q, weak_limit_probe)
-from relasym.measures import minimal_solution, rule_for
-from relasym.modified import _alpha_chain, _pole_moments
+from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier, limit_modified,
+                     modified_table, recurrence_for, solve_Q, weak_limit_probe)
+from relasym.measures import rule_for
 from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, xmul
 
 LEG = BaseMeasureSpec("legendre")
@@ -24,6 +22,8 @@ R_LIN = RationalModifier(zeros=((3.0 + 0j, 1),))
 R_CPX = RationalModifier(zeros=((2j, 1),))
 R_RAT = RationalModifier(zeros=((2j, 1),), poles=((3j, 1),))
 R_DBL = RationalModifier(zeros=((2j, 1),), poles=((1.1, 2),))
+ATOMS2 = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 0.3)))
+R_ATOMS2 = RationalModifier(zeros=((3.0 + 0j, 1),), poles=((-1.5 + 0.5j, 2),))
 
 
 def test_modifier_counts_and_values():
@@ -52,11 +52,6 @@ def test_trivial_modifier_returns_base():
     assert op.alpha_sq == pytest.approx(TAB.a[7] ** 2)
 
 
-def test_degree_floor():
-    with pytest.raises(ModifiedError):
-        solve_Q(2, R_RAT, TAB)  # needs n >= A + B + 1 = 3
-
-
 def _orthogonality_residual(op, r, tab):
     n = op.n
     rule = rule_for(tab.spec, n + 60)
@@ -82,39 +77,60 @@ def test_deep_degrees_solve_cleanly(r, n):
     assert _orthogonality_residual(op, r, tab) < 1e-9
 
 
-@pytest.mark.parametrize("n, label", [(600, r"tau_599\^2 overflows"),
-                                      (1000, "lambda system overflows")],
+@pytest.mark.parametrize("n, label", [(600, r"kappa_600\^-2 underflows"),
+                                      (1000, r"kappa_1000\^-2 underflows")],
                          ids=["600", "1000"])
 def test_refusal_past_double_range_names_the_overflow(n, label):
-    # past the double range the refusal is a typed ModifiedError that says
-    # what overflowed, not "vanishing norm" or a LinAlgError from the solve
+    # Q_n reads no normalization, so it builds cleanly past the double
+    # range; only kappa_n^-2 = mass' prod a'_k^2 leaves it, and reading it
+    # refuses with a typed ModifiedError that says so
     tab = recurrence_for(LEG, n + 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        op = solve_Q(n, R_RAT, tab)
+        assert _orthogonality_residual(op, R_RAT, tab) < 1e-9
         with pytest.raises(ModifiedError, match=label):
-            solve_Q(n, R_RAT, tab)
+            op.kappa_sq_inv
 
 
-@pytest.mark.parametrize("n, kind", [(2, "pre_asymptotic"), (600, "overflow"),
-                                     (1000, "overflow")], ids=["2", "600", "1000"])
+@pytest.mark.parametrize("n, kind", [(600, "underflow"), (1000, "underflow")],
+                         ids=["600", "1000"])
 def test_refusals_carry_their_kind(n, kind):
     # the ladder labels a refused row by this kind, not by its message
     with pytest.raises(ModifiedError) as info:
-        solve_Q(n, R_RAT, recurrence_for(LEG, n + 5))
+        solve_Q(n, R_RAT, recurrence_for(LEG, n + 5)).kappa_sq_inv
     assert info.value.kind == kind
+
+
+def _pair_integrals(table, j: int, hi: int) -> np.ndarray:
+    """integral L_m L_j r dmu for m = j..hi, r = 1/(x - d)^nu, from the pole
+    steps' factors: each L_k goes over to the last step's basis through
+    P_k = Q_k - l_k P_{k-1}, and the Q_i are orthogonal with norms
+    kappa_i^-2 read off the table."""
+    def expand(k):
+        e = np.zeros(k + 1, dtype=complex)
+        e[k] = 1.0
+        for _, l in table.poles:
+            for m in range(k, 0, -1):
+                e[m - 1] -= l[m] * e[m]
+        return e
+
+    norms = np.array([table.kappa_sq_inv(i) for i in range(j + 1)])
+    ej = expand(j)
+    return np.array([np.sum(expand(m)[: j + 1] * ej * norms) for m in range(j, hi + 1)])
 
 
 @pytest.mark.parametrize("j", [10, 20])
 @pytest.mark.parametrize("d", [3j, 1.1], ids=["3i", "1.1"])
 def test_pole_moments_against_oracle(d, j):
-    # the rows carry 1/q_j(d); restore it from q_0(d) = f(d) of the plain
-    # Markov function and the minimal solution's ratio q_j/q_0
-    q_j = f_value(StieltjesFn(LEG), d, TAB) * minimal_solution(TAB, d, 0, j)[0, j]
-    got = _pole_moments(TAB, d, basis_jets(TAB, j, d, order=1)[:, j], j, j + 3) * q_j
+    # the Geronimus steps' factors and the modified table reproduce the
+    # pole moments integral L_m L_j (x - d)^-nu dx of independent quadrature
     for nu in (1, 2):
+        table = modified_table(RationalModifier(poles=((d, nu),)), TAB, j + 3)
+        got = _pair_integrals(table, j, j + 3)
         want = np.array([complex(legendre_pole_moment(m, j, d, nu))
                          for m in range(j, j + 4)])
-        assert np.max(np.abs(got[nu - 1] - want) / np.abs(want)) < 1e-11
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-11
 
 
 @pytest.mark.parametrize("r", [R_DBL, RationalModifier(poles=((-1.5 + 0.5j, 2),))],
@@ -127,6 +143,23 @@ def test_beta_matches_quadrature(r):
     assert abs(op.beta - want) < 1e-12
 
 
+@pytest.mark.parametrize("spec, r", [
+    (LEG, R_LIN), (LEG, R_CPX), (LEG, R_RAT),
+    (BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),)),
+     RationalModifier(zeros=((2.5, 2),), poles=((-3 + 0.5j, 2), (1.2j, 1)))),
+], ids=["x-3", "x-2i", "rational", "atom_mixed"])
+def test_table_through_900_converges(spec, r):
+    # no scaling ceiling in the table: its entries approach the free pair
+    # (1/4, 0) like 1/n^2 all the way, below the base tau overflow at 1025
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = modified_table(r, recurrence_for(spec, 10), 900)
+    assert table.nmax == 900
+    assert np.all(np.isfinite(table.b)) and np.all(np.isfinite(table.asq))
+    assert abs(table.asq[100] - 0.25) > 50 * abs(table.asq[900] - 0.25)
+    assert abs(table.b[100]) > 50 * abs(table.b[900])
+
+
 def test_monic_and_exact_degree():
     op = solve_Q(15, R_RAT, TAB)
     qm = op.q.to_basis(MONIC)
@@ -135,8 +168,35 @@ def test_monic_and_exact_degree():
 
 
 def test_against_dense_oracle():
-    got = solve_Q(10, R_RAT, TAB).q
-    assert compare_monomial(got, oracle_modified_monic(LEG, R_RAT, 10), 0) < 1e-10
+    # no degree floor: Q_1 and Q_2 exist for every modifier, and the table
+    # reads them as it reads Q_10
+    for spec, r in ((LEG, R_LIN), (LEG, R_CPX), (LEG, R_RAT), (LEG, R_DBL),
+                    (ATOMS2, R_ATOMS2)):
+        tab = recurrence_for(spec, 15)
+        want = oracle_modified_monics(spec, r, (1, 2, 10))
+        for n, oracle in want.items():
+            gap = compare_monomial(solve_Q(n, r, tab).q, oracle, 0)
+            assert gap < 1e-10, (r, n, gap)
+
+
+def test_zero_on_a_base_zero_refuses_that_degree_only():
+    # c = b_0 is the zero of L_1 outside [-1, 1] for a heavy atom: the pivot
+    # u_0 = b_0 - c vanishes, so Q_1 of (x - c) dmu is not unique and degree
+    # 1 refuses; the next pivot is exact again and later degrees hold
+    spec = BaseMeasureSpec("legendre", mass_points=((3.0, 10.0),))
+    tab = recurrence_for(spec, 15)
+    r = RationalModifier(zeros=((float(tab.b[0]), 1),))
+    assert abs(tab.b[0]) > 1.0
+    with pytest.raises(ModifiedError, match="breaks down at n=1") as info:
+        solve_Q(1, r, tab)
+    assert info.value.kind == "degree_collapse"
+    for n, oracle in oracle_modified_monics(spec, r, (2, 3, 10)).items():
+        assert compare_monomial(solve_Q(n, r, tab).q, oracle, 0) < 1e-10, n
+    # (x - c)^2 dmu is positive, so nothing breaks down: one factorization
+    # for all of S never meets the degenerate (x - c) dmu on the way
+    r2 = RationalModifier(zeros=((float(tab.b[0]), 2),))
+    for n, oracle in oracle_modified_monics(spec, r2, (1, 2, 3, 10)).items():
+        assert compare_monomial(solve_Q(n, r2, tab).q, oracle, 0) < 1e-10, n
 
 
 def test_kappa_matches_quadrature():
@@ -148,9 +208,16 @@ def test_kappa_matches_quadrature():
 
 
 def test_recurrence_extraction_consistency():
+    # the table's alpha_20^2 and beta_20 carry Q_19 and Q_20, each built on
+    # its own, to Q_21
     ops = [solve_Q(n, R_CPX, TAB) for n in (19, 20, 21)]
-    alpha_sq, beta, resid = recurrence_extract(*ops)
-    assert resid < 1e-11
+    alpha_sq, beta = ops[1].alpha_sq, ops[1].beta
+    xq = xmul(ops[1].q).coeffs
+    resid = ops[2].q.coeffs - xq
+    resid[:21] += beta * ops[1].q.coeffs
+    resid[:20] += alpha_sq * ops[0].q.coeffs
+    scale = max(np.max(np.abs(ops[2].q.coeffs)), np.max(np.abs(xq)))
+    assert np.max(np.abs(resid)) / scale < 1e-11
     # complex modification: coefficients approach the free pair (1/4, 0)
     assert abs(alpha_sq - 0.25) < 5e-3
     assert abs(beta) < 5e-3
@@ -172,10 +239,6 @@ def test_weak_limit_probe_trivial_f():
     assert abs(lhs - rhs) < 1e-3
 
 
-ATOMS2 = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 0.3)))
-R_ATOMS2 = RationalModifier(zeros=((3.0 + 0j, 1),), poles=((-1.5 + 0.5j, 2),))
-
-
 @pytest.mark.parametrize("nu", [0, 1, 2])
 @pytest.mark.parametrize("fdeg", [0, 1, 2, 6])
 def test_weak_limit_probe_on_atoms_with_double_pole(fdeg, nu):
@@ -191,7 +254,11 @@ def test_weak_limit_probe_on_atoms_with_double_pole(fdeg, nu):
     pts = rule.all_points()
     s = np.sum(rule.all_weights() * values_on_rule(f, rule) * values_on_rule(ops[0].q, rule)
                * values_on_rule(ops[-1].q, rule) * R_ATOMS2.values(pts))
-    want = s / ops[0].kappa_sq_inv / _alpha_chain(ops)
+    # kappa_n kappa_{n+nu} = kappa_n^2 / (alpha_{n+1}..alpha_{n+nu}), each
+    # alpha the principal root of a kappa_sq_inv ratio
+    chain = np.prod([np.sqrt(hi.kappa_sq_inv / lo.kappa_sq_inv)
+                     for lo, hi in zip(ops[:-1], ops[1:])])
+    want = s / ops[0].kappa_sq_inv / chain
     assert abs(lhs - want) < 1e-12
 
 

@@ -56,6 +56,7 @@ def _small_base(**kw):
     {"precision": "quad"},
     {"jets": -1},
     {"laws": ("sobolev_vs_base",)},                 # wrong target
+    {"zero_degrees": (10, -1)},                     # negative zero degree
 ])
 def test_config_rejected(kw):
     base = dict(measure=LEG)
@@ -108,16 +109,16 @@ def test_ladder_rows_and_rate():
 
 
 def test_pre_asymptotic_degrees_flagged_not_fatal():
-    # rational modifier needs n >= A+B+1, so degree 1 cannot be built
-    cfg = dataclasses.replace(scenario("modified_rational"), n_ladder=(1, 10),
+    # the log-derivative reads one order past nu, which degree 0 does not have
+    cfg = dataclasses.replace(scenario("modified_rational"), n_ladder=(0, 10),
                               jets=0, probe_points=(3.0 + 0.0j,),
-                              laws=("modified_vs_base",))
+                              laws=("modified_log_derivative",))
     rows = run_ratio_ladder(cfg)
     assert rows[0].flag.startswith("pre_asymptotic")
     assert math.isnan(rows[0].abs_err)
     assert not rows[1].flag and rows[1].abs_err < 1.0
     # flagged rows surface through the violation list
-    assert (rows[0].law, rows[0].z, 0, 1) in monotone_violations(rows)
+    assert (rows[0].law, rows[0].z, 0, 0) in monotone_violations(rows)
 
 
 def test_non_diagonal_sobolev_reaches_general_lane():
@@ -355,9 +356,8 @@ def _per_degree_target(cfg, n, table):
 
 
 def _builder_points(cfg) -> list:
-    """The points the double builder sweeps its jets at, in sweep order."""
-    if cfg.target_kind == "modified":
-        return [c for c, _ in cfg.modifier.zeros + cfg.modifier.poles]
+    """The points the double builder sweeps its jets at, in sweep order; the
+    modified table reads no jets."""
     if cfg.target_kind == "sobolev":
         return [t.c for t in cfg.sobolev.terms]
     if cfg.target_kind == "pade":
@@ -417,8 +417,8 @@ def test_shared_jets_refuse_like_the_per_degree_builder():
 
 
 def test_modified_ladder_keeps_per_degree_refusals():
-    # degrees 1 and 2 refuse on their own inside the batch; the ratio law
-    # names degree n + 1's refusal first, as it reads that degree first
+    # degrees 1 and 2 have values, as the table has no degree floor; only
+    # the derivative orders a degree does not have are flagged
     cfg = dataclasses.replace(scenario("modified_rational"), n_ladder=(1, 2, 10))
     rows = run_ratio_ladder(cfg)
 
@@ -427,48 +427,54 @@ def test_modified_ladder_keeps_per_degree_refusals():
                           "modified_derivative_gap": 2}.get(row.law, 0)
         if order > row.n:
             return (f"pre_asymptotic: derivative order {order} exceeds degree {row.n}")
-        reads = (row.n + 1, row.n) if row.law == "modified_ratio" else (row.n,)
-        bad = [m for m in reads if m < 3]
-        return f"pre_asymptotic: need n >= A+B+1 = 3, got {bad[0]}" if bad else ""
+        return ""
 
     assert len(rows) == 4 * 4 * 2 * 3
     assert [r.flag for r in rows] == [want(r) for r in rows]
-    # degree 10 is the one solve_Q makes alone, and the stacked solve gives
-    # the lambda of an unstacked one
+    # each degree of the batch is the one solve_Q reads alone
     table = recurrence_for(cfg.measure, 13)
     polys = _TargetPolys(cfg, table)
     polys.build((1, 2, 3, 10, 11))
-    alone = solve_Q(10, cfg.modifier, table)
-    assert repr(polys.poly(10).coeffs.tolist()) == repr(alone.q.coeffs.tolist())
-    rows10, rhs10 = modified._equilibrated(10, cfg.modifier,
-                                           *modified.modifier_jets(cfg.modifier, table, 10))
-    lam = np.concatenate([[1.0 + 0.0j], np.linalg.solve(rows10, rhs10)])
-    assert repr(lam.tolist()) == repr(alone.lam.tolist())
-    assert alone.cond == float(np.linalg.cond(rows10))
+    for n in (1, 2, 10):
+        alone = solve_Q(n, cfg.modifier, table)
+        assert repr(polys.poly(n).coeffs.tolist()) == repr(alone.q.coeffs.tolist())
 
 
-def test_modified_ladder_makes_one_stacked_lambda_solve(monkeypatch):
-    # every rung's lambda system meets one cond call and one solve call;
-    # the other solves are divide_out_zeros' Jacobi systems, one per degree
-    cond_calls, stacked = [], []
-    orig_cond, orig_solve = np.linalg.cond, np.linalg.solve
+def test_modified_ladder_builds_one_table(monkeypatch):
+    # every rung reads one table of r dmu; the only solves are
+    # divide_out_zeros' Jacobi systems, one per degree and zero
+    tables, solves = [], []
+    orig_table, orig_solve = modified.modified_table, np.linalg.solve
 
-    def cond(a, *args, **kwargs):
-        cond_calls.append(np.shape(a))
-        return orig_cond(a, *args, **kwargs)
+    def table(*args):
+        tables.append(args[2])
+        return orig_table(*args)
 
     def solve(a, b):
-        if np.ndim(a) == 3:
-            stacked.append(np.shape(a))
+        solves.append(np.ndim(a))
         return orig_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "cond", cond)
+    monkeypatch.setattr(modified, "modified_table", table)
     monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(np.linalg, "cond", None)
     cfg = scenario("modified_rational")
     run_ratio_ladder(cfg)
     degrees = {m for n in cfg.n_ladder for m in (n, n + 1)}
-    assert cond_calls == [(len(degrees), 2, 2)]
-    assert stacked == [(len(degrees), 2, 2)]
+    assert tables == [max(degrees)]
+    assert solves == [2] * len(degrees)
+
+
+def test_modified_ladder_reaches_past_the_old_lambda_overflow():
+    # the lambda system overflowed the double range at n = 800; the table
+    # reads every rung, and the error keeps falling like 1/n^2
+    cfg = dataclasses.replace(scenario("modified_rational"), n_ladder=(200, 400, 800),
+                              probe_points=(1.2j, 1.5, -1.3, 0.5 + 1j))
+    rows = run_ratio_ladder(cfg)
+    assert [r.flag for r in rows if r.flag] == []
+    assert monotone_violations(rows) == []
+    errs = [r.abs_err for r in rows
+            if r.law == "modified_vs_base" and r.z == 1.2j and r.nu == 0]
+    assert errs[2] < 1e-8 and errs[0] / errs[2] > 10
 
 
 @pytest.mark.parametrize("name", ["sobolev_point_pair", "sobolev_point_derivative",
