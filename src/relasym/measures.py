@@ -32,6 +32,7 @@ __all__ = [
     "rule_for",
     "table_through",
     "minimal_ratios",
+    "minimal_ratios_for",
     "geronimus_step",
     "christoffel_step",
 ]
@@ -352,6 +353,13 @@ def minimal_ratios(b: np.ndarray, asq: np.ndarray, z, hi: int) -> list:
     return h
 
 
+def minimal_ratios_for(table: RecurrenceTable, z, hi: int) -> list:
+    """`minimal_ratios` of the table's own measure at z through degree hi,
+    on the table deepened as far as the backward recurrence starts."""
+    deep = table_through(table, minimal_solution_depth(z, hi))
+    return minimal_ratios(deep.b, deep.a * deep.a, z, hi)
+
+
 def geronimus_step(b: np.ndarray, asq: np.ndarray, mass: complex, d: complex,
                    top: int) -> tuple:
     """Recurrence data of dmu/(x - d) through degree top, d off the support.
@@ -392,7 +400,11 @@ def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tu
     The new mass is mass * U[0, 0].  For A = 1 the pivots are the forward
     ratios -L_{k+1}(c)/L_k(c).  A zero pivot makes the next row infinite:
     Q_{k+1} is not unique there.  With one zero the rows after it recover;
-    with more, NaN reaches every later row.  Returns (b', asq', mass', U).  (Bueno &
+    with more, NaN reaches every later row.  A pivot that is zero only to
+    working precision is the same breakdown, so each pivot comes with its
+    size relative to the largest term summed into it (its row of S(J) or
+    an elimination product): about eps over its relative error, NaN where
+    a breakdown reached it, 1 where it is infinite.  Returns (b', asq', mass', U, rel).  (Bueno &
     Marcellan, Linear Algebra Appl. 384, 2004; Gautschi, OUP 2004, sec. 2.4.)
     """
     A, n = len(zeros), len(b)
@@ -414,6 +426,7 @@ def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tu
                 new[:, o + A - 1] += col * sub[A + o: A + o + n]
         band = new
     rows = band.tolist()
+    big = np.abs(band).max(axis=1).tolist()
     U = []
     for i, w in enumerate(rows):
         for r in range(max(0, i - A), i):       # eliminate S(J)[i, r] with row r of U
@@ -423,13 +436,16 @@ def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tu
                 for k in range(A):
                     w[o + k] -= m * U[r][k]
                 w[o + A] -= m                   # U[r][A] = 1: no inf * 0 past a zero pivot
+                big[i] = max(big[i], abs(m * U[r][i - r]) if i - r < A else abs(m))
         U.append(w[A:])
     U = np.array(U)
+    with np.errstate(invalid="ignore"):     # the rows after an infinite pivot read 1/inf = 0
+        rel = np.where(np.isinf(U[:, 0]), 1.0, np.abs(U[:, 0]) / np.array(big))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         new_asq = np.zeros(n - A, dtype=complex)
         new_asq[1:] = asq[1: n - A] * U[1: n - A, 0] / U[: n - A - 1, 0]
         new_b = U[: n - A, A - 1] + b[A:] - U[1: n - A + 1, A - 1]
-    return new_b, new_asq, mass * U[0, 0], U
+    return new_b, new_asq, mass * U[0, 0], U, rel
 
 
 def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarray:
@@ -439,9 +455,8 @@ def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarra
     Forward recurrence is useless here: the values at a mass point are
     square summable, hence the minimal solution of the three-term
     recurrence, and forward errors grow with the dominant one.  They are
-    the minimal solution's ratios `minimal_ratios`, multiplied up and
+    the minimal solution's ratios `minimal_ratios_for`, multiplied up and
     normalized by l_0 = tau_0.
     """
-    deep = table_through(table, minimal_solution_depth(loc, deg))
-    h = minimal_ratios(deep.b, deep.a * deep.a, loc, deg)
+    h = minimal_ratios_for(table, loc, deg)
     return table.tau[: deg + 1] * np.cumprod([1.0] + h[1:]).real

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+COLLAPSE_TOL = 1e-8     # a degree reads at least ~8 digits of what it divides by
 
 
 class ModifiedError(ValueError):
@@ -115,9 +116,9 @@ class RationalModifier:
         return cls(zeros=zeros, poles=poles)
 
 
-def _breakdown(n: int, step: str, k: int) -> ModifiedError:
-    return ModifiedError(f"recurrence of r dmu breaks down at n={n}: the {step} has "
-                         f"a non-finite factor at k={k}", kind="degree_collapse")
+def _collapse(n: int, why: str) -> ModifiedError:
+    return ModifiedError(f"recurrence of r dmu breaks down at n={n}: {why}",
+                         kind="degree_collapse")
 
 
 @dataclass
@@ -132,6 +133,7 @@ class ModifiedTable:
     mass: complex               # integral r dmu
     poles: list                 # (d, l) per pole step, in the order applied
     zero_rows: np.ndarray | None    # U of the zero step: S Q_k = sum_j U[k, j] P_{k+j}
+    zero_rel: np.ndarray | None     # each pivot U[k, 0] relative to its largest term
 
     @property
     def nmax(self) -> int:
@@ -156,33 +158,49 @@ class ModifiedTable:
 
     def op(self, n: int) -> "ModifiedOP":
         """Degree n: R_n = S Q_n from the step factors walked back from Q_n,
-        O((A + B)^2), and Q_n by exact division by S.  Refused only where a
-        factor it reads is not finite: a step broke down there, and the
-        polynomial of that degree is not unique."""
+        O((A + B)^2), and Q_n by exact division by S.  Refused only for what
+        it reads, where the polynomial of that degree is not unique or not
+        resolved in double: a factor that is not finite, a pivot of the zero
+        step its row was eliminated with that is zero to working precision,
+        a division by S that does not come out, or a Q_n whose top
+        coefficient is lost among the others (all below COLLAPSE_TOL)."""
         if not 0 <= n <= self.nmax:
             raise ModifiedError(f"degree {n} outside the table's 0..{self.nmax}")
         lo, w = n, np.ones(1, dtype=complex)        # w[i]: coefficient of degree lo + i
+        A = self.r.A
         if self.zero_rows is not None:
             w = self.zero_rows[n]
+            rel = self.zero_rel[max(0, n - A): n]
+            bad = np.flatnonzero(~(rel > COLLAPSE_TOL))
+            if bad.size:
+                k = max(0, n - A) + bad[0]
+                raise _collapse(n, f"the zero step's pivot at k={k} is zero to working "
+                                   f"precision ({rel[bad[0]]:.1e} of its terms)")
             if not np.all(np.isfinite(w)):
-                raise _breakdown(n, "zero step", n)
+                raise _collapse(n, f"the zero step has a non-finite factor at k={n}")
         for d, l in reversed(self.poles):
             read = l[lo: lo + len(w)]
             bad = np.flatnonzero(~np.isfinite(read))
             if bad.size:
-                raise _breakdown(n, f"pole step at {d}", lo + bad[0])
+                raise _collapse(n, f"the pole step at {d} has a non-finite factor "
+                                   f"at k={lo + bad[0]}")
             nxt = np.zeros(len(w) + 1, dtype=complex)
             nxt[1:] = w
             nxt[:-1] += read * w
             lo, w = lo - 1, nxt
             if lo < 0:                              # l_0 = 0: nothing below degree 0
                 lo, w = 0, w[1:]
-        A = self.r.A
         coeffs = np.zeros(n + A + 1, dtype=complex)
         coeffs[lo:] = w
         rep = PolyInBasis(MONIC, coeffs, n + A, self.base)
-        return ModifiedOP(n=n, rep=rep, q=divide_out_zeros(rep, list(self.r.zeros)),
-                          table=self)
+        try:
+            q = divide_out_zeros(rep, list(self.r.zeros), rtol=COLLAPSE_TOL)
+        except ValueError as exc:
+            raise _collapse(n, str(exc)) from None
+        top = abs(q.coeffs[n]) / float(np.max(np.abs(q.coeffs)))
+        if not top >= COLLAPSE_TOL:
+            raise _collapse(n, f"top coefficient {top:.2e} of Q_n")
+        return ModifiedOP(n=n, rep=rep, q=q, table=self)
 
 
 @dataclass
@@ -234,14 +252,14 @@ def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> Modi
     b = base.b[: tops[-1] + 1].astype(complex)
     asq = (base.a * base.a)[: tops[-1] + 1].astype(complex)
     mass = complex(base.total_mass)
-    steps, rows = [], None
+    steps, rows, rel = [], None, None
     for d, t in zip(poles, reversed(tops[:-1])):
         b, asq, mass, l = geronimus_step(b, asq, mass, d, t)
         steps.append((d, l))
     if zeros:
-        b, asq, mass, rows = christoffel_step(b, asq, mass, zeros)
+        b, asq, mass, rows, rel = christoffel_step(b, asq, mass, zeros)
     return ModifiedTable(r=r, base=base, b=b, asq=asq, mass=mass, poles=steps,
-                         zero_rows=rows)
+                         zero_rows=rows, zero_rel=rel)
 
 
 # what refuses one degree and leaves the others to their own reading

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
-from .measures import (BaseMeasureSpec, RecurrenceTable, minimal_ratios, minimal_solution_depth,
-                       table_through)
+from .measures import BaseMeasureSpec, RecurrenceTable, minimal_ratios_for, table_through
 from .polybasis import (MONIC, PolyInBasis, basis_jets, divide_out_zeros, lincomb, xmul,
                         xmul_coeffs)
 from .sobolev import SobolevSpec, SobolevTerm, digit_loss, sn_kernel
@@ -223,8 +222,7 @@ def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
         raise PadeError(f"evaluation point {z} lies on or near [-1, 1]")
-    deep = table_through(base, minimal_solution_depth(z, 1))
-    h1 = minimal_ratios(deep.b, deep.a * deep.a, z, 1)[1]
+    h1 = minimal_ratios_for(base, z, 1)[1]
     return complex(base.total_mass / (z - base.b[0] - h1)) + f.pole_value(z)
 
 

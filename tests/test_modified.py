@@ -13,6 +13,7 @@ from _quadrature import inner_rho, values_on_rule
 from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier, limit_modified,
                      modified_table, recurrence_for, solve_Q, weak_limit_probe)
 from relasym.measures import rule_for
+from relasym.modified import solve_Q_many
 from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, xmul
 
 LEG = BaseMeasureSpec("legendre")
@@ -197,6 +198,51 @@ def test_zero_on_a_base_zero_refuses_that_degree_only():
     r2 = RationalModifier(zeros=((float(tab.b[0]), 2),))
     for n, oracle in oracle_modified_monics(spec, r2, (1, 2, 3, 10)).items():
         assert compare_monomial(solve_Q(n, r2, tab).q, oracle, 0) < 1e-10, n
+
+
+def _outside_zero(tab, k: int) -> float:
+    """The zero of L_k that an atom right of [-1, 1] pulls out: the top
+    eigenvalue of the orthonormal Jacobi matrix J_k."""
+    off = tab.a[1:k]
+    return float(np.linalg.eigvalsh(np.diag(tab.b[:k]) + np.diag(off, 1) + np.diag(off, -1))[-1])
+
+
+def test_zero_on_an_outside_zero_refuses_the_degrees_it_spoils():
+    # c on L_8's outside zero, 2.1e-8 left of the atom: u_7 = -L_8(c)/L_7(c)
+    # is zero to working precision, so Q_8 is not resolved (it came out 0.64
+    # off the oracle when only an exact zero refused), and J_8 - cI is
+    # singular, so S Q_7 does not divide back (0.25 off); both refuse, and
+    # the degrees past them read exact pivots again
+    spec = BaseMeasureSpec("legendre", mass_points=((2.2, 0.5),))
+    tab = recurrence_for(spec, 40)
+    r = RationalModifier(zeros=((_outside_zero(tab, 8), 1),))
+    with pytest.raises(ModifiedError, match="n=8: the zero step's pivot at k=7") as info:
+        solve_Q(8, r, tab)
+    assert info.value.kind == "degree_collapse"
+    with pytest.raises(ModifiedError, match="n=7: x - .* divides out only") as info:
+        solve_Q(7, r, tab)
+    assert info.value.kind == "degree_collapse"
+    ops = solve_Q_many((6, 7, 8, 10, 20), r, tab)
+    assert isinstance(ops[7], ModifiedError) and isinstance(ops[8], ModifiedError)
+    for n, oracle in oracle_modified_monics(spec, r, (6, 10, 20)).items():
+        assert compare_monomial(ops[n].q, oracle, 0) < 1e-9, n
+
+
+def test_double_zero_on_an_outside_zero_refuses_the_division():
+    # S = (x - c)^2 with c on L_3's outside zero: S dmu is positive and its
+    # pivots are exact, but S Q_1 and S Q_2 divide by S through J_3 - cI and
+    # J_4 - cI, singular and nearly so; Q_1 and Q_2 came out 9.1 and 2.8e2
+    # off the oracle unrefused
+    spec = BaseMeasureSpec("legendre", mass_points=((3.0, 10.0),))
+    tab = recurrence_for(spec, 30)
+    r = RationalModifier(zeros=((_outside_zero(tab, 3), 2),))
+    ops = solve_Q_many((1, 2, 10, 20), r, tab)
+    for n in (1, 2):
+        assert isinstance(ops[n], ModifiedError), n
+        assert ops[n].kind == "degree_collapse"
+        assert "divides out only" in str(ops[n])
+    for n, oracle in oracle_modified_monics(spec, r, (10, 20)).items():
+        assert compare_monomial(ops[n].q, oracle, 0) < 1e-10, n
 
 
 def test_kappa_matches_quadrature():
