@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 WEIGHT_KINDS = ("chebyshev_first_kind", "chebyshev_second_kind", "legendre", "jacobi")
+EPS = np.finfo(float).eps
 
 
 class MeasureError(ValueError):
@@ -321,7 +322,7 @@ def table_through(table: RecurrenceTable, deg: int) -> RecurrenceTable:
 def minimal_solution_depth(z: complex, hi: int) -> int:
     """The degree `minimal_ratios` at z through degree hi starts its
     backward recurrence from."""
-    return hi + math.ceil(-math.log(np.finfo(float).eps) / math.log(abs(phi(z))))
+    return hi + math.ceil(-math.log(EPS) / math.log(abs(phi(z))))
 
 
 def minimal_ratios(b: np.ndarray, asq: np.ndarray, z, hi: int) -> list:
@@ -389,23 +390,25 @@ def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tu
     short.
 
     With J the monic Jacobi matrix (x L_k = L_{k+1} + b_k L_k + a_k^2 L_{k-1}),
-    the banded S(J) = LU without pivoting, L unit lower and U upper with
-    A superdiagonals, gives the new monic polynomials by
-    S Q_k = sum_{j<=A} U[k, j] L_{k+j}, U[k, A] = 1, and the new Jacobi
-    matrix U J U^-1: b'_k = U[k, A-1] + b_{k+A} - U[k+1, A-1] and
+    the banded S(J) = LU without pivoting, L unit lower with A subdiagonals
+    and U upper with A superdiagonals, gives the new monic polynomials Q_k
+    by L_k = sum_j L[k, j] Q_j (so S Q_k = sum_{j<=A} U[k, j] L_{k+j},
+    U[k, A] = 1), and the new Jacobi matrix U J U^-1:
+    b'_k = U[k, A-1] + b_{k+A} - U[k+1, A-1] and
     a'_k^2 = a_k^2 U[k, 0] / U[k-1, 0].  The pivot U[k, 0] is
     integral Q_k^2 S dmu / integral L_k^2 dmu, so it depends on S dmu alone:
     one factorization for all of S never passes through the measures of its
     partial products, which may be nearly degenerate where S dmu is not.
     The new mass is mass * U[0, 0].  For A = 1 the pivots are the forward
-    ratios -L_{k+1}(c)/L_k(c).  A zero pivot makes the next row infinite:
-    Q_{k+1} is not unique there.  With one zero the rows after it recover;
-    with more, NaN reaches every later row.  A pivot that is zero only to
-    working precision is the same breakdown, so each pivot comes with its
-    size relative to the largest term summed into it (its row of S(J) or
-    an elimination product): about eps over its relative error, NaN where
-    a breakdown reached it, 1 where it is infinite.  Returns (b', asq', mass', U, rel).  (Bueno &
-    Marcellan, Linear Algebra Appl. 384, 2004; Gautschi, OUP 2004, sec. 2.4.)
+    ratios -L_{k+1}(c)/L_k(c).  A zero pivot means Q_{k+1} is not unique;
+    the rows after it are eliminated with eps times the largest term summed
+    into it in its place, so that they stay finite, and b'_k is infinite.  A pivot that is zero
+    only to working precision is the same breakdown, so each pivot comes
+    with its size relative to the largest term summed into it (its row of
+    S(J) or an elimination product): about eps over its relative error, 0
+    at an exact zero.  Returns (b', asq', mass', M, rel) with the
+    multipliers M[k, o] = L[k, k - A + o], o < A.  (Bueno & Marcellan,
+    Linear Algebra Appl. 384, 2004; Gautschi, OUP 2004, sec. 2.4.)
     """
     A, n = len(zeros), len(b)
     # band[i][o + A] = S(J)[i, i + o], one factor (J - cI) at a time
@@ -427,25 +430,25 @@ def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tu
         band = new
     rows = band.tolist()
     big = np.abs(band).max(axis=1).tolist()
-    U = []
+    U, M, piv = [], np.zeros((n, A), dtype=complex), []
     for i, w in enumerate(rows):
         for r in range(max(0, i - A), i):       # eliminate S(J)[i, r] with row r of U
             o = r - i + A
             if w[o]:
-                m = w[o] / U[r][0] if U[r][0] else complex(math.inf)
-                for k in range(A):
+                m = M[i, o] = w[o] / piv[r]
+                for k in range(A + 1):
                     w[o + k] -= m * U[r][k]
-                w[o + A] -= m                   # U[r][A] = 1: no inf * 0 past a zero pivot
-                big[i] = max(big[i], abs(m * U[r][i - r]) if i - r < A else abs(m))
+                big[i] = max(big[i], abs(m * U[r][i - r]))
         U.append(w[A:])
+        piv.append(w[A] or EPS * big[i])
     U = np.array(U)
-    with np.errstate(invalid="ignore"):     # the rows after an infinite pivot read 1/inf = 0
-        rel = np.where(np.isinf(U[:, 0]), 1.0, np.abs(U[:, 0]) / np.array(big))
+    rel = np.abs(U[:, 0]) / np.array(big)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         new_asq = np.zeros(n - A, dtype=complex)
         new_asq[1:] = asq[1: n - A] * U[1: n - A, 0] / U[: n - A - 1, 0]
         new_b = U[: n - A, A - 1] + b[A:] - U[1: n - A + 1, A - 1]
-    return new_b, new_asq, mass * U[0, 0], U, rel
+    new_b[U[: n - A, 0] == 0] = math.inf    # integral Q_k^2 S dmu = 0
+    return new_b, new_asq, mass * U[0, 0], M, rel
 
 
 def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarray:

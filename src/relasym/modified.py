@@ -6,14 +6,11 @@ Its table follows from the base table by factorizations of the Jacobi
 matrix: one bidiagonal Geronimus step per pole on the real base table,
 then one banded Christoffel step for S (`measures.geronimus_step`,
 `measures.christoffel_step`).  beta_n = b'_n, alpha_n^2 = a'_n^2 and
-1/kappa_n^2 = mass' prod a'_k^2 are read off that table.  Walking the step
-factors back from Q_n gives
-
-    R_n = S Q_n = L_{n+A} + lambda_1 L_{n+A-1} + ... + lambda_{A+B} L_{n-B}
-
-over the monic mu-basis: the zero step has S Q_n = sum_j U[n, j] P_{n+j}
-and a pole step Q_k = P_k + l_k P_{k-1}, P the polynomials one step
-earlier.  Q_n is R_n divided by S.  Nothing is integrated.
+1/kappa_n^2 = mass' prod a'_k^2 are read off that table.  The step factors
+also give Q_n over the monic mu-basis: the zero step's S(J) = LU has
+P = L Q, so Q_n is row n of L^-1, by back substitution in O(nA), and a
+pole step Q_k = P_k + l_k P_{k-1} maps it one basis back in O(n), P the
+polynomials one step earlier.  Nothing is integrated or divided.
 """
 from __future__ import annotations
 
@@ -25,7 +22,7 @@ import numpy as np
 from .joukowski import NEAR_CUT, dist_to_cut
 from .measures import (BaseMeasureSpec, MeasureError, RecurrenceTable, christoffel_step,
                        geronimus_step, minimal_solution_depth, table_through)
-from .polybasis import MONIC, PolyInBasis, divide_out_zeros
+from .polybasis import MONIC, PolyInBasis
 
 __all__ = [
     "RationalModifier",
@@ -38,7 +35,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
-COLLAPSE_TOL = 1e-8     # a degree reads at least ~8 digits of what it divides by
+COLLAPSE_TOL = 1e-8     # a degree reads at least ~8 digits of its pivots
 
 
 class ModifiedError(ValueError):
@@ -132,7 +129,7 @@ class ModifiedTable:
     asq: np.ndarray             # a'_k^2, k = 1..nmax; asq[0] = 0
     mass: complex               # integral r dmu
     poles: list                 # (d, l) per pole step, in the order applied
-    zero_rows: np.ndarray | None    # U of the zero step: S Q_k = sum_j U[k, j] P_{k+j}
+    zero_mult: np.ndarray | None    # L of the zero step: P_k = sum_o L[k, o] Q_{k-A+o} + Q_k
     zero_rel: np.ndarray | None     # each pivot U[k, 0] relative to its largest term
 
     @property
@@ -157,50 +154,38 @@ class ModifiedTable:
         return val
 
     def op(self, n: int) -> "ModifiedOP":
-        """Degree n: R_n = S Q_n from the step factors walked back from Q_n,
-        O((A + B)^2), and Q_n by exact division by S.  Refused only for what
-        it reads, where the polynomial of that degree is not unique or not
-        resolved in double: a factor that is not finite, a pivot of the zero
-        step its row was eliminated with that is zero to working precision,
-        a division by S that does not come out, or a Q_n whose top
-        coefficient is lost among the others (all below COLLAPSE_TOL)."""
+        """Degree n: Q_n over the last pole step's basis by back
+        substitution on the zero step's L, q_n = 1 and
+        q_j = -sum_{i=j+1}^{min(j+A, n)} L[i, j] q_i, then walked back
+        through the pole steps by q_{k-1} += l_k q_k.  Refused only for
+        what it reads, where the polynomial of that degree is not unique or
+        not resolved in double: a pivot of the zero step that one of its
+        rows was eliminated with and that is zero to working precision
+        (below COLLAPSE_TOL of its terms), or a Q_n that is not finite."""
         if not 0 <= n <= self.nmax:
             raise ModifiedError(f"degree {n} outside the table's 0..{self.nmax}")
-        lo, w = n, np.ones(1, dtype=complex)        # w[i]: coefficient of degree lo + i
         A = self.r.A
-        if self.zero_rows is not None:
-            w = self.zero_rows[n]
+        q = [0j] * n + [1 + 0j]
+        if self.zero_mult is not None:
             rel = self.zero_rel[max(0, n - A): n]
             bad = np.flatnonzero(~(rel > COLLAPSE_TOL))
             if bad.size:
                 k = max(0, n - A) + bad[0]
                 raise _collapse(n, f"the zero step's pivot at k={k} is zero to working "
                                    f"precision ({rel[bad[0]]:.1e} of its terms)")
-            if not np.all(np.isfinite(w)):
-                raise _collapse(n, f"the zero step has a non-finite factor at k={n}")
-        for d, l in reversed(self.poles):
-            read = l[lo: lo + len(w)]
-            bad = np.flatnonzero(~np.isfinite(read))
-            if bad.size:
-                raise _collapse(n, f"the pole step at {d} has a non-finite factor "
-                                   f"at k={lo + bad[0]}")
-            nxt = np.zeros(len(w) + 1, dtype=complex)
-            nxt[1:] = w
-            nxt[:-1] += read * w
-            lo, w = lo - 1, nxt
-            if lo < 0:                              # l_0 = 0: nothing below degree 0
-                lo, w = 0, w[1:]
-        coeffs = np.zeros(n + A + 1, dtype=complex)
-        coeffs[lo:] = w
-        rep = PolyInBasis(MONIC, coeffs, n + A, self.base)
-        try:
-            q = divide_out_zeros(rep, list(self.r.zeros), rtol=COLLAPSE_TOL)
-        except ValueError as exc:
-            raise _collapse(n, str(exc)) from None
-        top = abs(q.coeffs[n]) / float(np.max(np.abs(q.coeffs)))
-        if not top >= COLLAPSE_TOL:
-            raise _collapse(n, f"top coefficient {top:.2e} of Q_n")
-        return ModifiedOP(n=n, rep=rep, q=q, table=self)
+            M = self.zero_mult[: n + 1].tolist()
+            for j in range(n - 1, -1, -1):
+                acc = 0j
+                for i in range(j + 1, min(j + A, n) + 1):
+                    acc += M[i][j - i + A] * q[i]
+                q[j] = -acc
+        q = np.array(q)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _, l in reversed(self.poles):
+                q[:-1] += l[1: n + 1] * q[1:]
+        if not np.all(np.isfinite(q)):
+            raise _collapse(n, "Q_n has a non-finite coefficient")
+        return ModifiedOP(n=n, q=PolyInBasis(MONIC, q, n, self.base), table=self)
 
 
 @dataclass
@@ -208,7 +193,6 @@ class ModifiedOP:
     """One degree read off the table of r dmu."""
 
     n: int
-    rep: PolyInBasis                # R_n = S*Q_n over the monic mu-basis
     q: PolyInBasis                  # Q_n, monic of exact degree n
     table: ModifiedTable
 
@@ -252,18 +236,18 @@ def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> Modi
     b = base.b[: tops[-1] + 1].astype(complex)
     asq = (base.a * base.a)[: tops[-1] + 1].astype(complex)
     mass = complex(base.total_mass)
-    steps, rows, rel = [], None, None
+    steps, mult, rel = [], None, None
     for d, t in zip(poles, reversed(tops[:-1])):
         b, asq, mass, l = geronimus_step(b, asq, mass, d, t)
         steps.append((d, l))
     if zeros:
-        b, asq, mass, rows, rel = christoffel_step(b, asq, mass, zeros)
+        b, asq, mass, mult, rel = christoffel_step(b, asq, mass, zeros)
     return ModifiedTable(r=r, base=base, b=b, asq=asq, mass=mass, poles=steps,
-                         zero_rows=rows, zero_rel=rel)
+                         zero_mult=mult, zero_rel=rel)
 
 
 # what refuses one degree and leaves the others to their own reading
-_DEGREE_REFUSALS = (ModifiedError, MeasureError, np.linalg.LinAlgError)
+_DEGREE_REFUSALS = (ModifiedError, MeasureError)
 
 
 def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:

@@ -179,18 +179,14 @@ def inner_mu(p: PolyInBasis, q: PolyInBasis) -> complex:
     return complex(np.dot(pc[:d], qc[:d]))
 
 
-def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]],
-                     rtol: float | None = None) -> PolyInBasis:
+def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]]) -> PolyInBasis:
     """p / prod (x - c)^mult for zeros off [-1, 1], assuming divisibility.
 
     In the orthonormal basis multiplication by x is the Jacobi matrix J, so
     q = p / (x - c) solves (J_D - c I) q = p[:D], D = deg p; the top
     coefficient of p only states divisibility.  One pivoted solve per
     linear factor: on atom tables J_D has eigenvalues off [-1, 1], near
-    which an unpivoted sweep breaks down.  Near such an eigenvalue the
-    solve loses what the dropped top equation a_D q_{D-1} = p_D would
-    have pinned; with rtol, a ValueError refuses a quotient that misses
-    that equation by more than rtol max |p_k|.
+    which an unpivoted sweep breaks down.
     """
     total = sum(mult for _, mult in zeros)
     if total == 0:
@@ -204,11 +200,6 @@ def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]],
             d = len(coeffs) - 1
             off = table.a[1:d]
             jac = np.diag(table.b[:d] - c) + np.diag(off, 1) + np.diag(off, -1)
-            quot = np.linalg.solve(jac, coeffs[:d])
-            if rtol is not None:
-                miss = abs(table.a[d] * quot[-1] - coeffs[d]) / np.max(np.abs(coeffs))
-                if not miss <= rtol:
-                    raise ValueError(f"x - {c} divides out only to {miss:.1e} of |p|")
-            coeffs = quot
+            coeffs = np.linalg.solve(jac, coeffs[:d])
     q = PolyInBasis(ORTHONORMAL, coeffs, p.degree - total, table)
     return q.to_basis(p.basis)

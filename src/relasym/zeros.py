@@ -14,7 +14,8 @@ roots() takes one of three routes:
 - real f: the real nonsymmetric eigensolver on the transpose
   A^T = J_n - f e_{n-1}^T, which is already upper Hessenberg and has the
   same eigenvalues.  Its real Schur form gives exactly real roots and
-  exactly conjugate pairs.
+  conjugate pairs; the roots off the band are then finished on p as on
+  the complex route, and a real root stays real.
 - complex f: with J_n = V diag(x) V^T, A is similar to diag(x) - y w^T,
   y = V[n-1, :], w = V^T f, so its eigenvalues are the zeros of the
   secular function g(z) = 1 + sum_i beta_i / (z - x_i), beta_i = y_i w_i
@@ -388,8 +389,9 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
 
     Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
     nodes when f = 0, the real nonsymmetric eigensolver on the Hessenberg
-    A^T when f is real, and the secular Aberth solve with the extended
-    precision finish when f is complex (module docstring).
+    A^T when f is real, and the secular Aberth solve when f is complex,
+    each of the last two with the extended precision finish (module
+    docstring).
     Each root is validated against the running-error scale of the
     evaluation; a relative residual above RESIDUAL_TOL raises, since it
     means the root set cannot be trusted at the advertised accuracy.
@@ -401,7 +403,8 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     if not np.any(f):
         vals = np.linalg.eigvalsh(_jacobi(q.table, q.degree))
     elif not np.any(f.imag):
-        vals = np.linalg.eigvals(_comrade_matrix(q).T)
+        vals = np.linalg.eigvals(_comrade_matrix(q).T).astype(complex)
+        _polish(q, vals)
     else:
         vals = _secular_roots(q, f)
     out = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))

@@ -22,7 +22,6 @@ from relasym.measures import table_through
 from relasym.sobolev import digit_loss
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
-QUAD_DPS = 80    # rational-modifier moments via tanh-sinh quadrature
 POLE_DPS = 30    # Legendre pole moments: smooth integrands, ~1e-31 accurate
 
 
@@ -53,43 +52,74 @@ def _r_value(r, x):
     return out
 
 
-def modified_moment(spec, r, k: int) -> mp.mpc:
-    """integral x^k r(x) dmu.  Polynomial r reduces to measure moments;
-    rational r integrates the continuous part by tanh-sinh quadrature
-    (smooth on [-1, 1]: poles sit off the segment).  A negative Jacobi
-    exponent makes the weight singular at an endpoint; there x = cos t,
-    (1-x)^a (1+x)^b dx = 2^(a+b+1) sin^(2a+1)(t/2) cos^(2b+1)(t/2) dt
-    on [0, pi], which removes the singularity (smooth and periodic for
-    Chebyshev)."""
-    if not r.poles:
-        coeffs = [mp.mpc(1)]
-        for c, mult in r.zeros:
-            for _ in range(mult):
-                nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-                for i, v in enumerate(coeffs):
-                    nxt[i + 1] += v
-                    nxt[i] -= mp.mpc(c) * v
-                coeffs = nxt
-        return mp.fsum(
-            (v * measure_moment(spec.pure(), k + i) for i, v in enumerate(coeffs)),
-        ) + mp.fsum(
-            mp.mpf(mass) * mp.mpc(loc) ** k * _r_value(r, mp.mpf(loc))
-            for loc, mass in spec.mass_points
-        )
+def _poly_from_roots(roots) -> list:
+    """Ascending monomial coefficients of prod (x - c) over roots."""
+    coeffs = [mp.mpc(1)]
+    for c in roots:
+        nxt = [mp.mpc(0)] * (len(coeffs) + 1)
+        for i, v in enumerate(coeffs):
+            nxt[i + 1] += v
+            nxt[i] -= mp.mpc(c) * v
+        coeffs = nxt
+    return coeffs
+
+
+def _taylor(coeffs: list, d, order: int) -> list:
+    """The first `order` Taylor coefficients at d of the polynomial with
+    ascending monomial coefficients coeffs."""
+    return [mp.fsum(mp.binomial(i, j) * coeffs[i] * d ** (i - j)
+                    for i in range(j, len(coeffs))) for j in range(order)]
+
+
+def _partial_fractions(num: list, r) -> tuple[list, list]:
+    """num / T = quot + sum_{d, m} C / (x - d)^m for the denominator T of r:
+    quot in ascending monomial coefficients, and the (d, m, C) triples.
+    C is a Taylor coefficient of num / (T / (x - d)^mult) at d, and quot the
+    quotient of the long division of num by the monic T."""
+    terms = []
+    for j, (d, mult) in enumerate(r.poles):
+        rest = _poly_from_roots([e for i, (e, k) in enumerate(r.poles) if i != j
+                                 for _ in range(k)])
+        p, t = _taylor(num, mp.mpc(d), mult), _taylor(rest, mp.mpc(d), mult)
+        g = []
+        for s in range(mult):
+            g.append((p[s] - mp.fsum(t[i] * g[s - i] for i in range(1, s + 1))) / t[0])
+        terms += [(d, m, g[mult - m]) for m in range(1, mult + 1)]
+    den = _poly_from_roots([d for d, k in r.poles for _ in range(k)])
+    rem, quot = list(num), [mp.mpc(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + len(den) - 1]
+        for j, v in enumerate(den):
+            rem[i + j] -= quot[i] * v
+    return quot, terms
+
+
+def jacobi_pole_moment(a, b, d, m: int) -> mp.mpc:
+    """integral (1-x)^a (1+x)^b (x - d)^-m dx over [-1, 1], d off [-1, 1]:
+    x = 2t - 1 and Euler's integral for 2F1 give
+    2^(a+b+1) B(a+1, b+1) (-(1+d))^-m 2F1(m, b+1; a+b+2; 2/(1+d))."""
+    d = mp.mpc(d)
+    return (mp.mpf(2) ** (a + b + 1) * mp.beta(a + 1, b + 1) * (-(1 + d)) ** (-m)
+            * mp.hyp2f1(m, b + 1, a + b + 2, 2 / (1 + d)))
+
+
+def modified_moments(spec, r, count: int) -> list:
+    """integral x^k r(x) dmu for k < count, in closed form: x^k S(x) / T(x)
+    in partial fractions, its polynomial part by `jacobi_moment` and each
+    pole term by `jacobi_pole_moment`, plus r at the point masses."""
     a, b = (mp.mpf(v) for v in spec.jacobi_exponents())
-    with mp.workdps(QUAD_DPS):
-        if a < 0 or b < 0:
-            def integrand(t):
-                x = mp.cos(t)
-                return (x ** k * _r_value(r, x) * mp.sin(t / 2) ** (2 * a + 1)
-                        * mp.cos(t / 2) ** (2 * b + 1))
-            val = mp.mpf(2) ** (a + b + 1) * mp.quad(integrand, [0, mp.pi])
-        else:
-            integrand = lambda x: x ** k * _r_value(r, x) * (1 - x) ** a * (1 + x) ** b
-            val = mp.quad(integrand, [-1, 1])
-    out = mp.mpc(val)
-    for loc, mass in spec.mass_points:
-        out += mp.mpf(mass) * mp.mpf(loc) ** k * _r_value(r, mp.mpf(loc))
+    s = _poly_from_roots([c for c, m in r.zeros for _ in range(m)])
+    plain = [jacobi_moment(a, b, i) for i in range(count + len(s) - 1)]
+    poles = {(d, m): jacobi_pole_moment(a, b, d, m) for d, mult in r.poles
+             for m in range(1, mult + 1)}
+    out = []
+    for k in range(count):
+        quot, terms = _partial_fractions([mp.mpc(0)] * k + s, r)
+        val = mp.fsum(v * plain[i] for i, v in enumerate(quot) if v)
+        val += mp.fsum(C * poles[d, m] for d, m, C in terms)
+        for loc, mass in spec.mass_points:
+            val += mp.mpf(mass) * mp.mpf(loc) ** k * _r_value(r, mp.mpf(loc))
+        out.append(val)
     return out
 
 
@@ -166,7 +196,7 @@ def oracle_modified_monic(spec, r, n: int) -> list:
 def oracle_modified_monics(spec, r, degrees) -> dict:
     """Degree -> oracle_modified_monic, from one set of moments."""
     with mp.workdps(DPS):
-        mom = [modified_moment(spec, r, k) for k in range(2 * max(degrees) + 1)]
+        mom = modified_moments(spec, r, 2 * max(degrees) + 1)
         return {n: _monic_from_gram(lambda i, j: mom[i + j], n) for n in degrees}
 
 

@@ -3,11 +3,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _mp_oracles import compare_monomial, legendre_pole_moment, oracle_modified_monics
+from _mp_oracles import (_r_value, compare_monomial, legendre_pole_moment, modified_moments,
+                         oracle_modified_monics)
 from _quadrature import inner_rho, values_on_rule
 
 from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier, limit_modified,
@@ -200,6 +202,19 @@ def test_zero_on_a_base_zero_refuses_that_degree_only():
         assert compare_monomial(solve_Q(n, r2, tab).q, oracle, 0) < 1e-10, n
 
 
+def test_zero_pivot_reads_q_but_not_beta():
+    # c = b_0 on a heavy atom: integral r dmu = 0, so Q_0 = 1 holds but
+    # beta_0 divides by zero, and kappa_0^-2 refuses
+    spec = BaseMeasureSpec("legendre", mass_points=((3.0, 10.0),))
+    tab = recurrence_for(spec, 15)
+    op = solve_Q(0, RationalModifier(zeros=((float(tab.b[0]), 1),)), tab)
+    assert op.q.coeffs.tolist() == [1.0]
+    assert not np.isfinite(op.beta)
+    with pytest.raises(ModifiedError) as info:
+        op.kappa_sq_inv
+    assert info.value.kind == "degree_collapse"
+
+
 def _outside_zero(tab, k: int) -> float:
     """The zero of L_k that an atom right of [-1, 1] pulls out: the top
     eigenvalue of the orthonormal Jacobi matrix J_k."""
@@ -210,39 +225,50 @@ def _outside_zero(tab, k: int) -> float:
 def test_zero_on_an_outside_zero_refuses_the_degrees_it_spoils():
     # c on L_8's outside zero, 2.1e-8 left of the atom: u_7 = -L_8(c)/L_7(c)
     # is zero to working precision, so Q_8 is not resolved (it came out 0.64
-    # off the oracle when only an exact zero refused), and J_8 - cI is
-    # singular, so S Q_7 does not divide back (0.25 off); both refuse, and
-    # the degrees past them read exact pivots again
+    # off the oracle when only an exact zero refused) and refuses; Q_7 reads
+    # no pivot below it that is small, and the degrees past Q_8 read exact
+    # pivots again
     spec = BaseMeasureSpec("legendre", mass_points=((2.2, 0.5),))
     tab = recurrence_for(spec, 40)
     r = RationalModifier(zeros=((_outside_zero(tab, 8), 1),))
     with pytest.raises(ModifiedError, match="n=8: the zero step's pivot at k=7") as info:
         solve_Q(8, r, tab)
     assert info.value.kind == "degree_collapse"
-    with pytest.raises(ModifiedError, match="n=7: x - .* divides out only") as info:
-        solve_Q(7, r, tab)
-    assert info.value.kind == "degree_collapse"
     ops = solve_Q_many((6, 7, 8, 10, 20), r, tab)
-    assert isinstance(ops[7], ModifiedError) and isinstance(ops[8], ModifiedError)
-    for n, oracle in oracle_modified_monics(spec, r, (6, 10, 20)).items():
+    assert isinstance(ops[8], ModifiedError)
+    for n, oracle in oracle_modified_monics(spec, r, (6, 7, 10, 20)).items():
         assert compare_monomial(ops[n].q, oracle, 0) < 1e-9, n
 
 
-def test_double_zero_on_an_outside_zero_refuses_the_division():
+def test_double_zero_on_an_outside_zero_resolves_every_degree():
     # S = (x - c)^2 with c on L_3's outside zero: S dmu is positive and its
-    # pivots are exact, but S Q_1 and S Q_2 divide by S through J_3 - cI and
-    # J_4 - cI, singular and nearly so; Q_1 and Q_2 came out 9.1 and 2.8e2
-    # off the oracle unrefused
+    # pivots are exact, so every Q_n is resolved; a division of S Q_1 and
+    # S Q_2 by S went through J_3 - cI and J_4 - cI, singular and nearly so
     spec = BaseMeasureSpec("legendre", mass_points=((3.0, 10.0),))
     tab = recurrence_for(spec, 30)
     r = RationalModifier(zeros=((_outside_zero(tab, 3), 2),))
     ops = solve_Q_many((1, 2, 10, 20), r, tab)
-    for n in (1, 2):
-        assert isinstance(ops[n], ModifiedError), n
-        assert ops[n].kind == "degree_collapse"
-        assert "divides out only" in str(ops[n])
-    for n, oracle in oracle_modified_monics(spec, r, (10, 20)).items():
+    for n, oracle in oracle_modified_monics(spec, r, (1, 2, 10, 20)).items():
         assert compare_monomial(ops[n].q, oracle, 0) < 1e-10, n
+
+
+@pytest.mark.parametrize("spec", [LEG, BaseMeasureSpec("chebyshev_first_kind"),
+                                  BaseMeasureSpec("jacobi", 0.3, -0.4)],
+                         ids=["legendre", "chebyshev", "jacobi"])
+def test_oracle_moments_match_quadrature(spec):
+    # the oracle's closed-form moments (partial fractions, beta sums and
+    # 2F1) against tanh-sinh quadrature on x = cos t, which removes the
+    # endpoint singularities: simple and double poles, real and complex
+    r = RationalModifier(zeros=((2j, 1),), poles=((1.1, 2), (-1.5 + 0.5j, 1)))
+    with mp.workdps(40):
+        a, b = (mp.mpf(v) for v in spec.jacobi_exponents())
+        got = modified_moments(spec, r, 11)
+        for k in (0, 3, 10):
+            want = 2 ** (a + b + 1) * mp.quad(
+                lambda t: (mp.cos(t) ** k * _r_value(r, mp.cos(t))
+                           * mp.sin(t / 2) ** (2 * a + 1) * mp.cos(t / 2) ** (2 * b + 1)),
+                [0, mp.pi])
+            assert abs(got[k] - want) < 1e-35 * abs(want), k
 
 
 def test_kappa_matches_quadrature():

@@ -441,27 +441,23 @@ def test_modified_ladder_keeps_per_degree_refusals():
 
 
 def test_modified_ladder_builds_one_table(monkeypatch):
-    # every rung reads one table of r dmu; the only solves are
-    # divide_out_zeros' Jacobi systems, one per degree and zero
+    # every rung reads one table of r dmu, and Q_n comes off its factors by
+    # substitution: nothing is solved
     tables, solves = [], []
-    orig_table, orig_solve = modified.modified_table, np.linalg.solve
+    orig_table = modified.modified_table
 
     def table(*args):
         tables.append(args[2])
         return orig_table(*args)
 
-    def solve(a, b):
-        solves.append(np.ndim(a))
-        return orig_solve(a, b)
-
     monkeypatch.setattr(modified, "modified_table", table)
-    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
     monkeypatch.setattr(np.linalg, "cond", None)
     cfg = scenario("modified_rational")
     run_ratio_ladder(cfg)
     degrees = {m for n in cfg.n_ladder for m in (n, n + 1)}
     assert tables == [max(degrees)]
-    assert solves == [2] * len(degrees)
+    assert solves == []
 
 
 def test_modified_ladder_reaches_past_the_old_lambda_overflow():
@@ -475,6 +471,22 @@ def test_modified_ladder_reaches_past_the_old_lambda_overflow():
     errs = [r.abs_err for r in rows
             if r.law == "modified_vs_base" and r.z == 1.2j and r.nu == 0]
     assert errs[2] < 1e-8 and errs[0] / errs[2] > 10
+
+
+def test_modified_ladder_reaches_past_the_base_tau_overflow():
+    # Q_n comes off the table's factors over the monic basis, so nothing
+    # reads the base tau, which overflows from n = 1025 on Legendre: every
+    # rung through 2000 passes, and the error falls about 4x per doubling
+    cfg = dataclasses.replace(scenario("modified_rational"), n_ladder=(250, 500, 1000, 2000),
+                              probe_points=(1.2j, 1.5, -1.3, 0.5 + 1j))
+    rows = run_ratio_ladder(cfg)
+    assert [r.flag for r in rows if r.flag] == []
+    assert monotone_violations(rows) == []
+    for z in cfg.probe_points:
+        errs = [r.abs_err for r in rows
+                if r.law == "modified_vs_base" and r.z == z and r.nu == 0]
+        assert len(errs) == 4
+        assert errs[2] / 20 < errs[3] < 5 * errs[2] / 4, (z, errs)
 
 
 @pytest.mark.parametrize("name", ["sobolev_point_pair", "sobolev_point_derivative",

@@ -272,6 +272,22 @@ def test_attracted_pair_matches_extended_precision_refinement():
         assert np.min(np.abs(pair - t)) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [60, 180])
+def test_real_route_polishes_the_attracted_pair(n):
+    # sobolev_point_pair has real coefficient data, so its roots come from
+    # the real eigensolver, where rounding alone left the near-double pair
+    # at c = 2 ~3e-8 off; the extended precision finish puts it within
+    # 1e-8 of its 50-digit values, as on the secular route
+    cfg = scenario("sobolev_point_pair")
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    assert not np.any(_last_row(q).imag)
+    got = np.array(roots(q))
+    pair = got[dist_to_cut(got) > 0.05]
+    assert pair.size == 2 and np.all(np.abs(pair - 2.0) < 1e-3)
+    for t in _mp_refined(q, _ring(2.0, 2)):
+        assert np.min(np.abs(pair - t)) <= 1e-8
+
+
 def _ring(center, k, radius=1e-4):
     """k complex starts around center, off the real axis."""
     return [center + radius * np.exp(2j * np.pi * (t + 0.1) / k) for t in range(k)]
