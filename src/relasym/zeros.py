@@ -7,28 +7,27 @@ the comrade matrix
 
 the symmetric tridiagonal recurrence matrix with a rank-one last-row
 correction, has the roots of p as its eigenvalues, with multiplicity.
-roots() takes one of three routes:
+roots() takes one of two routes:
 
 - f = 0 (p is a multiple of l_n): A = J_n, and the roots are the Gauss
   nodes from the symmetric eigensolver.
-- real f: the real nonsymmetric eigensolver on the transpose
-  A^T = J_n - f e_{n-1}^T, which is already upper Hessenberg and has the
-  same eigenvalues.  Its real Schur form gives exactly real roots and
-  conjugate pairs; the roots off the band are then finished on p as on
-  the complex route, and a real root stays real.
-- complex f: with J_n = V diag(x) V^T, A is similar to diag(x) - y w^T,
+- f != 0: with J_n = V diag(x) V^T, A is similar to diag(x) - y w^T,
   y = V[n-1, :], w = V^T f, so its eigenvalues are the zeros of the
   secular function g(z) = 1 + sum_i beta_i / (z - x_i), beta_i = y_i w_i
   (Golub, SIAM Rev. 15, 1973).  Vectorized Aberth sweeps on g find them
-  in O(n^2) per sweep (Bini & Robol, J. Comput. Appl. Math. 272, 2014).
-  Roots off the support band, where the sum cancels, are finished on p
-  itself in extended precision: a cluster of k roots, where Aberth steps
-  converge only linearly, restarts from the zeros of the degree-k Taylor
-  polynomial of p at its centroid (the cluster analysis of Bini &
-  Fiorentino, Numer. Algorithms 23, 2000), and every off-band root then
-  takes Aberth steps on p until they are below POLISH_TOL or |p| is at
-  its rounding level.  A solve that does not converge refuses with the
-  kind "unconverged"; no route falls back to another.
+  in O(n^2) per sweep (Bini & Robol, J. Comput. Appl. Math. 272, 2014);
+  on real data the starts leave the real axis, so that the sweeps can
+  reach conjugate pairs.  Roots off the support band, where the sum
+  cancels, are finished on p itself in extended precision: a cluster of
+  k roots, where Aberth steps converge only linearly, restarts from the
+  zeros of the degree-k Taylor polynomial of p at its centroid (the
+  cluster analysis of Bini & Fiorentino, Numer. Algorithms 23, 2000),
+  and every off-band root then takes Aberth steps on p until they are
+  below POLISH_TOL or |p| is at its rounding level.  On real data the
+  roots are then paired under conjugation, so that real roots are
+  exactly real and the others come in exact conjugate pairs.  A solve
+  that does not converge, or real-data roots that do not pair, refuse
+  with the kind "unconverged"; no route falls back to another.
 
 The residual gate checks every root set in one forward sweep of the
 orthonormal recurrence over the root array.  l_k and l_k' at all m roots
@@ -83,6 +82,9 @@ POLISH_STEPS = 10
 CLUSTER_STEP = 1e-4
 CLUSTER_RATE = 0.25
 CLUSTER_SPREAD = 1e-2
+# turn between the kicks of consecutive real Aberth starts: the golden
+# angle, so that no two kicks of nearby roots are alike or mirrored
+KICK_ANGLE = 2.39996
 
 
 class ZerosError(ValueError):
@@ -137,23 +139,13 @@ def _last_row(q: PolyInBasis) -> np.ndarray:
     return (q.table.a[n] / c[n]) * c[:n]
 
 
-def _jacobi(table, n: int, dtype=float) -> np.ndarray:
+def _jacobi(table, n: int) -> np.ndarray:
     """Dense J_n: diagonal b_0..b_{n-1}, off-diagonal a_1..a_{n-1}."""
-    J = np.zeros((n, n), dtype=dtype)
+    J = np.zeros((n, n))
     i = np.arange(n)
     J[i, i] = table.b[:n]
     J[i[1:], i[:-1]] = J[i[:-1], i[1:]] = table.a[1:n]
     return J
-
-
-def _comrade_matrix(p: PolyInBasis) -> np.ndarray:
-    """A = J_n - e_{n-1} f^T, real when f is."""
-    q = p.to_basis(ORTHONORMAL)
-    f = _last_row(q)
-    real = not np.any(f.imag)
-    A = _jacobi(q.table, q.degree, float if real else complex)
-    A[-1] -= f.real if real else f
-    return A
 
 
 def _comrade_norm(q: PolyInBasis, f: np.ndarray) -> float:
@@ -268,10 +260,10 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
 
 
 def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
-    """Roots of p for complex f: the zeros of the secular function at the
-    Gauss nodes, then Aberth steps on p itself for the roots off the band.
-    A pole with |beta_i| below the rounding level of J_n is deflated: its
-    root is the node x_i."""
+    """Roots of p for f != 0: the zeros of the secular function at the
+    Gauss nodes, then Aberth steps on p itself for the roots off the band,
+    then, for real f, the conjugate pairing.  A pole with |beta_i| below
+    the rounding level of J_n is deflated: its root is the node x_i."""
     n = q.degree
     x, V = np.linalg.eigh(_jacobi(q.table, n))
     beta = V[-1] * (f.real @ V + 1j * (f.imag @ V))
@@ -280,6 +272,8 @@ def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
     live = np.abs(beta) > EPS * np.max(np.abs(x))
     z[live] = _aberth(x[live], beta[live], n)
     _polish(q, z)
+    if not np.any(f.imag):
+        _pair_conjugates(z)
     return z
 
 
@@ -292,7 +286,16 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     level m eps (1 + sum_i |beta_i / (z - x_i)|), or once it is off the
     band and shrinks only linearly (CLUSTER_STEP, CLUSTER_RATE): _polish
     resolves such a cluster from its centroid.  Temporaries are
-    (active, m): retired roots cost nothing."""
+    (active, m): retired roots cost nothing.
+
+    On real data every start is real, and real steps would never leave
+    the axis to reach a conjugate pair.  So a start with imaginary part
+    exactly 0 moves by 0.1 times the gap to its nearest node, in the
+    direction e^{i KICK_ANGLE k}, k its index: unlike a common kick along
+    i, the golden-angle turns keep no mirror symmetry z -> -conj(z) that
+    could hold a pair on the axis (x^2 + 1 on Chebyshev cycles for
+    MAX_SWEEPS under +i).  Complex data has no exactly real start and is
+    not moved."""
     m = x.size
     abs_beta = np.abs(beta)
     last = np.full(m, np.inf)
@@ -302,6 +305,11 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
         np.reciprocal(inv, out=inv)
         z = x - beta / (1.0 + inv @ beta.real + 1j * (inv @ beta.imag))
         del inv
+        if m > 1:
+            real = np.flatnonzero(z.imag == 0.0)
+            gap = np.diff(x)
+            spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
+            z[real] += 0.1 * spacing[real] * np.exp(KICK_ANGLE * 1j * real)
         active = np.arange(m)
         for _ in range(MAX_SWEEPS):
             if not active.size:
@@ -329,6 +337,24 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
         raise ZerosError(f"root iteration did not converge at degree {n}",
                          kind="unconverged")
     return z
+
+
+def _pair_conjugates(z: np.ndarray) -> None:
+    """Make the roots of a real polynomial exactly closed under conjugation,
+    in place.  Each root's partner is the root nearest to its conjugate: a
+    root that is its own partner is real, and two roots that are each
+    other's partner become w and conj(w), w the mean of the one and the
+    conjugate of the other.  A partner that is not mutual refuses."""
+    idx = np.arange(z.size)
+    partner = np.argmin(np.abs(z[:, None] - z.conj()), axis=0)
+    if np.any(partner[partner] != idx):
+        raise ZerosError(f"roots do not pair under conjugation at degree {z.size}",
+                         kind="unconverged")
+    own = partner == idx
+    z[own] = z[own].real
+    first = np.flatnonzero(partner > idx)
+    w = 0.5 * (z[first] + z[partner[first]].conj())
+    z[first], z[partner[first]] = w, w.conj()
 
 
 def _clusters(z: np.ndarray, idx, dist: np.ndarray) -> list:
@@ -388,9 +414,8 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     """All deg(p) roots, sorted by (re, im).
 
     Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
-    nodes when f = 0, the real nonsymmetric eigensolver on the Hessenberg
-    A^T when f is real, and the secular Aberth solve when f is complex,
-    each of the last two with the extended precision finish (module
+    nodes when f = 0, else the secular Aberth solve with the extended
+    precision finish and, when f is real, the conjugate pairing (module
     docstring).
     Each root is validated against the running-error scale of the
     evaluation; a relative residual above RESIDUAL_TOL raises, since it
@@ -402,9 +427,6 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     f = _last_row(q)
     if not np.any(f):
         vals = np.linalg.eigvalsh(_jacobi(q.table, q.degree))
-    elif not np.any(f.imag):
-        vals = np.linalg.eigvals(_comrade_matrix(q).T).astype(complex)
-        _polish(q, vals)
     else:
         vals = _secular_roots(q, f)
     out = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))

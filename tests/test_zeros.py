@@ -1,4 +1,5 @@
 """Comrade-matrix roots and attraction-disk sorting."""
+import inspect
 import warnings
 
 import mpmath as mp
@@ -21,14 +22,25 @@ from relasym import (
 )
 from relasym import zeros as zeros_module
 from relasym.joukowski import dist_to_cut
-from relasym.polybasis import MONIC, ORTHONORMAL
+from relasym.polybasis import MONIC, ORTHONORMAL, lincomb, xmul
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import _TargetPolys
-from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_matrix, _comrade_norm,
-                           _last_row, _root_residuals, default_radius)
+from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_norm, _jacobi, _last_row,
+                           _pair_conjugates, _root_residuals, default_radius)
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
+
+
+def _comrade_matrix(p: PolyInBasis) -> np.ndarray:
+    """The dense oracle: A = J_n - e_{n-1} f^T, whose eigenvalues are the
+    roots of p, real when f is."""
+    q = p.to_basis(ORTHONORMAL)
+    f = _last_row(q)
+    real = not np.any(f.imag)
+    A = _jacobi(q.table, q.degree).astype(float if real else complex)
+    A[-1] -= f.real if real else f
+    return A
 
 
 def test_monic_cheb_degree2_roots():
@@ -44,8 +56,8 @@ def test_legendre_roots_match_gauss_nodes():
 
 
 def test_conjugate_pair_is_exact():
-    # x^2 + 1 = L_2 + 3/2 over the cheb monic basis; real data must go
-    # through the real eigensolver so the pair conjugates exactly
+    # x^2 + 1 = L_2 + 3/2 over the cheb monic basis; on real data the
+    # conjugate pairing makes the pair exact conjugates
     p = PolyInBasis(MONIC, np.array([1.5, 0.0, 1.0], dtype=complex), 2, CHEB)
     r = roots(p)
     assert r[0] == r[1].conjugate()
@@ -99,12 +111,12 @@ def test_residual_gate_rejects_perturbed_roots():
 
 @pytest.mark.parametrize("name", ["base_legendre", "sobolev_point_pair", "pade_gonchar"])
 def test_fused_gate_matches_pointwise_residual_at_180(name):
-    # the three zeros_deep targets, one per root route: Gauss nodes (f = 0),
-    # the real comrade matrix and the secular solve (complex f), at roots
-    # moved by 1e-5.  Both evaluations of p lie within u times the running
-    # bound of p, so the residuals also agree to eps absolutely; that is all
-    # one can ask at the roots attracted to 2 and 2i, where |p| is ~1e-20 of
-    # the bound
+    # the three zeros_deep targets, one per kind of coefficient data: Gauss
+    # nodes (f = 0), then the secular solve on real and on complex f, at
+    # roots moved by 1e-5.  Both evaluations of p lie within u times the
+    # running bound of p, so the residuals also agree to eps absolutely;
+    # that is all one can ask at the roots attracted to 2 and 2i, where |p|
+    # is ~1e-20 of the bound
     n = 180
     cfg = scenario(name)
     q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
@@ -195,17 +207,20 @@ SECULAR_MEASURES = [BaseMeasureSpec("legendre"), BaseMeasureSpec("chebyshev_firs
                     BaseMeasureSpec("jacobi", 0.3, -0.4), ATOM_LEG]
 
 
-def _complex_sobolev_spec(rng) -> SobolevSpec:
+def _sobolev_spec(rng, real: bool) -> SobolevSpec:
     """One or two coupling points off [-1, 1] (clear of the atom at 2.2),
-    each with a diagonal gamma of one or two complex masses."""
+    each with a diagonal gamma of one or two masses: complex points and
+    masses, or real ones, which give real coefficient data."""
     terms = []
     for _ in range(rng.integers(1, 3)):
         while True:
-            c = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.0, 2.0))
+            c = complex(rng.uniform(-2.5, 2.5), 0.0 if real else rng.uniform(-2.0, 2.0))
             if (dist_to_cut(c) > 0.3 and abs(c - 2.2) > 0.2
                     and all(abs(c - t.c) > 0.3 for t in terms)):
                 break
-        masses = rng.uniform(0.2, 2.0, rng.integers(1, 3)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        masses = rng.uniform(0.2, 2.0, rng.integers(1, 3))
+        if not real:
+            masses = masses * np.exp(1j * rng.uniform(0, 2 * np.pi))
         terms.append(SobolevTerm(c, np.diag(masses)))
     return SobolevSpec(tuple(terms))
 
@@ -213,20 +228,59 @@ def _complex_sobolev_spec(rng) -> SobolevSpec:
 @pytest.mark.parametrize("measure", SECULAR_MEASURES,
                          ids=["legendre", "chebyshev", "jacobi", "legendre_atom"])
 def test_secular_roots_match_the_eigensolver(measure):
-    # complex coefficient data takes the secular solve; its interval roots
-    # agree with the dense eigensolver to 1e-12 on the interval's scale
-    # (relative to max(1, |z|): roots near 0 have no relative digits to spare)
-    rng = np.random.default_rng(20)
-    for n in (25, 60, 120, 180):
-        q = sn_kernel(n, _complex_sobolev_spec(rng), recurrence_for(measure, n + 2)).rep
-        assert np.any(_last_row(q.to_basis(ORTHONORMAL)).imag)
-        got = np.array(roots(q))
-        want = np.linalg.eigvals(_comrade_matrix(q))
-        band = dist_to_cut(want) <= 0.05
-        near = got[dist_to_cut(got) <= 0.05]
-        assert near.size == np.count_nonzero(band)
-        for z in want[band]:
-            assert np.min(np.abs(near - z)) <= 1e-12 * max(1.0, abs(z))
+    # complex and real coefficient data take the secular solve; its interval
+    # roots agree with the dense eigensolver to 1e-12 on the interval's
+    # scale (relative to max(1, |z|): roots near 0 have no relative digits
+    # to spare).  On real data the root set is closed under conjugation
+    for real in (False, True):
+        rng = np.random.default_rng(20)
+        for n in (25, 60, 120, 180):
+            q = sn_kernel(n, _sobolev_spec(rng, real), recurrence_for(measure, n + 2)).rep
+            assert np.any(_last_row(q.to_basis(ORTHONORMAL)).imag) != real
+            got = np.array(roots(q))
+            want = np.linalg.eigvals(_comrade_matrix(q))
+            band = dist_to_cut(want) <= 0.05
+            near = got[dist_to_cut(got) <= 0.05]
+            assert near.size == np.count_nonzero(band)
+            for z in want[band]:
+                assert np.min(np.abs(near - z)) <= 1e-12 * max(1.0, abs(z))
+            if real:
+                np.testing.assert_array_equal(np.sort_complex(got.conj()), got)
+
+
+@pytest.mark.parametrize("n", [60, 180])
+def test_real_data_resolves_near_band_pairs(n):
+    # L_{n-2} ((x - x0)^2 + y0^2) on Legendre: a conjugate pair close to or
+    # inside the band, which real Aberth starts never reach from the axis.
+    # The roots match the dense eigensolver, the pair is exactly {w, conj w}
+    # and every other root is exactly real
+    table = recurrence_for(BaseMeasureSpec("legendre"), n + 2)
+    L = PolyInBasis.basis_poly(table, n - 2)
+    xL = xmul(L)
+    for w in (0.3 + 0.01j, 0.3 + 0.2j, 0.9 + 0.03j, 1.2 + 0.3j):
+        p = lincomb([xmul(xL), xL, L], [1.0, -2.0 * w.real, abs(w) ** 2])
+        assert not np.any(_last_row(p.to_basis(ORTHONORMAL)).imag)
+        got = np.array(roots(p))
+        for z in np.linalg.eigvals(_comrade_matrix(p)):
+            assert np.min(np.abs(got - z)) <= 1e-12 * max(1.0, abs(z))
+        pair = got[got.imag != 0.0]
+        assert pair.size == 2 and pair[0] == pair[1].conjugate()
+        assert abs(pair[1] - w) < 1e-12
+
+
+def test_pair_conjugates_on_crafted_roots():
+    # self-partners become real, mutual partners exact conjugates w and
+    # conj(w), w the mean of the one and the conjugate of the other
+    z = np.array([0.5 + 1e-17j, 2.0 + 1j + 1e-15, 0.5 - 0.2j, 2.0 - 1j, -0.3 - 2e-16j,
+                  0.5 + 0.2j + 1e-15j])
+    _pair_conjugates(z)
+    assert z[0] == 0.5 and z[0].imag == 0.0 and z[4] == -0.3 and z[4].imag == 0.0
+    assert z[1] == 0.5 * ((2.0 + 1j + 1e-15) + 2.0 + 1j) and z[3] == z[1].conjugate()
+    assert z[2] == 0.5 * (0.5 - 0.2j + 0.5 - 0.2j - 1e-15j) and z[5] == z[2].conjugate()
+    # 1 + 1j's nearest to its conjugate is 1.1 - 1j, whose nearest is 1.05 + 1j
+    with pytest.raises(ZerosError, match="do not pair") as info:
+        _pair_conjugates(np.array([1.0 + 1j, 1.1 - 1j, 1.05 + 1j]))
+    assert info.value.kind == "unconverged"
 
 
 def _mp_refined(q, starts, dps=50):
@@ -274,10 +328,10 @@ def test_attracted_pair_matches_extended_precision_refinement():
 
 @pytest.mark.parametrize("n", [60, 180])
 def test_real_route_polishes_the_attracted_pair(n):
-    # sobolev_point_pair has real coefficient data, so its roots come from
-    # the real eigensolver, where rounding alone left the near-double pair
-    # at c = 2 ~3e-8 off; the extended precision finish puts it within
-    # 1e-8 of its 50-digit values, as on the secular route
+    # sobolev_point_pair has real coefficient data; the near-double pair at
+    # c = 2, which rounding alone in a dense eigensolve leaves ~3e-8 off,
+    # lands within 1e-8 of its 50-digit values after the extended precision
+    # finish, as on complex data
     cfg = scenario("sobolev_point_pair")
     q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
     assert not np.any(_last_row(q).imag)
@@ -360,22 +414,28 @@ def test_unconverged_polish_refuses(monkeypatch):
     assert info.value.kind == "unconverged"
 
 
-def test_real_route_hands_the_eigensolver_a_hessenberg_matrix(monkeypatch):
-    # A^T = J_n - f e_{n-1}^T is upper Hessenberg with the eigenvalues of A
+@pytest.mark.parametrize("n", [60, 180])
+def test_real_data_makes_no_dense_eigensolve(monkeypatch, n):
+    # real data takes the secular route: the only nonsymmetric eigensolves
+    # are np.roots' companion matrices in the Taylor restart, k x k for a
+    # cluster of k roots (the attracted pair at 2), never the n x n comrade
+    # matrix.  np.roots holds its own reference to eigvals, so the spy
+    # replaces both
     cfg = scenario("sobolev_point_pair")
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, 62)).poly(60).to_basis(ORTHONORMAL)
+    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
     seen = []
     real_eigvals = np.linalg.eigvals
 
     def spy(m):
-        seen.append(np.array(m))
+        seen.append(np.shape(m))
         return real_eigvals(m)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    got = roots(q)
-    assert len(seen) == 1 and not np.any(np.tril(seen[0], -2))
-    np.testing.assert_array_equal(seen[0], _comrade_matrix(q).T)
-    assert len(got) == 60
+    monkeypatch.setitem(inspect.unwrap(np.roots).__globals__, "eigvals", spy)
+    got = np.array(roots(q))
+    cluster_size = np.count_nonzero(dist_to_cut(got) > 0.05)
+    assert cluster_size == 2 and got.size == n
+    assert seen and all(shape[0] <= cluster_size for shape in seen)
 
 
 @pytest.mark.parametrize("measure", [BaseMeasureSpec("legendre"), ATOM_LEG],
