@@ -11,13 +11,16 @@ roots() takes one of two routes:
 
 - f = 0 (p is a multiple of l_n): A = J_n, and the roots are the Gauss
   nodes from the symmetric eigensolver.
-- f != 0: with J_n = V diag(x) V^T, A is similar to diag(x) - y w^T,
-  y = V[n-1, :], w = V^T f, so its eigenvalues are the zeros of the
-  secular function g(z) = 1 + sum_i beta_i / (z - x_i), beta_i = y_i w_i
-  (Golub, SIAM Rev. 15, 1973).  Vectorized Aberth sweeps on g find them
-  in O(n^2) per sweep (Bini & Robol, J. Comput. Appl. Math. 272, 2014);
-  on real data the starts leave the real axis, so that the sweeps can
-  reach conjugate pairs.  Roots off the support band, where the sum
+- f != 0: the roots are the zeros of the secular function
+  g(z) = p(z) / (lc_p omega(z)) = 1 + sum_i beta_i / (z - t_i), p in
+  Lagrange form over the zeros t_i of omega = 2^{1-n} T_n, the Chebyshev
+  points, which are in closed form: no eigensolver runs.  The weights
+  beta_i = p(t_i) / (lc_p omega'(t_i)) take one forward recurrence sweep
+  over the t_i (secular equations: Golub, SIAM Rev. 15, 1973).
+  Vectorized Aberth sweeps on g find its zeros in O(n^2) per sweep
+  (Bini & Robol, J. Comput. Appl. Math. 272, 2014); on real data the
+  starts leave the real axis, so that the sweeps can reach
+  conjugate pairs.  Roots off the support band, where the sum
   cancels, are finished on p itself in extended precision: a cluster of
   k roots, where Aberth steps converge only linearly, restarts from the
   zeros of the degree-k Taylor polynomial of p at its centroid (the
@@ -259,18 +262,44 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
     return np.abs(acc[:m]) / scale
 
 
+def _secular_weights(q: PolyInBasis, f: np.ndarray):
+    """Poles t and weights beta of the secular function of p (f != 0):
+    p(z) / (lc_p omega(z)) = 1 + sum_i beta_i / (z - t_i), omega the monic
+    2^{1-n} T_n, whose zeros t_i = cos(theta_i), theta_i = (2i+1) pi / 2n,
+    are in closed form.  beta_i = p(t_i) / (lc_p omega'(t_i)), and
+    omega'(t_i) = 2^{1-n} n (-1)^i / sin(theta_i).  p(t_i) comes from one
+    forward sweep of the orthonormal recurrence over all n points, stable
+    on [-1, 1].  lc_p = c_n tau_0 / prod a_k and the 2^{1-n} of omega enter
+    together as tau_0 prod (2 a_k)^{-1}, whose terms tend to 1 (a_k -> 1/2
+    on [-1, 1]), so the constant does not overflow where 2^n or tau_n
+    would.  The poles are returned ascending."""
+    n, a, b = q.degree, q.table.a, q.table.b
+    # t_j = sin(phi_j) = cos(theta_{n-1-j}): ascending, exactly symmetric about 0
+    phi = (0.5 * np.pi / n) * np.arange(1 - n, n, 2)
+    t = np.sin(phi)
+    # l_0..l_n at every t_j; p / c_n = l_n + (f . l) / a_n
+    ell = np.empty((n + 1, n))
+    ell[0] = q.table.tau[0]
+    ell[1] = (t - b[0]) * ell[0] / a[1]
+    for k in range(1, n):
+        ell[k + 1] = ((t - b[k]) * ell[k] - a[k] * ell[k - 1]) / a[k + 1]
+    val = ell[n] + (f.real @ ell[:n] + 1j * (f.imag @ ell[:n])) / a[n]
+    # sin(theta_i) (-1)^i / (2n tau_0 prod (2 a_k)^{-1}), i = n - 1 - j
+    scale = np.cos(phi) / (2 * n * q.table.tau[0] * np.prod(0.5 / a[1 : n + 1]))
+    scale[n % 2 :: 2] *= -1.0   # i = n - 1 - j odd
+    return t, val * scale
+
+
 def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
-    """Roots of p for f != 0: the zeros of the secular function at the
-    Gauss nodes, then Aberth steps on p itself for the roots off the band,
-    then, for real f, the conjugate pairing.  A pole with |beta_i| below
-    the rounding level of J_n is deflated: its root is the node x_i."""
-    n = q.degree
-    x, V = np.linalg.eigh(_jacobi(q.table, n))
-    beta = V[-1] * (f.real @ V + 1j * (f.imag @ V))
-    del V   # the n x n eigenvectors go before the sweeps allocate theirs
-    z = x.astype(complex)
-    live = np.abs(beta) > EPS * np.max(np.abs(x))
-    z[live] = _aberth(x[live], beta[live], n)
+    """Roots of p for f != 0: the zeros of the secular function, whose
+    poles are the Chebyshev points, then Aberth steps on p itself for the
+    roots off the band, then, for real f, the conjugate pairing.  A pole
+    with |beta_i| below the rounding level of the points is deflated: its
+    root is the point t_i."""
+    t, beta = _secular_weights(q, f)
+    z = t.astype(complex)
+    live = np.abs(beta) > EPS * np.max(np.abs(t))
+    z[live] = _aberth(t[live], beta[live], q.degree)
     _polish(q, z)
     if not np.any(f.imag):
         _pair_conjugates(z)
@@ -290,7 +319,7 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
 
     On real data every start is real, and real steps would never leave
     the axis to reach a conjugate pair.  So a start with imaginary part
-    exactly 0 moves by 0.1 times the gap to its nearest node, in the
+    exactly 0 moves by 0.1 times the gap to its nearest pole, in the
     direction e^{i KICK_ANGLE k}, k its index: unlike a common kick along
     i, the golden-angle turns keep no mirror symmetry z -> -conj(z) that
     could hold a pair on the axis (x^2 + 1 on Chebyshev cycles for
@@ -414,9 +443,9 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     """All deg(p) roots, sorted by (re, im).
 
     Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
-    nodes when f = 0, else the secular Aberth solve with the extended
-    precision finish and, when f is real, the conjugate pairing (module
-    docstring).
+    nodes when f = 0, else the secular Aberth solve over the Chebyshev
+    points with the extended precision finish and, when f is real, the
+    conjugate pairing (module docstring).
     Each root is validated against the running-error scale of the
     evaluation; a relative residual above RESIDUAL_TOL raises, since it
     means the root set cannot be trusted at the advertised accuracy.
