@@ -18,9 +18,12 @@ roots() takes one of two routes:
   beta_i = p(t_i) / (lc_p omega'(t_i)) take one forward recurrence sweep
   over the t_i (secular equations: Golub, SIAM Rev. 15, 1973).
   Vectorized Aberth sweeps on g find its zeros in O(n^2) per sweep
-  (Bini & Robol, J. Comput. Appl. Math. 272, 2014); on real data the
-  starts leave the real axis, so that the sweeps can reach
-  conjugate pairs.  Roots off the support band, where the sum
+  (Bini & Robol, J. Comput. Appl. Math. 272, 2014) and O(n) memory: the
+  n x n Cauchy matrices are formed a block of rows at a time in one
+  workspace per solve, of BLOCK complex entries (128 KB) or one row when
+  n is larger, which the weights sweep and the conjugate pairing use
+  too.  On real data the starts leave the real axis, so that the sweeps
+  can reach conjugate pairs.  Roots off the support band, where the sum
   cancels, are finished on p itself in extended precision: a cluster of
   k roots, where Aberth steps converge only linearly, restarts from the
   zeros of the degree-k Taylor polynomial of p at its centroid (the
@@ -71,6 +74,9 @@ EPS = float(np.finfo(float).eps)
 LD_EPS = np.finfo(np.longdouble).eps
 # Aberth sweeps on the secular function before the solve refuses
 MAX_SWEEPS = 60
+# entries of the complex workspace (128 KB) in which the secular solve forms
+# its Cauchy matrices a block of rows at a time
+BLOCK = 2**13
 # roots farther than POLISH_BAND from [-1, 1] take Aberth steps on p itself
 # (at most POLISH_STEPS, until a step is at most POLISH_TOL |z| or |p| is at
 # its rounding level): there the secular sum cancels and leaves them ~1e-6 off
@@ -262,28 +268,34 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
     return np.abs(acc[:m]) / scale
 
 
-def _secular_weights(q: PolyInBasis, f: np.ndarray):
+def _secular_weights(q: PolyInBasis, f: np.ndarray, work: np.ndarray):
     """Poles t and weights beta of the secular function of p (f != 0):
     p(z) / (lc_p omega(z)) = 1 + sum_i beta_i / (z - t_i), omega the monic
     2^{1-n} T_n, whose zeros t_i = cos(theta_i), theta_i = (2i+1) pi / 2n,
     are in closed form.  beta_i = p(t_i) / (lc_p omega'(t_i)), and
     omega'(t_i) = 2^{1-n} n (-1)^i / sin(theta_i).  p(t_i) comes from one
     forward sweep of the orthonormal recurrence over all n points, stable
-    on [-1, 1].  lc_p = c_n tau_0 / prod a_k and the 2^{1-n} of omega enter
-    together as tau_0 prod (2 a_k)^{-1}, whose terms tend to 1 (a_k -> 1/2
-    on [-1, 1]), so the constant does not overflow where 2^n or tau_n
-    would.  The poles are returned ascending."""
+    on [-1, 1], streamed through the workspace: the rows l_k of a block of
+    degrees k fill its floats, and one product per block adds their part
+    of f . l to a complex accumulator, so the memory is O(n).  Through
+    n = 128 every degree fits one block, and f . l is a single product.
+    lc_p = c_n tau_0 / prod a_k and the 2^{1-n} of omega enter together as
+    tau_0 prod (2 a_k)^{-1}, whose terms tend to 1 (a_k -> 1/2 on
+    [-1, 1]), so the constant does not overflow where 2^n or tau_n would.
+    The poles are returned ascending."""
     n, a, b = q.degree, q.table.a, q.table.b
     # t_j = sin(phi_j) = cos(theta_{n-1-j}): ascending, exactly symmetric about 0
     phi = (0.5 * np.pi / n) * np.arange(1 - n, n, 2)
     t = np.sin(phi)
-    # l_0..l_n at every t_j; p / c_n = l_n + (f . l) / a_n
-    ell = np.empty((n + 1, n))
-    ell[0] = q.table.tau[0]
-    ell[1] = (t - b[0]) * ell[0] / a[1]
-    for k in range(1, n):
-        ell[k + 1] = ((t - b[k]) * ell[k] - a[k] * ell[k - 1]) / a[k + 1]
-    val = ell[n] + (f.real @ ell[:n] + 1j * (f.imag @ ell[:n])) / a[n]
+    # l_{k-1}, l_k at every t_j; p / c_n = l_n + (f . l) / a_n
+    prev, row = np.zeros(n), np.full(n, q.table.tau[0])
+    acc = np.zeros(n, dtype=complex)
+    for degrees, ell in _row_blocks(work.view(float), n, n):
+        for k, out in zip(range(degrees.start, degrees.stop), ell):
+            out[:] = row
+            prev, row = row, ((t - b[k]) * row - a[k] * prev) / a[k + 1]
+        acc += f.real[degrees] @ ell + 1j * (f.imag[degrees] @ ell)
+    val = row + acc / a[n]
     # sin(theta_i) (-1)^i / (2n tau_0 prod (2 a_k)^{-1}), i = n - 1 - j
     scale = np.cos(phi) / (2 * n * q.table.tau[0] * np.prod(0.5 / a[1 : n + 1]))
     scale[n % 2 :: 2] *= -1.0   # i = n - 1 - j odd
@@ -296,17 +308,35 @@ def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
     roots off the band, then, for real f, the conjugate pairing.  A pole
     with |beta_i| below the rounding level of the points is deflated: its
     root is the point t_i."""
-    t, beta = _secular_weights(q, f)
+    work = _workspace(q.degree)
+    t, beta = _secular_weights(q, f, work)
     z = t.astype(complex)
     live = np.abs(beta) > EPS * np.max(np.abs(t))
-    z[live] = _aberth(t[live], beta[live], q.degree)
+    z[live] = _aberth(t[live], beta[live], q.degree, work)
     _polish(q, z)
     if not np.any(f.imag):
-        _pair_conjugates(z)
+        _pair_conjugates(z, work)
     return z
 
 
-def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
+def _workspace(n: int) -> np.ndarray:
+    """Flat complex workspace for the row blocks of the n x n Cauchy
+    matrices of one solve: BLOCK entries, or n x n when that is smaller, or
+    one row of n when a row alone is longer."""
+    return np.empty(max(n, min(n * n, BLOCK)), dtype=complex)
+
+
+def _row_blocks(work: np.ndarray, count: int, m: int):
+    """(rows, block) per run of max(1, work.size // m) consecutive rows out
+    of count: rows the slice of the row range, block a (rows, m) view of
+    the workspace."""
+    height = max(1, work.size // max(1, m))
+    for start in range(0, count, height):
+        stop = min(start + height, count)
+        yield slice(start, stop), work[: (stop - start) * m].reshape(stop - start, m)
+
+
+def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
     """Zeros of g(z) = 1 + sum_i beta_i / (z - x_i) by simultaneous Aberth
     sweeps over the roots still active.  p'/p = g'/g + sum_i 1/(z - x_i)
     for p ~ g prod (z - x_i).  Root i starts at x_i - beta_i / g_i(x_i),
@@ -314,8 +344,12 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     retires once its step is at most eps |z|, once |g| is at its rounding
     level m eps (1 + sum_i |beta_i / (z - x_i)|), or once it is off the
     band and shrinks only linearly (CLUSTER_STEP, CLUSTER_RATE): _polish
-    resolves such a cluster from its centroid.  Temporaries are
-    (active, m): retired roots cost nothing.
+    resolves such a cluster from its centroid.  The Cauchy matrices
+    1/(z - x_i) and 1/(z - z_j) are formed a block of rows at a time in the
+    workspace (_workspace), so temporaries are (rows, m), rows = BLOCK // m
+    once m^2 passes BLOCK: the memory is O(m), and retired roots cost
+    nothing.  A row's arithmetic does not depend on its block, and the
+    retire decisions run once per sweep on the whole active set.
 
     On real data every start is real, and real steps would never leave
     the axis to reach a conjugate pair.  So a start with imaginary part
@@ -328,12 +362,14 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     m = x.size
     abs_beta = np.abs(beta)
     last = np.full(m, np.inf)
+    z = np.empty(m, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = np.subtract.outer(x, x)
-        np.fill_diagonal(inv, np.inf)
-        np.reciprocal(inv, out=inv)
-        z = x - beta / (1.0 + inv @ beta.real + 1j * (inv @ beta.imag))
-        del inv
+        # the real Cauchy rows 1/(x_i - x_j), i != j, in the workspace's floats
+        for rows, blk in _row_blocks(work.view(float), m, m):
+            np.subtract.outer(x[rows], x, out=blk)
+            blk[np.arange(len(blk)), np.arange(rows.start, rows.stop)] = np.inf
+            np.reciprocal(blk, out=blk)
+            z[rows] = x[rows] - beta[rows] / (1.0 + blk @ beta.real + 1j * (blk @ beta.imag))
         if m > 1:
             real = np.flatnonzero(z.imag == 0.0)
             gap = np.diff(x)
@@ -344,17 +380,20 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
             if not active.size:
                 return z
             za = z[active]
-            buf = np.subtract.outer(za, x)
-            np.reciprocal(buf, out=buf)
-            g = 1.0 + buf @ beta
-            done = np.abs(g) <= m * EPS * (1.0 + np.abs(buf) @ abs_beta)
-            poles = buf.sum(axis=1)
-            np.multiply(buf, buf, out=buf)
-            newton = g / (poles * g - buf @ beta)
-            np.subtract(za[:, None], z, out=buf)
-            buf[np.arange(active.size), active] = np.inf
-            np.reciprocal(buf, out=buf)
-            step = newton / (1.0 - newton * buf.sum(axis=1))
+            step = np.empty(active.size, dtype=complex)
+            done = np.empty(active.size, dtype=bool)
+            for rows, blk in _row_blocks(work, active.size, m):
+                np.subtract.outer(za[rows], x, out=blk)
+                np.reciprocal(blk, out=blk)
+                g = 1.0 + blk @ beta
+                done[rows] = np.abs(g) <= m * EPS * (1.0 + np.abs(blk) @ abs_beta)
+                poles = blk.sum(axis=1)
+                np.multiply(blk, blk, out=blk)
+                newton = g / (poles * g - blk @ beta)
+                np.subtract(za[rows, None], z, out=blk)
+                blk[np.arange(len(blk)), active[rows]] = np.inf
+                np.reciprocal(blk, out=blk)
+                step[rows] = newton / (1.0 - newton * blk.sum(axis=1))
             step[done] = 0.0
             za = z[active] = za - step
             size, dist = np.abs(step), dist_to_cut(za)
@@ -368,14 +407,19 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
-def _pair_conjugates(z: np.ndarray) -> None:
+def _pair_conjugates(z: np.ndarray, work: np.ndarray) -> None:
     """Make the roots of a real polynomial exactly closed under conjugation,
     in place.  Each root's partner is the root nearest to its conjugate: a
     root that is its own partner is real, and two roots that are each
     other's partner become w and conj(w), w the mean of the one and the
-    conjugate of the other.  A partner that is not mutual refuses."""
+    conjugate of the other.  A partner that is not mutual refuses.  The
+    distances |conj(z_j) - z_i| are formed a block of rows j at a time in
+    the workspace."""
     idx = np.arange(z.size)
-    partner = np.argmin(np.abs(z[:, None] - z.conj()), axis=0)
+    partner = np.empty(z.size, dtype=np.intp)
+    for rows, blk in _row_blocks(work, z.size, z.size):
+        np.subtract(z[rows, None].conj(), z, out=blk)
+        partner[rows] = np.argmin(np.abs(blk), axis=1)
     if np.any(partner[partner] != idx):
         raise ZerosError(f"roots do not pair under conjugation at degree {z.size}",
                          kind="unconverged")
@@ -440,7 +484,7 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
 
 
 def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
-    """All deg(p) roots, sorted by (re, im).
+    """All deg(p) roots, sorted by (re rounded to 12 decimals, im).
 
     Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
     nodes when f = 0, else the secular Aberth solve over the Chebyshev
@@ -458,7 +502,9 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
         vals = np.linalg.eigvalsh(_jacobi(q.table, q.degree))
     else:
         vals = _secular_roots(q, f)
-    out = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
+    # real parts equal to 12 decimals order by imaginary part, so that noise
+    # in the real parts of roots on a vertical line does not reorder them
+    out = sorted((complex(v) for v in vals), key=lambda z: (round(z.real, 12), z.imag))
     if check_residual:
         worst = float(np.max(_root_residuals(q, np.array(out), _comrade_norm(q, f))))
         if worst > RESIDUAL_TOL:

@@ -1,5 +1,6 @@
 """Comrade-matrix roots and attraction-disk sorting."""
 import inspect
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -26,7 +27,7 @@ from relasym.polybasis import MONIC, ORTHONORMAL, lincomb, xmul
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import _TargetPolys
 from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_norm, _jacobi, _last_row,
-                           _pair_conjugates, _root_residuals, _secular_weights,
+                           _pair_conjugates, _root_residuals, _secular_weights, _workspace,
                            default_radius)
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
@@ -260,21 +261,50 @@ def test_secular_weights_match_the_lagrange_form(measure):
         real = rng.standard_normal(n + 1) + 0j
         for coeffs in (real, real + 1j * rng.standard_normal(n + 1)):
             q = PolyInBasis(ORTHONORMAL, coeffs, n, table)
-            t, beta = _secular_weights(q, _last_row(q))
+            t, beta = _secular_weights(q, _last_row(q), _workspace(n))
             np.testing.assert_array_equal(np.sort(t), t)
             for z in (0.5 + 0.3j, -0.9 - 0.2j, 1.5, 2j, -3.0 + 1j):
                 want = _mp_lagrange_ratio(q, z)
                 assert abs(1.0 + np.sum(beta / (z - t)) - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("measure, degrees", [
-    (BaseMeasureSpec("legendre"), (25, 60, 120, 180, 400)),
-    *((m, (25, 60, 120, 180)) for m in SECULAR_MEASURES[1:]),
-    (BaseMeasureSpec("legendre", mass_points=((1.05, 0.5),)), (25, 60, 120, 180)),
-    (BaseMeasureSpec("legendre", mass_points=((10.0, 0.5),)), (25, 60, 120, 180)),
+def _kernel_poly(measure, n, rng, real):
+    return sn_kernel(n, _sobolev_spec(rng, real), recurrence_for(measure, n + 2)).rep
+
+
+def _odd_poly(measure, n, rng, real):
+    """L_n + 0.3 L_{n-2} (0.3i on complex data): at odd n its root at 0 is
+    the middle Chebyshev point, whose pole the secular solve deflates."""
+    table = recurrence_for(measure, n + 2)
+    return lincomb([PolyInBasis.basis_poly(table, n), PolyInBasis.basis_poly(table, n - 2)],
+                   [1.0, 0.3 if real else 0.3j])
+
+
+def _block_layouts(sizes) -> set:
+    """The row-block layouts met by Aberth solves of m live poles at degree
+    n: one block of rows, a partial last block, whole blocks only, and a
+    deflated pole (m < n)."""
+    out = set()
+    for n, m in sizes:
+        rows = _workspace(n).size // m
+        out.add("one block" if m <= rows else "partial block" if m % rows else "whole blocks")
+        if m < n:
+            out.add("deflated")
+    return out
+
+
+@pytest.mark.parametrize("measure, degrees, build, layouts", [
+    (BaseMeasureSpec("legendre"), (25, 60, 120, 180, 400), _kernel_poly,
+     {"one block", "partial block", "whole blocks"}),
+    *((m, (25, 60, 120, 180), _kernel_poly, set()) for m in SECULAR_MEASURES[1:]),
+    (BaseMeasureSpec("legendre", mass_points=((1.05, 0.5),)), (25, 60, 120, 180), _kernel_poly,
+     set()),
+    (BaseMeasureSpec("legendre", mass_points=((10.0, 0.5),)), (25, 60, 120, 180), _kernel_poly,
+     set()),
+    (BaseMeasureSpec("legendre"), (61, 181), _odd_poly, {"one block", "deflated"}),
 ], ids=["legendre", "chebyshev", "jacobi", "legendre_atom", "legendre_atom_near",
-        "legendre_atom_far"])
-def test_secular_roots_match_the_eigensolver(measure, degrees):
+        "legendre_atom_far", "legendre_deflated"])
+def test_secular_roots_match_the_eigensolver(monkeypatch, measure, degrees, build, layouts):
     # complex and real coefficient data take the secular solve; its interval
     # roots agree with the dense eigensolver to 1e-12 on the interval's
     # scale (relative to max(1, |z|): roots near 0 have no relative digits
@@ -282,11 +312,21 @@ def test_secular_roots_match_the_eigensolver(measure, degrees):
     # near-double attracted pair the dense eigensolver is itself ~1e-8 off,
     # and the root an atom at 1.05 attracts sits at distance 0.05 to the
     # last bit, so a band of 0.05 would split it by rounding.  On real data
-    # the root set is closed under conjugation
+    # the root set is closed under conjugation.  The Aberth solves meet the
+    # row-block layouts the case names: m^2 within BLOCK (n = 25, 60), a
+    # partial last block (m = 120 in rows of 68), whole blocks (m = 180 in
+    # rows of 45, m = 400 in rows of 20), and a deflated pole
+    aberth, sizes = zeros_module._aberth, []
+
+    def spy(x, beta, n, work):
+        sizes.append((n, x.size))
+        return aberth(x, beta, n, work)
+
+    monkeypatch.setattr(zeros_module, "_aberth", spy)
     for real in (False, True):
         rng = np.random.default_rng(20)
         for n in degrees:
-            q = sn_kernel(n, _sobolev_spec(rng, real), recurrence_for(measure, n + 2)).rep
+            q = build(measure, n, rng, real)
             assert np.any(_last_row(q.to_basis(ORTHONORMAL)).imag) != real
             got = np.array(roots(q))
             want = np.linalg.eigvals(_comrade_matrix(q))
@@ -296,7 +336,20 @@ def test_secular_roots_match_the_eigensolver(measure, degrees):
             for z in want[band]:
                 assert np.min(np.abs(near - z)) <= 1e-12 * max(1.0, abs(z))
             if real:
-                np.testing.assert_array_equal(np.sort_complex(got.conj()), got)
+                np.testing.assert_array_equal(np.sort_complex(got.conj()), np.sort_complex(got))
+    assert layouts <= _block_layouts(sizes)
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_every_pole_deflated_gives_the_chebyshev_points(n):
+    # T_n on Legendre vanishes at every Chebyshev pole to rounding level:
+    # the secular solve deflates them all, runs no Aberth sweep, and its
+    # roots are the poles
+    T = [PolyInBasis.basis_poly(LEG, 0), xmul(PolyInBasis.basis_poly(LEG, 0))]
+    for k in range(1, n):
+        T.append(lincomb([xmul(T[k]), T[k - 1]], [2.0, -1.0]))
+    want = np.sort(np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n)))
+    np.testing.assert_allclose(np.array(roots(T[n])), want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [60, 180])
@@ -321,17 +374,37 @@ def test_real_data_resolves_near_band_pairs(n):
 
 def test_pair_conjugates_on_crafted_roots():
     # self-partners become real, mutual partners exact conjugates w and
-    # conj(w), w the mean of the one and the conjugate of the other
-    z = np.array([0.5 + 1e-17j, 2.0 + 1j + 1e-15, 0.5 - 0.2j, 2.0 - 1j, -0.3 - 2e-16j,
-                  0.5 + 0.2j + 1e-15j])
-    _pair_conjugates(z)
-    assert z[0] == 0.5 and z[0].imag == 0.0 and z[4] == -0.3 and z[4].imag == 0.0
+    # conj(w), w the mean of the one and the conjugate of the other.  A
+    # workspace of 2 rows and one of a single row split the argmin into row
+    # blocks, one of them partial, with the same partners
+    crafted = np.array([0.5 + 1e-17j, 2.0 + 1j + 1e-15, 0.5 - 0.2j, 2.0 - 1j, -0.3 - 2e-16j,
+                        0.5 + 0.2j + 1e-15j, 0.7 + 0.0j])
+    z = crafted.copy()
+    _pair_conjugates(z, _workspace(z.size))
+    for height in (2, 1):
+        blocked = crafted.copy()
+        _pair_conjugates(blocked, np.empty(height * z.size, dtype=complex))
+        np.testing.assert_array_equal(blocked, z)
+    assert z[0] == 0.5 and z[0].imag == 0.0 and z[4] == -0.3 and z[4].imag == 0.0 and z[6] == 0.7
     assert z[1] == 0.5 * ((2.0 + 1j + 1e-15) + 2.0 + 1j) and z[3] == z[1].conjugate()
     assert z[2] == 0.5 * (0.5 - 0.2j + 0.5 - 0.2j - 1e-15j) and z[5] == z[2].conjugate()
     # 1 + 1j's nearest to its conjugate is 1.1 - 1j, whose nearest is 1.05 + 1j
     with pytest.raises(ZerosError, match="do not pair") as info:
-        _pair_conjugates(np.array([1.0 + 1j, 1.1 - 1j, 1.05 + 1j]))
+        _pair_conjugates(np.array([1.0 + 1j, 1.1 - 1j, 1.05 + 1j]), _workspace(3))
     assert info.value.kind == "unconverged"
+
+
+def test_roots_on_a_vertical_line_keep_their_order(monkeypatch):
+    # a pair 2i +- 1.7e-8i whose real parts are noise, +-1e-17 either way
+    # round: roots sorts real parts equal to 12 decimals by imaginary part,
+    # so the pair comes out lower root first both times
+    p = lincomb([PolyInBasis.basis_poly(LEG, 2), PolyInBasis.basis_poly(LEG, 1)], [1.0, 1j])
+    low, high = 2j - 1.7e-8j, 2j + 1.7e-8j
+    for sign in (1.0, -1.0):
+        crafted = np.array([high + sign * 1e-17, low - sign * 1e-17])
+        monkeypatch.setattr(zeros_module, "_secular_roots", lambda q, f: crafted)
+        got = roots(p, check_residual=False)
+        assert [z.imag for z in got] == [low.imag, high.imag]
 
 
 def _mp_refined(q, starts, dps=50):
@@ -463,6 +536,21 @@ def test_unconverged_polish_refuses(monkeypatch):
     with pytest.raises(ZerosError, match="did not converge") as info:
         roots(q)
     assert info.value.kind == "unconverged"
+
+
+def test_secular_solve_memory_stays_linear():
+    # the secular route forms its Cauchy matrices a block of rows at a time:
+    # the traced peak of one roots call at n = 800 stays below 2 MB, where
+    # the 800 x 800 matrices alone take 10 MB each
+    cfg = scenario("modified_rational")
+    p = _TargetPolys(cfg, recurrence_for(cfg.measure, 802)).poly(800)
+    tracemalloc.start()
+    try:
+        assert len(roots(p)) == 800
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("n", [60, 180])
