@@ -12,8 +12,11 @@ orthogonality
 which is a derivative-coupled inner product in disguise: expanding
 (p q)^{(i)} by Leibniz turns the pole data into the coupling matrices
 gamma^j_{i,k} = A_{j,k+i} * binom(k+i, i).  The denominator is therefore
-built by the Sobolev kernel lane (`sn_kernel`), and the numerator is the
-classical second-kind companion plus Taylor-remainder terms for the poles.
+built by the Sobolev kernel lane (`sn_kernel`).  The same functional
+L[p] = integral p dmu + sum_{j,i} A_{j,i} p^(i)(c_j) gives f(z) = L_x[1/(z-x)],
+so the numerator is its second-kind function L_x[(Q_n(z) - Q_n(x))/(z-x)]
+(Baker & Graves-Morris, Pade Approximants, 1996), built by one forward
+recurrence over the basis.
 The error ratio (f - pi_{n+1})/(f - pi_n) -> 1/phi(z)^2 is evaluated from
 the Cauchy transforms of the basis in mpmath, where the geometrically
 small remainders stay resolved; that computation lives in
@@ -28,8 +31,7 @@ import numpy as np
 
 from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_ratios_for, table_through
-from .polybasis import (MONIC, PolyInBasis, basis_jets, divide_out_zeros, lincomb, xmul,
-                        xmul_coeffs)
+from .polybasis import MONIC, PolyInBasis, basis_jets, xmul_coeffs
 from .sobolev import SobolevSpec, SobolevTerm, digit_loss, sn_kernel
 
 __all__ = [
@@ -147,63 +149,37 @@ def pade_denominator(n: int, f: StieltjesFn, base: RecurrenceTable) -> PolyInBas
     return sn_kernel(n, to_sobolev_spec(f), base).rep
 
 
-def _second_kind(base: RecurrenceTable, nmax: int) -> list[np.ndarray]:
-    """Coefficient vectors of E_m(z) = integral (L_m(z)-L_m(x))/(z-x) dmu(x).
-
-    Same three-term recurrence as the basis, seeded with E_0 = 0,
-    E_1 = m_0 (total mass); deg E_m = m - 1.
-    """
-    a, b = base.a, base.b
-    m0 = 1.0 / base.tau[0] ** 2
-    out = [np.zeros(1, dtype=complex), np.array([m0], dtype=complex)]
-    for m in range(1, nmax):
-        cur, prev = out[m], out[m - 1]
-        nxt = xmul_coeffs(cur, base)
-        nxt[: m] -= b[m] * cur
-        nxt[: m - 1 if m >= 2 else 0] -= (a[m] * a[m]) * prev[: max(m - 1, 0)]
-        out.append(nxt)
-    return out
-
-
-def _taylor_at(p: PolyInBasis, c: complex, order: int) -> PolyInBasis:
-    """Taylor polynomial of p at c through the given order, in the mu-basis."""
-    jets = p.jet(c, order)
-    table = p.table
-    acc = np.zeros(order + 1, dtype=complex)
-    pw = PolyInBasis(MONIC, np.ones(1, dtype=complex), 0, table)  # (x-c)^t
-    for t in range(order + 1):
-        term = pw.coeffs * (jets[t] / math.factorial(t))
-        acc[: len(term)] += term
-        if t < order:
-            pw = lincomb([xmul(pw), pw], [1.0, -c])
-    return PolyInBasis(MONIC, acc, order, table)
-
-
 def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
                    base: RecurrenceTable) -> PolyInBasis:
     """Polynomial part of f * Q_n at infinity (degree <= n-1).
 
-    P = sum_m q_m E_m  +  sum_{j,i} A_{j,i} i! (Q_n - T_{j,i}) / (x-c_j)^{i+1},
-    with T_{j,i} the Taylor polynomial of Q_n at c_j through order i, so the
-    division is exact; it is done by `divide_out_zeros`.
+    f(z) = L_x[1/(z - x)] for L[p] = integral p dmu + sum_{j,i} A_{j,i} p^(i)(c_j),
+    so P = L_x[(Q_n(z) - Q_n(x))/(z - x)] = sum_m q_m E_m over the monic
+    coefficients q_m of Q_n, with E_m = L_x[(L_m(z) - L_m(x))/(z - x)].
+    The basis recurrence gives E_0 = 0 and
+
+        E_{m+1} = (x - b_m) E_m - a_m^2 E_{m-1} + L[L_m],
+
+    L[L_m] = mu_0 delta_{m0} + sum_{j,i} A_{j,i} L_m^(i)(c_j) from one
+    `basis_jets` sweep per pole.  Two E vectors are kept: O(n) memory,
+    O(n^2) time, and nothing is divided.
     """
-    q = Q_n.to_basis(MONIC)
-    E = _second_kind(base, n)
-    acc = np.zeros(max(n, 1), dtype=complex)
-    for m in range(1, q.degree + 1):
-        acc[: m] += q.coeffs[m] * E[m]
-    parts = [PolyInBasis(MONIC, acc[: max(q.degree, 1)], max(q.degree - 1, 0), base)]
-    weights = [1.0 + 0.0j]
+    q = Q_n.to_basis(MONIC).coeffs
+    deg = len(q) - 1
+    ell = np.zeros(max(deg, 1), dtype=complex)     # ell[m] = L[L_m]
+    ell[0] = base.total_mass
     for c, A in f.poles:
-        for i, a in enumerate(A):
-            if a == 0:
-                continue
-            tay = _taylor_at(q, c, i)
-            diff = lincomb([q, tay], [1.0, -1.0])
-            piece = divide_out_zeros(diff, [(c, i + 1)])
-            parts.append(piece)
-            weights.append(a * math.factorial(i))
-    return lincomb(parts, weights).trimmed()
+        ell += np.asarray(A) @ basis_jets(base, deg - 1, c, order=len(A) - 1)
+    acc = np.zeros(max(deg, 1), dtype=complex)
+    prev, cur = np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    for m in range(deg):
+        nxt = xmul_coeffs(cur, base)
+        nxt[:m] -= base.b[m] * cur
+        nxt[:m - 1] -= base.a[m] ** 2 * prev
+        nxt[0] += ell[m]
+        prev, cur = cur, nxt
+        acc[: m + 1] += q[m + 1] * cur
+    return PolyInBasis(MONIC, acc, len(acc) - 1, base).trimmed()
 
 
 def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable) -> PadeApproximant:

@@ -20,7 +20,6 @@ __all__ = [
     "xmul",
     "xmul_coeffs",
     "lincomb",
-    "divide_out_zeros",
     "inner_mu",
 ]
 
@@ -89,10 +88,6 @@ class PolyInBasis:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient vector length must be degree+1")
-
-    @classmethod
-    def zero(cls, table: RecurrenceTable, basis: str = MONIC) -> "PolyInBasis":
-        return cls(basis, np.zeros(1, dtype=complex), 0, table)
 
     @classmethod
     def basis_poly(cls, table: RecurrenceTable, n: int, basis: str = MONIC) -> "PolyInBasis":
@@ -177,29 +172,3 @@ def inner_mu(p: PolyInBasis, q: PolyInBasis) -> complex:
     qc = q.to_basis(ORTHONORMAL).coeffs
     d = min(len(pc), len(qc))
     return complex(np.dot(pc[:d], qc[:d]))
-
-
-def divide_out_zeros(p: PolyInBasis, zeros: list[tuple[complex, int]]) -> PolyInBasis:
-    """p / prod (x - c)^mult for zeros off [-1, 1], assuming divisibility.
-
-    In the orthonormal basis multiplication by x is the Jacobi matrix J, so
-    q = p / (x - c) solves (J_D - c I) q = p[:D], D = deg p; the top
-    coefficient of p only states divisibility.  One pivoted solve per
-    linear factor: on atom tables J_D has eigenvalues off [-1, 1], near
-    which an unpivoted sweep breaks down.
-    """
-    total = sum(mult for _, mult in zeros)
-    if total == 0:
-        return p
-    if total > p.degree:
-        raise ValueError("divisor degree exceeds polynomial degree")
-    table = p.table
-    coeffs = p.to_basis(ORTHONORMAL).coeffs
-    for c, mult in zeros:
-        for _ in range(mult):
-            d = len(coeffs) - 1
-            off = table.a[1:d]
-            jac = np.diag(table.b[:d] - c) + np.diag(off, 1) + np.diag(off, -1)
-            coeffs = np.linalg.solve(jac, coeffs[:d])
-    q = PolyInBasis(ORTHONORMAL, coeffs, p.degree - total, table)
-    return q.to_basis(p.basis)

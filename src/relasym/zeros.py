@@ -262,10 +262,11 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
             s_prev, s, s_next = s, s_next, s_prev
     if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
         raise ZerosError(f"recurrence sweep overflows the double range at degree {n}")
-    scale = total + norm_a * np.abs(acc[m:])
-    if np.any(scale == 0.0):
+    # a root where p is exactly 0 has residual 0, whatever its scale
+    val, scale = np.abs(acc[:m]), total + norm_a * np.abs(acc[m:])
+    if np.any((scale == 0.0) & (val > 0.0)):
         raise ZerosError("zero evaluation scale at computed root")
-    return np.abs(acc[:m]) / scale
+    return np.divide(val, scale, out=np.zeros(m), where=val > 0.0)
 
 
 def _secular_weights(q: PolyInBasis, f: np.ndarray, work: np.ndarray):

@@ -191,6 +191,16 @@ def test_zeros_scenario(tmp_path, capsys):
     assert "clusters=[2]" in capsys.readouterr().out
 
 
+def test_zeros_of_the_first_degrees_on_legendre(tmp_path):
+    # l_1 has its root at 0 exactly, where the gate's evaluation scale is 0
+    payload = scenario("base_legendre").to_json_dict()
+    payload["zero_degrees"] = [1, 2, 3]
+    cfg = _write_json(tmp_path / "low.json", payload)
+    assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 0
+    reports = json.loads((tmp_path / "zeros.json").read_text())["reports"]
+    assert [reports[str(n)]["support_count"] for n in (1, 2, 3)] == [1, 2, 3]
+
+
 def test_zeros_numerical_failure_exit(tmp_path):
     # value coupling sitting on a measure atom: the kernel lane refuses it
     # (forward jets at an atom are rounding noise), which is a numerics exit

@@ -7,8 +7,9 @@ import pytest
 from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio,
                      f_value, laurent_moments, pade_approximant,
                      pade_denominator, pade_numerator,
-                     pade_order_residuals, phi, recurrence_for,
+                     pade_order_residuals, phi, recurrence_for, scenario,
                      to_sobolev_spec)
+from relasym.extended import _mp_remainder
 from relasym.measures import rule_for
 from relasym.pade import mu_moments
 from relasym.polybasis import MONIC, PolyInBasis
@@ -45,6 +46,54 @@ def test_numerator_first_degree_is_mass():
     q1 = pade_denominator(1, F_PLAIN, TCHEB)
     p1 = pade_numerator(1, F_PLAIN, q1, TCHEB)
     assert p1.values(0.0 + 0.0j) == pytest.approx(np.pi, rel=1e-13)
+
+
+def _numerator_gap(f, tab, n, zs):
+    """Largest |P_n/Q_n - (f - R_n/Q_n)| over zs, the remainder R_n/Q_n
+    from the Cauchy transforms of the basis in mpmath: no numerator."""
+    appr = pade_approximant(n, f, tab)
+    return max(abs(appr.P_n.values(z) / appr.Q_n.values(z)
+                   - (f_value(f, z, tab) - complex(_mp_remainder(n, f, tab, z, 60))))
+               for z in zs)
+
+
+@pytest.mark.parametrize("atom, c, n", [
+    ((3.0, 10.0), 2.999376261633814, 3),      # the outside zero of L_3
+    ((2.2, 0.5), 2.1999999786751063, 8),      # the outside zero of L_8
+], ids=["atom_3", "atom_2.2"])
+def test_numerator_with_a_pole_on_an_outside_zero(atom, c, n):
+    # the shifted Jacobi matrix J_n - c I of the atom measure is singular there
+    spec = BaseMeasureSpec("legendre", mass_points=(atom,))
+    f = StieltjesFn(spec, ((c, (1.0,)),))
+    tab = recurrence_for(spec, 40)
+    for m in (n - 1, n, n + 1):
+        assert _numerator_gap(f, tab, m, (3.5, -2.5, 2j)) < 1e-13, m
+
+
+ATOM = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
+
+
+@pytest.mark.parametrize("f", [
+    scenario("pade_gonchar").stieltjes,
+    StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0, (2.0,)))),
+    StieltjesFn(ATOM, ((2j, (0.5, 0.3, 1.0)), (-3.0 + 0j, (2.0,)))),
+    StieltjesFn(LEG, ((1.5 + 0.5j, (1.0, 0.5, 0.25)),)),
+], ids=["pade_gonchar", "two_pole", "triple_pole_on_atom", "complex_triple_pole"])
+def test_numerator_matches_the_extended_remainder(f):
+    tab = recurrence_for(f.base, 130)
+    for n in (10, 20, 40, 60):
+        assert _numerator_gap(f, tab, n, (3.0, -3j)) < 1e-12, n
+
+
+def test_numerator_solves_no_linear_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pade_numerator called np.linalg.solve")
+
+    f = StieltjesFn(ATOM, ((2j, (0.5, 0.3, 1.0)), (-3.0 + 0j, (2.0,))))
+    tab = recurrence_for(ATOM, 40)
+    q = pade_denominator(25, f, tab)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    pade_numerator(25, f, q, tab)
 
 
 def test_mu_moments_closed_form():

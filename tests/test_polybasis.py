@@ -10,7 +10,7 @@ from _quadrature import values_on_rule
 
 from relasym import BaseMeasureSpec, PolyInBasis, basis_jets, eval_jet, recurrence_for
 from relasym.measures import rule_for
-from relasym.polybasis import MONIC, ORTHONORMAL, divide_out_zeros, inner_mu, lincomb, xmul
+from relasym.polybasis import MONIC, ORTHONORMAL, inner_mu
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -75,27 +75,6 @@ def test_inner_mu_exact_with_atoms():
     want = np.sum(rule.all_weights() * values_on_rule(p, rule) * values_on_rule(q, rule))
     assert abs(inner_mu(p, q) - want) < 1e-12 * np.linalg.norm(p.coeffs) * np.linalg.norm(
         q.to_basis(ORTHONORMAL).coeffs)
-
-
-@pytest.mark.parametrize("deg", [20, 200])
-@pytest.mark.parametrize("spec", [BaseMeasureSpec("chebyshev_first_kind"),
-                                  BaseMeasureSpec("legendre"),
-                                  BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))],
-                         ids=["chebyshev", "legendre", "legendre_atom"])
-def test_divide_out_zeros_round_trip(spec, deg):
-    # the atom at 2 puts an eigenvalue of the Jacobi matrix next to c = 1.5
-    tab = recurrence_for(spec, deg + 3)
-    rng = np.random.default_rng(7)
-    q = PolyInBasis(ORTHONORMAL, rng.standard_normal(deg + 1), deg, tab)
-    for c in (3.0, 2j, 1.05, 1.5):
-        for mult in (1, 2):
-            p = q
-            for _ in range(mult):
-                p = lincomb([xmul(p), p], [1.0, -c])
-            back = divide_out_zeros(p, [(c, mult)])
-            assert back.degree == deg
-            err = np.linalg.norm(back.coeffs - q.coeffs) / np.linalg.norm(q.coeffs)
-            assert err < 1e-12, (c, mult, err)
 
 
 def test_monomial_conversion_against_known_form():

@@ -70,6 +70,12 @@ def test_degree_zero_has_no_roots():
     assert roots(PolyInBasis.basis_poly(CHEB, 0)) == []
 
 
+@pytest.mark.parametrize("tab", [LEG, CHEB], ids=["legendre", "chebyshev"])
+def test_exact_root_with_zero_scale_passes_the_gate(tab):
+    # on a symmetric measure l_1(0) = 0 and the running bound is 0 there too
+    assert roots(PolyInBasis.basis_poly(tab, 1)) == [0j]
+
+
 def test_zero_leading_coefficient_rejected():
     p = PolyInBasis(MONIC, np.array([1.0, 0.0], dtype=complex), 1, CHEB)
     with pytest.raises(ZerosError):
