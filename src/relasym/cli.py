@@ -125,8 +125,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def cmd_recurrence(args) -> int:
     spec, nmax = load_measure(args.config)
-    with np.errstate(over="ignore"):
-        table = recurrence_for(spec, nmax)
+    table = recurrence_for(spec, nmax)
     over = np.flatnonzero(~np.isfinite(table.tau))
     if over.size:
         # JSON has no Infinity: refuse instead of writing an invalid file

@@ -4,7 +4,9 @@ Double precision is the default everywhere; mpmath is kept for the
 quantities double cannot resolve.  This module is the only one that
 imports mpmath, and no double-precision path imports it: the lane's
 entry points `sobolev.sn_lambda`, `sobolev.orthogonality_residuals_extended`
-and `pade.error_ratio` load it on their first call.
+and `pade.error_ratio` with poles load it on their first call.  The last
+takes only the Pade denominator Q_n and its pole jets from it
+(`_mp_square_jets`); its error sum runs in double.
 
 Jets, norms and mu-moments are all exact recurrences on the (a, b, tau)
 data, with no quadrature anywhere.  That makes a clean arbitrary-precision
@@ -17,10 +19,9 @@ import math
 import mpmath
 import numpy as np
 
-from .joukowski import phi
-from .measures import RecurrenceTable, table_through
-from .pade import StieltjesFn, to_sobolev_spec
-from .sobolev import SobolevError, SobolevSpec, _buildable, _kernel_conds, _kernel_system, _support
+from .measures import RecurrenceTable
+from .sobolev import (SobolevError, SobolevSpec, _buildable, _kernel_conds, _kernel_system,
+                      _support, digit_loss)
 
 
 def _mp_ab(base: RecurrenceTable, deg: int):
@@ -198,43 +199,18 @@ def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
     return out
 
 
-def _mp_remainder(n: int, f: StieltjesFn, base: RecurrenceTable, z, dps: int):
-    """(f - P_n/Q_n)(z) = R_n(z)/Q_n(z) in extended precision, with
-
-    R_n(z) = integral Q_n(x)/(z-x) dmu + sum_{j,i} A_{j,i} i! T_{j,i}(z)/(z-c_j)^{i+1}.
-
-    With Q_n = sum_m c_m L_m the integral is sum_m c_m q_m(z), q_m the
-    Cauchy transforms: the minimal solution of the recurrence, from the
-    backward ratio recurrence of `measures.minimal_ratios` run in mp.
-    Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
-    from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
-    by the kernel identity of `sn_lambda`, at the same dps.
-    """
-    if f.poles:
-        coeffs = _mp_kernel(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
-    else:
-        coeffs = [mpmath.mpc(0)] * n + [mpmath.mpc(1)]
+def _mp_square_jets(n: int, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
+    """S_n at sn_lambda's digits: its monic coefficients in double and, per
+    term, (S_n^2)^(s)(c_j) / ||L_n||^2 for s <= N_j, summed before the cast,
+    as S_n^(s)(c_j) collapses by ~|phi(c_j)|^n against L_n^(s)(c_j)."""
+    dps = int(2 * digit_loss(n, spec)) + 35
+    core = _mp_kernel(n, spec, base, dps)
+    coeffs, out = core["coeffs_mp"], []
     with mpmath.workdps(dps):
-        zz = mpmath.mpc(z)
-        top = n + math.ceil(dps / math.log10(abs(phi(z))))
-        with np.errstate(over="ignore"):    # only a, b and tau_0 are read
-            deep = table_through(base, top)
-        a2, b = _mp_ab(deep, top)
-        h, hs = mpmath.mpc(0), {}           # hs[m] = q_m / q_{m-1}
-        for m in range(top, 0, -1):
-            h = hs[m] = a2[m] / (zz - b[m] - h)
-        q = _mp_normsq(base, a2, 0)[0] / (zz - b[0] - hs[1])
-        R = coeffs[0] * q
-        for m in range(1, n + 1):
-            q *= hs[m]
-            R += coeffs[m] * q
-        for c, A in f.poles:
-            cc = mpmath.mpc(c)
-            order = len(A) - 1
-            jets = _mp_basis_jets(n, order, cc, a2, b)
-            qjets = _mp_poly_jet(coeffs, jets, order)
-            for i, av in enumerate(A):
-                tay = mpmath.fsum(qjets[t] / mpmath.factorial(t) * (zz - cc) ** t
-                                  for t in range(i + 1))
-                R += mpmath.mpc(av) * mpmath.factorial(i) * tay / (zz - cc) ** (i + 1)
-        return R / _mp_poly_jet(coeffs, _mp_basis_jets(n, 0, zz, a2, b), 0)[0]
+        for t in spec.terms:
+            jets = _mp_basis_jets(n, t.N, mpmath.mpc(t.c), core["a2"], core["b"])
+            sj = _mp_poly_jet(coeffs, jets, t.N)
+            out.append([complex(mpmath.fsum(math.comb(s, u) * sj[u] * sj[s - u]
+                                            for u in range(s + 1)) / core["normsq"][n])
+                        for s in range(t.N + 1)])
+    return [complex(v) for v in coeffs], out

@@ -200,10 +200,13 @@ def _jacobi_ab(alpha: float, beta: float, nmax: int) -> tuple[np.ndarray, np.nda
 
 
 def _tau_from(asq: np.ndarray, total_mass: float) -> np.ndarray:
+    """tau_k = 1/||L_k||, inf past the double range: every reader of tau
+    checks, and the tables deepened for a and b alone never read it."""
     tau = np.empty(len(asq))
     tau[0] = 1.0 / math.sqrt(total_mass)
-    for kk in range(1, len(asq)):
-        tau[kk] = tau[kk - 1] / math.sqrt(asq[kk])
+    with np.errstate(over="ignore"):
+        for kk in range(1, len(asq)):
+            tau[kk] = tau[kk - 1] / math.sqrt(asq[kk])
     return tau
 
 

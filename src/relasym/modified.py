@@ -231,8 +231,7 @@ def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> Modi
     tops = [top + len(zeros)]
     for d in reversed(poles):
         tops.append(minimal_solution_depth(d, tops[-1] + 1))
-    with np.errstate(over="ignore"):        # only a and b are read
-        base = table_through(base, tops[-1])
+    base = table_through(base, tops[-1])
     b = base.b[: tops[-1] + 1].astype(complex)
     asq = (base.a * base.a)[: tops[-1] + 1].astype(complex)
     mass = complex(base.total_mass)

@@ -17,10 +17,9 @@ L[p] = integral p dmu + sum_{j,i} A_{j,i} p^(i)(c_j) gives f(z) = L_x[1/(z-x)],
 so the numerator is its second-kind function L_x[(Q_n(z) - Q_n(x))/(z-x)]
 (Baker & Graves-Morris, Pade Approximants, 1996), built by one forward
 recurrence over the basis.
-The error ratio (f - pi_{n+1})/(f - pi_n) -> 1/phi(z)^2 is evaluated from
-the Cauchy transforms of the basis in mpmath, where the geometrically
-small remainders stay resolved; that computation lives in
-`relasym.extended`, which `error_ratio` loads on its first call.
+The error ratio (f - pi_{n+1})/(f - pi_n) -> 1/phi(z)^2 comes in double from
+e_n Q_n(z)^2 = L_x[Q_n(x)^2/(z - x)]; with poles, mpmath (`relasym.extended`,
+loaded on the first call) builds only Q_n and its jets at them.
 """
 from __future__ import annotations
 
@@ -29,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .joukowski import NEAR_CUT, dist_to_cut, phi
+from .joukowski import NEAR_CUT, dist_to_cut
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_ratios_for, table_through
 from .polybasis import MONIC, PolyInBasis, basis_jets, xmul_coeffs
-from .sobolev import SobolevSpec, SobolevTerm, digit_loss, sn_kernel
+from .sobolev import SobolevSpec, SobolevTerm, sn_kernel
 
 __all__ = [
     "PadeError",
@@ -269,28 +268,55 @@ def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
     return out
 
 
+def _identity(m: int, z: complex, f: StieltjesFn, base: RecurrenceTable,
+              h: list, r: list) -> tuple[complex, complex]:
+    """I_m = L_x[Q_m(x)^2/(z - x)] / (q_m(z) L_m(z)) and sigma_m = Q_m(z)/L_m(z).
+
+    Over Q_m's monic coefficients c_k the integral part is
+    sum_k c_k q_k (2 S_k - c_k L_k(z)) with S_k = sum_{j<=k} c_j L_j(z), since
+    integral L_j L_k/(z - x) dmu = L_j(z) q_k(z) for j <= k.  Over q_m L_m it
+    is a Horner sum in h_k r_k, and s_k = S_k/L_k(z) another in r_k, so no
+    partial sum leaves the double range.  The pole part is Leibniz on the
+    jets of Q_m^2, which come over ||L_m||^2 = q_m L_m (r_{m+1} - h_{m+1}).
+    """
+    if not f.poles:
+        return 1, 1                              # Q_m = L_m
+    from .extended import _mp_square_jets        # mpmath loads on the first call
+    c, sq = _mp_square_jets(m, to_sobolev_spec(f), base)
+    s, t = c[0], c[0] ** 2
+    for k in range(1, m + 1):
+        s = c[k] + s / r[k]
+        t = t / (h[k] * r[k]) + c[k] * (2 * s - c[k])
+    for (cj, A), sqj in zip(f.poles, sq):
+        t += (r[m + 1] - h[m + 1]) * sum(
+            a * math.comb(i, u) * math.factorial(i - u) * sqj[u] / (z - cj) ** (i - u + 1)
+            for i, a in enumerate(A) for u in range(i + 1))
+    return t, s
+
+
 def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable) -> complex:
     """(f(z) - pi_{n+1}(z)) / (f(z) - pi_n(z)); the geometric-rate probe.
 
-    The errors shrink like |phi(z)|^{-2n}, so both remainders come from the
-    Cauchy transforms of the basis in mpmath (`extended._mp_remainder`),
-    with enough digits to resolve them at any n.  Atom tables enter through
-    their double a and b, as in the mpmath Sobolev lane `sn_lambda`.
+    e_m = f - pi_m obeys e_m Q_m(z)^2 = L_x[Q_m(x)^2/(z - x)], as L[Q_m p] = 0 for
+    deg p < m, and no term of that sum cancels (`_identity`).  So it runs in
+    double, in ratio form with every factor O(1) at any degree:
+    e_{n+1}/e_n = (h_{n+1}/r_{n+1}) (I_{n+1}/I_n) (sigma_n/sigma_{n+1})^2.
+    mpmath builds only Q_m and its jets at the poles, at sn_lambda's digits,
+    which do not depend on z; a pole-free f, whose Q_m is L_m, loads none.
     """
-    from .extended import _mp_remainder    # mpmath loads on the first call
     z = complex(z)
     if dist_to_cut(z) <= NEAR_CUT:
         raise PadeError(f"probe {z} lies on or near [-1, 1]")
     for c, _ in f.poles:
         if abs(z - c) < 1e-8:
             raise PadeError(f"probe {z} collides with pole {c}")
-    need = 2.0 * (n + 1) * math.log10(abs(phi(z)))
-    if f.poles:
-        need += digit_loss(n + 1, to_sobolev_spec(f))
-    dps = int(need) + 50
     base = table_through(base, n + 2)
-    e0 = _mp_remainder(n, f, base, z, dps)
-    e1 = _mp_remainder(n + 1, f, base, z, dps)
-    if e0 == 0:
+    h = minimal_ratios_for(base, z, n + 2)      # h[m] = q_m(z) / q_{m-1}(z)
+    b, a = base.b.tolist(), base.a.tolist()
+    r = [0j, z - b[0]]                          # r[m] = L_m(z) / L_{m-1}(z)
+    for m in range(1, n + 2):
+        r.append(z - b[m] - a[m] ** 2 / r[m])
+    (i0, s0), (i1, s1) = (_identity(m, z, f, base, h, r) for m in (n, n + 1))
+    if i0 == 0:
         raise PadeError(f"zero remainder at n={n}")
-    return complex(e1 / e0)
+    return complex(h[n + 1] / r[n + 1] * (i1 / i0) * (s0 / s1) ** 2)

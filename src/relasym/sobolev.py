@@ -222,8 +222,7 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     """Refusals both lanes share, the spec's own checked once: a table through
     the deepest degree + 1, and degree -> SobolevError for each refused degree."""
     regular = regularity(spec).overall_regular
-    with np.errstate(over="ignore"):    # sn_kernel refuses an infinite tau_n
-        base = table_through(base, max(degrees) + 1)
+    base = table_through(base, max(degrees) + 1)    # sn_kernel refuses an infinite tau_n
     order = max(max(t.gamma.shape) for t in spec.terms) - 1
     atoms = base.spec.mass_points if base.spec is not None else ()
     # forward jets at an atom follow a decaying solution into rounding noise
@@ -429,9 +428,8 @@ def digit_loss(n: int, spec: SobolevSpec) -> float:
     factor ~ |phi(c_j)|^n.
 
     The bordered system of sn_lambda is solved without equilibration, and
-    its entries range from 1 to ~ |phi(c_j)|^(2n), so sn_lambda and
-    orthogonality_residuals_extended set their working precision from twice
-    this estimate; error_ratio adds it once to its own budget.
+    its entries range from 1 to ~ |phi(c_j)|^(2n), so the mpmath lane sets
+    its working precision from twice this estimate.
     """
     return n * max(math.log10(abs(phi(t.c))) for t in spec.terms)
 

@@ -411,8 +411,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     limits that leave the double range overflow, instead of aborting the
     run.  Each limit is computed once per (law, probe).
     """
-    with np.errstate(over="ignore"):    # the builders that read tau refuse where it is infinite
-        table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
+    table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
     laws = cfg.resolved_laws
     factors = attraction_factors(cfg)
     rows: list[RatioRow] = []

@@ -11,14 +11,22 @@ package's mp recurrence coefficients and jets, but pins S_n by another
 algebra than the kernel identity both package lanes use: an expansion
 over the monic orthogonal polynomials of s dmu, built by exact division
 by (x - c), with its coefficients fixed by moment conditions.
+
+The Pade remainders at the very end are the other exception: they sum
+Q_n against the Cauchy transforms of the basis, with digits enough for
+every cancellation, where the package uses the Q_n^2 identity in double.
 """
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 import numpy as np
 
-from relasym.extended import _mp_ab, _mp_basis_jets, _mp_normsq, _mp_poly_jet, _mp_xmul
+from relasym.extended import _mp_ab, _mp_basis_jets, _mp_kernel, _mp_normsq, _mp_poly_jet, _mp_xmul
+from relasym.joukowski import phi
 from relasym.measures import table_through
+from relasym.pade import to_sobolev_spec
 from relasym.sobolev import digit_loss
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
@@ -371,3 +379,57 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
 def lambda_monic(n: int, sob, base) -> np.ndarray:
     """Monic coefficients of S_n from the expansion at lambda_dps digits."""
     return lambda_expansion(n, sob, base, lambda_dps(n, sob))["coeffs"]
+
+
+def _mp_remainder(n: int, f, base, z, dps: int):
+    """(f - P_n/Q_n)(z) = R_n(z)/Q_n(z) in extended precision, with
+
+    R_n(z) = integral Q_n(x)/(z-x) dmu + sum_{j,i} A_{j,i} i! T_{j,i}(z)/(z-c_j)^{i+1}.
+
+    With Q_n = sum_m c_m L_m the integral is sum_m c_m q_m(z), q_m the
+    Cauchy transforms: the minimal solution of the recurrence, from the
+    backward ratio recurrence of `measures.minimal_ratios` run in mp.
+    Its tail of dps / log10|phi(z)| steps leaves a share below 10^(-2 dps)
+    from the start h = 0.  No quadrature; Q_n itself is rebuilt in mp
+    by the kernel identity of `sn_lambda`, at the same dps.  Every sum
+    here cancels, which the digit budget of `mp_error_ratio` covers.
+    """
+    if f.poles:
+        coeffs = _mp_kernel(n, to_sobolev_spec(f), base, dps)["coeffs_mp"]
+    else:
+        coeffs = [mp.mpc(0)] * n + [mp.mpc(1)]
+    with mp.workdps(dps):
+        zz = mp.mpc(z)
+        top = n + math.ceil(dps / math.log10(abs(phi(z))))
+        deep = table_through(base, top)
+        a2, b = _mp_ab(deep, top)
+        h, hs = mp.mpc(0), {}               # hs[m] = q_m / q_{m-1}
+        for m in range(top, 0, -1):
+            h = hs[m] = a2[m] / (zz - b[m] - h)
+        q = _mp_normsq(base, a2, 0)[0] / (zz - b[0] - hs[1])
+        R = coeffs[0] * q
+        for m in range(1, n + 1):
+            q *= hs[m]
+            R += coeffs[m] * q
+        for c, A in f.poles:
+            cc = mp.mpc(c)
+            order = len(A) - 1
+            jets = _mp_basis_jets(n, order, cc, a2, b)
+            qjets = _mp_poly_jet(coeffs, jets, order)
+            for i, av in enumerate(A):
+                tay = mp.fsum(qjets[t] / mp.factorial(t) * (zz - cc) ** t
+                              for t in range(i + 1))
+                R += mp.mpc(av) * mp.factorial(i) * tay / (zz - cc) ** (i + 1)
+        return R / _mp_poly_jet(coeffs, _mp_basis_jets(n, 0, zz, a2, b), 0)[0]
+
+
+def mp_error_ratio(n: int, z, f, base) -> complex:
+    """(f - pi_{n+1})/(f - pi_n) at z from the two remainders at enough
+    digits to resolve them: 2 (n + 1) log10|phi(z)| for the geometric
+    decay, digit_loss for the collapsed pole jets, and 50 to spare."""
+    need = 2.0 * (n + 1) * math.log10(abs(phi(z)))
+    if f.poles:
+        need += digit_loss(n + 1, to_sobolev_spec(f))
+    dps = int(need) + 50
+    base = table_through(base, n + 2)
+    return complex(_mp_remainder(n + 1, f, base, z, dps) / _mp_remainder(n, f, base, z, dps))

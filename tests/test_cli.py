@@ -368,6 +368,17 @@ assert all(main(argv + ["--out", sys.argv[1]]) == 0 for argv in runs)"""
     assert not _mpmath_loaded_after(code, tmp_path)
 
 
+def test_pole_free_error_ratio_never_loads_mpmath():
+    # with no poles Q_n = L_n, and the Q_n^2 identity runs in double alone
+    code = """
+import sys
+from relasym import BaseMeasureSpec, StieltjesFn, error_ratio, recurrence_for
+cheb = BaseMeasureSpec("chebyshev_first_kind")
+for z in (3.0, -1.05):
+    error_ratio(1000, z, StieltjesFn(cheb), recurrence_for(cheb, 10))"""
+    assert not _mpmath_loaded_after(code)
+
+
 @pytest.mark.parametrize("code", [
     "from relasym.cli import main\n"
     "assert main(['verify', '--config', 'sobolev_point_pair', '--out', sys.argv[1],"

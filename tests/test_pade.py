@@ -9,7 +9,7 @@ from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio,
                      pade_denominator, pade_numerator,
                      pade_order_residuals, phi, recurrence_for, scenario,
                      to_sobolev_spec)
-from relasym.extended import _mp_remainder
+from _mp_oracles import _mp_remainder, mp_error_ratio
 from relasym.measures import rule_for
 from relasym.pade import mu_moments
 from relasym.polybasis import MONIC, PolyInBasis
@@ -129,6 +129,17 @@ def test_f_value_on_atom_measure_matches_quadrature():
         assert f_value(StieltjesFn(spec), z, tab) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("z", [1.0005, -1.0002, 0.0005j])
+def test_f_value_next_to_the_cut(z):
+    # the minimal solution starts at degree 1141, 1804 and 72089 here, where
+    # the deepened table's tau overflows; f_value reads only its a and b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = f_value(F_LEG, z, TLEG)
+    want = np.log((z + 1) / (z - 1)) + 1.0 / (z - 2j) ** 2
+    assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_order_conditions():
     for n in (10, 25):
         appr = pade_approximant(n, F_LEG, TLEG)
@@ -184,6 +195,39 @@ def test_ratio_resolved_at_every_probe(n, z, want, tol):
         warnings.simplefilter("error", RuntimeWarning)
         got = error_ratio(n, z, F_POLE, TCHEB)
     assert abs(got - want) < tol
+
+
+TWO_POLE = StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0, (2.0,))))
+
+
+@pytest.mark.parametrize("f, n, z", [
+    (F_POLE, 30, 3.0),
+    (F_POLE, 80, -1.05),
+    (F_POLE, 60, 0.3 + 0.2j),
+    (F_POLE, 10, 1.5 + 1.5j),
+    (F_LEG, 5, 3.0),
+    (StieltjesFn(BaseMeasureSpec("jacobi", alpha=0.3, beta=-0.4), ((2j, (0.0, 1.0)),)), 5, 3.0),
+    (StieltjesFn(ATOM, ((2j, (0.0, 1.0)),)), 5, 3.0),
+    (TWO_POLE, 10, 3.0),
+    (TWO_POLE, 40, 3.0),
+    (F_LEG, 340, 3.0),          # Q_340(2i) = 9.3e-314: only the ratio form stays finite
+], ids=["cheb_30", "cheb_80_near_cut", "cheb_60_inside", "cheb_10_complex", "legendre_5",
+        "jacobi_5", "atom_5", "two_pole_10", "two_pole_40", "legendre_340"])
+def test_error_ratio_matches_the_remainder_oracle(f, n, z):
+    # the Q_n^2 identity in double against both remainders summed in mpmath
+    tab = recurrence_for(f.base, 130)
+    assert error_ratio(n, z, f, tab) == pytest.approx(mp_error_ratio(n, z, f, tab), rel=1e-13)
+
+
+@pytest.mark.parametrize("z", [3.0, -1.05])
+def test_pole_free_error_ratio_closed_form(z):
+    # e_n = q_n / L_n for Chebyshev-1, whose ratio is (1 + p^-2n) / (p^2 + p^-2n)
+    n, p = 1000, phi(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = error_ratio(n, z, F_PLAIN, TCHEB)
+    want = (1 + p ** (-2 * n)) / (p ** 2 + p ** (-2 * n))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_extended_lane_hits_geometric_rate():
