@@ -20,8 +20,8 @@ import mpmath
 import numpy as np
 
 from .measures import RecurrenceTable
-from .sobolev import (SobolevError, SobolevSpec, _buildable, _kernel_conds, _kernel_system,
-                      _support, digit_loss)
+from .sobolev import (SobolevSpec, _buildable, _kernel_cond, _kernel_system, _support,
+                      digit_loss)
 
 
 def _mp_ab(base: RecurrenceTable, deg: int):
@@ -138,9 +138,7 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
             W = t.gamma[np.ix_(rows, cols)].T @ np.array(
                 [[complex(v / pw) for v in orth[i]] for i in rows])
             blocks.append((J, W, float(1 / (pj * pw))))
-        cond, = _kernel_conds([_kernel_system(blocks, n)[0]])
-        if isinstance(cond, SobolevError):
-            raise cond
+        cond = _kernel_cond(_kernel_system(blocks, n)[0])
         WD = [[w[m] / normsq[m] for m in range(n)] for w in Ws]
         M = mpmath.eye(len(Js))
         for p, J in enumerate(Js):

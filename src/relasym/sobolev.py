@@ -275,19 +275,13 @@ def _kernel_system(blocks: list, n: int) -> tuple:
     return M_sys, Qw, np.concatenate(rhs), np.concatenate(wn)
 
 
-def _kernel_conds(systems: list) -> list:
-    """The condition number of each kernel matrix, from one stacked cond call
-    over the finite ones (inf for the rest), or the SobolevError a matrix
-    past COND_LIMIT refuses with."""
-    finite = [bool(np.all(np.isfinite(m))) for m in systems]
-    conds = iter(np.linalg.cond(np.array([m for m, f in zip(systems, finite) if f]))
-                 .tolist() if any(finite) else [])
-    out = []
-    for f in finite:
-        cond = next(conds) if f else math.inf
-        out.append(cond if cond <= COND_LIMIT else SobolevError(
-            f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})"))
-    return out
+def _kernel_cond(M: np.ndarray) -> float:
+    """The condition number of a kernel matrix, inf for a non-finite one;
+    raises SobolevError past COND_LIMIT."""
+    cond = float(np.linalg.cond(M)) if np.all(np.isfinite(M)) else math.inf
+    if cond > COND_LIMIT:
+        raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
+    return cond
 
 
 def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
@@ -388,36 +382,19 @@ def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
     top) with top >= every degree: degree -> SobolevOP, or the SobolevError
     that degree refuses with.
 
-    The spec's refusals are checked once.  Each degree's bordered system is
-    assembled on its own; the finite ones meet the condition gate in one
-    stacked cond call, and those that pass are solved in one stacked solve.
-    numpy's gufuncs run LAPACK once per matrix, so every degree gets the
-    numbers of its own solve.
+    The spec's refusals are checked once; then each degree's bordered system
+    is assembled, gated and solved on its own.
     """
     base, out = _refusals(degrees, spec, base)
-    systems = {}
     for n in degrees:
         if n not in out:
             try:
-                systems[n] = _kernel_system(_kernel_blocks(n, spec, base, jets), n)
-            except _DEGREE_REFUSALS as exc:
-                out[n] = exc
-    solve = {}
-    for (n, system), cond in zip(systems.items(),
-                                 _kernel_conds([m for m, *_ in systems.values()])):
-        if isinstance(cond, SobolevError):
-            out[n] = cond
-        else:
-            solve[n] = (*system, cond)
-    if solve:
-        # the gate leaves no singular matrix for the solve
-        vs = np.linalg.solve(np.array([m for m, *_ in solve.values()]),
-                             np.array([rhs * (1.0 / base.tau[n])
-                                       for n, (_, _, rhs, _, _) in solve.items()])[..., None])
-        for (n, (_, Qw, _, wn, cond)), v in zip(solve.items(), vs[..., 0]):
-            try:
+                M, Qw, rhs, wn = _kernel_system(_kernel_blocks(n, spec, base, jets), n)
+                cond = _kernel_cond(M)
+                # the gate leaves no singular matrix for the solve
+                v = np.linalg.solve(M, rhs * (1.0 / base.tau[n]))
                 out[n] = _kernel_op(n, base, v, Qw, wn, cond)
-            except SobolevError as exc:
+            except _DEGREE_REFUSALS as exc:
                 out[n] = exc
     return {n: out[n] for n in degrees}
 

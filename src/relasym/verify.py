@@ -144,6 +144,8 @@ class ExperimentConfig:
                     raise VerifyConfigError(f"probe point {z} sits on a center")
         if self.laws is not None:
             self.laws = tuple(self.laws)
+            if not self.laws:
+                raise VerifyConfigError("laws is empty: a run would check nothing")
             allowed = LAWS_BY_TARGET[self.target_kind]
             for law in self.laws:
                 if law not in allowed:
@@ -192,7 +194,7 @@ class ExperimentConfig:
                 ) if "probe_points" in data else DEFAULT_PROBES,
                 n_ladder=tuple(data.get("n_ladder", DEFAULT_LADDER)),
                 jets=int(data.get("jets", 1)),
-                laws=tuple(data["laws"]) if data.get("laws") else None,
+                laws=tuple(data["laws"]) if data.get("laws") is not None else None,
                 zero_degrees=tuple(data.get("zero_degrees", ())),
                 precision=data.get("precision", "double"),
             )
@@ -235,93 +237,60 @@ def boundary_grid(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
     return tuple(pts)
 
 
-class _TargetPolys:
-    """Degree -> monic target polynomial, built once per ladder run.  Modified
-    targets are read off the table of r dmu (solve_Q_many); Sobolev targets
-    and Pade denominators come from the kernel identity: sn_kernel in
-    double, or sn_lambda in mpmath when the precision is extended.
+def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
+             probes: tuple = (), order: int = 0) -> tuple:
+    """(built, probe_jets): built maps each degree to its monic target
+    polynomial, or the refusal of its build, from one builder call.
+    Modified targets are read off the table of r dmu (solve_Q_many); Sobolev
+    targets and Pade denominators come from the kernel identity:
+    sn_kernel_many in double, or sn_lambda per degree in mpmath when the
+    precision is extended.
 
     Callers build the table two degrees past the deepest target.  The double
-    kernel builder sweeps the jets at every coupling point once through that
-    degree (coupling_jets), and `build` makes all the degrees it is given in
-    one builder call (solve_Q_many, sn_kernel_many).  Probes given here ride
-    the same sweep: probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order`.
+    kernel builder sweeps the jets at every coupling point once, through
+    that degree (coupling_jets), and the probes ride the same sweep:
+    probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order` (None without probes).
     """
-
-    def __init__(self, cfg: ExperimentConfig, table: RecurrenceTable,
-                 probes: tuple = (), order: int = 0):
-        self.cfg = cfg
-        self.table = table
-        self._built: dict = {}                  # degree -> PolyInBasis, or its refusal
-        self._swept: tuple | None = None        # (top, builder table, jets)
-        self._spec = cfg.sobolev if cfg.target_kind == "sobolev" else None
-        if cfg.target_kind == "pade" and cfg.stieltjes.poles:
-            self._spec = to_sobolev_spec(cfg.stieltjes)
-        self.probe_jets = self._sweep(table.nmax - 2, tuple(probes), order) if probes else None
-
-    def _sweep(self, top: int, probes: tuple = (), order: int = 0):
-        """Sweep the builder's points, with the probes, through degree top;
-        returns the probes' jets."""
-        if self._spec is None or self.cfg.precision != "double":
-            return basis_jets(self.table, top, np.array(probes), order)
-        base, jets = coupling_jets(self._spec, self.table, top, probes, order)
+    degrees = list(dict.fromkeys(degrees))
+    top = max([table.nmax - 2, *degrees])
+    spec = cfg.sobolev if cfg.target_kind == "sobolev" else None
+    if cfg.target_kind == "pade" and cfg.stieltjes.poles:
+        spec = to_sobolev_spec(cfg.stieltjes)
+    if spec is not None and cfg.precision == "double":
+        base, jets = coupling_jets(spec, table, top, probes, order)
         probe_jets = jets.pop() if probes else None
-        self._swept = (top, base, jets)
-        return probe_jets
-
-    def _jets(self, n: int) -> tuple:
-        """The builder's table and jets, swept through degree n or deeper."""
-        if self._swept is None or n > self._swept[0]:
-            self._sweep(max(n, self.table.nmax - 2))
-        return self._swept[1:]
-
-    def build(self, degrees) -> None:
-        """Build every degree not built yet, in one builder call.  A refused
-        degree keeps its refusal, which `poly` raises."""
-        todo = [n for n in dict.fromkeys(degrees) if n not in self._built]
-        if not todo:
-            return
-        cfg, spec = self.cfg, self._spec
-        if cfg.target_kind == "modified":
-            ops = solve_Q_many(todo, cfg.modifier, self.table)
-            built = {n: op if isinstance(op, Exception) else op.q for n, op in ops.items()}
-        elif spec is not None and cfg.precision == "extended":
-            built = {}
-            for n in todo:
-                try:
-                    built[n] = sn_lambda(n, spec, self.table).rep
-                except _REFUSALS as exc:
-                    built[n] = exc
-        elif spec is not None:
-            ops = sn_kernel_many(todo, spec, *self._jets(max(todo)))
-            built = {n: op if isinstance(op, Exception) else op.rep for n, op in ops.items()}
-        else:
-            built = {n: PolyInBasis.basis_poly(self.table, n) for n in todo}
-        self._built.update(built)
-
-    def poly(self, n: int) -> PolyInBasis:
-        self.build((n,))
-        got = self._built[n]
-        if isinstance(got, Exception):
-            raise got
-        return got
+        built = {n: op if isinstance(op, Exception) else op.rep
+                 for n, op in sn_kernel_many(degrees, spec, base, jets).items()}
+        return built, probe_jets
+    probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
+    if cfg.target_kind == "modified":
+        built = {n: op if isinstance(op, Exception) else op.q
+                 for n, op in solve_Q_many(degrees, cfg.modifier, table).items()}
+    elif spec is None:
+        built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
+    else:
+        built = {}
+        for n in degrees:
+            try:
+                built[n] = sn_lambda(n, spec, table).rep
+            except _REFUSALS as exc:
+                built[n] = exc
+    return built, probe_jets
 
 
-def _target_jets(polys: _TargetPolys, degrees, order: int) -> dict:
-    """Degree -> (dots, block) of the target's jets at every probe, or the
-    refusal of its build.  dots[p] is the order-0 value as a one-row product,
-    block[j, p] the order-j value (j <= order) from one product over every
-    order and probe.  numpy takes a one-row product as a dot, which sums in
-    another order than a multi-row one, so each value keeps the kind of
-    product a law reading it has always had."""
-    pj = polys.probe_jets
+def _target_jets(built: dict, pj: np.ndarray, order: int) -> dict:
+    """Degree -> (dots, block) of each built target's jets at the probes whose
+    basis jets are pj, or the refusal of its build.  dots[p] is the order-0
+    value as a one-row product, block[j, p] the order-j value (j <= order)
+    from one product over every order and probe.  numpy takes a one-row
+    product as a dot, which sums in another order than a multi-row one, so
+    each value keeps the kind of product a law reading it has always had."""
     out: dict = {}
-    for n in degrees:
-        try:
-            q = polys.poly(n).to_basis(MONIC).coeffs
-        except _REFUSALS as exc:
-            out[n] = exc
+    for n, poly in built.items():
+        if isinstance(poly, Exception):
+            out[n] = poly
             continue
+        q = poly.to_basis(MONIC).coeffs
         dots = (np.ascontiguousarray(pj[0, : n + 1].T)[:, None, :] @ q)[:, 0]
         block = None
         if order:
@@ -416,20 +385,18 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     factors = attraction_factors(cfg)
     rows: list[RatioRow] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        # every probe, degree and order in the builder's own sweep
-        polys = _TargetPolys(cfg, table, cfg.probe_points, cfg.jets + 2)
         target_laws = [law for law in laws if law not in _BASE_LAWS]
-        target = {}
-        if target_laws:
-            degrees = sorted({m for n in cfg.n_ladder
-                              for m in ((n, n + 1) if "modified_ratio" in laws else (n,))})
-            polys.build(degrees)
-            target = _target_jets(polys, degrees, cfg.jets + max(
-                _LAW_EXTRA_ORDER.get(law, 0) for law in target_laws))
+        degrees = sorted({m for n in cfg.n_ladder
+                          for m in ((n, n + 1) if "modified_ratio" in laws else (n,))}
+                         ) if target_laws else []
+        # every probe, degree and order in the builder's own sweep
+        built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + 2)
+        target = _target_jets(built, probe_jets, cfg.jets + max(
+            (_LAW_EXTRA_ORDER.get(law, 0) for law in target_laws), default=0))
         for law in laws:
             extra = _LAW_EXTRA_ORDER.get(law, 0)
             for p, z in enumerate(cfg.probe_points):
-                base = polys.probe_jets[:, :, p]
+                base = probe_jets[:, :, p]
                 try:
                     limit, refusal = complex(_law_limit(law, cfg, factors, z)), ""
                 except _REFUSALS as exc:
@@ -474,12 +441,12 @@ def run_zero_attraction(cfg: ExperimentConfig, degrees=None,
     degs = tuple(degrees) if degrees is not None else (cfg.zero_degrees or cfg.n_ladder)
     centers = [c for c, _ in attraction_factors(cfg)]
     table = recurrence_for(cfg.measure, max(degs) + 2)
-    polys = _TargetPolys(cfg, table)
-    polys.build(degs)
+    built, _ = _targets(cfg, table, degs)
     out = {}
     for n in degs:
-        rts = roots(polys.poly(n))
-        out[n] = cluster(rts, centers, radius, support_band)
+        if isinstance(built[n], Exception):
+            raise built[n]
+        out[n] = cluster(roots(built[n]), centers, radius, support_band)
     return out
 
 

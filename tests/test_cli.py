@@ -75,6 +75,7 @@ def test_probe_on_cut_is_config_error(tmp_path):
     ("n_ladder", [10, 10, 20]),        # a repeated rung divided by zero in the rate
     ("n_ladder", [-1, 10]),
     ("probe_points", []),              # a run that checks nothing is no pass
+    ("laws", []),                      # it used to read back as every law and pass
 ])
 def test_ladder_that_checks_nothing_is_config_error(tmp_path, key, value, capsys):
     payload = scenario("base_legendre").to_json_dict()
@@ -84,6 +85,23 @@ def test_ladder_that_checks_nothing_is_config_error(tmp_path, key, value, capsys
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
     assert not (out / "summary.json").exists()
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_refused_zero_degree_is_numerical_error(tmp_path, precision, capsys):
+    # degree 1 is at the highest coupled derivative: its builder refuses it
+    cfg = _write_json(tmp_path / "c.json", {
+        "measure": {"weight_kind": "legendre"},
+        "target": {"kind": "sobolev", "sobolev": {"terms": [
+            {"c": [2.0, 0.0], "gamma": [[[1.0, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [1.0, 0.0]]]}]}},
+        "zero_degrees": [1, 60]})
+    out = tmp_path / "out"
+    assert main(["zeros", "--config", cfg, "--out", str(out),
+                 "--precision", precision]) == 4
+    assert not (out / "zeros.json").exists()
+    assert capsys.readouterr().err == (
+        "numerical error: need n > 1, the highest coupled derivative, got 1\n")
 
 
 @pytest.mark.parametrize("name", ["base_legendre", "pade_gonchar"])

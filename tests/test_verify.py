@@ -32,7 +32,7 @@ from relasym import modified, polybasis, sobolev
 from relasym.polybasis import eval_jet
 from relasym.scenarios import SCENARIOS
 from relasym.sobolev import SobolevSpec, SobolevTerm
-from relasym.verify import CSV_COLUMNS, _TargetPolys, boundary_grid
+from relasym.verify import CSV_COLUMNS, _targets, boundary_grid
 
 LEG = BaseMeasureSpec("legendre")
 
@@ -57,6 +57,7 @@ def _small_base(**kw):
     {"jets": -1},
     {"laws": ("sobolev_vs_base",)},                 # wrong target
     {"zero_degrees": (10, -1)},                     # negative zero degree
+    {"laws": ()},                                   # a run that checks nothing
 ])
 def test_config_rejected(kw):
     base = dict(measure=LEG)
@@ -135,15 +136,17 @@ def test_non_diagonal_sobolev_reaches_general_lane():
     assert monotone_violations(rows) == []
 
 
-def test_pade_extended_precision_reaches_extended_lane():
-    # an "extended" setting must reach the mpmath lane bit for bit even
-    # at small n
-    cfg = dataclasses.replace(scenario("pade_gonchar"), precision="extended",
-                              n_ladder=(6,))
-    table = recurrence_for(cfg.measure, 12)
-    got = _TargetPolys(cfg, table).poly(6)
-    want = sn_lambda(6, to_sobolev_spec(cfg.stieltjes), table).rep
-    assert np.array_equal(got.coeffs, want.coeffs)
+@pytest.mark.parametrize("name", ["pade_gonchar", "sobolev_point_pair"])
+def test_pade_extended_precision_reaches_extended_lane(name):
+    # an "extended" setting must reach the mpmath lane bit for bit at every
+    # degree of the ladder, small n included
+    cfg = dataclasses.replace(scenario(name), precision="extended")
+    spec = cfg.sobolev if cfg.sobolev is not None else to_sobolev_spec(cfg.stieltjes)
+    table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 2)
+    got = _targets(cfg, table, cfg.n_ladder)[0]
+    assert list(got) == list(cfg.n_ladder)
+    for n in cfg.n_ladder:
+        assert np.array_equal(got[n].coeffs, sn_lambda(n, spec, table).rep.coeffs), n
 
 
 @pytest.mark.parametrize("name", ["pade_gonchar", "sobolev_point_pair"])
@@ -152,7 +155,7 @@ def test_double_precision_reaches_kernel_lane(name):
     cfg = scenario(name)
     spec = cfg.sobolev if cfg.sobolev is not None else to_sobolev_spec(cfg.stieltjes)
     table = recurrence_for(cfg.measure, 22)
-    got = _TargetPolys(cfg, table).poly(20)
+    got = _targets(cfg, table, (20,))[0][20]
     assert np.array_equal(got.coeffs, sn_kernel(20, spec, table).rep.coeffs)
 
 
@@ -249,14 +252,14 @@ def _pointwise_ratio(law, table, polys, n, z, nu):
         jets = eval_jet(table, n, z, nu + 1)
         return jets[nu + 1] / (n * jets[nu])
     if law.endswith("_vs_base"):
-        return polys.poly(n).jet(z, nu)[nu] / eval_jet(table, n, z, nu)[nu]
+        return polys[n].jet(z, nu)[nu] / eval_jet(table, n, z, nu)[nu]
     if law == "modified_ratio":
-        return polys.poly(n + 1).jet(z, nu)[nu] / polys.poly(n).jet(z, nu)[nu]
+        return polys[n + 1].jet(z, nu)[nu] / polys[n].jet(z, nu)[nu]
     if law == "modified_log_derivative":
-        jets = polys.poly(n).jet(z, nu + 1)
+        jets = polys[n].jet(z, nu + 1)
         return jets[nu + 1] / (n * jets[nu])
     assert law == "modified_derivative_gap"
-    jets = polys.poly(n).jet(z, nu + 2)
+    jets = polys[n].jet(z, nu + 2)
     return jets[nu + 2] / (n * (n - 1) * jets[nu])
 
 
@@ -270,12 +273,12 @@ def test_batched_ladder_matches_pointwise(monkeypatch):
         assert [list(np.atleast_1d(z)) for z in calls] == [
             _builder_points(cfg) + list(cfg.probe_points)]
         table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
-        polys = _TargetPolys(cfg, table)
+        polys = _targets(cfg, table, {m for n in cfg.n_ladder for m in (n, n + 1)})[0]
         for row in rows:
             assert not row.flag
             want = complex(_pointwise_ratio(row.law, table, polys, row.n, row.z, row.nu))
             assert row.ratio == want, (name, row)
-    target = polys.poly(max(cfg.n_ladder))
+    target = polys[max(cfg.n_ladder)]
     calls.clear()
     assert len(roots(target)) == target.degree
     assert calls == []
@@ -390,9 +393,9 @@ def test_shared_jets_match_per_degree_builders(monkeypatch, name):
     # the probes ride the builder's one sweep
     assert [list(z) for z in calls] == [_builder_points(cfg) + list(cfg.probe_points)]
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
-    polys = _TargetPolys(cfg, table)
     degrees = sorted({m for n in cfg.n_ladder for m in (n, n + 1)})
-    shared = {n: repr(polys.poly(n).coeffs.tolist()) for n in degrees}
+    polys = _targets(cfg, table, degrees)[0]
+    shared = {n: repr(polys[n].coeffs.tolist()) for n in degrees}
     monkeypatch.undo()
     for n in degrees:
         assert shared[n] == repr(_per_degree_target(cfg, n, table).coeffs.tolist()), n
@@ -404,16 +407,16 @@ def test_shared_jets_refuse_like_the_per_degree_builder():
     # does on its own
     cfg = dataclasses.replace(scenario("sobolev_point_pair"), n_ladder=(100, 600))
     table = recurrence_for(cfg.measure, 603)
-    polys = _TargetPolys(cfg, table)
-    got = polys.poly(100).coeffs
+    polys = _targets(cfg, table, cfg.n_ladder)[0]
+    got = polys[100].coeffs
     assert repr(got.tolist()) == repr(sn_kernel(100, cfg.sobolev, table).rep.coeffs.tolist())
-    with pytest.raises(SobolevError) as shared:
-        polys.poly(600)
+    shared = polys[600]
+    assert isinstance(shared, SobolevError)
     with pytest.raises(SobolevError) as alone:
         sn_kernel(600, cfg.sobolev, table)
-    assert str(shared.value) == str(alone.value)
+    assert str(shared) == str(alone.value)
     assert "jets at c = (2+0j) overflow the double range at n=600" in str(alone.value)
-    assert shared.value.kind == alone.value.kind == "overflow"
+    assert shared.kind == alone.value.kind == "overflow"
 
 
 def test_modified_ladder_keeps_per_degree_refusals():
@@ -433,11 +436,10 @@ def test_modified_ladder_keeps_per_degree_refusals():
     assert [r.flag for r in rows] == [want(r) for r in rows]
     # each degree of the batch is the one solve_Q reads alone
     table = recurrence_for(cfg.measure, 13)
-    polys = _TargetPolys(cfg, table)
-    polys.build((1, 2, 3, 10, 11))
+    polys = _targets(cfg, table, (1, 2, 3, 10, 11))[0]
     for n in (1, 2, 10):
         alone = solve_Q(n, cfg.modifier, table)
-        assert repr(polys.poly(n).coeffs.tolist()) == repr(alone.q.coeffs.tolist())
+        assert repr(polys[n].coeffs.tolist()) == repr(alone.q.coeffs.tolist())
 
 
 def test_modified_ladder_builds_one_table(monkeypatch):
@@ -492,8 +494,8 @@ def test_modified_ladder_reaches_past_the_base_tau_overflow():
 @pytest.mark.parametrize("name", ["sobolev_point_pair", "sobolev_point_derivative",
                                   "pade_gonchar"])
 def test_kernel_ladder_checks_the_spec_once(monkeypatch, name):
-    # regularity is a property of the spec, not of a degree; the kernel
-    # systems of every rung meet one stacked cond call and one solve call
+    # regularity is a property of the spec, not of a degree; each rung's
+    # kernel system is gated and solved on its own, one 2-D solve per rung
     counts = {"regularity": 0}
     orig = sobolev.regularity
 
@@ -502,18 +504,18 @@ def test_kernel_ladder_checks_the_spec_once(monkeypatch, name):
         return orig(spec)
 
     monkeypatch.setattr(sobolev, "regularity", counting)
-    stacked = []
+    dims = []
     orig_solve = np.linalg.solve
 
     def solve(a, b):
-        stacked.append(np.ndim(a))
+        dims.append(np.ndim(a))
         return orig_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
     cfg = scenario(name)
     run_ratio_ladder(cfg)
     assert counts["regularity"] <= 1
-    assert stacked == [3]
+    assert dims == [2] * len(cfg.n_ladder)
 
 
 def test_builder_overflow_is_flagged_overflow():

@@ -25,7 +25,7 @@ from relasym import zeros as zeros_module
 from relasym.joukowski import dist_to_cut
 from relasym.polybasis import MONIC, ORTHONORMAL, lincomb, xmul
 from relasym.sobolev import SobolevSpec, SobolevTerm
-from relasym.verify import _TargetPolys
+from relasym.verify import _targets
 from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_norm, _jacobi, _last_row,
                            _pair_conjugates, _root_residuals, _secular_weights, _workspace,
                            default_radius)
@@ -127,7 +127,7 @@ def test_fused_gate_matches_pointwise_residual_at_180(name):
     # is ~1e-20 of the bound
     n = 180
     cfg = scenario(name)
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
     f = _last_row(q)
     route = "gauss" if not np.any(f) else "real" if not np.any(f.imag) else "secular"
     assert route == {"base_legendre": "gauss", "sobolev_point_pair": "real",
@@ -448,7 +448,7 @@ def test_attracted_pair_matches_extended_precision_refinement():
     # double coefficients
     n = 180
     cfg = scenario("pade_gonchar")
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
     assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
@@ -463,7 +463,7 @@ def test_real_route_polishes_the_attracted_pair(n):
     # lands within 1e-8 of its 50-digit values after the extended precision
     # finish, as on complex data
     cfg = scenario("sobolev_point_pair")
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
     assert not np.any(_last_row(q).imag)
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
@@ -486,7 +486,7 @@ def test_attracted_pair_finishes_within_sweep_budget(monkeypatch, n):
     # sweeps in all, within 1e-8 of its 50-digit values
     monkeypatch.setattr(zeros_module, "MAX_SWEEPS", 18)
     cfg = scenario("pade_gonchar")
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
     sweeps = []
     real_sweep = zeros_module._sweep
 
@@ -537,7 +537,7 @@ def test_triple_cluster_converges_at_its_rounding_level(c):
 
 def test_unconverged_polish_refuses(monkeypatch):
     cfg = scenario("pade_gonchar")
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, 62)).poly(60).to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, 62), (60,))[0][60].to_basis(ORTHONORMAL)
     monkeypatch.setattr(zeros_module, "POLISH_STEPS", 0)
     with pytest.raises(ZerosError, match="did not converge") as info:
         roots(q)
@@ -549,7 +549,7 @@ def test_secular_solve_memory_stays_linear():
     # the traced peak of one roots call at n = 800 stays below 2 MB, where
     # the 800 x 800 matrices alone take 10 MB each
     cfg = scenario("modified_rational")
-    p = _TargetPolys(cfg, recurrence_for(cfg.measure, 802)).poly(800)
+    p = _targets(cfg, recurrence_for(cfg.measure, 802), (800,))[0][800]
     tracemalloc.start()
     try:
         assert len(roots(p)) == 800
@@ -569,7 +569,7 @@ def test_eigensolver_runs_only_on_the_gauss_route(monkeypatch, name, n):
     # takes the Gauss route: one eigvalsh of J_n and nothing else.  np.roots
     # holds its own reference to eigvals, so the spy replaces both
     cfg = scenario(name)
-    q = _TargetPolys(cfg, recurrence_for(cfg.measure, n + 2)).poly(n).to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
     seen = {"eigvals": [], "eigh": [], "eigvalsh": []}
 
     def spy(kind):
