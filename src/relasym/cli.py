@@ -32,7 +32,7 @@ from .measures import BaseMeasureSpec, MeasureError, recurrence_for
 from .modified import ModifiedError
 from .pade import PadeError
 from .sobolev import SobolevError
-from .verify import (ExperimentConfig, VerifyConfigError, emit_report,
+from .verify import (ExperimentConfig, VerifyConfigError, _integral, emit_report,
                      monotone_violations, report_cells, run_ratio_ladder,
                      run_zero_attraction)
 from .zeros import ClusterConfigError, ZerosError
@@ -76,10 +76,7 @@ def load_measure(name_or_path: str) -> tuple[BaseMeasureSpec, int]:
     if "measure" in data:
         cfg = ExperimentConfig.from_json_dict(data)
         return cfg.measure, max(cfg.n_ladder)
-    try:
-        nmax = int(data.pop("nmax", 80))
-    except (TypeError, ValueError) as exc:
-        raise VerifyConfigError(f"bad nmax: {exc}") from exc
+    nmax = _integral(data.pop("nmax", 80), "nmax")
     return BaseMeasureSpec.from_json_dict(data), nmax
 
 

@@ -255,15 +255,20 @@ def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
     rule plus the exact point masses matches the measure's moments through
     degree 2N - 1, so its coefficients through degree nmax are those of
     the measure itself.  Each point mass is absorbed by one O(N) sweep
-    (`_add_point`), so a table of degree nmax is bit for bit the leading
-    part of any longer one.
+    (`_add_point`), the masses at one location summed into one, so a
+    table of degree nmax is bit for bit the leading part of any longer one.
     """
     if nmax < 1:
         raise MeasureError("nmax must be >= 1")
     alpha, beta = spec.jacobi_exponents()
     b, asq = _jacobi_ab(alpha, beta, nmax + 1)
     mass = spec.continuous_mass()
+    # a second sweep at a node the discrete measure already has absorbs
+    # its delta wrongly
+    atoms: dict = {}
     for x, w in spec.mass_points:
+        atoms[x] = atoms.get(x, 0.0) + w
+    for x, w in atoms.items():
         b, asq = _add_point(b, asq, mass, x, w)
         mass += w
     b, asq = b[: nmax + 1], asq[: nmax + 1]

@@ -50,24 +50,21 @@ def _scenario_base_legendre() -> ExperimentConfig:
 def _scenario_modified_linear_real() -> ExperimentConfig:
     return ExperimentConfig(
         measure=bundled_measure("legendre"),
-        target_kind="modified",
-        modifier=RationalModifier(zeros=((3.0 + 0.0j, 1),)),
+        target=RationalModifier(zeros=((3.0 + 0.0j, 1),)),
     )
 
 
 def _scenario_modified_linear_complex() -> ExperimentConfig:
     return ExperimentConfig(
         measure=bundled_measure("legendre"),
-        target_kind="modified",
-        modifier=RationalModifier(zeros=((2.0j, 1),)),
+        target=RationalModifier(zeros=((2.0j, 1),)),
     )
 
 
 def _scenario_modified_rational() -> ExperimentConfig:
     return ExperimentConfig(
         measure=bundled_measure("legendre"),
-        target_kind="modified",
-        modifier=RationalModifier(zeros=((2.0j, 1),), poles=((3.0j, 1),)),
+        target=RationalModifier(zeros=((2.0j, 1),), poles=((3.0j, 1),)),
     )
 
 
@@ -78,8 +75,7 @@ def _scenario_sobolev_point_derivative() -> ExperimentConfig:
     # scales with the degree), so ladders decrease but slowly
     return ExperimentConfig(
         measure=bundled_measure("legendre"),
-        target_kind="sobolev",
-        sobolev=SobolevSpec.diagonal([(2.0, [0.0, 1.0])]),
+        target=SobolevSpec.diagonal([(2.0, [0.0, 1.0])]),
         zero_degrees=(60,),
     )
 
@@ -89,8 +85,7 @@ def _scenario_sobolev_point_pair() -> ExperimentConfig:
     # value condition anchors the scale and errors decay like 1/n^2
     return ExperimentConfig(
         measure=bundled_measure("legendre"),
-        target_kind="sobolev",
-        sobolev=SobolevSpec.diagonal([(2.0, [1.0, 1.0])]),
+        target=SobolevSpec.diagonal([(2.0, [1.0, 1.0])]),
         zero_degrees=(60,),
     )
 
@@ -101,8 +96,7 @@ def _scenario_pade_gonchar() -> ExperimentConfig:
     # is excluded from the probes (it is the attraction center)
     return ExperimentConfig(
         measure=bundled_measure("legendre"),
-        target_kind="pade",
-        stieltjes=StieltjesFn(bundled_measure("legendre"), ((2.0j, (0.0, 1.0)),)),
+        target=StieltjesFn(bundled_measure("legendre"), ((2.0j, (0.0, 1.0)),)),
         probe_points=(3.0 + 0.0j, -2.5 + 0.0j, -2.0j, 1.5 + 1.5j),
         zero_degrees=(60,),
     )

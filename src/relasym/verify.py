@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,15 +93,41 @@ class RatioRow:
     flag: str = ""
 
 
+# each target kind's payload type and its key in a JSON target; base_only
+# has none
+_PAYLOADS = {"modified": (RationalModifier, "modifier"),
+             "sobolev": (SobolevSpec, "sobolev"),
+             "pade": (StieltjesFn, "stieltjes")}
+_KIND_OF = {type(None): "base_only",
+            **{cls: kind for kind, (cls, _) in _PAYLOADS.items()}}
+
+
+def _integral(value, name: str) -> int:
+    """value as an int, refusing a bool or a value that is not integral,
+    which int() would read as 1 or truncate."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and int(value) == value):
+            return int(value)
+    except (OverflowError, ValueError):
+        pass
+    raise VerifyConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
-    """A measure, a target construction, and the grid to probe it on."""
+    """A measure, a target, and the grid to probe it on.
+
+    target is None (the base polynomials alone), a RationalModifier (the
+    measure times r), a SobolevSpec (a discrete Sobolev product on the
+    measure) or a StieltjesFn (Pade denominators of the measure's Markov
+    function plus polar parts, whose base must be the measure); target_kind
+    names which.  Degrees and jets are integers, and laws and probe points
+    are distinct.
+    """
 
     measure: BaseMeasureSpec
-    target_kind: str = "base_only"
-    modifier: RationalModifier | None = None
-    sobolev: SobolevSpec | None = None
-    stieltjes: StieltjesFn | None = None
+    target: RationalModifier | SobolevSpec | StieltjesFn | None = None
     probe_points: tuple = DEFAULT_PROBES
     n_ladder: tuple = DEFAULT_LADDER
     jets: int = 1
@@ -109,20 +136,20 @@ class ExperimentConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        if self.target_kind not in LAWS_BY_TARGET:
-            raise VerifyConfigError(f"unknown target kind {self.target_kind!r}")
-        payload = {"modified": self.modifier, "sobolev": self.sobolev,
-                   "pade": self.stieltjes}
-        need = payload.get(self.target_kind)
-        if self.target_kind != "base_only" and need is None:
-            raise VerifyConfigError(f"target {self.target_kind!r} needs its payload")
+        if type(self.target) not in _KIND_OF:
+            raise VerifyConfigError(
+                f"target must be None, a RationalModifier, a SobolevSpec or a "
+                f"StieltjesFn, got {type(self.target).__name__}")
+        if self.target_kind == "pade" and self.target.base != self.measure:
+            raise VerifyConfigError("a pade target's stieltjes.base must equal the measure")
         if self.precision not in ("double", "extended"):
             raise VerifyConfigError(f"unknown precision {self.precision!r}")
         if self.precision == "extended" and self.target_kind == "modified":
             raise VerifyConfigError("target 'modified' has no extended-precision lane")
         self.probe_points = tuple(complex(z) for z in self.probe_points)
-        self.n_ladder = tuple(int(n) for n in self.n_ladder)
-        self.zero_degrees = tuple(int(n) for n in self.zero_degrees)
+        self.n_ladder = tuple(_integral(n, "n_ladder") for n in self.n_ladder)
+        self.zero_degrees = tuple(_integral(n, "zero_degrees") for n in self.zero_degrees)
+        self.jets = _integral(self.jets, "jets")
         if (not self.n_ladder or self.n_ladder[0] < 0
                 or any(m <= n for n, m in zip(self.n_ladder, self.n_ladder[1:]))):
             raise VerifyConfigError(
@@ -133,6 +160,10 @@ class ExperimentConfig:
             raise VerifyConfigError("jets must be nonnegative")
         if not self.probe_points:
             raise VerifyConfigError("probe_points is empty: a run would check nothing")
+        # a repeated probe or law repeats its rows, which the monotone check
+        # would read as one ladder running twice
+        if len(set(self.probe_points)) < len(self.probe_points):
+            raise VerifyConfigError("probe_points repeats a point")
         centers = [c for c, _ in attraction_factors(self)]
         for z in self.probe_points:
             if not np.isfinite(z):
@@ -146,6 +177,8 @@ class ExperimentConfig:
             self.laws = tuple(self.laws)
             if not self.laws:
                 raise VerifyConfigError("laws is empty: a run would check nothing")
+            if len(set(self.laws)) < len(self.laws):
+                raise VerifyConfigError("laws repeats a law")
             allowed = LAWS_BY_TARGET[self.target_kind]
             for law in self.laws:
                 if law not in allowed:
@@ -153,17 +186,17 @@ class ExperimentConfig:
                         f"law {law!r} not available for target {self.target_kind!r}")
 
     @property
+    def target_kind(self) -> str:
+        return _KIND_OF[type(self.target)]
+
+    @property
     def resolved_laws(self) -> tuple:
         return self.laws if self.laws is not None else LAWS_BY_TARGET[self.target_kind]
 
     def to_json_dict(self) -> dict:
         target: dict = {"kind": self.target_kind}
-        if self.modifier is not None:
-            target["modifier"] = self.modifier.to_json_dict()
-        if self.sobolev is not None:
-            target["sobolev"] = self.sobolev.to_json_dict()
-        if self.stieltjes is not None:
-            target["stieltjes"] = self.stieltjes.to_json_dict()
+        if self.target is not None:
+            target[_PAYLOADS[self.target_kind][1]] = self.target.to_json_dict()
         return {
             "measure": self.measure.to_json_dict(),
             "target": target,
@@ -177,23 +210,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config a JSON dict describes.  Its target reads the one
+        payload key its kind names ("modifier", "sobolev" or "stieltjes",
+        none for base_only) and refuses any other key."""
         try:
             target = data.get("target", {"kind": "base_only"})
+            if not isinstance(target, dict):
+                raise VerifyConfigError("target must be a JSON object")
             kind = target.get("kind", "base_only")
+            if kind not in LAWS_BY_TARGET:
+                raise VerifyConfigError(f"unknown target kind {kind!r}")
+            payload_cls, key = _PAYLOADS.get(kind, (None, None))
+            extra = sorted(set(target) - {"kind", key})
+            if extra:
+                raise VerifyConfigError(f"target {kind!r} takes no {', '.join(extra)}")
+            if key is not None and key not in target:
+                raise VerifyConfigError(f"target {kind!r} needs its payload {key!r}")
             cfg = cls(
                 measure=BaseMeasureSpec.from_json_dict(data["measure"]),
-                target_kind=kind,
-                modifier=(RationalModifier.from_json_dict(target["modifier"])
-                          if "modifier" in target else None),
-                sobolev=(SobolevSpec.from_json_dict(target["sobolev"])
-                         if "sobolev" in target else None),
-                stieltjes=(StieltjesFn.from_json_dict(target["stieltjes"])
-                           if "stieltjes" in target else None),
+                target=payload_cls.from_json_dict(target[key]) if key else None,
                 probe_points=tuple(
                     complex(p[0], p[1]) for p in data["probe_points"]
                 ) if "probe_points" in data else DEFAULT_PROBES,
                 n_ladder=tuple(data.get("n_ladder", DEFAULT_LADDER)),
-                jets=int(data.get("jets", 1)),
+                jets=data.get("jets", 1),
                 laws=tuple(data["laws"]) if data.get("laws") is not None else None,
                 zero_degrees=tuple(data.get("zero_degrees", ())),
                 precision=data.get("precision", "double"),
@@ -208,11 +248,11 @@ class ExperimentConfig:
 def attraction_factors(cfg: ExperimentConfig) -> list:
     """(center, expected zero count) pairs for the config's target."""
     if cfg.target_kind == "sobolev":
-        rep = regularity(cfg.sobolev)
+        rep = regularity(cfg.target)
         return [(term.c, tr.I)
-                for term, tr in zip(cfg.sobolev.terms, rep.terms)]
+                for term, tr in zip(cfg.target.terms, rep.terms)]
     if cfg.target_kind == "pade":
-        return [(c, len(A)) for c, A in cfg.stieltjes.poles]
+        return [(c, len(A)) for c, A in cfg.target.poles]
     return []
 
 
@@ -253,9 +293,9 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     """
     degrees = list(dict.fromkeys(degrees))
     top = max([table.nmax - 2, *degrees])
-    spec = cfg.sobolev if cfg.target_kind == "sobolev" else None
-    if cfg.target_kind == "pade" and cfg.stieltjes.poles:
-        spec = to_sobolev_spec(cfg.stieltjes)
+    spec = cfg.target if cfg.target_kind == "sobolev" else None
+    if cfg.target_kind == "pade" and cfg.target.poles:
+        spec = to_sobolev_spec(cfg.target)
     if spec is not None and cfg.precision == "double":
         base, jets = coupling_jets(spec, table, top, probes, order)
         probe_jets = jets.pop() if probes else None
@@ -265,7 +305,7 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
     if cfg.target_kind == "modified":
         built = {n: op if isinstance(op, Exception) else op.q
-                 for n, op in solve_Q_many(degrees, cfg.modifier, table).items()}
+                 for n, op in solve_Q_many(degrees, cfg.target, table).items()}
     elif spec is None:
         built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
     else:
@@ -349,7 +389,7 @@ def _law_limit(law: str, cfg: ExperimentConfig, factors: list, z: complex) -> co
     if law in ("base_log_derivative", "modified_log_derivative"):
         return 1.0 / sqrt_z2m1(z)
     if law == "modified_vs_base":
-        return limit_modified(z, cfg.modifier)
+        return limit_modified(z, cfg.target)
     if law in ("sobolev_vs_base", "pade_vs_base"):
         return limit_sobolev(z, factors)
     if law == "modified_derivative_gap":

@@ -271,7 +271,7 @@ def test_criterion_07_recurrence_coefficient_limits():
         for name in ("modified_linear_complex", "modified_rational"):
             cfg = scenario(name)
             table = recurrence_for(cfg.measure, 83)
-            ops = [solve_Q(n, cfg.modifier, table) for n in (79, 80, 81)]
+            ops = [solve_Q(n, cfg.target, table) for n in (79, 80, 81)]
             alpha_sq, beta = ops[1].alpha_sq, ops[1].beta
             assert abs(alpha_sq - 0.25) < 0.05, f"{name}: alpha^2 off by {abs(alpha_sq - 0.25):.2e}"
             assert abs(beta) < 0.05, f"{name}: beta {abs(beta):.2e}"
@@ -281,10 +281,10 @@ def test_criterion_07_recurrence_coefficient_limits():
                 rule = rule_for(cfg.measure, op.n + 60)
                 pts, w = rule.all_points(), rule.all_weights()
                 V = basis_jets(table, op.n - 1, pts, 0, ORTHONORMAL)[0]
-                terms = V * (w * cfg.modifier.values(pts) * op.q.values(pts))
+                terms = V * (w * cfg.target.values(pts) * op.q.values(pts))
                 resid = float(np.max(np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)))
                 assert resid < 1e-9, f"{name}: Q_{op.n} residual {resid:.2e}"
-            lim = kappa_tau_limit(cfg.modifier)
+            lim = kappa_tau_limit(cfg.target)
             kap_sq = 1.0 / ops[1].kappa_sq_inv
             dev = abs(kap_sq / table.tau[80] ** 2 - lim) / abs(lim)
             assert dev < 0.1, f"{name}: kappa^2/tau^2 deviation {dev:.2e}"

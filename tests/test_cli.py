@@ -87,6 +87,16 @@ def test_ladder_that_checks_nothing_is_config_error(tmp_path, key, value, capsys
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nmax", [2.9, True, "12"])
+def test_fractional_nmax_is_config_error(tmp_path, nmax, capsys):
+    # 2.9 wrote a table through degree 2
+    cfg = _write_json(tmp_path / "m.json", {"weight_kind": "legendre", "nmax": nmax})
+    out = tmp_path / "out"
+    assert main(["recurrence", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "nmax must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_refused_zero_degree_is_numerical_error(tmp_path, precision, capsys):
     # degree 1 is at the highest coupled derivative: its builder refuses it
@@ -402,7 +412,7 @@ for z in (3.0, -1.05):
     "assert main(['verify', '--config', 'sobolev_point_pair', '--out', sys.argv[1],"
     " '--precision', 'extended']) == 0",
     "from relasym import error_ratio, recurrence_for, scenario\n"
-    "f = scenario('pade_gonchar').stieltjes\n"
+    "f = scenario('pade_gonchar').target\n"
     "error_ratio(5, 3.0, f, recurrence_for(f.base, 10))",
 ], ids=["verify_extended", "error_ratio"])
 def test_extended_lane_loads_mpmath_on_demand(tmp_path, code):

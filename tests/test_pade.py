@@ -74,7 +74,7 @@ ATOM = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
 
 
 @pytest.mark.parametrize("f", [
-    scenario("pade_gonchar").stieltjes,
+    scenario("pade_gonchar").target,
     StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0, (2.0,)))),
     StieltjesFn(ATOM, ((2j, (0.5, 0.3, 1.0)), (-3.0 + 0j, (2.0,)))),
     StieltjesFn(LEG, ((1.5 + 0.5j, (1.0, 0.5, 0.25)),)),

@@ -35,6 +35,7 @@ from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import CSV_COLUMNS, _targets, boundary_grid
 
 LEG = BaseMeasureSpec("legendre")
+CHEB = BaseMeasureSpec("chebyshev_first_kind")
 
 
 def _small_base(**kw):
@@ -51,19 +52,61 @@ def _small_base(**kw):
     {"probe_points": (3.0,), "n_ladder": (10, 10, 20)},     # repeated rung
     {"probe_points": (3.0,), "n_ladder": (-1, 10)},         # negative degree
     {"probe_points": ()},                                   # nothing to check
-    {"target_kind": "nonsense"},
-    {"target_kind": "modified"},                    # payload missing
+    {"target": "modified"},                         # not a target type
+    {"target": StieltjesFn(CHEB, ((2j, (1.0,)),))},  # Pade base is not the measure
     {"precision": "quad"},
     {"jets": -1},
     {"laws": ("sobolev_vs_base",)},                 # wrong target
     {"zero_degrees": (10, -1)},                     # negative zero degree
     {"laws": ()},                                   # a run that checks nothing
+    # a repeated law or probe repeats its rows, which read as a rising error
+    {"laws": ("base_ratio", "base_ratio")},
+    {"probe_points": (3.0, -2.5, 3.0)},
+    # int() would truncate these or read True as 1
+    {"n_ladder": (10.7, 20.2)},
+    {"n_ladder": (True, 10)},
+    {"jets": 1.9},
+    {"jets": True},
+    {"zero_degrees": (60.5,)},
+    {"zero_degrees": (float("inf"),)},
 ])
 def test_config_rejected(kw):
     base = dict(measure=LEG)
     base.update(kw)
     with pytest.raises(VerifyConfigError):
         ExperimentConfig(**base)
+
+
+def test_integral_degrees_kept():
+    cfg = ExperimentConfig(measure=LEG, n_ladder=(10.0, np.int64(20)), jets=2.0,
+                           zero_degrees=(np.float64(60.0),))
+    assert cfg.n_ladder == (10, 20) and cfg.zero_degrees == (60,) and cfg.jets == 2
+    assert all(type(n) is int for n in (*cfg.n_ladder, *cfg.zero_degrees, cfg.jets))
+
+
+MODIFIER = {"zeros": [{"c": [3.0, 0.0], "mult": 1}], "poles": []}
+SOBOLEV = {"terms": [{"c": [2.0, 0.0], "gamma": [[1.0]]}]}
+STIELTJES = {"base": LEG.to_json_dict(), "poles": [{"c": [0.0, 3.0], "A": [[1.0, 0.0]]}]}
+
+
+@pytest.mark.parametrize("target, match", [
+    ({"kind": "nonsense"}, "unknown target kind 'nonsense'"),
+    ({"kind": "modified"}, "target 'modified' needs its payload 'modifier'"),
+    ({"kind": "pade", "sobolev": SOBOLEV}, "target 'pade' takes no sobolev"),
+    # a payload the kind does not read used to be echoed and ignored
+    ({"kind": "base_only", "modifier": MODIFIER}, "target 'base_only' takes no modifier"),
+    ({"modifier": MODIFIER}, "target 'base_only' takes no modifier"),
+    ({"kind": "sobolev", "sobolev": SOBOLEV, "stieltjes": STIELTJES},
+     "target 'sobolev' takes no stieltjes"),
+    # the denominators are built on the measure's table, never on this base
+    ({"kind": "pade", "stieltjes": dict(STIELTJES, base={"weight_kind": "chebyshev_first_kind"})},
+     "stieltjes.base must equal the measure"),
+    ([], "target must be a JSON object"),
+], ids=["unknown_kind", "payload_missing", "wrong_payload", "base_only_with_modifier",
+        "no_kind_with_modifier", "second_payload", "pade_base_mismatch", "not_a_dict"])
+def test_json_target_rejected(target, match):
+    with pytest.raises(VerifyConfigError, match=match):
+        ExperimentConfig.from_json_dict({"measure": LEG.to_json_dict(), "target": target})
 
 
 def test_probe_on_attraction_center_rejected():
@@ -128,7 +171,7 @@ def test_non_diagonal_sobolev_reaches_general_lane():
     gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
     cfg = dataclasses.replace(
         scenario("sobolev_point_pair"),
-        sobolev=SobolevSpec(terms=(SobolevTerm(c=2j, gamma=gamma),)),
+        target=SobolevSpec(terms=(SobolevTerm(c=2j, gamma=gamma),)),
         probe_points=(3.0, -2.5, -2j, 1.5 + 1.5j))
     rows = run_ratio_ladder(cfg)
     assert len(rows) == 4 * 2 * 4                  # probes x jets x degrees
@@ -141,7 +184,7 @@ def test_pade_extended_precision_reaches_extended_lane(name):
     # an "extended" setting must reach the mpmath lane bit for bit at every
     # degree of the ladder, small n included
     cfg = dataclasses.replace(scenario(name), precision="extended")
-    spec = cfg.sobolev if cfg.sobolev is not None else to_sobolev_spec(cfg.stieltjes)
+    spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 2)
     got = _targets(cfg, table, cfg.n_ladder)[0]
     assert list(got) == list(cfg.n_ladder)
@@ -153,7 +196,7 @@ def test_pade_extended_precision_reaches_extended_lane(name):
 def test_double_precision_reaches_kernel_lane(name):
     # "double" builds every Sobolev target and Pade denominator with sn_kernel
     cfg = scenario(name)
-    spec = cfg.sobolev if cfg.sobolev is not None else to_sobolev_spec(cfg.stieltjes)
+    spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
     table = recurrence_for(cfg.measure, 22)
     got = _targets(cfg, table, (20,))[0][20]
     assert np.array_equal(got.coeffs, sn_kernel(20, spec, table).rep.coeffs)
@@ -343,8 +386,7 @@ def test_flagged_rows_write_strict_json(tmp_path):
 # table one degree past the ladder's) and a real pole
 ATOM_RATIONAL = ExperimentConfig(
     measure=BaseMeasureSpec("legendre", mass_points=((1.8, 0.5),)),
-    target_kind="modified",
-    modifier=RationalModifier(zeros=((2j, 2),), poles=((3.0, 1),)),
+    target=RationalModifier(zeros=((2j, 2),), poles=((3.0, 1),)),
     probe_points=(-2.5, 3j, 1.5 + 1.5j))
 
 
@@ -353,8 +395,8 @@ def _per_degree_target(cfg, n, table):
     if cfg.target_kind == "base_only":
         return polybasis.PolyInBasis.basis_poly(table, n)
     if cfg.target_kind == "modified":
-        return solve_Q(n, cfg.modifier, table).q
-    spec = cfg.sobolev if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.stieltjes)
+        return solve_Q(n, cfg.target, table).q
+    spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
     return sn_kernel(n, spec, table).rep
 
 
@@ -362,9 +404,9 @@ def _builder_points(cfg) -> list:
     """The points the double builder sweeps its jets at, in sweep order; the
     modified table reads no jets."""
     if cfg.target_kind == "sobolev":
-        return [t.c for t in cfg.sobolev.terms]
+        return [t.c for t in cfg.target.terms]
     if cfg.target_kind == "pade":
-        return [c for c, _ in cfg.stieltjes.poles]
+        return [c for c, _ in cfg.target.poles]
     return []
 
 
@@ -409,11 +451,11 @@ def test_shared_jets_refuse_like_the_per_degree_builder():
     table = recurrence_for(cfg.measure, 603)
     polys = _targets(cfg, table, cfg.n_ladder)[0]
     got = polys[100].coeffs
-    assert repr(got.tolist()) == repr(sn_kernel(100, cfg.sobolev, table).rep.coeffs.tolist())
+    assert repr(got.tolist()) == repr(sn_kernel(100, cfg.target, table).rep.coeffs.tolist())
     shared = polys[600]
     assert isinstance(shared, SobolevError)
     with pytest.raises(SobolevError) as alone:
-        sn_kernel(600, cfg.sobolev, table)
+        sn_kernel(600, cfg.target, table)
     assert str(shared) == str(alone.value)
     assert "jets at c = (2+0j) overflow the double range at n=600" in str(alone.value)
     assert shared.kind == alone.value.kind == "overflow"
@@ -438,7 +480,7 @@ def test_modified_ladder_keeps_per_degree_refusals():
     table = recurrence_for(cfg.measure, 13)
     polys = _targets(cfg, table, (1, 2, 3, 10, 11))[0]
     for n in (1, 2, 10):
-        alone = solve_Q(n, cfg.modifier, table)
+        alone = solve_Q(n, cfg.target, table)
         assert repr(polys[n].coeffs.tolist()) == repr(alone.q.coeffs.tolist())
 
 
@@ -522,8 +564,8 @@ def test_builder_overflow_is_flagged_overflow():
     # a refusal at the top of the double range is labelled by its kind, not
     # pre_asymptotic; the extended lane carries the same ladder
     cfg = ExperimentConfig(
-        measure=LEG, target_kind="pade",
-        stieltjes=StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0, (2.0,)))),
+        measure=LEG,
+        target=StieltjesFn(LEG, ((2j, (0.3, 1.0)), (-3.0, (2.0,)))),
         probe_points=(3.0, -2.5, -2j, 1.5 + 1.5j), n_ladder=(100, 500))
     rows = run_ratio_ladder(cfg)
     want = "overflow: jets at c = 2j overflow the double range at n=500"

@@ -202,8 +202,8 @@ def test_radius_halving_stability():
 def test_sobolev_zero_attraction_end_to_end():
     cfg = scenario("sobolev_point_derivative")
     table = recurrence_for(cfg.measure, 65)
-    s = sn_kernel(60, cfg.sobolev, table)
-    rep = cluster(roots(s.rep), [t.c for t in cfg.sobolev.terms],
+    s = sn_kernel(60, cfg.target, table)
+    rep = cluster(roots(s.rep), [t.c for t in cfg.target.terms],
                   radius=0.1, support_band=0.05)
     assert rep.cluster_counts == [1]
     assert rep.support_count == 59
