@@ -27,14 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import reader
 from .joukowski import CutDomainError
 from .measures import BaseMeasureSpec, MeasureError, recurrence_for
 from .modified import ModifiedError
 from .pade import PadeError
 from .sobolev import SobolevError
-from .verify import (ExperimentConfig, VerifyConfigError, _integral, emit_report,
-                     monotone_violations, report_cells, run_ratio_ladder,
-                     run_zero_attraction)
+from .verify import (ExperimentConfig, VerifyConfigError, emit_report, monotone_violations,
+                     report_cells, run_ratio_ladder, run_zero_attraction)
 from .zeros import ClusterConfigError, ZerosError
 from .scenarios import BUNDLED_MEASURES, SCENARIOS, bundled_measure, scenario
 
@@ -72,11 +72,11 @@ def load_measure(name_or_path: str) -> tuple[BaseMeasureSpec, int]:
     if name_or_path in SCENARIOS:
         cfg = scenario(name_or_path)
         return cfg.measure, max(cfg.n_ladder)
-    data = _read_json(name_or_path)
+    data = reader.obj(_read_json(name_or_path), "")
     if "measure" in data:
         cfg = ExperimentConfig.from_json_dict(data)
         return cfg.measure, max(cfg.n_ladder)
-    nmax = _integral(data.pop("nmax", 80), "nmax")
+    nmax = reader.integral(data.pop("nmax", 80), "nmax")
     return BaseMeasureSpec.from_json_dict(data), nmax
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reader
 from .joukowski import phi
 
 __all__ = [
@@ -102,13 +103,10 @@ class BaseMeasureSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "BaseMeasureSpec":
-        return cls(
-            weight_kind=d["weight_kind"],
-            alpha=float(d.get("alpha", 0.0)),
-            beta=float(d.get("beta", 0.0)),
-            mass_points=tuple((float(p[0]), float(p[1])) for p in d.get("mass_points", ())),
-        )
+    def from_json_dict(cls, d: dict, path: str = "") -> "BaseMeasureSpec":
+        return reader.build(cls, path, **reader.obj(d, path, {
+            "weight_kind": reader.text, "alpha": reader.real, "beta": reader.real,
+            "mass_points": reader.seq_of(reader.seq_of(reader.real, 2))}, ("weight_kind",)))
 
 
 @dataclass

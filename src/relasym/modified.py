@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reader
 from .joukowski import NEAR_CUT, dist_to_cut
 from .measures import (BaseMeasureSpec, MeasureError, RecurrenceTable, christoffel_step,
                        geronimus_step, minimal_solution_depth, table_through)
@@ -51,7 +52,7 @@ def _canon_points(points) -> tuple[tuple[complex, int], ...]:
     out = []
     for loc, mult in points:
         loc = complex(loc)
-        mult = int(mult)
+        mult = reader.integral(mult, "multiplicity", ModifiedError)
         if mult < 1:
             raise ModifiedError("multiplicities must be positive")
         if not np.isfinite(loc):
@@ -105,12 +106,10 @@ class RationalModifier:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RationalModifier":
-        zeros = tuple((complex(e["c"][0], e["c"][1]), int(e["mult"]))
-                      for e in data.get("zeros", ()))
-        poles = tuple((complex(e["d"][0], e["d"][1]), int(e["mult"]))
-                      for e in data.get("poles", ()))
-        return cls(zeros=zeros, poles=poles)
+    def from_json_dict(cls, data: dict, path: str = "") -> "RationalModifier":
+        return reader.build(cls, path, **reader.obj(data, path, {
+            "zeros": reader.seq_of(reader.record(c=reader.cpx, mult=reader.integral)),
+            "poles": reader.seq_of(reader.record(d=reader.cpx, mult=reader.integral))}))
 
 
 def _collapse(n: int, why: str) -> ModifiedError:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reader
 from .joukowski import NEAR_CUT, dist_to_cut
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_ratios_for, table_through
 from .polybasis import MONIC, PolyInBasis, basis_jets, xmul_coeffs
@@ -105,14 +106,11 @@ class StieltjesFn:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "StieltjesFn":
-        base = BaseMeasureSpec.from_json_dict(data["base"])
-        poles = []
-        for pd in data.get("poles", []):
-            c = complex(pd["c"][0], pd["c"][1])
-            A = tuple(complex(v[0], v[1]) for v in pd["A"])
-            poles.append((c, A))
-        return cls(base=base, poles=tuple(poles))
+    def from_json_dict(cls, data: dict, path: str = "") -> "StieltjesFn":
+        return reader.build(cls, path, **reader.obj(data, path, {
+            "base": BaseMeasureSpec.from_json_dict,
+            "poles": reader.seq_of(reader.record(c=reader.cpx, A=reader.seq_of(reader.cpx)))},
+            ("base",)))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reader
 from .joukowski import NEAR_CUT, dist_to_cut, phi
 from .measures import RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
@@ -135,21 +136,20 @@ class SobolevSpec:
         return {"terms": out_terms}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SobolevSpec":
-        terms = []
-        for td in data["terms"]:
-            c = complex(td["c"][0], td["c"][1])
-            rows = []
-            for row in td["gamma"]:
-                vals = []
-                for v in row:
-                    if isinstance(v, (list, tuple)):
-                        vals.append(complex(v[0], v[1]))
-                    else:
-                        vals.append(complex(v))
-                rows.append(vals)
-            terms.append(SobolevTerm(c=c, gamma=np.asarray(rows, dtype=complex)))
-        return cls(terms=tuple(terms))
+    def from_json_dict(cls, data: dict, path: str = "") -> "SobolevSpec":
+        return reader.build(cls, path, **reader.obj(
+            data, path, {"terms": reader.seq_of(_read_term)}, ("terms",)))
+
+
+def _read_term(data, path: str) -> SobolevTerm:
+    """A coupling term; its N, when given, must be gamma's row count minus 1."""
+    gamma = reader.seq_of(reader.seq_of(reader.cpx))
+    term = reader.obj(data, path, {"c": reader.cpx, "N": reader.integral, "gamma": gamma},
+                      ("c", "gamma"))
+    N = len(term["gamma"]) - 1
+    if term.pop("N", N) != N:
+        raise reader.ConfigError(f"{path}.N must be {N}, one less than gamma's rows")
+    return reader.build(SobolevTerm, path, **term)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import reader
 from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
                         limit_sobolev, phi, sqrt_z2m1)
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
@@ -74,8 +74,7 @@ CSV_COLUMNS = ("n", "z_re", "z_im", "nu", "ratio_re", "ratio_im",
                "limit_re", "limit_im", "abs_err", "est_rate")
 
 
-class VerifyConfigError(ValueError):
-    pass
+VerifyConfigError = reader.ConfigError
 
 
 @dataclass
@@ -102,16 +101,20 @@ _KIND_OF = {type(None): "base_only",
             **{cls: kind for kind, (cls, _) in _PAYLOADS.items()}}
 
 
-def _integral(value, name: str) -> int:
-    """value as an int, refusing a bool or a value that is not integral,
-    which int() would read as 1 or truncate."""
-    try:
-        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                and int(value) == value):
-            return int(value)
-    except (OverflowError, ValueError):
-        pass
-    raise VerifyConfigError(f"{name} must be an integer, got {value!r}")
+def _read_target(data, path: str):
+    """The payload of a JSON target: exactly the key its kind names
+    ("modifier", "sobolev" or "stieltjes"), none for base_only."""
+    data = reader.obj(data, path)
+    kind = reader.text(data.get("kind", "base_only"), f"{path}.kind")
+    if kind not in LAWS_BY_TARGET:
+        raise VerifyConfigError(f"unknown target kind {kind!r}")
+    payload_cls, key = _PAYLOADS.get(kind, (None, None))
+    extra = sorted(set(data) - {"kind", key})
+    if extra:
+        raise VerifyConfigError(f"target {kind!r} takes no {', '.join(extra)}")
+    if key is not None and key not in data:
+        raise VerifyConfigError(f"target {kind!r} needs its payload {key!r}")
+    return payload_cls.from_json_dict(data[key], f"{path}.{key}") if key else None
 
 
 @dataclass
@@ -147,9 +150,9 @@ class ExperimentConfig:
         if self.precision == "extended" and self.target_kind == "modified":
             raise VerifyConfigError("target 'modified' has no extended-precision lane")
         self.probe_points = tuple(complex(z) for z in self.probe_points)
-        self.n_ladder = tuple(_integral(n, "n_ladder") for n in self.n_ladder)
-        self.zero_degrees = tuple(_integral(n, "zero_degrees") for n in self.zero_degrees)
-        self.jets = _integral(self.jets, "jets")
+        self.n_ladder = tuple(reader.integral(n, "n_ladder") for n in self.n_ladder)
+        self.zero_degrees = tuple(reader.integral(n, "zero_degrees") for n in self.zero_degrees)
+        self.jets = reader.integral(self.jets, "jets")
         if (not self.n_ladder or self.n_ladder[0] < 0
                 or any(m <= n for n, m in zip(self.n_ladder, self.n_ladder[1:]))):
             raise VerifyConfigError(
@@ -210,39 +213,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config a JSON dict describes.  Its target reads the one
-        payload key its kind names ("modifier", "sobolev" or "stieltjes",
-        none for base_only) and refuses any other key."""
-        try:
-            target = data.get("target", {"kind": "base_only"})
-            if not isinstance(target, dict):
-                raise VerifyConfigError("target must be a JSON object")
-            kind = target.get("kind", "base_only")
-            if kind not in LAWS_BY_TARGET:
-                raise VerifyConfigError(f"unknown target kind {kind!r}")
-            payload_cls, key = _PAYLOADS.get(kind, (None, None))
-            extra = sorted(set(target) - {"kind", key})
-            if extra:
-                raise VerifyConfigError(f"target {kind!r} takes no {', '.join(extra)}")
-            if key is not None and key not in target:
-                raise VerifyConfigError(f"target {kind!r} needs its payload {key!r}")
-            cfg = cls(
-                measure=BaseMeasureSpec.from_json_dict(data["measure"]),
-                target=payload_cls.from_json_dict(target[key]) if key else None,
-                probe_points=tuple(
-                    complex(p[0], p[1]) for p in data["probe_points"]
-                ) if "probe_points" in data else DEFAULT_PROBES,
-                n_ladder=tuple(data.get("n_ladder", DEFAULT_LADDER)),
-                jets=data.get("jets", 1),
-                laws=tuple(data["laws"]) if data.get("laws") is not None else None,
-                zero_degrees=tuple(data.get("zero_degrees", ())),
-                precision=data.get("precision", "double"),
-            )
-        except VerifyConfigError:
-            raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise VerifyConfigError(f"bad experiment config: {exc}") from exc
-        return cfg
+        """The config a JSON object describes; its target reads the one
+        payload key its kind names."""
+        counts = reader.seq_of(reader.integral)
+        return cls(**reader.obj(data, "", {
+            "measure": BaseMeasureSpec.from_json_dict, "target": _read_target,
+            "probe_points": reader.seq_of(reader.cpx), "n_ladder": counts,
+            "jets": reader.integral, "zero_degrees": counts, "precision": reader.text,
+            "laws": lambda v, path: v if v is None else reader.seq_of(reader.text)(v, path)},
+            ("measure",)))
 
 
 def attraction_factors(cfg: ExperimentConfig) -> list:

@@ -138,13 +138,13 @@ NONFINITE_CONFIGS = {
     "modifier_pole": lambda v: {"measure": LEGENDRE, "target": {
         "kind": "modified", "modifier": {"poles": [{"d": [v, 0.0], "mult": 1}]}}},
     "coupling_point": lambda v: {"measure": LEGENDRE, "target": {
-        "kind": "sobolev", "sobolev": {"terms": [{"c": [v, 0.0], "gamma": [[1.0]]}]}}},
+        "kind": "sobolev", "sobolev": {"terms": [{"c": [v, 0.0], "gamma": [[[1.0, 0.0]]]}]}}},
     "pade_pole": lambda v: {"measure": LEGENDRE, "target": {
         "kind": "pade", "stieltjes": {"base": LEGENDRE,
                                       "poles": [{"c": [v, 0.0], "A": [[1.0, 0.0]]}]}}},
     # weights and coefficients: NaN != 0 passes the nonzero-top-row checks
     "coupling_weight": lambda v: {"measure": LEGENDRE, "target": {
-        "kind": "sobolev", "sobolev": {"terms": [{"c": [2.0, 0.0], "gamma": [[v]]}]}}},
+        "kind": "sobolev", "sobolev": {"terms": [{"c": [2.0, 0.0], "gamma": [[[v, 0.0]]]}]}}},
     "pade_coefficient": lambda v: {"measure": LEGENDRE, "target": {
         "kind": "pade", "stieltjes": {"base": LEGENDRE,
                                       "poles": [{"c": [0.0, 3.0], "A": [[v, 0.0]]}]}}},
@@ -160,6 +160,102 @@ def test_nonfinite_value_is_config_error(tmp_path, kind, value):
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
     assert not (out / "summary.json").exists()
+
+
+def _modifier(**point):
+    return {"measure": LEGENDRE, "target": {"kind": "modified", "modifier": {
+        "zeros": [{"c": [3.0, 0.0], "mult": 1, **point}]}}}
+
+
+def _sobolev(**term):
+    return {"measure": LEGENDRE, "target": {"kind": "sobolev", "sobolev": {"terms": [{
+        "c": [2.0, 0.0], "gamma": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        **term}]}}}
+
+
+def _pade(**stieltjes):
+    return {"measure": LEGENDRE, "target": {"kind": "pade", "stieltjes": {
+        "base": LEGENDRE, "poles": [{"c": [0.0, 3.0], "A": [[1.0, 0.0]]}], **stieltjes}}}
+
+
+# (subcommand, config, the path its error names), one bad key or value per
+# row at each nesting level; each used to exit 0, exit 1 (a modifier with
+# a misspelt key read as trivial, then failed its laws), crash, or name no path
+BAD_CONFIGS = {
+    "list_verify": ("verify", [1, 2], "config"),
+    "list_zeros": ("zeros", [1, 2], "config"),
+    "list_recurrence": ("recurrence", [1, 2], "config"),
+    "string_verify": ("verify", "legendre", "config"),
+    "string_recurrence": ("recurrence", "legendre", "config"),
+    "bare_measure_no_weight_kind": ("recurrence", {"nmax": 12}, "weight_kind"),
+    "bare_measure_unknown_key": ("recurrence", {"weight_kind": "legendre",
+                                                "mass_point": [[2.0, 0.5]]}, "mass_point"),
+    "top_unknown_key": ("verify", {"measure": LEGENDRE, "n_ladders": [5, 7]}, "n_ladders"),
+    "top_fractional_count": ("verify", {"measure": LEGENDRE, "n_ladder": [10, 20.5]},
+                             "n_ladder[1]"),
+    "top_bool_count": ("zeros", {"measure": LEGENDRE, "zero_degrees": [10, True]},
+                       "zero_degrees[1]"),
+    # it read as the letters of a law: "laws repeats a law"
+    "laws_not_a_list": ("verify", {"measure": LEGENDRE, "laws": "base_ratio"},
+                        "laws must be a JSON list"),
+    "probe_of_three": ("verify", {"measure": LEGENDRE, "probe_points": [[3, 0, 9]]},
+                       "probe_points[0]"),
+    "measure_not_object": ("verify", {"measure": "legendre"}, "measure"),
+    "measure_unknown_key": ("verify", {"measure": {"weight_kind": "legendre",
+                                                   "mass_point": [[2.0, 0.5]]}},
+                            "measure.mass_point"),
+    "alpha_string": ("verify", {"measure": {"weight_kind": "jacobi", "alpha": "0.5"}},
+                     "measure.alpha"),
+    "beta_bool": ("verify", {"measure": {"weight_kind": "jacobi", "beta": True}},
+                  "measure.beta"),
+    "mass_point_of_one": ("verify", {"measure": {"weight_kind": "legendre",
+                                                 "mass_points": [[2.0]]}},
+                          "measure.mass_points[0]"),
+    "target_kind_wrong_type": ("verify", {"measure": LEGENDRE, "target": {"kind": 5}},
+                               "target.kind"),
+    "modifier_unknown_key": ("verify", {"measure": LEGENDRE, "target": {
+        "kind": "modified", "modifier": {"zero": [{"c": [3.0, 0.0], "mult": 1}]}}},
+                             "target.modifier.zero"),
+    "mult_fractional": ("verify", _modifier(mult=1.9), "target.modifier.zeros[0].mult"),
+    "mult_bool": ("verify", _modifier(mult=True), "target.modifier.zeros[0].mult"),
+    "point_unknown_key": ("verify", _modifier(m=2), "target.modifier.zeros[0].m"),
+    "sobolev_unknown_key": ("verify", {"measure": LEGENDRE, "target": {
+        "kind": "sobolev", "sobolev": {"terms": [], "points": []}}}, "target.sobolev.points"),
+    "term_not_object": ("verify", {"measure": LEGENDRE, "target": {
+        "kind": "sobolev", "sobolev": {"terms": [5]}}}, "target.sobolev.terms[0]"),
+    "term_N_mismatch": ("verify", _sobolev(N=7), "target.sobolev.terms[0].N"),
+    "term_N_fractional": ("verify", _sobolev(N=1.5), "target.sobolev.terms[0].N"),
+    "term_unknown_key": ("verify", _sobolev(N=1, weight=2.0), "target.sobolev.terms[0].weight"),
+    "gamma_bare_number": ("verify", _sobolev(gamma=[[1.0]]),
+                          "target.sobolev.terms[0].gamma[0][0]"),
+    "stieltjes_unknown_key": ("verify", _pade(pole=[]), "target.stieltjes.pole"),
+    "base_unknown_key": ("verify", _pade(base={"weight_kind": "legendre", "mass": 1.0}),
+                         "target.stieltjes.base.mass"),
+    "pole_not_object": ("verify", _pade(poles=[[0.0, 3.0]]), "target.stieltjes.poles[0]"),
+    "pole_coefficient_bare_number": ("verify", _pade(poles=[{"c": [0.0, 3.0], "A": [1.0]}]),
+                                     "target.stieltjes.poles[0].A[0]"),
+    # values a constructor refuses: still config errors, now with their path
+    "unknown_weight_kind": ("verify", {"measure": {"weight_kind": "hermite"}}, "measure: "),
+    "modifier_point_on_cut": ("verify", _modifier(c=[0.5, 0.0]), "target.modifier: "),
+    "gamma_ragged": ("verify", _sobolev(gamma=[[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+                     "target.sobolev.terms[0]: "),
+    "pole_on_mass_point": ("verify", {
+        "measure": {"weight_kind": "legendre", "mass_points": [[2.0, 0.5]]},
+        "target": {"kind": "pade", "stieltjes": {
+            "base": {"weight_kind": "legendre", "mass_points": [[2.0, 0.5]]},
+            "poles": [{"c": [2.0, 0.0], "A": [[1.0, 0.0]]}]}}}, "target.stieltjes: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_names_its_path(tmp_path, name, capsys):
+    sub, payload, path = BAD_CONFIGS[name]
+    cfg = _write_json(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path in err, err
 
 
 def test_verify_sobolev_scenario(tmp_path, capsys):
@@ -298,8 +394,8 @@ def test_zeros_report_is_byte_identical_across_processes(tmp_path):
 # coupling points and poles (the default probe 2i is a pole of two_pole)
 EXTENDED_TARGETS = {
     "mixed": {"kind": "sobolev", "sobolev": {"terms": [
-        {"c": [2.0, 0.0], "gamma": [[0.0, 0.0], [0.0, 1.0]]},
-        {"c": [-3.0, 0.0], "gamma": [[1.0]]}]}},
+        {"c": [2.0, 0.0], "gamma": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"c": [-3.0, 0.0], "gamma": [[[1.0, 0.0]]]}]}},
     "two_pole": {"kind": "pade", "stieltjes": {
         "base": {"weight_kind": "legendre"},
         "poles": [{"c": [0.0, 2.0], "A": [[0.3, 0.0], [1.0, 0.0]]},

@@ -42,6 +42,9 @@ def test_modifier_counts_and_values():
     dict(zeros=((0.5, 1),)),
     dict(zeros=((2j, 0),)),
     dict(zeros=((2j, 1),), poles=((2j, 1),)),
+    # int() would truncate these or read True as 1
+    dict(zeros=((3.0, 1.9),)),
+    dict(zeros=((3.0, True),)),
 ])
 def test_modifier_validation(bad):
     with pytest.raises(ModifiedError):

@@ -29,6 +29,7 @@ from relasym import (
     to_sobolev_spec,
 )
 from relasym import modified, polybasis, sobolev
+from relasym.cli import _CONFIG_ERRORS
 from relasym.polybasis import eval_jet
 from relasym.scenarios import SCENARIOS
 from relasym.sobolev import SobolevSpec, SobolevTerm
@@ -85,7 +86,7 @@ def test_integral_degrees_kept():
 
 
 MODIFIER = {"zeros": [{"c": [3.0, 0.0], "mult": 1}], "poles": []}
-SOBOLEV = {"terms": [{"c": [2.0, 0.0], "gamma": [[1.0]]}]}
+SOBOLEV = {"terms": [{"c": [2.0, 0.0], "gamma": [[[1.0, 0.0]]]}]}
 STIELTJES = {"base": LEG.to_json_dict(), "poles": [{"c": [0.0, 3.0], "A": [[1.0, 0.0]]}]}
 
 
@@ -116,11 +117,39 @@ def test_probe_on_attraction_center_rejected():
 
 
 def test_config_json_round_trip():
-    for name in ("base_legendre", "modified_rational",
-                 "sobolev_point_pair", "pade_gonchar"):
+    for name in SCENARIOS:
         cfg = scenario(name)
         again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_leaf_reads_or_is_a_config_error(name):
+    # one leaf of a bundled config replaced by a value of each JSON type:
+    # the reader returns a config or refuses it, and never crashes
+    data = scenario(name).to_json_dict()
+    for path in _leaf_paths(data):
+        for value in (None, True, 1.5, "x", [], {}):
+            bad = json.loads(json.dumps(data))
+            *head, last = path
+            node = bad
+            for key in head:
+                node = node[key]
+            node[last] = value
+            try:
+                ExperimentConfig.from_json_dict(bad)
+            except _CONFIG_ERRORS:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r}: {exc!r}")
 
 
 def test_config_from_bad_dict():
