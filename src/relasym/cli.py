@@ -28,14 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import reader
-from .joukowski import CutDomainError
 from .measures import BaseMeasureSpec, MeasureError, recurrence_for
-from .modified import ModifiedError
-from .pade import PadeError
-from .sobolev import SobolevError
 from .verify import (ExperimentConfig, VerifyConfigError, emit_report, monotone_violations,
                      report_cells, run_ratio_ladder, run_zero_attraction)
-from .zeros import ClusterConfigError, ZerosError
+from .zeros import ClusterConfigError
 from .scenarios import BUNDLED_MEASURES, SCENARIOS, bundled_measure, scenario
 
 EXIT_OK = 0
@@ -44,9 +40,9 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
+# checked first: a ClusterConfigError is also a Refusal
 _CONFIG_ERRORS = (VerifyConfigError, ClusterConfigError, MeasureError)
-_NUMERICAL_ERRORS = (ZerosError, SobolevError, ModifiedError, PadeError,
-                     CutDomainError)
+_NUMERICAL_ERRORS = (reader.Refusal,)
 
 
 def _read_json(path_str: str) -> dict:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .reader import Refusal
+
 __all__ = [
     "CutDomainError",
     "dist_to_cut",
@@ -23,7 +25,7 @@ __all__ = [
 NEAR_CUT = 1e-12
 
 
-class CutDomainError(ValueError):
+class CutDomainError(Refusal):
     """Input on (or indistinguishably close to) the cut [-1, 1]."""
 
 

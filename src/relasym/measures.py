@@ -40,6 +40,7 @@ __all__ = [
 
 WEIGHT_KINDS = ("chebyshev_first_kind", "chebyshev_second_kind", "legendre", "jacobi")
 EPS = np.finfo(float).eps
+_LN2 = math.log(2.0)
 
 
 class MeasureError(ValueError):
@@ -68,6 +69,7 @@ class BaseMeasureSpec:
                 raise MeasureError(f"mass point location {loc} must lie outside [-1,1]")
             if mass <= 0.0:
                 raise MeasureError(f"mass {mass} must be positive")
+        self.continuous_mass()
 
     def jacobi_exponents(self) -> tuple[float, float]:
         if self.weight_kind == "chebyshev_first_kind":
@@ -83,10 +85,24 @@ class BaseMeasureSpec:
         return bool(self.mass_points)
 
     def continuous_mass(self) -> float:
+        """2^(a+b+1) B(a+1, b+1), with the whole powers of two of both factors
+        applied last, so that neither factor leaves the double range where
+        the mass does not.  A mass out of the double range is a MeasureError."""
         a, b = self.jacobi_exponents()
-        return 2.0 ** (a + b + 1.0) * math.exp(
-            math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
-        )
+        try:
+            s = a + b + 1.0
+            log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+            # exp underflows below about -708, so a log_beta below -960 ln 2
+            # hands its whole binades past that to the exponent
+            shift = min(0, math.ceil(log_beta / _LN2) + 960)
+            k = math.floor(s)
+            mass = math.ldexp(2.0 ** (s - k) * math.exp(log_beta - shift * _LN2), k + shift)
+        except (OverflowError, ValueError):     # ValueError: ceil of a nan
+            mass = math.inf
+        if not 0.0 < mass < math.inf:
+            raise MeasureError(f"the mass of the jacobi weight ({a:g}, {b:g}) "
+                               f"leaves the double range")
+        return mass
 
     def pure(self) -> "BaseMeasureSpec":
         """The same weight with the atoms dropped."""

@@ -39,13 +39,9 @@ _TINY = np.finfo(float).tiny
 COLLAPSE_TOL = 1e-8     # a degree reads at least ~8 digits of its pivots
 
 
-class ModifiedError(ValueError):
+class ModifiedError(reader.Refusal):
     """A refused degree or reading; kind names the cause ("pre_asymptotic",
     "degree_collapse", "underflow" or "overflow")."""
-
-    def __init__(self, message: str, kind: str = "pre_asymptotic"):
-        super().__init__(message)
-        self.kind = kind
 
 
 def _canon_points(points) -> tuple[tuple[complex, int], ...]:
@@ -212,12 +208,14 @@ class ModifiedOP:
 
 
 def _check_off_atoms(r: RationalModifier, spec: BaseMeasureSpec | None):
+    """A modifier point on an atom of the measure is an input conflict, not a
+    numerical limit: ConfigError."""
     if spec is None:
         return
     for loc, _ in spec.mass_points:
         for p, _ in r.zeros + r.poles:
             if abs(p - loc) < 1e-12:
-                raise ModifiedError(f"modifier point {p} coincides with a mass point")
+                raise reader.ConfigError(f"modifier point {p} coincides with a mass point")
 
 
 def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> ModifiedTable:

@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 
-class PadeError(ValueError):
-    pass
+class PadeError(reader.Refusal):
+    """A refused Pade construction or evaluation."""
 
 
 @dataclass(frozen=True)

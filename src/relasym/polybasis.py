@@ -121,10 +121,10 @@ class PolyInBasis:
         """Hermitian L2(mu) norm, from the orthonormal coefficients."""
         return float(np.linalg.norm(self.to_basis(ORTHONORMAL).coeffs))
 
-    def trimmed(self, tol: float = 0.0) -> "PolyInBasis":
-        """Drop trailing coefficients of modulus <= tol."""
+    def trimmed(self) -> "PolyInBasis":
+        """Drop trailing zero coefficients."""
         deg = self.degree
-        while deg > 0 and abs(self.coeffs[deg]) <= tol:
+        while deg > 0 and self.coeffs[deg] == 0:
             deg -= 1
         return PolyInBasis(self.basis, self.coeffs[: deg + 1].copy(), deg, self.table)
 

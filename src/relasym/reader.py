@@ -5,6 +5,10 @@ Each reader takes a JSON value and its path in the config, such as
 raises ConfigError naming that path.  An object takes no unknown key, a
 count is an integer (never a bool or a fraction), a real is a finite
 number and a complex number is the pair [re, im] every to_json_dict writes.
+
+Its two error types are the CLI's exits 3 and 4, ConfigError and Refusal;
+they live here, in a module that imports no other, so that any module can
+raise them.
 """
 from __future__ import annotations
 
@@ -14,6 +18,17 @@ import numbers
 
 class ConfigError(ValueError):
     """A config value that describes no valid object; the message names its path."""
+
+
+class Refusal(ValueError):
+    """A numerical limit a construction gives out at: the CLI exits 4 on it,
+    and a ladder row is flagged with its kind, which names the cause
+    ("overflow", "underflow", "degree_collapse", "unconverged", or
+    "pre_asymptotic" for a degree the construction cannot reach yet)."""
+
+    def __init__(self, message: str, kind: str = "pre_asymptotic"):
+        super().__init__(message)
+        self.kind = kind
 
 
 def obj(data, path: str, fields: dict | None = None, required=()) -> dict:

@@ -8,8 +8,8 @@ first-kind Chebyshev weight the base recurrence is exact from degree 2
 and ratio errors crash through machine precision by degree 15 or so,
 which makes ladders flat, not decreasing.)
 
-Zero-attraction scenarios use the Chebyshev weight, where degree-60
-root sets are cheap and the expected counts are the same.
+The zero-attraction scenarios use the Legendre weight too: degree-60
+root sets there are cheap, and every center attracts its expected count.
 """
 
 from __future__ import annotations

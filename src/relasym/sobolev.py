@@ -53,13 +53,9 @@ COND_LIMIT = 1e10
 DET_TOL = 1e-12
 
 
-class SobolevError(ValueError):
+class SobolevError(reader.Refusal):
     """A refused construction; kind names the cause ("pre_asymptotic",
     "overflow" or "underflow")."""
-
-    def __init__(self, message: str, kind: str = "pre_asymptotic"):
-        super().__init__(message)
-        self.kind = kind
 
 
 def _as_complex_matrix(gamma) -> np.ndarray:
@@ -176,7 +172,8 @@ def _support(g: np.ndarray) -> tuple[list[int], list[int]]:
 def regularity(spec: SobolevSpec) -> RegularityReport:
     """Reduce each gamma by deleting zero rows and zero columns; the inner
     product is regular when every reduced matrix is square with det != 0
-    (relative to the Hadamard row bound)."""
+    (relative to the Hadamard row bound).  det_gamma_star is the reduced
+    matrix's det, inf or nan where it leaves the double range."""
     reports = []
     for t in spec.terms:
         g = t.gamma
@@ -185,9 +182,13 @@ def regularity(spec: SobolevSpec) -> RegularityReport:
         if star.shape[0] != star.shape[1] or star.size == 0:
             reports.append(TermRegularity(False, 0, 0.0 + 0.0j))
             continue
-        det = complex(np.linalg.det(star))
-        hadamard = float(np.prod(np.linalg.norm(star, axis=1)))
-        ok = hadamard > 0.0 and abs(det) > DET_TOL * hadamard
+        with np.errstate(over="ignore", invalid="ignore"):  # past the double range
+            det = complex(np.linalg.det(star))
+        # det against the Hadamard row bound, both of star over its largest
+        # entry: their ratio does not depend on the scale of gamma
+        unit = star / np.abs(star).max()
+        hadamard = float(np.prod(np.linalg.norm(unit, axis=1)))
+        ok = hadamard > 0.0 and abs(np.linalg.det(unit)) > DET_TOL * hadamard
         reports.append(TermRegularity(ok, star.shape[0] if ok else 0, det))
     overall = all(r.is_regular for r in reports)
     return RegularityReport(
@@ -220,13 +221,15 @@ class SobolevOP:
 
 def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     """Refusals both lanes share, the spec's own checked once: a table through
-    the deepest degree + 1, and degree -> SobolevError for each refused degree."""
+    the deepest degree + 1, and degree -> SobolevError for each refused degree.
+    A coupling point on an atom of the measure, where forward jets follow a
+    decaying solution into rounding noise, is an input conflict: ConfigError."""
+    atoms = base.spec.mass_points if base.spec is not None else ()
+    if any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms):
+        raise reader.ConfigError("a coupling point coincides with a mass point")
     regular = regularity(spec).overall_regular
     base = table_through(base, max(degrees) + 1)    # sn_kernel refuses an infinite tau_n
     order = max(max(t.gamma.shape) for t in spec.terms) - 1
-    atoms = base.spec.mass_points if base.spec is not None else ()
-    # forward jets at an atom follow a decaying solution into rounding noise
-    on_atom = any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms)
     refused = {}
     for n in degrees:
         if not regular:
@@ -234,8 +237,6 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
         elif n <= order:
             refused[n] = SobolevError(
                 f"need n > {order}, the highest coupled derivative, got {n}")
-        elif on_atom:
-            refused[n] = SobolevError("a coupling point coincides with a mass point")
     return base, refused
 
 

@@ -1,16 +1,14 @@
 """Ratio-ladder experiments against closed-form limits, with reports.
 
 Each law names a ratio of computed polynomial data and the limit it
-must approach as the degree grows:
+must approach as the degree grows.  A law is one of four forms over X,
+which is L_n for the base laws and the target polynomial for the others
+(Q_n modified, S_n Sobolev, the Pade denominator Q_n):
 
-  base_ratio               L_{n+1}^(nu)(z) / L_n^(nu)(z)        phi(z)/2
-  base_log_derivative      L_n^(nu+1)(z) / (n L_n^(nu)(z))      1/sqrt(z^2-1)
-  modified_vs_base         Q_n^(nu)(z) / L_n^(nu)(z)            modification product
-  modified_ratio           Q_{n+1}^(nu)(z) / Q_n^(nu)(z)        phi(z)/2
-  modified_log_derivative  Q_n^(nu+1)(z) / (n Q_n^(nu)(z))      1/sqrt(z^2-1)
-  modified_derivative_gap  Q_n^(nu+2)(z) / (n(n-1) Q_n^(nu)(z)) 1/(z^2-1)
-  sobolev_vs_base          S_n^(nu)(z) / L_n^(nu)(z)            attraction product
-  pade_vs_base             Q_n^(nu)(z) / L_n^(nu)(z)            attraction product
+  step            X_{n+1}^(nu)(z) / X_n^(nu)(z)           phi(z)/2
+  log_derivative  X_n^(nu+1)(z) / (n X_n^(nu)(z))         1/sqrt(z^2-1)
+  derivative_gap  X_n^(nu+2)(z) / (n(n-1) X_n^(nu)(z))    1/(z^2-1)
+  over_base       X_n^(nu)(z) / L_n^(nu)(z)               modification or attraction product
 
 Ladders are emitted as rows carrying the ratio, the limit, the error
 and a two-point geometric rate estimate; reports are CSV or JSON with
@@ -29,16 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import reader
-from .joukowski import (CutDomainError, dist_to_cut, limit_modified,
-                        limit_sobolev, phi, sqrt_z2m1)
+from .joukowski import dist_to_cut, limit_modified, limit_sobolev, phi, sqrt_z2m1
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
-from .modified import ModifiedError, RationalModifier, solve_Q, solve_Q_many  # noqa: F401
-from .pade import PadeError, StieltjesFn, to_sobolev_spec
+from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
+from .pade import StieltjesFn, to_sobolev_spec
 from .polybasis import MONIC, PolyInBasis, basis_jets
-from .sobolev import (SobolevError, SobolevSpec, coupling_jets, regularity,
-                      sn_kernel_many, sn_lambda)
+from .sobolev import SobolevSpec, coupling_jets, regularity, sn_kernel_many, sn_lambda
 from .zeros import cluster, roots
 
 __all__ = [
@@ -62,13 +58,24 @@ __all__ = [
 DEFAULT_LADDER = (10, 20, 40, 80)
 DEFAULT_PROBES = (3.0 + 0.0j, -2.5 + 0.0j, 2.0j, 1.5 + 1.5j)
 
-LAWS_BY_TARGET = {
-    "base_only": ("base_ratio", "base_log_derivative"),
-    "modified": ("modified_vs_base", "modified_ratio",
-                 "modified_log_derivative", "modified_derivative_gap"),
-    "sobolev": ("sobolev_vs_base",),
-    "pade": ("pade_vs_base",),
+# the law table: law -> (target kind, form), the forms of the module docstring
+_LAWS = {
+    "base_ratio": ("base_only", "step"),
+    "base_log_derivative": ("base_only", "log_derivative"),
+    "modified_vs_base": ("modified", "over_base"),
+    "modified_ratio": ("modified", "step"),
+    "modified_log_derivative": ("modified", "log_derivative"),
+    "modified_derivative_gap": ("modified", "derivative_gap"),
+    "sobolev_vs_base": ("sobolev", "over_base"),
+    "pade_vs_base": ("pade", "over_base"),
 }
+# the derivative orders a form reads above nu: L_n^(k) = 0 for k > n, so such
+# a row is 0/0 or x/0, not a ratio
+_EXTRA_ORDER = {"step": 0, "log_derivative": 1, "derivative_gap": 2, "over_base": 0}
+
+# the report and summary order is the table's
+LAWS_BY_TARGET = {kind: tuple(law for law, (k, _) in _LAWS.items() if k == kind)
+                  for kind in dict.fromkeys(k for k, _ in _LAWS.values())}
 
 CSV_COLUMNS = ("n", "z_re", "z_im", "nu", "ratio_re", "ratio_im",
                "limit_re", "limit_im", "abs_err", "est_rate")
@@ -319,71 +326,57 @@ def _target_jets(built: dict, pj: np.ndarray, order: int) -> dict:
     return out
 
 
-def _jet(target: dict, n: int, p: int, order: int):
-    """Orders 0..order of the degree-n target at probe p, as a product of
-    that many rows gives them; raises the refusal of a degree not built."""
-    got = target[n]
+def _jets(source: dict | None, base: np.ndarray, n: int, p: int, top: int):
+    """Orders 0..top of X_n at probe p, X as the law's form reads it: L_n from
+    base[j, k] = L_k^(j)(z) when source is None, else the built target, with
+    order 0 alone from its one-row product and more orders from its block (as
+    _target_jets makes them); raises the refusal of a degree not built."""
+    if source is None:
+        return base[: top + 1, n]
+    got = source[n]
     if isinstance(got, Exception):
         raise got
     dots, block = got
-    return (dots[p],) if order == 0 else block[: order + 1, p]
+    return (dots[p],) if top == 0 else block[: top + 1, p]
 
 
-def _law_ratio(law: str, base: np.ndarray, target: dict, n: int, nu: int, p: int):
-    """The ratio of one law at one (n, z, nu); base[j, k] = L_k^(j)(z), z the
-    p-th probe, and target as from _target_jets."""
-    if law == "base_ratio":
-        return base[nu, n + 1] / base[nu, n]
-    if law == "base_log_derivative":
-        return base[nu + 1, n] / (n * base[nu, n])
-    if law in ("modified_vs_base", "sobolev_vs_base", "pade_vs_base"):
-        return _jet(target, n, p, nu)[nu] / base[nu, n]
-    if law == "modified_ratio":
-        return _jet(target, n + 1, p, nu)[nu] / _jet(target, n, p, nu)[nu]
-    if law == "modified_log_derivative":
-        jets = _jet(target, n, p, nu + 1)
+def _law_ratio(form: str, source: dict | None, base: np.ndarray, n: int, nu: int, p: int):
+    """The ratio of one form at one (n, z, nu), z the p-th probe and X read by
+    _jets."""
+    if form == "step":
+        return _jets(source, base, n + 1, p, nu)[nu] / _jets(source, base, n, p, nu)[nu]
+    if form == "over_base":
+        return _jets(source, base, n, p, nu)[nu] / base[nu, n]
+    jets = _jets(source, base, n, p, nu + _EXTRA_ORDER[form])
+    if form == "log_derivative":
         return jets[nu + 1] / (n * jets[nu])
-    if law == "modified_derivative_gap":
-        # degree-drop normalization n(n-1): the leading coefficient of
-        # the second derivative carries exactly that factor, so the
-        # finite-n ratio is centered on the same limit without the
-        # structural 1/n offset a flat n^2 would add
-        jets = _jet(target, n, p, nu + 2)
-        return jets[nu + 2] / (n * (n - 1) * jets[nu])
-    raise VerifyConfigError(f"unknown law {law!r}")
+    # degree-drop normalization n(n-1): the leading coefficient of the
+    # second derivative carries exactly that factor, so the finite-n ratio
+    # is centered on the same limit without the structural 1/n offset a
+    # flat n^2 would add
+    return jets[nu + 2] / (n * (n - 1) * jets[nu])
 
 
-# derivative orders a law reads above nu: L_n^(k) = 0 for k > n, so such a
-# row is 0/0 or x/0, not a ratio
-_LAW_EXTRA_ORDER = {"base_log_derivative": 1, "modified_log_derivative": 1,
-                    "modified_derivative_gap": 2}
-# laws that read the base polynomials alone, no target
-_BASE_LAWS = LAWS_BY_TARGET["base_only"]
-
-
-def _law_limit(law: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
-    """The closed-form limit of one law at z; it depends on neither n nor nu."""
-    if law in ("base_ratio", "modified_ratio"):
+def _law_limit(form: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
+    """The closed-form limit of one form at z; it depends on neither n nor nu."""
+    if form == "step":
         return phi(z) / 2.0
-    if law in ("base_log_derivative", "modified_log_derivative"):
+    if form == "log_derivative":
         return 1.0 / sqrt_z2m1(z)
-    if law == "modified_vs_base":
-        return limit_modified(z, cfg.target)
-    if law in ("sobolev_vs_base", "pade_vs_base"):
-        return limit_sobolev(z, factors)
-    if law == "modified_derivative_gap":
+    if form == "derivative_gap":
         return 1.0 / (z * z - 1.0)
-    raise VerifyConfigError(f"unknown law {law!r}")
+    if cfg.target_kind == "modified":
+        return limit_modified(z, cfg.target)
+    return limit_sobolev(z, factors)
 
 
-_REFUSALS = (SobolevError, ModifiedError, PadeError, MeasureError,
-             CutDomainError, np.linalg.LinAlgError)
+_REFUSALS = (reader.Refusal, MeasureError, np.linalg.LinAlgError)
 _NAN = complex(float("nan"), float("nan"))
 
 
 def _refusal_flag(exc: Exception) -> str:
-    # builders that know the cause set a kind; any other refusal is a
-    # degree the construction cannot reach yet
+    # a Refusal carries its kind; any other refusal is a degree the
+    # construction cannot reach yet
     return f"{getattr(exc, 'kind', 'pre_asymptotic')}: {exc}"
 
 
@@ -404,20 +397,22 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     factors = attraction_factors(cfg)
     rows: list[RatioRow] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        target_laws = [law for law in laws if law not in _BASE_LAWS]
+        target_forms = [_LAWS[law][1] for law in laws if _LAWS[law][0] != "base_only"]
         degrees = sorted({m for n in cfg.n_ladder
-                          for m in ((n, n + 1) if "modified_ratio" in laws else (n,))}
-                         ) if target_laws else []
+                          for m in ((n, n + 1) if "step" in target_forms else (n,))}
+                         ) if target_forms else []
         # every probe, degree and order in the builder's own sweep
         built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + 2)
         target = _target_jets(built, probe_jets, cfg.jets + max(
-            (_LAW_EXTRA_ORDER.get(law, 0) for law in target_laws), default=0))
+            map(_EXTRA_ORDER.get, target_forms), default=0))
         for law in laws:
-            extra = _LAW_EXTRA_ORDER.get(law, 0)
+            kind, form = _LAWS[law]
+            source = None if kind == "base_only" else target
+            extra = _EXTRA_ORDER[form]
             for p, z in enumerate(cfg.probe_points):
                 base = probe_jets[:, :, p]
                 try:
-                    limit, refusal = complex(_law_limit(law, cfg, factors, z)), ""
+                    limit, refusal = complex(_law_limit(form, cfg, factors, z)), ""
                 except _REFUSALS as exc:
                     limit, refusal = _NAN, _refusal_flag(exc)
                 for nu in range(cfg.jets + 1):
@@ -430,7 +425,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                                                  f"{order} exceeds degree {n}")
                         else:
                             try:
-                                ratio = complex(_law_ratio(law, base, target, n, nu, p))
+                                ratio = complex(_law_ratio(form, source, base, n, nu, p))
                                 flag = refusal
                             except _REFUSALS as exc:
                                 ratio, flag = _NAN, _refusal_flag(exc)
@@ -453,9 +448,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def run_zero_attraction(cfg: ExperimentConfig, degrees=None,
-                        radius: float | None = None,
-                        support_band: float = 0.05) -> dict:
+def run_zero_attraction(cfg: ExperimentConfig, degrees=None) -> dict:
     """ZeroReport per degree for the config's target polynomial."""
     degs = tuple(degrees) if degrees is not None else (cfg.zero_degrees or cfg.n_ladder)
     centers = [c for c, _ in attraction_factors(cfg)]
@@ -465,7 +458,7 @@ def run_zero_attraction(cfg: ExperimentConfig, degrees=None,
     for n in degs:
         if isinstance(built[n], Exception):
             raise built[n]
-        out[n] = cluster(roots(built[n]), centers, radius, support_band)
+        out[n] = cluster(roots(built[n]), centers)
     return out
 
 

@@ -57,6 +57,7 @@ import numpy as np
 
 from .joukowski import dist_to_cut
 from .polybasis import ORTHONORMAL, PolyInBasis
+from .reader import Refusal
 
 __all__ = [
     "ZeroReport",
@@ -96,13 +97,9 @@ CLUSTER_SPREAD = 1e-2
 KICK_ANGLE = 2.39996
 
 
-class ZerosError(ValueError):
+class ZerosError(Refusal):
     """A refused root solve; kind names the cause ("unconverged" for an
     iteration that does not converge, else "pre_asymptotic")."""
-
-    def __init__(self, message: str, kind: str = "pre_asymptotic"):
-        super().__init__(message)
-        self.kind = kind
 
 
 class ClusterConfigError(ZerosError):
@@ -484,7 +481,7 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
                      kind="unconverged")
 
 
-def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
+def roots(p: PolyInBasis) -> list[complex]:
     """All deg(p) roots, sorted by (re rounded to 12 decimals, im).
 
     Eigenvalues of the comrade matrix A = J_n - e_{n-1} f^T: the Gauss
@@ -506,11 +503,19 @@ def roots(p: PolyInBasis, check_residual: bool = True) -> list[complex]:
     # real parts equal to 12 decimals order by imaginary part, so that noise
     # in the real parts of roots on a vertical line does not reorder them
     out = sorted((complex(v) for v in vals), key=lambda z: (round(z.real, 12), z.imag))
-    if check_residual:
-        worst = float(np.max(_root_residuals(q, np.array(out), _comrade_norm(q, f))))
-        if worst > RESIDUAL_TOL:
-            raise ZerosError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    worst = float(np.max(_root_residuals(q, np.array(out), _comrade_norm(q, f))))
+    if worst > RESIDUAL_TOL:
+        raise ZerosError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return out
+
+
+def _separation(cs: list) -> float:
+    """The smallest distance from any center to [-1, 1] or another center."""
+    d = min(float(dist_to_cut(c)) for c in cs)
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            d = min(d, abs(cs[i] - cs[j]))
+    return d
 
 
 def default_radius(centers) -> float:
@@ -518,10 +523,7 @@ def default_radius(centers) -> float:
     cs = [complex(c) for c in centers]
     if not cs:
         raise ClusterConfigError("no attraction centers")
-    d = min(float(dist_to_cut(c)) for c in cs)
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            d = min(d, abs(cs[i] - cs[j]))
+    d = _separation(cs)
     if d <= 0:
         raise ClusterConfigError("coincident centers or center on [-1, 1]")
     return 0.1 * d
@@ -545,10 +547,7 @@ def cluster(root_list, centers, radius: float | None = None,
         r = default_radius(cs) if radius is None else float(radius)
         if r <= 0:
             raise ClusterConfigError("radius must be positive")
-        sep = min(float(dist_to_cut(c)) for c in cs)
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                sep = min(sep, abs(cs[i] - cs[j]))
+        sep = _separation(cs)
         if r >= 0.5 * sep:
             raise ClusterConfigError(
                 f"radius {r:g} >= half the minimum center separation {sep:g}")

@@ -292,9 +292,9 @@ def test_criterion_07_recurrence_coefficient_limits():
 
 def test_criterion_08_zero_attraction_counts():
     with _budget(30.0):
-        rep = run_zero_attraction(scenario("sobolev_point_derivative"),
-                                  degrees=(60,), radius=0.1,
-                                  support_band=0.05)[60]
+        # the default disk radius at c = 2 is 0.1, and the support band 0.05
+        rep = run_zero_attraction(scenario("sobolev_point_derivative"), degrees=(60,))[60]
+        assert (rep.radius, rep.support_band) == (0.1, 0.05)
         assert list(rep.cluster_counts) == [1], f"counts {rep.cluster_counts}"
         assert rep.support_count == 59, f"support {rep.support_count}"
         assert not rep.unassigned, f"stray zeros {rep.unassigned}"

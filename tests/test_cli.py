@@ -126,6 +126,33 @@ def test_negative_zero_degree_is_config_error(tmp_path, name, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+ATOM_AT_2 = {"weight_kind": "legendre", "mass_points": [[2.0, 0.5]]}
+# a target point on the atom at 2, for each target that places one
+ON_ATOM_TARGETS = {
+    "modifier_zero": {"kind": "modified", "modifier": {"zeros": [{"c": [2.0, 0.0], "mult": 1}]}},
+    "modifier_pole": {"kind": "modified", "modifier": {"poles": [{"d": [2.0, 0.0], "mult": 1}]}},
+    "coupling_point": {"kind": "sobolev", "sobolev": {"terms": [
+        {"c": [2.0, 0.0], "gamma": [[[1.0, 0.0]]]}]}},
+    "pade_pole": {"kind": "pade", "stieltjes": {"base": ATOM_AT_2, "poles": [
+        {"c": [2.0, 0.0], "A": [[1.0, 0.0]]}]}},
+}
+
+
+@pytest.mark.parametrize("sub", ["verify", "zeros"])
+@pytest.mark.parametrize("kind", sorted(ON_ATOM_TARGETS))
+def test_target_point_on_an_atom_is_config_error(tmp_path, kind, sub, capsys):
+    # an input conflict, not a numerical limit: it is refused once for the
+    # spec, where a modifier or coupling point used to refuse every degree
+    # (exit 4, every target row flagged)
+    cfg = _write_json(tmp_path / "c.json", {"measure": ATOM_AT_2,
+                                            "target": ON_ATOM_TARGETS[kind]})
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "with a mass point" in err, err
+
+
 LEGENDRE = {"weight_kind": "legendre"}
 # one config per kind of placed value (a point or an exponent), set to v
 NONFINITE_CONFIGS = {
@@ -325,14 +352,16 @@ def test_zeros_of_the_first_degrees_on_legendre(tmp_path):
     assert [reports[str(n)]["support_count"] for n in (1, 2, 3)] == [1, 2, 3]
 
 
-def test_zeros_numerical_failure_exit(tmp_path):
-    # value coupling sitting on a measure atom: the kernel lane refuses it
-    # (forward jets at an atom are rounding noise), which is a numerics exit
+def test_zeros_numerical_failure_exit(tmp_path, capsys):
+    # a singular coupling matrix: the kernel lane refuses every degree of a
+    # product that is not regular, which is a numerics exit (a coupling point
+    # on an atom is a config error: test_target_point_on_an_atom_is_config_error)
     payload = scenario("sobolev_point_pair").to_json_dict()
-    payload["measure"] = {"weight_kind": "chebyshev_first_kind",
-                          "mass_points": [[2.0, 0.5]]}
-    cfg = _write_json(tmp_path / "collide.json", payload)
+    payload["target"]["sobolev"]["terms"][0]["gamma"] = [[[1.0, 0.0], [1.0, 0.0]],
+                                                         [[1.0, 0.0], [1.0, 0.0]]]
+    cfg = _write_json(tmp_path / "singular.json", payload)
     assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "inner product is not regular" in capsys.readouterr().err
 
 
 def test_extended_precision_rejected_for_modified(tmp_path):

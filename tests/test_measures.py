@@ -1,4 +1,7 @@
 """Recurrence tables, quadrature rules, and measure validation."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,27 @@ def test_total_mass():
     assert recurrence_for(CHEB, 4).total_mass == pytest.approx(np.pi, rel=1e-14)
     assert recurrence_for(LEG, 4).total_mass == pytest.approx(2.0, rel=1e-14)
     assert recurrence_for(ATOM, 4).total_mass == pytest.approx(np.pi + 0.5, rel=1e-12)
+
+
+def test_small_jacobi_exponents_keep_their_mass_bit_for_bit():
+    # every bundled weight has exponents in {0, +-1/2}, where the direct
+    # product of the two factors stays in range
+    for a, b in itertools.product((-0.5, 0.0, 0.5), repeat=2):
+        direct = 2.0 ** (a + b + 1.0) * math.exp(
+            math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+        assert BaseMeasureSpec("jacobi", alpha=a, beta=b).continuous_mass() == direct
+
+
+def test_jacobi_mass_past_the_range_of_its_power_of_two():
+    # 2^(a+b+1) alone overflows from a + b = 1023; the mass
+    # 2^2201 B(1101, 1101) = 0.053423284309749227... does not
+    spec = BaseMeasureSpec("jacobi", alpha=1100.0, beta=1100.0)
+    assert spec.continuous_mass() == pytest.approx(0.053423284309749227, rel=1e-12)
+    table = recurrence_for(spec, 40)
+    assert np.all(np.isfinite(table.tau)) and table.a[1] > 0
+    # a mass out of the double range is refused when the spec is made
+    with pytest.raises(MeasureError, match="leaves the double range"):
+        BaseMeasureSpec("jacobi", alpha=1e6)
 
 
 def test_tau_ladder():

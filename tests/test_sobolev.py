@@ -37,6 +37,19 @@ def test_regularity_counts():
     assert rep.A == 2
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_regularity_does_not_depend_on_the_scale_of_gamma(scale):
+    # the raw row norms of a 1e300 gamma overflowed with a RuntimeWarning,
+    # and a nonzero 1e-300 gamma read as not regular
+    def regular(gamma):
+        return regularity(SobolevSpec((SobolevTerm(2.0, scale * np.array(gamma)),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert regular([[1.0]]).overall_regular
+        assert regular([[1.0, 0.5], [0.25, 1.0]]).overall_regular
+        assert not regular([[1.0, 1.0], [1.0, 1.0]]).overall_regular
+
+
 def test_spec_validation():
     with pytest.raises(SobolevError):
         SobolevSpec.diagonal([(0.5, [1.0])])           # on the cut

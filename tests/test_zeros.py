@@ -82,11 +82,6 @@ def test_zero_leading_coefficient_rejected():
         roots(p)
 
 
-def test_residual_check_optional():
-    p = PolyInBasis.basis_poly(LEG, 7)
-    assert roots(p, check_residual=False) == roots(p)
-
-
 def _pointwise_residual(q, z, norm_a):
     """One root at a time: PolyInBasis.jet plus the scalar running scale."""
     c, a, b = q.coeffs, q.table.a, q.table.b
@@ -406,10 +401,12 @@ def test_roots_on_a_vertical_line_keep_their_order(monkeypatch):
     # so the pair comes out lower root first both times
     p = lincomb([PolyInBasis.basis_poly(LEG, 2), PolyInBasis.basis_poly(LEG, 1)], [1.0, 1j])
     low, high = 2j - 1.7e-8j, 2j + 1.7e-8j
+    # the crafted roots are not the polynomial's: no residual gate
+    monkeypatch.setattr(zeros_module, "_root_residuals", lambda q, z, norm: np.zeros(z.size))
     for sign in (1.0, -1.0):
         crafted = np.array([high + sign * 1e-17, low - sign * 1e-17])
         monkeypatch.setattr(zeros_module, "_secular_roots", lambda q, f: crafted)
-        got = roots(p, check_residual=False)
+        got = roots(p)
         assert [z.imag for z in got] == [low.imag, high.imag]
 
 
