@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import reader
-from .measures import BaseMeasureSpec, MeasureError, recurrence_for
+from .measures import BaseMeasureSpec, recurrence_for
 from .verify import (ExperimentConfig, VerifyConfigError, emit_report, monotone_violations,
                      report_cells, run_ratio_ladder, run_zero_attraction)
-from .zeros import ClusterConfigError
 from .scenarios import BUNDLED_MEASURES, SCENARIOS, bundled_measure, scenario
 
 EXIT_OK = 0
@@ -39,10 +38,6 @@ EXIT_ASSERTION = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
-
-# checked first: a ClusterConfigError is also a Refusal
-_CONFIG_ERRORS = (VerifyConfigError, ClusterConfigError, MeasureError)
-_NUMERICAL_ERRORS = (reader.Refusal,)
 
 
 def _read_json(path_str: str) -> dict:
@@ -207,10 +202,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.subcommand](args)
-    except _CONFIG_ERRORS as exc:
+    except reader.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except reader.Refusal as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -6,6 +6,9 @@ square roots, which is positive for z > 1 and continuous off the cut
 """
 from __future__ import annotations
 
+import cmath
+import numbers
+
 import numpy as np
 
 from .reader import Refusal
@@ -13,6 +16,8 @@ from .reader import Refusal
 __all__ = [
     "CutDomainError",
     "dist_to_cut",
+    "point",
+    "apart",
     "phi",
     "sqrt_z2m1",
     "cheb_transform",
@@ -23,6 +28,8 @@ __all__ = [
 ]
 
 NEAR_CUT = 1e-12
+NEAR_ATOM = 1e-10       # a target point this close to an atom sits on it
+NEAR_POINT = 1e-12      # two points of one target this close are one point
 
 
 class CutDomainError(Refusal):
@@ -35,6 +42,30 @@ def dist_to_cut(z) -> np.ndarray:
     x, y = zz.real, zz.imag
     dx = np.maximum(np.abs(x) - 1.0, 0.0)
     return np.hypot(dx, y)
+
+
+def point(value, what: str, error: type, margin: float = NEAR_CUT) -> complex:
+    """value as a complex number: never a bool or a string, which complex()
+    reads as 1 or parses, finite, and farther than margin from [-1, 1].
+    Anything else raises error naming what."""
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise error(f"{what} must be a number, got {value!r}")
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise error(f"{what} {z} is not finite")
+    if dist_to_cut(z) <= margin:
+        raise error(f"{what} {z} lies on or near [-1, 1]")
+    return z
+
+
+def apart(points, others, why: str, error: type, tol: float = NEAR_POINT) -> None:
+    """Raise error(why.format(p, q)) where a point p lies within tol of a
+    point q of others, or, with others None, of another of points."""
+    points = list(points)
+    for i, p in enumerate(points):
+        for q in points[i + 1:] if others is None else others:
+            if abs(p - q) < tol:
+                raise error(why.format(p, q))
 
 
 def _require_off_cut(z) -> None:

@@ -41,9 +41,13 @@ __all__ = [
 WEIGHT_KINDS = ("chebyshev_first_kind", "chebyshev_second_kind", "legendre", "jacobi")
 EPS = np.finfo(float).eps
 _LN2 = math.log(2.0)
+STIRLING_FROM = 15.0    # both Jacobi exponents this large: the mass from Stirling's series
+# the coefficients B_2k / (2k (2k - 1)) of Stirling's series for lgamma,
+# k = 1..5: at x = a + 1 >= 16 the first term left out is below 2e-16
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 
 
-class MeasureError(ValueError):
+class MeasureError(reader.ConfigError):
     """Invalid measure description or table request."""
 
 
@@ -59,12 +63,15 @@ class BaseMeasureSpec:
     def __post_init__(self):
         if self.weight_kind not in WEIGHT_KINDS:
             raise MeasureError(f"unknown weight_kind {self.weight_kind!r}")
+        for key in ("alpha", "beta"):
+            object.__setattr__(self, key, reader.real(getattr(self, key), key, MeasureError))
+        object.__setattr__(self, "mass_points", tuple(
+            (reader.real(loc, "mass point location", MeasureError),
+             reader.real(mass, "mass", MeasureError)) for loc, mass in self.mass_points))
         a, b = self.jacobi_exponents()
-        if not (-1.0 < a < np.inf and -1.0 < b < np.inf):
-            raise MeasureError("jacobi exponents must be finite and exceed -1")
+        if not (a > -1.0 and b > -1.0):
+            raise MeasureError("jacobi exponents must exceed -1")
         for loc, mass in self.mass_points:
-            if not (np.isfinite(loc) and np.isfinite(mass)):
-                raise MeasureError(f"mass point ({loc}, {mass}) is not finite")
             if abs(loc) <= 1.0:
                 raise MeasureError(f"mass point location {loc} must lie outside [-1,1]")
             if mass <= 0.0:
@@ -85,18 +92,24 @@ class BaseMeasureSpec:
         return bool(self.mass_points)
 
     def continuous_mass(self) -> float:
-        """2^(a+b+1) B(a+1, b+1), with the whole powers of two of both factors
-        applied last, so that neither factor leaves the double range where
-        the mass does not.  A mass out of the double range is a MeasureError."""
+        """2^(a+b+1) B(a+1, b+1).  Below STIRLING_FROM, from lgamma, with the
+        whole powers of two of both factors applied last, so that neither
+        factor leaves the double range where the mass does not; above it,
+        from Stirling's series (`_stirling_log_mass`), as the three lgamma
+        terms cancel digits that grow with a + b.  A mass out of the double
+        range is a MeasureError."""
         a, b = self.jacobi_exponents()
         try:
-            s = a + b + 1.0
-            log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
-            # exp underflows below about -708, so a log_beta below -960 ln 2
-            # hands its whole binades past that to the exponent
-            shift = min(0, math.ceil(log_beta / _LN2) + 960)
-            k = math.floor(s)
-            mass = math.ldexp(2.0 ** (s - k) * math.exp(log_beta - shift * _LN2), k + shift)
+            if min(a, b) >= STIRLING_FROM:
+                mass = math.exp(_stirling_log_mass(a + 1.0, b + 1.0))
+            else:
+                s = a + b + 1.0
+                log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+                # exp underflows below about -708, so a log_beta below -960 ln 2
+                # hands its whole binades past that to the exponent
+                shift = min(0, math.ceil(log_beta / _LN2) + 960)
+                k = math.floor(s)
+                mass = math.ldexp(2.0 ** (s - k) * math.exp(log_beta - shift * _LN2), k + shift)
         except (OverflowError, ValueError):     # ValueError: ceil of a nan
             mass = math.inf
         if not 0.0 < mass < math.inf:
@@ -123,6 +136,22 @@ class BaseMeasureSpec:
         return reader.build(cls, path, **reader.obj(d, path, {
             "weight_kind": reader.text, "alpha": reader.real, "beta": reader.real,
             "mass_points": reader.seq_of(reader.seq_of(reader.real, 2))}, ("weight_kind",)))
+
+
+def _stirling_log_mass(p: float, q: float) -> float:
+    """log(2^(p+q-1) B(p, q)) for large p and q.  With s = p + q and
+    d = (p - q)/s, Stirling's series gives
+    1/2 log(2 pi / s) + (p - 1/2) log1p(d) + (q - 1/2) log1p(-d) plus the
+    series' corrections at p, q and s; the two log1p terms are written as
+    s d atanh(d) + (s - 1)/2 log1p(-d^2), two terms of the size of their
+    sum, so that no two large terms cancel."""
+    def corr(x: float) -> float:
+        y = 1.0 / (x * x)
+        return sum(c * y ** k for k, c in enumerate(_STIRLING)) / x
+    s = p + q
+    d = (p - q) / s
+    return (0.5 * math.log(2.0 * math.pi / s) + s * d * math.atanh(d)
+            + 0.5 * (s - 1.0) * math.log1p(-d * d) + corr(p) + corr(q) - corr(s))
 
 
 @dataclass

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reader
-from .joukowski import NEAR_CUT, dist_to_cut
-from .measures import (BaseMeasureSpec, MeasureError, RecurrenceTable, christoffel_step,
-                       geronimus_step, minimal_solution_depth, table_through)
+from .joukowski import NEAR_ATOM, apart, point
+from .measures import (MeasureError, RecurrenceTable, christoffel_step, geronimus_step,
+                       minimal_solution_depth, table_through)
 from .polybasis import MONIC, PolyInBasis
 
 __all__ = [
@@ -47,14 +47,10 @@ class ModifiedError(reader.Refusal):
 def _canon_points(points) -> tuple[tuple[complex, int], ...]:
     out = []
     for loc, mult in points:
-        loc = complex(loc)
+        loc = point(loc, "modifier point", ModifiedError)
         mult = reader.integral(mult, "multiplicity", ModifiedError)
         if mult < 1:
             raise ModifiedError("multiplicities must be positive")
-        if not np.isfinite(loc):
-            raise ModifiedError(f"modifier point {loc} is not finite")
-        if dist_to_cut(loc) <= NEAR_CUT:
-            raise ModifiedError(f"modifier point {loc} lies on or near [-1, 1]")
         out.append((loc, mult))
     return tuple(out)
 
@@ -69,10 +65,8 @@ class RationalModifier:
     def __post_init__(self):
         object.__setattr__(self, "zeros", _canon_points(self.zeros))
         object.__setattr__(self, "poles", _canon_points(self.poles))
-        for c, _ in self.zeros:
-            for d, _ in self.poles:
-                if abs(c - d) < 1e-12:
-                    raise ModifiedError("common zero/pole: modifier not in lowest terms")
+        apart([c for c, _ in self.zeros], [d for d, _ in self.poles],
+              "common zero/pole: modifier not in lowest terms", ModifiedError)
 
     @property
     def A(self) -> int:
@@ -207,21 +201,14 @@ class ModifiedOP:
         return self.table.kappa_sq_inv(self.n)
 
 
-def _check_off_atoms(r: RationalModifier, spec: BaseMeasureSpec | None):
-    """A modifier point on an atom of the measure is an input conflict, not a
-    numerical limit: ConfigError."""
-    if spec is None:
-        return
-    for loc, _ in spec.mass_points:
-        for p, _ in r.zeros + r.poles:
-            if abs(p - loc) < 1e-12:
-                raise reader.ConfigError(f"modifier point {p} coincides with a mass point")
-
-
 def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> ModifiedTable:
     """The table of r dmu through degree top: one Geronimus step per pole,
-    a step per unit of multiplicity, then one Christoffel step for all of S."""
-    _check_off_atoms(r, base.spec)
+    a step per unit of multiplicity, then one Christoffel step for all of S.
+    A modifier point on an atom of the measure is an input conflict, not a
+    numerical limit: ConfigError."""
+    if base.spec is not None:
+        apart([p for p, _ in r.zeros + r.poles], [loc for loc, _ in base.spec.mass_points],
+              "modifier point {} coincides with a mass point", reader.ConfigError, NEAR_ATOM)
     poles = [d for d, mult in r.poles for _ in range(mult)]
     zeros = [c for c, mult in r.zeros for _ in range(mult)]
     # the zero step loses a degree per zero, each pole step its backward tail

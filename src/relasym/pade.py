@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reader
-from .joukowski import NEAR_CUT, dist_to_cut
+from .joukowski import NEAR_ATOM, apart, point
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_ratios_for, table_through
 from .polybasis import MONIC, PolyInBasis, basis_jets, xmul_coeffs
 from .sobolev import SobolevSpec, SobolevTerm, sn_kernel
@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 
+NEAR_POLE = 1e-8       # a probe this close to a pole is refused by error_ratio
+
+
 class PadeError(reader.Refusal):
     """A refused Pade construction or evaluation."""
 
@@ -67,7 +70,7 @@ class StieltjesFn:
     def __post_init__(self):
         canon = []
         for c, A in self.poles:
-            c = complex(c)
+            c = point(c, "pole", PadeError)
             A = tuple(complex(v) for v in A)
             if not A:
                 raise PadeError("pole needs at least one coefficient")
@@ -75,18 +78,11 @@ class StieltjesFn:
                 raise PadeError(f"pole coefficients at {c} are not finite")
             if A[-1] == 0:
                 raise PadeError(f"leading pole coefficient at {c} must be nonzero")
-            if not np.isfinite(c):
-                raise PadeError(f"pole {c} is not finite")
-            if dist_to_cut(c) <= NEAR_CUT:
-                raise PadeError(f"pole {c} lies on or near [-1, 1]")
-            for loc, _ in self.base.mass_points:
-                if abs(c - loc) < 1e-10:
-                    raise PadeError(f"pole {c} collides with a mass point of the measure")
             canon.append((c, A))
-        for i in range(len(canon)):
-            for k in range(i + 1, len(canon)):
-                if abs(canon[i][0] - canon[k][0]) < 1e-12:
-                    raise PadeError("pole locations must be distinct")
+        poles = [c for c, _ in canon]
+        apart(poles, [loc for loc, _ in self.base.mass_points],
+              "pole {} collides with a mass point of the measure", PadeError, NEAR_ATOM)
+        apart(poles, None, "pole locations must be distinct", PadeError)
         object.__setattr__(self, "poles", tuple(canon))
 
     def pole_value(self, z: complex) -> complex:
@@ -192,9 +188,7 @@ def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
     q_0 follows from the ratio q_1/q_0 of the recurrence's minimal solution
     through the first step q_1 = (z - b_0) q_0 - mu_0; no quadrature.
     """
-    z = complex(z)
-    if dist_to_cut(z) <= NEAR_CUT:
-        raise PadeError(f"evaluation point {z} lies on or near [-1, 1]")
+    z = point(z, "evaluation point", PadeError)
     h1 = minimal_ratios_for(base, z, 1)[1]
     return complex(base.total_mass / (z - base.b[0] - h1)) + f.pole_value(z)
 
@@ -302,12 +296,8 @@ def error_ratio(n: int, z: complex, f: StieltjesFn, base: RecurrenceTable) -> co
     mpmath builds only Q_m and its jets at the poles, at sn_lambda's digits,
     which do not depend on z; a pole-free f, whose Q_m is L_m, loads none.
     """
-    z = complex(z)
-    if dist_to_cut(z) <= NEAR_CUT:
-        raise PadeError(f"probe {z} lies on or near [-1, 1]")
-    for c, _ in f.poles:
-        if abs(z - c) < 1e-8:
-            raise PadeError(f"probe {z} collides with pole {c}")
+    z = point(z, "probe", PadeError)
+    apart([z], [c for c, _ in f.poles], "probe {} collides with pole {}", PadeError, NEAR_POLE)
     base = table_through(base, n + 2)
     h = minimal_ratios_for(base, z, n + 2)      # h[m] = q_m(z) / q_{m-1}(z)
     b, a = base.b.tolist(), base.a.tolist()

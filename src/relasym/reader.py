@@ -80,13 +80,14 @@ def integral(value, path: str, error: type = ConfigError) -> int:
     raise error(f"{path} must be an integer, got {value!r}")
 
 
-def real(value, path: str) -> float:
+def real(value, path: str, error: type = ConfigError) -> float:
+    """value as a finite float, refusing a bool; a refusal raises error."""
     try:
         if _number(value) and math.isfinite(value):
             return float(value)
     except OverflowError:
         pass
-    raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    raise error(f"{path} must be a finite number, got {value!r}")
 
 
 def cpx(value, path: str) -> complex:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reader
-from .joukowski import NEAR_CUT, dist_to_cut, phi
+from .joukowski import NEAR_ATOM, apart, phi, point
 from .measures import RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
@@ -73,14 +73,10 @@ class SobolevTerm:
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "c", point(self.c, "coupling point", SobolevError))
         object.__setattr__(self, "gamma", _as_complex_matrix(self.gamma))
-        if not np.isfinite(self.c):
-            raise SobolevError(f"coupling point {self.c} is not finite")
         if not np.all(np.isfinite(self.gamma)):
             raise SobolevError(f"coupling weights at {self.c} are not finite")
-        if dist_to_cut(self.c) <= NEAR_CUT:
-            raise SobolevError(f"coupling point {self.c} lies on or near [-1, 1]")
         if not np.any(self.gamma[-1]):
             raise SobolevError("top derivative row of gamma is identically zero")
 
@@ -101,11 +97,7 @@ class SobolevSpec:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise SobolevError("need at least one coupling term")
-        pts = [t.c for t in self.terms]
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[k]) < 1e-12:
-                    raise SobolevError("coupling points must be distinct")
+        apart([t.c for t in self.terms], None, "coupling points must be distinct", SobolevError)
 
     @property
     def A(self) -> int:
@@ -118,7 +110,7 @@ class SobolevSpec:
         terms = []
         for c, masses in points:
             m = np.asarray(masses, dtype=complex)
-            terms.append(SobolevTerm(c=complex(c), gamma=np.diag(m)))
+            terms.append(SobolevTerm(c=c, gamma=np.diag(m)))
         return cls(terms=tuple(terms))
 
     def to_json_dict(self) -> dict:
@@ -225,8 +217,8 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     A coupling point on an atom of the measure, where forward jets follow a
     decaying solution into rounding noise, is an input conflict: ConfigError."""
     atoms = base.spec.mass_points if base.spec is not None else ()
-    if any(abs(t.c - loc) < 1e-10 for t in spec.terms for loc, _ in atoms):
-        raise reader.ConfigError("a coupling point coincides with a mass point")
+    apart([t.c for t in spec.terms], [loc for loc, _ in atoms],
+          "a coupling point coincides with a mass point", reader.ConfigError, NEAR_ATOM)
     regular = regularity(spec).overall_regular
     base = table_through(base, max(degrees) + 1)    # sn_kernel refuses an infinite tau_n
     order = max(max(t.gamma.shape) for t in spec.terms) - 1

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reader
-from .joukowski import dist_to_cut, limit_modified, limit_sobolev, phi, sqrt_z2m1
+from .joukowski import apart, limit_modified, limit_sobolev, phi, point, sqrt_z2m1
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
@@ -51,12 +51,12 @@ __all__ = [
     "report_cells",
     "load_rows",
     "monotone_violations",
-    "boundary_grid",
     "attraction_factors",
 ]
 
 DEFAULT_LADDER = (10, 20, 40, 80)
 DEFAULT_PROBES = (3.0 + 0.0j, -2.5 + 0.0j, 2.0j, 1.5 + 1.5j)
+PROBE_MARGIN = 1e-9     # a probe keeps this far from the cut and from every center
 
 # the law table: law -> (target kind, form), the forms of the module docstring
 _LAWS = {
@@ -156,7 +156,8 @@ class ExperimentConfig:
             raise VerifyConfigError(f"unknown precision {self.precision!r}")
         if self.precision == "extended" and self.target_kind == "modified":
             raise VerifyConfigError("target 'modified' has no extended-precision lane")
-        self.probe_points = tuple(complex(z) for z in self.probe_points)
+        self.probe_points = tuple(point(z, "probe point", VerifyConfigError, PROBE_MARGIN)
+                                  for z in self.probe_points)
         self.n_ladder = tuple(reader.integral(n, "n_ladder") for n in self.n_ladder)
         self.zero_degrees = tuple(reader.integral(n, "zero_degrees") for n in self.zero_degrees)
         self.jets = reader.integral(self.jets, "jets")
@@ -174,17 +175,10 @@ class ExperimentConfig:
         # would read as one ladder running twice
         if len(set(self.probe_points)) < len(self.probe_points):
             raise VerifyConfigError("probe_points repeats a point")
-        centers = [c for c, _ in attraction_factors(self)]
-        for z in self.probe_points:
-            if not np.isfinite(z):
-                raise VerifyConfigError(f"probe point {z} is not finite")
-            if dist_to_cut(z) < 1e-9:
-                raise VerifyConfigError(f"probe point {z} lies on the cut")
-            for c in centers:
-                if abs(z - c) < 1e-9:
-                    raise VerifyConfigError(f"probe point {z} sits on a center")
+        apart(self.probe_points, [c for c, _ in attraction_factors(self)],
+              "probe point {} sits on a center", VerifyConfigError, PROBE_MARGIN)
         if self.laws is not None:
-            self.laws = tuple(self.laws)
+            self.laws = tuple(reader.text(law, "laws") for law in self.laws)
             if not self.laws:
                 raise VerifyConfigError("laws is empty: a run would check nothing")
             if len(set(self.laws)) < len(self.laws):
@@ -240,27 +234,6 @@ def attraction_factors(cfg: ExperimentConfig) -> list:
     if cfg.target_kind == "pade":
         return [(c, len(A)) for c, A in cfg.target.poles]
     return []
-
-
-def boundary_grid(re_lo: float, re_hi: float, im_lo: float, im_hi: float,
-                  count: int = 20) -> tuple:
-    """count points walking the boundary of a rectangle, evenly by arclength."""
-    if not (re_hi > re_lo and im_hi > im_lo):
-        raise VerifyConfigError("degenerate rectangle")
-    w, h = re_hi - re_lo, im_hi - im_lo
-    per = 2.0 * (w + h)
-    pts = []
-    for k in range(count):
-        t = per * k / count
-        if t < w:
-            pts.append(complex(re_lo + t, im_lo))
-        elif t < w + h:
-            pts.append(complex(re_hi, im_lo + (t - w)))
-        elif t < 2 * w + h:
-            pts.append(complex(re_hi - (t - w - h), im_hi))
-        else:
-            pts.append(complex(re_lo, im_hi - (t - 2 * w - h)))
-    return tuple(pts)
 
 
 def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,

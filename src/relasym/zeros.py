@@ -57,7 +57,7 @@ import numpy as np
 
 from .joukowski import dist_to_cut
 from .polybasis import ORTHONORMAL, PolyInBasis
-from .reader import Refusal
+from .reader import ConfigError, Refusal
 
 __all__ = [
     "ZeroReport",
@@ -102,7 +102,7 @@ class ZerosError(Refusal):
     iteration that does not converge, else "pre_asymptotic")."""
 
 
-class ClusterConfigError(ZerosError):
+class ClusterConfigError(ConfigError):
     """Attraction disks overlap each other or are not separated from [-1, 1]."""
 
 

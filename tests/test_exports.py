@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import relasym
+from relasym.reader import ConfigError, Refusal
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(relasym.__path__))
 
@@ -44,3 +45,12 @@ def test_quadrature_stays_in_measures():
         names = {getattr(node, NAME_FIELD[type(node)]) for node in ast.walk(tree)
                  if type(node) in NAME_FIELD}
         assert not names & QUADRATURE, f"{path.name} names {sorted(names & QUADRATURE)}"
+
+
+def test_every_exported_error_is_a_config_error_or_a_refusal():
+    # the CLI's exit code follows from this one base class: 3 or 4
+    errors = [obj for obj in vars(relasym).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(errors) >= 8
+    for cls in errors:
+        assert issubclass(cls, ConfigError) != issubclass(cls, Refusal), cls

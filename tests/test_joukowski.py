@@ -2,10 +2,14 @@
 import numpy as np
 import pytest
 
-from relasym import (CutDomainError, RationalModifier, cheb_transform,
+from relasym import (BaseMeasureSpec, CutDomainError, ExperimentConfig, ModifiedError,
+                     PadeError, RationalModifier, SobolevError, SobolevSpec, StieltjesFn,
+                     VerifyConfigError, cheb_transform, error_ratio, f_value,
                      factor_identity_check, kappa_tau_limit, limit_modified,
-                     limit_sobolev, phi, sqrt_z2m1)
-from relasym.joukowski import dist_to_cut
+                     limit_sobolev, phi, recurrence_for, sn_kernel, solve_Q, sqrt_z2m1)
+from relasym.joukowski import NEAR_ATOM, apart, dist_to_cut, point
+from relasym.reader import ConfigError
+from relasym.sobolev import SobolevTerm
 
 GRID = [2.0, -3.0, 1.5, 2j, -1.5j, 1.5 + 1.5j, -2.0 - 0.3j, 1.0 + 1e-6j]
 
@@ -109,3 +113,74 @@ def test_kappa_tau_limit_frozen():
 @pytest.mark.parametrize("c", [2.0, 2j, -3.0])
 def test_factor_identity(z, c):
     assert factor_identity_check(z, c) < 1e-12
+
+
+# every point a target or a probe names, placed at v on the measure m, with
+# the error its module raises for a bad value and for a value on an atom (None:
+# the point is not a target point)
+LEG = BaseMeasureSpec("legendre")
+LEG_ATOM = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
+POINTS = {
+    "modifier_zero": (lambda v, m: solve_Q(8, RationalModifier(zeros=((v, 1),)),
+                                           recurrence_for(m, 12)),
+                      ModifiedError, ConfigError),
+    "modifier_pole": (lambda v, m: solve_Q(8, RationalModifier(poles=((v, 1),)),
+                                           recurrence_for(m, 12)),
+                      ModifiedError, ConfigError),
+    "sobolev_term": (lambda v, m: sn_kernel(8, SobolevSpec((SobolevTerm(v, np.eye(1)),)),
+                                            recurrence_for(m, 12)),
+                     SobolevError, ConfigError),
+    "sobolev_diagonal": (lambda v, m: sn_kernel(8, SobolevSpec.diagonal([(v, [1.0])]),
+                                                recurrence_for(m, 12)),
+                         SobolevError, ConfigError),
+    "pade_pole": (lambda v, m: StieltjesFn(m, ((v, (1.0,)),)), PadeError, PadeError),
+    "probe": (lambda v, m: ExperimentConfig(measure=m, probe_points=(v,)),
+              VerifyConfigError, None),
+    "f_value": (lambda v, m: f_value(StieltjesFn(m), v, recurrence_for(m, 4)),
+                PadeError, None),
+    "error_ratio": (lambda v, m: error_ratio(4, v, StieltjesFn(m), recurrence_for(m, 8)),
+                    PadeError, None),
+}
+BAD_POINTS = {"string": "3", "bool": True, "nan": float("nan"), "inf": float("inf"),
+              "on_cut": 0.5}
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_every_point_takes_a_good_value(name):
+    build, _, _ = POINTS[name]
+    build(3.0, LEG)
+    build(np.complex128(3.0), LEG)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_every_point_refuses_a_bad_value_with_its_module_error(name, bad):
+    # complex() reads "3" as 3 and True as 1: each is refused, as the
+    # non-finite and on-cut values are, never accepted or a TypeError
+    build, error, _ = POINTS[name]
+    with pytest.raises(error):
+        build(BAD_POINTS[bad], LEG)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-11], ids=["on", "near"])
+@pytest.mark.parametrize("name", sorted(n for n, row in POINTS.items() if row[2]))
+def test_every_target_point_keeps_one_distance_from_an_atom(name, offset):
+    build, _, error = POINTS[name]
+    with pytest.raises(error, match="with a mass point"):
+        build(2.0 + offset, LEG_ATOM)
+    build(2.0 + 2e-10, LEG_ATOM)
+
+
+def test_point_and_apart():
+    assert point(3, "p", ValueError) == 3.0 + 0.0j
+    with pytest.raises(ValueError, match=r"^p \(0.5\+1e-09j\) lies on or near"):
+        point(0.5 + 1e-9j, "p", ValueError, margin=1e-8)
+    apart([1.5, 2.5], [3.5], "{} near {}", ValueError)
+    apart([1.5, 2.5], None, "{} near {}", ValueError)
+    with pytest.raises(ValueError, match=r"^2.5 near 2.5$"):
+        apart([1.5, 2.5], [2.5], "{} near {}", ValueError)
+    with pytest.raises(ValueError, match="^same$"):
+        apart([1.5, 2.5, 1.5 + 1e-13], None, "same", ValueError)
+    apart([1.5, 1.5 + 2e-12], None, "same", ValueError)
+    with pytest.raises(ValueError):
+        apart([1.5, 1.5 + 2e-12], None, "same", ValueError, tol=NEAR_ATOM)

@@ -2,6 +2,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,6 +57,19 @@ def test_jacobi_mass_past_the_range_of_its_power_of_two():
     # a mass out of the double range is refused when the spec is made
     with pytest.raises(MeasureError, match="leaves the double range"):
         BaseMeasureSpec("jacobi", alpha=1e6)
+
+
+@pytest.mark.parametrize("a, b", [(1100.0, 1100.0), (1e4, 1e4), (1e6, 1e6), (1e8, 1e8),
+                                  (1e6, 1.001e6)])
+def test_large_jacobi_exponents_keep_a_full_precision_mass(a, b):
+    # lgamma(a + 1) + lgamma(b + 1) - lgamma(a + b + 2) cancelled digits that
+    # grow with a + b: 2.6e-11 relative at a = b = 1e4, 7.4e-7 at 1e8.  The
+    # asymmetric pair also needs the log1p terms of Stirling's form combined:
+    # apart, they cancel to 8.2e-14 there
+    with mpmath.workdps(50):
+        want = mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)
+        got = BaseMeasureSpec("jacobi", alpha=a, beta=b).continuous_mass()
+        assert abs(got - want) <= 1e-14 * want
 
 
 def test_tau_ladder():
@@ -168,6 +182,11 @@ def test_spec_json_round_trip():
     dict(weight_kind="jacobi", alpha=-1.0),
     dict(weight_kind="legendre", mass_points=((0.5, 1.0),)),
     dict(weight_kind="legendre", mass_points=((2.0, -1.0),)),
+    # a string or a bool where a number belongs: a TypeError, or True read as 1
+    dict(weight_kind="jacobi", alpha="0.5"),
+    dict(weight_kind="jacobi", beta=True),
+    dict(weight_kind="legendre", mass_points=(("3", 1.0),)),
+    dict(weight_kind="legendre", mass_points=((3.0, "1"),)),
 ])
 def test_spec_validation(bad):
     with pytest.raises(MeasureError):

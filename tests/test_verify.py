@@ -29,11 +29,11 @@ from relasym import (
     to_sobolev_spec,
 )
 from relasym import modified, polybasis, sobolev
-from relasym.cli import _CONFIG_ERRORS
+from relasym.reader import ConfigError as _CONFIG_ERRORS
 from relasym.polybasis import eval_jet
 from relasym.scenarios import SCENARIOS
 from relasym.sobolev import SobolevSpec, SobolevTerm
-from relasym.verify import CSV_COLUMNS, _targets, boundary_grid
+from relasym.verify import CSV_COLUMNS, _targets
 
 LEG = BaseMeasureSpec("legendre")
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -70,6 +70,7 @@ def _small_base(**kw):
     {"jets": True},
     {"zero_degrees": (60.5,)},
     {"zero_degrees": (float("inf"),)},
+    {"laws": (["base_ratio"],)},                    # unhashable: a TypeError
 ])
 def test_config_rejected(kw):
     base = dict(measure=LEG)
@@ -155,19 +156,6 @@ def test_every_leaf_reads_or_is_a_config_error(name):
 def test_config_from_bad_dict():
     with pytest.raises(VerifyConfigError):
         ExperimentConfig.from_json_dict({"probe_points": [[3.0, 0.0]]})
-
-
-def test_boundary_grid_walks_perimeter():
-    pts = boundary_grid(1.0, 2.0, 3.0, 4.0, count=20)
-    assert len(pts) == 20
-    assert pts[0] == 1.0 + 3.0j
-    for z in pts:
-        on_edge = (abs(z.imag - 3.0) < 1e-12 or abs(z.imag - 4.0) < 1e-12
-                   or abs(z.real - 1.0) < 1e-12 or abs(z.real - 2.0) < 1e-12)
-        assert on_edge, z
-    assert len(set(pts)) == 20
-    with pytest.raises(VerifyConfigError):
-        boundary_grid(1.0, 1.0, 3.0, 4.0)
 
 
 def test_ladder_rows_and_rate():
@@ -294,7 +282,10 @@ def test_unknown_format_rejected(tmp_path):
 def test_boundary_grid_error_shrinks_with_degree():
     # max |ratio - limit| over a rectangle boundary away from [-1, 1]
     # must drop as the degree grows
-    grid = boundary_grid(2.0, 3.0, 0.5, 1.5, count=20)
+    # 20 points 0.2 apart along the boundary of [2, 3] x [0.5, 1.5]
+    t = [k / 5 for k in range(5)]
+    grid = ([2.0 + s + 0.5j for s in t] + [3.0 + (0.5 + s) * 1j for s in t]
+            + [3.0 - s + 1.5j for s in t] + [2.0 + (1.5 - s) * 1j for s in t])
     cfg = dataclasses.replace(scenario("modified_rational"), probe_points=grid,
                               n_ladder=(10, 40), jets=0,
                               laws=("modified_vs_base",))
