@@ -8,9 +8,9 @@ and `pade.error_ratio` with poles load it on their first call.  The last
 takes only the Pade denominator Q_n and its pole jets from it
 (`_mp_square_jets`); its error sum runs in double.
 
-Jets, norms and mu-moments are all exact recurrences on the (a, b, tau)
-data, with no quadrature anywhere.  That makes a clean arbitrary-precision
-lane possible without re-deriving the measure.
+Jets, norms and mu-moments are all exact recurrences on the recurrence
+data, with no quadrature anywhere; `_mp_ab` builds that data in mp with
+the double table's own builder, so the lane derives no measure itself.
 """
 from __future__ import annotations
 
@@ -19,55 +19,37 @@ import math
 import mpmath
 import numpy as np
 
-from .measures import RecurrenceTable
+from .measures import RecurrenceTable, _measure_ab
 from .sobolev import (SobolevSpec, _buildable, _kernel_cond, _kernel_system, _support,
                       digit_loss)
 
 
 def _mp_ab(base: RecurrenceTable, deg: int):
-    """Recurrence coefficients as mp numbers.
+    """(a2, b, normsq) as mp numbers for k <= deg: a_k^2, b_k and
+    ||L_k||^2 = m_0 a_1^2 ... a_k^2.
 
-    For atom-free bases the Jacobi formulas are re-evaluated in mp: the
-    double table carries ~1e-16 dirt that is invisible to the bordered solve
-    but fatal to collapsed-scale quantities downstream (a perturbed a_k
-    leaks an O(eps) L_0 component into polynomials whose true low-order
-    coefficients are exponentially small).  Atom tables have no closed form
-    and keep their double values.
+    A table that knows its measure is rebuilt in mp by the double table's
+    own builder (`measures._measure_ab`), atoms included, on the mp beta
+    integral as continuous mass: the double table carries ~1e-16 dirt that
+    is invisible to the bordered solve but fatal to collapsed-scale
+    quantities downstream (a perturbed a_k leaks an O(eps) L_0 component
+    into polynomials whose true low-order coefficients are exponentially
+    small).  A table with no measure keeps its double values.
     """
     spec = base.spec
-    if spec is not None and not spec.has_atoms:
-        al = mpmath.mpf(spec.jacobi_exponents()[0])
-        be = mpmath.mpf(spec.jacobi_exponents()[1])
-        s = al + be
-        b = [(be - al) / (s + 2)]
-        a2 = [mpmath.mpf(0)]
-        for k in range(1, deg + 1):
-            b.append((be * be - al * al) / ((2 * k + s) * (2 * k + s + 2)))
-        if deg >= 1:
-            a2.append(4 * (1 + al) * (1 + be) / ((2 + s) ** 2 * (3 + s)))
-        for k in range(2, deg + 1):
-            nab = 2 * k + s
-            a2.append(4 * k * (k + al) * (k + be) * (k + s)
-                      / (nab * nab * (nab + 1) * (nab - 1)))
-        return a2, b
-    a2 = [mpmath.mpf(float(x)) ** 2 for x in base.a[: deg + 1]]
-    b = [mpmath.mpf(float(x)) for x in base.b[: deg + 1]]
-    return a2, b
-
-
-def _mp_normsq(base: RecurrenceTable, a2: list, deg: int) -> list:
-    """||L_m||^2 = m_0 * prod a2_k, with the total mass in mp for atom-free
-    bases (beta integral) so no double tau dirt enters the moment rows."""
-    spec = base.spec
-    if spec is not None and not spec.has_atoms:
-        al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
-        m0 = 2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1)
-    else:
+    if spec is None:
+        a2 = [mpmath.mpf(float(x)) ** 2 for x in base.a[: deg + 1]]
+        b = [mpmath.mpf(float(x)) for x in base.b[: deg + 1]]
         m0 = 1 / mpmath.mpf(float(base.tau[0])) ** 2
-    out = [m0]
+    else:
+        al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
+        b, a2, m0 = _measure_ab(spec, deg, al, be,
+                                2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1))
+        b, a2 = b.tolist(), a2.tolist()
+    normsq = [m0]
     for k in range(1, deg + 1):
-        out.append(out[-1] * a2[k])
-    return out
+        normsq.append(normsq[-1] * a2[k])
+    return a2, b, normsq
 
 
 def _mp_xmul(p: list, a2: list, b: list) -> list:
@@ -120,8 +102,7 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     """
     base = _buildable(n, spec, base)
     with mpmath.workdps(dps):
-        a2, b = _mp_ab(base, n)
-        normsq = _mp_normsq(base, a2, n)
+        a2, b, normsq = _mp_ab(base, n)
         tau = [1 / mpmath.sqrt(v) for v in normsq]
         Js, Ws, blocks = [], [], []
         for t in spec.terms:

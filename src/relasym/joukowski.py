@@ -7,11 +7,10 @@ square roots, which is positive for z > 1 and continuous off the cut
 from __future__ import annotations
 
 import cmath
-import numbers
 
 import numpy as np
 
-from .reader import Refusal
+from .reader import Refusal, number
 
 __all__ = [
     "CutDomainError",
@@ -45,12 +44,10 @@ def dist_to_cut(z) -> np.ndarray:
 
 
 def point(value, what: str, error: type, margin: float = NEAR_CUT) -> complex:
-    """value as a complex number: never a bool or a string, which complex()
-    reads as 1 or parses, finite, and farther than margin from [-1, 1].
-    Anything else raises error naming what."""
-    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
-        raise error(f"{what} must be a number, got {value!r}")
-    z = complex(value)
+    """value as a complex number (`reader.number`: never a bool or a
+    string), finite, and farther than margin from [-1, 1].  Anything else
+    raises error naming what."""
+    z = number(value, what, error)
     if not cmath.isfinite(z):
         raise error(f"{what} {z} is not finite")
     if dist_to_cut(z) <= margin:

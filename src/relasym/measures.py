@@ -87,24 +87,28 @@ class BaseMeasureSpec:
             return (0.0, 0.0)
         return (self.alpha, self.beta)
 
-    @property
-    def has_atoms(self) -> bool:
-        return bool(self.mass_points)
-
     def continuous_mass(self) -> float:
-        """2^(a+b+1) B(a+1, b+1).  Below STIRLING_FROM, from lgamma, with the
-        whole powers of two of both factors applied last, so that neither
-        factor leaves the double range where the mass does not; above it,
+        """2^(a+b+1) B(a+1, b+1).  With both exponents from STIRLING_FROM on,
         from Stirling's series (`_stirling_log_mass`), as the three lgamma
-        terms cancel digits that grow with a + b.  A mass out of the double
-        range is a MeasureError."""
+        terms cancel digits that grow with a + b.  Otherwise log B from
+        lgamma, the larger argument's lgamma(p) - lgamma(p + q) from
+        Stirling's series if its exponent is from STIRLING_FROM on
+        (`_stirling_lgamma_ratio`), with the whole powers of two of both
+        factors applied last, so that neither factor leaves the double range
+        where the mass does not.  A mass out of the double range is a
+        MeasureError."""
         a, b = self.jacobi_exponents()
         try:
             if min(a, b) >= STIRLING_FROM:
                 mass = math.exp(_stirling_log_mass(a + 1.0, b + 1.0))
             else:
                 s = a + b + 1.0
-                log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+                if max(a, b) >= STIRLING_FROM:
+                    q, p = sorted((a + 1.0, b + 1.0))
+                    log_beta = math.lgamma(q) + _stirling_lgamma_ratio(p, q)
+                else:
+                    log_beta = (math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                                - math.lgamma(a + b + 2.0))
                 # exp underflows below about -708, so a log_beta below -960 ln 2
                 # hands its whole binades past that to the exponent
                 shift = min(0, math.ceil(log_beta / _LN2) + 960)
@@ -138,6 +142,12 @@ class BaseMeasureSpec:
             "mass_points": reader.seq_of(reader.seq_of(reader.real, 2))}, ("weight_kind",)))
 
 
+def _stirling_corr(x: float) -> float:
+    """lgamma(x) - (x - 1/2) log x + x - 1/2 log(2 pi), Stirling's series."""
+    y = 1.0 / (x * x)
+    return sum(c * y ** k for k, c in enumerate(_STIRLING)) / x
+
+
 def _stirling_log_mass(p: float, q: float) -> float:
     """log(2^(p+q-1) B(p, q)) for large p and q.  With s = p + q and
     d = (p - q)/s, Stirling's series gives
@@ -145,13 +155,21 @@ def _stirling_log_mass(p: float, q: float) -> float:
     series' corrections at p, q and s; the two log1p terms are written as
     s d atanh(d) + (s - 1)/2 log1p(-d^2), two terms of the size of their
     sum, so that no two large terms cancel."""
-    def corr(x: float) -> float:
-        y = 1.0 / (x * x)
-        return sum(c * y ** k for k, c in enumerate(_STIRLING)) / x
     s = p + q
     d = (p - q) / s
     return (0.5 * math.log(2.0 * math.pi / s) + s * d * math.atanh(d)
-            + 0.5 * (s - 1.0) * math.log1p(-d * d) + corr(p) + corr(q) - corr(s))
+            + 0.5 * (s - 1.0) * math.log1p(-d * d)
+            + _stirling_corr(p) + _stirling_corr(q) - _stirling_corr(s))
+
+
+def _stirling_lgamma_ratio(p: float, q: float) -> float:
+    """lgamma(p) - lgamma(p + q) for p >= STIRLING_FROM + 1 from Stirling's
+    series: q - (p - 1/2) log1p(q/p) - q log(p + q) plus the corrections at
+    p and p + q, where no terms larger than about q cancel; the two lgamma
+    values themselves cancel digits that grow with p."""
+    s = p + q
+    return (q - (p - 0.5) * math.log1p(q / p) - q * math.log(s)
+            + _stirling_corr(p) - _stirling_corr(s))
 
 
 @dataclass
@@ -219,17 +237,20 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _jacobi_ab(alpha: float, beta: float, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monic Jacobi recurrence: b_k diagonal, asq_k = a_k^2 off-diagonal."""
+def _jacobi_ab(alpha, beta, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monic Jacobi recurrence: b_k diagonal, asq_k = a_k^2 off-diagonal,
+    in the exponents' number type: float64 arrays for floats, object
+    arrays of mpf for mpmath's mpf."""
     s = alpha + beta
-    k = np.arange(nmax + 1, dtype=float)
-    b = np.empty(nmax + 1)
+    dtype = np.asarray(s).dtype
+    k = np.arange(nmax + 1, dtype=dtype)
+    b = np.empty(nmax + 1, dtype)
     b[0] = (beta - alpha) / (s + 2.0)
     if nmax >= 1:
         num = beta * beta - alpha * alpha
         den = (2.0 * k[1:] + s) * (2.0 * k[1:] + s + 2.0)
         b[1:] = num / den
-    asq = np.zeros(nmax + 1)
+    asq = np.zeros(nmax + 1, dtype)
     if nmax >= 1:
         # k = 1 in factored form: the (k + s) factor cancels against the
         # (2k + s - 1) zero when s = -1, so the generic formula is 0/0 there.
@@ -253,16 +274,16 @@ def _tau_from(asq: np.ndarray, total_mass: float) -> np.ndarray:
     return tau
 
 
-def _add_point(b: np.ndarray, asq: np.ndarray, mass: float,
-               x: float, w: float) -> tuple[np.ndarray, np.ndarray]:
+def _add_point(b: np.ndarray, asq: np.ndarray, mass, x, w) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi matrix of a discrete measure after adding w * delta(x).
 
     ``b``, ``asq`` (``asq[0]`` unused) hold the Jacobi matrix of a discrete
     measure with len(b) points and total mass ``mass``; the result has one
-    row more.  One sweep of the Rutishauser/Kahan/Pal/Walker kernel: the
-    point is absorbed by orthogonal similarity, so a point mass outside
-    [-1, 1] costs no digits (the naive Stieltjes moment iteration loses
-    most of them there).  Gragg & Harrod 1984, Gautschi 2004 sec. 2.2.3.
+    row more, in their number type (float, or mpmath's mpf).  One sweep of
+    the Rutishauser/Kahan/Pal/Walker kernel: the point is absorbed by
+    orthogonal similarity, so a point mass outside [-1, 1] costs no digits
+    (the naive Stieltjes moment iteration loses most of them there).
+    Gragg & Harrod 1984, Gautschi 2004 sec. 2.2.3.
     """
     p0 = np.append(b, x)
     p1 = np.append(asq, 0.0)
@@ -290,8 +311,10 @@ def _add_point(b: np.ndarray, asq: np.ndarray, mass: float,
     return p0, p1
 
 
-def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
-    """Recurrence table for the measure, atoms folded into the inner product.
+def _measure_ab(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> tuple:
+    """(b, asq, total mass) of the measure through degree nmax, in the
+    number type of the exponents alpha, beta and the continuous mass: float
+    for `recurrence_for`, mpmath's mpf for the extended lane.
 
     The closed-form Jacobi matrix of the pure weight, truncated at
     N = nmax + 2, is the Jacobi matrix of its N-point Gauss rule.  That
@@ -301,20 +324,26 @@ def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
     (`_add_point`), the masses at one location summed into one, so a
     table of degree nmax is bit for bit the leading part of any longer one.
     """
-    if nmax < 1:
-        raise MeasureError("nmax must be >= 1")
-    alpha, beta = spec.jacobi_exponents()
     b, asq = _jacobi_ab(alpha, beta, nmax + 1)
-    mass = spec.continuous_mass()
+    num = type(mass)    # the atoms are summed and swept in mass's number type
     # a second sweep at a node the discrete measure already has absorbs
     # its delta wrongly
     atoms: dict = {}
     for x, w in spec.mass_points:
-        atoms[x] = atoms.get(x, 0.0) + w
+        atoms[x] = atoms.get(x, 0) + num(w)
     for x, w in atoms.items():
-        b, asq = _add_point(b, asq, mass, x, w)
+        b, asq = _add_point(b, asq, mass, num(x), w)
         mass += w
-    b, asq = b[: nmax + 1], asq[: nmax + 1]
+    return b[: nmax + 1], asq[: nmax + 1], mass
+
+
+def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
+    """Recurrence table for the measure, atoms folded into the inner
+    product (`_measure_ab`)."""
+    if nmax < 1:
+        raise MeasureError("nmax must be >= 1")
+    alpha, beta = spec.jacobi_exponents()
+    b, asq, mass = _measure_ab(spec, nmax, alpha, beta, spec.continuous_mass())
     tau = _tau_from(asq, mass)
     a = np.concatenate([[0.0], np.sqrt(asq[1:])])
     return RecurrenceTable(a=a, b=b, tau=tau, spec=spec)
@@ -329,23 +358,18 @@ def _golub_welsch(b: np.ndarray, a: np.ndarray, mass: float) -> tuple[np.ndarray
 
 
 def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
-    """m-point Gauss rule.  Atoms of the generating measure ride along.
-
-    A table that knows its measure gets `rule_for` (nodes of the pure
-    weight, so they stay inside [-1,1], and the atoms as exact point
-    masses); otherwise plain Golub-Welsch on the table.  No construction
-    or check of the package uses it: every integral there is exact
-    recurrence algebra.  It stays as the tests' independent quadrature
+    """m-point Gauss rule of the table's measure (`rule_for`): nodes of the
+    pure weight, so they stay inside [-1,1], and the atoms as exact point
+    masses.  A table that knows no measure is a MeasureError.  No
+    construction or check of the package uses it: every integral there is
+    exact recurrence algebra.  It stays as the tests' independent quadrature
     oracle, and as the layer perfbench's tracer wraps.
     """
     if m < 1:
         raise MeasureError("rule size must be >= 1")
-    if table.spec is not None:
-        return rule_for(table.spec, m)
-    if m > table.nmax:
-        raise MeasureError(f"rule size {m} exceeds table nmax {table.nmax}")
-    nodes, weights = _golub_welsch(table.b[:m], table.a[1:m], table.total_mass)
-    return QuadratureRule(nodes=nodes, weights=weights, atoms=())
+    if table.spec is None:
+        raise MeasureError("a table that knows no measure has no Gauss rule")
+    return rule_for(table.spec, m)
 
 
 def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:

@@ -71,7 +71,7 @@ class StieltjesFn:
         canon = []
         for c, A in self.poles:
             c = point(c, "pole", PadeError)
-            A = tuple(complex(v) for v in A)
+            A = tuple(reader.number(v, f"pole coefficient at {c}", PadeError) for v in A)
             if not A:
                 raise PadeError("pole needs at least one coefficient")
             if not np.all(np.isfinite(A)):

@@ -69,6 +69,15 @@ def _number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def number(value, what: str, error: type) -> complex:
+    """value as a complex number, refusing a bool or a string, which
+    complex() reads as 1 or parses, and anything else that is not a
+    number; a refusal raises error naming what."""
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise error(f"{what} must be a number, got {value!r}")
+    return complex(value)
+
+
 def integral(value, path: str, error: type = ConfigError) -> int:
     """value as an int, refusing a bool or a value that is not integral,
     which int() would read as 1 or truncate; a refusal raises error."""

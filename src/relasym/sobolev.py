@@ -59,10 +59,11 @@ class SobolevError(reader.Refusal):
 
 
 def _as_complex_matrix(gamma) -> np.ndarray:
-    g = np.asarray(gamma, dtype=complex)
+    g = np.asarray(gamma, dtype=object)
     if g.ndim != 2:
         raise SobolevError("gamma must be a matrix")
-    return g
+    return np.array([reader.number(v, "coupling weight", SobolevError) for v in g.flat],
+                    dtype=complex).reshape(g.shape)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from relasym.extended import _mp_ab, _mp_basis_jets, _mp_kernel, _mp_normsq, _mp_poly_jet, _mp_xmul
+from relasym.extended import _mp_ab, _mp_basis_jets, _mp_kernel, _mp_poly_jet, _mp_xmul
 from relasym.joukowski import phi
 from relasym.measures import table_through
 from relasym.pade import to_sobolev_spec
@@ -293,8 +293,7 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
     deg_top = n + A
     base = table_through(base, deg_top + 1)
     with mp.workdps(dps):
-        a2, b = _mp_ab(base, deg_top)
-        normsq = _mp_normsq(base, a2, n)
+        a2, b, normsq = _mp_ab(base, deg_top)
         orders = {t.c: max(t.N, t.J) for t in sob.terms}
         cpts = {t.c: mp.mpc(t.c) for t in sob.terms}
         jets_all = {t.c: _mp_basis_jets(deg_top, orders[t.c], cpts[t.c], a2, b)
@@ -402,11 +401,11 @@ def _mp_remainder(n: int, f, base, z, dps: int):
         zz = mp.mpc(z)
         top = n + math.ceil(dps / math.log10(abs(phi(z))))
         deep = table_through(base, top)
-        a2, b = _mp_ab(deep, top)
+        a2, b, normsq = _mp_ab(deep, top)
         h, hs = mp.mpc(0), {}               # hs[m] = q_m / q_{m-1}
         for m in range(top, 0, -1):
             h = hs[m] = a2[m] / (zz - b[m] - h)
-        q = _mp_normsq(base, a2, 0)[0] / (zz - b[0] - hs[1])
+        q = normsq[0] / (zz - b[0] - hs[1])
         R = coeffs[0] * q
         for m in range(1, n + 1):
             q *= hs[m]

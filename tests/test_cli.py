@@ -313,6 +313,19 @@ def test_verify_flags_unbuildable_degree(tmp_path):
     assert summary["flagged"][0][5].startswith("degree_collapse: ")
 
 
+def test_verify_flags_every_row_of_an_ill_conditioned_kernel(tmp_path):
+    # coupling points 1e-5 apart: the kernel gate refuses every degree
+    terms = [{"c": [c, 0.0], "gamma": [[[1.0, 0.0]]]} for c in (2.0, 2.00001)]
+    cfg = _write_json(tmp_path / "near.json", {
+        "measure": {"weight_kind": "legendre"},
+        "target": {"kind": "sobolev", "sobolev": {"terms": terms}}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 4
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["rows"] == len(summary["flagged"]) == 32
+    assert all(row[5].startswith("pre_asymptotic: bordered kernel system ill-conditioned")
+               for row in summary["flagged"])
+
+
 def test_verify_monotone_failure_exit(tmp_path, monkeypatch):
     monkeypatch.setattr("relasym.cli.monotone_violations",
                         lambda rows: [("base_ratio", 3.0 + 0j, 0, 20)])

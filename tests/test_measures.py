@@ -1,12 +1,18 @@
 """Recurrence tables, quadrature rules, and measure validation."""
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+sys.path.insert(0, str(Path(__file__).parent))
+from _mp_oracles import measure_moment, oracle_base_monic
+
 from relasym import BaseMeasureSpec, MeasureError, RecurrenceTable, inner_mu, recurrence_for
+from relasym.extended import _mp_ab
 from relasym.measures import gauss_rule, rule_for
 from relasym.polybasis import PolyInBasis
 
@@ -66,6 +72,16 @@ def test_large_jacobi_exponents_keep_a_full_precision_mass(a, b):
     # grow with a + b: 2.6e-11 relative at a = b = 1e4, 7.4e-7 at 1e8.  The
     # asymmetric pair also needs the log1p terms of Stirling's form combined:
     # apart, they cancel to 8.2e-14 there
+    with mpmath.workdps(50):
+        want = mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)
+        got = BaseMeasureSpec("jacobi", alpha=a, beta=b).continuous_mass()
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("a, b", [(1000.0, 0.0), (1000.0, 0.5), (14.0, 1000.0)])
+def test_one_large_jacobi_exponent_keeps_a_full_precision_mass(a, b):
+    # lgamma(p) - lgamma(p + q) of the large argument alone cancelled
+    # 8.2e-13, 6.9e-13 and 8.2e-13 relative here
     with mpmath.workdps(50):
         want = mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)
         got = BaseMeasureSpec("jacobi", alpha=a, beta=b).continuous_mass()
@@ -142,6 +158,27 @@ def test_atoms_at_one_location_are_one_atom(split, whole):
     assert got.spec.to_json_dict()["mass_points"] == [list(p) for p in split]
 
 
+def test_extended_lane_absorbs_atoms_in_mp():
+    # the mp table of an atom measure is built in mp, atoms included: from
+    # the double table it was right to 2.7e-12 in b_k and 2.9e-16 in a_k^2.
+    # The oracle: monic L_k from the moments' Gram matrix, b_k from their
+    # coefficients of x^(k-1) and x^k, and a_k^2 = ||L_k||^2 / ||L_{k-1}||^2
+    spec, n = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),)), 12
+    monic = [[c.real for c in oracle_base_monic(spec, k)] for k in range(n + 2)]
+    with mpmath.workdps(120):
+        want_b = [(monic[k][k - 1] if k else 0) - monic[k + 1][k] for k in range(n + 1)]
+        norm = [mpmath.fsum(c * measure_moment(spec, i + k) for i, c in enumerate(monic[k]))
+                for k in range(n + 1)]
+        want_a2 = [norm[k] / norm[k - 1] for k in range(1, n + 1)]
+    with mpmath.workdps(40):
+        a2, b, normsq = _mp_ab(recurrence_for(spec, n), n)
+    for got, want in ((b, want_b), (a2[1:], want_a2)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-35 * abs(w)
+    assert abs(normsq[0] - norm[0]) <= 1e-35 * norm[0]
+
+
 def test_gauss_rule_exactness():
     t = recurrence_for(LEG, 20)
     rule = gauss_rule(t, 10)
@@ -151,6 +188,12 @@ def test_gauss_rule_exactness():
     for k, want in ((0, 2.0), (2, 2.0 / 3.0), (4, 0.4), (6, 2.0 / 7.0)):
         assert np.sum(rule.weights * x ** k) == pytest.approx(want, rel=1e-13)
         assert np.sum(rule.weights * x ** (k + 1)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_gauss_rule_needs_the_tables_measure():
+    t = recurrence_for(LEG, 20)
+    with pytest.raises(MeasureError, match="knows no measure"):
+        gauss_rule(RecurrenceTable(a=t.a, b=t.b, tau=t.tau), 10)
 
 
 def test_rule_for_includes_atoms():

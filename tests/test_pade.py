@@ -35,6 +35,19 @@ def test_pole_validation():
         StieltjesFn(CHEB, ((2j, (1.0,)), (2j, (1.0,))))
 
 
+@pytest.mark.parametrize("entry", ["1", True, None])
+def test_pole_coefficients_must_be_numbers(entry):
+    # complex() read "1" and True as 1
+    with pytest.raises(PadeError, match="must be a number"):
+        StieltjesFn(LEG, ((3.0, (entry, 1.0)),))
+
+
+def test_pole_coefficients_take_numpy_numbers():
+    f = StieltjesFn(LEG, ((3.0, (np.complex128(1 + 2j),)),))
+    assert f.poles == ((3.0, (1 + 2j,)),)
+    assert type(f.poles[0][1][0]) is complex
+
+
 def test_plain_markov_denominator_is_base_poly():
     q = pade_denominator(8, F_PLAIN, TCHEB)
     base = PolyInBasis.basis_poly(TCHEB, 8)

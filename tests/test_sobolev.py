@@ -61,6 +61,18 @@ def test_spec_validation():
         SobolevTerm(c=2.0, gamma=np.ones(3))           # not a matrix
 
 
+@pytest.mark.parametrize("entry", ["1", True, None])
+def test_coupling_weights_must_be_numbers(entry):
+    # np.asarray(dtype=complex) read "1" and True as 1
+    with pytest.raises(SobolevError, match="must be a number"):
+        SobolevTerm(3.0, [[1.0, 0.0], [0.0, entry]])
+
+
+def test_coupling_weights_take_numpy_numbers():
+    t = SobolevTerm(3.0, [[np.complex128(1 + 2j)]])
+    assert t.gamma.dtype == complex and t.gamma.tolist() == [[1 + 2j]]
+
+
 def test_inner_product_is_bilinear_symmetric():
     h = PolyInBasis.basis_poly(TAB, 3)
     g = PolyInBasis.basis_poly(TAB, 5)
@@ -160,6 +172,18 @@ def test_kernel_refusals_carry_their_kind():
         with pytest.raises(SobolevError) as info:
             sn_kernel(n, spec, table)
         assert info.value.kind == kind, (n, str(info.value))
+
+
+@pytest.mark.parametrize("build", [sn_kernel, sn_lambda])
+def test_both_lanes_refuse_an_ill_conditioned_kernel(build):
+    # unit masses 1e-5 apart make nearly equal kernel rows: cond ~ 1.49e10
+    # passes COND_LIMIT; 1e-3 apart they build at cond ~ 1.4e8
+    near = SobolevSpec.diagonal([(2.0, [1.0]), (2.0 + 1e-5, [1.0])])
+    with pytest.raises(SobolevError, match=r"ill-conditioned \(cond ~ 1.49e\+10\)") as exc:
+        build(10, near, TAB)
+    assert exc.value.kind == "pre_asymptotic"
+    apart = SobolevSpec.diagonal([(2.0, [1.0]), (2.0 + 1e-3, [1.0])])
+    assert 1e8 < build(10, apart, TAB).cond < 1e10
 
 
 def test_lambda_refuses_results_past_double_range():
