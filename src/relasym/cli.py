@@ -39,6 +39,8 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
+_escape = json.encoder.encode_basestring_ascii
+
 
 def _read_json(path_str: str) -> dict:
     # OSError propagates to the exit-code mapper (I/O); bad syntax is config.
@@ -79,18 +81,40 @@ def _is_root_list(obj) -> bool:
 
 
 def _json_text(obj, pad: str = "") -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True) at indent pad.
-    Root lists come from one fixed template, the way emit_report writes
-    rows; anything else, non-finite floats included, goes through
-    json.dumps, which writes repr(x) for a finite float as the template does."""
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) at indent pad,
+    written here, since json.dumps indents through one pure-Python generator
+    per level.  It takes dicts with str keys, lists, tuples, str, int, float
+    (NaN and +-Infinity for a non-finite one, as json.dumps writes them),
+    bool and None; anything else is a TypeError.  Root lists come from one
+    fixed template, the way emit_report writes rows."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     inner = pad + "  "
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        return ("{\n" + ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(obj[k], inner)}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _is_root_list(obj):
+            pair = f"{inner}[\n{inner}  {{!r}},\n{inner}  {{!r}}\n{inner}]"
+            return "[\n" + ",\n".join(pair.format(*p) for p in obj) + f"\n{pad}]"
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in obj) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{\n" + ",\n".join(f"{inner}{_escape(k)}: {_json_text(obj[k], inner)}"
                                     for k in sorted(obj)) + f"\n{pad}}}")
-    if _is_root_list(obj):
-        pair = f"{inner}[\n{inner}  {{!r}},\n{inner}  {{!r}}\n{inner}]"
-        return "[\n" + ",\n".join(pair.format(*p) for p in obj) + f"\n{pad}]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -198,8 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return COMMANDS[args.subcommand](args)
     except reader.ConfigError as exc:

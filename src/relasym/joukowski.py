@@ -35,8 +35,16 @@ class CutDomainError(Refusal):
     """Input on (or indistinguishably close to) the cut [-1, 1]."""
 
 
-def dist_to_cut(z) -> np.ndarray:
-    """Euclidean distance from z to the segment [-1, 1]."""
+_SCALARS = (int, float, complex, np.number)
+
+
+def dist_to_cut(z):
+    """Euclidean distance from z to the segment [-1, 1]: a float for one
+    number, without numpy's per-call cost (abs of a complex is libm's
+    hypot, as np.hypot is, so the bits agree), an array for an array."""
+    if isinstance(z, _SCALARS):
+        z = complex(z)
+        return abs(complex(max(abs(z.real) - 1.0, 0.0), z.imag))
     zz = np.asarray(z, dtype=complex)
     x, y = zz.real, zz.imag
     dx = np.maximum(np.abs(x) - 1.0, 0.0)
@@ -65,25 +73,35 @@ def apart(points, others, why: str, error: type, tol: float = NEAR_POINT) -> Non
                 raise error(why.format(p, q))
 
 
-def _require_off_cut(z) -> None:
-    if np.any(dist_to_cut(z) < NEAR_CUT):
+def _off_cut(z):
+    """z as a numpy complex scalar, or a complex array for an array of one
+    or more dimensions; within NEAR_CUT of the cut it is a CutDomainError.
+    The arithmetic stays numpy's for a scalar too, since cmath's sqrt
+    differs from numpy's in the last bit on Re z = +-1 and on subnormal
+    parts."""
+    if isinstance(z, _SCALARS) or np.ndim(z) == 0:
+        z = np.complex128(z)
+        near = dist_to_cut(z) < NEAR_CUT
+    else:
+        z = np.asarray(z, dtype=complex)
+        near = (dist_to_cut(z) < NEAR_CUT).any()
+    if near:
         raise CutDomainError("point within 1e-12 of the cut [-1, 1]")
+    return z
 
 
 def sqrt_z2m1(z):
     """sqrt(z^2 - 1), positive for z > 1, continuous off the cut."""
-    _require_off_cut(z)
-    zz = np.asarray(z, dtype=complex)
-    out = np.sqrt(zz - 1.0) * np.sqrt(zz + 1.0)
-    return complex(out) if np.ndim(z) == 0 else out
+    z = _off_cut(z)
+    out = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 def phi(z):
     """z + sqrt(z^2 - 1) on the correct branch; |phi| > 1 off the cut."""
-    _require_off_cut(z)
-    zz = np.asarray(z, dtype=complex)
-    out = zz + np.sqrt(zz - 1.0) * np.sqrt(zz + 1.0)
-    return complex(out) if np.ndim(z) == 0 else out
+    z = _off_cut(z)
+    out = z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 def cheb_transform(nu: int, z) -> complex:

@@ -102,7 +102,6 @@ class BaseMeasureSpec:
             if min(a, b) >= STIRLING_FROM:
                 mass = math.exp(_stirling_log_mass(a + 1.0, b + 1.0))
             else:
-                s = a + b + 1.0
                 if max(a, b) >= STIRLING_FROM:
                     q, p = sorted((a + 1.0, b + 1.0))
                     log_beta = math.lgamma(q) + _stirling_lgamma_ratio(p, q)
@@ -112,8 +111,13 @@ class BaseMeasureSpec:
                 # exp underflows below about -708, so a log_beta below -960 ln 2
                 # hands its whole binades past that to the exponent
                 shift = min(0, math.ceil(log_beta / _LN2) + 960)
-                k = math.floor(s)
-                mass = math.ldexp(2.0 ** (s - k) * math.exp(log_beta - shift * _LN2), k + shift)
+                # 2^(a+b+1) from the whole and fractional parts of each
+                # exponent: a + b would round off the low bits of the smaller
+                # one.  The fractional parts add up exactly from |a|, |b| >= 1
+                # on (and their product would move 2^0.5 * 2^0.5 off 2).
+                ka, kb = math.floor(a), math.floor(b)
+                mass = math.ldexp(2.0 ** ((a - ka) + (b - kb))
+                                  * math.exp(log_beta - shift * _LN2), ka + kb + 1 + shift)
         except (OverflowError, ValueError):     # ValueError: ceil of a nan
             mass = math.inf
         if not 0.0 < mass < math.inf:

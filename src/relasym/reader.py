@@ -66,14 +66,17 @@ def seq_of(read, length: int | None = None):
 
 
 def _number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # an exact int or float first: the ABC check costs several times more
+    return (type(value) in (float, int)
+            or isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def number(value, what: str, error: type) -> complex:
     """value as a complex number, refusing a bool or a string, which
     complex() reads as 1 or parses, and anything else that is not a
     number; a refusal raises error naming what."""
-    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+    if type(value) not in (complex, float, int) and (
+            not isinstance(value, numbers.Complex) or isinstance(value, bool)):
         raise error(f"{what} must be a number, got {value!r}")
     return complex(value)
 

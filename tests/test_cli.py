@@ -8,9 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+import relasym.cli
 import relasym.zeros
 from relasym import BaseMeasureSpec, recurrence_for, scenario
+from relasym.cli import _json_text
 from relasym.cli import _write_json as cli_write_json
+from relasym.scenarios import BUNDLED_MEASURES, SCENARIOS
 from relasym.cli import main
 from relasym.verify import run_zero_attraction
 
@@ -572,6 +575,15 @@ WRITER_EDGES = {
     "ints_and_bools": {"roots": [[1, 2]], "mixed": [[1.0, 2]], "flags": [[True, 1.0]]},
     "nested": {"a": [[[1.0, 2.0]], {"roots": [[3.0, 4.0]]}], "b": {"c": {"roots": [[5.0, 6.0]]}},
                "triples": [[1.0, 2.0, 3.0]], "s": "tab\there é"},
+    "nonfinite": {"x": [math.nan, math.inf, -math.inf], "y": [[math.inf, 1.0]], "z": -math.inf},
+    "tiny_and_signed_zero": {"x": [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22]},
+    "empty_and_nested": {"l": [], "d": {}, "n": [[], [[]], [{}], [[1, [2.0, [3]]]]], "e": [{}]},
+    "tuples": {"t": (1.0, 2.0), "u": ((1.0, 2.0), (3, "x")), "v": [(0.5, -0.5)], "w": ()},
+    "strings": {"q": 'say "hi" \\ back/slash', "u": "ünïcödé 中文 \u2028 \U0001f600",
+                "c": "\n\r\t\x00\x1f\x7f", "": "", "é": "key"},
+    "constants": {"t": True, "f": False, "n": None, "l": [True, None, False, 0, -7, 10 ** 30]},
+    "root_list": [[1.5, -2.5], [0.0, 3.0]],
+    "root_scalar": 0.1,
 }
 
 
@@ -584,6 +596,50 @@ def test_json_writer_matches_json_dumps(tmp_path, payload):
         payload = _zeros_payload(payload, 180)
     path = cli_write_json(tmp_path / "out.json", payload)
     assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+BUNDLED_COMMANDS = ([("verify", name) for name in sorted(SCENARIOS)]
+                    + [("zeros", name) for name in sorted(SCENARIOS)]
+                    + [("recurrence", name) for name in sorted(BUNDLED_MEASURES)])
+
+
+@pytest.mark.parametrize("sub, name", BUNDLED_COMMANDS)
+def test_json_text_of_every_bundled_report_is_json_dumps(tmp_path, monkeypatch, sub, name):
+    # every summary.json, zeros.json and recurrence.json payload the bundled
+    # configs give, taken on its way to the writer
+    payloads, write = [], relasym.cli._write_json
+
+    def kept(path, payload):
+        payloads.append(payload)
+        return write(path, payload)
+
+    monkeypatch.setattr(relasym.cli, "_write_json", kept)
+    assert main([sub, "--config", name, "--out", str(tmp_path)]) == 0
+    assert payloads
+    for payload in payloads:
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_repeated_commands_in_one_process_write_what_separate_processes_write(tmp_path):
+    # the parser is built once at import: a process that runs many commands,
+    # in any order, writes each report as a fresh process does
+    commands = [("zeros", "pade_gonchar"), ("recurrence", "chebyshev_atom"),
+                ("verify", "sobolev_point_pair"), ("verify", "modified_rational")]
+    alone = []
+    for k, (sub, name) in enumerate(commands):
+        out = tmp_path / "alone" / str(k)
+        subprocess.run([sys.executable, "-m", "relasym.cli", sub, "--config", name,
+                        "--out", str(out)], check=True, capture_output=True)
+        alone.append(_tree(out))
+    for run, k in enumerate([2, 0, 3, 1, 0, 2, 1, 3]):
+        sub, name = commands[k]
+        out = tmp_path / "in_process" / str(run)
+        assert main([sub, "--config", name, "--out", str(out)]) == 0
+        assert _tree(out) == alone[k]
 
 
 @pytest.mark.parametrize("sub", ["recurrence", "verify", "zeros"])

@@ -49,6 +49,39 @@ def test_cut_rejection(z):
         phi(z)
 
 
+# ints, numpy scalars, reals below -1, the imaginary axis, subnormal and
+# huge parts (where cmath's sqrt is not numpy's), 1e-11 off the cut
+SCALAR_GRID = ([2, -3, 7, np.int64(5), np.float64(2.5), np.float32(-1.5), np.complex128(2j),
+                np.array(3.0 - 1j)]
+               + [-1.0 - 10.0 ** k for k in range(-6, 7)]
+               + [1j * 10.0 ** k for k in range(-11, 7)] + [-0.5j, 1.0 + 1.0j, -1.0 - 3.0j]
+               + [2.0 + 1e-310j, 1.5 - 3e-300j, 1e200 + 1e-200j]
+               + [x + 1e-11j for x in (-1.0, -0.5, 0.0, 0.7, 1.0)]
+               + [x - 1e-11j for x in (-0.9, 0.2)] + [1 + 1e-11, -1 - 1e-11])
+
+
+def _bits(c: complex) -> tuple:
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("z", SCALAR_GRID, ids=repr)
+def test_scalar_phi_is_numpys_0d_value_bit_for_bit(z):
+    # a scalar's cut check runs in plain Python; its value stays numpy's 0-d one
+    zz = np.asarray(z, dtype=complex)
+    root = np.sqrt(zz - 1.0) * np.sqrt(zz + 1.0)
+    assert type(phi(z)) is complex and type(sqrt_z2m1(z)) is complex
+    assert _bits(phi(z)) == _bits(complex(zz + root))
+    assert _bits(sqrt_z2m1(z)) == _bits(complex(root))
+
+
+@pytest.mark.parametrize("z", [0.3 + 9e-13j, 1.0 + 5e-13, -1.0 - 9e-13, 1 + 5e-13j,
+                               np.float64(0.5), np.array(-0.2 + 1e-13j), [3.0, 0.5 - 1e-13j]])
+def test_cut_check_holds_for_scalars_and_arrays(z):
+    for f in (phi, sqrt_z2m1):
+        with pytest.raises(CutDomainError):
+            f(z)
+
+
 @pytest.mark.parametrize("z,d", [
     (2.0, 1.0),
     (2j, 2.0),
@@ -61,6 +94,17 @@ def test_cut_rejection(z):
 def test_dist_to_cut(z, d):
     # exactly zero on the segment, elsewhere exact to rounding
     assert dist_to_cut(z) == pytest.approx(d, abs=1e-15 if d else 0.0)
+
+
+def test_scalar_dist_to_cut_is_the_array_value_bit_for_bit():
+    # one number takes plain Python; each must read what the array path reads
+    rng = np.random.default_rng(5)
+    zs = np.concatenate([(rng.normal(size=2000) + 1j * rng.normal(size=2000))
+                         * 10.0 ** rng.uniform(-14, 14, 2000),
+                         rng.uniform(-2, 2, 2000) + 1e-11j * rng.normal(size=2000)])
+    for z, d in zip(zs, dist_to_cut(zs)):
+        assert type(dist_to_cut(complex(z))) is float and dist_to_cut(complex(z)) == d
+        assert dist_to_cut(z) == d and dist_to_cut(z.real) == dist_to_cut(np.array(z.real))
 
 
 def test_cheb_transform_frozen_and_negative_order():

@@ -88,6 +88,17 @@ def test_one_large_jacobi_exponent_keeps_a_full_precision_mass(a, b):
         assert abs(got - want) <= 1e-14 * want
 
 
+def test_fractional_jacobi_exponents_keep_a_full_precision_mass():
+    # 2^(a+b+1) split off floor(a + b + 1) carried the rounding of a + b: the
+    # low bits of 12.17 fall off next to 1077.71, 4.7e-14 relative off here.
+    # The oracle sums the exponents in mpmath, for the same reason
+    a, b = 12.17, 1077.71
+    with mpmath.workdps(50):
+        want = mpmath.power(2, mpmath.mpf(a) + b + 1) * mpmath.beta(mpmath.mpf(a) + 1, b + 1)
+        got = BaseMeasureSpec("jacobi", alpha=a, beta=b).continuous_mass()
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_tau_ladder():
     t = recurrence_for(LEG, 10)
     for k in range(1, 10):

@@ -28,7 +28,7 @@ from relasym import (
     solve_Q,
     to_sobolev_spec,
 )
-from relasym import modified, polybasis, sobolev
+from relasym import modified, polybasis, reader, sobolev
 from relasym.reader import ConfigError as _CONFIG_ERRORS
 from relasym.polybasis import eval_jet
 from relasym.scenarios import SCENARIOS
@@ -151,6 +151,21 @@ def test_every_leaf_reads_or_is_a_config_error(name):
                 pass
             except Exception as exc:
                 pytest.fail(f"{path} = {value!r}: {exc!r}")
+
+
+def test_reader_takes_numbers_only():
+    # the exact-type fast path refuses what the ABC check refuses
+    for value in (1.5, 2, np.float64(1.5), np.float32(0.5), np.int64(3)):
+        assert reader.real(value, "x") == float(value)
+        assert reader.number(value, "x", ValueError) == complex(value)
+    assert reader.integral(np.float64(4.0), "x") == 4
+    assert reader.number(np.complex128(1j), "x", ValueError) == 1j
+    for value in (True, False, np.bool_(True), "1.5", "1", None, [1.0]):
+        for read in (reader.real, reader.integral):
+            with pytest.raises(_CONFIG_ERRORS):
+                read(value, "x")
+        with pytest.raises(ValueError, match="must be a number"):
+            reader.number(value, "x", ValueError)
 
 
 def test_config_from_bad_dict():
