@@ -2,11 +2,9 @@
 inner products, with closed-form limit functions and verification tooling."""
 
 from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
-from .polybasis import PolyInBasis, basis_jets, eval_jet, inner_mu
+from .polybasis import PolyInBasis, basis_jets
 from .joukowski import (
     CutDomainError,
-    cheb_transform,
-    factor_identity_check,
     kappa_tau_limit,
     limit_modified,
     limit_sobolev,
@@ -27,18 +25,15 @@ from .sobolev import (
     SobolevSpec,
     digit_loss,
     gamma_sequence,
-    orthogonality_residuals_extended,
     regularity,
     sn_kernel,
     sn_lambda,
-    sobolev_inner,
 )
 from .pade import (
     PadeError,
     StieltjesFn,
     error_ratio,
     f_value,
-    laurent_moments,
     pade_approximant,
     pade_denominator,
     pade_numerator,
@@ -50,7 +45,6 @@ from .zeros import (
     ZeroReport,
     ZerosError,
     cluster,
-    radius_halving_stable,
     roots,
 )
 from .verify import (
@@ -58,7 +52,6 @@ from .verify import (
     RatioRow,
     VerifyConfigError,
     emit_report,
-    load_rows,
     monotone_violations,
     run_ratio_ladder,
     run_zero_attraction,

@@ -3,14 +3,13 @@
 Double precision is the default everywhere; mpmath is kept for the
 quantities double cannot resolve.  This module is the only one that
 imports mpmath, and no double-precision path imports it: the lane's
-entry points `sobolev.sn_lambda`, `sobolev.orthogonality_residuals_extended`
-and `pade.error_ratio` with poles load it on their first call.  The last
-takes only the Pade denominator Q_n and its pole jets from it
-(`_mp_square_jets`); its error sum runs in double.
+entry points `sobolev.sn_lambda` and `pade.error_ratio` with poles load it
+on their first call.  The latter takes only the Pade denominator Q_n and
+its pole jets from it (`_mp_square_jets`); its error sum runs in double.
 
-Jets, norms and mu-moments are all exact recurrences on the recurrence
-data, with no quadrature anywhere; `_mp_ab` builds that data in mp with
-the double table's own builder, so the lane derives no measure itself.
+Jets and norms are exact recurrences on the recurrence data, with no
+quadrature anywhere; `_mp_ab` builds that data in mp with the double
+table's own builder, so the lane derives no measure itself.
 """
 from __future__ import annotations
 
@@ -20,8 +19,7 @@ import mpmath
 import numpy as np
 
 from .measures import RecurrenceTable, _measure_ab
-from .sobolev import (SobolevSpec, _buildable, _kernel_cond, _kernel_system, _support,
-                      digit_loss)
+from .sobolev import SobolevSpec, _kernel_cond, _kernel_system, _refusals, _support, digit_loss
 
 
 def _mp_ab(base: RecurrenceTable, deg: int):
@@ -50,17 +48,6 @@ def _mp_ab(base: RecurrenceTable, deg: int):
     for k in range(1, deg + 1):
         normsq.append(normsq[-1] * a2[k])
     return a2, b, normsq
-
-
-def _mp_xmul(p: list, a2: list, b: list) -> list:
-    """Coefficients of x * p over the monic basis."""
-    out = [mpmath.mpf(0)] * (len(p) + 1)
-    for m, cm in enumerate(p):
-        out[m + 1] += cm
-        out[m] += b[m] * cm
-        if m > 0:
-            out[m - 1] += a2[m] * cm
-    return out
 
 
 def _mp_basis_jets(deg: int, order: int, c, a2: list, b: list) -> list:
@@ -100,7 +87,9 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     equilibrated system, built from the orthonormal jets divided by their
     row peaks: those entries fit in double even where the jets do not.
     """
-    base = _buildable(n, spec, base)
+    base, refused = _refusals((n,), spec, base)
+    if refused:
+        raise refused[n]
     with mpmath.workdps(dps):
         a2, b, normsq = _mp_ab(base, n)
         tau = [1 / mpmath.sqrt(v) for v in normsq]
@@ -131,51 +120,6 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
         return {"base": base, "coeffs_mp": coeffs, "norm_sq_mp": ns,
                 "gamma_n": complex(1 / mpmath.sqrt(ns)), "cond": cond,
                 "a2": a2, "b": b, "normsq": normsq}
-
-
-def _mono_jet(nu: int, i: int, c):
-    """d^i/dx^i x^nu at the mpmath number c."""
-    if i > nu:
-        return 0
-    fall = 1
-    for t in range(i):
-        fall *= nu - t
-    return fall * c ** (nu - i)
-
-
-def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
-    """The residuals of the monic mp coefficients core["coeffs_mp"], with
-    core's mp recurrence coefficients a2, b, norms normsq and norm_sq_mp."""
-    a2, b, normsq = core["a2"], core["b"], core["normsq"]
-    coeffs = core["coeffs_mp"]
-    n = len(coeffs) - 1
-    out = np.zeros(n)
-    with mpmath.workdps(wp):
-        sn_norm = mpmath.sqrt(abs(core["norm_sq_mp"]))
-        points = []
-        for t in spec.terms:
-            c, order = mpmath.mpc(t.c), max(t.N, t.J)
-            sj = _mp_poly_jet(coeffs, _mp_basis_jets(n, order, c, a2, b), order)
-            points.append((t, c, [[mpmath.mpc(v) for v in row] for row in t.gamma], sj))
-        e = [mpmath.mpf(1)]
-        for k in range(n):
-            terms = [v * coeffs[i] * normsq[i] for i, v in enumerate(e)]
-            xk2 = mpmath.fsum(v ** 2 * normsq[i] for i, v in enumerate(e))
-            for t, c, g, sj in points:
-                mj = [_mono_jet(k, i, c) for i in range(max(t.N, t.J) + 1)]
-                xk2 += mpmath.fsum(mj[i] * g[i][kk] * mj[kk]
-                                   for i in range(t.N + 1)
-                                   for kk in range(t.J + 1))
-                terms += [mj[i] * g[i][kk] * sj[kk]
-                          for i in range(t.N + 1) for kk in range(t.J + 1)]
-            terms = [v for v in terms if v != 0]
-            val = mpmath.fsum(terms)
-            sc = (mpmath.fsum(abs(v) for v in terms) if len(terms) > 1
-                  else sn_norm * mpmath.sqrt(abs(xk2)))
-            out[k] = float(abs(val) / sc) if sc > 0 else float(abs(val))
-            if k < n - 1:
-                e = _mp_xmul(e, a2, b)
-    return out
 
 
 def _mp_square_jets(n: int, spec: SobolevSpec, base: RecurrenceTable) -> tuple:

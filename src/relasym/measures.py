@@ -14,7 +14,6 @@ O(n) sweep (`_add_point`, `geronimus_step`, `christoffel_step`).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -64,7 +63,11 @@ class BaseMeasureSpec:
         if self.weight_kind not in WEIGHT_KINDS:
             raise MeasureError(f"unknown weight_kind {self.weight_kind!r}")
         for key in ("alpha", "beta"):
-            object.__setattr__(self, key, reader.real(getattr(self, key), key, MeasureError))
+            value = reader.real(getattr(self, key), key, MeasureError)
+            # the exponents of every other kind are fixed: a given one would be ignored
+            if value and self.weight_kind != "jacobi":
+                raise MeasureError(f"{key} is read for jacobi only, not {self.weight_kind}")
+            object.__setattr__(self, key, value)
         object.__setattr__(self, "mass_points", tuple(
             (reader.real(loc, "mass point location", MeasureError),
              reader.real(mass, "mass", MeasureError)) for loc, mass in self.mass_points))
@@ -206,16 +209,6 @@ class RecurrenceTable:
             "b": [float(v) for v in self.b],
             "tau": [float(v) for v in self.tau],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_json(cls, text: str, spec: BaseMeasureSpec | None = None) -> "RecurrenceTable":
-        d = json.loads(text)
-        a = np.concatenate([[0.0], np.asarray(d["a"], dtype=float)])
-        return cls(a=a, b=np.asarray(d["b"], dtype=float),
-                   tau=np.asarray(d["tau"], dtype=float), spec=spec)
 
 
 @dataclass
@@ -528,17 +521,3 @@ def christoffel_step(b: np.ndarray, asq: np.ndarray, mass: complex, zeros) -> tu
         new_b = U[: n - A, A - 1] + b[A:] - U[1: n - A + 1, A - 1]
     new_b[U[: n - A, 0] == 0] = math.inf    # integral Q_k^2 S dmu = 0
     return new_b, new_asq, mass * U[0, 0], M, rel
-
-
-def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarray:
-    """Orthonormal basis values l_0(loc)..l_deg(loc) at a mass point of the
-    table's own measure.
-
-    Forward recurrence is useless here: the values at a mass point are
-    square summable, hence the minimal solution of the three-term
-    recurrence, and forward errors grow with the dominant one.  They are
-    the minimal solution's ratios `minimal_ratios_for`, multiplied up and
-    normalized by l_0 = tau_0.
-    """
-    h = minimal_ratios_for(table, loc, deg)
-    return table.tau[: deg + 1] * np.cumprod([1.0] + h[1:]).real

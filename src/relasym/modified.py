@@ -76,10 +76,6 @@ class RationalModifier:
     def B(self) -> int:
         return sum(mult for _, mult in self.poles)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.zeros and not self.poles
-
     def values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         out = np.ones_like(x)

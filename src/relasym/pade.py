@@ -43,8 +43,6 @@ __all__ = [
     "pade_numerator",
     "pade_approximant",
     "f_value",
-    "mu_moments",
-    "laurent_moments",
     "pade_order_residuals",
     "error_ratio",
 ]
@@ -198,25 +196,6 @@ def _power_coeffs(base: RecurrenceTable, count: int) -> list[np.ndarray]:
     out = [np.ones(1, dtype=complex)][:count]
     while len(out) < count:
         out.append(xmul_coeffs(out[-1], base))
-    return out
-
-
-def mu_moments(base: RecurrenceTable, count: int) -> np.ndarray:
-    """m_s = integral x^s dmu for s < count, from the recurrence (exact
-    sparse expansion of x^s over the basis; no quadrature)."""
-    m0 = 1.0 / base.tau[0] ** 2
-    return np.array([e[0] * m0 for e in _power_coeffs(base, count)], dtype=complex)
-
-
-def laurent_moments(f: StieltjesFn, base: RecurrenceTable, count: int) -> np.ndarray:
-    """f_s with f(z) = sum_s f_s z^{-s-1}: measure moments plus the exact
-    Laurent expansion of the polar parts."""
-    out = mu_moments(base, count)
-    for c, A in f.poles:
-        for i, a in enumerate(A):
-            fac = math.factorial(i)
-            for s in range(i, count):
-                out[s] += a * fac * math.comb(s, i) * c ** (s - i)
     return out
 
 

@@ -16,11 +16,7 @@ from .measures import MeasureError, RecurrenceTable
 __all__ = [
     "PolyInBasis",
     "basis_jets",
-    "eval_jet",
-    "xmul",
     "xmul_coeffs",
-    "lincomb",
-    "inner_mu",
 ]
 
 MONIC = "monic_mu"
@@ -69,12 +65,6 @@ def basis_jets(table: RecurrenceTable, deg: int, z, order: int = 0,
     return vals
 
 
-def eval_jet(table: RecurrenceTable, n: int, z: complex, order: int = 0,
-             basis: str = MONIC) -> np.ndarray:
-    """(p_n(z), p_n'(z), ..., p_n^{(order)}(z)) for the basis polynomial."""
-    return basis_jets(table, n, z, order, basis)[:, n]
-
-
 @dataclass
 class PolyInBasis:
     """A polynomial as a coefficient vector over the mu-basis."""
@@ -90,10 +80,11 @@ class PolyInBasis:
             raise ValueError("coefficient vector length must be degree+1")
 
     @classmethod
-    def basis_poly(cls, table: RecurrenceTable, n: int, basis: str = MONIC) -> "PolyInBasis":
+    def basis_poly(cls, table: RecurrenceTable, n: int) -> "PolyInBasis":
+        """The monic basis polynomial L_n."""
         c = np.zeros(n + 1, dtype=complex)
         c[n] = 1.0
-        return cls(basis, c, n, table)
+        return cls(MONIC, c, n, table)
 
     def to_basis(self, basis: str) -> "PolyInBasis":
         if basis == self.basis:
@@ -117,30 +108,12 @@ class PolyInBasis:
         vals = basis_jets(self.table, self.degree, z, order, self.basis)
         return vals @ self.coeffs
 
-    def norm_mu(self) -> float:
-        """Hermitian L2(mu) norm, from the orthonormal coefficients."""
-        return float(np.linalg.norm(self.to_basis(ORTHONORMAL).coeffs))
-
     def trimmed(self) -> "PolyInBasis":
         """Drop trailing zero coefficients."""
         deg = self.degree
         while deg > 0 and self.coeffs[deg] == 0:
             deg -= 1
         return PolyInBasis(self.basis, self.coeffs[: deg + 1].copy(), deg, self.table)
-
-
-def lincomb(polys: list[PolyInBasis], weights) -> PolyInBasis:
-    """Weighted sum of polynomials over a common table and basis."""
-    if not polys:
-        raise ValueError("empty combination")
-    basis, table = polys[0].basis, polys[0].table
-    deg = max(p.degree for p in polys)
-    out = np.zeros(deg + 1, dtype=complex)
-    for p, w in zip(polys, weights):
-        if p.basis != basis or p.table is not table:
-            raise ValueError("mixed bases or tables in lincomb")
-        out[: p.degree + 1] += w * p.coeffs
-    return PolyInBasis(basis, out, deg, table)
 
 
 def xmul_coeffs(coeffs: np.ndarray, table: RecurrenceTable) -> np.ndarray:
@@ -152,23 +125,3 @@ def xmul_coeffs(coeffs: np.ndarray, table: RecurrenceTable) -> np.ndarray:
     out[:-1] += b[:d] * coeffs
     out[:d - 1] += a[1:d] * a[1:d] * coeffs[1:]
     return out
-
-
-def xmul(p: PolyInBasis) -> PolyInBasis:
-    """Multiplication by x, exact in the monic mu-basis."""
-    q = p.to_basis(MONIC)
-    res = PolyInBasis(MONIC, xmul_coeffs(q.coeffs, p.table), q.degree + 1, p.table)
-    return res.to_basis(p.basis)
-
-
-def inner_mu(p: PolyInBasis, q: PolyInBasis) -> complex:
-    """Bilinear integral of p*q against the measure (no conjugation).
-
-    The orthonormal basis is orthonormal for the whole measure, atoms
-    included, so the integral is sum p_k q_k over the orthonormal
-    coefficients, exactly.
-    """
-    pc = p.to_basis(ORTHONORMAL).coeffs
-    qc = q.to_basis(ORTHONORMAL).coeffs
-    d = min(len(pc), len(qc))
-    return complex(np.dot(pc[:d], qc[:d]))

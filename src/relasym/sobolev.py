@@ -32,7 +32,7 @@ from .measures import RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import solve_Q  # noqa: F401
-from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets, inner_mu
+from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets
 
 __all__ = [
     "SobolevTerm",
@@ -41,11 +41,9 @@ __all__ = [
     "RegularityReport",
     "SobolevOP",
     "regularity",
-    "sobolev_inner",
     "sn_kernel",
     "sn_lambda",
     "digit_loss",
-    "orthogonality_residuals_extended",
     "gamma_sequence",
 ]
 
@@ -107,12 +105,10 @@ class SobolevSpec:
 
     @classmethod
     def diagonal(cls, points) -> "SobolevSpec":
-        """Build from [(c, [M_0, ..., M_N])]."""
-        terms = []
-        for c, masses in points:
-            m = np.asarray(masses, dtype=complex)
-            terms.append(SobolevTerm(c=c, gamma=np.diag(m)))
-        return cls(terms=tuple(terms))
+        """Build from [(c, [M_0, ..., M_N])].  The masses stay objects on
+        the diagonal, so that SobolevTerm checks each one as a number."""
+        return cls(terms=tuple(SobolevTerm(c=c, gamma=np.diag(np.array(masses, dtype=object)))
+                               for c, masses in points))
 
     def to_json_dict(self) -> dict:
         out_terms = []
@@ -192,17 +188,6 @@ def regularity(spec: SobolevSpec) -> RegularityReport:
     )
 
 
-def sobolev_inner(h: PolyInBasis, g: PolyInBasis, spec: SobolevSpec) -> complex:
-    """<h, g>: mu integral plus the derivative coupling terms (bilinear,
-    no conjugation; h sits in the left slot of the couplings)."""
-    total = inner_mu(h, g)
-    for t in spec.terms:
-        hj = h.jet(t.c, t.N)
-        gj = g.jet(t.c, t.J)
-        total += complex(hj @ t.gamma @ gj)
-    return complex(total)
-
-
 @dataclass
 class SobolevOP:
     n: int
@@ -231,14 +216,6 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
             refused[n] = SobolevError(
                 f"need n > {order}, the highest coupled derivative, got {n}")
     return base, refused
-
-
-def _buildable(n: int, spec: SobolevSpec, base: RecurrenceTable) -> RecurrenceTable:
-    """_refusals at one degree: its table, or its refusal raised."""
-    base, refused = _refusals((n,), spec, base)
-    if refused:
-        raise refused[n]
-    return base
 
 
 def _kernel_system(blocks: list, n: int) -> tuple:
@@ -429,22 +406,6 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
                            kind="underflow")
     return SobolevOP(n=n, rep=PolyInBasis(MONIC, coeffs, n, core["base"]),
                      norm_sq=ns, gamma_n=core["gamma_n"], cond=core["cond"])
-
-
-def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
-                                     base: RecurrenceTable) -> np.ndarray:
-    """Relative residuals |<x^k, S_n>| / scale_k for k < n, measured in
-    extended precision so the collapsed jet values are actually resolved.
-
-    scale_k sums the magnitudes of every contributing term (moment products
-    and coupling products), so a residual sits at the working precision
-    when S_n is right and near 1 when it is not.  A row with a single term
-    (k = 0 with derivative-only couplings) has nothing to cancel against;
-    its scale is the Cauchy-Schwarz product ||x^k|| ||S_n||.
-    """
-    from .extended import _mp_kernel, _residuals    # mpmath loads on the first call
-    wp = max(40, int(2 * digit_loss(n, spec)) + 40)
-    return _residuals(spec, _mp_kernel(n, spec, base, wp), wp)
 
 
 def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees,

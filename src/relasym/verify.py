@@ -19,7 +19,6 @@ configs produce identical bytes.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +48,6 @@ __all__ = [
     "run_zero_attraction",
     "emit_report",
     "report_cells",
-    "load_rows",
     "monotone_violations",
     "attraction_factors",
 ]
@@ -421,9 +419,10 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def run_zero_attraction(cfg: ExperimentConfig, degrees=None) -> dict:
-    """ZeroReport per degree for the config's target polynomial."""
-    degs = tuple(degrees) if degrees is not None else (cfg.zero_degrees or cfg.n_ladder)
+def run_zero_attraction(cfg: ExperimentConfig) -> dict:
+    """ZeroReport per degree of cfg.zero_degrees, else of cfg.n_ladder, for
+    the config's target polynomial."""
+    degs = cfg.zero_degrees or cfg.n_ladder
     centers = [c for c, _ in attraction_factors(cfg)]
     table = recurrence_for(cfg.measure, max(degs) + 2)
     built, _ = _targets(cfg, table, degs)
@@ -497,30 +496,3 @@ def emit_report(rows, fmt: str, path, cells=None) -> Path:
         raise VerifyConfigError(f"unknown report format {fmt!r}")
     path.write_text(text)
     return path
-
-
-def load_rows(path) -> list:
-    """Read a report back into plain dicts keyed by the column names."""
-    path = Path(path)
-    text = path.read_text()
-    out = []
-    if path.suffix == ".json":
-        payload = json.loads(text)
-        cols = payload["columns"]
-        for raw in payload["rows"]:
-            d = dict(zip(cols, raw))
-            for k in cols:
-                if d[k] is None:
-                    d[k] = float("nan")
-            out.append(d)
-        return out
-    lines = [ln for ln in text.splitlines() if ln]
-    cols = lines[0].split(",")
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        d = dict(zip(cols, parts))
-        d["n"], d["nu"] = int(d["n"]), int(d["nu"])
-        for k in cols[4:] + ["z_re", "z_im"]:
-            d[k] = float(d[k])
-        out.append(d)
-    return out

@@ -67,10 +67,11 @@ __all__ = [
     "roots",
     "cluster",
     "default_radius",
-    "radius_halving_stable",
 ]
 
 RESIDUAL_TOL = 1e-7
+# cluster() counts the roots within SUPPORT_BAND of [-1, 1] as the band's
+SUPPORT_BAND = 0.05
 EPS = float(np.finfo(float).eps)
 LD_EPS = np.finfo(np.longdouble).eps
 # Aberth sweeps on the secular function before the solve refuses
@@ -103,7 +104,8 @@ class ZerosError(Refusal):
 
 
 class ClusterConfigError(ConfigError):
-    """Attraction disks overlap each other or are not separated from [-1, 1]."""
+    """Attraction centers that give no disks: none, two that coincide, or
+    one on [-1, 1]."""
 
 
 @dataclass
@@ -529,30 +531,17 @@ def default_radius(centers) -> float:
     return 0.1 * d
 
 
-def cluster(root_list, centers, radius: float | None = None,
-            support_band: float = 0.05) -> ZeroReport:
+def cluster(root_list, centers) -> ZeroReport:
     """Sort roots into center disks, the support band, and leftovers.
 
-    Disks of the given radius around each center must be pairwise
-    disjoint and disjoint from [-1, 1] with room to spare (radius below
-    half the relevant distances), else the counts would be ambiguous
-    and a ClusterConfigError is raised.
+    The disks have radius `default_radius(centers)`, a tenth of the
+    smallest distance from a center to [-1, 1] or another center, so they
+    are disjoint from each other and from [-1, 1].  The band holds the
+    other roots within SUPPORT_BAND of [-1, 1].
     """
     rts = [complex(z) for z in root_list]
     cs = [complex(c) for c in centers]
-    band = float(support_band)
-    if band < 0:
-        raise ClusterConfigError("support_band must be nonnegative")
-    if cs:
-        r = default_radius(cs) if radius is None else float(radius)
-        if r <= 0:
-            raise ClusterConfigError("radius must be positive")
-        sep = _separation(cs)
-        if r >= 0.5 * sep:
-            raise ClusterConfigError(
-                f"radius {r:g} >= half the minimum center separation {sep:g}")
-    else:
-        r = 0.0 if radius is None else float(radius)
+    r = default_radius(cs) if cs else 0.0
     zs = np.array(rts, dtype=complex)
     counts = [0] * len(cs)
     in_disk = np.zeros(zs.size, dtype=bool)
@@ -561,24 +550,9 @@ def cluster(root_list, centers, radius: float | None = None,
         hits = np.abs(zs[:, None] - np.array(cs)) <= r
         in_disk = hits.any(axis=1)
         counts = np.bincount(hits.argmax(axis=1)[in_disk], minlength=len(cs)).tolist()
-    in_band = ~in_disk & (dist_to_cut(zs) <= band)
+    in_band = ~in_disk & (dist_to_cut(zs) <= SUPPORT_BAND)
     support = int(np.count_nonzero(in_band))
     leftovers = [z for z, kept in zip(rts, in_disk | in_band) if not kept]
     return ZeroReport(roots=rts, centers=cs, cluster_counts=counts,
                       support_count=support, unassigned=leftovers,
-                      radius=r, support_band=band)
-
-
-def radius_halving_stable(root_list, centers, radius: float | None = None,
-                          support_band: float = 0.05) -> bool:
-    """True when per-center counts survive halving of the disk radius.
-
-    The attraction statements hold for every sufficiently small
-    neighborhood, so once n is past the transient the counts must not
-    depend on the disk size; this is the cheap way to detect that.
-    """
-    cs = [complex(c) for c in centers]
-    r = default_radius(cs) if radius is None else float(radius)
-    full = cluster(root_list, cs, r, support_band)
-    half = cluster(root_list, cs, 0.5 * r, support_band)
-    return full.cluster_counts == half.cluster_counts
+                      radius=r, support_band=SUPPORT_BAND)

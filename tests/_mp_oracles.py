@@ -12,7 +12,11 @@ algebra than the kernel identity both package lanes use: an expansion
 over the monic orthogonal polynomials of s dmu, built by exact division
 by (x - c), with its coefficients fixed by moment conditions.
 
-The Pade remainders at the very end are the other exception: they sum
+The orthogonality residuals after it measure the package's own mp S_n
+(`extended._mp_kernel`) against the inner product it was built for: every
+pairing <x^k, S_n> summed term by term, with the magnitudes of its terms.
+
+The Pade remainders at the very end are the last exception: they sum
 Q_n against the Cauchy transforms of the basis, with digits enough for
 every cancellation, where the package uses the Q_n^2 identity in double.
 """
@@ -23,11 +27,11 @@ import math
 import mpmath as mp
 import numpy as np
 
-from relasym.extended import _mp_ab, _mp_basis_jets, _mp_kernel, _mp_poly_jet, _mp_xmul
+from relasym.extended import _mp_ab, _mp_basis_jets, _mp_kernel, _mp_poly_jet
 from relasym.joukowski import phi
-from relasym.measures import table_through
+from relasym.measures import RecurrenceTable, table_through
 from relasym.pade import to_sobolev_spec
-from relasym.sobolev import digit_loss
+from relasym.sobolev import SobolevSpec, digit_loss
 
 DPS = 150        # Hankel systems burn ~2 digits per degree; huge margin
 POLE_DPS = 30    # Legendre pole moments: smooth integrands, ~1e-31 accurate
@@ -282,6 +286,17 @@ def _divide_linear(p: list, c, a2: list, b: list) -> list:
     return q
 
 
+def _mp_xmul(p: list, a2: list, b: list) -> list:
+    """Coefficients of x * p over the monic basis."""
+    out = [mp.mpf(0)] * (len(p) + 1)
+    for m, cm in enumerate(p):
+        out[m + 1] += cm
+        out[m] += b[m] * cm
+        if m > 0:
+            out[m - 1] += a2[m] * cm
+    return out
+
+
 def lambda_expansion(n: int, sob, base, dps: int) -> dict:
     """S_n = sum_{k=0}^{A} lambda_k Q_{n-k}, entirely in mpmath coefficient
     space.  s(z) = prod (z - c_j)^{N_j+1} has degree A; Q_m is the monic
@@ -378,6 +393,58 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
 def lambda_monic(n: int, sob, base) -> np.ndarray:
     """Monic coefficients of S_n from the expansion at lambda_dps digits."""
     return lambda_expansion(n, sob, base, lambda_dps(n, sob))["coeffs"]
+
+
+# ---- orthogonality residuals of the package's mp S_n ----
+
+def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
+    """The residuals of the monic mp coefficients core["coeffs_mp"], with
+    core's mp recurrence coefficients a2, b, norms normsq and norm_sq_mp."""
+    a2, b, normsq = core["a2"], core["b"], core["normsq"]
+    coeffs = core["coeffs_mp"]
+    n = len(coeffs) - 1
+    out = np.zeros(n)
+    with mp.workdps(wp):
+        sn_norm = mp.sqrt(abs(core["norm_sq_mp"]))
+        points = []
+        for t in spec.terms:
+            c, order = mp.mpc(t.c), max(t.N, t.J)
+            sj = _mp_poly_jet(coeffs, _mp_basis_jets(n, order, c, a2, b), order)
+            points.append((t, c, [[mp.mpc(v) for v in row] for row in t.gamma], sj))
+        e = [mp.mpf(1)]
+        for k in range(n):
+            terms = [v * coeffs[i] * normsq[i] for i, v in enumerate(e)]
+            xk2 = mp.fsum(v ** 2 * normsq[i] for i, v in enumerate(e))
+            for t, c, g, sj in points:
+                mj = [_mono_jet(k, i, c) for i in range(max(t.N, t.J) + 1)]
+                xk2 += mp.fsum(mj[i] * g[i][kk] * mj[kk]
+                               for i in range(t.N + 1)
+                               for kk in range(t.J + 1))
+                terms += [mj[i] * g[i][kk] * sj[kk]
+                          for i in range(t.N + 1) for kk in range(t.J + 1)]
+            terms = [v for v in terms if v != 0]
+            val = mp.fsum(terms)
+            sc = (mp.fsum(abs(v) for v in terms) if len(terms) > 1
+                  else sn_norm * mp.sqrt(abs(xk2)))
+            out[k] = float(abs(val) / sc) if sc > 0 else float(abs(val))
+            if k < n - 1:
+                e = _mp_xmul(e, a2, b)
+    return out
+
+
+def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
+                                     base: RecurrenceTable) -> np.ndarray:
+    """Relative residuals |<x^k, S_n>| / scale_k for k < n, measured in
+    extended precision so the collapsed jet values are actually resolved.
+
+    scale_k sums the magnitudes of every contributing term (moment products
+    and coupling products), so a residual sits at the working precision
+    when S_n is right and near 1 when it is not.  A row with a single term
+    (k = 0 with derivative-only couplings) has nothing to cancel against;
+    its scale is the Cauchy-Schwarz product ||x^k|| ||S_n||.
+    """
+    wp = max(40, int(2 * digit_loss(n, spec)) + 40)
+    return _residuals(spec, _mp_kernel(n, spec, base, wp), wp)
 
 
 def _mp_remainder(n: int, f, base, z, dps: int):

@@ -4,8 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from relasym.measures import QuadratureRule, atom_basis_values
+from relasym.measures import QuadratureRule, RecurrenceTable, minimal_ratios_for
 from relasym.polybasis import MONIC, PolyInBasis, basis_jets
+
+
+def atom_basis_values(table: RecurrenceTable, deg: int, loc: float) -> np.ndarray:
+    """Orthonormal basis values l_0(loc)..l_deg(loc) at a mass point of the
+    table's own measure.
+
+    Forward recurrence is useless here: the values at a mass point are
+    square summable, hence the minimal solution of the three-term
+    recurrence, and forward errors grow with the dominant one.  They are
+    the minimal solution's ratios `minimal_ratios_for`, multiplied up and
+    normalized by l_0 = tau_0.
+    """
+    h = minimal_ratios_for(table, loc, deg)
+    return table.tau[: deg + 1] * np.cumprod([1.0] + h[1:]).real
 
 
 def rule_basis_values(table, deg: int, rule: QuadratureRule, basis: str = MONIC) -> np.ndarray:

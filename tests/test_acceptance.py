@@ -7,6 +7,7 @@ independent oracles in _mp_oracles.py before being frozen here.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -23,12 +24,9 @@ from relasym import (
     RationalModifier,
     SobolevSpec,
     StieltjesFn,
-    cheb_transform,
     error_ratio,
-    factor_identity_check,
     gamma_sequence,
     kappa_tau_limit,
-    orthogonality_residuals_extended,
     pade_approximant,
     pade_order_residuals,
     phi,
@@ -44,6 +42,7 @@ from relasym.polybasis import MONIC, ORTHONORMAL, basis_jets
 from relasym.scenarios import SCENARIOS, scenario
 from relasym.verify import monotone_violations, run_ratio_ladder, run_zero_attraction
 
+from _closed_forms import cheb_transform, factor_identity_check
 from _mp_oracles import (
     compare_monomial,
     lambda_monic,
@@ -51,6 +50,7 @@ from _mp_oracles import (
     oracle_base_monic,
     oracle_modified_monic,
     oracle_sobolev_monic,
+    orthogonality_residuals_extended,
 )
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -293,13 +293,15 @@ def test_criterion_07_recurrence_coefficient_limits():
 def test_criterion_08_zero_attraction_counts():
     with _budget(30.0):
         # the default disk radius at c = 2 is 0.1, and the support band 0.05
-        rep = run_zero_attraction(scenario("sobolev_point_derivative"), degrees=(60,))[60]
+        rep = run_zero_attraction(
+            dataclasses.replace(scenario("sobolev_point_derivative"), zero_degrees=(60,)))[60]
         assert (rep.radius, rep.support_band) == (0.1, 0.05)
         assert list(rep.cluster_counts) == [1], f"counts {rep.cluster_counts}"
         assert rep.support_count == 59, f"support {rep.support_count}"
         assert not rep.unassigned, f"stray zeros {rep.unassigned}"
 
-        rep = run_zero_attraction(scenario("pade_gonchar"), degrees=(60,))[60]
+        rep = run_zero_attraction(
+            dataclasses.replace(scenario("pade_gonchar"), zero_degrees=(60,)))[60]
         assert list(rep.cluster_counts) == [2], f"counts {rep.cluster_counts}"
         assert rep.support_count == 58, f"support {rep.support_count}"
         assert not rep.unassigned, f"stray zeros {rep.unassigned}"

@@ -1,4 +1,5 @@
 """Exit codes, report files, and byte determinism of the command line."""
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import relasym.cli
 import relasym.zeros
-from relasym import BaseMeasureSpec, recurrence_for, scenario
+from relasym import scenario
 from relasym.cli import _json_text
 from relasym.cli import _write_json as cli_write_json
 from relasym.scenarios import BUNDLED_MEASURES, SCENARIOS
@@ -50,10 +51,6 @@ def test_recurrence_refuses_overflowing_tau(tmp_path, capsys):
         assert main(["recurrence", "--config", cfg, "--out", str(out)]) == 4
     assert "tau_1025 overflows the double range" in capsys.readouterr().err
     assert not (out / "recurrence.json").exists()
-    with np.errstate(over="ignore"):
-        table = recurrence_for(BaseMeasureSpec("legendre"), 1100)
-    with pytest.raises(ValueError):
-        table.to_json()
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -238,6 +235,11 @@ BAD_CONFIGS = {
                      "measure.alpha"),
     "beta_bool": ("verify", {"measure": {"weight_kind": "jacobi", "beta": True}},
                   "measure.beta"),
+    # exponents of a fixed kind: Legendre ran, and summary.json echoed alpha 0.5
+    "legendre_alpha": ("verify", {"measure": {"weight_kind": "legendre", "alpha": 0.5}},
+                       "measure: alpha is read for jacobi only"),
+    "bare_chebyshev_beta": ("recurrence", {"weight_kind": "chebyshev_first_kind",
+                                           "beta": -0.5}, "beta is read for jacobi only"),
     "mass_point_of_one": ("verify", {"measure": {"weight_kind": "legendre",
                                                  "mass_points": [[2.0]]}},
                           "measure.mass_points[0]"),
@@ -562,7 +564,7 @@ def test_extended_lane_loads_mpmath_on_demand(tmp_path, code):
 
 def _zeros_payload(name, n):
     cfg = scenario(name)
-    reps = run_zero_attraction(cfg, degrees=(n,))
+    reps = run_zero_attraction(dataclasses.replace(cfg, zero_degrees=(n,)))
     return {"config": cfg.to_json_dict(),
             "reports": {str(k): rep.to_json_dict() for k, rep in reps.items()}}
 

@@ -1,12 +1,13 @@
 """Branch choices, closed-form transforms, and limit functions."""
 import numpy as np
 import pytest
+from _closed_forms import cheb_transform, factor_identity_check
 
 from relasym import (BaseMeasureSpec, CutDomainError, ExperimentConfig, ModifiedError,
                      PadeError, RationalModifier, SobolevError, SobolevSpec, StieltjesFn,
-                     VerifyConfigError, cheb_transform, error_ratio, f_value,
-                     factor_identity_check, kappa_tau_limit, limit_modified,
-                     limit_sobolev, phi, recurrence_for, sn_kernel, solve_Q, sqrt_z2m1)
+                     VerifyConfigError, error_ratio, f_value, kappa_tau_limit,
+                     limit_modified, limit_sobolev, phi, recurrence_for, sn_kernel, solve_Q,
+                     sqrt_z2m1)
 from relasym.joukowski import NEAR_ATOM, apart, dist_to_cut, point
 from relasym.reader import ConfigError
 from relasym.sobolev import SobolevTerm

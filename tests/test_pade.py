@@ -1,17 +1,17 @@
 """Pade approximants to Markov functions with polar parts."""
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio,
-                     f_value, laurent_moments, pade_approximant,
-                     pade_denominator, pade_numerator,
+from relasym import (BaseMeasureSpec, PadeError, RecurrenceTable, StieltjesFn, error_ratio,
+                     f_value, pade_approximant, pade_denominator, pade_numerator,
                      pade_order_residuals, phi, recurrence_for, scenario,
                      to_sobolev_spec)
 from _mp_oracles import _mp_remainder, mp_error_ratio
 from relasym.measures import rule_for
-from relasym.pade import mu_moments
+from relasym.pade import _power_coeffs
 from relasym.polybasis import MONIC, PolyInBasis
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -107,6 +107,25 @@ def test_numerator_solves_no_linear_system(monkeypatch):
     q = pade_denominator(25, f, tab)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     pade_numerator(25, f, q, tab)
+
+
+def mu_moments(base: RecurrenceTable, count: int) -> np.ndarray:
+    """m_s = integral x^s dmu for s < count, from the recurrence (exact
+    sparse expansion of x^s over the basis; no quadrature)."""
+    m0 = 1.0 / base.tau[0] ** 2
+    return np.array([e[0] * m0 for e in _power_coeffs(base, count)], dtype=complex)
+
+
+def laurent_moments(f: StieltjesFn, base: RecurrenceTable, count: int) -> np.ndarray:
+    """f_s with f(z) = sum_s f_s z^{-s-1}: measure moments plus the exact
+    Laurent expansion of the polar parts."""
+    out = mu_moments(base, count)
+    for c, A in f.poles:
+        for i, a in enumerate(A):
+            fac = math.factorial(i)
+            for s in range(i, count):
+                out[s] += a * fac * math.comb(s, i) * c ** (s - i)
+    return out
 
 
 def test_mu_moments_closed_form():

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _mp_oracles import (compare_monomial, lambda_dps, lambda_expansion, lambda_monic,
-                         oracle_sobolev_monic)
+from _basis import sobolev_inner
+from _mp_oracles import (_residuals, compare_monomial, lambda_dps, lambda_expansion,
+                         lambda_monic, oracle_sobolev_monic, orthogonality_residuals_extended)
 
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
-                     StieltjesFn, digit_loss, gamma_sequence,
-                     orthogonality_residuals_extended, phi, recurrence_for,
-                     regularity, sn_kernel, sn_lambda, sobolev_inner,
-                     to_sobolev_spec)
-from relasym.extended import _residuals
+                     StieltjesFn, digit_loss, gamma_sequence, phi, recurrence_for,
+                     regularity, sn_kernel, sn_lambda, to_sobolev_spec)
 from relasym.sobolev import SobolevTerm
 from relasym.polybasis import MONIC
 
@@ -63,9 +61,18 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("entry", ["1", True, None])
 def test_coupling_weights_must_be_numbers(entry):
-    # np.asarray(dtype=complex) read "1" and True as 1
+    # np.asarray(dtype=complex) read "1" and True as 1, and None as nan
     with pytest.raises(SobolevError, match="must be a number"):
         SobolevTerm(3.0, [[1.0, 0.0], [0.0, entry]])
+    with pytest.raises(SobolevError, match="must be a number"):
+        SobolevSpec.diagonal([(2.0, [1.0, entry])])
+
+
+def test_diagonal_masses_take_any_number():
+    for entry in (1, 0.5, np.complex128(1)):
+        gamma = SobolevSpec.diagonal([(2.0, [entry, 1.0])]).terms[0].gamma
+        assert gamma.dtype == complex
+        assert gamma.tolist() == [[complex(entry), 0j], [0j, 1 + 0j]]
 
 
 def test_coupling_weights_take_numpy_numbers():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from relasym import (
     StieltjesFn,
     VerifyConfigError,
     emit_report,
-    load_rows,
     monotone_violations,
     run_ratio_ladder,
     run_zero_attraction,
@@ -30,7 +30,7 @@ from relasym import (
 )
 from relasym import modified, polybasis, reader, sobolev
 from relasym.reader import ConfigError as _CONFIG_ERRORS
-from relasym.polybasis import eval_jet
+from relasym.polybasis import basis_jets
 from relasym.scenarios import SCENARIOS
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import CSV_COLUMNS, _targets
@@ -246,6 +246,33 @@ def test_monotone_violations_synthetic():
     assert monotone_violations(bad) == [("base_ratio", 3.0 + 0j, 0, 20)]
 
 
+def load_rows(path) -> list:
+    """Read a report back into plain dicts keyed by the column names."""
+    path = Path(path)
+    text = path.read_text()
+    out = []
+    if path.suffix == ".json":
+        payload = json.loads(text)
+        cols = payload["columns"]
+        for raw in payload["rows"]:
+            d = dict(zip(cols, raw))
+            for k in cols:
+                if d[k] is None:
+                    d[k] = float("nan")
+            out.append(d)
+        return out
+    lines = [ln for ln in text.splitlines() if ln]
+    cols = lines[0].split(",")
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        d = dict(zip(cols, parts))
+        d["n"], d["nu"] = int(d["n"]), int(d["nu"])
+        for k in cols[4:] + ["z_re", "z_im"]:
+            d[k] = float(d[k])
+        out.append(d)
+    return out
+
+
 def test_csv_round_trip(tmp_path):
     rows = run_ratio_ladder(_small_base())
     path = emit_report(rows, "csv", tmp_path / "r.csv")
@@ -313,7 +340,7 @@ def test_boundary_grid_error_shrinks_with_degree():
 
 def test_zero_attraction_keying():
     cfg = scenario("pade_gonchar")
-    out = run_zero_attraction(cfg, degrees=(20, 30))
+    out = run_zero_attraction(dataclasses.replace(cfg, zero_degrees=(20, 30)))
     assert sorted(out) == [20, 30]
     for rep in out.values():
         assert sum(rep.cluster_counts) + rep.support_count + len(rep.unassigned) \
@@ -323,14 +350,14 @@ def test_zero_attraction_keying():
 
 
 def _pointwise_ratio(law, table, polys, n, z, nu):
-    """One row's ratio from scalar eval_jet and PolyInBasis.jet calls."""
+    """One row's ratio from scalar basis_jets and PolyInBasis.jet calls."""
     if law == "base_ratio":
-        return eval_jet(table, n + 1, z, nu)[nu] / eval_jet(table, n, z, nu)[nu]
+        return basis_jets(table, n + 1, z, nu)[nu, n + 1] / basis_jets(table, n, z, nu)[nu, n]
     if law == "base_log_derivative":
-        jets = eval_jet(table, n, z, nu + 1)
+        jets = basis_jets(table, n, z, nu + 1)[:, n]
         return jets[nu + 1] / (n * jets[nu])
     if law.endswith("_vs_base"):
-        return polys[n].jet(z, nu)[nu] / eval_jet(table, n, z, nu)[nu]
+        return polys[n].jet(z, nu)[nu] / basis_jets(table, n, z, nu)[nu, n]
     if law == "modified_ratio":
         return polys[n + 1].jet(z, nu)[nu] / polys[n].jet(z, nu)[nu]
     if law == "modified_log_derivative":
