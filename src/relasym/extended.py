@@ -26,24 +26,17 @@ def _mp_ab(base: RecurrenceTable, deg: int):
     """(a2, b, normsq) as mp numbers for k <= deg: a_k^2, b_k and
     ||L_k||^2 = m_0 a_1^2 ... a_k^2.
 
-    A table that knows its measure is rebuilt in mp by the double table's
-    own builder (`measures._measure_ab`), atoms included, on the mp beta
-    integral as continuous mass: the double table carries ~1e-16 dirt that
-    is invisible to the bordered solve but fatal to collapsed-scale
-    quantities downstream (a perturbed a_k leaks an O(eps) L_0 component
-    into polynomials whose true low-order coefficients are exponentially
-    small).  A table with no measure keeps its double values.
+    The table's measure is rebuilt in mp by the double table's own builder
+    (`measures._measure_ab`), atoms included, on the mp beta integral as
+    continuous mass: the double table carries ~1e-16 dirt that is invisible
+    to the bordered solve but fatal to collapsed-scale quantities downstream
+    (a perturbed a_k leaks an O(eps) L_0 component into polynomials whose
+    true low-order coefficients are exponentially small).
     """
     spec = base.spec
-    if spec is None:
-        a2 = [mpmath.mpf(float(x)) ** 2 for x in base.a[: deg + 1]]
-        b = [mpmath.mpf(float(x)) for x in base.b[: deg + 1]]
-        m0 = 1 / mpmath.mpf(float(base.tau[0])) ** 2
-    else:
-        al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
-        b, a2, m0 = _measure_ab(spec, deg, al, be,
-                                2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1))
-        b, a2 = b.tolist(), a2.tolist()
+    al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
+    b, a2, m0 = _measure_ab(spec, deg, al, be, 2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1))
+    b, a2 = b.tolist(), a2.tolist()
     normsq = [m0]
     for k in range(1, deg + 1):
         normsq.append(normsq[-1] * a2[k])

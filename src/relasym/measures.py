@@ -187,13 +187,15 @@ class RecurrenceTable:
     k = 1..nmax; ``a[0]`` is a zero placeholder so recurrence loops index
     naturally.  ``tau[k]`` is the leading coefficient of the orthonormal
     l_k, so tau[0] = 1/sqrt(total mass) and tau[k+1] = tau[k]/a[k+1].
-    The JSON form stores a without the placeholder (a_1..a_nmax).
+    The JSON form stores a without the placeholder (a_1..a_nmax).  ``spec``
+    is the measure the table belongs to, so the table can be rebuilt deeper
+    (`table_through`) or in mpmath (`extended._mp_ab`).
     """
 
     a: np.ndarray
     b: np.ndarray
     tau: np.ndarray
-    spec: BaseMeasureSpec | None = None
+    spec: BaseMeasureSpec
 
     @property
     def nmax(self) -> int:
@@ -357,15 +359,12 @@ def _golub_welsch(b: np.ndarray, a: np.ndarray, mass: float) -> tuple[np.ndarray
 def gauss_rule(table: RecurrenceTable, m: int) -> QuadratureRule:
     """m-point Gauss rule of the table's measure (`rule_for`): nodes of the
     pure weight, so they stay inside [-1,1], and the atoms as exact point
-    masses.  A table that knows no measure is a MeasureError.  No
-    construction or check of the package uses it: every integral there is
-    exact recurrence algebra.  It stays as the tests' independent quadrature
-    oracle, and as the layer perfbench's tracer wraps.
+    masses.  No construction or check of the package uses it: every
+    integral there is exact recurrence algebra.  It stays as the tests'
+    independent quadrature oracle, and as the layer perfbench's tracer wraps.
     """
     if m < 1:
         raise MeasureError("rule size must be >= 1")
-    if table.spec is None:
-        raise MeasureError("a table that knows no measure has no Gauss rule")
     return rule_for(table.spec, m)
 
 
@@ -383,11 +382,9 @@ def rule_for(spec: BaseMeasureSpec, m: int) -> QuadratureRule:
 
 def table_through(table: RecurrenceTable, deg: int) -> RecurrenceTable:
     """table itself if it reaches degree deg, else its measure's table
-    through deg; a table that knows no measure cannot be extended."""
+    through deg."""
     if table.nmax >= deg:
         return table
-    if table.spec is None:
-        raise MeasureError(f"table nmax {table.nmax} too short for degree {deg}")
     return recurrence_for(table.spec, deg)
 
 

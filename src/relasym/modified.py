@@ -23,7 +23,7 @@ from . import reader
 from .joukowski import NEAR_ATOM, apart, point
 from .measures import (MeasureError, RecurrenceTable, christoffel_step, geronimus_step,
                        minimal_solution_depth, table_through)
-from .polybasis import MONIC, PolyInBasis
+from .polybasis import PolyInBasis
 
 __all__ = [
     "RationalModifier",
@@ -170,7 +170,7 @@ class ModifiedTable:
                 q[:-1] += l[1: n + 1] * q[1:]
         if not np.all(np.isfinite(q)):
             raise _collapse(n, "Q_n has a non-finite coefficient")
-        return ModifiedOP(n=n, q=PolyInBasis(MONIC, q, n, self.base), table=self)
+        return ModifiedOP(n=n, q=PolyInBasis(q, self.base), table=self)
 
 
 @dataclass
@@ -202,9 +202,8 @@ def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> Modi
     a step per unit of multiplicity, then one Christoffel step for all of S.
     A modifier point on an atom of the measure is an input conflict, not a
     numerical limit: ConfigError."""
-    if base.spec is not None:
-        apart([p for p, _ in r.zeros + r.poles], [loc for loc, _ in base.spec.mass_points],
-              "modifier point {} coincides with a mass point", reader.ConfigError, NEAR_ATOM)
+    apart([p for p, _ in r.zeros + r.poles], [loc for loc, _ in base.spec.mass_points],
+          "modifier point {} coincides with a mass point", reader.ConfigError, NEAR_ATOM)
     poles = [d for d, mult in r.poles for _ in range(mult)]
     zeros = [c for c, mult in r.zeros for _ in range(mult)]
     # the zero step loses a degree per zero, each pole step its backward tail
@@ -270,7 +269,7 @@ def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,
     top = n + max(nu, f.degree)
     table = modified_table(r, base, top)
     bt, asqt = table.b, table.asq
-    fc = f.to_basis(MONIC).coeffs
+    fc = f.coeffs
     a, b = f.table.a, f.table.b
     prev, cur = np.zeros(top + 1, dtype=complex), np.zeros(top + 1, dtype=complex)
     cur[n] = 1.0

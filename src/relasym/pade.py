@@ -31,7 +31,7 @@ import numpy as np
 from . import reader
 from .joukowski import NEAR_ATOM, apart, point
 from .measures import BaseMeasureSpec, RecurrenceTable, minimal_ratios_for, table_through
-from .polybasis import MONIC, PolyInBasis, basis_jets, xmul_coeffs
+from .polybasis import PolyInBasis, basis_jets, xmul_coeffs
 from .sobolev import SobolevSpec, SobolevTerm, sn_kernel
 
 __all__ = [
@@ -155,7 +155,7 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
     `basis_jets` sweep per pole.  Two E vectors are kept: O(n) memory,
     O(n^2) time, and nothing is divided.
     """
-    q = Q_n.to_basis(MONIC).coeffs
+    q = Q_n.coeffs
     deg = len(q) - 1
     ell = np.zeros(max(deg, 1), dtype=complex)     # ell[m] = L[L_m]
     ell[0] = base.total_mass
@@ -170,7 +170,7 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
         nxt[0] += ell[m]
         prev, cur = cur, nxt
         acc[: m + 1] += q[m + 1] * cur
-    return PolyInBasis(MONIC, acc, len(acc) - 1, base).trimmed()
+    return PolyInBasis(acc, base).trimmed()
 
 
 def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable) -> PadeApproximant:
@@ -215,7 +215,7 @@ def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
     n = appr.n
     count = n if count is None else count
     base = table_through(base, max(n, count))
-    q = appr.Q_n.to_basis(MONIC).coeffs
+    q = appr.Q_n.coeffs
     w = q / base.tau[: len(q)] ** 2
     vals = np.zeros(count, dtype=complex)
     mags = np.zeros(count)

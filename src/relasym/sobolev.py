@@ -32,7 +32,7 @@ from .measures import RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import solve_Q  # noqa: F401
-from .polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets
+from .polybasis import PolyInBasis, basis_jets
 
 __all__ = [
     "SobolevTerm",
@@ -105,10 +105,17 @@ class SobolevSpec:
 
     @classmethod
     def diagonal(cls, points) -> "SobolevSpec":
-        """Build from [(c, [M_0, ..., M_N])].  The masses stay objects on
-        the diagonal, so that SobolevTerm checks each one as a number."""
-        return cls(terms=tuple(SobolevTerm(c=c, gamma=np.diag(np.array(masses, dtype=object)))
-                               for c, masses in points))
+        """Build from [(c, [M_0, ..., M_N])], each mass list a nonempty flat
+        sequence.  The masses stay objects on the diagonal, so that
+        SobolevTerm checks each one as a number."""
+        terms = []
+        for c, masses in points:
+            m = np.array(masses, dtype=object)
+            if m.ndim != 1 or not m.size:
+                raise SobolevError(f"the masses at {c} must be a nonempty flat sequence, "
+                                   f"got {masses!r}")
+            terms.append(SobolevTerm(c=c, gamma=np.diag(m)))
+        return cls(terms=tuple(terms))
 
     def to_json_dict(self) -> dict:
         out_terms = []
@@ -202,8 +209,7 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     the deepest degree + 1, and degree -> SobolevError for each refused degree.
     A coupling point on an atom of the measure, where forward jets follow a
     decaying solution into rounding noise, is an input conflict: ConfigError."""
-    atoms = base.spec.mass_points if base.spec is not None else ()
-    apart([t.c for t in spec.terms], [loc for loc, _ in atoms],
+    apart([t.c for t in spec.terms], [loc for loc, _ in base.spec.mass_points],
           "a coupling point coincides with a mass point", reader.ConfigError, NEAR_ATOM)
     regular = regularity(spec).overall_regular
     base = table_through(base, max(degrees) + 1)    # sn_kernel refuses an infinite tau_n
@@ -331,7 +337,7 @@ def _kernel_op(n: int, base: RecurrenceTable, v: np.ndarray, Qw: np.ndarray,
     coeffs = np.empty(n + 1, dtype=complex)
     coeffs[:n] = -(Qw.T @ v)
     coeffs[n] = inv_tau
-    rep = PolyInBasis(ORTHONORMAL, coeffs, n, base).to_basis(MONIC)
+    rep = PolyInBasis(coeffs * base.tau[: n + 1], base)    # c_m l_m = (c_m tau_m) L_m
     ns = complex(inv_tau * (inv_tau + wn @ v))
     tiny = np.finfo(float).tiny
     if abs(ns) < tiny:
@@ -404,7 +410,7 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     if abs(ns) < np.finfo(float).tiny and core["norm_sq_mp"] != 0:
         raise SobolevError(f"<S_{n}, S_{n}> underflows the double range",
                            kind="underflow")
-    return SobolevOP(n=n, rep=PolyInBasis(MONIC, coeffs, n, core["base"]),
+    return SobolevOP(n=n, rep=PolyInBasis(coeffs, core["base"]),
                      norm_sq=ns, gamma_n=core["gamma_n"], cond=core["cond"])
 
 

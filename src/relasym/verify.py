@@ -32,7 +32,7 @@ from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence
 # name for it is wrapped, so it stays until that test changes
 from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
 from .pade import StieltjesFn, to_sobolev_spec
-from .polybasis import MONIC, PolyInBasis, basis_jets
+from .polybasis import PolyInBasis, basis_jets
 from .sobolev import SobolevSpec, coupling_jets, regularity, sn_kernel_many, sn_lambda
 from .zeros import cluster, roots
 
@@ -234,6 +234,16 @@ def attraction_factors(cfg: ExperimentConfig) -> list:
     return []
 
 
+def _reads_base(cfg: ExperimentConfig) -> bool:
+    """Whether the config's target polynomials are the base L_n themselves:
+    no target, a Pade function with no poles, or a modifier with no zeros
+    and no poles.  Their laws read the base jets, so that X_n / L_n is 1."""
+    kind, t = cfg.target_kind, cfg.target
+    if kind == "modified":
+        return not (t.zeros or t.poles)
+    return kind == "base_only" or (kind == "pade" and not t.poles)
+
+
 def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
              probes: tuple = (), order: int = 0) -> tuple:
     """(built, probe_jets): built maps each degree to its monic target
@@ -241,7 +251,7 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     Modified targets are read off the table of r dmu (solve_Q_many); Sobolev
     targets and Pade denominators come from the kernel identity:
     sn_kernel_many in double, or sn_lambda per degree in mpmath when the
-    precision is extended.
+    precision is extended.  A target that is the base (_reads_base) is L_n.
 
     Callers build the table two degrees past the deepest target.  The double
     kernel builder sweeps the jets at every coupling point once, through
@@ -250,65 +260,54 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     """
     degrees = list(dict.fromkeys(degrees))
     top = max([table.nmax - 2, *degrees])
-    spec = cfg.target if cfg.target_kind == "sobolev" else None
-    if cfg.target_kind == "pade" and cfg.target.poles:
-        spec = to_sobolev_spec(cfg.target)
-    if spec is not None and cfg.precision == "double":
-        base, jets = coupling_jets(spec, table, top, probes, order)
-        probe_jets = jets.pop() if probes else None
-        built = {n: op if isinstance(op, Exception) else op.rep
-                 for n, op in sn_kernel_many(degrees, spec, base, jets).items()}
-        return built, probe_jets
-    probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
-    if cfg.target_kind == "modified":
+    if _reads_base(cfg):
+        built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
+    elif cfg.target_kind == "modified":
         built = {n: op if isinstance(op, Exception) else op.q
                  for n, op in solve_Q_many(degrees, cfg.target, table).items()}
-    elif spec is None:
-        built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
     else:
+        sob = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
+        if cfg.precision == "double":
+            base, jets = coupling_jets(sob, table, top, probes, order)
+            probe_jets = jets.pop() if probes else None
+            built = {n: op if isinstance(op, Exception) else op.rep
+                     for n, op in sn_kernel_many(degrees, sob, base, jets).items()}
+            return built, probe_jets
         built = {}
         for n in degrees:
             try:
-                built[n] = sn_lambda(n, spec, table).rep
+                built[n] = sn_lambda(n, sob, table).rep
             except _REFUSALS as exc:
                 built[n] = exc
+    probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
     return built, probe_jets
 
 
 def _target_jets(built: dict, pj: np.ndarray, order: int) -> dict:
-    """Degree -> (dots, block) of each built target's jets at the probes whose
-    basis jets are pj, or the refusal of its build.  dots[p] is the order-0
-    value as a one-row product, block[j, p] the order-j value (j <= order)
-    from one product over every order and probe.  numpy takes a one-row
-    product as a dot, which sums in another order than a multi-row one, so
-    each value keeps the kind of product a law reading it has always had."""
+    """Degree -> block of each built target's jets at the probes whose basis
+    jets are pj, or the refusal of its build: block[j, p] is the order-j
+    value (j <= order) at the p-th probe, from one product over every order
+    and probe."""
     out: dict = {}
     for n, poly in built.items():
         if isinstance(poly, Exception):
             out[n] = poly
             continue
-        q = poly.to_basis(MONIC).coeffs
-        dots = (np.ascontiguousarray(pj[0, : n + 1].T)[:, None, :] @ q)[:, 0]
-        block = None
-        if order:
-            rows = np.ascontiguousarray(pj[: order + 1, : n + 1].transpose(0, 2, 1))
-            block = (rows.reshape(-1, n + 1) @ q).reshape(order + 1, -1)
-        out[n] = (dots, block)
+        rows = np.ascontiguousarray(pj[: order + 1, : n + 1].transpose(0, 2, 1))
+        out[n] = (rows.reshape(-1, n + 1) @ poly.coeffs).reshape(order + 1, -1)
     return out
 
 
 def _jets(source: dict | None, base: np.ndarray, n: int, p: int, top: int):
     """Orders 0..top of X_n at probe p, X as the law's form reads it: L_n from
-    base[j, k] = L_k^(j)(z) when source is None, else the built target, with
-    order 0 alone from its one-row product and more orders from its block (as
-    _target_jets makes them); raises the refusal of a degree not built."""
+    base[j, k] = L_k^(j)(z) when source is None, else the built target's block
+    (as _target_jets makes it); raises the refusal of a degree not built."""
     if source is None:
         return base[: top + 1, n]
     got = source[n]
     if isinstance(got, Exception):
         raise got
-    dots, block = got
-    return (dots[p],) if top == 0 else block[: top + 1, p]
+    return got[: top + 1, p]
 
 
 def _law_ratio(form: str, source: dict | None, base: np.ndarray, n: int, nu: int, p: int):
@@ -317,7 +316,9 @@ def _law_ratio(form: str, source: dict | None, base: np.ndarray, n: int, nu: int
     if form == "step":
         return _jets(source, base, n + 1, p, nu)[nu] / _jets(source, base, n, p, nu)[nu]
     if form == "over_base":
-        return _jets(source, base, n, p, nu)[nu] / base[nu, n]
+        # L_n / L_n is 1, which numpy's complex quotient of a value by itself
+        # can miss by an ulp
+        return 1.0 if source is None else _jets(source, base, n, p, nu)[nu] / base[nu, n]
     jets = _jets(source, base, n, p, nu + _EXTRA_ORDER[form])
     if form == "log_derivative":
         return jets[nu + 1] / (n * jets[nu])
@@ -368,14 +369,16 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     factors = attraction_factors(cfg)
     rows: list[RatioRow] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        target_forms = [_LAWS[law][1] for law in laws if _LAWS[law][0] != "base_only"]
+        # a target that is the base reads the base jets, as the base laws do
+        target_forms = [] if _reads_base(cfg) else [
+            _LAWS[law][1] for law in laws if _LAWS[law][0] != "base_only"]
         degrees = sorted({m for n in cfg.n_ladder
                           for m in ((n, n + 1) if "step" in target_forms else (n,))}
                          ) if target_forms else []
         # every probe, degree and order in the builder's own sweep
         built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + 2)
         target = _target_jets(built, probe_jets, cfg.jets + max(
-            map(_EXTRA_ORDER.get, target_forms), default=0))
+            map(_EXTRA_ORDER.get, target_forms))) if target_forms else None
         for law in laws:
             kind, form = _LAWS[law]
             source = None if kind == "base_only" else target

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import dist_to_cut
-from .polybasis import ORTHONORMAL, PolyInBasis
+from .measures import RecurrenceTable
+from .polybasis import PolyInBasis
 from .reader import ConfigError, Refusal
 
 __all__ = [
@@ -137,14 +138,15 @@ class ZeroReport:
         }
 
 
-def _last_row(q: PolyInBasis) -> np.ndarray:
-    """f = (a_n / c_n) c[0:n] of the comrade matrix (q orthonormal)."""
-    n, c = q.degree, q.coeffs
+def _last_row(c: np.ndarray, table: RecurrenceTable) -> np.ndarray:
+    """f = (a_n / c_n) c[0:n] of the comrade matrix, c the orthonormal
+    coefficients of p."""
+    n = len(c) - 1
     if c[n] == 0:
         raise ZerosError("degree mismatch: leading coefficient is zero")
-    if q.table.nmax < n:
-        raise ZerosError(f"table nmax {q.table.nmax} < degree {n}")
-    return (q.table.a[n] / c[n]) * c[:n]
+    if table.nmax < n:
+        raise ZerosError(f"table nmax {table.nmax} < degree {n}")
+    return (table.a[n] / c[n]) * c[:n]
 
 
 def _jacobi(table, n: int) -> np.ndarray:
@@ -156,9 +158,9 @@ def _jacobi(table, n: int) -> np.ndarray:
     return J
 
 
-def _comrade_norm(q: PolyInBasis, f: np.ndarray) -> float:
+def _comrade_norm(table: RecurrenceTable, f: np.ndarray) -> float:
     """||A||_inf in O(n): the tridiagonal rows, then the last row."""
-    n, a, b = q.degree, q.table.a, q.table.b
+    n, a, b = len(f), table.a, table.b
     last = np.abs(f)
     last[-1] = abs(b[n - 1] - f[-1])
     if n == 1:
@@ -169,22 +171,22 @@ def _comrade_norm(q: PolyInBasis, f: np.ndarray) -> float:
     return max(float(rows.max()), float(last.sum()))
 
 
-def _sweep(q: PolyInBasis, z, order: int = 1):
+def _sweep(c: np.ndarray, table: RecurrenceTable, z, order: int = 1):
     """Taylor coefficients p^(j)(z) / j!, j = 0..order, at one point z of
     type np.clongdouble, from one forward sweep of the orthonormal recurrence
-    (q orthonormal) in extended precision, and the rounding level
-    u sum_k |c_k l_k(z)| of p(z).  Differentiating the recurrence j times and
+    over the orthonormal coefficients c of p in extended precision, and the
+    rounding level u sum_k |c_k l_k(z)| of p(z).  Differentiating the recurrence j times and
     dividing by j! gives t_{k+1,j} = ((z - b_k) t_{k,j} + t_{k,j-1}
     - a_k t_{k-1,j}) / a_{k+1} for t_{k,j} = l_k^(j)(z) / j!.  A sweep that
     overflows refuses."""
-    n = q.degree
-    c = list(q.coeffs.astype(np.clongdouble))
-    a = list(q.table.a[: n + 1].astype(np.longdouble))
-    shifted = list(z - q.table.b[:n].astype(np.longdouble))
+    n = len(c) - 1
+    c = list(c.astype(np.clongdouble))
+    a = list(table.a[: n + 1].astype(np.longdouble))
+    shifted = list(z - table.b[:n].astype(np.longdouble))
     orders = range(1, order + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         prev = [0.0] * (order + 1)
-        row = [np.longdouble(q.table.tau[0])] + [0.0] * order
+        row = [np.longdouble(table.tau[0])] + [0.0] * order
         acc = [c[0] * row[0]] + [0.0] * order
         level = abs(acc[0])
         for g, ak, a_next, ck in zip(shifted, a, a[1:], c[1:]):
@@ -203,11 +205,12 @@ def _sweep(q: PolyInBasis, z, order: int = 1):
     return acc, LD_EPS * level
 
 
-def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
-    """|p(z)| / scale at every z (orthonormal q).  The scale is the running
-    error bound of the recurrence (Higham, Accuracy and Stability, sec. 3.3)
-    plus ||A|| |p'(z)|, since z sits an O(eps ||A||) eigenvalue perturbation
-    away from the true root.
+def _root_residuals(c: np.ndarray, table: RecurrenceTable, z: np.ndarray,
+                    norm_a: float) -> np.ndarray:
+    """|p(z)| / scale at every z, c the orthonormal coefficients of p.  The
+    scale is the running error bound of the recurrence (Higham, Accuracy and
+    Stability, sec. 3.3) plus ||A|| |p'(z)|, since z sits an O(eps ||A||)
+    eigenvalue perturbation away from the true root.
 
     One forward sweep over all m roots at once.  l_k and l_k' share one
     flat complex row, l_k at [:m] and l_k' at [m:], so a degree is one step
@@ -217,8 +220,8 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
     g_k = |z| + |b_k|, and it sums |c_k| s_k.  A sweep that leaves the
     double range refuses instead of passing a nan residual."""
     z = np.asarray(z, dtype=complex)
-    m, n = z.size, q.degree
-    a, b, c = q.table.a, q.table.b, q.coeffs
+    m, n = z.size, len(c) - 1
+    a, b = table.a, table.b
     # column k: b_k, a_k, 1/a_{k+1}, c_{k+1}; complex for the row, absolute
     # for the bound (a_k > 0)
     coef = np.stack([b[:n], a[:n], 1.0 / a[1 : n + 1], c[1:]]).astype(complex)
@@ -226,11 +229,11 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
     tmp = np.zeros(2 * m, dtype=complex)
     # each row with its value and derivative blocks as views
     prev, row, nxt = ((w, w[:m], w[m:]) for w in np.zeros((3, 2 * m), dtype=complex))
-    row[1][:] = q.table.tau[0]
+    row[1][:] = table.tau[0]
     acc = c[0] * row[0]
     s_prev, s, s_next = np.zeros((3, m))
     g, u = np.zeros((2, m))
-    s[:] = 2.0 * abs(q.table.tau[0])   # e_0 = |l_0|
+    s[:] = 2.0 * abs(table.tau[0])   # e_0 = |l_0|
     total = abs(c[0]) * s
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (zk, rk) in enumerate(zip(coef.T, np.abs(coef).T)):
@@ -268,7 +271,7 @@ def _root_residuals(q: PolyInBasis, z: np.ndarray, norm_a: float) -> np.ndarray:
     return np.divide(val, scale, out=np.zeros(m), where=val > 0.0)
 
 
-def _secular_weights(q: PolyInBasis, f: np.ndarray, work: np.ndarray):
+def _secular_weights(table: RecurrenceTable, f: np.ndarray, work: np.ndarray):
     """Poles t and weights beta of the secular function of p (f != 0):
     p(z) / (lc_p omega(z)) = 1 + sum_i beta_i / (z - t_i), omega the monic
     2^{1-n} T_n, whose zeros t_i = cos(theta_i), theta_i = (2i+1) pi / 2n,
@@ -283,12 +286,12 @@ def _secular_weights(q: PolyInBasis, f: np.ndarray, work: np.ndarray):
     tau_0 prod (2 a_k)^{-1}, whose terms tend to 1 (a_k -> 1/2 on
     [-1, 1]), so the constant does not overflow where 2^n or tau_n would.
     The poles are returned ascending."""
-    n, a, b = q.degree, q.table.a, q.table.b
+    n, a, b = len(f), table.a, table.b
     # t_j = sin(phi_j) = cos(theta_{n-1-j}): ascending, exactly symmetric about 0
     phi = (0.5 * np.pi / n) * np.arange(1 - n, n, 2)
     t = np.sin(phi)
     # l_{k-1}, l_k at every t_j; p / c_n = l_n + (f . l) / a_n
-    prev, row = np.zeros(n), np.full(n, q.table.tau[0])
+    prev, row = np.zeros(n), np.full(n, table.tau[0])
     acc = np.zeros(n, dtype=complex)
     for degrees, ell in _row_blocks(work.view(float), n, n):
         for k, out in zip(range(degrees.start, degrees.stop), ell):
@@ -297,23 +300,23 @@ def _secular_weights(q: PolyInBasis, f: np.ndarray, work: np.ndarray):
         acc += f.real[degrees] @ ell + 1j * (f.imag[degrees] @ ell)
     val = row + acc / a[n]
     # sin(theta_i) (-1)^i / (2n tau_0 prod (2 a_k)^{-1}), i = n - 1 - j
-    scale = np.cos(phi) / (2 * n * q.table.tau[0] * np.prod(0.5 / a[1 : n + 1]))
+    scale = np.cos(phi) / (2 * n * table.tau[0] * np.prod(0.5 / a[1 : n + 1]))
     scale[n % 2 :: 2] *= -1.0   # i = n - 1 - j odd
     return t, val * scale
 
 
-def _secular_roots(q: PolyInBasis, f: np.ndarray) -> np.ndarray:
+def _secular_roots(c: np.ndarray, table: RecurrenceTable, f: np.ndarray) -> np.ndarray:
     """Roots of p for f != 0: the zeros of the secular function, whose
     poles are the Chebyshev points, then Aberth steps on p itself for the
     roots off the band, then, for real f, the conjugate pairing.  A pole
     with |beta_i| below the rounding level of the points is deflated: its
     root is the point t_i."""
-    work = _workspace(q.degree)
-    t, beta = _secular_weights(q, f, work)
+    work = _workspace(len(f))
+    t, beta = _secular_weights(table, f, work)
     z = t.astype(complex)
     live = np.abs(beta) > EPS * np.max(np.abs(t))
-    z[live] = _aberth(t[live], beta[live], q.degree, work)
-    _polish(q, z)
+    z[live] = _aberth(t[live], beta[live], len(f), work)
+    _polish(c, table, z)
     if not np.any(f.imag):
         _pair_conjugates(z, work)
     return z
@@ -443,7 +446,7 @@ def _clusters(z: np.ndarray, idx, dist: np.ndarray) -> list:
     return groups
 
 
-def _polish(q: PolyInBasis, z: np.ndarray) -> None:
+def _polish(c: np.ndarray, table: RecurrenceTable, z: np.ndarray) -> None:
     """Finish the roots off the band in place, in extended precision: in
     double, the recurrence's rounding error alone moves a near-double
     attracted pair by ~1e-8.  A cluster of k > 1 roots first moves to the k
@@ -458,7 +461,7 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
         for group in _clusters(z, off, dist):
             if len(group) > 1:
                 center = np.clongdouble(z[group].mean())
-                taylor = _sweep(q, center, len(group))[0]
+                taylor = _sweep(c, table, center, len(group))[0]
                 if taylor[-1] != 0:   # monic in extended precision: no double overflow
                     monic = np.array([t / taylor[-1] for t in taylor[::-1]], dtype=complex)
                     z[group] = complex(center) + np.roots(monic)
@@ -466,7 +469,7 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
             moving = []
             for j in off:
                 zj = np.clongdouble(z[j])
-                (val, der), level = _sweep(q, zj)
+                (val, der), level = _sweep(c, table, zj)
                 if der == 0 or abs(val) <= level:
                     continue
                 newton = val / der
@@ -479,7 +482,7 @@ def _polish(q: PolyInBasis, z: np.ndarray) -> None:
             if not moving:
                 return
             off = moving
-    raise ZerosError(f"root polish did not converge at degree {q.degree}",
+    raise ZerosError(f"root polish did not converge at degree {z.size}",
                      kind="unconverged")
 
 
@@ -494,18 +497,19 @@ def roots(p: PolyInBasis) -> list[complex]:
     evaluation; a relative residual above RESIDUAL_TOL raises, since it
     means the root set cannot be trusted at the advertised accuracy.
     """
-    if p.degree == 0:
+    n, table = p.degree, p.table
+    if n == 0:
         return []
-    q = p.to_basis(ORTHONORMAL)
-    f = _last_row(q)
+    c = p.coeffs / table.tau[: n + 1]      # c_m L_m = (c_m / tau_m) l_m
+    f = _last_row(c, table)
     if not np.any(f):
-        vals = np.linalg.eigvalsh(_jacobi(q.table, q.degree))
+        vals = np.linalg.eigvalsh(_jacobi(table, n))
     else:
-        vals = _secular_roots(q, f)
+        vals = _secular_roots(c, table, f)
     # real parts equal to 12 decimals order by imaginary part, so that noise
     # in the real parts of roots on a vertical line does not reorder them
     out = sorted((complex(v) for v in vals), key=lambda z: (round(z.real, 12), z.imag))
-    worst = float(np.max(_root_residuals(q, np.array(out), _comrade_norm(q, f))))
+    worst = float(np.max(_root_residuals(c, table, np.array(out), _comrade_norm(table, f))))
     if worst > RESIDUAL_TOL:
         raise ZerosError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return out

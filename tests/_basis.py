@@ -5,29 +5,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, xmul_coeffs
+from relasym.polybasis import PolyInBasis, xmul_coeffs
 from relasym.sobolev import SobolevSpec
 
 
 def lincomb(polys: list[PolyInBasis], weights) -> PolyInBasis:
-    """Weighted sum of polynomials over a common table and basis."""
+    """Weighted sum of polynomials over a common table."""
     if not polys:
         raise ValueError("empty combination")
-    basis, table = polys[0].basis, polys[0].table
-    deg = max(p.degree for p in polys)
-    out = np.zeros(deg + 1, dtype=complex)
+    table = polys[0].table
+    out = np.zeros(max(p.degree for p in polys) + 1, dtype=complex)
     for p, w in zip(polys, weights):
-        if p.basis != basis or p.table is not table:
-            raise ValueError("mixed bases or tables in lincomb")
+        if p.table is not table:
+            raise ValueError("mixed tables in lincomb")
         out[: p.degree + 1] += w * p.coeffs
-    return PolyInBasis(basis, out, deg, table)
+    return PolyInBasis(out, table)
 
 
 def xmul(p: PolyInBasis) -> PolyInBasis:
     """Multiplication by x, exact in the monic mu-basis."""
-    q = p.to_basis(MONIC)
-    res = PolyInBasis(MONIC, xmul_coeffs(q.coeffs, p.table), q.degree + 1, p.table)
-    return res.to_basis(p.basis)
+    return PolyInBasis(xmul_coeffs(p.coeffs, p.table), p.table)
 
 
 def inner_mu(p: PolyInBasis, q: PolyInBasis) -> complex:
@@ -35,10 +32,10 @@ def inner_mu(p: PolyInBasis, q: PolyInBasis) -> complex:
 
     The orthonormal basis is orthonormal for the whole measure, atoms
     included, so the integral is sum p_k q_k over the orthonormal
-    coefficients, exactly.
+    coefficients c_k / tau_k, exactly.
     """
-    pc = p.to_basis(ORTHONORMAL).coeffs
-    qc = q.to_basis(ORTHONORMAL).coeffs
+    pc = p.coeffs / p.table.tau[: p.degree + 1]
+    qc = q.coeffs / q.table.tau[: q.degree + 1]
     d = min(len(pc), len(qc))
     return complex(np.dot(pc[:d], qc[:d]))
 

@@ -230,23 +230,20 @@ def monomial_coeffs(p) -> np.ndarray:
     Monic basis polynomials over [-1, 1] keep O(1) coefficients, so the
     change of basis costs only a few ulps and stays far inside the 1e-8
     comparison tolerances."""
-    from relasym.polybasis import MONIC
-
-    q = p.to_basis(MONIC)
-    table = q.table
-    out = np.zeros(q.degree + 1, dtype=complex)
+    table, c = p.table, p.coeffs
+    out = np.zeros(p.degree + 1, dtype=complex)
     prev = np.ones(1, dtype=complex)           # L_0 = 1
     cur = np.array([-table.b[0], 1.0], dtype=complex)
-    out[0] = q.coeffs[0] * prev[0]
-    if q.degree >= 1:
-        out[: 2] += q.coeffs[1] * cur
-    for k in range(1, q.degree):
+    out[0] = c[0] * prev[0]
+    if p.degree >= 1:
+        out[: 2] += c[1] * cur
+    for k in range(1, p.degree):
         nxt = np.zeros(k + 2, dtype=complex)
         nxt[1:] = cur
         nxt[: k + 1] -= table.b[k] * cur
         nxt[: k] -= table.a[k] ** 2 * prev
         prev, cur = cur, nxt
-        out[: k + 2] += q.coeffs[k + 1] * cur
+        out[: k + 2] += c[k + 1] * cur
     return out
 
 

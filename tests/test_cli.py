@@ -331,6 +331,25 @@ def test_verify_flags_every_row_of_an_ill_conditioned_kernel(tmp_path):
                for row in summary["flagged"])
 
 
+@pytest.mark.parametrize("target, precision", [
+    ({"kind": "pade", "stieltjes": {"base": {"weight_kind": "legendre"}}}, "double"),
+    ({"kind": "pade", "stieltjes": {"base": {"weight_kind": "legendre"}}}, "extended"),
+    ({"kind": "modified", "modifier": {}}, "double")],
+    ids=["pade_no_poles", "pade_no_poles_extended", "modifier_no_points"])
+def test_verify_target_that_is_the_base_passes(tmp_path, target, precision):
+    # X_n = L_n: the law over the base reads 1 with error 0 at every row.
+    # Read off a product of the probe jets with e_n and divided by L_n, some
+    # rows missed 1 by an ulp after a row of error 0, a monotone violation
+    cfg = _write_json(tmp_path / "base.json",
+                      {"measure": {"weight_kind": "legendre"}, "target": target})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path),
+                 "--precision", precision]) == 0
+    law = f"{target['kind']}_vs_base"
+    rows = json.loads((tmp_path / f"ratios_{law}.json").read_text())["rows"]
+    assert len(rows) == 32
+    assert {(r[4], r[5], r[8]) for r in rows} == {(1.0, 0.0, 0.0)}
+
+
 def test_verify_monotone_failure_exit(tmp_path, monkeypatch):
     monkeypatch.setattr("relasym.cli.monotone_violations",
                         lambda rows: [("base_ratio", 3.0 + 0j, 0, 20)])

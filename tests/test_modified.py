@@ -17,7 +17,7 @@ from relasym import (BaseMeasureSpec, ModifiedError, RationalModifier, limit_mod
                      modified_table, recurrence_for, solve_Q, weak_limit_probe)
 from relasym.measures import rule_for
 from relasym.modified import solve_Q_many
-from relasym.polybasis import MONIC, ORTHONORMAL, PolyInBasis, basis_jets
+from relasym.polybasis import PolyInBasis, basis_jets
 
 LEG = BaseMeasureSpec("legendre")
 TAB = recurrence_for(LEG, 70)
@@ -62,7 +62,7 @@ def _orthogonality_residual(op, r, tab):
     n = op.n
     rule = rule_for(tab.spec, n + 60)
     pts, w = rule.all_points(), rule.all_weights()
-    V = basis_jets(tab, n - 1, pts, 0, ORTHONORMAL)[0]
+    V = basis_jets(tab, n - 1, pts)[0] * tab.tau[:n, None]     # l_m = tau_m L_m
     terms = V * (w * r.values(pts) * op.q.values(pts))
     return float(np.max(np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)))
 
@@ -168,9 +168,8 @@ def test_table_through_900_converges(spec, r):
 
 def test_monic_and_exact_degree():
     op = solve_Q(15, R_RAT, TAB)
-    qm = op.q.to_basis(MONIC)
-    assert qm.degree == 15
-    assert qm.coeffs[15] == pytest.approx(1.0, rel=1e-12)
+    assert op.q.degree == 15
+    assert op.q.coeffs[15] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_against_dense_oracle():
@@ -308,7 +307,7 @@ def test_ratio_approaches_limit():
 
 
 def test_weak_limit_probe_trivial_f():
-    one = PolyInBasis(MONIC, np.ones(1, dtype=complex), 0, TAB)
+    one = PolyInBasis(np.ones(1, dtype=complex), TAB)
     lhs, rhs = weak_limit_probe(one, 0, 40, R_CPX, TAB)
     assert rhs == pytest.approx(1.0, rel=1e-13)      # (1/pi) integral of 1
     assert abs(lhs - rhs) < 1e-3
@@ -322,7 +321,7 @@ def test_weak_limit_probe_on_atoms_with_double_pole(fdeg, nu):
     n = 60
     tab = recurrence_for(ATOMS2, 70)
     coeffs = np.array([0.3, -0.2j, 1.0, 0.5, 0.1, -0.7, 1.0])[-fdeg - 1:]
-    f = PolyInBasis(MONIC, coeffs, fdeg, tab)
+    f = PolyInBasis(coeffs, tab)
     lhs, _ = weak_limit_probe(f, nu, n, R_ATOMS2, tab)
     ops = [solve_Q(k, R_ATOMS2, tab) for k in range(n, n + nu + 1)]
     rule = rule_for(ATOMS2, n + nu + R_ATOMS2.A + R_ATOMS2.B + 60 + fdeg)

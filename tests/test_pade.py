@@ -12,7 +12,7 @@ from relasym import (BaseMeasureSpec, PadeError, RecurrenceTable, StieltjesFn, e
 from _mp_oracles import _mp_remainder, mp_error_ratio
 from relasym.measures import rule_for
 from relasym.pade import _power_coeffs
-from relasym.polybasis import MONIC, PolyInBasis
+from relasym.polybasis import PolyInBasis
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
 LEG = BaseMeasureSpec("legendre")

@@ -1,4 +1,4 @@
-"""Polynomial values, jets, and basis conversions over recurrence tables."""
+"""Polynomial values and jets over recurrence tables."""
 import sys
 from pathlib import Path
 
@@ -11,7 +11,6 @@ from _quadrature import values_on_rule
 
 from relasym import BaseMeasureSpec, PolyInBasis, basis_jets, recurrence_for
 from relasym.measures import rule_for
-from relasym.polybasis import MONIC, ORTHONORMAL
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
@@ -32,27 +31,13 @@ def test_jets_are_derivatives():
     assert jet[2] == pytest.approx(2.0, rel=1e-13)
 
 
-def test_orthonormal_is_scaled_monic():
-    z = 2.5
-    mono = basis_jets(LEG, 10, z, 0, MONIC)[0]
-    orth = basis_jets(LEG, 10, z, 0, ORTHONORMAL)[0]
-    assert np.allclose(orth, LEG.tau[:11] * mono, rtol=1e-12)
-
-
-def test_basis_round_trip():
-    rng_free = np.array([0.3, -1.2, 0.0, 2.5, -0.7], dtype=complex)
-    p = PolyInBasis(MONIC, rng_free, 4, LEG)
-    back = p.to_basis(ORTHONORMAL).to_basis(MONIC)
-    assert np.allclose(back.coeffs, p.coeffs, rtol=1e-13)
-
-
 def test_norm_via_recurrence_matches_quadrature():
     p = PolyInBasis.basis_poly(LEG, 6)
     rule = rule_for(LEG.spec, 20)
     w = rule.all_weights()
     v = p.values(rule.all_points())
     quad_norm = np.sqrt(np.sum(w * v * v).real)
-    norm = np.linalg.norm(p.to_basis(ORTHONORMAL).coeffs)   # Hermitian L2(mu) norm
+    norm = np.linalg.norm(p.coeffs / LEG.tau[:7])   # Hermitian L2(mu) norm
     assert norm == pytest.approx(quad_norm, rel=1e-12)
 
 
@@ -62,12 +47,13 @@ def test_inner_mu_exact_with_atoms():
     spec = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.5, 0.3)))
     tab = recurrence_for(spec, 60)
     rng = np.random.default_rng(3)
-    p = PolyInBasis(ORTHONORMAL, rng.standard_normal(41) + 1j * rng.standard_normal(41), 40, tab)
-    q = PolyInBasis(ORTHONORMAL, rng.standard_normal(31), 30, tab).to_basis(MONIC)
+    pc = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    qc = rng.standard_normal(31)
+    p = PolyInBasis(pc * tab.tau[:41], tab)
+    q = PolyInBasis(qc * tab.tau[:31], tab)
     rule = rule_for(spec, 40)
     want = np.sum(rule.all_weights() * values_on_rule(p, rule) * values_on_rule(q, rule))
-    assert abs(inner_mu(p, q) - want) < 1e-12 * np.linalg.norm(p.coeffs) * np.linalg.norm(
-        q.to_basis(ORTHONORMAL).coeffs)
+    assert abs(inner_mu(p, q) - want) < 1e-12 * np.linalg.norm(pc) * np.linalg.norm(qc)
 
 
 def test_monomial_conversion_against_known_form():
@@ -82,16 +68,11 @@ def test_monomial_conversion_against_known_form():
 
 def test_trimmed_drops_zero_tail():
     c = np.array([1.0, 2.0, 0.0, 0.0], dtype=complex)
-    p = PolyInBasis(MONIC, c, 3, LEG).trimmed()
+    p = PolyInBasis(c, LEG).trimmed()
     assert p.degree == 1
 
 
-def test_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        PolyInBasis(MONIC, np.ones(3, dtype=complex), 4, LEG)
-
-
-def _jets_by_order(table, deg, z, order, basis):
+def _jets_by_order(table, deg, z, order):
     """Reference: one numpy statement per derivative order at every degree."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     a, b = table.a, table.b
@@ -105,8 +86,6 @@ def _jets_by_order(table, deg, z, order, basis):
             vals[j, k + 1] = (zz - b[k]) * vals[j, k] + j * vals[j - 1, k]
             if k >= 1:
                 vals[j, k + 1] -= asq * lower[j]
-    if basis == ORTHONORMAL:
-        vals = vals * table.tau[: deg + 1][None, :, None]
     return vals
 
 
@@ -115,11 +94,10 @@ def _same_bits(x, y):
         np.ascontiguousarray(y).tobytes()
 
 
-@pytest.mark.parametrize("basis", [MONIC, ORTHONORMAL])
 @pytest.mark.parametrize("spec", [BaseMeasureSpec("legendre"),
                                   BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))],
                          ids=["legendre", "legendre_atom"])
-def test_jets_all_orders_match_per_order_recurrence_bitwise(spec, basis):
+def test_jets_all_orders_match_per_order_recurrence_bitwise(spec):
     # one array step per degree for every order must round exactly as the
     # per-order loop does, batched and per point (complex multiply rounds
     # differently on 2-d operands, so a reshaped derivative block would not)
@@ -136,10 +114,10 @@ def test_jets_all_orders_match_per_order_recurrence_bitwise(spec, basis):
                               + 1j * rng.normal(0.0, 1.5, npts), 0.0)).astype(complex)
         cases.append((int(rng.integers(0, 121)), z, int(rng.integers(0, 4))))
     for deg, z, order in cases:
-        want = _jets_by_order(tab, deg, z, order, basis)
-        got = basis_jets(tab, deg, z, order, basis)
+        want = _jets_by_order(tab, deg, z, order)
+        got = basis_jets(tab, deg, z, order)
         assert got.flags.c_contiguous
         assert _same_bits(got, want), (deg, z, order)
         for p in range(z.size):
-            one = basis_jets(tab, deg, z[p], order, basis)
+            one = basis_jets(tab, deg, z[p], order)
             assert _same_bits(one, want[:, :, p]), (deg, z[p], order)

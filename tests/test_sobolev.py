@@ -16,7 +16,6 @@ from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      StieltjesFn, digit_loss, gamma_sequence, phi, recurrence_for,
                      regularity, sn_kernel, sn_lambda, to_sobolev_spec)
 from relasym.sobolev import SobolevTerm
-from relasym.polybasis import MONIC
 
 LEG = BaseMeasureSpec("legendre")
 TAB = recurrence_for(LEG, 90)
@@ -75,6 +74,16 @@ def test_diagonal_masses_take_any_number():
         assert gamma.tolist() == [[complex(entry), 0j], [0j, 1 + 0j]]
 
 
+@pytest.mark.parametrize("masses", [5.0, "11", [[1.0, 2.0]], []],
+                         ids=["scalar", "string", "nested", "empty"])
+def test_diagonal_masses_must_be_a_flat_sequence(masses):
+    # np.diag read a scalar or a string as a bad shape (bare ValueError), a
+    # nested list as a matrix, whose diagonal it took, and an empty list as a
+    # 0 x 0 gamma, whose top row SobolevTerm indexed
+    with pytest.raises(SobolevError, match="flat sequence"):
+        SobolevSpec.diagonal([(2.0, masses)])
+
+
 def test_coupling_weights_take_numpy_numbers():
     t = SobolevTerm(3.0, [[np.complex128(1 + 2j)]])
     assert t.gamma.dtype == complex and t.gamma.tolist() == [[1 + 2j]]
@@ -113,7 +122,7 @@ def test_kernel_vs_lambda_paths(name):
     # package run the kernel identity
     spec = KERNEL_SPECS[name]
     for n in (9, 21, 33, 40):
-        k = sn_kernel(n, spec, TAB).rep.to_basis(MONIC)
+        k = sn_kernel(n, spec, TAB).rep
         assert np.max(np.abs(k.coeffs - lambda_monic(n, spec, TAB))) < 1e-9
 
 
@@ -143,7 +152,7 @@ def test_two_pole_kernel_reach():
 def test_kernel_deep_degrees_match_exact_lane(name, n):
     spec, build = {"two_pole": (TWO_POLE, sn_kernel), "derivative": (DERIV, sn_kernel),
                    "two_pole_mp": (TWO_POLE, sn_lambda)}[name]
-    k = build(n, spec, TAB).rep.to_basis(MONIC)
+    k = build(n, spec, TAB).rep
     assert np.max(np.abs(k.coeffs - lambda_monic(n, spec, TAB))) < 1e-8
 
 
@@ -237,8 +246,8 @@ def test_extended_lane_engages_and_matches():
     # by n=60 the collapsed jets cancel ~34 digits: the mpmath lane works at
     # enough digits to absorb that and still matches the double lane
     n = 60
-    k = sn_kernel(n, PAIR, TAB).rep.to_basis(MONIC)
-    l = sn_lambda(n, PAIR, TAB).rep.to_basis(MONIC)
+    k = sn_kernel(n, PAIR, TAB).rep
+    l = sn_lambda(n, PAIR, TAB).rep
     assert np.max(np.abs(k.coeffs - l.coeffs)) < 1e-9
 
 

@@ -338,6 +338,15 @@ def test_boundary_grid_error_shrinks_with_degree():
     assert worst[40] < worst[10]
 
 
+@pytest.mark.parametrize("target", [StieltjesFn(BaseMeasureSpec("legendre")),
+                                    RationalModifier()], ids=["pade", "modified"])
+def test_target_that_is_the_base_has_the_base_zeros(target):
+    base = dataclasses.replace(scenario("base_legendre"), zero_degrees=(1, 20, 61))
+    want = run_zero_attraction(base)
+    got = run_zero_attraction(dataclasses.replace(base, target=target))
+    assert {n: rep.roots for n, rep in got.items()} == {n: rep.roots for n, rep in want.items()}
+
+
 def test_zero_attraction_keying():
     cfg = scenario("pade_gonchar")
     out = run_zero_attraction(dataclasses.replace(cfg, zero_degrees=(20, 30)))
@@ -349,6 +358,13 @@ def test_zero_attraction_keying():
     assert sorted(run_zero_attraction(cfg)) == sorted(cfg.zero_degrees or cfg.n_ladder)
 
 
+def _jet(poly, z, order):
+    """poly's jets at z through order, at least through order 1: the ladder
+    reads every order from one product of many rows, and numpy takes a
+    one-row product as a dot, which sums in another order."""
+    return poly.jet(z, max(order, 1))
+
+
 def _pointwise_ratio(law, table, polys, n, z, nu):
     """One row's ratio from scalar basis_jets and PolyInBasis.jet calls."""
     if law == "base_ratio":
@@ -357,9 +373,9 @@ def _pointwise_ratio(law, table, polys, n, z, nu):
         jets = basis_jets(table, n, z, nu + 1)[:, n]
         return jets[nu + 1] / (n * jets[nu])
     if law.endswith("_vs_base"):
-        return polys[n].jet(z, nu)[nu] / basis_jets(table, n, z, nu)[nu, n]
+        return _jet(polys[n], z, nu)[nu] / basis_jets(table, n, z, nu)[nu, n]
     if law == "modified_ratio":
-        return polys[n + 1].jet(z, nu)[nu] / polys[n].jet(z, nu)[nu]
+        return _jet(polys[n + 1], z, nu)[nu] / _jet(polys[n], z, nu)[nu]
     if law == "modified_log_derivative":
         jets = polys[n].jet(z, nu + 1)
         return jets[nu + 1] / (n * jets[nu])

@@ -24,7 +24,7 @@ from relasym import (
 )
 from relasym import zeros as zeros_module
 from relasym.joukowski import dist_to_cut
-from relasym.polybasis import MONIC, ORTHONORMAL
+from relasym.polybasis import basis_jets
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import _targets
 from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_norm, _jacobi, _last_row,
@@ -35,13 +35,19 @@ CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
 LEG = recurrence_for(BaseMeasureSpec("legendre"), 20)
 
 
-def _comrade_matrix(p: PolyInBasis) -> np.ndarray:
-    """The dense oracle: A = J_n - e_{n-1} f^T, whose eigenvalues are the
-    roots of p, real when f is."""
-    q = p.to_basis(ORTHONORMAL)
-    f = _last_row(q)
+def _orth(p: PolyInBasis) -> np.ndarray:
+    """The orthonormal coefficients of p over l_m = tau_m L_m, as roots()
+    forms them."""
+    return p.coeffs / p.table.tau[: p.degree + 1]
+
+
+def _comrade_matrix(c: np.ndarray, table) -> np.ndarray:
+    """The dense oracle: A = J_n - e_{n-1} f^T for the orthonormal
+    coefficients c of p, whose eigenvalues are the roots of p, real when f
+    is."""
+    f = _last_row(c, table)
     real = not np.any(f.imag)
-    A = _jacobi(q.table, q.degree).astype(float if real else complex)
+    A = _jacobi(table, len(f)).astype(float if real else complex)
     A[-1] -= f.real if real else f
     return A
 
@@ -61,7 +67,7 @@ def test_legendre_roots_match_gauss_nodes():
 def test_conjugate_pair_is_exact():
     # x^2 + 1 = L_2 + 3/2 over the cheb monic basis; on real data the
     # conjugate pairing makes the pair exact conjugates
-    p = PolyInBasis(MONIC, np.array([1.5, 0.0, 1.0], dtype=complex), 2, CHEB)
+    p = PolyInBasis(np.array([1.5, 0.0, 1.0], dtype=complex), CHEB)
     r = roots(p)
     assert r[0] == r[1].conjugate()
     assert r[0].imag < 0 < r[1].imag
@@ -78,38 +84,38 @@ def test_exact_root_with_zero_scale_passes_the_gate(tab):
 
 
 def test_zero_leading_coefficient_rejected():
-    p = PolyInBasis(MONIC, np.array([1.0, 0.0], dtype=complex), 1, CHEB)
+    p = PolyInBasis(np.array([1.0, 0.0], dtype=complex), CHEB)
     with pytest.raises(ZerosError):
         roots(p)
 
 
-def _pointwise_residual(q, z, norm_a):
-    """One root at a time: PolyInBasis.jet plus the scalar running scale."""
-    c, a, b = q.coeffs, q.table.a, q.table.b
-    v_prev, v_cur = 0j, complex(q.table.tau[0])
-    e_prev, e_cur = 0.0, abs(q.table.tau[0])
+def _pointwise_residual(p, z, norm_a):
+    """One root at a time: the orthonormal jets plus the scalar running scale."""
+    c, tau, a, b = _orth(p), p.table.tau[: p.degree + 1], p.table.a, p.table.b
+    v_prev, v_cur = 0j, complex(tau[0])
+    e_prev, e_cur = 0.0, abs(tau[0])
     total = abs(c[0]) * (e_cur + abs(v_cur))
-    for k in range(q.degree):
+    for k in range(p.degree):
         grow = abs(z) + abs(b[k])
         step = (grow * abs(v_cur) + a[k] * abs(v_prev)) / a[k + 1]
         v_prev, v_cur = v_cur, ((z - b[k]) * v_cur - a[k] * v_prev) / a[k + 1]
         e_prev, e_cur = e_cur, (grow * e_cur + a[k] * e_prev) / a[k + 1] + step
         total += abs(c[k + 1]) * (e_cur + abs(v_cur))
-    jet = q.jet(z, 1)
+    jet = (basis_jets(p.table, p.degree, z, 1) * tau) @ c
     return abs(jet[0]) / (total + norm_a * abs(jet[1]))
 
 
 def test_residual_gate_rejects_perturbed_roots():
     n = 60
     p = PolyInBasis.basis_poly(recurrence_for(BaseMeasureSpec("legendre"), n), n)
-    q = p.to_basis(ORTHONORMAL)
-    norm_a = float(np.linalg.norm(_comrade_matrix(p), np.inf))
+    c = _orth(p)
+    norm_a = float(np.linalg.norm(_comrade_matrix(c, p.table), np.inf))
     nodes = roots_legendre(n)[0].astype(complex)
-    assert np.max(_root_residuals(q, nodes, norm_a)) <= 1e-12
+    assert np.max(_root_residuals(c, p.table, nodes, norm_a)) <= 1e-12
     moved = nodes * (1.0 + 1e-5)
-    got = _root_residuals(q, moved, norm_a)
+    got = _root_residuals(c, p.table, moved, norm_a)
     assert np.max(got) > RESIDUAL_TOL
-    want = [_pointwise_residual(q, z, norm_a) for z in moved]
+    want = [_pointwise_residual(p, z, norm_a) for z in moved]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -123,15 +129,16 @@ def test_fused_gate_matches_pointwise_residual_at_180(name):
     # is ~1e-20 of the bound
     n = 180
     cfg = scenario(name)
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
-    f = _last_row(q)
+    p = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    c = _orth(p)
+    f = _last_row(c, p.table)
     route = "gauss" if not np.any(f) else "real" if not np.any(f.imag) else "secular"
     assert route == {"base_legendre": "gauss", "sobolev_point_pair": "real",
                      "pade_gonchar": "secular"}[name]
-    norm_a = _comrade_norm(q, f)
-    moved = np.array(roots(q)) * (1.0 + 1e-5)
-    got = _root_residuals(q, moved, norm_a)
-    want = [_pointwise_residual(q, z, norm_a) for z in moved]
+    norm_a = _comrade_norm(p.table, f)
+    moved = np.array(roots(p)) * (1.0 + 1e-5)
+    got = _root_residuals(c, p.table, moved, norm_a)
+    want = [_pointwise_residual(p, z, norm_a) for z in moved]
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=EPS)
 
 
@@ -231,16 +238,16 @@ def _sobolev_spec(rng, real: bool) -> SobolevSpec:
     return SobolevSpec(tuple(terms))
 
 
-def _mp_lagrange_ratio(q, z, dps=40):
-    """p(z) / (lc_p omega(z)) at dps digits: p from the orthonormal
-    recurrence, lc_p = c_n tau_0 / prod a_k, omega the monic polynomial
-    with the zeros cos((2i+1) pi / 2n) of T_n."""
-    n = q.degree
+def _mp_lagrange_ratio(coeffs, table, z, dps=40):
+    """p(z) / (lc_p omega(z)) at dps digits: p = sum c_k l_k from the
+    orthonormal recurrence, lc_p = c_n tau_0 / prod a_k, omega the monic
+    polynomial with the zeros cos((2i+1) pi / 2n) of T_n."""
+    n = len(coeffs) - 1
     with mp.workdps(dps):
-        c = [mp.mpc(complex(v)) for v in q.coeffs]
-        a = [mp.mpf(float(v)) for v in q.table.a]
-        b = [mp.mpf(float(v)) for v in q.table.b]
-        tau0 = mp.mpf(float(q.table.tau[0]))
+        c = [mp.mpc(complex(v)) for v in coeffs]
+        a = [mp.mpf(float(v)) for v in table.a]
+        b = [mp.mpf(float(v)) for v in table.b]
+        tau0 = mp.mpf(float(table.tau[0]))
         z = mp.mpc(z)
         v_prev, v = 0, tau0
         val = c[0] * v
@@ -264,11 +271,10 @@ def test_secular_weights_match_the_lagrange_form(measure):
         table = recurrence_for(measure, n + 2)
         real = rng.standard_normal(n + 1) + 0j
         for coeffs in (real, real + 1j * rng.standard_normal(n + 1)):
-            q = PolyInBasis(ORTHONORMAL, coeffs, n, table)
-            t, beta = _secular_weights(q, _last_row(q), _workspace(n))
+            t, beta = _secular_weights(table, _last_row(coeffs, table), _workspace(n))
             np.testing.assert_array_equal(np.sort(t), t)
             for z in (0.5 + 0.3j, -0.9 - 0.2j, 1.5, 2j, -3.0 + 1j):
-                want = _mp_lagrange_ratio(q, z)
+                want = _mp_lagrange_ratio(coeffs, table, z)
                 assert abs(1.0 + np.sum(beta / (z - t)) - want) <= 1e-12 * abs(want)
 
 
@@ -331,9 +337,9 @@ def test_secular_roots_match_the_eigensolver(monkeypatch, measure, degrees, buil
         rng = np.random.default_rng(20)
         for n in degrees:
             q = build(measure, n, rng, real)
-            assert np.any(_last_row(q.to_basis(ORTHONORMAL)).imag) != real
+            assert np.any(_last_row(_orth(q), q.table).imag) != real
             got = np.array(roots(q))
-            want = np.linalg.eigvals(_comrade_matrix(q))
+            want = np.linalg.eigvals(_comrade_matrix(_orth(q), q.table))
             band = dist_to_cut(want) <= 0.1
             near = got[dist_to_cut(got) <= 0.1]
             assert near.size == np.count_nonzero(band)
@@ -367,9 +373,9 @@ def test_real_data_resolves_near_band_pairs(n):
     xL = xmul(L)
     for w in (0.3 + 0.01j, 0.3 + 0.2j, 0.9 + 0.03j, 1.2 + 0.3j):
         p = lincomb([xmul(xL), xL, L], [1.0, -2.0 * w.real, abs(w) ** 2])
-        assert not np.any(_last_row(p.to_basis(ORTHONORMAL)).imag)
+        assert not np.any(_last_row(_orth(p), table).imag)
         got = np.array(roots(p))
-        for z in np.linalg.eigvals(_comrade_matrix(p)):
+        for z in np.linalg.eigvals(_comrade_matrix(_orth(p), table)):
             assert np.min(np.abs(got - z)) <= 1e-12 * max(1.0, abs(z))
         pair = got[got.imag != 0.0]
         assert pair.size == 2 and pair[0] == pair[1].conjugate()
@@ -405,29 +411,30 @@ def test_roots_on_a_vertical_line_keep_their_order(monkeypatch):
     p = lincomb([PolyInBasis.basis_poly(LEG, 2), PolyInBasis.basis_poly(LEG, 1)], [1.0, 1j])
     low, high = 2j - 1.7e-8j, 2j + 1.7e-8j
     # the crafted roots are not the polynomial's: no residual gate
-    monkeypatch.setattr(zeros_module, "_root_residuals", lambda q, z, norm: np.zeros(z.size))
+    monkeypatch.setattr(zeros_module, "_root_residuals",
+                        lambda c, table, z, norm: np.zeros(z.size))
     for sign in (1.0, -1.0):
         crafted = np.array([high + sign * 1e-17, low - sign * 1e-17])
-        monkeypatch.setattr(zeros_module, "_secular_roots", lambda q, f: crafted)
+        monkeypatch.setattr(zeros_module, "_secular_roots", lambda c, table, f: crafted)
         got = roots(p)
         assert [z.imag for z in got] == [low.imag, high.imag]
 
 
-def _mp_refined(q, starts, dps=50):
-    """Newton steps with deflation at dps digits on the double coefficients
-    of orthonormal q, one root per start."""
+def _mp_refined(p, starts, dps=50):
+    """Newton steps with deflation at dps digits on the double orthonormal
+    coefficients of p (_orth), one root per start."""
     with mp.workdps(dps):
-        c = [mp.mpc(complex(v)) for v in q.coeffs]
-        a = [mp.mpf(float(v)) for v in q.table.a]
-        b = [mp.mpf(float(v)) for v in q.table.b]
-        tau0 = mp.mpf(float(q.table.tau[0]))
+        c = [mp.mpc(complex(v)) for v in _orth(p)]
+        a = [mp.mpf(float(v)) for v in p.table.a]
+        b = [mp.mpf(float(v)) for v in p.table.b]
+        tau0 = mp.mpf(float(p.table.tau[0]))
         found = []
         for start in starts:
             z = mp.mpc(start)
             for _ in range(60):
                 v_prev, v, d_prev, d = 0, tau0, 0, 0
                 val, der = c[0] * v, 0
-                for k in range(q.degree):
+                for k in range(p.degree):
                     v_prev, v = v, ((z - b[k]) * v - a[k] * v_prev) / a[k + 1]
                     d_prev, d = d, ((z - b[k]) * d + v_prev - a[k] * d_prev) / a[k + 1]
                     val += c[k + 1] * v
@@ -448,7 +455,7 @@ def test_attracted_pair_matches_extended_precision_refinement():
     # double coefficients
     n = 180
     cfg = scenario("pade_gonchar")
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
     assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
@@ -463,8 +470,8 @@ def test_real_route_polishes_the_attracted_pair(n):
     # lands within 1e-8 of its 50-digit values after the extended precision
     # finish, as on complex data
     cfg = scenario("sobolev_point_pair")
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
-    assert not np.any(_last_row(q).imag)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    assert not np.any(_last_row(_orth(q), q.table).imag)
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
     assert pair.size == 2 and np.all(np.abs(pair - 2.0) < 1e-3)
@@ -486,7 +493,7 @@ def test_attracted_pair_finishes_within_sweep_budget(monkeypatch, n):
     # sweeps in all, within 1e-8 of its 50-digit values
     monkeypatch.setattr(zeros_module, "MAX_SWEEPS", 18)
     cfg = scenario("pade_gonchar")
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
     sweeps = []
     real_sweep = zeros_module._sweep
 
@@ -510,7 +517,7 @@ def test_cluster_started_on_the_real_axis_converges_or_refuses():
     # refuse, not return real roots that pass the residual gate
     table = recurrence_for(BaseMeasureSpec("legendre"), 62)
     spec = SobolevSpec((SobolevTerm(2.0 + 1e-30j, np.eye(3)),))
-    q = sn_kernel(60, spec, table).rep.to_basis(ORTHONORMAL)
+    q = sn_kernel(60, spec, table).rep
     try:
         got = np.array(roots(q))
     except ZerosError as exc:
@@ -527,7 +534,7 @@ def test_triple_cluster_converges_at_its_rounding_level(c):
     # three roots ~2e-5 apart: longdouble steps stall near 1e-9, above
     # POLISH_TOL, where |p| is at its rounding level; the finish stops there
     table = recurrence_for(BaseMeasureSpec("legendre"), 62)
-    q = sn_kernel(60, SobolevSpec((SobolevTerm(c, np.eye(3)),)), table).rep.to_basis(ORTHONORMAL)
+    q = sn_kernel(60, SobolevSpec((SobolevTerm(c, np.eye(3)),)), table).rep
     got = np.array(roots(q))
     near = got[dist_to_cut(got) > 0.05]
     assert near.size == 3
@@ -537,7 +544,7 @@ def test_triple_cluster_converges_at_its_rounding_level(c):
 
 def test_unconverged_polish_refuses(monkeypatch):
     cfg = scenario("pade_gonchar")
-    q = _targets(cfg, recurrence_for(cfg.measure, 62), (60,))[0][60].to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, 62), (60,))[0][60]
     monkeypatch.setattr(zeros_module, "POLISH_STEPS", 0)
     with pytest.raises(ZerosError, match="did not converge") as info:
         roots(q)
@@ -569,7 +576,7 @@ def test_eigensolver_runs_only_on_the_gauss_route(monkeypatch, name, n):
     # takes the Gauss route: one eigvalsh of J_n and nothing else.  np.roots
     # holds its own reference to eigvals, so the spy replaces both
     cfg = scenario(name)
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n].to_basis(ORTHONORMAL)
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
     seen = {"eigvals": [], "eigh": [], "eigvalsh": []}
 
     def spy(kind):
@@ -602,9 +609,9 @@ def test_linear_norm_matches_dense(measure):
     for n in (1, 2, 3, 60):
         real = rng.standard_normal(n + 1) + 0j
         for coeffs in (real, real + 1j * rng.standard_normal(n + 1)):
-            p = PolyInBasis(ORTHONORMAL, coeffs, n, table)
-            dense = float(np.linalg.norm(_comrade_matrix(p), np.inf))
-            assert _comrade_norm(p, _last_row(p)) == pytest.approx(dense, rel=1e-15)
+            dense = float(np.linalg.norm(_comrade_matrix(coeffs, table), np.inf))
+            assert _comrade_norm(table, _last_row(coeffs, table)) == pytest.approx(dense,
+                                                                                  rel=1e-15)
 
 
 def _scalar_cluster(rts, centers, r, band):
