@@ -20,12 +20,10 @@ from .modified import (
     weak_limit_probe,
 )
 from .sobolev import (
-    RegularityReport,
     SobolevError,
     SobolevSpec,
     digit_loss,
     gamma_sequence,
-    regularity,
     sn_kernel,
     sn_lambda,
 )

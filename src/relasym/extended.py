@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from .measures import RecurrenceTable, _measure_ab
-from .sobolev import SobolevSpec, _kernel_cond, _kernel_system, _refusals, _support, digit_loss
+from .sobolev import SobolevSpec, _kernel_cond, _kernel_system, _refusals, digit_loss
 
 
 def _mp_ab(base: RecurrenceTable, deg: int):
@@ -88,8 +88,8 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
         tau = [1 / mpmath.sqrt(v) for v in normsq]
         Js, Ws, blocks = [], [], []
         for t in spec.terms:
-            rows, cols = _support(t.gamma)
-            jets = _mp_basis_jets(n, max(rows + cols), mpmath.mpc(t.c), a2, b)
+            rows, cols = t.rows, t.cols
+            jets = _mp_basis_jets(n, t.order, mpmath.mpc(t.c), a2, b)
             g = [[mpmath.mpc(v) for v in row] for row in t.gamma]
             Js += [jets[k] for k in cols]
             Ws += [[mpmath.fdot([g[i][k] for i in rows], [jets[i][m] for i in rows])
@@ -98,7 +98,7 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
             peak = {i: max(abs(v) for v in row) for i, row in orth.items()}
             pj, pw = max(peak[k] for k in cols), max(peak[i] for i in rows)
             J = np.array([[complex(v / pj) for v in orth[k]] for k in cols])
-            W = t.gamma[np.ix_(rows, cols)].T @ np.array(
+            W = t.star.T @ np.array(
                 [[complex(v / pw) for v in orth[i]] for i in rows])
             blocks.append((J, W, float(1 / (pj * pw))))
         cond = _kernel_cond(_kernel_system(blocks, n)[0])

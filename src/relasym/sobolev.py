@@ -22,7 +22,7 @@ same condition number:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,7 @@ __all__ = [
     "SobolevTerm",
     "SobolevSpec",
     "SobolevError",
-    "RegularityReport",
     "SobolevOP",
-    "regularity",
     "sn_kernel",
     "sn_lambda",
     "digit_loss",
@@ -66,18 +64,47 @@ def _as_complex_matrix(gamma) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SobolevTerm:
-    """One point c with derivative couplings gamma[i, k], i <= N, k <= J."""
+    """One point c with derivative couplings gamma[i, k], i <= N, k <= J.
+
+    gamma is read once, here, and made read-only, so what is read from it
+    cannot go stale: rows and cols index its nonzero rows and columns (its
+    support), star = gamma[rows, cols] is the reduced matrix Gamma*, order
+    = max(rows + cols) is the highest derivative it couples, and I is the
+    size of Gamma* when Gamma* is square with det != 0 relative to the
+    Hadamard row bound (the term is regular), else 0.
+    """
 
     c: complex
     gamma: np.ndarray
+    rows: tuple = field(init=False, compare=False)
+    cols: tuple = field(init=False, compare=False)
+    star: np.ndarray = field(init=False, compare=False, repr=False)
+    order: int = field(init=False, compare=False)
+    I: int = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", point(self.c, "coupling point", SobolevError))
-        object.__setattr__(self, "gamma", _as_complex_matrix(self.gamma))
-        if not np.all(np.isfinite(self.gamma)):
+        g = _as_complex_matrix(self.gamma)
+        if not np.all(np.isfinite(g)):
             raise SobolevError(f"coupling weights at {self.c} are not finite")
-        if not np.any(self.gamma[-1]):
+        if not np.any(g[-1]):
             raise SobolevError("top derivative row of gamma is identically zero")
+        g.flags.writeable = False
+        rows = tuple(i for i in range(g.shape[0]) if np.any(g[i]))
+        cols = tuple(k for k in range(g.shape[1]) if np.any(g[:, k]))
+        star = g[np.ix_(rows, cols)]
+        star.flags.writeable = False
+        size = 0
+        if len(rows) == len(cols):
+            # det against the Hadamard row bound, both of star over its largest
+            # entry: their ratio does not depend on the scale of gamma
+            unit = star / np.abs(star).max()
+            hadamard = float(np.prod(np.linalg.norm(unit, axis=1)))
+            if hadamard > 0.0 and abs(np.linalg.det(unit)) > DET_TOL * hadamard:
+                size = len(rows)
+        for name, value in (("gamma", g), ("rows", rows), ("cols", cols), ("star", star),
+                            ("order", max(rows + cols)), ("I", size)):
+            object.__setattr__(self, name, value)
 
     @property
     def N(self) -> int:
@@ -99,9 +126,10 @@ class SobolevSpec:
         apart([t.c for t in self.terms], None, "coupling points must be distinct", SobolevError)
 
     @property
-    def A(self) -> int:
-        """Degree of s(z) = prod (z - c_j)^{N_j + 1}."""
-        return sum(t.N + 1 for t in self.terms)
+    def regular(self) -> bool:
+        """Whether every term is regular (I > 0): the construction and the
+        asymptotics need it."""
+        return all(t.I for t in self.terms)
 
     @classmethod
     def diagonal(cls, points) -> "SobolevSpec":
@@ -144,57 +172,6 @@ def _read_term(data, path: str) -> SobolevTerm:
     return reader.build(SobolevTerm, path, **term)
 
 
-@dataclass(frozen=True)
-class TermRegularity:
-    is_regular: bool
-    I: int
-    det_gamma_star: complex
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    terms: tuple[TermRegularity, ...]
-    overall_regular: bool
-    A: int
-    N_total: int
-
-
-def _support(g: np.ndarray) -> tuple[list[int], list[int]]:
-    """Indices of the nonzero rows and of the nonzero columns of gamma."""
-    return ([i for i in range(g.shape[0]) if np.any(g[i])],
-            [k for k in range(g.shape[1]) if np.any(g[:, k])])
-
-
-def regularity(spec: SobolevSpec) -> RegularityReport:
-    """Reduce each gamma by deleting zero rows and zero columns; the inner
-    product is regular when every reduced matrix is square with det != 0
-    (relative to the Hadamard row bound).  det_gamma_star is the reduced
-    matrix's det, inf or nan where it leaves the double range."""
-    reports = []
-    for t in spec.terms:
-        g = t.gamma
-        rows, cols = _support(g)
-        star = g[np.ix_(rows, cols)]
-        if star.shape[0] != star.shape[1] or star.size == 0:
-            reports.append(TermRegularity(False, 0, 0.0 + 0.0j))
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # past the double range
-            det = complex(np.linalg.det(star))
-        # det against the Hadamard row bound, both of star over its largest
-        # entry: their ratio does not depend on the scale of gamma
-        unit = star / np.abs(star).max()
-        hadamard = float(np.prod(np.linalg.norm(unit, axis=1)))
-        ok = hadamard > 0.0 and abs(np.linalg.det(unit)) > DET_TOL * hadamard
-        reports.append(TermRegularity(ok, star.shape[0] if ok else 0, det))
-    overall = all(r.is_regular for r in reports)
-    return RegularityReport(
-        terms=tuple(reports),
-        overall_regular=overall,
-        A=spec.A,
-        N_total=sum(r.I for r in reports),
-    )
-
-
 @dataclass
 class SobolevOP:
     n: int
@@ -211,9 +188,8 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     decaying solution into rounding noise, is an input conflict: ConfigError."""
     apart([t.c for t in spec.terms], [loc for loc, _ in base.spec.mass_points],
           "a coupling point coincides with a mass point", reader.ConfigError, NEAR_ATOM)
-    regular = regularity(spec).overall_regular
     base = table_through(base, max(degrees) + 1)    # sn_kernel refuses an infinite tau_n
-    order = max(max(t.gamma.shape) for t in spec.terms) - 1
+    regular, order = spec.regular, max(t.order for t in spec.terms)
     refused = {}
     for n in degrees:
         if not regular:
@@ -274,10 +250,7 @@ def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
     `order`; their monic jets (order+1, top+1, len(probes)) come last.
     """
     deg = max(top, 0)
-    orders = []
-    for t in spec.terms:
-        rows, cols = _support(t.gamma)
-        orders.append(max(rows + cols))
+    orders = [t.order for t in spec.terms]
     with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
         base = table_through(base, top + 1)
         swept = basis_jets(base, deg, np.array([t.c for t in spec.terms] + list(probes)),
@@ -316,7 +289,7 @@ def _kernel_blocks(n: int, spec: SobolevSpec, base: RecurrenceTable, jets: list)
         raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
     blocks = []
     for t, E in zip(spec.terms, jets):
-        rows, cols = _support(t.gamma)
+        rows, cols = list(t.rows), list(t.cols)
         E = E[:, : n + 1]
         if not np.all(np.isfinite(E)):
             raise SobolevError(f"jets at c = {t.c} overflow the double range at n={n}",
@@ -325,7 +298,7 @@ def _kernel_blocks(n: int, spec: SobolevSpec, base: RecurrenceTable, jets: list)
         E = E / peak[:, None]
         pj, pw = peak[cols].max(), peak[rows].max()
         J = E[cols] * (peak[cols] / pj)[:, None]
-        W = t.gamma[np.ix_(rows, cols)].T @ (E[rows] * (peak[rows] / pw)[:, None])
+        W = t.star.T @ (E[rows] * (peak[rows] / pw)[:, None])
         blocks.append((J, W, (1.0 / pj) * (1.0 / pw)))
     return blocks
 

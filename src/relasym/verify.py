@@ -33,7 +33,7 @@ from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence
 from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
 from .pade import StieltjesFn, to_sobolev_spec
 from .polybasis import PolyInBasis, basis_jets
-from .sobolev import SobolevSpec, coupling_jets, regularity, sn_kernel_many, sn_lambda
+from .sobolev import SobolevSpec, coupling_jets, sn_kernel_many, sn_lambda
 from .zeros import cluster, roots
 
 __all__ = [
@@ -226,9 +226,7 @@ class ExperimentConfig:
 def attraction_factors(cfg: ExperimentConfig) -> list:
     """(center, expected zero count) pairs for the config's target."""
     if cfg.target_kind == "sobolev":
-        rep = regularity(cfg.target)
-        return [(term.c, tr.I)
-                for term, tr in zip(cfg.target.terms, rep.terms)]
+        return [(t.c, t.I) for t in cfg.target.terms]
     if cfg.target_kind == "pade":
         return [(c, len(A)) for c, A in cfg.target.poles]
     return []

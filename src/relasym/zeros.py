@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .joukowski import dist_to_cut
-from .measures import RecurrenceTable
+from .measures import RecurrenceTable, table_through
 from .polybasis import PolyInBasis
 from .reader import ConfigError, Refusal
 
@@ -144,8 +144,6 @@ def _last_row(c: np.ndarray, table: RecurrenceTable) -> np.ndarray:
     n = len(c) - 1
     if c[n] == 0:
         raise ZerosError("degree mismatch: leading coefficient is zero")
-    if table.nmax < n:
-        raise ZerosError(f"table nmax {table.nmax} < degree {n}")
     return (table.a[n] / c[n]) * c[:n]
 
 
@@ -497,9 +495,10 @@ def roots(p: PolyInBasis) -> list[complex]:
     evaluation; a relative residual above RESIDUAL_TOL raises, since it
     means the root set cannot be trusted at the advertised accuracy.
     """
-    n, table = p.degree, p.table
+    n = p.degree
     if n == 0:
         return []
+    table = table_through(p.table, n)       # a deeper table has the same leading entries
     c = p.coeffs / table.tau[: n + 1]      # c_m L_m = (c_m / tau_m) l_m
     f = _last_row(c, table)
     if not np.any(f):

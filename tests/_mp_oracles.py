@@ -301,7 +301,7 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
     jets vanish at each c_j; lambda_0 = 1 and the rest are pinned by
     <x^nu, S_n> = 0 for nu < A.  Returns the monic coefficients in mp
     and in double, <S_n, S_n> in mp, and the mp recurrence data."""
-    A = sob.A
+    A = sum(t.N + 1 for t in sob.terms)
     deg_top = n + A
     base = table_through(base, deg_top + 1)
     with mp.workdps(dps):

@@ -11,7 +11,7 @@ import pytest
 
 import relasym.cli
 import relasym.zeros
-from relasym import scenario
+from relasym import recurrence_for, scenario
 from relasym.cli import _json_text
 from relasym.cli import _write_json as cli_write_json
 from relasym.scenarios import BUNDLED_MEASURES, SCENARIOS
@@ -39,6 +39,20 @@ def test_recurrence_from_measure_file(tmp_path):
     rc = main(["recurrence", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     assert json.loads((tmp_path / "recurrence.json").read_text())["nmax"] == 12
+
+
+@pytest.mark.parametrize("form", ["scenario", "experiment_file"])
+def test_recurrence_from_an_experiment(tmp_path, form):
+    # a scenario name or an experiment file: the table of its measure
+    # through the deepest ladder rung
+    cfg = scenario("base_legendre")
+    arg = "base_legendre" if form == "scenario" else _write_json(
+        tmp_path / "experiment.json", cfg.to_json_dict())
+    out = tmp_path / "out"
+    assert main(["recurrence", "--config", arg, "--out", str(out)]) == 0
+    payload = json.loads((out / "recurrence.json").read_text())
+    assert payload["nmax"] == max(cfg.n_ladder) == 80
+    assert payload["table"] == recurrence_for(cfg.measure, 80).to_json_dict()
 
 
 def test_recurrence_refuses_overflowing_tau(tmp_path, capsys):
@@ -348,6 +362,42 @@ def test_verify_target_that_is_the_base_passes(tmp_path, target, precision):
     rows = json.loads((tmp_path / f"ratios_{law}.json").read_text())["rows"]
     assert len(rows) == 32
     assert {(r[4], r[5], r[8]) for r in rows} == {(1.0, 0.0, 0.0)}
+
+
+def _coupled(gamma):
+    return {"measure": LEGENDRE, "n_ladder": [2, 3, 5, 10], "zero_degrees": [2],
+            "target": {"kind": "sobolev", "sobolev": {"terms": [{
+                "c": [2.0, 0.0], "gamma": [[[v, 0.0] for v in row] for row in gamma]}]}}}
+
+
+# the same inner product twice: the derivative couplings at 2 read only its
+# support, so an all-zero column changes nothing
+PADDED_GAMMA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+TRIMMED_GAMMA = [[0.0], [1.0]]
+
+
+@pytest.mark.parametrize("sub, precision", [
+    ("verify", "double"), ("verify", "extended"), ("zeros", "double")])
+def test_padded_gamma_reports_what_its_trimmed_twin_reports(tmp_path, sub, precision):
+    # n = 2 is past the highest coupled derivative, 1, in both; the padded
+    # gamma was refused there as if it coupled the derivative of order 2.
+    # Only the config echo, which holds gamma, tells the two apart
+    runs = {}
+    for name, gamma in (("padded", PADDED_GAMMA), ("trimmed", TRIMMED_GAMMA)):
+        cfg = _write_json(tmp_path / f"{name}.json", _coupled(gamma))
+        out = tmp_path / name
+        rc = main([sub, "--config", cfg, "--out", str(out), "--precision", precision])
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        echoed = json.loads(files.pop("zeros.json" if sub == "zeros" else "summary.json"))
+        assert echoed.pop("config")["target"]["sobolev"]["terms"][0]["N"] == 1
+        runs[name] = rc, files, echoed
+    assert runs["padded"] == runs["trimmed"]
+    rc, files, echoed = runs["padded"]
+    if sub == "zeros":
+        assert rc == 0 and list(echoed["reports"]) == ["2"]
+    else:
+        assert sorted(files) == ["ratios_sobolev_vs_base.csv", "ratios_sobolev_vs_base.json"]
+        assert not echoed["flagged"] and rc == (1 if echoed["violations"] else 0)
 
 
 def test_verify_monotone_failure_exit(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from _mp_oracles import (_residuals, compare_monomial, lambda_dps, lambda_expans
 
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      StieltjesFn, digit_loss, gamma_sequence, phi, recurrence_for,
-                     regularity, sn_kernel, sn_lambda, to_sobolev_spec)
+                     sn_kernel, sn_lambda, to_sobolev_spec)
 from relasym.sobolev import SobolevTerm
 
 LEG = BaseMeasureSpec("legendre")
@@ -25,13 +25,20 @@ PAIR = SobolevSpec.diagonal([(2.0, [1.0, 1.0])])    # value + derivative
 
 
 def test_regularity_counts():
-    rep = regularity(DERIV)
-    assert rep.overall_regular
-    assert [t.I for t in rep.terms] == [1]
-    rep = regularity(PAIR)
-    assert rep.overall_regular
-    assert [t.I for t in rep.terms] == [2]
-    assert rep.A == 2
+    assert DERIV.regular
+    assert [t.I for t in DERIV.terms] == [1]
+    assert [(t.rows, t.cols, t.order) for t in DERIV.terms] == [((1,), (1,), 1)]
+    assert PAIR.regular
+    assert [t.I for t in PAIR.terms] == [2]
+    assert [(t.rows, t.cols, t.order) for t in PAIR.terms] == [((0, 1), (0, 1), 1)]
+    # zero rows and columns are no coupling: a padded gamma reads as its trimmed twin
+    padded = SobolevTerm(2.0, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert (padded.rows, padded.cols, padded.order, padded.I) == ((1,), (0,), 1, 1)
+    assert padded.star.tolist() == [[1.0]]
+    # read once: gamma and Gamma* are read-only, so the fields cannot go stale
+    for matrix in (padded.gamma, padded.star):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
@@ -39,12 +46,14 @@ def test_regularity_does_not_depend_on_the_scale_of_gamma(scale):
     # the raw row norms of a 1e300 gamma overflowed with a RuntimeWarning,
     # and a nonzero 1e-300 gamma read as not regular
     def regular(gamma):
-        return regularity(SobolevSpec((SobolevTerm(2.0, scale * np.array(gamma)),)))
+        return SobolevSpec((SobolevTerm(2.0, scale * np.array(gamma)),))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert regular([[1.0]]).overall_regular
-        assert regular([[1.0, 0.5], [0.25, 1.0]]).overall_regular
-        assert not regular([[1.0, 1.0], [1.0, 1.0]]).overall_regular
+        assert regular([[1.0]]).regular
+        assert regular([[1.0, 0.5], [0.25, 1.0]]).regular
+        singular = regular([[1.0, 1.0], [1.0, 1.0]])
+        assert not singular.regular
+        assert singular.terms[0].I == 0
 
 
 def test_spec_validation():
@@ -230,7 +239,8 @@ def test_against_dense_oracle():
     assert compare_monomial(got, oracle_sobolev_monic(LEG, PAIR, 9), 0) < 1e-10
     # the smallest degrees: n = 3 is past the highest coupled derivative
     for spec in (PAIR, COUPLED, TWO_POLE):
-        for n in (3, 2 * spec.A + 1, 2 * spec.A + 3):
+        A = sum(t.N + 1 for t in spec.terms)     # the degree of prod (z - c_j)^(N_j + 1)
+        for n in (3, 2 * A + 1, 2 * A + 3):
             got = sn_lambda(n, spec, TAB).rep
             gap = compare_monomial(got, oracle_sobolev_monic(LEG, spec, n), 0)
             assert gap < 1e-10, f"sn_lambda vs oracle {gap:.2e} at n={n}"

@@ -420,14 +420,12 @@ def test_limits_computed_once_per_law_and_probe(monkeypatch, name):
         return wrapped
 
     cfg = scenario(name)
-    for fname in ("regularity", "limit_sobolev", "limit_modified", "phi", "sqrt_z2m1"):
+    for fname in ("limit_sobolev", "limit_modified", "phi", "sqrt_z2m1"):
         monkeypatch.setattr(verify, fname, counting(fname))
     rows = run_ratio_ladder(cfg)
     per_law_probe = len(cfg.resolved_laws) * len(cfg.probe_points)
     assert len(rows) == per_law_probe * (cfg.jets + 1) * len(cfg.n_ladder)
-    assert counts.get("regularity", 0) <= 1
-    limit_calls = sum(n for f, n in counts.items() if f != "regularity")
-    assert 0 < limit_calls <= per_law_probe, counts
+    assert 0 < sum(counts.values()) <= per_law_probe, counts
 
 
 def test_builder_refusal_flags_only_its_rows():
@@ -614,16 +612,18 @@ def test_modified_ladder_reaches_past_the_base_tau_overflow():
 @pytest.mark.parametrize("name", ["sobolev_point_pair", "sobolev_point_derivative",
                                   "pade_gonchar"])
 def test_kernel_ladder_checks_the_spec_once(monkeypatch, name):
-    # regularity is a property of the spec, not of a degree; each rung's
-    # kernel system is gated and solved on its own, one 2-D solve per rung
-    counts = {"regularity": 0}
-    orig = sobolev.regularity
+    # a term's support and regularity are read when the term is built, not
+    # per degree: only a Pade target builds its terms, once per pole; each
+    # rung's kernel system is gated and solved on its own, one 2-D solve per rung
+    cfg = scenario(name)
+    built = []
+    orig = sobolev.SobolevTerm.__post_init__
 
-    def counting(spec):
-        counts["regularity"] += 1
-        return orig(spec)
+    def counting(term):
+        built.append(term)
+        orig(term)
 
-    monkeypatch.setattr(sobolev, "regularity", counting)
+    monkeypatch.setattr(sobolev.SobolevTerm, "__post_init__", counting)
     dims = []
     orig_solve = np.linalg.solve
 
@@ -632,9 +632,8 @@ def test_kernel_ladder_checks_the_spec_once(monkeypatch, name):
         return orig_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    cfg = scenario(name)
     run_ratio_ladder(cfg)
-    assert counts["regularity"] <= 1
+    assert len(built) == (len(cfg.target.poles) if name == "pade_gonchar" else 0)
     assert dims == [2] * len(cfg.n_ladder)
 
 

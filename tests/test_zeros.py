@@ -119,6 +119,33 @@ def test_residual_gate_rejects_perturbed_roots():
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
+def test_roots_gate_refuses_moved_roots(monkeypatch, tmp_path, capsys):
+    # the gate as roots() applies it: secular roots moved by 1e-3 leave
+    # residuals far above RESIDUAL_TOL, and the refusal reaches the CLI
+    from relasym.cli import main
+    orig = zeros_module._secular_roots
+    monkeypatch.setattr(zeros_module, "_secular_roots",
+                        lambda c, table, f: orig(c, table, f) * (1.0 + 1e-3))
+    cfg = scenario("pade_gonchar")
+    n = cfg.zero_degrees[0]
+    p = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    with pytest.raises(ZerosError, match=r"root residual .* exceeds 1\.0e-07"):
+        roots(p)
+    assert main(["zeros", "--config", "pade_gonchar", "--out", str(tmp_path)]) == 4
+    assert "root residual" in capsys.readouterr().err
+    assert not (tmp_path / "zeros.json").exists()
+
+
+def test_roots_over_a_table_shorter_than_the_degree():
+    # roots deepens the table through its measure: the deeper table has the
+    # same leading entries, so the roots are the same bit for bit
+    legendre = BaseMeasureSpec("legendre")
+    coeffs = np.linspace(1.0, 2.0, 9) + 0.25j
+    short = roots(PolyInBasis(coeffs, recurrence_for(legendre, 5)))
+    deep = roots(PolyInBasis(coeffs, recurrence_for(legendre, 8)))
+    assert len(short) == 8 and short == deep
+
+
 @pytest.mark.parametrize("name", ["base_legendre", "sobolev_point_pair", "pade_gonchar"])
 def test_fused_gate_matches_pointwise_residual_at_180(name):
     # the three zeros_deep targets, one per kind of coefficient data: Gauss
