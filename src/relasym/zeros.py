@@ -38,9 +38,10 @@ roots() takes one of two routes:
 The residual gate checks every root set in one forward sweep of the
 orthonormal recurrence over the root array.  l_k and l_k' at all m roots
 form one flat complex row of length 2m, advanced by a fixed handful of
-in-place ufunc calls per degree, and the running error bound carries
-s_k = e_k + |l_k| alongside it.  A sweep that leaves the double range
-refuses instead of passing a nan residual.
+in-place ufunc calls per degree, and the scale of |p| is its rounding
+level sum_k |c_k l_k|, which grows no faster than the values it sums,
+plus ||A|| |p'|.  A sweep that leaves the double range refuses instead
+of passing a nan residual, and a degree whose tau_n does refuses first.
 
 cluster() sorts a root set into disjoint attraction disks around given
 centers, a band around the support [-1, 1], and leftovers.  Counts per
@@ -101,7 +102,8 @@ KICK_ANGLE = 2.39996
 
 class ZerosError(Refusal):
     """A refused root solve; kind names the cause ("unconverged" for an
-    iteration that does not converge, else "pre_asymptotic")."""
+    iteration that does not converge, "overflow" for a tau_n out of the
+    double range, else "pre_asymptotic")."""
 
 
 class ClusterConfigError(ConfigError):
@@ -206,60 +208,49 @@ def _sweep(c: np.ndarray, table: RecurrenceTable, z, order: int = 1):
 def _root_residuals(c: np.ndarray, table: RecurrenceTable, z: np.ndarray,
                     norm_a: float) -> np.ndarray:
     """|p(z)| / scale at every z, c the orthonormal coefficients of p.  The
-    scale is the running error bound of the recurrence (Higham, Accuracy and
-    Stability, sec. 3.3) plus ||A|| |p'(z)|, since z sits an O(eps ||A||)
-    eigenvalue perturbation away from the true root.
+    scale is the first-order rounding level sum_k |c_k l_k(z)| of the sum
+    p = sum c_k l_k, the level _sweep gives the polish, plus ||A|| |p'(z)|,
+    since z sits an O(eps ||A||) eigenvalue perturbation away from the true
+    root.
 
     One forward sweep over all m roots at once.  l_k and l_k' share one
     flat complex row, l_k at [:m] and l_k' at [m:], so a degree is one step
     l_{k+1} = ((z - b_k) l_k + [0, l_k] - a_k l_{k-1}) / a_{k+1}, and p, p'
-    accumulate as c_{k+1} l_{k+1}.  The bound carries s_k = e_k + |l_k| in
-    place of the error e_k: e_{k+1} = (g_k s_k + a_k s_{k-1}) / a_{k+1}, with
-    g_k = |z| + |b_k|, and it sums |c_k| s_k.  A sweep that leaves the
-    double range refuses instead of passing a nan residual."""
+    accumulate as c_{k+1} l_{k+1}, the level as |c_{k+1}| |l_{k+1}|.  A
+    sweep that leaves the double range refuses instead of passing a nan
+    residual."""
     z = np.asarray(z, dtype=complex)
     m, n = z.size, len(c) - 1
     a, b = table.a, table.b
-    # column k: b_k, a_k, 1/a_{k+1}, c_{k+1}; complex for the row, absolute
-    # for the bound (a_k > 0)
+    # column k: b_k, a_k, 1/a_{k+1}, c_{k+1}
     coef = np.stack([b[:n], a[:n], 1.0 / a[1 : n + 1], c[1:]]).astype(complex)
-    zz, az = np.concatenate([z, z]), np.abs(z)
+    zz = np.concatenate([z, z])
     tmp = np.zeros(2 * m, dtype=complex)
+    u = np.zeros(m)
     # each row with its value and derivative blocks as views
     prev, row, nxt = ((w, w[:m], w[m:]) for w in np.zeros((3, 2 * m), dtype=complex))
     row[1][:] = table.tau[0]
     acc = c[0] * row[0]
-    s_prev, s, s_next = np.zeros((3, m))
-    g, u = np.zeros((2, m))
-    s[:] = 2.0 * abs(table.tau[0])   # e_0 = |l_0|
-    total = abs(c[0]) * s
+    total = np.full(m, abs(c[0]) * abs(table.tau[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (zk, rk) in enumerate(zip(coef.T, np.abs(coef).T)):
-            # 0-d views: numpy converts a Python scalar on every call, which
-            # costs as much as the call itself on rows this short
+        for k, (zk, abs_ck) in enumerate(zip(coef.T, np.abs(c[1:, None]))):
+            # views, not scalars: numpy converts a Python scalar on every
+            # call, which costs as much as the call itself on rows this short
             bk, ak, inv_a, ck = zk[0, ...], zk[1, ...], zk[2, ...], zk[3, ...]
-            abs_bk, abs_ak, abs_inv_a, abs_ck = rk[0, ...], rk[1, ...], rk[2, ...], rk[3, ...]
             w, w_val, w_der = nxt
             np.subtract(zz, bk, out=tmp)
             np.multiply(tmp, row[0], out=w)
             np.add(w_der, row[1], out=w_der)
-            np.add(az, abs_bk, out=g)
-            np.multiply(g, s, out=g)
-            if k:   # l_{-1} = 0 and s_{-1} = 0
+            if k:   # l_{-1} = 0
                 np.multiply(prev[0], ak, out=tmp)
                 np.subtract(w, tmp, out=w)
-                np.multiply(s_prev, abs_ak, out=u)
-                np.add(g, u, out=g)
             np.multiply(w, inv_a, out=w)
             np.multiply(w, ck, out=tmp)
             np.add(acc, tmp, out=acc)
-            np.multiply(g, abs_inv_a, out=s_next)
             np.abs(w_val, out=u)
-            np.add(s_next, u, out=s_next)
-            np.multiply(s_next, abs_ck, out=u)
+            np.multiply(u, abs_ck, out=u)
             np.add(total, u, out=total)
             prev, row, nxt = row, nxt, prev
-            s_prev, s, s_next = s, s_next, s_prev
     if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
         raise ZerosError(f"recurrence sweep overflows the double range at degree {n}")
     # a root where p is exactly 0 has residual 0, whatever its scale
@@ -491,14 +482,17 @@ def roots(p: PolyInBasis) -> list[complex]:
     nodes when f = 0, else the secular Aberth solve over the Chebyshev
     points with the extended precision finish and, when f is real, the
     conjugate pairing (module docstring).
-    Each root is validated against the running-error scale of the
-    evaluation; a relative residual above RESIDUAL_TOL raises, since it
-    means the root set cannot be trusted at the advertised accuracy.
+    Each root is validated against the rounding level of the evaluation
+    plus ||A|| |p'|; a relative residual above RESIDUAL_TOL raises, since
+    it means the root set cannot be trusted at the advertised accuracy.
+    A degree whose tau_n leaves the double range refuses (kind "overflow").
     """
     n = p.degree
     if n == 0:
         return []
     table = table_through(p.table, n)       # a deeper table has the same leading entries
+    if not np.isfinite(table.tau[n]):
+        raise ZerosError(f"tau_{n} overflows the double range", kind="overflow")
     c = p.coeffs / table.tau[: n + 1]      # c_m L_m = (c_m / tau_m) l_m
     f = _last_row(c, table)
     if not np.any(f):

@@ -459,15 +459,53 @@ def test_extended_precision_rejected_for_modified(tmp_path):
     assert not (tmp_path / "summary.json").exists()
 
 
-def test_zeros_past_double_range_is_numerical_exit(tmp_path):
-    # at degree 1000 the lambda system of this modifier overflows; the
-    # refusal maps to the numerics exit instead of ending in a traceback
+def test_zeros_past_double_range_is_numerical_exit(tmp_path, capsys):
+    # at degree 1025 the Legendre tau_n this modifier's polynomial is read
+    # over overflows; the refusal maps to the numerics exit instead of
+    # ending in a traceback
     payload = scenario("modified_rational").to_json_dict()
-    payload["zero_degrees"] = [1000]
+    payload["zero_degrees"] = [1025]
     cfg = _write_json(tmp_path / "deep.json", payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "tau_1025 overflows the double range" in capsys.readouterr().err
+
+
+LEGENDRE = {"weight_kind": "legendre"}
+TWO_POLE_PADE = {
+    "measure": LEGENDRE,
+    "target": {"kind": "pade", "stieltjes": {"base": LEGENDRE, "poles": [
+        {"c": [0.0, 2.0], "A": [[0.3, 0.0], [1.0, 0.0]]}, {"c": [-3.0, 0.0], "A": [[2.0, 0.0]]}]}},
+    "probe_points": [[3.0, 0.0], [-2.5, 0.0], [0.0, -2.0], [1.5, 1.5]],
+    "zero_degrees": [400]}
+
+
+@pytest.mark.parametrize("payload, counts, band", [
+    ({"measure": LEGENDRE, "zero_degrees": [805]}, [], 805),
+    ({"measure": LEGENDRE, "zero_degrees": [1024]}, [], 1024),
+    (TWO_POLE_PADE, [2, 1], 397),
+], ids=["legendre_805", "legendre_1024", "pade_two_pole_400"])
+def test_zeros_gate_scale_stays_finite_where_p_does(tmp_path, payload, counts, band):
+    # a gate scale built with absolute values would leave the double range
+    # here while p and p' are finite; the rounding level sums the values
+    cfg = _write_json(tmp_path / "deep.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (report,) = json.loads((tmp_path / "zeros.json").read_text())["reports"].values()
+    assert report["cluster_counts"] == counts and report["support_count"] == band
+
+
+def test_zeros_at_the_tau_ceiling_is_numerical_exit(tmp_path, capsys):
+    # Legendre roots pass the gate through degree 1024; at 1025 tau_n leaves
+    # the double range, and the refusal says so
+    cfg = _write_json(tmp_path / "legendre.json", {"measure": LEGENDRE, "zero_degrees": [1025]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
+    assert "tau_1025 overflows the double range" in capsys.readouterr().err
+    assert not (tmp_path / "zeros.json").exists()
 
 
 def test_zeros_overflowed_residual_is_numerical_exit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Comrade-matrix roots and attraction-disk sorting."""
+import dataclasses
 import inspect
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from _basis import lincomb, xmul
+from _running_bound import running_bound_residuals
 
 from relasym import (
     BaseMeasureSpec,
@@ -25,6 +27,7 @@ from relasym import (
 from relasym import zeros as zeros_module
 from relasym.joukowski import dist_to_cut
 from relasym.polybasis import basis_jets
+from relasym.scenarios import scenario_names
 from relasym.sobolev import SobolevSpec, SobolevTerm
 from relasym.verify import _targets
 from relasym.zeros import (EPS, RESIDUAL_TOL, _comrade_norm, _jacobi, _last_row,
@@ -39,6 +42,17 @@ def _orth(p: PolyInBasis) -> np.ndarray:
     """The orthonormal coefficients of p over l_m = tau_m L_m, as roots()
     forms them."""
     return p.coeffs / p.table.tau[: p.degree + 1]
+
+
+# the zeros_deep targets, one per root route: Gauss nodes (f = 0), then the
+# secular solve on real and on complex f
+ROUTES = ["base_legendre", "sobolev_point_pair", "pade_gonchar"]
+
+
+def _target(name: str, n: int) -> PolyInBasis:
+    """The degree-n target polynomial of a bundled scenario."""
+    cfg = scenario(name)
+    return _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
 
 
 def _comrade_matrix(c: np.ndarray, table) -> np.ndarray:
@@ -79,7 +93,7 @@ def test_degree_zero_has_no_roots():
 
 @pytest.mark.parametrize("tab", [LEG, CHEB], ids=["legendre", "chebyshev"])
 def test_exact_root_with_zero_scale_passes_the_gate(tab):
-    # on a symmetric measure l_1(0) = 0 and the running bound is 0 there too
+    # on a symmetric measure l_1(0) = 0 and the rounding level is 0 there too
     assert roots(PolyInBasis.basis_poly(tab, 1)) == [0j]
 
 
@@ -90,17 +104,14 @@ def test_zero_leading_coefficient_rejected():
 
 
 def _pointwise_residual(p, z, norm_a):
-    """One root at a time: the orthonormal jets plus the scalar running scale."""
+    """One root at a time: the orthonormal jets plus the scalar rounding level
+    sum_k |c_k| |l_k(z)|."""
     c, tau, a, b = _orth(p), p.table.tau[: p.degree + 1], p.table.a, p.table.b
     v_prev, v_cur = 0j, complex(tau[0])
-    e_prev, e_cur = 0.0, abs(tau[0])
-    total = abs(c[0]) * (e_cur + abs(v_cur))
+    total = abs(c[0]) * abs(v_cur)
     for k in range(p.degree):
-        grow = abs(z) + abs(b[k])
-        step = (grow * abs(v_cur) + a[k] * abs(v_prev)) / a[k + 1]
         v_prev, v_cur = v_cur, ((z - b[k]) * v_cur - a[k] * v_prev) / a[k + 1]
-        e_prev, e_cur = e_cur, (grow * e_cur + a[k] * e_prev) / a[k + 1] + step
-        total += abs(c[k + 1]) * (e_cur + abs(v_cur))
+        total += abs(c[k + 1]) * abs(v_cur)
     jet = (basis_jets(p.table, p.degree, z, 1) * tau) @ c
     return abs(jet[0]) / (total + norm_a * abs(jet[1]))
 
@@ -146,17 +157,13 @@ def test_roots_over_a_table_shorter_than_the_degree():
     assert len(short) == 8 and short == deep
 
 
-@pytest.mark.parametrize("name", ["base_legendre", "sobolev_point_pair", "pade_gonchar"])
+@pytest.mark.parametrize("name", ROUTES)
 def test_fused_gate_matches_pointwise_residual_at_180(name):
     # the three zeros_deep targets, one per kind of coefficient data: Gauss
     # nodes (f = 0), then the secular solve on real and on complex f, at
     # roots moved by 1e-5.  Both evaluations of p lie within u times the
-    # running bound of p, so the residuals also agree to eps absolutely;
-    # that is all one can ask at the roots attracted to 2 and 2i, where |p|
-    # is ~1e-20 of the bound
-    n = 180
-    cfg = scenario(name)
-    p = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    # rounding level of p, so the residuals also agree to eps absolutely
+    p = _target(name, 180)
     c = _orth(p)
     f = _last_row(c, p.table)
     route = "gauss" if not np.any(f) else "real" if not np.any(f.imag) else "secular"
@@ -170,15 +177,87 @@ def test_fused_gate_matches_pointwise_residual_at_180(name):
 
 
 def test_gate_overflow_boundary_on_legendre():
-    # the running bound grows like (1 + sqrt 2)^k at the roots next to +-1
-    # and leaves the double range between degrees 804 and 805
-    table = recurrence_for(BaseMeasureSpec("legendre"), 806)
+    # the gate's rounding level grows no faster than the values it sums, so
+    # Legendre roots pass it up to the degree where tau_n leaves the double
+    # range, and from there roots() refuses with that cause
+    table = recurrence_for(BaseMeasureSpec("legendre"), 1026)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert len(roots(PolyInBasis.basis_poly(table, 804))) == 804
-        with pytest.raises(ZerosError, match="recurrence sweep overflows the double "
-                                             "range at degree 805"):
-            roots(PolyInBasis.basis_poly(table, 805))
+        for n in (805, 1024):
+            got = np.array(roots(PolyInBasis.basis_poly(table, n)))
+            assert np.max(np.abs(got - roots_legendre(n)[0])) < 1e-13
+        with pytest.raises(ZerosError, match="tau_1025 overflows the double range") as err:
+            roots(PolyInBasis.basis_poly(table, 1025))
+    assert err.value.kind == "overflow"
+
+
+def _gate_inputs(p):
+    """The roots of p, with the orthonormal coefficients and the comrade
+    norm the gate reads them with."""
+    c = _orth(p)
+    return np.array(roots(p)), c, _comrade_norm(p.table, _last_row(c, p.table))
+
+
+@pytest.mark.parametrize("n", [60, 180])
+@pytest.mark.parametrize("name", ROUTES)
+def test_rounding_level_rejects_what_the_running_bound_rejects(name, n):
+    # the Gauss route, then the secular solve on real and on complex f: at
+    # exact and at moved roots, no residual reads below the running bound's,
+    # which shares its value and derivative row bit for bit, so every root
+    # the bound flags is flagged
+    p = _target(name, n)
+    z, c, norm_a = _gate_inputs(p)
+    for delta in (0.0, 1e-9, 1e-7, 1e-5, 1e-3, 1e-1):
+        moved = z * (1.0 + delta)
+        got = _root_residuals(c, p.table, moved, norm_a)
+        bound = running_bound_residuals(c, p.table, moved, norm_a)
+        assert np.all(got >= bound), (delta, np.min(got - bound))
+        assert np.all(got[bound > RESIDUAL_TOL] > RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("n, flagged", [(60, 60), (180, 170)])
+def test_gate_flags_legendre_nodes_moved_by_1e_5(n, flagged):
+    # at the nodes next to +-1 a bound built with absolute values grows like
+    # (1 + sqrt 2)^n, far past the values it scales, and would pass most of
+    # these moved nodes
+    p = _target("base_legendre", n)
+    z, c, norm_a = _gate_inputs(p)
+    got = _root_residuals(c, p.table, z * (1.0 + 1e-5), norm_a)
+    assert np.count_nonzero(got > RESIDUAL_TOL) >= flagged
+
+
+@pytest.mark.parametrize("name", ["sobolev_point_pair", "pade_gonchar"])
+def test_gate_flags_attracted_roots_moved_by_1e_2(name):
+    # at 2 a bound built with absolute values grows like (2 + sqrt 5)^n while
+    # |l_n| grows like (2 + sqrt 3)^n, and would pass these moved roots (at
+    # 2 on the real route and at 2i on the complex one)
+    p = _target(name, 180)
+    z, c, norm_a = _gate_inputs(p)
+    attracted = dist_to_cut(z) > 0.5
+    assert np.count_nonzero(attracted) == 2
+    z[attracted] *= 1.0 + 1e-2
+    got = _root_residuals(c, p.table, z, norm_a)
+    assert np.all(got[attracted] > RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("name, degrees", [pytest.param(name, None, id=name)
+                                           for name in scenario_names()]
+                         + [pytest.param(name, (n,), id=f"{name}_{n}") for name, n in
+                            [("pade_gonchar", 400), ("sobolev_point_pair", 400),
+                             ("modified_rational", 800)]])
+def test_valid_root_sets_keep_their_headroom(name, degrees):
+    # every bundled scenario at the degrees `zeros` solves and at 180, and the
+    # degree-400 and degree-800 configs of CI: the roots the solve returns
+    # sit far below RESIDUAL_TOL, so the gate refuses no valid root set
+    cfg = scenario(name)
+    if degrees is None:
+        degrees = tuple(sorted(set(cfg.zero_degrees or cfg.n_ladder) | {180}))
+    cfg = dataclasses.replace(cfg, zero_degrees=degrees)
+    built = _targets(cfg, recurrence_for(cfg.measure, max(degrees) + 2), degrees)[0]
+    for n in degrees:
+        z, c, norm_a = _gate_inputs(built[n])
+        worst = np.max(_root_residuals(c, built[n].table, z, norm_a))
+        assert worst <= 1e-13, (n, worst)
 
 
 def test_default_radius():
