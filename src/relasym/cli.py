@@ -141,9 +141,7 @@ def cmd_recurrence(args) -> int:
     over = np.flatnonzero(~np.isfinite(table.tau))
     if over.size:
         # JSON has no Infinity: refuse instead of writing an invalid file
-        print(f"numerical error: tau_{over[0]} overflows the double range",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise reader.Refusal(f"tau_{over[0]} overflows the double range", kind="overflow")
     out = _out_dir(args)
     path = _write_json(out / "recurrence.json", {
         "measure": spec.to_json_dict(),

@@ -248,7 +248,7 @@ def _jacobi_ab(alpha, beta, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     if nmax >= 1:
         num = beta * beta - alpha * alpha
         den = (2.0 * k[1:] + s) * (2.0 * k[1:] + s + 2.0)
-        b[1:] = num / den
+        b[1:] = np.divide(num, den)    # an mpf num on the left would format den
     asq = np.zeros(nmax + 1, dtype)
     if nmax >= 1:
         # k = 1 in factored form: the (k + s) factor cancels against the

@@ -32,19 +32,23 @@ def basis_jets(table: RecurrenceTable, deg: int, z, order: int = 0) -> np.ndarra
     Differentiating L_{k+1} = (x - b_k) L_k - a_k^2 L_{k-1} j times gives
     L_{k+1}^(j) = (x - b_k) L_k^(j) + j L_k^(j-1) - a_k^2 L_{k-1}^(j), so
     one array step per degree advances every order and point at once.
+
+    The values take the table's number type: complex128 on a double table,
+    and objects (mpmath's mpc) on the extended lane's table of mpf.
     """
     if deg > table.nmax:
         raise MeasureError(f"degree {deg} exceeds table nmax {table.nmax}")
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    npts = zz.size
     a, b = table.a, table.b
+    dtype = np.result_type(b, complex)
+    zz = np.atleast_1d(np.asarray(z, dtype=dtype))
+    npts = zz.size
     # row k holds L_k^(j)(z_p) at [j * npts + p]; flat 1-d rows keep numpy's
     # complex multiply on the same loop (and rounding) for any order or npts
-    rows = np.zeros((deg + 1, (order + 1) * npts), dtype=complex)
+    rows = np.zeros((deg + 1, (order + 1) * npts), dtype=dtype)
     rows[0, :npts] = 1.0
-    shifted = list(np.concatenate([zz] * (order + 1)) - b[:deg, None])
+    shifted = list(np.tile(zz - b[:deg, None], order + 1))
     asq = (a[:deg] * a[:deg]).tolist()
-    jrow = np.arange(1, order + 1).repeat(npts).astype(complex)
+    jrow = np.arange(1, order + 1).repeat(npts).astype(dtype)
     row = list(rows)
     for k in range(deg):
         nxt = row[k + 1]
@@ -52,7 +56,8 @@ def basis_jets(table: RecurrenceTable, deg: int, z, order: int = 0) -> np.ndarra
         if order:
             nxt[npts:] += jrow * row[k][:-npts]
         if k >= 1:
-            nxt -= asq[k] * row[k - 1]
+            # array first: an mpf on the left would format the whole array
+            nxt -= row[k - 1] * asq[k]
     vals = np.ascontiguousarray(rows.reshape(deg + 1, order + 1, npts).transpose(1, 0, 2))
     if np.ndim(z) == 0:
         return vals[:, :, 0]

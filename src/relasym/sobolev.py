@@ -14,10 +14,11 @@ two arithmetics, which gate on the same equilibrated system and report the
 same condition number:
 
 * sn_kernel: in double precision, solving the equilibrated system;
-* sn_lambda: in mpmath, by exact coefficient algebra over the recurrence
-  table, at the digits the collapse of the jets at the c_j needs.  Its
-  mpmath core lives in `relasym.extended`, which it loads on its first
-  call, so double-precision runs never load mpmath.
+* sn_lambda: the same jets and gate code on the recurrence table rebuilt
+  in mpmath, solving the identity as it stands at the digits the collapse
+  of the jets at the c_j needs.  Its mpmath core lives in
+  `relasym.extended`, which it loads on its first call, so
+  double-precision runs never load mpmath.
 """
 from __future__ import annotations
 
@@ -248,6 +249,8 @@ def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
     points and orders swept with it.  Each point's slice is scaled to
     orthonormal on its own.  The probes, if any, ride the same sweep to
     `order`; their monic jets (order+1, top+1, len(probes)) come last.
+    The jets take the table's number type; an mp table must reach top + 1,
+    as a shorter one is rebuilt in double.
     """
     deg = max(top, 0)
     orders = [t.order for t in spec.terms]
@@ -283,23 +286,21 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     return op
 
 
-def _kernel_blocks(n: int, spec: SobolevSpec, base: RecurrenceTable, jets: list) -> list:
-    """Each point's (J, W, 1/(P P')) at degree n, for _kernel_system."""
-    if not np.isfinite(base.tau[n]):
-        raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
+def _kernel_blocks(n: int, spec: SobolevSpec, jets: list) -> list:
+    """Each point's (J, W, 1/(P P')) at degree n, for _kernel_system, in
+    double for jets of either number type: the peaks are divided out in
+    the jets' own, so sn_lambda's mp jets give blocks that fit in double
+    even where the jets do not."""
     blocks = []
     for t, E in zip(spec.terms, jets):
         rows, cols = list(t.rows), list(t.cols)
         E = E[:, : n + 1]
-        if not np.all(np.isfinite(E)):
-            raise SobolevError(f"jets at c = {t.c} overflow the double range at n={n}",
-                               kind="overflow")
         peak = np.abs(E).max(axis=1)
-        E = E / peak[:, None]
+        E = (E / peak[:, None]).astype(complex)
         pj, pw = peak[cols].max(), peak[rows].max()
-        J = E[cols] * (peak[cols] / pj)[:, None]
-        W = t.star.T @ (E[rows] * (peak[rows] / pw)[:, None])
-        blocks.append((J, W, (1.0 / pj) * (1.0 / pw)))
+        J = E[cols] * (peak[cols] / pj).astype(float)[:, None]
+        W = t.star.T @ (E[rows] * (peak[rows] / pw).astype(float)[:, None])
+        blocks.append((J, W, float((1.0 / pj) * (1.0 / pw))))
     return blocks
 
 
@@ -339,7 +340,14 @@ def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
     for n in degrees:
         if n not in out:
             try:
-                M, Qw, rhs, wn = _kernel_system(_kernel_blocks(n, spec, base, jets), n)
+                # the double range, refused before anything divides by tau_n or a jet
+                if not np.isfinite(base.tau[n]):
+                    raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
+                for t, E in zip(spec.terms, jets):
+                    if not np.all(np.isfinite(E[:, : n + 1])):
+                        raise SobolevError(f"jets at c = {t.c} overflow the double range "
+                                           f"at n={n}", kind="overflow")
+                M, Qw, rhs, wn = _kernel_system(_kernel_blocks(n, spec, jets), n)
                 cond = _kernel_cond(M)
                 # the gate leaves no singular matrix for the solve
                 v = np.linalg.solve(M, rhs * (1.0 / base.tau[n]))
@@ -361,21 +369,26 @@ def digit_loss(n: int, spec: SobolevSpec) -> float:
     return n * max(math.log10(abs(phi(t.c))) for t in spec.terms)
 
 
+def _lane_dps(n: int, spec: SobolevSpec) -> int:
+    """The mpmath lane's working digits at degree n: twice digit_loss, plus 35."""
+    return int(2 * digit_loss(n, spec)) + 35
+
+
 def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """sn_kernel's construction in mpmath, for every regular spec.
 
-    The bordered kernel identity runs on the monic jets, solved as it
-    stands at twice digit_loss plus 35 digits (`extended._mp_kernel`).
-    Every step is exact coefficient algebra over the recurrence table, with
-    no quadrature.  The gate is sn_kernel's equilibrated system, so both
-    lanes report the same cond and refuse the same ill-conditioned specs.
-    The solve runs past the double range, but the results are cast to
-    double: a coefficient or gamma_n that overflows refuses with kind
-    "overflow", and a nonzero norm_sq below the smallest normal double with
-    kind "underflow", as in sn_kernel.
+    The same identity on the same code (`coupling_jets`, `_kernel_blocks`)
+    over the recurrence table rebuilt in mp, solved as it stands at
+    `_lane_dps` digits (`extended._mp_kernel`), with no quadrature.  The
+    gate is sn_kernel's equilibrated system, so both lanes report the same
+    cond and refuse the same ill-conditioned specs.  The solve runs past
+    the double range, but the results are cast to double: a coefficient or
+    gamma_n that overflows refuses with kind "overflow", and a nonzero
+    norm_sq below the smallest normal double with kind "underflow", as in
+    sn_kernel.
     """
     from .extended import _mp_kernel    # mpmath loads on the first call
-    core = _mp_kernel(n, spec, base, int(2 * digit_loss(n, spec)) + 35)
+    core = _mp_kernel(n, spec, base, _lane_dps(n, spec))
     coeffs = np.array([complex(v) for v in core["coeffs_mp"]])
     if not (np.all(np.isfinite(coeffs)) and np.isfinite(core["gamma_n"])):
         raise SobolevError(f"S_{n} overflows the double range", kind="overflow")
@@ -387,9 +400,9 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
                      norm_sq=ns, gamma_n=core["gamma_n"], cond=core["cond"])
 
 
-def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees,
-                   method=sn_kernel) -> dict[int, complex]:
-    """gamma_n = <S_n, S_n>^{-1/2} over the given degrees, branch-continuous.
+def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees) -> dict[int, complex]:
+    """gamma_n = <S_n, S_n>^{-1/2} from sn_lambda over the given degrees,
+    branch-continuous.
 
     The principal branch is taken at the smallest degree; each later sign is
     chosen to minimize |gamma_{m}/gamma_{m'} - 2^{m-m'}| against the previous
@@ -399,8 +412,7 @@ def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees,
     out: dict[int, complex] = {}
     prev_n = None
     for n in degrees:
-        op = method(n, spec, base)
-        g = op.gamma_n
+        g = sn_lambda(n, spec, base).gamma_n
         if prev_n is not None:
             target = 2.0 ** (n - prev_n)
             if abs(-g / out[prev_n] - target) < abs(g / out[prev_n] - target):

@@ -102,8 +102,8 @@ KICK_ANGLE = 2.39996
 
 class ZerosError(Refusal):
     """A refused root solve; kind names the cause ("unconverged" for an
-    iteration that does not converge, "overflow" for a tau_n out of the
-    double range, else "pre_asymptotic")."""
+    iteration that does not converge, "overflow" for a tau_n or a
+    recurrence sweep out of the double range, else "pre_asymptotic")."""
 
 
 class ClusterConfigError(ConfigError):
@@ -201,7 +201,8 @@ def _sweep(c: np.ndarray, table: RecurrenceTable, z, order: int = 1):
                 acc[j] += ck * v
             prev, row = row, nxt
     if not all(np.isfinite(t) for t in acc + [level]):
-        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}")
+        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}",
+                         kind="overflow")
     return acc, LD_EPS * level
 
 
@@ -252,7 +253,8 @@ def _root_residuals(c: np.ndarray, table: RecurrenceTable, z: np.ndarray,
             np.add(total, u, out=total)
             prev, row, nxt = row, nxt, prev
     if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
-        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}")
+        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}",
+                         kind="overflow")
     # a root where p is exactly 0 has residual 0, whatever its scale
     val, scale = np.abs(acc[:m]), total + norm_a * np.abs(acc[m:])
     if np.any((scale == 0.0) & (val > 0.0)):

@@ -7,7 +7,8 @@ recurrence or kernel paths.  Slow and simple on purpose.
 
 The one exception is the lambda expansion of Sobolev polynomials at the
 end, which reaches degrees no Gram matrix can.  It starts from the
-package's mp recurrence coefficients and jets, but pins S_n by another
+package's mp recurrence table, but sweeps its jets with a scalar
+recurrence of its own (`_mp_basis_jets`) and pins S_n by another
 algebra than the kernel identity both package lanes use: an expansion
 over the monic orthogonal polynomials of s dmu, built by exact division
 by (x - c), with its coefficients fixed by moment conditions.
@@ -27,7 +28,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from relasym.extended import _mp_ab, _mp_basis_jets, _mp_kernel, _mp_poly_jet
+from relasym.extended import _mp_ab, _mp_kernel
 from relasym.joukowski import phi
 from relasym.measures import RecurrenceTable, table_through
 from relasym.pade import to_sobolev_spec
@@ -283,6 +284,38 @@ def _divide_linear(p: list, c, a2: list, b: list) -> list:
     return q
 
 
+def _mp_recurrence(table) -> tuple[list, list, list]:
+    """(a2, b, normsq) of an mp table as lists: a_k^2, b_k and
+    ||L_k||^2 = 1/tau_k^2."""
+    return [v * v for v in table.a], list(table.b), [1 / (t * t) for t in table.tau]
+
+
+def _mp_basis_jets(deg: int, order: int, c, a2: list, b: list) -> list:
+    """jets[i][m] = (d/dx)^i L_m at c for the monic basis polynomials."""
+    jets = [[mp.mpc(0)] * (deg + 1) for _ in range(order + 1)]
+    jets[0][0] = mp.mpc(1)
+    if deg == 0:
+        return jets
+    jets[0][1] = c - b[0]
+    for i in range(1, order + 1):
+        jets[i][1] = mp.mpc(1) if i == 1 else mp.mpc(0)
+    for m in range(1, deg):
+        for i in range(order, -1, -1):
+            v = (c - b[m]) * jets[i][m] - a2[m] * jets[i][m - 1]
+            if i > 0:
+                v += i * jets[i - 1][m]
+            jets[i][m + 1] = v
+    return jets
+
+
+def _mp_poly_jet(coeffs: list, jets: list, order: int) -> list:
+    out = []
+    for i in range(order + 1):
+        row = jets[i]
+        out.append(mp.fsum(cm * row[m] for m, cm in enumerate(coeffs)))
+    return out
+
+
 def _mp_xmul(p: list, a2: list, b: list) -> list:
     """Coefficients of x * p over the monic basis."""
     out = [mp.mpf(0)] * (len(p) + 1)
@@ -300,12 +333,13 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
     orthogonal polynomial of degree m of s dmu, from R_m = s Q_m, whose
     jets vanish at each c_j; lambda_0 = 1 and the rest are pinned by
     <x^nu, S_n> = 0 for nu < A.  Returns the monic coefficients in mp
-    and in double, <S_n, S_n> in mp, and the mp recurrence data."""
+    and in double, <S_n, S_n> in mp, and the mp recurrence table."""
     A = sum(t.N + 1 for t in sob.terms)
     deg_top = n + A
     base = table_through(base, deg_top + 1)
     with mp.workdps(dps):
-        a2, b, normsq = _mp_ab(base, deg_top)
+        table = _mp_ab(base, deg_top)
+        a2, b, normsq = _mp_recurrence(table)
         orders = {t.c: max(t.N, t.J) for t in sob.terms}
         cpts = {t.c: mp.mpc(t.c) for t in sob.terms}
         jets_all = {t.c: _mp_basis_jets(deg_top, orders[t.c], cpts[t.c], a2, b)
@@ -383,7 +417,7 @@ def lambda_expansion(n: int, sob, base, dps: int) -> dict:
             "coeffs_mp": coeffs,
             "coeffs": np.array([complex(v) for v in coeffs]),
             "norm_sq_mp": ns,
-            "a2": a2, "b": b, "normsq": normsq,
+            "table": table,
         }
 
 
@@ -396,12 +430,12 @@ def lambda_monic(n: int, sob, base) -> np.ndarray:
 
 def _residuals(spec: SobolevSpec, core: dict, wp: int) -> np.ndarray:
     """The residuals of the monic mp coefficients core["coeffs_mp"], with
-    core's mp recurrence coefficients a2, b, norms normsq and norm_sq_mp."""
-    a2, b, normsq = core["a2"], core["b"], core["normsq"]
+    the recurrence coefficients and norms of core's mp table and norm_sq_mp."""
     coeffs = core["coeffs_mp"]
     n = len(coeffs) - 1
     out = np.zeros(n)
     with mp.workdps(wp):
+        a2, b, normsq = _mp_recurrence(core["table"])
         sn_norm = mp.sqrt(abs(core["norm_sq_mp"]))
         points = []
         for t in spec.terms:
@@ -465,7 +499,7 @@ def _mp_remainder(n: int, f, base, z, dps: int):
         zz = mp.mpc(z)
         top = n + math.ceil(dps / math.log10(abs(phi(z))))
         deep = table_through(base, top)
-        a2, b, normsq = _mp_ab(deep, top)
+        a2, b, normsq = _mp_recurrence(_mp_ab(deep, top))
         h, hs = mp.mpc(0), {}               # hs[m] = q_m / q_{m-1}
         for m in range(top, 0, -1):
             h = hs[m] = a2[m] / (zz - b[m] - h)

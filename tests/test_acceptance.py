@@ -340,7 +340,7 @@ def test_criterion_11_normalization_limits():
         table = recurrence_for(LEG, 83)
         sob = SobolevSpec.diagonal([(2.0, [1.0, 1.0])])
         lim = phi(2.0) ** (-2.0)           # one point, I = 2
-        gs = gamma_sequence(sob, table, (10, 20, 40, 80, 81), method=sn_lambda)
+        gs = gamma_sequence(sob, table, (10, 20, 40, 80, 81))
         errs = [abs(gs[n] / table.tau[n] - lim) for n in (10, 20, 40, 80)]
         assert all(b < a for a, b in zip(errs, errs[1:])), f"not decreasing: {errs}"
         ratio_gap = abs(gs[81] / gs[80] - 2.0)

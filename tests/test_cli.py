@@ -64,7 +64,7 @@ def test_recurrence_refuses_overflowing_tau(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["recurrence", "--config", cfg, "--out", str(out)]) == 4
     assert "tau_1025 overflows the double range" in capsys.readouterr().err
-    assert not (out / "recurrence.json").exists()
+    assert not out.exists()
 
 
 def test_missing_config_is_io_error(tmp_path):

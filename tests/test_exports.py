@@ -61,8 +61,8 @@ def test_every_exported_error_is_a_config_error_or_a_refusal():
 UNREACHED = {
     # paper statements awaiting a law that calls them
     ("pade", "error_ratio"), ("pade", "_identity"), ("extended", "_mp_square_jets"),
-    ("extended", "_mp_poly_jet"), ("joukowski", "kappa_tau_limit"),
-    ("modified", "weak_limit_probe"), ("sobolev", "gamma_sequence"),
+    ("joukowski", "kappa_tau_limit"), ("modified", "weak_limit_probe"),
+    ("sobolev", "gamma_sequence"),
     ("pade", "pade_order_residuals"), ("pade", "PadeApproximant"), ("pade", "_power_coeffs"),
     ("measures", "minimal_ratios_for"), ("polybasis", "xmul_coeffs"),
     # documented in README

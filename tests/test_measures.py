@@ -183,12 +183,13 @@ def test_extended_lane_absorbs_atoms_in_mp():
                 for k in range(n + 1)]
         want_a2 = [norm[k] / norm[k - 1] for k in range(1, n + 1)]
     with mpmath.workdps(40):
-        a2, b, normsq = _mp_ab(recurrence_for(spec, n), n)
-    for got, want in ((b, want_b), (a2[1:], want_a2)):
+        table = _mp_ab(recurrence_for(spec, n), n)
+        b, a2, normsq = table.b, table.a[1:] ** 2, 1 / table.tau[0] ** 2
+    for got, want in ((b, want_b), (a2, want_a2)):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-35 * abs(w)
-    assert abs(normsq[0] - norm[0]) <= 1e-35 * norm[0]
+    assert abs(normsq - norm[0]) <= 1e-35 * norm[0]
 
 
 def test_gauss_rule_exactness():

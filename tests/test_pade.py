@@ -9,10 +9,14 @@ from relasym import (BaseMeasureSpec, PadeError, RecurrenceTable, StieltjesFn, e
                      f_value, pade_approximant, pade_denominator, pade_numerator,
                      pade_order_residuals, phi, recurrence_for, scenario,
                      to_sobolev_spec)
-from _mp_oracles import _mp_remainder, mp_error_ratio
+import mpmath
+from _mp_oracles import (_mp_basis_jets, _mp_poly_jet, _mp_recurrence, _mp_remainder,
+                         mp_error_ratio)
+from relasym.extended import _mp_kernel
 from relasym.measures import rule_for
 from relasym.pade import _power_coeffs
 from relasym.polybasis import PolyInBasis
+from relasym.sobolev import _lane_dps
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
 LEG = BaseMeasureSpec("legendre")
@@ -291,6 +295,25 @@ def test_extended_lane_on_other_weights(spec, dbl):
     tab = recurrence_for(spec, 130)
     assert error_ratio(5, 3.0, f, tab) == pytest.approx(dbl, rel=1e-7)
     assert _decreasing_gaps(f, tab)
+
+
+@pytest.mark.parametrize("f", [F_LEG, TWO_POLE], ids=["gonchar", "two_pole"])
+def test_pole_jets_are_the_kernel_unknowns(f):
+    # the unknowns u of the kernel solve, from which _mp_square_jets squares
+    # S_n^(s)(c_j), are S_n's pole jets: the coefficients re-swept by the oracle
+    spec = to_sobolev_spec(f)
+    for n in (10, 20, 40, 80, 160, 320):
+        dps = _lane_dps(n, spec)
+        core = _mp_kernel(n, spec, TLEG, dps)
+        with mpmath.workdps(dps):
+            a2, b = _mp_recurrence(core["table"])[:2]
+            i = 0
+            for t in spec.terms:
+                jets = _mp_basis_jets(n, t.N, mpmath.mpc(t.c), a2, b)
+                want = _mp_poly_jet(core["coeffs_mp"], jets, t.N)
+                for s, w in enumerate(want):
+                    assert abs(core["u"][i + s] - w) <= 1e-30 * abs(w), (n, t.c, s)
+                i += t.N + 1
 
 
 def test_extended_lane_guards():

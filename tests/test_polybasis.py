@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+import mpmath
 from _basis import inner_mu
+from _mp_oracles import _mp_basis_jets, _mp_recurrence
 from _quadrature import values_on_rule
 
 from relasym import BaseMeasureSpec, PolyInBasis, basis_jets, recurrence_for
+from relasym.extended import _mp_ab
 from relasym.measures import rule_for
 
 CHEB = recurrence_for(BaseMeasureSpec("chebyshev_first_kind"), 20)
@@ -121,3 +124,23 @@ def test_jets_all_orders_match_per_order_recurrence_bitwise(spec):
         for p in range(z.size):
             one = basis_jets(tab, deg, z[p], order)
             assert _same_bits(one, want[:, :, p]), (deg, z[p], order)
+
+
+@pytest.mark.parametrize("spec", [BaseMeasureSpec("legendre"),
+                                  BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))],
+                         ids=["legendre", "legendre_atom"])
+def test_jets_on_an_mp_table_match_the_scalar_mp_recurrence(spec):
+    # on the extended lane's table the sweep runs in mpmath, not in complex128:
+    # it agrees with the oracle's own scalar recurrence far below double rounding
+    deg, order, points = 200, 3, (2.0, 2j, -1.5 + 0.5j)
+    with mpmath.workdps(60):
+        table = _mp_ab(recurrence_for(spec, deg), deg)
+        got = basis_jets(table, deg, np.array(points), order)
+        a2, b = _mp_recurrence(table)[:2]
+        for p, z in enumerate(points):
+            want = _mp_basis_jets(deg, order, mpmath.mpc(z), a2, b)
+            for j in range(order + 1):
+                for k in range(deg + 1):
+                    g, w = got[j, k, p], want[j][k]
+                    assert abs(g - w) <= 1e-50 * abs(w), (z, j, k)
+

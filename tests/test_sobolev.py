@@ -285,7 +285,7 @@ def test_degenerate_degree_floor():
 
 
 def test_gamma_sequence_doubling():
-    gs = gamma_sequence(PAIR, TAB, (30, 31, 32), method=sn_lambda)
+    gs = gamma_sequence(PAIR, TAB, (30, 31, 32))
     assert abs(gs[31] / gs[30] - 2.0) < 1e-3
     assert abs(gs[32] / gs[31] - 2.0) < 1e-3
 

@@ -191,6 +191,18 @@ def test_gate_overflow_boundary_on_legendre():
     assert err.value.kind == "overflow"
 
 
+def test_sweep_overflow_refuses_with_kind_overflow():
+    # at degree 600 the values l_k at the root next to the atom at 2 leave
+    # the double range: the refusal's kind names the overflow its message does
+    table = recurrence_for(BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),)), 602)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ZerosError, match="recurrence sweep overflows the double range "
+                                             "at degree 600") as err:
+            roots(PolyInBasis.basis_poly(table, 600))
+    assert err.value.kind == "overflow"
+
+
 def _gate_inputs(p):
     """The roots of p, with the orthonormal coefficients and the comrade
     norm the gate reads them with."""
