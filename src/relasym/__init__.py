@@ -32,10 +32,8 @@ from .pade import (
     StieltjesFn,
     error_ratio,
     f_value,
-    pade_approximant,
     pade_denominator,
     pade_numerator,
-    pade_order_residuals,
     to_sobolev_spec,
 )
 from .zeros import (

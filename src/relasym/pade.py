@@ -37,13 +37,10 @@ from .sobolev import SobolevSpec, SobolevTerm, sn_kernel
 __all__ = [
     "PadeError",
     "StieltjesFn",
-    "PadeApproximant",
     "to_sobolev_spec",
     "pade_denominator",
     "pade_numerator",
-    "pade_approximant",
     "f_value",
-    "pade_order_residuals",
     "error_ratio",
 ]
 
@@ -107,13 +104,6 @@ class StieltjesFn:
             ("base",)))
 
 
-@dataclass
-class PadeApproximant:
-    n: int
-    Q_n: PolyInBasis
-    P_n: PolyInBasis
-
-
 def to_sobolev_spec(f: StieltjesFn) -> SobolevSpec:
     """Leibniz expansion of the pole pairing into coupling matrices.
 
@@ -173,12 +163,6 @@ def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,
     return PolyInBasis(acc, base).trimmed()
 
 
-def pade_approximant(n: int, f: StieltjesFn, base: RecurrenceTable) -> PadeApproximant:
-    qn = pade_denominator(n, f, base)
-    pn = pade_numerator(n, f, qn, base)
-    return PadeApproximant(n=n, Q_n=qn, P_n=pn)
-
-
 def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
     """f(z): the Cauchy transform q_0(z) = integral dmu/(z - x) plus the
     exact pole terms.
@@ -189,54 +173,6 @@ def f_value(f: StieltjesFn, z: complex, base: RecurrenceTable) -> complex:
     z = point(z, "evaluation point", PadeError)
     h1 = minimal_ratios_for(base, z, 1)[1]
     return complex(base.total_mass / (z - base.b[0] - h1)) + f.pole_value(z)
-
-
-def _power_coeffs(base: RecurrenceTable, count: int) -> list[np.ndarray]:
-    """Monic mu-basis coefficients of x^s for s < count, x^{s+1} = J x^s."""
-    out = [np.ones(1, dtype=complex)][:count]
-    while len(out) < count:
-        out.append(xmul_coeffs(out[-1], base))
-    return out
-
-
-def pade_order_residuals(appr: PadeApproximant, f: StieltjesFn,
-                         base: RecurrenceTable,
-                         count: int | None = None) -> np.ndarray:
-    """Relative sizes of the first Laurent coefficients of f*Q_n - P_n.
-
-    Exactly zero through order n for a true [n-1, n] pair.  The coefficient
-    of z^(-t-1) is integral x^t Q_n dmu + sum_{j,i} A_{j,i} (x^t Q_n)^(i)(c_j).
-    The integral pairs the monic coefficients of x^t with those of Q_n,
-    weighted by ||L_k||^2 = 1/tau_k^2; the pole terms follow by Leibniz from
-    one `basis_jets` sweep per pole.  Each residual is relative to the sum
-    of the magnitudes of every product it adds up, Q_n^(s)(c_j) taken term
-    by term as sum_k q_k L_k^(s)(c_j), whose sum double does not resolve.
-    """
-    n = appr.n
-    count = n if count is None else count
-    base = table_through(base, max(n, count))
-    q = appr.Q_n.coeffs
-    w = q / base.tau[: len(q)] ** 2
-    vals = np.zeros(count, dtype=complex)
-    mags = np.zeros(count)
-    for t, e in enumerate(_power_coeffs(base, count)):
-        terms = e[: len(w)] * w[: len(e)]
-        vals[t] = np.sum(terms)
-        mags[t] = np.sum(np.abs(terms))
-    t = np.arange(count)
-    for c, A in f.poles:
-        jets = basis_jets(base, len(q) - 1, c, order=len(A) - 1) * q
-        qd, qm = jets.sum(axis=1), np.abs(jets).sum(axis=1)   # Q_n^(s)(c), term sizes
-        for r in range(len(A)):
-            # (x^t)^(r)(c) = t!/(t-r)! c^(t-r), zero for t < r
-            dpow = np.array([math.perm(k, r) for k in range(count)]) * c ** (t - r)
-            for i in range(r, len(A)):
-                binom = math.comb(i, r) * A[i]
-                vals += binom * dpow * qd[i - r]
-                mags += abs(binom) * np.abs(dpow) * qm[i - r]
-    out = np.zeros(count)
-    np.divide(np.abs(vals), mags, out=out, where=mags > 0)
-    return out
 
 
 def _identity(m: int, z: complex, f: StieltjesFn, base: RecurrenceTable,

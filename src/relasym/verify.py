@@ -373,8 +373,9 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
         degrees = sorted({m for n in cfg.n_ladder
                           for m in ((n, n + 1) if "step" in target_forms else (n,))}
                          ) if target_forms else []
-        # every probe, degree and order in the builder's own sweep
-        built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + 2)
+        # every probe, degree and order a law reads in the builder's own sweep
+        built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + max(
+            _EXTRA_ORDER[_LAWS[law][1]] for law in laws))
         target = _target_jets(built, probe_jets, cfg.jets + max(
             map(_EXTRA_ORDER.get, target_forms))) if target_forms else None
         for law in laws:

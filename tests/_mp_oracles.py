@@ -474,8 +474,13 @@ def orthogonality_residuals_extended(n: int, spec: SobolevSpec,
     (k = 0 with derivative-only couplings) has nothing to cancel against;
     its scale is the Cauchy-Schwarz product ||x^k|| ||S_n||.
     """
-    wp = max(40, int(2 * digit_loss(n, spec)) + 40)
+    wp = residual_dps(n, spec)
     return _residuals(spec, _mp_kernel(n, spec, base, wp), wp)
+
+
+def residual_dps(n: int, spec: SobolevSpec) -> int:
+    """The digits orthogonality_residuals_extended builds and checks S_n at."""
+    return max(40, int(2 * digit_loss(n, spec)) + 40)
 
 
 def _mp_remainder(n: int, f, base, z, dps: int):

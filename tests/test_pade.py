@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from relasym import (BaseMeasureSpec, PadeError, RecurrenceTable, StieltjesFn, error_ratio,
-                     f_value, pade_approximant, pade_denominator, pade_numerator,
-                     pade_order_residuals, phi, recurrence_for, scenario,
-                     to_sobolev_spec)
+                     f_value, pade_denominator, pade_numerator, phi, recurrence_for,
+                     scenario, to_sobolev_spec)
 import mpmath
 from _mp_oracles import (_mp_basis_jets, _mp_poly_jet, _mp_recurrence, _mp_remainder,
-                         mp_error_ratio)
+                         _residuals, mp_error_ratio, residual_dps)
 from relasym.extended import _mp_kernel
 from relasym.measures import rule_for
-from relasym.pade import _power_coeffs
-from relasym.polybasis import PolyInBasis
+from relasym.polybasis import PolyInBasis, xmul_coeffs
 from relasym.sobolev import _lane_dps
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -68,8 +66,9 @@ def test_numerator_first_degree_is_mass():
 def _numerator_gap(f, tab, n, zs):
     """Largest |P_n/Q_n - (f - R_n/Q_n)| over zs, the remainder R_n/Q_n
     from the Cauchy transforms of the basis in mpmath: no numerator."""
-    appr = pade_approximant(n, f, tab)
-    return max(abs(appr.P_n.values(z) / appr.Q_n.values(z)
+    q = pade_denominator(n, f, tab)
+    p = pade_numerator(n, f, q, tab)
+    return max(abs(p.values(z) / q.values(z)
                    - (f_value(f, z, tab) - complex(_mp_remainder(n, f, tab, z, 60))))
                for z in zs)
 
@@ -116,8 +115,10 @@ def test_numerator_solves_no_linear_system(monkeypatch):
 def mu_moments(base: RecurrenceTable, count: int) -> np.ndarray:
     """m_s = integral x^s dmu for s < count, from the recurrence (exact
     sparse expansion of x^s over the basis; no quadrature)."""
-    m0 = 1.0 / base.tau[0] ** 2
-    return np.array([e[0] * m0 for e in _power_coeffs(base, count)], dtype=complex)
+    m0, e, out = 1.0 / base.tau[0] ** 2, np.ones(1, dtype=complex), np.zeros(count, dtype=complex)
+    for s in range(count):
+        out[s], e = e[0] * m0, xmul_coeffs(e, base)
+    return out
 
 
 def laurent_moments(f: StieltjesFn, base: RecurrenceTable, count: int) -> np.ndarray:
@@ -176,39 +177,13 @@ def test_f_value_next_to_the_cut(z):
     assert got == pytest.approx(want, rel=1e-14)
 
 
-def test_order_conditions():
-    for n in (10, 25):
-        appr = pade_approximant(n, F_LEG, TLEG)
-        res = pade_order_residuals(appr, F_LEG, TLEG)
-        assert np.max(res) < 1e-12
-
-
-def test_order_conditions_with_third_order_pole_on_atoms():
-    # Leibniz weights binom(i, r) other than 1 need a pole of order 3
-    spec = BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))
-    f = StieltjesFn(spec, ((2j, (0.5, 0.3, 1.0)), (-3.0 + 0j, (2.0,))))
-    tab = recurrence_for(spec, 40)
-    for n in (10, 25):
-        res = pade_order_residuals(pade_approximant(n, f, tab), f, tab)
-        assert np.max(res) < 1e-12
-
-
-def test_order_residuals_read_the_table_through_degree_n():
-    # the residuals need Q_n's degree of the table, not 2n + 1 moments
-    tab = recurrence_for(LEG, 125)
-    appr = pade_approximant(100, F_LEG, tab)
-    res = pade_order_residuals(appr, F_LEG, tab)
-    assert res.shape == (100,)
-    assert np.max(res) < 1e-12
-
-
 def test_interpolation_error_decays_geometrically():
     z = 3.0 + 0.0j
     fz = f_value(F_LEG, z, TLEG)
     errs = []
     for n in (5, 10, 15):
-        a = pade_approximant(n, F_LEG, TLEG)
-        errs.append(abs(fz - a.P_n.values(z) / a.Q_n.values(z)))
+        q = pade_denominator(n, F_LEG, TLEG)
+        errs.append(abs(fz - pade_numerator(n, F_LEG, q, TLEG).values(z) / q.values(z)))
     assert errs[1] < errs[0] * 1e-2
     assert errs[2] < errs[1] * 1e-2
 
@@ -314,6 +289,22 @@ def test_pole_jets_are_the_kernel_unknowns(f):
                 for s, w in enumerate(want):
                     assert abs(core["u"][i + s] - w) <= 1e-30 * abs(w), (n, t.c, s)
                 i += t.N + 1
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_extended_checker_sees_a_moved_denominator(n):
+    # the orthogonality residuals that check the Pade denominators, on the mp
+    # Q_n with its middle coefficient moved: its collapsed pole jets jump
+    spec = to_sobolev_spec(F_LEG)
+    wp = residual_dps(n, spec)
+    core = _mp_kernel(n, spec, TLEG, wp)
+    assert np.max(_residuals(spec, core, wp)) < 1e-40
+    for move in (1e-6, 1e-12):
+        with mpmath.workdps(wp):
+            coeffs = core["coeffs_mp"].copy()
+            coeffs[n // 2] += move * mpmath.norm(list(coeffs))
+        res = _residuals(spec, {**core, "coeffs_mp": coeffs}, wp)
+        assert np.max(res) > 1e-9, (n, move)
 
 
 def test_extended_lane_guards():

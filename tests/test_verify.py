@@ -405,6 +405,34 @@ def test_batched_ladder_matches_pointwise(monkeypatch):
     assert calls == []
 
 
+def test_probes_swept_to_the_orders_their_laws_read(monkeypatch):
+    # jets + the highest order above nu a resolved law reads: the
+    # derivative-gap rows of modified targets read two more, a base
+    # log-derivative one, and an over-base ratio none
+    from relasym import verify
+    orders = []
+
+    def recording(fname):
+        orig = getattr(verify, fname)
+
+        def wrapped(*args, **kwargs):
+            orders.append(args[-1])
+            return orig(*args, **kwargs)
+        return wrapped
+
+    for fname in ("coupling_jets", "basis_jets"):
+        monkeypatch.setattr(verify, fname, recording(fname))
+    got = {}
+    for name in SCENARIOS:
+        orders.clear()
+        run_ratio_ladder(scenario(name))
+        got[name] = orders[:]
+    assert got == {"base_legendre": [2], "modified_linear_real": [3],
+                   "modified_linear_complex": [3], "modified_rational": [3],
+                   "sobolev_point_derivative": [1], "sobolev_point_pair": [1],
+                   "pade_gonchar": [1]}
+
+
 @pytest.mark.parametrize("name", ["sobolev_point_pair", "modified_rational"])
 def test_limits_computed_once_per_law_and_probe(monkeypatch, name):
     # a limit depends only on (law, z): its cost must not scale with the rows
