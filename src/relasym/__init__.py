@@ -13,7 +13,6 @@ from .joukowski import (
 )
 from .modified import (
     ModifiedError,
-    ModifiedOP,
     RationalModifier,
     modified_table,
     solve_Q,

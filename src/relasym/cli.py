@@ -43,11 +43,16 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 def _read_json(path_str: str) -> dict:
-    # OSError propagates to the exit-code mapper (I/O); bad syntax is config.
-    text = Path(path_str).read_text()
+    # OSError propagates to the exit-code mapper (I/O); bytes that are not
+    # UTF-8 and text the decoder refuses are config.  Besides bad syntax
+    # (JSONDecodeError) it raises ValueError for an integer past Python's
+    # digit limit and RecursionError for nesting past its recursion limit.
+    data = Path(path_str).read_bytes()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise VerifyConfigError(f"config is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise VerifyConfigError(f"config is not valid JSON: {exc}") from exc
 
 

@@ -128,12 +128,6 @@ class BaseMeasureSpec:
                                f"leaves the double range")
         return mass
 
-    def pure(self) -> "BaseMeasureSpec":
-        """The same weight with the atoms dropped."""
-        if not self.mass_points:
-            return self
-        return BaseMeasureSpec(self.weight_kind, self.alpha, self.beta, ())
-
     def to_json_dict(self) -> dict:
         return {
             "weight_kind": self.weight_kind,

@@ -28,7 +28,6 @@ from .polybasis import PolyInBasis
 __all__ = [
     "RationalModifier",
     "ModifiedTable",
-    "ModifiedOP",
     "ModifiedError",
     "modified_table",
     "solve_Q",
@@ -138,9 +137,9 @@ class ModifiedTable:
                                 kind="overflow")
         return val
 
-    def op(self, n: int) -> "ModifiedOP":
-        """Degree n: Q_n over the last pole step's basis by back
-        substitution on the zero step's L, q_n = 1 and
+    def op(self, n: int) -> PolyInBasis:
+        """Q_n, monic of exact degree n: over the last pole step's basis by
+        back substitution on the zero step's L, q_n = 1 and
         q_j = -sum_{i=j+1}^{min(j+A, n)} L[i, j] q_i, then walked back
         through the pole steps by q_{k-1} += l_k q_k.  Refused only for
         what it reads, where the polynomial of that degree is not unique or
@@ -170,31 +169,7 @@ class ModifiedTable:
                 q[:-1] += l[1: n + 1] * q[1:]
         if not np.all(np.isfinite(q)):
             raise _collapse(n, "Q_n has a non-finite coefficient")
-        return ModifiedOP(n=n, q=PolyInBasis(q, self.base), table=self)
-
-
-@dataclass
-class ModifiedOP:
-    """One degree read off the table of r dmu."""
-
-    n: int
-    q: PolyInBasis                  # Q_n, monic of exact degree n
-    table: ModifiedTable
-
-    @property
-    def beta(self) -> complex:
-        """kappa_n^2 integral x Q_n^2 r dmu = b'_n."""
-        return complex(self.table.b[self.n])
-
-    @property
-    def alpha_sq(self) -> complex:
-        """kappa_{n-1}^2 / kappa_n^2 = a'_n^2 (0 at n = 0)."""
-        return complex(self.table.asq[self.n])
-
-    @property
-    def kappa_sq_inv(self) -> complex:
-        """integral Q_n^2 r dmu = 1/kappa_n^2."""
-        return self.table.kappa_sq_inv(self.n)
+        return PolyInBasis(q, self.base)
 
 
 def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> ModifiedTable:
@@ -228,15 +203,15 @@ def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> Modi
 _DEGREE_REFUSALS = (ModifiedError, MeasureError)
 
 
-def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> ModifiedOP:
+def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> PolyInBasis:
     """Monic Q_n orthogonal to lower degrees under the bilinear form of
-    r d(mu), with its recurrence data, read off the table of r dmu."""
+    r d(mu), read off the table of r dmu through n."""
     return modified_table(r, base, n).op(n)
 
 
 def solve_Q_many(degrees, r: RationalModifier, base: RecurrenceTable) -> dict:
     """solve_Q at each degree, from one table through the deepest: degree ->
-    ModifiedOP, or the error that degree refuses with."""
+    Q_n, or the error that degree refuses with."""
     try:
         table = modified_table(r, base, max(degrees))
     except _DEGREE_REFUSALS as exc:

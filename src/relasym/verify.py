@@ -261,8 +261,7 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     if _reads_base(cfg):
         built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
     elif cfg.target_kind == "modified":
-        built = {n: op if isinstance(op, Exception) else op.q
-                 for n, op in solve_Q_many(degrees, cfg.target, table).items()}
+        built = solve_Q_many(degrees, cfg.target, table)
     else:
         sob = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
         if cfg.precision == "double":

@@ -27,6 +27,7 @@ from relasym import (
     error_ratio,
     gamma_sequence,
     kappa_tau_limit,
+    modified_table,
     phi,
     recurrence_for,
     sn_kernel,
@@ -145,7 +146,7 @@ def test_criterion_03_orthogonality_residuals():
             for n in range(5, 81, 5):
                 rule = rule_for(LEG, n + 60)
                 pts, w = rule.all_points(), rule.all_weights()
-                qv = solve_Q(n, r, tab).q.values(pts)
+                qv = solve_Q(n, r, tab).values(pts)
                 V = basis_jets(tab, n - 1, pts)[0] * tab.tau[:n, None]   # l_m = tau_m L_m
                 terms = V * (w * r.values(pts) * qv)
                 worst = max(worst, float(np.max(
@@ -217,10 +218,10 @@ def test_criterion_05_oracle_equality_gram_schmidt():
                     PolyInBasis.basis_poly(table, 15),
                     oracle_base_monic(spec, 15), 0),
                 "modified_linear": compare_monomial(
-                    solve_Q(15, r_lin, table).q,
+                    solve_Q(15, r_lin, table),
                     oracle_modified_monic(spec, r_lin, 15), 0),
                 "modified_rational": compare_monomial(
-                    solve_Q(15, r_rat, table).q,
+                    solve_Q(15, r_rat, table),
                     oracle_modified_monic(spec, r_rat, 15), 0),
                 "sobolev": compare_monomial(
                     sn_kernel(15, sob, table).rep,
@@ -269,21 +270,22 @@ def test_criterion_07_recurrence_coefficient_limits():
         for name in ("modified_linear_complex", "modified_rational"):
             cfg = scenario(name)
             table = recurrence_for(cfg.measure, 83)
-            ops = [solve_Q(n, cfg.target, table) for n in (79, 80, 81)]
-            alpha_sq, beta = ops[1].alpha_sq, ops[1].beta
+            mod = modified_table(cfg.target, table, 80)
+            alpha_sq, beta = mod.asq[80], mod.b[80]
             assert abs(alpha_sq - 0.25) < 0.05, f"{name}: alpha^2 off by {abs(alpha_sq - 0.25):.2e}"
             assert abs(beta) < 0.05, f"{name}: beta {abs(beta):.2e}"
             # the table's numbers are those of Q_79..Q_81, each orthogonal
             # to lower degrees on the Gauss-rule oracle, as in criterion 3
-            for op in ops:
-                rule = rule_for(cfg.measure, op.n + 60)
+            for n in (79, 80, 81):
+                rule = rule_for(cfg.measure, n + 60)
                 pts, w = rule.all_points(), rule.all_weights()
-                V = basis_jets(table, op.n - 1, pts)[0] * table.tau[: op.n, None]
-                terms = V * (w * cfg.target.values(pts) * op.q.values(pts))
+                V = basis_jets(table, n - 1, pts)[0] * table.tau[:n, None]
+                qv = solve_Q(n, cfg.target, table).values(pts)
+                terms = V * (w * cfg.target.values(pts) * qv)
                 resid = float(np.max(np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)))
-                assert resid < 1e-9, f"{name}: Q_{op.n} residual {resid:.2e}"
+                assert resid < 1e-9, f"{name}: Q_{n} residual {resid:.2e}"
             lim = kappa_tau_limit(cfg.target)
-            kap_sq = 1.0 / ops[1].kappa_sq_inv
+            kap_sq = 1.0 / mod.kappa_sq_inv(80)
             dev = abs(kap_sq / table.tau[80] ** 2 - lim) / abs(lim)
             assert dev < 0.1, f"{name}: kappa^2/tau^2 deviation {dev:.2e}"
 

@@ -78,6 +78,21 @@ def test_broken_json_is_config_error(tmp_path):
     assert main(["recurrence", "--config", str(bad), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("sub", ["recurrence", "verify", "zeros"])
+@pytest.mark.parametrize("data, why", [
+    (b'{"measure": "\xff"}', "config is not UTF-8"),
+    (b"[" * 200_000, "config is not valid JSON"),     # past the decoder's recursion
+    (b"[" + b"1" * 5000 + b"]", "config is not valid JSON"),     # past the digit limit
+], ids=["not_utf8", "deep_nesting", "long_integer"])
+def test_undecodable_config_is_config_error(tmp_path, sub, data, why, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {why}")
+    assert not out.exists()
+
+
 def test_probe_on_cut_is_config_error(tmp_path):
     payload = scenario("base_legendre").to_json_dict()
     payload["probe_points"] = [[0.5, 0.0]]

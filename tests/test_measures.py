@@ -236,8 +236,3 @@ def test_spec_json_round_trip():
 def test_spec_validation(bad):
     with pytest.raises(MeasureError):
         BaseMeasureSpec(**bad)
-
-
-def test_pure_drops_atoms():
-    assert ATOM.pure() == CHEB
-    assert CHEB.pure() is CHEB

@@ -52,18 +52,18 @@ def test_modifier_validation(bad):
 
 
 def test_trivial_modifier_returns_base():
-    op = solve_Q(7, RationalModifier(), TAB)
+    table = modified_table(RationalModifier(), TAB, 7)
     base = PolyInBasis.basis_poly(TAB, 7)
-    assert np.allclose(op.q.coeffs, base.coeffs, atol=0.0)
-    assert op.alpha_sq == pytest.approx(TAB.a[7] ** 2)
+    assert np.allclose(table.op(7).coeffs, base.coeffs, atol=0.0)
+    assert table.asq[7] == pytest.approx(TAB.a[7] ** 2)
 
 
-def _orthogonality_residual(op, r, tab):
-    n = op.n
+def _orthogonality_residual(q, r, tab):
+    n = q.degree
     rule = rule_for(tab.spec, n + 60)
     pts, w = rule.all_points(), rule.all_weights()
     V = basis_jets(tab, n - 1, pts)[0] * tab.tau[:n, None]     # l_m = tau_m L_m
-    terms = V * (w * r.values(pts) * op.q.values(pts))
+    terms = V * (w * r.values(pts) * q.values(pts))
     return float(np.max(np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)))
 
 
@@ -79,8 +79,8 @@ def test_deep_degrees_solve_cleanly(r, n):
     tab = recurrence_for(LEG, n + 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        op = solve_Q(n, r, tab)
-    assert _orthogonality_residual(op, r, tab) < 1e-9
+        q = solve_Q(n, r, tab)
+    assert _orthogonality_residual(q, r, tab) < 1e-9
 
 
 @pytest.mark.parametrize("n, label", [(600, r"kappa_600\^-2 underflows"),
@@ -93,10 +93,10 @@ def test_refusal_past_double_range_names_the_overflow(n, label):
     tab = recurrence_for(LEG, n + 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        op = solve_Q(n, R_RAT, tab)
-        assert _orthogonality_residual(op, R_RAT, tab) < 1e-9
+        table = modified_table(R_RAT, tab, n)
+        assert _orthogonality_residual(table.op(n), R_RAT, tab) < 1e-9
         with pytest.raises(ModifiedError, match=label):
-            op.kappa_sq_inv
+            table.kappa_sq_inv(n)
 
 
 @pytest.mark.parametrize("n, kind", [(600, "underflow"), (1000, "underflow")],
@@ -104,7 +104,7 @@ def test_refusal_past_double_range_names_the_overflow(n, label):
 def test_refusals_carry_their_kind(n, kind):
     # the ladder labels a refused row by this kind, not by its message
     with pytest.raises(ModifiedError) as info:
-        solve_Q(n, R_RAT, recurrence_for(LEG, n + 5)).kappa_sq_inv
+        modified_table(R_RAT, recurrence_for(LEG, n + 5), n).kappa_sq_inv(n)
     assert info.value.kind == kind
 
 
@@ -143,10 +143,11 @@ def test_pole_moments_against_oracle(d, j):
                          ids=["zero_double_pole", "double_pole"])
 def test_beta_matches_quadrature(r):
     n = 20
-    op = solve_Q(n, r, TAB)
+    table = modified_table(r, TAB, n)
+    q = table.op(n)
     rule = rule_for(LEG, 400)
-    want = inner_rho(xmul(op.q), op.q, r, rule) / inner_rho(op.q, op.q, r, rule)
-    assert abs(op.beta - want) < 1e-12
+    want = inner_rho(xmul(q), q, r, rule) / inner_rho(q, q, r, rule)
+    assert abs(table.b[n] - want) < 1e-12
 
 
 @pytest.mark.parametrize("spec, r", [
@@ -167,9 +168,9 @@ def test_table_through_900_converges(spec, r):
 
 
 def test_monic_and_exact_degree():
-    op = solve_Q(15, R_RAT, TAB)
-    assert op.q.degree == 15
-    assert op.q.coeffs[15] == pytest.approx(1.0, rel=1e-12)
+    q = solve_Q(15, R_RAT, TAB)
+    assert q.degree == 15
+    assert q.coeffs[15] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_against_dense_oracle():
@@ -180,7 +181,7 @@ def test_against_dense_oracle():
         tab = recurrence_for(spec, 15)
         want = oracle_modified_monics(spec, r, (1, 2, 10))
         for n, oracle in want.items():
-            gap = compare_monomial(solve_Q(n, r, tab).q, oracle, 0)
+            gap = compare_monomial(solve_Q(n, r, tab), oracle, 0)
             assert gap < 1e-10, (r, n, gap)
 
 
@@ -196,12 +197,12 @@ def test_zero_on_a_base_zero_refuses_that_degree_only():
         solve_Q(1, r, tab)
     assert info.value.kind == "degree_collapse"
     for n, oracle in oracle_modified_monics(spec, r, (2, 3, 10)).items():
-        assert compare_monomial(solve_Q(n, r, tab).q, oracle, 0) < 1e-10, n
+        assert compare_monomial(solve_Q(n, r, tab), oracle, 0) < 1e-10, n
     # (x - c)^2 dmu is positive, so nothing breaks down: one factorization
     # for all of S never meets the degenerate (x - c) dmu on the way
     r2 = RationalModifier(zeros=((float(tab.b[0]), 2),))
     for n, oracle in oracle_modified_monics(spec, r2, (1, 2, 3, 10)).items():
-        assert compare_monomial(solve_Q(n, r2, tab).q, oracle, 0) < 1e-10, n
+        assert compare_monomial(solve_Q(n, r2, tab), oracle, 0) < 1e-10, n
 
 
 def test_zero_pivot_reads_q_but_not_beta():
@@ -209,11 +210,11 @@ def test_zero_pivot_reads_q_but_not_beta():
     # beta_0 divides by zero, and kappa_0^-2 refuses
     spec = BaseMeasureSpec("legendre", mass_points=((3.0, 10.0),))
     tab = recurrence_for(spec, 15)
-    op = solve_Q(0, RationalModifier(zeros=((float(tab.b[0]), 1),)), tab)
-    assert op.q.coeffs.tolist() == [1.0]
-    assert not np.isfinite(op.beta)
+    table = modified_table(RationalModifier(zeros=((float(tab.b[0]), 1),)), tab, 0)
+    assert table.op(0).coeffs.tolist() == [1.0]
+    assert not np.isfinite(table.b[0])
     with pytest.raises(ModifiedError) as info:
-        op.kappa_sq_inv
+        table.kappa_sq_inv(0)
     assert info.value.kind == "degree_collapse"
 
 
@@ -236,10 +237,10 @@ def test_zero_on_an_outside_zero_refuses_the_degrees_it_spoils():
     with pytest.raises(ModifiedError, match="n=8: the zero step's pivot at k=7") as info:
         solve_Q(8, r, tab)
     assert info.value.kind == "degree_collapse"
-    ops = solve_Q_many((6, 7, 8, 10, 20), r, tab)
-    assert isinstance(ops[8], ModifiedError)
+    qs = solve_Q_many((6, 7, 8, 10, 20), r, tab)
+    assert isinstance(qs[8], ModifiedError)
     for n, oracle in oracle_modified_monics(spec, r, (6, 7, 10, 20)).items():
-        assert compare_monomial(ops[n].q, oracle, 0) < 1e-9, n
+        assert compare_monomial(qs[n], oracle, 0) < 1e-9, n
 
 
 def test_double_zero_on_an_outside_zero_resolves_every_degree():
@@ -249,9 +250,9 @@ def test_double_zero_on_an_outside_zero_resolves_every_degree():
     spec = BaseMeasureSpec("legendre", mass_points=((3.0, 10.0),))
     tab = recurrence_for(spec, 30)
     r = RationalModifier(zeros=((_outside_zero(tab, 3), 2),))
-    ops = solve_Q_many((1, 2, 10, 20), r, tab)
+    qs = solve_Q_many((1, 2, 10, 20), r, tab)
     for n, oracle in oracle_modified_monics(spec, r, (1, 2, 10, 20)).items():
-        assert compare_monomial(ops[n].q, oracle, 0) < 1e-10, n
+        assert compare_monomial(qs[n], oracle, 0) < 1e-10, n
 
 
 @pytest.mark.parametrize("spec", [LEG, BaseMeasureSpec("chebyshev_first_kind"),
@@ -275,22 +276,24 @@ def test_oracle_moments_match_quadrature(spec):
 
 def test_kappa_matches_quadrature():
     n = 12
-    op = solve_Q(n, R_CPX, TAB)
+    table = modified_table(R_CPX, TAB, n)
+    q = table.op(n)
     rule = rule_for(LEG, 80)
-    direct = inner_rho(op.q, op.q, R_CPX, rule)
-    assert op.kappa_sq_inv == pytest.approx(direct, rel=1e-11)
+    direct = inner_rho(q, q, R_CPX, rule)
+    assert table.kappa_sq_inv(n) == pytest.approx(direct, rel=1e-11)
 
 
 def test_recurrence_extraction_consistency():
     # the table's alpha_20^2 and beta_20 carry Q_19 and Q_20, each built on
     # its own, to Q_21
-    ops = [solve_Q(n, R_CPX, TAB) for n in (19, 20, 21)]
-    alpha_sq, beta = ops[1].alpha_sq, ops[1].beta
-    xq = xmul(ops[1].q).coeffs
-    resid = ops[2].q.coeffs - xq
-    resid[:21] += beta * ops[1].q.coeffs
-    resid[:20] += alpha_sq * ops[0].q.coeffs
-    scale = max(np.max(np.abs(ops[2].q.coeffs)), np.max(np.abs(xq)))
+    q19, q20, q21 = (solve_Q(n, R_CPX, TAB) for n in (19, 20, 21))
+    table = modified_table(R_CPX, TAB, 20)
+    alpha_sq, beta = table.asq[20], table.b[20]
+    xq = xmul(q20).coeffs
+    resid = q21.coeffs - xq
+    resid[:21] += beta * q20.coeffs
+    resid[:20] += alpha_sq * q19.coeffs
+    scale = max(np.max(np.abs(q21.coeffs)), np.max(np.abs(xq)))
     assert np.max(np.abs(resid)) / scale < 1e-11
     # complex modification: coefficients approach the free pair (1/4, 0)
     assert abs(alpha_sq - 0.25) < 5e-3
@@ -299,7 +302,7 @@ def test_recurrence_extraction_consistency():
 
 def test_ratio_approaches_limit():
     n, z = 60, 3.0 + 0.0j
-    q = solve_Q(n, R_RAT, TAB).q
+    q = solve_Q(n, R_RAT, TAB)
     base = PolyInBasis.basis_poly(TAB, n)
     ratio = q.values(z) / base.values(z)
     lim = limit_modified(z, R_RAT)
@@ -323,16 +326,17 @@ def test_weak_limit_probe_on_atoms_with_double_pole(fdeg, nu):
     coeffs = np.array([0.3, -0.2j, 1.0, 0.5, 0.1, -0.7, 1.0])[-fdeg - 1:]
     f = PolyInBasis(coeffs, tab)
     lhs, _ = weak_limit_probe(f, nu, n, R_ATOMS2, tab)
-    ops = [solve_Q(k, R_ATOMS2, tab) for k in range(n, n + nu + 1)]
+    tables = [modified_table(R_ATOMS2, tab, k) for k in range(n, n + nu + 1)]
+    norms = [t.kappa_sq_inv(k) for k, t in enumerate(tables, n)]
     rule = rule_for(ATOMS2, n + nu + R_ATOMS2.A + R_ATOMS2.B + 60 + fdeg)
     pts = rule.all_points()
-    s = np.sum(rule.all_weights() * values_on_rule(f, rule) * values_on_rule(ops[0].q, rule)
-               * values_on_rule(ops[-1].q, rule) * R_ATOMS2.values(pts))
+    s = np.sum(rule.all_weights() * values_on_rule(f, rule)
+               * values_on_rule(tables[0].op(n), rule)
+               * values_on_rule(tables[-1].op(n + nu), rule) * R_ATOMS2.values(pts))
     # kappa_n kappa_{n+nu} = kappa_n^2 / (alpha_{n+1}..alpha_{n+nu}), each
     # alpha the principal root of a kappa_sq_inv ratio
-    chain = np.prod([np.sqrt(hi.kappa_sq_inv / lo.kappa_sq_inv)
-                     for lo, hi in zip(ops[:-1], ops[1:])])
-    want = s / ops[0].kappa_sq_inv / chain
+    chain = np.prod([np.sqrt(hi / lo) for lo, hi in zip(norms[:-1], norms[1:])])
+    want = s / norms[0] / chain
     assert abs(lhs - want) < 1e-12
 
 

@@ -1,19 +1,18 @@
 """Pade approximants to Markov functions with polar parts."""
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from relasym import (BaseMeasureSpec, PadeError, RecurrenceTable, StieltjesFn, error_ratio,
-                     f_value, pade_denominator, pade_numerator, phi, recurrence_for,
+from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio, f_value,
+                     pade_denominator, pade_numerator, phi, recurrence_for,
                      scenario, to_sobolev_spec)
 import mpmath
 from _mp_oracles import (_mp_basis_jets, _mp_poly_jet, _mp_recurrence, _mp_remainder,
                          _residuals, mp_error_ratio, residual_dps)
 from relasym.extended import _mp_kernel
 from relasym.measures import rule_for
-from relasym.polybasis import PolyInBasis, xmul_coeffs
+from relasym.polybasis import PolyInBasis
 from relasym.sobolev import _lane_dps
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -110,42 +109,6 @@ def test_numerator_solves_no_linear_system(monkeypatch):
     q = pade_denominator(25, f, tab)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     pade_numerator(25, f, q, tab)
-
-
-def mu_moments(base: RecurrenceTable, count: int) -> np.ndarray:
-    """m_s = integral x^s dmu for s < count, from the recurrence (exact
-    sparse expansion of x^s over the basis; no quadrature)."""
-    m0, e, out = 1.0 / base.tau[0] ** 2, np.ones(1, dtype=complex), np.zeros(count, dtype=complex)
-    for s in range(count):
-        out[s], e = e[0] * m0, xmul_coeffs(e, base)
-    return out
-
-
-def laurent_moments(f: StieltjesFn, base: RecurrenceTable, count: int) -> np.ndarray:
-    """f_s with f(z) = sum_s f_s z^{-s-1}: measure moments plus the exact
-    Laurent expansion of the polar parts."""
-    out = mu_moments(base, count)
-    for c, A in f.poles:
-        for i, a in enumerate(A):
-            fac = math.factorial(i)
-            for s in range(i, count):
-                out[s] += a * fac * math.comb(s, i) * c ** (s - i)
-    return out
-
-
-def test_mu_moments_closed_form():
-    m = mu_moments(TCHEB, 6)
-    want = np.array([np.pi, 0.0, np.pi / 2, 0.0, 3 * np.pi / 8, 0.0])
-    assert np.allclose(m, want, rtol=1e-13)
-
-
-def test_laurent_moments_add_pole_expansion():
-    fs = laurent_moments(F_POLE, TCHEB, 5)
-    base = mu_moments(TCHEB, 5)
-    c = 2j
-    # A_1 = 1 contributes 1! * C(s,1) * c^(s-1) from s = 1 on
-    want = base + np.array([0, 1, 2 * c, 3 * c ** 2, 4 * c ** 3])
-    assert np.allclose(fs, want, rtol=1e-13)
 
 
 def test_f_value_matches_closed_form():
