@@ -123,7 +123,9 @@ def _json_text(obj, pad: str = "") -> str:
 
 
 def _write_json(path: Path, payload: dict) -> Path:
-    """The one JSON writer: sorted keys, 2-space indent, a final newline."""
+    """The writer of recurrence.json, summary.json and zeros.json: sorted
+    keys, 2-space indent, a final newline.  Ratio reports are written by
+    verify.emit_report from its own row template."""
     path.write_text(_json_text(payload) + "\n")
     return path
 
@@ -141,6 +143,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def cmd_recurrence(args) -> int:
+    if args.precision is not None:
+        # the table is built in double alone: a lane it ignored would read as honoured
+        raise reader.ConfigError("recurrence has no precision lane")
     spec, nmax = load_measure(args.config)
     table = recurrence_for(spec, nmax)
     over = np.flatnonzero(~np.isfinite(table.tau))
@@ -221,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bundled scenario name or path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--precision", choices=("double", "extended"),
-                        default=None, help="override the config's precision lane")
+                        default=None,
+                        help="override the config's precision lane (verify and zeros)")
     return parser
 
 

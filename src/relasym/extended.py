@@ -9,7 +9,7 @@ its pole jets from it (`_mp_square_jets`); its error sum runs in double.
 
 The lane is the double lane's code on another table: `_mp_ab` rebuilds
 the recurrence table in mp with the double table's own builder, and
-`coupling_jets` (`basis_jets`) and `_kernel_blocks` run on it in its
+`coupling_jets` (`basis_jets`) and `_kernel_system` run on it in its
 number type.  So the lane derives no measure, sweeps no jets and
 assembles no gate of its own, and uses no quadrature anywhere.
 """
@@ -21,8 +21,7 @@ import mpmath
 import numpy as np
 
 from .measures import RecurrenceTable, _measure_ab
-from .sobolev import (SobolevSpec, _kernel_blocks, _kernel_cond, _kernel_system, _lane_dps,
-                      _refusals, coupling_jets)
+from .sobolev import SobolevSpec, _kernel_system, _lane_dps, _refusals, coupling_jets
 
 
 def _mp_ab(base: RecurrenceTable, deg: int) -> RecurrenceTable:
@@ -47,13 +46,13 @@ def _mp_ab(base: RecurrenceTable, deg: int) -> RecurrenceTable:
 def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:
     """sn_kernel's identity in mpmath at dps digits, on sn_kernel's code.
 
-    The orthonormal jets E come from `coupling_jets` on the mp table, and
-    the gate is sn_kernel's equilibrated system from `_kernel_blocks`,
-    whose entries fit in double even where the jets do not.  The
-    solve is the identity as it stands.  With J the jet rows l_m^(k)(c_j),
-    m < n, at the nonzero columns of each gamma_j and W = Gamma*^T (jet
-    rows at its nonzero rows), u = S_n^(k)(c_j) solves
-    (I + J W^T) u = (L_n^(k)(c_j)) = E[:, n] / tau_n.  S_n has monic
+    The orthonormal jets E come from `coupling_jets` on the mp table
+    through degree n, and the gate is sn_kernel's equilibrated system from
+    `_kernel_system`, whose entries fit in double even where the jets do
+    not; only its cond is read.  The solve is the identity as it stands.
+    With J the jet rows l_m^(k)(c_j), m < n, at the nonzero columns of each
+    gamma_j and W = Gamma*^T (jet rows at its nonzero rows), u = S_n^(k)(c_j)
+    solves (I + J W^T) u = (L_n^(k)(c_j)) = E[:, n] / tau_n.  S_n has monic
     coefficients -tau_m W[:, m] . u below L_n, and
     <S_n, S_n> = (1/tau_n + W[:, n] . u) / tau_n.  Returns them with u,
     gamma_n, cond, the double table and the mp table.
@@ -62,8 +61,8 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     if refused:
         raise refused[n]
     with mpmath.workdps(dps):
-        table, jets = coupling_jets(spec, _mp_ab(base, n + 1), n)
-        cond = _kernel_cond(_kernel_system(_kernel_blocks(n, spec, jets), n)[0])
+        table, jets = coupling_jets(spec, _mp_ab(base, n), n)
+        cond = _kernel_system(n, spec, jets)[-1]
         J = np.vstack([E[list(t.cols)] for t, E in zip(spec.terms, jets)])
         mpc = np.frompyfunc(mpmath.mpc, 1, 1)    # converted once, not per product
         W = np.vstack([mpc(t.star.T) @ E[list(t.rows)] for t, E in zip(spec.terms, jets)])

@@ -50,6 +50,10 @@ class MeasureError(reader.ConfigError):
     """Invalid measure description or table request."""
 
 
+# what refuses one degree, or one ladder row, and leaves the others to their own builds
+DEGREE_REFUSALS = (reader.Refusal, MeasureError, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class BaseMeasureSpec:
     """Weight kind, Jacobi exponents, and point masses off [-1, 1]."""

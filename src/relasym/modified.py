@@ -21,7 +21,7 @@ import numpy as np
 
 from . import reader
 from .joukowski import NEAR_ATOM, apart, point
-from .measures import (MeasureError, RecurrenceTable, christoffel_step, geronimus_step,
+from .measures import (DEGREE_REFUSALS, RecurrenceTable, christoffel_step, geronimus_step,
                        minimal_solution_depth, table_through)
 from .polybasis import PolyInBasis
 
@@ -199,10 +199,6 @@ def modified_table(r: RationalModifier, base: RecurrenceTable, top: int) -> Modi
                          zero_mult=mult, zero_rel=rel)
 
 
-# what refuses one degree and leaves the others to their own reading
-_DEGREE_REFUSALS = (ModifiedError, MeasureError)
-
-
 def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> PolyInBasis:
     """Monic Q_n orthogonal to lower degrees under the bilinear form of
     r d(mu), read off the table of r dmu through n."""
@@ -214,13 +210,13 @@ def solve_Q_many(degrees, r: RationalModifier, base: RecurrenceTable) -> dict:
     Q_n, or the error that degree refuses with."""
     try:
         table = modified_table(r, base, max(degrees))
-    except _DEGREE_REFUSALS as exc:
+    except DEGREE_REFUSALS as exc:
         return {n: exc for n in degrees}
     out: dict = {}
     for n in degrees:
         try:
             out[n] = table.op(n)
-        except _DEGREE_REFUSALS as exc:
+        except DEGREE_REFUSALS as exc:
             out[n] = exc
     return out
 

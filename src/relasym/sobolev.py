@@ -14,11 +14,11 @@ two arithmetics, which gate on the same equilibrated system and report the
 same condition number:
 
 * sn_kernel: in double precision, solving the equilibrated system;
-* sn_lambda: the same jets and gate code on the recurrence table rebuilt
-  in mpmath, solving the identity as it stands at the digits the collapse
-  of the jets at the c_j needs.  Its mpmath core lives in
-  `relasym.extended`, which it loads on its first call, so
-  double-precision runs never load mpmath.
+* sn_lambda: the same jets (`coupling_jets`) and gate (`_kernel_system`)
+  on the recurrence table rebuilt in mpmath, solving the identity as it
+  stands at the digits the collapse of the jets at the c_j needs.  Its
+  mpmath core lives in `relasym.extended`, which it loads on its first
+  call, so double-precision runs never load mpmath.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import reader
 from .joukowski import NEAR_ATOM, apart, phi, point
-from .measures import RecurrenceTable, table_through
+from .measures import DEGREE_REFUSALS, RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import solve_Q  # noqa: F401
@@ -175,7 +175,6 @@ def _read_term(data, path: str) -> SobolevTerm:
 
 @dataclass
 class SobolevOP:
-    n: int
     rep: PolyInBasis                  # monic mu-basis coefficients of S_n
     norm_sq: complex                  # <S_n, S_n>
     gamma_n: complex                  # principal branch of norm_sq^{-1/2}
@@ -184,12 +183,12 @@ class SobolevOP:
 
 def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     """Refusals both lanes share, the spec's own checked once: a table through
-    the deepest degree + 1, and degree -> SobolevError for each refused degree.
+    the deepest degree, and degree -> SobolevError for each refused degree.
     A coupling point on an atom of the measure, where forward jets follow a
     decaying solution into rounding noise, is an input conflict: ConfigError."""
     apart([t.c for t in spec.terms], [loc for loc, _ in base.spec.mass_points],
           "a coupling point coincides with a mass point", reader.ConfigError, NEAR_ATOM)
-    base = table_through(base, max(degrees) + 1)    # sn_kernel refuses an infinite tau_n
+    base = table_through(base, max(degrees))    # sn_kernel refuses an infinite tau_n
     regular, order = spec.regular, max(t.order for t in spec.terms)
     refused = {}
     for n in degrees:
@@ -201,41 +200,46 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     return base, refused
 
 
-def _kernel_system(blocks: list, n: int) -> tuple:
-    """The equilibrated bordered system from each point's (J, W, 1/(P P')).
+def _kernel_system(n: int, spec: SobolevSpec, jets: list) -> tuple:
+    """The equilibrated bordered system at degree n, gated at COND_LIMIT.
 
-    J and W are the point's orthonormal jet blocks divided by their largest
-    entries P and P'.  Each is factored as P L Q; returns the matrix
-    diag(L^-1 L'^-T / (P P')) + Q Q'^T, the stacked Q', and L^-1 J[:, n]
-    and L'^-1 W[:, n] stacked.
+    Per point, its orthonormal jets E (either number type) are divided by
+    their peaks in E's own arithmetic and cast to double, so sn_lambda's mp
+    jets give a system that fits in double even where the jets do not.  J
+    (jet rows at gamma's nonzero columns) and W = Gamma*^T E[rows] are each
+    divided by their largest entry P and P' and factored as P L Q.  Returns
+    the matrix M = diag(L^-1 L'^-T / (P P')) + Q Q'^T, the stacked Q',
+    L^-1 J[:, n] and L'^-1 W[:, n] stacked, and cond(M); raises
+    SobolevError past COND_LIMIT.
     """
     Q, Qw, D, rhs, wn = [], [], [], [], []
-    for J, W, scale in blocks:
+    for t, E in zip(spec.terms, jets):
+        rows, cols = list(t.rows), list(t.cols)
+        E = E[:, : n + 1]
+        peak = np.abs(E).max(axis=1)
+        E = (E / peak[:, None]).astype(complex)
+        pj, pw = peak[cols].max(), peak[rows].max()
+        J = E[cols] * (peak[cols] / pj).astype(float)[:, None]
+        W = t.star.T @ (E[rows] * (peak[rows] / pw).astype(float)[:, None])
         q, r = np.linalg.qr(J[:, :n].T)
         qw, rw = np.linalg.qr(W[:, :n].T)
         Li, Lwi = np.linalg.inv(r.T), np.linalg.inv(rw.T)
         Q.append(q.T)
         Qw.append(qw.T)
         # 1/(P P') underflows harmlessly once the kernel part dominates
-        D.append(Li @ Lwi.T * scale)
+        D.append(Li @ Lwi.T * float((1.0 / pj) * (1.0 / pw)))
         rhs.append(Li @ J[:, n])
         wn.append(Lwi @ W[:, n])
-    Q, Qw = np.vstack(Q), np.vstack(Qw)
-    M_sys = Q @ Qw.T
+    Qw = np.vstack(Qw)
+    M = np.vstack(Q) @ Qw.T
     i = 0
     for d in D:
-        M_sys[i:i + len(d), i:i + len(d)] += d
+        M[i:i + len(d), i:i + len(d)] += d
         i += len(d)
-    return M_sys, Qw, np.concatenate(rhs), np.concatenate(wn)
-
-
-def _kernel_cond(M: np.ndarray) -> float:
-    """The condition number of a kernel matrix, inf for a non-finite one;
-    raises SobolevError past COND_LIMIT."""
     cond = float(np.linalg.cond(M)) if np.all(np.isfinite(M)) else math.inf
     if cond > COND_LIMIT:
         raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
-    return cond
+    return M, Qw, np.concatenate(rhs), np.concatenate(wn), cond
 
 
 def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
@@ -249,13 +253,12 @@ def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
     points and orders swept with it.  Each point's slice is scaled to
     orthonormal on its own.  The probes, if any, ride the same sweep to
     `order`; their monic jets (order+1, top+1, len(probes)) come last.
-    The jets take the table's number type; an mp table must reach top + 1,
-    as a shorter one is rebuilt in double.
+    The jets take the table's number type.
     """
     deg = max(top, 0)
     orders = [t.order for t in spec.terms]
     with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
-        base = table_through(base, top + 1)
+        base = table_through(base, top)
         swept = basis_jets(base, deg, np.array([t.c for t in spec.terms] + list(probes)),
                            max(orders + [order]))
         tau = base.tau[: deg + 1]
@@ -286,24 +289,6 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     return op
 
 
-def _kernel_blocks(n: int, spec: SobolevSpec, jets: list) -> list:
-    """Each point's (J, W, 1/(P P')) at degree n, for _kernel_system, in
-    double for jets of either number type: the peaks are divided out in
-    the jets' own, so sn_lambda's mp jets give blocks that fit in double
-    even where the jets do not."""
-    blocks = []
-    for t, E in zip(spec.terms, jets):
-        rows, cols = list(t.rows), list(t.cols)
-        E = E[:, : n + 1]
-        peak = np.abs(E).max(axis=1)
-        E = (E / peak[:, None]).astype(complex)
-        pj, pw = peak[cols].max(), peak[rows].max()
-        J = E[cols] * (peak[cols] / pj).astype(float)[:, None]
-        W = t.star.T @ (E[rows] * (peak[rows] / pw).astype(float)[:, None])
-        blocks.append((J, W, float((1.0 / pj) * (1.0 / pw))))
-    return blocks
-
-
 def _kernel_op(n: int, base: RecurrenceTable, v: np.ndarray, Qw: np.ndarray,
                wn: np.ndarray, cond: float) -> SobolevOP:
     """SobolevOP from the solved v: s = -Q'^T v and norm_sq."""
@@ -319,12 +304,7 @@ def _kernel_op(n: int, base: RecurrenceTable, v: np.ndarray, Qw: np.ndarray,
         if ns == 0 and inv_tau ** 2 >= tiny:
             raise SobolevError("degenerate S_n: <S_n, S_n> = 0")
         raise SobolevError(f"1/tau_{n}^2 underflows the double range", kind="underflow")
-    return SobolevOP(n=n, rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)),
-                     cond=cond)
-
-
-# what refuses one degree and leaves the others to their own solves
-_DEGREE_REFUSALS = (SobolevError, np.linalg.LinAlgError)
+    return SobolevOP(rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)), cond=cond)
 
 
 def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
@@ -347,12 +327,11 @@ def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
                     if not np.all(np.isfinite(E[:, : n + 1])):
                         raise SobolevError(f"jets at c = {t.c} overflow the double range "
                                            f"at n={n}", kind="overflow")
-                M, Qw, rhs, wn = _kernel_system(_kernel_blocks(n, spec, jets), n)
-                cond = _kernel_cond(M)
+                M, Qw, rhs, wn, cond = _kernel_system(n, spec, jets)
                 # the gate leaves no singular matrix for the solve
                 v = np.linalg.solve(M, rhs * (1.0 / base.tau[n]))
                 out[n] = _kernel_op(n, base, v, Qw, wn, cond)
-            except _DEGREE_REFUSALS as exc:
+            except DEGREE_REFUSALS as exc:
                 out[n] = exc
     return {n: out[n] for n in degrees}
 
@@ -377,7 +356,7 @@ def _lane_dps(n: int, spec: SobolevSpec) -> int:
 def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     """sn_kernel's construction in mpmath, for every regular spec.
 
-    The same identity on the same code (`coupling_jets`, `_kernel_blocks`)
+    The same identity on the same code (`coupling_jets`, `_kernel_system`)
     over the recurrence table rebuilt in mp, solved as it stands at
     `_lane_dps` digits (`extended._mp_kernel`), with no quadrature.  The
     gate is sn_kernel's equilibrated system, so both lanes report the same
@@ -396,8 +375,8 @@ def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
     if abs(ns) < np.finfo(float).tiny and core["norm_sq_mp"] != 0:
         raise SobolevError(f"<S_{n}, S_{n}> underflows the double range",
                            kind="underflow")
-    return SobolevOP(n=n, rep=PolyInBasis(coeffs, core["base"]),
-                     norm_sq=ns, gamma_n=core["gamma_n"], cond=core["cond"])
+    return SobolevOP(rep=PolyInBasis(coeffs, core["base"]), norm_sq=ns,
+                     gamma_n=core["gamma_n"], cond=core["cond"])
 
 
 def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees) -> dict[int, complex]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import reader
 from .joukowski import apart, limit_modified, limit_sobolev, phi, point, sqrt_z2m1
-from .measures import BaseMeasureSpec, MeasureError, RecurrenceTable, recurrence_for
+from .measures import DEGREE_REFUSALS, BaseMeasureSpec, RecurrenceTable, recurrence_for
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
@@ -274,7 +274,7 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
         for n in degrees:
             try:
                 built[n] = sn_lambda(n, sob, table).rep
-            except _REFUSALS as exc:
+            except DEGREE_REFUSALS as exc:
                 built[n] = exc
     probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
     return built, probe_jets
@@ -339,7 +339,6 @@ def _law_limit(form: str, cfg: ExperimentConfig, factors: list, z: complex) -> c
     return limit_sobolev(z, factors)
 
 
-_REFUSALS = (reader.Refusal, MeasureError, np.linalg.LinAlgError)
 _NAN = complex(float("nan"), float("nan"))
 
 
@@ -385,7 +384,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                 base = probe_jets[:, :, p]
                 try:
                     limit, refusal = complex(_law_limit(form, cfg, factors, z)), ""
-                except _REFUSALS as exc:
+                except DEGREE_REFUSALS as exc:
                     limit, refusal = _NAN, _refusal_flag(exc)
                 for nu in range(cfg.jets + 1):
                     prev: RatioRow | None = None
@@ -399,7 +398,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                             try:
                                 ratio = complex(_law_ratio(form, source, base, n, nu, p))
                                 flag = refusal
-                            except _REFUSALS as exc:
+                            except DEGREE_REFUSALS as exc:
                                 ratio, flag = _NAN, _refusal_flag(exc)
                         if not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
                             flag = "overflow: ratio or limit leaves the double range"

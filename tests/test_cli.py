@@ -67,6 +67,17 @@ def test_recurrence_refuses_overflowing_tau(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_recurrence_refuses_a_precision_lane(tmp_path, precision, capsys):
+    # the table is built in double alone: an override it would ignore is a
+    # config error, not a double table written under the extended flag
+    out = tmp_path / "out"
+    assert main(["recurrence", "--config", "legendre", "--out", str(out),
+                 "--precision", precision]) == 3
+    assert "recurrence has no precision lane" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_is_io_error(tmp_path):
     assert main(["recurrence", "--config", str(tmp_path / "gone.json"),
                  "--out", str(tmp_path)]) == 2

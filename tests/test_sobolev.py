@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relasym.measures
+
 sys.path.insert(0, str(Path(__file__).parent))
 from _basis import sobolev_inner
 from _mp_oracles import (_residuals, compare_monomial, lambda_dps, lambda_expansion,
@@ -15,7 +17,8 @@ from _mp_oracles import (_residuals, compare_monomial, lambda_dps, lambda_expans
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
                      StieltjesFn, digit_loss, gamma_sequence, phi, recurrence_for,
                      sn_kernel, sn_lambda, to_sobolev_spec)
-from relasym.sobolev import SobolevTerm
+from relasym.extended import _mp_kernel
+from relasym.sobolev import SobolevTerm, _lane_dps
 
 LEG = BaseMeasureSpec("legendre")
 TAB = recurrence_for(LEG, 90)
@@ -143,6 +146,21 @@ def test_both_lanes_report_the_same_cond(name):
     for n in (12, 40, 200):
         want = sn_kernel(n, spec, table).cond
         assert sn_lambda(n, spec, table).cond == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["pair", "two_pole"])
+def test_a_table_through_the_solved_degree_is_enough(name, monkeypatch):
+    # neither lane reads tau or jets past the degree it solves: a table
+    # through n is used as it is, and the mp lane rebuilds it through n alone
+    spec, n = KERNEL_SPECS[name], 12
+    table = recurrence_for(LEG, n)
+    calls = []
+    build = relasym.measures.recurrence_for
+    monkeypatch.setattr(relasym.measures, "recurrence_for",
+                        lambda *args: calls.append(args) or build(*args))
+    assert sn_kernel(n, spec, table).rep.table is table
+    assert _mp_kernel(n, spec, table, _lane_dps(n, spec))["table"].nmax == n
+    assert calls == []
 
 
 def test_two_pole_kernel_reach():
