@@ -8,7 +8,8 @@ on their first call.  The latter takes only the Pade denominator Q_n and
 its pole jets from it (`_mp_square_jets`); its error sum runs in double.
 
 The lane is the double lane's code on another table: `_mp_ab` rebuilds
-the recurrence table in mp with the double table's own builder, and
+the recurrence table in mp with the double table's own builder
+(`measures._table`, a, b and tau alike), and
 `coupling_jets` (`basis_jets`) and `_kernel_system` run on it in its
 number type.  So the lane derives no measure, sweeps no jets and
 assembles no gate of its own, and uses no quadrature anywhere.
@@ -20,7 +21,7 @@ import math
 import mpmath
 import numpy as np
 
-from .measures import RecurrenceTable, _measure_ab
+from .measures import RecurrenceTable, _table
 from .sobolev import SobolevSpec, _kernel_system, _lane_dps, _refusals, coupling_jets
 
 
@@ -28,19 +29,17 @@ def _mp_ab(base: RecurrenceTable, deg: int) -> RecurrenceTable:
     """The table of base's measure through degree deg in mp: a, b and tau
     as object arrays of mpf.
 
-    The table's measure is rebuilt in mp by the double table's own builder
-    (`measures._measure_ab`), atoms included, on the mp beta integral as
-    continuous mass: the double table carries ~1e-16 dirt that is invisible
-    to the bordered solve but fatal to collapsed-scale quantities downstream
-    (a perturbed a_k leaks an O(eps) L_0 component into polynomials whose
-    true low-order coefficients are exponentially small).
+    The table is rebuilt in mp by the double table's own builder
+    (`measures._table`), atoms, a_k and tau_k included, on the mp beta
+    integral as continuous mass: the double table carries ~1e-16 dirt that
+    is invisible to the bordered solve but fatal to collapsed-scale
+    quantities downstream (a perturbed a_k leaks an O(eps) L_0 component
+    into polynomials whose true low-order coefficients are exponentially
+    small).
     """
     spec = base.spec
     al, be = (mpmath.mpf(v) for v in spec.jacobi_exponents())
-    b, asq, m0 = _measure_ab(spec, deg, al, be, 2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1))
-    a = np.array([mpmath.mpf(0)] + [mpmath.sqrt(v) for v in asq[1:]], dtype=object)
-    tau = np.divide(1 / mpmath.sqrt(m0), np.cumprod([mpmath.mpf(1), *a[1:]]))
-    return RecurrenceTable(a=a, b=b, tau=tau, spec=spec)
+    return _table(spec, deg, al, be, 2 ** (al + be + 1) * mpmath.beta(al + 1, be + 1))
 
 
 def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> dict:

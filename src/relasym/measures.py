@@ -44,6 +44,10 @@ STIRLING_FROM = 15.0    # both Jacobi exponents this large: the mass from Stirli
 # the coefficients B_2k / (2k (2k - 1)) of Stirling's series for lgamma,
 # k = 1..5: at x = a + 1 >= 16 the first term left out is below 2e-16
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+# numpy refuses, before allocating anything, an array of more bytes than the
+# largest intp; a table through degree nmax is built on arrays of nmax + 2
+# entries of 8 bytes (float, or the pointers of an object array)
+MAX_DEPTH = np.iinfo(np.intp).max // 8 - 2
 
 
 class MeasureError(reader.ConfigError):
@@ -187,7 +191,7 @@ class RecurrenceTable:
     l_k, so tau[0] = 1/sqrt(total mass) and tau[k+1] = tau[k]/a[k+1].
     The JSON form stores a without the placeholder (a_1..a_nmax).  ``spec``
     is the measure the table belongs to, so the table can be rebuilt deeper
-    (`table_through`) or in mpmath (`extended._mp_ab`).
+    (`table_through`) or in mpmath (`extended._mp_ab`), both by `_table`.
     """
 
     a: np.ndarray
@@ -260,17 +264,6 @@ def _jacobi_ab(alpha, beta, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     return b, asq
 
 
-def _tau_from(asq: np.ndarray, total_mass: float) -> np.ndarray:
-    """tau_k = 1/||L_k||, inf past the double range: every reader of tau
-    checks, and the tables deepened for a and b alone never read it."""
-    tau = np.empty(len(asq))
-    tau[0] = 1.0 / math.sqrt(total_mass)
-    with np.errstate(over="ignore"):
-        for kk in range(1, len(asq)):
-            tau[kk] = tau[kk - 1] / math.sqrt(asq[kk])
-    return tau
-
-
 def _add_point(b: np.ndarray, asq: np.ndarray, mass, x, w) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi matrix of a discrete measure after adding w * delta(x).
 
@@ -308,10 +301,10 @@ def _add_point(b: np.ndarray, asq: np.ndarray, mass, x, w) -> tuple[np.ndarray, 
     return p0, p1
 
 
-def _measure_ab(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> tuple:
-    """(b, asq, total mass) of the measure through degree nmax, in the
-    number type of the exponents alpha, beta and the continuous mass: float
-    for `recurrence_for`, mpmath's mpf for the extended lane.
+def _table(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> RecurrenceTable:
+    """The measure's table through degree nmax, in the number type of the
+    exponents alpha, beta and the continuous mass: float for
+    `recurrence_for`, mpmath's mpf for the extended lane (`extended._mp_ab`).
 
     The closed-form Jacobi matrix of the pure weight, truncated at
     N = nmax + 2, is the Jacobi matrix of its N-point Gauss rule.  That
@@ -320,7 +313,15 @@ def _measure_ab(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> tuple:
     the measure itself.  Each point mass is absorbed by one O(N) sweep
     (`_add_point`), the masses at one location summed into one, so a
     table of degree nmax is bit for bit the leading part of any longer one.
+    tau_k = tau_{k-1}/a_k = 1/||L_k|| one division at a time, inf past the
+    double range: every reader of tau checks, and the tables deepened for
+    a and b alone never read it.  A depth whose arrays numpy refuses to
+    allocate is a MeasureError.
     """
+    if nmax < 1:
+        raise MeasureError("nmax must be >= 1")
+    if nmax > MAX_DEPTH:
+        raise MeasureError(f"a table through degree {nmax:.3g} is more than numpy can allocate")
     b, asq = _jacobi_ab(alpha, beta, nmax + 1)
     num = type(mass)    # the atoms are summed and swept in mass's number type
     # a second sweep at a node the discrete measure already has absorbs
@@ -331,19 +332,16 @@ def _measure_ab(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> tuple:
     for x, w in atoms.items():
         b, asq = _add_point(b, asq, mass, num(x), w)
         mass += w
-    return b[: nmax + 1], asq[: nmax + 1], mass
+    a = np.concatenate([[0 * mass], np.sqrt(asq[1: nmax + 1])])    # a zero a[0] of mass's type
+    with np.errstate(over="ignore"):
+        tau = np.divide.accumulate(np.concatenate([[1 / np.sqrt(mass)], a[1:]]))
+    return RecurrenceTable(a=a, b=b[: nmax + 1], tau=tau, spec=spec)
 
 
 def recurrence_for(spec: BaseMeasureSpec, nmax: int) -> RecurrenceTable:
     """Recurrence table for the measure, atoms folded into the inner
-    product (`_measure_ab`)."""
-    if nmax < 1:
-        raise MeasureError("nmax must be >= 1")
-    alpha, beta = spec.jacobi_exponents()
-    b, asq, mass = _measure_ab(spec, nmax, alpha, beta, spec.continuous_mass())
-    tau = _tau_from(asq, mass)
-    a = np.concatenate([[0.0], np.sqrt(asq[1:])])
-    return RecurrenceTable(a=a, b=b, tau=tau, spec=spec)
+    product (`_table`)."""
+    return _table(spec, nmax, *spec.jacobi_exponents(), spec.continuous_mass())
 
 
 def _golub_welsch(b: np.ndarray, a: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import reader
 from .joukowski import NEAR_ATOM, apart, point
-from .measures import (DEGREE_REFUSALS, RecurrenceTable, christoffel_step, geronimus_step,
-                       minimal_solution_depth, table_through)
+from .measures import (DEGREE_REFUSALS, MAX_DEPTH, RecurrenceTable, christoffel_step,
+                       geronimus_step, minimal_solution_depth, table_through)
 from .polybasis import PolyInBasis
 
 __all__ = [
@@ -66,6 +66,11 @@ class RationalModifier:
         object.__setattr__(self, "poles", _canon_points(self.poles))
         apart([c for c, _ in self.zeros], [d for d, _ in self.poles],
               "common zero/pole: modifier not in lowest terms", ModifiedError)
+        # the table of r dmu reads the base past degree A + B, and the steps
+        # expand each multiplicity unit by unit: check the depth first
+        if self.A + self.B > MAX_DEPTH:
+            raise ModifiedError(f"multiplicities summing to {self.A + self.B:.3g} need a "
+                                f"table deeper than numpy can allocate")
 
     @property
     def A(self) -> int:

@@ -167,6 +167,10 @@ class ExperimentConfig:
             raise VerifyConfigError("zero_degrees must be nonnegative")
         if self.jets < 0:
             raise VerifyConfigError("jets must be nonnegative")
+        # L_n^(k) = 0 for k > n: a higher order adds only pre_asymptotic rows
+        if self.jets > self.n_ladder[-1]:
+            raise VerifyConfigError(f"jets {self.jets:.3g} exceeds the deepest ladder "
+                                    f"degree {self.n_ladder[-1]}")
         if not self.probe_points:
             raise VerifyConfigError("probe_points is empty: a run would check nothing")
         # a repeated probe or law repeats its rows, which the monotone check

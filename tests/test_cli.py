@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -135,6 +136,26 @@ def test_fractional_nmax_is_config_error(tmp_path, nmax, capsys):
     assert main(["recurrence", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
     assert "nmax must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["zeros", "poles"])
+def test_huge_multiplicity_is_config_error_at_once(tmp_path, key):
+    # the steps expanded the multiplicity unit by unit before any depth was
+    # checked, without end; a cap on the child's address space and a timeout
+    # turn that into a failure here instead of a stalled or starved suite
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+
+    modifier = {key: [{"c" if key == "zeros" else "d": [3.0, 0.0], "mult": 1e300}]}
+    cfg = _write_json(tmp_path / "m.json", {"measure": LEGENDRE,
+                                            "target": {"kind": "modified", "modifier": modifier}})
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "relasym.cli", "verify", "--config", cfg,
+                          "--out", str(out)], capture_output=True, text=True, timeout=60,
+                         preexec_fn=cap)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("config error: ") and "numpy can allocate" in run.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
@@ -316,6 +337,19 @@ BAD_CONFIGS = {
         "target": {"kind": "pade", "stieltjes": {
             "base": {"weight_kind": "legendre", "mass_points": [[2.0, 0.5]]},
             "poles": [{"c": [2.0, 0.0], "A": [[1.0, 0.0]]}]}}}, "target.stieltjes: "),
+    # sizes numpy refuses before allocating anything: each ended in its
+    # ValueError's traceback, exit 1
+    "nmax_2_62": ("recurrence", {"weight_kind": "legendre", "nmax": 2 ** 62},
+                  "degree 4.61e+18 is more than numpy can allocate"),
+    "nmax_1e300": ("recurrence", {"weight_kind": "legendre", "nmax": 1e300},
+                   "degree 1e+300 is more than numpy can allocate"),
+    "n_ladder_1e300": ("verify", {"measure": LEGENDRE, "n_ladder": [10, 1e300]},
+                       "more than numpy can allocate"),
+    "zero_degree_1e300": ("zeros", {"measure": LEGENDRE, "zero_degrees": [1e300]},
+                          "more than numpy can allocate"),
+    # orders past the deepest rung add only pre_asymptotic rows
+    "jets_1e300": ("verify", {"measure": LEGENDRE, "jets": 1e300},
+                   "jets 1e+300 exceeds the deepest ladder degree 80"),
 }
 
 

@@ -15,7 +15,7 @@ from _quadrature import atom_basis_values
 
 from relasym import BaseMeasureSpec, MeasureError, recurrence_for
 from relasym.extended import _mp_ab
-from relasym.measures import gauss_rule, rule_for
+from relasym.measures import MAX_DEPTH, gauss_rule, rule_for
 from relasym.polybasis import PolyInBasis
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
@@ -190,6 +190,33 @@ def test_extended_lane_absorbs_atoms_in_mp():
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-35 * abs(w)
     assert abs(normsq - norm[0]) <= 1e-35 * norm[0]
+
+
+@pytest.mark.parametrize("spec", [
+    BaseMeasureSpec("legendre", mass_points=((2.0, 0.5), (-1.8, 0.3))),
+    BaseMeasureSpec("jacobi", alpha=0.5, beta=-0.5, mass_points=((1.5, 1.0),)),
+], ids=["legendre_two_atoms", "jacobi_atom"])
+def test_both_lanes_read_one_builder(spec):
+    # at 53 bits the mp lane runs the double lane's operations, so only the
+    # continuous mass (mpmath's beta against lgamma) sets them apart: a tau
+    # of its own, from a cumulative product, was 7 ulp off on Legendre
+    table = recurrence_for(spec, 300)
+    with mpmath.workprec(53):
+        mp_table = _mp_ab(table, 300)
+    for name in ("a", "b", "tau"):
+        want, got = getattr(table, name), getattr(mp_table, name).astype(float)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), name
+
+
+def test_a_depth_numpy_cannot_allocate_is_refused():
+    # numpy itself refuses the arrays of one degree more, before allocating
+    with pytest.raises(ValueError):
+        np.empty(MAX_DEPTH + 3)
+    for nmax in (MAX_DEPTH + 1, 2 ** 62, int(1e300)):
+        with pytest.raises(MeasureError, match="more than numpy can allocate"):
+            recurrence_for(LEG, nmax)
+        with pytest.raises(MeasureError, match="more than numpy can allocate"):
+            _mp_ab(recurrence_for(LEG, 2), nmax)
 
 
 def test_gauss_rule_exactness():

@@ -45,6 +45,9 @@ def test_modifier_counts_and_values():
     # int() would truncate these or read True as 1
     dict(zeros=((3.0, 1.9),)),
     dict(zeros=((3.0, True),)),
+    # a table of r dmu through A + B degrees is more than numpy can allocate
+    dict(zeros=((3.0, 10 ** 300),)),
+    dict(poles=((3.0, 2 ** 61),), zeros=((-3.0, 2 ** 61),)),
 ])
 def test_modifier_validation(bad):
     with pytest.raises(ModifiedError):

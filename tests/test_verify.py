@@ -71,6 +71,7 @@ def _small_base(**kw):
     {"zero_degrees": (60.5,)},
     {"zero_degrees": (float("inf"),)},
     {"laws": (["base_ratio"],)},                    # unhashable: a TypeError
+    {"jets": 81},       # above the default top rung 80: pre_asymptotic rows alone
 ])
 def test_config_rejected(kw):
     base = dict(measure=LEG)
