@@ -53,8 +53,9 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     gamma_j and W = Gamma*^T (jet rows at its nonzero rows), u = S_n^(k)(c_j)
     solves (I + J W^T) u = (L_n^(k)(c_j)) = E[:, n] / tau_n.  S_n has monic
     coefficients -tau_m W[:, m] . u below L_n, and
-    <S_n, S_n> = (1/tau_n + W[:, n] . u) / tau_n.  Returns them with u,
-    gamma_n, cond, the double table and the mp table.
+    <S_n, S_n> = (1/tau_n + W[:, n] . u) / tau_n, which
+    `gamma_sequence` reads.  Returns them with u, cond, the double table
+    and the mp table.
     """
     base, refused = _refusals((n,), spec, base)
     if refused:
@@ -74,7 +75,7 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
         coeffs[n] = mpmath.mpc(1)
         ns = (1 / tau + W[:, n] @ u) / tau
         return {"base": base, "table": table, "coeffs_mp": coeffs, "norm_sq_mp": ns,
-                "u": u, "gamma_n": complex(1 / mpmath.sqrt(ns)), "cond": cond}
+                "u": u, "cond": cond}
 
 
 def _mp_square_jets(n: int, spec: SobolevSpec, base: RecurrenceTable) -> tuple:

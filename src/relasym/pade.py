@@ -127,7 +127,7 @@ def pade_denominator(n: int, f: StieltjesFn, base: RecurrenceTable) -> PolyInBas
     """Monic denominator of the [n-1, n] approximant (kernel lane)."""
     if not f.poles:
         return PolyInBasis.basis_poly(base, n)
-    return sn_kernel(n, to_sobolev_spec(f), base).rep
+    return sn_kernel(n, to_sobolev_spec(f), base)
 
 
 def pade_numerator(n: int, f: StieltjesFn, Q_n: PolyInBasis,

@@ -10,8 +10,8 @@ construction and the asymptotics need.  One construction, for every
 regular spec (complex points, non-diagonal and indefinite gamma, the Pade
 coupling matrices alike): a bordered system on the Christoffel-Darboux
 kernel of mu, one unknown per nonzero column of each gamma_j.  It runs in
-two arithmetics, which gate on the same equilibrated system and report the
-same condition number:
+two arithmetics, which gate on the same equilibrated system at the same
+condition number and both return S_n as a PolyInBasis:
 
 * sn_kernel: in double precision, solving the equilibrated system;
 * sn_lambda: the same jets (`coupling_jets`) and gate (`_kernel_system`)
@@ -19,6 +19,10 @@ same condition number:
   stands at the digits the collapse of the jets at the c_j needs.  Its
   mpmath core lives in `relasym.extended`, which it loads on its first
   call, so double-precision runs never load mpmath.
+
+Past the spec's own refusals, a degree refuses only where what S_n is
+built from (tau_n, the jets, a cast coefficient) leaves the double range.
+<S_n, S_n> is no part of S_n: `gamma_sequence` alone reads it.
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ __all__ = [
     "SobolevTerm",
     "SobolevSpec",
     "SobolevError",
-    "SobolevOP",
     "sn_kernel",
     "sn_lambda",
     "digit_loss",
@@ -51,8 +54,8 @@ DET_TOL = 1e-12
 
 
 class SobolevError(reader.Refusal):
-    """A refused construction; kind names the cause ("pre_asymptotic",
-    "overflow" or "underflow")."""
+    """A refused construction; kind names the cause ("pre_asymptotic" or
+    "overflow")."""
 
 
 def _as_complex_matrix(gamma) -> np.ndarray:
@@ -173,14 +176,6 @@ def _read_term(data, path: str) -> SobolevTerm:
     return reader.build(SobolevTerm, path, **term)
 
 
-@dataclass
-class SobolevOP:
-    rep: PolyInBasis                  # monic mu-basis coefficients of S_n
-    norm_sq: complex                  # <S_n, S_n>
-    gamma_n: complex                  # principal branch of norm_sq^{-1/2}
-    cond: float
-
-
 def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     """Refusals both lanes share, the spec's own checked once: a table through
     the deepest degree, and degree -> SobolevError for each refused degree.
@@ -229,7 +224,6 @@ def _kernel_system(n: int, spec: SobolevSpec, jets: list) -> tuple:
         # 1/(P P') underflows harmlessly once the kernel part dominates
         D.append(Li @ Lwi.T * float((1.0 / pj) * (1.0 / pw)))
         rhs.append(Li @ J[:, n])
-        wn.append(Lwi @ W[:, n])
     Qw = np.vstack(Qw)
     M = np.vstack(Q) @ Qw.T
     i = 0
@@ -239,7 +233,7 @@ def _kernel_system(n: int, spec: SobolevSpec, jets: list) -> tuple:
     cond = float(np.linalg.cond(M)) if np.all(np.isfinite(M)) else math.inf
     if cond > COND_LIMIT:
         raise SobolevError(f"bordered kernel system ill-conditioned (cond ~ {cond:.2e})")
-    return M, Qw, np.concatenate(rhs), np.concatenate(wn), cond
+    return M, Qw, np.concatenate(rhs), cond
 
 
 def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
@@ -268,50 +262,33 @@ def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
     return base, out
 
 
-def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
-    """Double-precision path for every regular spec.
+def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
+    """S_n in double precision, for every regular spec.
 
     S_n = L_n - sum_j sum_{i,k} gamma^j_{ik} S_n^(k)(c_j) K_{n-1}^{(0,i)}(x, c_j)
     with K the unconjugated kernel sum_{m<n} l_m(x) l_m(c).  The unknowns
     u = S_n^(k)(c_j), k over the nonzero columns of gamma_j, solve
     (I + J W^T) u = (L_n^(k)(c_j)): J holds the jet rows l_m^(k)(c_j), m < n,
-    W = Gamma*^T (jet rows at the nonzero rows of gamma_j).  Then s = -W^T u
-    and norm_sq = <L_n, S_n> = 1/tau_n^2 + W[:, n] . u / tau_n.  Jet rows are
-    divided by their largest entry, and each point's J and W blocks are
-    factored as P L Q (scalar, small lower triangle, orthonormal rows).  The
-    solve runs on v = P' L'^T u with diag(L^-1 L'^-T / (P P')) + Q Q'^T, which
-    equilibrates rows and columns and takes in the near-parallel derivative
-    rows of each point; then s = -Q'^T v.
+    W = Gamma*^T (jet rows at the nonzero rows of gamma_j).  Then s = -W^T u.
+    Jet rows are divided by their largest entry, and each point's J and W
+    blocks are factored as P L Q (scalar, small lower triangle, orthonormal
+    rows).  The solve runs on v = P' L'^T u with
+    diag(L^-1 L'^-T / (P P')) + Q Q'^T, which equilibrates rows and columns
+    and takes in the near-parallel derivative rows of each point; then
+    s = -Q'^T v.  A degree whose tau_n or jets leave the double range
+    refuses with kind "overflow"; nothing else S_n is built from can.
     """
-    op = sn_kernel_many((n,), spec, *coupling_jets(spec, base, n))[n]
-    if isinstance(op, Exception):
-        raise op
-    return op
-
-
-def _kernel_op(n: int, base: RecurrenceTable, v: np.ndarray, Qw: np.ndarray,
-               wn: np.ndarray, cond: float) -> SobolevOP:
-    """SobolevOP from the solved v: s = -Q'^T v and norm_sq."""
-    inv_tau = 1.0 / base.tau[n]
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[:n] = -(Qw.T @ v)
-    coeffs[n] = inv_tau
-    rep = PolyInBasis(coeffs * base.tau[: n + 1], base)    # c_m l_m = (c_m tau_m) L_m
-    ns = complex(inv_tau * (inv_tau + wn @ v))
-    tiny = np.finfo(float).tiny
-    if abs(ns) < tiny:
-        # a subnormal norm_sq carries too few digits for gamma_n
-        if ns == 0 and inv_tau ** 2 >= tiny:
-            raise SobolevError("degenerate S_n: <S_n, S_n> = 0")
-        raise SobolevError(f"1/tau_{n}^2 underflows the double range", kind="underflow")
-    return SobolevOP(rep=rep, norm_sq=ns, gamma_n=complex(1.0 / np.sqrt(ns)), cond=cond)
+    s = sn_kernel_many((n,), spec, *coupling_jets(spec, base, n))[n]
+    if isinstance(s, Exception):
+        raise s
+    return s
 
 
 def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
                    jets: list) -> dict:
     """sn_kernel at each degree, from (base, jets) = coupling_jets(spec, table,
-    top) with top >= every degree: degree -> SobolevOP, or the SobolevError
-    that degree refuses with.
+    top) with top >= every degree: degree -> S_n as a PolyInBasis, or the
+    SobolevError that degree refuses with.
 
     The spec's refusals are checked once; then each degree's bordered system
     is assembled, gated and solved on its own.
@@ -327,10 +304,15 @@ def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
                     if not np.all(np.isfinite(E[:, : n + 1])):
                         raise SobolevError(f"jets at c = {t.c} overflow the double range "
                                            f"at n={n}", kind="overflow")
-                M, Qw, rhs, wn, cond = _kernel_system(n, spec, jets)
+                M, Qw, rhs, _ = _kernel_system(n, spec, jets)
+                inv_tau = 1.0 / base.tau[n]
                 # the gate leaves no singular matrix for the solve
-                v = np.linalg.solve(M, rhs * (1.0 / base.tau[n]))
-                out[n] = _kernel_op(n, base, v, Qw, wn, cond)
+                v = np.linalg.solve(M, rhs * inv_tau)
+                coeffs = np.empty(n + 1, dtype=complex)
+                coeffs[:n] = -(Qw.T @ v)
+                coeffs[n] = inv_tau
+                # c_m l_m = (c_m tau_m) L_m
+                out[n] = PolyInBasis(coeffs * base.tau[: n + 1], base)
             except DEGREE_REFUSALS as exc:
                 out[n] = exc
     return {n: out[n] for n in degrees}
@@ -353,45 +335,47 @@ def _lane_dps(n: int, spec: SobolevSpec) -> int:
     return int(2 * digit_loss(n, spec)) + 35
 
 
-def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> SobolevOP:
+def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
     """sn_kernel's construction in mpmath, for every regular spec.
 
     The same identity on the same code (`coupling_jets`, `_kernel_system`)
     over the recurrence table rebuilt in mp, solved as it stands at
     `_lane_dps` digits (`extended._mp_kernel`), with no quadrature.  The
-    gate is sn_kernel's equilibrated system, so both lanes report the same
+    gate is sn_kernel's equilibrated system, so both lanes gate at the same
     cond and refuse the same ill-conditioned specs.  The solve runs past
-    the double range, but the results are cast to double: a coefficient or
-    gamma_n that overflows refuses with kind "overflow", and a nonzero
-    norm_sq below the smallest normal double with kind "underflow", as in
-    sn_kernel.
+    the double range, but the coefficients are cast to double: one that
+    overflows refuses with kind "overflow".
     """
     from .extended import _mp_kernel    # mpmath loads on the first call
     core = _mp_kernel(n, spec, base, _lane_dps(n, spec))
     coeffs = np.array([complex(v) for v in core["coeffs_mp"]])
-    if not (np.all(np.isfinite(coeffs)) and np.isfinite(core["gamma_n"])):
+    if not np.all(np.isfinite(coeffs)):
         raise SobolevError(f"S_{n} overflows the double range", kind="overflow")
-    ns = complex(core["norm_sq_mp"])
-    if abs(ns) < np.finfo(float).tiny and core["norm_sq_mp"] != 0:
-        raise SobolevError(f"<S_{n}, S_{n}> underflows the double range",
-                           kind="underflow")
-    return SobolevOP(rep=PolyInBasis(coeffs, core["base"]), norm_sq=ns,
-                     gamma_n=core["gamma_n"], cond=core["cond"])
+    return PolyInBasis(coeffs, core["base"])
 
 
 def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees) -> dict[int, complex]:
-    """gamma_n = <S_n, S_n>^{-1/2} from sn_lambda over the given degrees,
-    branch-continuous.
+    """gamma_n = <S_n, S_n>^{-1/2} from the mpmath lane's norm over the given
+    degrees, branch-continuous.
 
-    The principal branch is taken at the smallest degree; each later sign is
-    chosen to minimize |gamma_{m}/gamma_{m'} - 2^{m-m'}| against the previous
-    computed degree (consecutive degrees give the plain ratio-2 rule).
+    The norm comes from `extended._mp_kernel` and its root is taken at the
+    lane's digits; a gamma_n past the double range refuses with kind
+    "overflow".  The principal branch is taken at the smallest degree; each
+    later sign is chosen to minimize |gamma_{m}/gamma_{m'} - 2^{m-m'}|
+    against the previous computed degree (consecutive degrees give the
+    plain ratio-2 rule).
     """
+    from .extended import _mp_kernel    # mpmath loads on the first call
     degrees = sorted(degrees)
     out: dict[int, complex] = {}
     prev_n = None
     for n in degrees:
-        g = sn_lambda(n, spec, base).gamma_n
+        dps = _lane_dps(n, spec)
+        ns = _mp_kernel(n, spec, base, dps)["norm_sq_mp"]
+        with ns.context.workdps(dps):    # mpmath's own context, read off the number
+            g = complex(1 / ns.context.sqrt(ns))
+        if not np.isfinite(g):
+            raise SobolevError(f"gamma_{n} overflows the double range", kind="overflow")
         if prev_n is not None:
             target = 2.0 ** (n - prev_n)
             if abs(-g / out[prev_n] - target) < abs(g / out[prev_n] - target):

@@ -54,7 +54,7 @@ __all__ = [
 
 DEFAULT_LADDER = (10, 20, 40, 80)
 DEFAULT_PROBES = (3.0 + 0.0j, -2.5 + 0.0j, 2.0j, 1.5 + 1.5j)
-PROBE_MARGIN = 1e-9     # a probe keeps this far from the cut and from every center
+PROBE_MARGIN = 1e-9     # a probe keeps this far from the cut, every center and every atom
 
 # the law table: law -> (target kind, form), the forms of the module docstring
 _LAWS = {
@@ -177,8 +177,11 @@ class ExperimentConfig:
         # would read as one ladder running twice
         if len(set(self.probe_points)) < len(self.probe_points):
             raise VerifyConfigError("probe_points repeats a point")
-        apart(self.probe_points, [c for c, _ in attraction_factors(self)],
-              "probe point {} sits on a center", VerifyConfigError, PROBE_MARGIN)
+        # every limit is stated off supp mu: off the centers and the atoms
+        apart(self.probe_points, [c for c, _ in attraction_factors(self)]
+              + [loc for loc, _ in self.measure.mass_points],
+              "probe point {} sits on {}, a center or a mass point",
+              VerifyConfigError, PROBE_MARGIN)
         if self.laws is not None:
             self.laws = tuple(reader.text(law, "laws") for law in self.laws)
             if not self.laws:
@@ -271,13 +274,11 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
         if cfg.precision == "double":
             base, jets = coupling_jets(sob, table, top, probes, order)
             probe_jets = jets.pop() if probes else None
-            built = {n: op if isinstance(op, Exception) else op.rep
-                     for n, op in sn_kernel_many(degrees, sob, base, jets).items()}
-            return built, probe_jets
+            return sn_kernel_many(degrees, sob, base, jets), probe_jets
         built = {}
         for n in degrees:
             try:
-                built[n] = sn_lambda(n, sob, table).rep
+                built[n] = sn_lambda(n, sob, table)
             except DEGREE_REFUSALS as exc:
                 built[n] = exc
     probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
@@ -358,11 +359,11 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     Rows are ordered deterministically and each carries the two-point
     geometric rate log(err_prev/err_cur)/(n_cur - n_prev) against the
     previous ladder degree (nan on the first rung).  Degrees the target
-    cannot be built at are flagged with the refusal's kind (overflow or
-    underflow at the ends of the double range, else pre_asymptotic), degrees
-    below the derivative order the law reads pre_asymptotic, and ratios or
-    limits that leave the double range overflow, instead of aborting the
-    run.  Each limit is computed once per (law, probe).
+    cannot be built at are flagged with the refusal's kind (overflow past
+    the double range, degree_collapse where the recurrence of r dmu breaks
+    down, else pre_asymptotic), degrees below the derivative order the law
+    reads pre_asymptotic, and ratios or limits that leave the double range
+    overflow, instead of aborting the run.  Each limit is computed once per (law, probe).
     """
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
     laws = cfg.resolved_laws

@@ -180,7 +180,7 @@ def test_criterion_04_cross_method_equality():
                 l = lambda_monic(n, sob, tab)
                 scale = max(1.0, float(np.max(np.abs(l))))
                 for build in (sn_kernel, sn_lambda):
-                    k = build(n, sob, tab).rep
+                    k = build(n, sob, tab)
                     diff = float(np.max(np.abs(k.coeffs - l)))
                     assert diff / scale < 1e-8, f"kernel vs lambda {diff:.2e} at n={n}"
 
@@ -224,7 +224,7 @@ def test_criterion_05_oracle_equality_gram_schmidt():
                     solve_Q(15, r_rat, table),
                     oracle_modified_monic(spec, r_rat, 15), 0),
                 "sobolev": compare_monomial(
-                    sn_kernel(15, sob, table).rep,
+                    sn_kernel(15, sob, table),
                     oracle_sobolev_monic(spec, sob, 15), 0),
             }
             for path, gap in gaps.items():

@@ -15,10 +15,10 @@ from _mp_oracles import (_residuals, compare_monomial, lambda_dps, lambda_expans
                          lambda_monic, oracle_sobolev_monic, orthogonality_residuals_extended)
 
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
-                     StieltjesFn, digit_loss, gamma_sequence, phi, recurrence_for,
-                     sn_kernel, sn_lambda, to_sobolev_spec)
+                     StieltjesFn, digit_loss, gamma_sequence, limit_sobolev, phi,
+                     recurrence_for, sn_kernel, sn_lambda, to_sobolev_spec)
 from relasym.extended import _mp_kernel
-from relasym.sobolev import SobolevTerm, _lane_dps
+from relasym.sobolev import SobolevTerm, _kernel_system, _lane_dps, coupling_jets, sn_kernel_many
 
 LEG = BaseMeasureSpec("legendre")
 TAB = recurrence_for(LEG, 90)
@@ -113,7 +113,7 @@ def test_kernel_path_orthogonality_small_n():
     op = sn_kernel(9, PAIR, TAB)
     for k in range(9):
         basis_k = PolyInBasis.basis_poly(TAB, k)
-        ip = sobolev_inner(basis_k, op.rep, PAIR)
+        ip = sobolev_inner(basis_k, op, PAIR)
         scale = abs(sobolev_inner(basis_k, basis_k, PAIR))
         assert abs(ip) < 1e-11 * max(1.0, scale)
 
@@ -134,8 +134,13 @@ def test_kernel_vs_lambda_paths(name):
     # package run the kernel identity
     spec = KERNEL_SPECS[name]
     for n in (9, 21, 33, 40):
-        k = sn_kernel(n, spec, TAB).rep
+        k = sn_kernel(n, spec, TAB)
         assert np.max(np.abs(k.coeffs - lambda_monic(n, spec, TAB))) < 1e-9
+
+
+def _cond(n, spec, table):
+    """The double lane's gated condition number at degree n."""
+    return _kernel_system(n, spec, coupling_jets(spec, table, n)[1])[-1]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -144,8 +149,8 @@ def test_both_lanes_report_the_same_cond(name):
     spec = KERNEL_SPECS[name]
     table = recurrence_for(LEG, 201)
     for n in (12, 40, 200):
-        want = sn_kernel(n, spec, table).cond
-        assert sn_lambda(n, spec, table).cond == pytest.approx(want, rel=1e-6)
+        got = _mp_kernel(n, spec, table, _lane_dps(n, spec))["cond"]
+        assert got == pytest.approx(_cond(n, spec, table), rel=1e-6)
 
 
 @pytest.mark.parametrize("name", ["pair", "two_pole"])
@@ -158,7 +163,7 @@ def test_a_table_through_the_solved_degree_is_enough(name, monkeypatch):
     build = relasym.measures.recurrence_for
     monkeypatch.setattr(relasym.measures, "recurrence_for",
                         lambda *args: calls.append(args) or build(*args))
-    assert sn_kernel(n, spec, table).rep.table is table
+    assert sn_kernel(n, spec, table).table is table
     assert _mp_kernel(n, spec, table, _lane_dps(n, spec))["table"].nmax == n
     assert calls == []
 
@@ -167,7 +172,8 @@ def test_two_pole_kernel_reach():
     # the double lane keeps the two-pole Pade spec under the cond gate
     table = recurrence_for(LEG, 410)
     for n in (50, 100, 200, 300, 400):
-        assert sn_kernel(n, TWO_POLE, table).cond < 1e10
+        sn_kernel(n, TWO_POLE, table)
+        assert _cond(n, TWO_POLE, table) < 1e10
 
 
 # derivative at 320: the products of unscaled jets at c = 2 pass the
@@ -179,7 +185,7 @@ def test_two_pole_kernel_reach():
 def test_kernel_deep_degrees_match_exact_lane(name, n):
     spec, build = {"two_pole": (TWO_POLE, sn_kernel), "derivative": (DERIV, sn_kernel),
                    "two_pole_mp": (TWO_POLE, sn_lambda)}[name]
-    k = build(n, spec, TAB).rep
+    k = build(n, spec, TAB)
     assert np.max(np.abs(k.coeffs - lambda_monic(n, spec, TAB))) < 1e-8
 
 
@@ -188,33 +194,54 @@ def test_kernel_refusal_past_double_range_names_the_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         huge = recurrence_for(LEG, 1031)              # tau overflows from ~1025
-    near = SobolevSpec.diagonal([(1.2, [1.0, 1.0])])  # jets fit, 1/tau_n^2 does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # norm_sq is subnormal at 520 and 540 and reads 0 at 600
-        for n, spec, table in ((500, TWO_POLE, deep), (1030, DERIV, huge),
-                               (520, near, deep), (540, near, deep),
-                               (600, near, deep)):
-            with pytest.raises(SobolevError, match="flows? the double range"):
+        for n, spec, table in ((500, TWO_POLE, deep), (1030, DERIV, huge)):
+            with pytest.raises(SobolevError, match="overflows? the double range"):
                 sn_kernel(n, spec, table)
 
 
 def test_kernel_refusals_carry_their_kind():
-    # overflow at the jet and tau sites, underflow where 1/tau_n^2 leaves
-    # the range, pre_asymptotic for the degree floor
+    # overflow at the jet and tau sites, pre_asymptotic for the degree floor
     deep = recurrence_for(LEG, 605)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         huge = recurrence_for(LEG, 1031)
-    near = SobolevSpec.diagonal([(1.2, [1.0, 1.0])])
     for n, spec, table, kind in ((500, TWO_POLE, deep, "overflow"),
                                  (1030, DERIV, huge, "overflow"),
-                                 (520, near, deep, "underflow"),
-                                 (600, near, deep, "underflow"),
                                  (1, PAIR, TAB, "pre_asymptotic")):
         with pytest.raises(SobolevError) as info:
             sn_kernel(n, spec, table)
         assert info.value.kind == kind, (n, str(info.value))
+
+
+# (spec, degrees built, first refused degree on Legendre, on Chebyshev-1):
+# at c = 2 the jets leave the double range at 536, at c = 1.2 tau_n does
+DEEP = [(SobolevSpec.diagonal([(2.0, [1.0, 1.0])]), (520, 535), 536, 536),
+        (SobolevSpec.diagonal([(2.0, [0.0, 1.0])]), (520,), 536, 536),
+        (SobolevSpec.diagonal([(1.2, [1.0, 1.0])]), (600, 1000, 1024), 1025, 1026)]
+
+
+@pytest.mark.parametrize("kind", ["legendre", "chebyshev_first_kind"])
+def test_kernel_builds_until_what_s_n_is_built_from_overflows(kind):
+    # 1/tau_n^2 underflows from n ~ 514, but <S_n, S_n> is no part of S_n:
+    # each degree matches the mp lane until tau_n or the jets overflow
+    measure = BaseMeasureSpec(kind)
+    for spec, built, leg, cheb in DEEP:
+        first = leg if kind == "legendre" else cheb
+        degrees = sorted(set(built) | {first - 1, first})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)    # tau_1025 or tau_1026 is inf
+            table = recurrence_for(measure, first)
+        out = sn_kernel_many(degrees, spec, *coupling_jets(spec, table, first))
+        refused = out.pop(first)
+        assert isinstance(refused, SobolevError) and refused.kind == "overflow", refused
+        for n, s in out.items():
+            assert not isinstance(s, Exception), (kind, n, s)
+            want = np.array([complex(v) for v in
+                             _mp_kernel(n, spec, table, _lane_dps(n, spec))["coeffs_mp"]])
+            gap = np.linalg.norm(s.coeffs - want) / np.linalg.norm(want)
+            assert gap < 1e-12, (kind, n, gap)
 
 
 @pytest.mark.parametrize("build", [sn_kernel, sn_lambda])
@@ -226,40 +253,42 @@ def test_both_lanes_refuse_an_ill_conditioned_kernel(build):
         build(10, near, TAB)
     assert exc.value.kind == "pre_asymptotic"
     apart = SobolevSpec.diagonal([(2.0, [1.0]), (2.0 + 1e-3, [1.0])])
-    assert 1e8 < build(10, apart, TAB).cond < 1e10
+    build(10, apart, TAB)
+    assert 1e8 < _cond(10, apart, TAB) < 1e10
 
 
-def test_lambda_refuses_results_past_double_range():
-    # the mp solve runs past the double range, its cast results do not: at
-    # 600 norm_sq ~ 1/tau_n^2 is below the smallest normal double, at 1030
-    # gamma_n = norm_sq^(-1/2) overflows
+def test_lambda_builds_past_the_norm_range():
+    # the mp solve runs past the double range and S_n's coefficients stay
+    # O(1): at 600 norm_sq ~ 1/tau_n^2 is below the smallest normal double,
+    # at 1030 gamma_n = norm_sq^(-1/2) overflows, and neither is part of S_n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n, spec, kind in ((600, PAIR, "underflow"), (1030, DERIV, "overflow")):
-            with pytest.raises(SobolevError, match="flows the double range") as info:
-                sn_lambda(n, spec, TAB)
-            assert info.value.kind == kind, (n, str(info.value))
+        for n, spec in ((600, PAIR), (1030, DERIV)):
+            assert np.all(np.isfinite(sn_lambda(n, spec, TAB).coeffs)), n
+        s = sn_lambda(600, PAIR, TAB)
+        ratio = s.values(3.0) / PolyInBasis.basis_poly(s.table, 600).values(3.0)
+    assert abs(ratio - limit_sobolev(3.0, [(2.0, 2)])) < 1e-7
 
 
 def test_lambda_precision_covers_zero_rows():
     # the digit rule covers a zero row of gamma: the expansion at three
     # times its own digits agrees
-    got = sn_lambda(80, DERIV, TAB).rep.coeffs
+    got = sn_lambda(80, DERIV, TAB).coeffs
     ref = lambda_expansion(80, DERIV, TAB, 3 * lambda_dps(80, DERIV))["coeffs"]
     assert np.max(np.abs(got - ref)) < 1e-12
     for n in (200, 240):
-        got = sn_lambda(n, SECOND_ONLY, TAB).rep.coeffs
-        assert np.max(np.abs(got - sn_kernel(n, SECOND_ONLY, TAB).rep.coeffs)) < 1e-12
+        got = sn_lambda(n, SECOND_ONLY, TAB).coeffs
+        assert np.max(np.abs(got - sn_kernel(n, SECOND_ONLY, TAB).coeffs)) < 1e-12
 
 
 def test_against_dense_oracle():
-    got = sn_kernel(9, PAIR, TAB).rep
+    got = sn_kernel(9, PAIR, TAB)
     assert compare_monomial(got, oracle_sobolev_monic(LEG, PAIR, 9), 0) < 1e-10
     # the smallest degrees: n = 3 is past the highest coupled derivative
     for spec in (PAIR, COUPLED, TWO_POLE):
         A = sum(t.N + 1 for t in spec.terms)     # the degree of prod (z - c_j)^(N_j + 1)
         for n in (3, 2 * A + 1, 2 * A + 3):
-            got = sn_lambda(n, spec, TAB).rep
+            got = sn_lambda(n, spec, TAB)
             gap = compare_monomial(got, oracle_sobolev_monic(LEG, spec, n), 0)
             assert gap < 1e-10, f"sn_lambda vs oracle {gap:.2e} at n={n}"
 
@@ -274,8 +303,8 @@ def test_extended_lane_engages_and_matches():
     # by n=60 the collapsed jets cancel ~34 digits: the mpmath lane works at
     # enough digits to absorb that and still matches the double lane
     n = 60
-    k = sn_kernel(n, PAIR, TAB).rep
-    l = sn_lambda(n, PAIR, TAB).rep
+    k = sn_kernel(n, PAIR, TAB)
+    l = sn_lambda(n, PAIR, TAB)
     assert np.max(np.abs(k.coeffs - l.coeffs)) < 1e-9
 
 
@@ -309,9 +338,9 @@ def test_gamma_sequence_doubling():
 
 
 def test_norm_sq_positive_for_positive_spec():
-    op = sn_kernel(12, PAIR, TAB)
-    assert op.norm_sq.imag == pytest.approx(0.0, abs=1e-18)
-    assert op.norm_sq.real > 0.0
+    norm_sq = complex(_mp_kernel(12, PAIR, TAB, _lane_dps(12, PAIR))["norm_sq_mp"])
+    assert norm_sq.imag == pytest.approx(0.0, abs=1e-18)
+    assert norm_sq.real > 0.0
 
 
 def test_spec_json_round_trip():

@@ -72,6 +72,9 @@ def _small_base(**kw):
     {"zero_degrees": (float("inf"),)},
     {"laws": (["base_ratio"],)},                    # unhashable: a TypeError
     {"jets": 81},       # above the default top rung 80: pre_asymptotic rows alone
+    # every limit is stated off supp mu, so a probe on an atom is no probe
+    {"measure": BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),)),
+     "probe_points": (2.0, 3.0)},
 ])
 def test_config_rejected(kw):
     base = dict(measure=LEG)
@@ -222,7 +225,7 @@ def test_pade_extended_precision_reaches_extended_lane(name):
     got = _targets(cfg, table, cfg.n_ladder)[0]
     assert list(got) == list(cfg.n_ladder)
     for n in cfg.n_ladder:
-        assert np.array_equal(got[n].coeffs, sn_lambda(n, spec, table).rep.coeffs), n
+        assert np.array_equal(got[n].coeffs, sn_lambda(n, spec, table).coeffs), n
 
 
 @pytest.mark.parametrize("name", ["pade_gonchar", "sobolev_point_pair"])
@@ -232,7 +235,7 @@ def test_double_precision_reaches_kernel_lane(name):
     spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
     table = recurrence_for(cfg.measure, 22)
     got = _targets(cfg, table, (20,))[0][20]
-    assert np.array_equal(got.coeffs, sn_kernel(20, spec, table).rep.coeffs)
+    assert np.array_equal(got.coeffs, sn_kernel(20, spec, table).coeffs)
 
 
 def test_monotone_violations_synthetic():
@@ -502,7 +505,7 @@ def _per_degree_target(cfg, n, table):
     if cfg.target_kind == "modified":
         return solve_Q(n, cfg.target, table)
     spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
-    return sn_kernel(n, spec, table).rep
+    return sn_kernel(n, spec, table)
 
 
 def _builder_points(cfg) -> list:
@@ -556,7 +559,7 @@ def test_shared_jets_refuse_like_the_per_degree_builder():
     table = recurrence_for(cfg.measure, 603)
     polys = _targets(cfg, table, cfg.n_ladder)[0]
     got = polys[100].coeffs
-    assert repr(got.tolist()) == repr(sn_kernel(100, cfg.target, table).rep.coeffs.tolist())
+    assert repr(got.tolist()) == repr(sn_kernel(100, cfg.target, table).coeffs.tolist())
     shared = polys[600]
     assert isinstance(shared, SobolevError)
     with pytest.raises(SobolevError) as alone:

@@ -326,7 +326,7 @@ def test_sobolev_zero_attraction_end_to_end():
     cfg = scenario("sobolev_point_derivative")
     table = recurrence_for(cfg.measure, 65)
     s = sn_kernel(60, cfg.target, table)
-    rep = cluster(roots(s.rep), [t.c for t in cfg.target.terms])
+    rep = cluster(roots(s), [t.c for t in cfg.target.terms])
     assert rep.radius == 0.1
     assert rep.cluster_counts == [1]
     assert rep.support_count == 59
@@ -397,7 +397,7 @@ def test_secular_weights_match_the_lagrange_form(measure):
 
 
 def _kernel_poly(measure, n, rng, real):
-    return sn_kernel(n, _sobolev_spec(rng, real), recurrence_for(measure, n + 2)).rep
+    return sn_kernel(n, _sobolev_spec(rng, real), recurrence_for(measure, n + 2))
 
 
 def _odd_poly(measure, n, rng, real):
@@ -635,7 +635,7 @@ def test_cluster_started_on_the_real_axis_converges_or_refuses():
     # refuse, not return real roots that pass the residual gate
     table = recurrence_for(BaseMeasureSpec("legendre"), 62)
     spec = SobolevSpec((SobolevTerm(2.0 + 1e-30j, np.eye(3)),))
-    q = sn_kernel(60, spec, table).rep
+    q = sn_kernel(60, spec, table)
     try:
         got = np.array(roots(q))
     except ZerosError as exc:
@@ -652,7 +652,7 @@ def test_triple_cluster_converges_at_its_rounding_level(c):
     # three roots ~2e-5 apart: longdouble steps stall near 1e-9, above
     # POLISH_TOL, where |p| is at its rounding level; the finish stops there
     table = recurrence_for(BaseMeasureSpec("legendre"), 62)
-    q = sn_kernel(60, SobolevSpec((SobolevTerm(c, np.eye(3)),)), table).rep
+    q = sn_kernel(60, SobolevSpec((SobolevTerm(c, np.eye(3)),)), table)
     got = np.array(roots(q))
     near = got[dist_to_cut(got) > 0.05]
     assert near.size == 3
