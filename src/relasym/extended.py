@@ -49,9 +49,9 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     through degree n, and the gate is sn_kernel's equilibrated system from
     `_kernel_system`, whose entries fit in double even where the jets do
     not; only its cond is read.  The solve is the identity as it stands.
-    With J the jet rows l_m^(k)(c_j), m < n, at the nonzero columns of each
-    gamma_j and W = Gamma*^T (jet rows at its nonzero rows), u = S_n^(k)(c_j)
-    solves (I + J W^T) u = (L_n^(k)(c_j)) = E[:, n] / tau_n.  S_n has monic
+    With gamma_j = U_j V_j^T and J = V_j^T, W = U_j^T of the jet rows
+    l_m^(k)(c_j), m < n, u = V_j^T (S_n's jets at c_j) solves
+    (I + J W^T) u = V^T (L_n's jets) = J[:, n] / tau_n.  S_n has monic
     coefficients -tau_m W[:, m] . u below L_n, and
     <S_n, S_n> = (1/tau_n + W[:, n] . u) / tau_n, which
     `gamma_sequence` reads.  Returns them with u, cond, the double table
@@ -63,9 +63,10 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     with mpmath.workdps(dps):
         table, jets = coupling_jets(spec, _mp_ab(base, n), n)
         cond = _kernel_system(n, spec, jets)[-1]
-        J = np.vstack([E[list(t.cols)] for t, E in zip(spec.terms, jets)])
-        mpc = np.frompyfunc(mpmath.mpc, 1, 1)    # converted once, not per product
-        W = np.vstack([mpc(t.star.T) @ E[list(t.rows)] for t, E in zip(spec.terms, jets)])
+        # converted once, not per product; factor rows past E's are zero
+        mpc = np.frompyfunc(mpmath.mpc, 1, 1)
+        J = np.vstack([mpc(t.V[: len(E)].T) @ E[: len(t.V)] for t, E in zip(spec.terms, jets)])
+        W = np.vstack([mpc(t.U[: len(E)].T) @ E[: len(t.U)] for t, E in zip(spec.terms, jets)])
         tau = table.tau[n]
         M = mpmath.eye(len(J)) + mpmath.matrix([[mpmath.fdot(j, w) for w in W[:, :n]]
                                                  for j in J[:, :n]])
@@ -83,8 +84,8 @@ def _mp_square_jets(n: int, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     term, (S_n^2)^(s)(c_j) / ||L_n||^2 for s <= N_j, summed before the cast,
     as S_n^(s)(c_j) collapses by ~|phi(c_j)|^n against L_n^(s)(c_j).
 
-    The S_n^(s)(c_j) are the kernel solve's unknowns u: a Pade spec's gamma_j
-    couples every column 0..N_j, so u holds them all, term after term.
+    The S_n^(s)(c_j) are the kernel unknowns u = V_j^T (S_n's jets), as a Pade
+    gamma_j has rank N_j + 1 and V_j = I: u holds them all, term after term.
     """
     dps = _lane_dps(n, spec)
     core = _mp_kernel(n, spec, base, dps)

@@ -124,9 +124,9 @@ def limit_modified(z, r) -> complex:
 def limit_sobolev(z, factors) -> complex:
     """Limit of S_n/L_n: product of ((phi(z)-phi(c))^2 / (2 phi(z)(z-c)))^e.
 
-    factors is a list of (c_j, e_j); e_j is the attraction count of c_j
-    (the dimension of the reduced coefficient matrix, or N_j+1 in the
-    Pade case).  Empty list gives 1.
+    factors is a list of (c_j, e_j); e_j is the attraction count of c_j,
+    the rank of its coupling matrix gamma_j (N_j+1 in the Pade case).
+    Empty list gives 1.
     """
     pz = phi(z)
     out = 1.0 + 0.0j

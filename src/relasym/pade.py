@@ -108,7 +108,7 @@ def to_sobolev_spec(f: StieltjesFn) -> SobolevSpec:
     """Leibniz expansion of the pole pairing into coupling matrices.
 
     gamma^j_{i,k} = A_{j,k+i} * binom(k+i, i) for i+k <= N_j (anti-triangular,
-    nonsingular anti-diagonal since A_{j,N_j} != 0, hence always regular).
+    nonzero anti-diagonal since A_{j,N_j} != 0: rank N_j + 1, V_j = I).
     """
     if not f.poles:
         raise PadeError("function has no poles; the denominator is just L_n")

@@ -4,14 +4,14 @@ The bilinear form is
 
     <h, g> = integral h g dmu + sum_j sum_{i<=N_j} h^(i)(c_j) * sum_k gamma^j_{i,k} g^(k)(c_j),
 
-with finitely many points c_j off the support.  Regularity (the reduced
-coefficient matrices Gamma_j* square and nonsingular) is what the
-construction and the asymptotics need.  One construction, for every
-regular spec (complex points, non-diagonal and indefinite gamma, the Pade
-coupling matrices alike): a bordered system on the Christoffel-Darboux
-kernel of mu, one unknown per nonzero column of each gamma_j.  It runs in
-two arithmetics, which gate on the same equilibrated system at the same
-condition number and both return S_n as a PolyInBasis:
+with finitely many points c_j off the support, defined for every gamma_j:
+with gamma_j = U_j V_j^T at its rank, the coupling is (U_j^T h-jets) .
+(V_j^T g-jets), and the construction and the asymptotics read that rank.
+One construction, for every spec (complex points, non-diagonal, indefinite
+and rank-deficient gamma, the Pade coupling matrices alike): a bordered
+system on the Christoffel-Darboux kernel of mu, rank_j unknowns per point
+c_j.  It runs in two arithmetics, which gate on the same equilibrated
+system at the same condition number and both return S_n as a PolyInBasis:
 
 * sn_kernel: in double precision, solving the equilibrated system;
 * sn_lambda: the same jets (`coupling_jets`) and gate (`_kernel_system`)
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e10
-DET_TOL = 1e-12
+RANK_TOL = 1e-12
 
 
 class SobolevError(reader.Refusal):
@@ -66,25 +66,42 @@ def _as_complex_matrix(gamma) -> np.ndarray:
                     dtype=complex).reshape(g.shape)
 
 
+def _factor(g: np.ndarray) -> tuple:
+    """(U, V) with gamma = U V^T at its numerical rank: U holds gamma's kept
+    columns, V each column's coordinates in them.  Over rows scaled to unit
+    2-norm (by their largest entry first, so no scale overflows), a column is
+    kept when its part orthogonal to the columns kept before it passes
+    RANK_TOL times its norm, a ratio at least |det| over the Hadamard row
+    bound of a square nonsingular support: such a gamma keeps every column."""
+    peak = np.abs(g).max(axis=1, keepdims=True)
+    s = g / np.where(peak > 0, peak, 1.0)
+    s /= np.maximum(np.linalg.norm(s, axis=1, keepdims=True), 1.0)
+    kept = []
+    for k, col in enumerate(s.T):
+        x = np.linalg.lstsq(s[:, kept], col, rcond=None)[0]
+        if np.linalg.norm(col - s[:, kept] @ x) > RANK_TOL * np.linalg.norm(col):
+            kept.append(k)
+    V = np.linalg.lstsq(s[:, kept], s, rcond=None)[0].T
+    V[kept] = np.eye(len(kept))
+    return g[:, kept], V
+
+
 @dataclass(frozen=True)
 class SobolevTerm:
     """One point c with derivative couplings gamma[i, k], i <= N, k <= J.
 
     gamma is read once, here, and made read-only, so what is read from it
-    cannot go stale: rows and cols index its nonzero rows and columns (its
-    support), star = gamma[rows, cols] is the reduced matrix Gamma*, order
-    = max(rows + cols) is the highest derivative it couples, and I is the
-    size of Gamma* when Gamma* is square with det != 0 relative to the
-    Hadamard row bound (the term is regular), else 0.
+    cannot go stale: gamma = U V^T at its numerical rank (`_factor`), rank =
+    U's column count (the zeros c attracts and its limit factor's exponent),
+    and order, the highest derivative it couples.
     """
 
     c: complex
     gamma: np.ndarray
-    rows: tuple = field(init=False, compare=False)
-    cols: tuple = field(init=False, compare=False)
-    star: np.ndarray = field(init=False, compare=False, repr=False)
+    U: np.ndarray = field(init=False, compare=False, repr=False)
+    V: np.ndarray = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False)
     order: int = field(init=False, compare=False)
-    I: int = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", point(self.c, "coupling point", SobolevError))
@@ -93,21 +110,12 @@ class SobolevTerm:
             raise SobolevError(f"coupling weights at {self.c} are not finite")
         if not np.any(g[-1]):
             raise SobolevError("top derivative row of gamma is identically zero")
-        g.flags.writeable = False
-        rows = tuple(i for i in range(g.shape[0]) if np.any(g[i]))
-        cols = tuple(k for k in range(g.shape[1]) if np.any(g[:, k]))
-        star = g[np.ix_(rows, cols)]
-        star.flags.writeable = False
-        size = 0
-        if len(rows) == len(cols):
-            # det against the Hadamard row bound, both of star over its largest
-            # entry: their ratio does not depend on the scale of gamma
-            unit = star / np.abs(star).max()
-            hadamard = float(np.prod(np.linalg.norm(unit, axis=1)))
-            if hadamard > 0.0 and abs(np.linalg.det(unit)) > DET_TOL * hadamard:
-                size = len(rows)
-        for name, value in (("gamma", g), ("rows", rows), ("cols", cols), ("star", star),
-                            ("order", max(rows + cols)), ("I", size)):
+        U, V = _factor(g)
+        for matrix in (g, U, V):
+            matrix.flags.writeable = False
+        # the top row is nonzero: the order is N or the last nonzero column
+        for name, value in (("gamma", g), ("U", U), ("V", V), ("rank", U.shape[1]),
+                            ("order", int(max(np.flatnonzero(g.any(axis=0))[-1], len(g) - 1)))):
             object.__setattr__(self, name, value)
 
     @property
@@ -128,12 +136,6 @@ class SobolevSpec:
         if not self.terms:
             raise SobolevError("need at least one coupling term")
         apart([t.c for t in self.terms], None, "coupling points must be distinct", SobolevError)
-
-    @property
-    def regular(self) -> bool:
-        """Whether every term is regular (I > 0): the construction and the
-        asymptotics need it."""
-        return all(t.I for t in self.terms)
 
     @classmethod
     def diagonal(cls, points) -> "SobolevSpec":
@@ -184,14 +186,9 @@ def _refusals(degrees, spec: SobolevSpec, base: RecurrenceTable) -> tuple:
     apart([t.c for t in spec.terms], [loc for loc, _ in base.spec.mass_points],
           "a coupling point coincides with a mass point", reader.ConfigError, NEAR_ATOM)
     base = table_through(base, max(degrees))    # sn_kernel refuses an infinite tau_n
-    regular, order = spec.regular, max(t.order for t in spec.terms)
-    refused = {}
-    for n in degrees:
-        if not regular:
-            refused[n] = SobolevError("inner product is not regular; construction undefined")
-        elif n <= order:
-            refused[n] = SobolevError(
-                f"need n > {order}, the highest coupled derivative, got {n}")
+    order = max(t.order for t in spec.terms)
+    refused = {n: SobolevError(f"need n > {order}, the highest coupled derivative, got {n}")
+               for n in degrees if n <= order}
     return base, refused
 
 
@@ -200,22 +197,24 @@ def _kernel_system(n: int, spec: SobolevSpec, jets: list) -> tuple:
 
     Per point, its orthonormal jets E (either number type) are divided by
     their peaks in E's own arithmetic and cast to double, so sn_lambda's mp
-    jets give a system that fits in double even where the jets do not.  J
-    (jet rows at gamma's nonzero columns) and W = Gamma*^T E[rows] are each
-    divided by their largest entry P and P' and factored as P L Q.  Returns
-    the matrix M = diag(L^-1 L'^-T / (P P')) + Q Q'^T, the stacked Q',
-    L^-1 J[:, n] and L'^-1 W[:, n] stacked, and cond(M); raises
-    SobolevError past COND_LIMIT.
+    jets give a system that fits in double even where the jets do not.
+    J = V^T E and W = U^T E, each over its factor's nonzero rows, are
+    divided by the largest peak P and P' of those rows and factored as
+    P L Q.  Returns the matrix M = diag(L^-1 L'^-T / (P P')) + Q Q'^T, the
+    stacked Q', the stacked L^-1 J[:, n], and cond(M); raises SobolevError
+    past COND_LIMIT.
     """
-    Q, Qw, D, rhs, wn = [], [], [], [], []
+    Q, Qw, D, rhs = [], [], [], []
     for t, E in zip(spec.terms, jets):
-        rows, cols = list(t.rows), list(t.cols)
         E = E[:, : n + 1]
         peak = np.abs(E).max(axis=1)
         E = (E / peak[:, None]).astype(complex)
-        pj, pw = peak[cols].max(), peak[rows].max()
-        J = E[cols] * (peak[cols] / pj).astype(float)[:, None]
-        W = t.star.T @ (E[rows] * (peak[rows] / pw).astype(float)[:, None])
+        blocks = []
+        for F in (t.V, t.U):    # F^T E over F's nonzero rows k, at P = max peak[k]
+            k = np.flatnonzero(np.any(F, axis=1))
+            P = peak[k].max()
+            blocks.append((F[k].T @ (E[k] * (peak[k] / P).astype(float)[:, None]), P))
+        (J, pj), (W, pw) = blocks
         q, r = np.linalg.qr(J[:, :n].T)
         qw, rw = np.linalg.qr(W[:, :n].T)
         Li, Lwi = np.linalg.inv(r.T), np.linalg.inv(rw.T)
@@ -263,13 +262,13 @@ def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
 
 
 def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
-    """S_n in double precision, for every regular spec.
+    """S_n in double precision, for every spec.
 
     S_n = L_n - sum_j sum_{i,k} gamma^j_{ik} S_n^(k)(c_j) K_{n-1}^{(0,i)}(x, c_j)
-    with K the unconjugated kernel sum_{m<n} l_m(x) l_m(c).  The unknowns
-    u = S_n^(k)(c_j), k over the nonzero columns of gamma_j, solve
-    (I + J W^T) u = (L_n^(k)(c_j)): J holds the jet rows l_m^(k)(c_j), m < n,
-    W = Gamma*^T (jet rows at the nonzero rows of gamma_j).  Then s = -W^T u.
+    with K the unconjugated kernel sum_{m<n} l_m(x) l_m(c).  With
+    gamma_j = U_j V_j^T, the unknowns u = V_j^T (S_n's jets at c_j), rank_j of
+    them per point, solve (I + J W^T) u = V^T (L_n's jets): J = V^T and
+    W = U^T of the jet rows l_m^(k)(c_j), m < n.  Then s = -W^T u.
     Jet rows are divided by their largest entry, and each point's J and W
     blocks are factored as P L Q (scalar, small lower triangle, orthonormal
     rows).  The solve runs on v = P' L'^T u with
@@ -336,7 +335,7 @@ def _lane_dps(n: int, spec: SobolevSpec) -> int:
 
 
 def sn_lambda(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
-    """sn_kernel's construction in mpmath, for every regular spec.
+    """sn_kernel's construction in mpmath, for every spec.
 
     The same identity on the same code (`coupling_jets`, `_kernel_system`)
     over the recurrence table rebuilt in mp, solved as it stands at

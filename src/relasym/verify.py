@@ -233,7 +233,7 @@ class ExperimentConfig:
 def attraction_factors(cfg: ExperimentConfig) -> list:
     """(center, expected zero count) pairs for the config's target."""
     if cfg.target_kind == "sobolev":
-        return [(t.c, t.I) for t in cfg.target.terms]
+        return [(t.c, t.rank) for t in cfg.target.terms]
     if cfg.target_kind == "pade":
         return [(c, len(A)) for c, A in cfg.target.poles]
     return []

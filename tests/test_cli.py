@@ -500,15 +500,14 @@ def test_zeros_of_the_first_degrees_on_legendre(tmp_path):
 
 
 def test_zeros_numerical_failure_exit(tmp_path, capsys):
-    # a singular coupling matrix: the kernel lane refuses every degree of a
-    # product that is not regular, which is a numerics exit (a coupling point
-    # on an atom is a config error: test_target_point_on_an_atom_is_config_error)
+    # jets at c = 2 leave the double range from n = 536: the kernel lane
+    # refuses that degree, which is a numerics exit (a coupling point on an
+    # atom is a config error: test_target_point_on_an_atom_is_config_error)
     payload = scenario("sobolev_point_pair").to_json_dict()
-    payload["target"]["sobolev"]["terms"][0]["gamma"] = [[[1.0, 0.0], [1.0, 0.0]],
-                                                         [[1.0, 0.0], [1.0, 0.0]]]
-    cfg = _write_json(tmp_path / "singular.json", payload)
+    payload["zero_degrees"] = [600]
+    cfg = _write_json(tmp_path / "deep.json", payload)
     assert main(["zeros", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "inner product is not regular" in capsys.readouterr().err
+    assert "jets at c = (2+0j) overflow the double range at n=600" in capsys.readouterr().err
 
 
 def test_extended_precision_rejected_for_modified(tmp_path):

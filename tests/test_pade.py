@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from relasym import (BaseMeasureSpec, PadeError, StieltjesFn, error_ratio, f_value,
-                     pade_denominator, pade_numerator, phi, recurrence_for,
+from relasym import (BaseMeasureSpec, PadeError, SobolevError, StieltjesFn, error_ratio,
+                     f_value, pade_denominator, pade_numerator, phi, recurrence_for,
                      scenario, to_sobolev_spec)
 import mpmath
 from _mp_oracles import (_mp_basis_jets, _mp_poly_jet, _mp_recurrence, _mp_remainder,
@@ -252,6 +252,29 @@ def test_pole_jets_are_the_kernel_unknowns(f):
                 for s, w in enumerate(want):
                     assert abs(core["u"][i + s] - w) <= 1e-30 * abs(w), (n, t.c, s)
                 i += t.N + 1
+
+
+@pytest.mark.parametrize("A", [(1.0, 1e-11), (1.0, 0.0, 1e-7), (1.0, 1e-13)])
+def test_every_pole_term_has_full_rank(A):
+    # _mp_square_jets reads the kernel unknowns u = V^T (S_n's jets at c) as
+    # the pole jets, so a Pade term must keep rank N + 1 with V the identity
+    # however small its lower coefficients; (1, 1e-13) built at no degree
+    # while the construction was gated on regularity
+    f = StieltjesFn(LEG, ((2.0, A),))
+    (t,) = to_sobolev_spec(f).terms
+    assert t.rank == t.N + 1 == len(A)
+    assert np.array_equal(t.V, np.eye(len(A)))
+    assert pade_denominator(20, f, TLEG).degree == 20
+
+
+def test_a_nearly_singular_pole_term_meets_the_cond_gate():
+    # full rank, but its kernel system is past COND_LIMIT (cond ~ 7.09e14):
+    # a numerical limit, refused as one
+    f = StieltjesFn(LEG, ((2.0, (1.0, 1e-20)),))
+    assert to_sobolev_spec(f).terms[0].rank == 2
+    with pytest.raises(SobolevError, match="ill-conditioned") as info:
+        pade_denominator(20, f, TLEG)
+    assert info.value.kind == "pre_asymptotic"
 
 
 @pytest.mark.parametrize("n", [40, 60])

@@ -1,5 +1,6 @@
-"""Discrete Sobolev inner products: regularity, both construction paths,
+"""Discrete Sobolev inner products: coupling ranks, both construction paths,
 collapse-aware residuals, and normalization sequences."""
+import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -15,8 +16,9 @@ from _mp_oracles import (_residuals, compare_monomial, lambda_dps, lambda_expans
                          lambda_monic, oracle_sobolev_monic, orthogonality_residuals_extended)
 
 from relasym import (BaseMeasureSpec, PolyInBasis, SobolevError, SobolevSpec,
-                     StieltjesFn, digit_loss, gamma_sequence, limit_sobolev, phi,
-                     recurrence_for, sn_kernel, sn_lambda, to_sobolev_spec)
+                     StieltjesFn, digit_loss, gamma_sequence, limit_sobolev, monotone_violations,
+                     phi, recurrence_for, run_ratio_ladder, run_zero_attraction, scenario,
+                     sn_kernel, sn_lambda, to_sobolev_spec)
 from relasym.extended import _mp_kernel
 from relasym.sobolev import SobolevTerm, _kernel_system, _lane_dps, coupling_jets, sn_kernel_many
 
@@ -28,35 +30,36 @@ PAIR = SobolevSpec.diagonal([(2.0, [1.0, 1.0])])    # value + derivative
 
 
 def test_regularity_counts():
-    assert DERIV.regular
-    assert [t.I for t in DERIV.terms] == [1]
-    assert [(t.rows, t.cols, t.order) for t in DERIV.terms] == [((1,), (1,), 1)]
-    assert PAIR.regular
-    assert [t.I for t in PAIR.terms] == [2]
-    assert [(t.rows, t.cols, t.order) for t in PAIR.terms] == [((0, 1), (0, 1), 1)]
+    # each term is its factorization gamma = U V^T at gamma's rank; a regular
+    # term keeps its support matrix as U and V selects its columns
+    for spec, U, V in ((DERIV, [[0], [1]], [[0], [1]]), (PAIR, np.eye(2), np.eye(2))):
+        (t,) = spec.terms
+        assert (t.rank, t.order) == (len(V[0]), 1)
+        assert np.array_equal(t.U, U) and np.array_equal(t.V, V)
     # zero rows and columns are no coupling: a padded gamma reads as its trimmed twin
     padded = SobolevTerm(2.0, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert (padded.rows, padded.cols, padded.order, padded.I) == ((1,), (0,), 1, 1)
-    assert padded.star.tolist() == [[1.0]]
-    # read once: gamma and Gamma* are read-only, so the fields cannot go stale
-    for matrix in (padded.gamma, padded.star):
+    assert (padded.rank, padded.order) == (1, 1)
+    assert padded.U.tolist() == [[0], [1]] and padded.V.tolist() == [[1], [0], [0]]
+    # read once: gamma and its factors are read-only, so the fields cannot go stale
+    for matrix in (padded.gamma, padded.U, padded.V):
         with pytest.raises(ValueError):
             matrix[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_regularity_does_not_depend_on_the_scale_of_gamma(scale):
-    # the raw row norms of a 1e300 gamma overflowed with a RuntimeWarning,
-    # and a nonzero 1e-300 gamma read as not regular
-    def regular(gamma):
-        return SobolevSpec((SobolevTerm(2.0, scale * np.array(gamma)),))
+    # the raw row norms of a 1e300 gamma overflow with a RuntimeWarning, and
+    # a nonzero 1e-300 gamma must not read as rank 0
+    def term(gamma):
+        return SobolevTerm(2.0, scale * np.array(gamma))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert regular([[1.0]]).regular
-        assert regular([[1.0, 0.5], [0.25, 1.0]]).regular
-        singular = regular([[1.0, 1.0], [1.0, 1.0]])
-        assert not singular.regular
-        assert singular.terms[0].I == 0
+        assert term([[1.0]]).rank == 1
+        assert term([[1.0, 0.5], [0.25, 1.0]]).rank == 2
+        singular = term([[1.0, 1.0], [1.0, 1.0]])
+    assert singular.rank == 1
+    assert singular.U.tolist() == [[scale], [scale]]
+    np.testing.assert_allclose(singular.V, [[1], [1]], rtol=1e-15)    # lstsq's coordinates
 
 
 def test_spec_validation():
@@ -291,6 +294,47 @@ def test_against_dense_oracle():
             got = sn_lambda(n, spec, TAB)
             gap = compare_monomial(got, oracle_sobolev_monic(LEG, spec, n), 0)
             assert gap < 1e-10, f"sn_lambda vs oracle {gap:.2e} at n={n}"
+
+
+# couplings of less than full rank, which built at no degree while the
+# construction was gated on regularity: gamma -> its rank
+RANK_DEFICIENT = {"ones": ([[1, 1], [1, 1]], 1), "outer": ([[1, 2], [2, 4]], 1),
+                  "row": ([[1, 1]], 1), "wide": ([[1, 0, 1], [0, 1, 0]], 2),
+                  "repeated_row": ([[1, 0, 1], [0, 1, 0], [1, 0, 1]], 2)}
+
+
+def _rank_deficient(name, c) -> SobolevSpec:
+    return SobolevSpec((SobolevTerm(c, np.array(RANK_DEFICIENT[name][0], dtype=float)),))
+
+
+@pytest.mark.parametrize("c", [2.0, 1.2 + 0.6j])
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_rank_deficient_coupling_matches_dense_oracle(name, c):
+    spec = _rank_deficient(name, c)
+    assert spec.terms[0].rank == RANK_DEFICIENT[name][1]
+    for n in (6, 12):
+        oracle = oracle_sobolev_monic(LEG, spec, n)
+        for build in (sn_kernel, sn_lambda):
+            gap = compare_monomial(build(n, spec, TAB), oracle, 0)
+            assert gap < 1e-12, (build.__name__, n, gap)
+
+
+@pytest.mark.parametrize("c", [2.0, 1.2 + 0.6j])
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_rank_deficient_limit_and_zeros_follow_the_rank(name, c):
+    # the limit's exponent and the zeros c attracts are both the rank: the
+    # ratio errors against limit_sobolev at e = rank fall like 1/n, and one
+    # cluster of rank zeros sits at c at every degree
+    cfg = dataclasses.replace(scenario("sobolev_point_pair"), target=_rank_deficient(name, c),
+                              n_ladder=(80, 160, 320, 480), jets=0,
+                              zero_degrees=(60, 180, 480))
+    rows = run_ratio_ladder(cfg)
+    assert len(rows) == 4 * 4 and monotone_violations(rows) == []
+    for z in cfg.probe_points:
+        errs = [r.abs_err for r in rows if r.z == z]
+        assert errs[-1] < 1e-2 and 1.8 < errs[1] / errs[2] < 2.1, (z, errs)
+    reports = run_zero_attraction(cfg)
+    assert [reports[n].cluster_counts for n in cfg.zero_degrees] == [[RANK_DEFICIENT[name][1]]] * 3
 
 
 def test_digit_loss_scaling():

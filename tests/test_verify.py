@@ -202,8 +202,8 @@ def test_pre_asymptotic_degrees_flagged_not_fatal():
 
 
 def test_non_diagonal_sobolev_reaches_general_lane():
-    # a regular complex center with coupled value/derivative masses is
-    # built like any other regular spec
+    # a complex center with coupled value/derivative masses is built like
+    # any other spec
     gamma = np.array([[1.0, 0.5], [0.5, 1.0]])
     cfg = dataclasses.replace(
         scenario("sobolev_point_pair"),
@@ -644,7 +644,7 @@ def test_modified_ladder_reaches_past_the_base_tau_overflow():
 @pytest.mark.parametrize("name", ["sobolev_point_pair", "sobolev_point_derivative",
                                   "pade_gonchar"])
 def test_kernel_ladder_checks_the_spec_once(monkeypatch, name):
-    # a term's support and regularity are read when the term is built, not
+    # a term's factorization and rank are read when the term is built, not
     # per degree: only a Pade target builds its terms, once per pole; each
     # rung's kernel system is gated and solved on its own, one 2-D solve per rung
     cfg = scenario(name)
