@@ -51,6 +51,7 @@ __all__ = [
 
 COND_LIMIT = 1e10
 RANK_TOL = 1e-12
+ROUNDING = 8 * np.finfo(float).eps
 
 
 class SobolevError(reader.Refusal):
@@ -66,21 +67,26 @@ def _as_complex_matrix(gamma) -> np.ndarray:
                     dtype=complex).reshape(g.shape)
 
 
-def _factor(g: np.ndarray) -> tuple:
-    """(U, V) with gamma = U V^T at its numerical rank: U holds gamma's kept
-    columns, V each column's coordinates in them.  Over rows scaled to unit
-    2-norm (by their largest entry first, so no scale overflows), a column is
-    kept when its part orthogonal to the columns kept before it passes
-    RANK_TOL times its norm, a ratio at least |det| over the Hadamard row
-    bound of a square nonsingular support: such a gamma keeps every column."""
+def _factor(g: np.ndarray, c: complex) -> tuple:
+    """(U, V) with gamma = U V^T at its rank: U holds gamma's kept columns, V
+    each column's coordinates in them.  Over rows scaled to unit 2-norm (by
+    their largest entry first, so no scale overflows), a column is kept when
+    its part orthogonal to the columns kept before it passes RANK_TOL times
+    its norm (the ratio is at least |det| over the Hadamard row bound, so a
+    square nonsingular support keeps every column), and dropped only at
+    rounding (ROUNDING per row).  In between the rank is ambiguous: refused."""
     peak = np.abs(g).max(axis=1, keepdims=True)
     s = g / np.where(peak > 0, peak, 1.0)
     s /= np.maximum(np.linalg.norm(s, axis=1, keepdims=True), 1.0)
     kept = []
     for k, col in enumerate(s.T):
         x = np.linalg.lstsq(s[:, kept], col, rcond=None)[0]
-        if np.linalg.norm(col - s[:, kept] @ x) > RANK_TOL * np.linalg.norm(col):
+        rest, size = np.linalg.norm(col - s[:, kept] @ x), np.linalg.norm(col)
+        if rest > RANK_TOL * size:
             kept.append(k)
+        elif rest > ROUNDING * len(g) * size:
+            raise SobolevError(f"the rank of gamma at {c} is ambiguous: column {k} leaves the "
+                               f"ones before it by {rest / size:.1e} of its norm, past rounding")
     V = np.linalg.lstsq(s[:, kept], s, rcond=None)[0].T
     V[kept] = np.eye(len(kept))
     return g[:, kept], V
@@ -93,7 +99,7 @@ class SobolevTerm:
     gamma is read once, here, and made read-only, so what is read from it
     cannot go stale: gamma = U V^T at its numerical rank (`_factor`), rank =
     U's column count (the zeros c attracts and its limit factor's exponent),
-    and order, the highest derivative it couples.
+    and order, the highest derivative it couples.  An ambiguous rank refuses.
     """
 
     c: complex
@@ -110,7 +116,7 @@ class SobolevTerm:
             raise SobolevError(f"coupling weights at {self.c} are not finite")
         if not np.any(g[-1]):
             raise SobolevError("top derivative row of gamma is identically zero")
-        U, V = _factor(g)
+        U, V = _factor(g, self.c)
         for matrix in (g, U, V):
             matrix.flags.writeable = False
         # the top row is nonzero: the order is N or the last nonzero column
@@ -152,14 +158,9 @@ class SobolevSpec:
         return cls(terms=tuple(terms))
 
     def to_json_dict(self) -> dict:
-        out_terms = []
-        for t in self.terms:
-            out_terms.append({
-                "c": [t.c.real, t.c.imag],
-                "N": t.N,
-                "gamma": [[[v.real, v.imag] for v in row] for row in t.gamma],
-            })
-        return {"terms": out_terms}
+        return {"terms": [{"c": [t.c.real, t.c.imag], "N": t.N,
+                           "gamma": [[[v.real, v.imag] for v in row] for row in t.gamma]}
+                          for t in self.terms]}
 
     @classmethod
     def from_json_dict(cls, data: dict, path: str = "") -> "SobolevSpec":
@@ -367,8 +368,7 @@ def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees) -> dict[in
     from .extended import _mp_kernel    # mpmath loads on the first call
     degrees = sorted(degrees)
     out: dict[int, complex] = {}
-    prev_n = None
-    for n in degrees:
+    for prev_n, n in zip([None] + degrees, degrees):
         dps = _lane_dps(n, spec)
         ns = _mp_kernel(n, spec, base, dps)["norm_sq_mp"]
         with ns.context.workdps(dps):    # mpmath's own context, read off the number
@@ -380,5 +380,4 @@ def gamma_sequence(spec: SobolevSpec, base: RecurrenceTable, degrees) -> dict[in
             if abs(-g / out[prev_n] - target) < abs(g / out[prev_n] - target):
                 g = -g
         out[n] = g
-        prev_n = n
     return out

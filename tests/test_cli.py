@@ -215,6 +215,23 @@ def test_target_point_on_an_atom_is_config_error(tmp_path, kind, sub, capsys):
 
 
 LEGENDRE = {"weight_kind": "legendre"}
+
+
+@pytest.mark.parametrize("sub", ["verify", "zeros"])
+def test_coupling_of_ambiguous_rank_is_config_error(tmp_path, sub, capsys):
+    # [[1, 1], [1, 1 + 1e-13]] has rank 2, but its second column leaves the
+    # first by 5e-14, within the rank tolerance and past rounding: neither
+    # rank can be read in double precision, so none is built
+    gamma = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0 + 1e-13, 0.0]]]
+    cfg = _write_json(tmp_path / "c.json", {"measure": LEGENDRE, "target": {
+        "kind": "sobolev", "sobolev": {"terms": [{"c": [2.0, 0.0], "gamma": gamma}]}}})
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "ambiguous" in err, err
+
+
 # one config per kind of placed value (a point or an exponent), set to v
 NONFINITE_CONFIGS = {
     "probe": lambda v: {"measure": LEGENDRE, "probe_points": [[v, 0.0]]},

@@ -62,6 +62,30 @@ def test_regularity_does_not_depend_on_the_scale_of_gamma(scale):
     np.testing.assert_allclose(singular.V, [[1], [1]], rtol=1e-15)    # lstsq's coordinates
 
 
+def test_a_column_is_dropped_only_at_rounding():
+    # [[1, 1], [1, 1 + eps]] has rank 2 for every eps != 0, and past n ~ 12
+    # at c = 2 its S_n is ruled by the eps direction (the jets grow like
+    # |phi(c)|^(2n)), so a rank-one build would be another inner product.
+    # Within an ulp it is rank one; between rounding and RANK_TOL its rank
+    # cannot be read in double precision, and the term is refused.
+    def term(eps):
+        return SobolevTerm(2.0, [[1.0, 1.0], [1.0, 1.0 + eps]])
+    for eps, rank in ((1e-2, 2), (1e-6, 2), (1e-11, 2), (2.0 ** -52, 1), (0.0, 1)):
+        assert term(eps).rank == rank, eps
+    for eps in (1e-12, 1e-13, 1e-14):
+        with pytest.raises(SobolevError, match="rank of gamma at .* is ambiguous"):
+            term(eps)
+    # kept at rank 2, a near-singular term is the inner product it names:
+    # both lanes meet the dense oracle at n = 20, far from the rank-one S_20
+    spec = SobolevSpec((term(1e-2),))
+    oracle = oracle_sobolev_monic(LEG, spec, 20)
+    for build in (sn_kernel, sn_lambda):
+        gap = compare_monomial(build(20, spec, TAB), oracle, 0)
+        assert gap < 1e-12, (build.__name__, gap)
+    ones = SobolevSpec((term(0.0),))
+    assert compare_monomial(sn_kernel(20, ones, TAB), oracle, 0) > 1e-2
+
+
 def test_spec_validation():
     with pytest.raises(SobolevError):
         SobolevSpec.diagonal([(0.5, [1.0])])           # on the cut
