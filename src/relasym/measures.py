@@ -275,9 +275,8 @@ def _add_point(b: np.ndarray, asq: np.ndarray, mass, x, w) -> tuple[np.ndarray, 
     (the naive Stieltjes moment iteration loses most of them there).
     Gragg & Harrod 1984, Gautschi 2004 sec. 2.2.3.
     """
-    p0 = np.append(b, x)
-    p1 = np.append(asq, 0.0)
-    p1[0] = mass
+    # lists: the operations of numpy scalars, in either number type, at a third of the cost
+    p0, p1 = np.append(b, x).tolist(), [mass, *asq[1:].tolist(), 0.0]
     pn = w
     gam, sig, t = 1.0, 0.0, 0.0
     for k in range(len(p0)):
@@ -298,7 +297,7 @@ def _add_point(b: np.ndarray, asq: np.ndarray, mass, x, w) -> tuple[np.ndarray, 
             pn = t * t / sig
         p1[k] = tmp
     p1[0] = 0.0
-    return p0, p1
+    return np.array(p0, dtype=b.dtype), np.array(p1, dtype=b.dtype)
 
 
 def _table(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> RecurrenceTable:

@@ -20,7 +20,7 @@ roots() takes one of two routes:
   Vectorized Aberth sweeps on g find its zeros in O(n^2) per sweep
   (Bini & Robol, J. Comput. Appl. Math. 272, 2014) and O(n) memory: the
   n x n Cauchy matrices are formed a block of rows at a time in one
-  workspace per solve, of BLOCK complex entries (128 KB) or one row when
+  workspace per solve, of BLOCK complex entries (128 KB) or two rows when
   n is larger, which the weights sweep and the conjugate pairing use
   too.  On real data the starts leave the real axis, so that the sweeps
   can reach conjugate pairs.  Roots off the support band, where the sum
@@ -35,13 +35,13 @@ roots() takes one of two routes:
   that does not converge, or real-data roots that do not pair, refuse
   with the kind "unconverged"; no route falls back to another.
 
-The residual gate checks every root set in one forward sweep of the
-orthonormal recurrence over the root array.  l_k and l_k' at all m roots
-form one flat complex row of length 2m, advanced by a fixed handful of
-in-place ufunc calls per degree, and the scale of |p| is its rounding
-level sum_k |c_k l_k|, which grows no faster than the values it sums,
-plus ||A|| |p'|.  A sweep that leaves the double range refuses instead
-of passing a nan residual, and a degree whose tau_n does refuses first.
+The weights and the residual gate read one forward sweep of the
+orthonormal recurrence (_orthonormal_rows): l_k, and l_k' for the gate,
+at every point form one flat row, five in-place ufunc calls per degree
+(six with l_k'), contracted a block of degrees at a time.  The gate
+scales |p| by its rounding level sum_k |c_k l_k|, which grows no faster
+than the values it sums, plus ||A|| |p'|.  A sweep out of the double
+range refuses, and a degree whose tau_n is out of it refuses first.
 
 cluster() sorts a root set into disjoint attraction disks around given
 centers, a band around the support [-1, 1], and leftovers.  Counts per
@@ -72,7 +72,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-7
-# cluster() counts the roots within SUPPORT_BAND of [-1, 1] as the band's
+# cluster() counts the roots within SUPPORT_BAND of [-1, 1] as the band's; the
+# roots farther out take Aberth steps on p itself (at most POLISH_STEPS, until
+# a step is at most POLISH_TOL |z| or |p| is at its rounding level): there the
+# secular sum cancels and leaves them ~1e-6 off
 SUPPORT_BAND = 0.05
 EPS = float(np.finfo(float).eps)
 LD_EPS = np.finfo(np.longdouble).eps
@@ -81,10 +84,6 @@ MAX_SWEEPS = 60
 # entries of the complex workspace (128 KB) in which the secular solve forms
 # its Cauchy matrices a block of rows at a time
 BLOCK = 2**13
-# roots farther than POLISH_BAND from [-1, 1] take Aberth steps on p itself
-# (at most POLISH_STEPS, until a step is at most POLISH_TOL |z| or |p| is at
-# its rounding level): there the secular sum cancels and leaves them ~1e-6 off
-POLISH_BAND = 0.05
 POLISH_TOL = 1e-10
 POLISH_STEPS = 10
 # an off-band root leaves the secular sweeps once its step is at most
@@ -214,44 +213,17 @@ def _root_residuals(c: np.ndarray, table: RecurrenceTable, z: np.ndarray,
     since z sits an O(eps ||A||) eigenvalue perturbation away from the true
     root.
 
-    One forward sweep over all m roots at once.  l_k and l_k' share one
-    flat complex row, l_k at [:m] and l_k' at [m:], so a degree is one step
-    l_{k+1} = ((z - b_k) l_k + [0, l_k] - a_k l_{k-1}) / a_{k+1}, and p, p'
-    accumulate as c_{k+1} l_{k+1}, the level as |c_{k+1}| |l_{k+1}|.  A
-    sweep that leaves the double range refuses instead of passing a nan
-    residual."""
+    One sweep over all m roots (_orthonormal_rows, order 1, in a workspace
+    of its own): per block of degrees one product with c adds to p and p',
+    one with |c| to the level.  A sweep that leaves the double range
+    refuses instead of passing a nan residual."""
     z = np.asarray(z, dtype=complex)
     m, n = z.size, len(c) - 1
-    a, b = table.a, table.b
-    # column k: b_k, a_k, 1/a_{k+1}, c_{k+1}
-    coef = np.stack([b[:n], a[:n], 1.0 / a[1 : n + 1], c[1:]]).astype(complex)
-    zz = np.concatenate([z, z])
-    tmp = np.zeros(2 * m, dtype=complex)
-    u = np.zeros(m)
-    # each row with its value and derivative blocks as views
-    prev, row, nxt = ((w, w[:m], w[m:]) for w in np.zeros((3, 2 * m), dtype=complex))
-    row[1][:] = table.tau[0]
-    acc = c[0] * row[0]
-    total = np.full(m, abs(c[0]) * abs(table.tau[0]))
+    acc, total = np.zeros(2 * m, dtype=complex), np.zeros(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (zk, abs_ck) in enumerate(zip(coef.T, np.abs(c[1:, None]))):
-            # views, not scalars: numpy converts a Python scalar on every
-            # call, which costs as much as the call itself on rows this short
-            bk, ak, inv_a, ck = zk[0, ...], zk[1, ...], zk[2, ...], zk[3, ...]
-            w, w_val, w_der = nxt
-            np.subtract(zz, bk, out=tmp)
-            np.multiply(tmp, row[0], out=w)
-            np.add(w_der, row[1], out=w_der)
-            if k:   # l_{-1} = 0
-                np.multiply(prev[0], ak, out=tmp)
-                np.subtract(w, tmp, out=w)
-            np.multiply(w, inv_a, out=w)
-            np.multiply(w, ck, out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.abs(w_val, out=u)
-            np.multiply(u, abs_ck, out=u)
-            np.add(total, u, out=total)
-            prev, row, nxt = row, nxt, prev
+        for degrees, rows in _orthonormal_rows(table, z, n + 1, 1, _workspace(m)):
+            acc += c[degrees] @ rows
+            total += np.abs(c[degrees]) @ np.abs(rows[:, :m])
     if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
         raise ZerosError(f"recurrence sweep overflows the double range at degree {n}",
                          kind="overflow")
@@ -268,28 +240,23 @@ def _secular_weights(table: RecurrenceTable, f: np.ndarray, work: np.ndarray):
     2^{1-n} T_n, whose zeros t_i = cos(theta_i), theta_i = (2i+1) pi / 2n,
     are in closed form.  beta_i = p(t_i) / (lc_p omega'(t_i)), and
     omega'(t_i) = 2^{1-n} n (-1)^i / sin(theta_i).  p(t_i) comes from one
-    forward sweep of the orthonormal recurrence over all n points, stable
-    on [-1, 1], streamed through the workspace: the rows l_k of a block of
-    degrees k fill its floats, and one product per block adds their part
-    of f . l to a complex accumulator, so the memory is O(n).  Through
-    n = 128 every degree fits one block, and f . l is a single product.
-    lc_p = c_n tau_0 / prod a_k and the 2^{1-n} of omega enter together as
-    tau_0 prod (2 a_k)^{-1}, whose terms tend to 1 (a_k -> 1/2 on
-    [-1, 1]), so the constant does not overflow where 2^n or tau_n would.
-    The poles are returned ascending."""
-    n, a, b = len(f), table.a, table.b
+    forward sweep over all n points, stable on [-1, 1] (_orthonormal_rows,
+    order 0, in the workspace's floats): one product per block adds its
+    part of f . l, so the memory is O(n), and l_n is the last row.  Past
+    n = 128 the blocks, and so the last bits of beta and of the roots,
+    depend on BLOCK.  lc_p = c_n tau_0 / prod a_k and the 2^{1-n} of omega
+    enter together as tau_0 prod (2 a_k)^{-1}, whose terms tend to 1
+    (a_k -> 1/2 on [-1, 1]), so the constant does not overflow where 2^n
+    or tau_n would.  The poles are returned ascending."""
+    n, a = len(f), table.a
     # t_j = sin(phi_j) = cos(theta_{n-1-j}): ascending, exactly symmetric about 0
     phi = (0.5 * np.pi / n) * np.arange(1 - n, n, 2)
-    t = np.sin(phi)
-    # l_{k-1}, l_k at every t_j; p / c_n = l_n + (f . l) / a_n
-    prev, row = np.zeros(n), np.full(n, table.tau[0])
-    acc = np.zeros(n, dtype=complex)
-    for degrees, ell in _row_blocks(work.view(float), n, n):
-        for k, out in zip(range(degrees.start, degrees.stop), ell):
-            out[:] = row
-            prev, row = row, ((t - b[k]) * row - a[k] * prev) / a[k + 1]
-        acc += f.real[degrees] @ ell + 1j * (f.imag[degrees] @ ell)
-    val = row + acc / a[n]
+    # p / c_n = l_n + (f . l) / a_n
+    t, acc = np.sin(phi), np.zeros(n, dtype=complex)
+    for degrees, ell in _orthonormal_rows(table, t, n + 1, 0, work):
+        below = ell[: n - degrees.start]    # the degrees below n: f . l
+        acc += f.real[degrees] @ below + 1j * (f.imag[degrees] @ below)
+    val = ell[-1] + acc / a[n]
     # sin(theta_i) (-1)^i / (2n tau_0 prod (2 a_k)^{-1}), i = n - 1 - j
     scale = np.cos(phi) / (2 * n * table.tau[0] * np.prod(0.5 / a[1 : n + 1]))
     scale[n % 2 :: 2] *= -1.0   # i = n - 1 - j odd
@@ -314,10 +281,10 @@ def _secular_roots(c: np.ndarray, table: RecurrenceTable, f: np.ndarray) -> np.n
 
 
 def _workspace(n: int) -> np.ndarray:
-    """Flat complex workspace for the row blocks of the n x n Cauchy
-    matrices of one solve: BLOCK entries, or n x n when that is smaller, or
-    one row of n when a row alone is longer."""
-    return np.empty(max(n, min(n * n, BLOCK)), dtype=complex)
+    """Flat complex workspace of a degree-n solve or of the gate over n
+    roots: BLOCK entries, n x n if fewer, or a gate row of 2n if more; its
+    blocks tie the root bits past n = 128 to BLOCK (_secular_weights)."""
+    return np.empty(max(2 * n, min(n * n, BLOCK)), dtype=complex)
 
 
 def _row_blocks(work: np.ndarray, count: int, m: int):
@@ -328,6 +295,39 @@ def _row_blocks(work: np.ndarray, count: int, m: int):
     for start in range(0, count, height):
         stop = min(start + height, count)
         yield slice(start, stop), work[: (stop - start) * m].reshape(stop - start, m)
+
+
+def _orthonormal_rows(table: RecurrenceTable, z: np.ndarray, count: int, order: int,
+                      work: np.ndarray):
+    """l_k at the m points z, and l_k' for order 1, for the degrees k < count,
+    by one forward sweep, a block of degrees at a time in the workspace
+    viewed in z's number type: yields (degrees, block), block[i] the flat
+    row [l_k, l_k'] of degree k = degrees.start + i.  A degree is one step
+    l_{k+1} = ((z - b_k) l_k + [0, l_k] - a_k l_{k-1}) / a_{k+1} of the whole
+    row, with a_k applied to its floats.  The caller owns np.errstate."""
+    m, zz = z.size, np.tile(z, order + 1)
+    # the rows of degrees k - 2 and k - 1, and the floats of a_k l_{k-1}
+    edge, tmp = np.zeros((2, zz.size), dtype=z.dtype), np.empty(zz.nbytes // 8)
+    # 0-d views, not scalars, which numpy converts on every call at the call's cost
+    b = table.b[: count - 1].astype(z.dtype)
+    b, a = [b[k, ...] for k in range(count - 1)], [table.a[k, ...] for k in range(count)]
+    for degrees, block in _row_blocks(work.view(z.dtype), count, zz.size):
+        rows, flat = [*edge, *block], [*edge.view(float), *block.view(float)]
+        val, der = [*edge[:, :m], *block[:, :m]], [*edge[:, m:], *block[:, m:]]
+        for i, k in enumerate(range(degrees.start, degrees.stop)):
+            out = rows[i + 2]
+            if k == 0:
+                out[:], out[:m] = 0.0, table.tau[0]
+                continue
+            np.subtract(zz, b[k - 1], out=out)
+            np.multiply(out, rows[i + 1], out=out)
+            if order:
+                np.add(der[i + 2], val[i + 1], out=der[i + 2])
+            np.multiply(flat[i], a[k - 1], out=tmp)
+            np.subtract(flat[i + 2], tmp, out=flat[i + 2])
+            np.divide(flat[i + 2], a[k], out=flat[i + 2])
+        edge[:] = rows[-2:]
+        yield degrees, block
 
 
 def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
@@ -391,7 +391,7 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.nda
             step[done] = 0.0
             za = z[active] = za - step
             size, dist = np.abs(step), dist_to_cut(za)
-            linear = ((dist > POLISH_BAND) & (size <= CLUSTER_STEP * dist)
+            linear = ((dist > SUPPORT_BAND) & (size <= CLUSTER_STEP * dist)
                       & (size > CLUSTER_RATE * last[active]))
             last[active] = size
             active = active[~done & ~linear & (size > EPS * np.abs(za))]
@@ -447,7 +447,7 @@ def _polish(c: np.ndarray, table: RecurrenceTable, z: np.ndarray) -> None:
     rounding level, where a step is noise; a root still moving after
     POLISH_STEPS refuses."""
     dist = dist_to_cut(z)
-    off = np.flatnonzero(dist > POLISH_BAND).tolist()
+    off = np.flatnonzero(dist > SUPPORT_BAND).tolist()
     with np.errstate(divide="ignore", invalid="ignore"):
         for group in _clusters(z, off, dist):
             if len(group) > 1:

@@ -396,6 +396,36 @@ def test_secular_weights_match_the_lagrange_form(measure):
                 assert abs(1.0 + np.sum(beta / (z - t)) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("n", [180, 400])
+@pytest.mark.parametrize("layout", ["one block", "ten blocks"])
+def test_orthonormal_rows_match_the_jets_across_blocks(n, layout):
+    # the sweep the weights and the gate share, order 0 at the Chebyshev
+    # points and order 1 at the roots of both secular routes, is tau_k
+    # times the monic jets at every degree, in a workspace that holds every
+    # degree and in one that cuts them into at least 10 blocks, so that a
+    # row dropped or repeated at a block boundary fails
+    cheb = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
+    for name, z, order in [("pade_gonchar", cheb, 0), ("pade_gonchar", None, 1),
+                           ("sobolev_point_pair", None, 1)]:
+        p = _target(name, n)
+        z = np.array(roots(p)) if z is None else z
+        width = (order + 1) * z.size
+        height = n + 1 if layout == "one block" else n // 11
+        work = np.empty(height * width, dtype=z.dtype)
+        blocks = [(degrees, block.copy()) for degrees, block
+                  in zeros_module._orthonormal_rows(p.table, z, n + 1, order, work)]
+        assert len(blocks) == 1 if layout == "one block" else len(blocks) >= 10
+        degrees = np.concatenate([np.arange(n + 1)[d] for d, _ in blocks])
+        np.testing.assert_array_equal(degrees, np.arange(n + 1))
+        # per degree and order, relative to the largest value over the points:
+        # the sweep and the jets round differently next to a zero of l_k
+        got = np.concatenate([block for _, block in blocks]).reshape(n + 1, order + 1, -1)
+        jets = basis_jets(p.table, n, z, order) * p.table.tau[: n + 1, None]
+        want = jets.transpose(1, 0, 2)
+        scale = np.max(np.abs(want), axis=2, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+
 def _kernel_poly(measure, n, rng, real):
     return sn_kernel(n, _sobolev_spec(rng, real), recurrence_for(measure, n + 2))
 
@@ -748,7 +778,7 @@ def _scalar_cluster(rts, centers, r, band):
 
 def test_cluster_matches_scalar_reference():
     centers = [2.0 + 0.0j, -1.5 + 1.5j, 3.0j]
-    r, band = 0.1, 0.05     # default_radius(centers) and SUPPORT_BAND
+    r, band = 0.1, 0.05     # default_radius(centers), and SUPPORT_BAND, the polish's band too
     # exactly on a disk rim, exactly on the band edge, just outside both
     edges = [2.0 + 0.1j, 2.0 - 0.1j, 0.1 + 3.0j, 1.0 + 0.05j, -1.0 - 0.05j,
              0.3 + 0.05j, 1.05, 2.0 + 0.10000000000000002j, 0.3 + 0.05000000000000001j]
