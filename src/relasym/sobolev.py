@@ -6,7 +6,8 @@ The bilinear form is
 
 with finitely many points c_j off the support, defined for every gamma_j:
 with gamma_j = U_j V_j^T at its rank, the coupling is (U_j^T h-jets) .
-(V_j^T g-jets), and the construction and the asymptotics read that rank.
+(V_j^T g-jets), and the construction and the asymptotics read that rank;
+the double lane reads U_j through an orthonormal basis, U_j = B_j T_j.
 One construction, for every spec (complex points, non-diagonal, indefinite
 and rank-deficient gamma, the Pade coupling matrices alike): a bordered
 system on the Christoffel-Darboux kernel of mu, rank_j unknowns per point
@@ -67,29 +68,49 @@ def _as_complex_matrix(gamma) -> np.ndarray:
                     dtype=complex).reshape(g.shape)
 
 
+def _gram_schmidt(a: np.ndarray, tol: float) -> tuple:
+    """Classical Gram-Schmidt, twice per column, pivoted: next comes the
+    column whose part orthogonal to those taken is largest relative to its
+    norm, while that ratio passes tol and fewer columns than rows are taken.
+    Returns those columns in ascending order, Q orthonormal on them, R = Q^H a
+    (upper triangular on them, in pivot order) and the largest ratio left."""
+    e = np.frexp(np.abs(a).max(axis=0))[1]    # exact powers of two: no norm overflows
+    x = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    size = np.maximum(np.linalg.norm(x, axis=0), 0.5)    # a zero column has ratio 0
+    Q, taken = np.zeros((len(a), 0), complex), []
+    while True:
+        rest = x - Q @ (Q.conj().T @ x)
+        rest -= Q @ (Q.conj().T @ rest)
+        ratio = np.linalg.norm(rest, axis=0) / size
+        ratio[taken] = -1.0
+        k = int(np.argmax(ratio))
+        if len(taken) == min(a.shape) or ratio[k] <= tol:
+            break
+        v = rest[:, k] / np.abs(rest[:, k]).max()
+        Q = np.column_stack([Q, v / np.linalg.norm(v)])
+        taken.append(k)
+    R = Q.conj().T @ a
+    R[:, taken] = np.triu(R[:, taken])
+    return sorted(taken), Q, R, ratio[k] if len(taken) < len(a) else 0.0
+
+
 def _factor(g: np.ndarray, c: complex) -> tuple:
-    """(U, V) with gamma = U V^T at its rank: U holds gamma's kept columns, V
-    each column's coordinates in them.  Over rows scaled to unit 2-norm (by
-    their largest entry first, so no scale overflows), a column is kept when
-    its part orthogonal to the columns kept before it passes RANK_TOL times
-    its norm (the ratio is at least |det| over the Hadamard row bound, so a
-    square nonsingular support keeps every column), and dropped only at
-    rounding (ROUNDING per row).  In between the rank is ambiguous: refused."""
-    peak = np.abs(g).max(axis=1, keepdims=True)
+    """(U, V, B, T): gamma = U V^T at its rank (U its kept columns, V their
+    coordinates, I on the kept ones) and U = B T, B orthonormal.  On rows
+    scaled to unit 2-norm `_gram_schmidt` keeps columns above RANK_TOL and
+    drops the rest only at rounding (ROUNDING per row); in between the rank
+    is ambiguous: refused."""
+    peak = np.abs(g).max(axis=1, keepdims=True)    # first, so no scale overflows
     s = g / np.where(peak > 0, peak, 1.0)
     s /= np.maximum(np.linalg.norm(s, axis=1, keepdims=True), 1.0)
-    kept = []
-    for k, col in enumerate(s.T):
-        x = np.linalg.lstsq(s[:, kept], col, rcond=None)[0]
-        rest, size = np.linalg.norm(col - s[:, kept] @ x), np.linalg.norm(col)
-        if rest > RANK_TOL * size:
-            kept.append(k)
-        elif rest > ROUNDING * len(g) * size:
-            raise SobolevError(f"the rank of gamma at {c} is ambiguous: column {k} leaves the "
-                               f"ones before it by {rest / size:.1e} of its norm, past rounding")
-    V = np.linalg.lstsq(s[:, kept], s, rcond=None)[0].T
+    kept, _, C, left = _gram_schmidt(s, RANK_TOL)
+    if left > ROUNDING * len(g):
+        raise SobolevError(f"the rank of gamma at {c} is ambiguous: a column leaves the kept "
+                           f"ones by {left:.1e} of its norm, past rounding")
+    V = (np.linalg.inv(C[:, kept]) @ C).T
     V[kept] = np.eye(len(kept))
-    return g[:, kept], V
+    _, B, T, _ = _gram_schmidt(g[:, kept], -1.0)
+    return g[:, kept], V, B, T
 
 
 @dataclass(frozen=True)
@@ -97,7 +118,7 @@ class SobolevTerm:
     """One point c with derivative couplings gamma[i, k], i <= N, k <= J.
 
     gamma is read once, here, and made read-only, so what is read from it
-    cannot go stale: gamma = U V^T at its numerical rank (`_factor`), rank =
+    cannot go stale: gamma = U V^T at its rank, U = B T (`_factor`), rank =
     U's column count (the zeros c attracts and its limit factor's exponent),
     and order, the highest derivative it couples.  An ambiguous rank refuses.
     """
@@ -106,6 +127,8 @@ class SobolevTerm:
     gamma: np.ndarray
     U: np.ndarray = field(init=False, compare=False, repr=False)
     V: np.ndarray = field(init=False, compare=False, repr=False)
+    B: np.ndarray = field(init=False, compare=False, repr=False)
+    T: np.ndarray = field(init=False, compare=False, repr=False)
     rank: int = field(init=False, compare=False)
     order: int = field(init=False, compare=False)
 
@@ -116,11 +139,12 @@ class SobolevTerm:
             raise SobolevError(f"coupling weights at {self.c} are not finite")
         if not np.any(g[-1]):
             raise SobolevError("top derivative row of gamma is identically zero")
-        U, V = _factor(g, self.c)
-        for matrix in (g, U, V):
+        U, V, B, T = _factor(g, self.c)
+        for matrix in (g, U, V, B, T):
             matrix.flags.writeable = False
         # the top row is nonzero: the order is N or the last nonzero column
-        for name, value in (("gamma", g), ("U", U), ("V", V), ("rank", U.shape[1]),
+        for name, value in (("gamma", g), ("U", U), ("V", V), ("B", B), ("T", T),
+                            ("rank", U.shape[1]),
                             ("order", int(max(np.flatnonzero(g.any(axis=0))[-1], len(g) - 1)))):
             object.__setattr__(self, name, value)
 
@@ -201,29 +225,26 @@ def _kernel_system(n: int, spec: SobolevSpec, jets: list) -> tuple:
     jets give a system that fits in double even where the jets do not.
     J = V^T E and W = U^T E, each over its factor's nonzero rows, are
     divided by the largest peak P and P' of those rows and factored as
-    P L Q.  Returns the matrix M = diag(L^-1 L'^-T / (P P')) + Q Q'^T, the
-    stacked Q', the stacked L^-1 J[:, n], and cond(M); raises SobolevError
-    past COND_LIMIT.
+    P L Q, W as T^T B^T E: U's near-parallel columns meet in L', not in a
+    sum.  Returns M = diag(L^-1 L'^-T / (P P')) + Q Q'^T, the stacked Q', the
+    stacked L^-1 J[:, n], and cond(M); raises SobolevError past COND_LIMIT.
     """
-    Q, Qw, D, rhs = [], [], [], []
+    parts = []
     for t, E in zip(spec.terms, jets):
         E = E[:, : n + 1]
         peak = np.abs(E).max(axis=1)
         E = (E / peak[:, None]).astype(complex)
         blocks = []
-        for F in (t.V, t.U):    # F^T E over F's nonzero rows k, at P = max peak[k]
-            k = np.flatnonzero(np.any(F, axis=1))
+        for F, T in ((t.V, np.eye(t.rank)), (t.B, t.T)):
+            k = np.flatnonzero(np.any(F, axis=1))    # F^T E over F's nonzero rows, at P
             P = peak[k].max()
-            blocks.append((F[k].T @ (E[k] * (peak[k] / P).astype(float)[:, None]), P))
-        (J, pj), (W, pw) = blocks
-        q, r = np.linalg.qr(J[:, :n].T)
-        qw, rw = np.linalg.qr(W[:, :n].T)
-        Li, Lwi = np.linalg.inv(r.T), np.linalg.inv(rw.T)
-        Q.append(q.T)
-        Qw.append(qw.T)
+            X = F[k].T @ (E[k] * (peak[k] / P).astype(float)[:, None])
+            q, r = np.linalg.qr(X[:, :n].T)
+            blocks.append((q.T, np.linalg.inv((r @ T).T), P, X[:, n]))
+        (q, Li, pj, jn), (qw, Lwi, pw, _) = blocks
         # 1/(P P') underflows harmlessly once the kernel part dominates
-        D.append(Li @ Lwi.T * float((1.0 / pj) * (1.0 / pw)))
-        rhs.append(Li @ J[:, n])
+        parts.append((q, qw, Li @ Lwi.T * float((1.0 / pj) * (1.0 / pw)), Li @ jn))
+    Q, Qw, D, rhs = zip(*parts)
     Qw = np.vstack(Qw)
     M = np.vstack(Q) @ Qw.T
     i = 0
@@ -269,14 +290,12 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
     with K the unconjugated kernel sum_{m<n} l_m(x) l_m(c).  With
     gamma_j = U_j V_j^T, the unknowns u = V_j^T (S_n's jets at c_j), rank_j of
     them per point, solve (I + J W^T) u = V^T (L_n's jets): J = V^T and
-    W = U^T of the jet rows l_m^(k)(c_j), m < n.  Then s = -W^T u.
-    Jet rows are divided by their largest entry, and each point's J and W
-    blocks are factored as P L Q (scalar, small lower triangle, orthonormal
-    rows).  The solve runs on v = P' L'^T u with
-    diag(L^-1 L'^-T / (P P')) + Q Q'^T, which equilibrates rows and columns
-    and takes in the near-parallel derivative rows of each point; then
-    s = -Q'^T v.  A degree whose tau_n or jets leave the double range
-    refuses with kind "overflow"; nothing else S_n is built from can.
+    W = U^T of the jet rows l_m^(k)(c_j), m < n.  Then s = -W^T u.  The
+    solve runs on v = P' L'^T u with `_kernel_system`'s matrix, which
+    equilibrates rows and columns and takes in the near-parallel derivative
+    rows of each point; then s = -Q'^T v.  A degree whose tau_n or jets
+    leave the double range refuses with kind "overflow"; nothing else S_n
+    is built from can.
     """
     s = sn_kernel_many((n,), spec, *coupling_jets(spec, base, n))[n]
     if isinstance(s, Exception):
@@ -308,11 +327,8 @@ def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
                 inv_tau = 1.0 / base.tau[n]
                 # the gate leaves no singular matrix for the solve
                 v = np.linalg.solve(M, rhs * inv_tau)
-                coeffs = np.empty(n + 1, dtype=complex)
-                coeffs[:n] = -(Qw.T @ v)
-                coeffs[n] = inv_tau
                 # c_m l_m = (c_m tau_m) L_m
-                out[n] = PolyInBasis(coeffs * base.tau[: n + 1], base)
+                out[n] = PolyInBasis(np.append(-(Qw.T @ v), inv_tau) * base.tau[: n + 1], base)
             except DEGREE_REFUSALS as exc:
                 out[n] = exc
     return {n: out[n] for n in degrees}

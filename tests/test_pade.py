@@ -13,7 +13,7 @@ from _mp_oracles import (_mp_basis_jets, _mp_poly_jet, _mp_recurrence, _mp_remai
 from relasym.extended import _mp_kernel
 from relasym.measures import rule_for
 from relasym.polybasis import PolyInBasis
-from relasym.sobolev import _lane_dps
+from relasym.sobolev import _lane_dps, coupling_jets, sn_kernel_many, sn_lambda
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
 LEG = BaseMeasureSpec("legendre")
@@ -275,6 +275,22 @@ def test_a_nearly_singular_pole_term_meets_the_cond_gate():
     with pytest.raises(SobolevError, match="ill-conditioned") as info:
         pade_denominator(20, f, TLEG)
     assert info.value.kind == "pre_asymptotic"
+
+
+@pytest.mark.parametrize("A", [(1.0, 1e-11), (1.0, 0.0, 1e-7), (1.0, 1e-20)])
+def test_a_near_singular_pole_term_keeps_the_double_lane_on_the_mp_lane(A):
+    # the pole term's columns are nearly parallel: read through an orthonormal
+    # basis, the double kernel stays on the mp lane, where W = U^T E formed in
+    # double read 2.4e-6, 4.9e-10 and 0.10 off it at n = 160
+    spec = to_sobolev_spec(StieltjesFn(LEG, ((2.0, A),)))
+    table = recurrence_for(LEG, 160)
+    built = sn_kernel_many((20, 60, 160), spec, *coupling_jets(spec, table, 160))
+    for n in (60, 160):
+        want = sn_lambda(n, spec, table).coeffs
+        gap = np.max(np.abs(built[n].coeffs - want)) / np.max(np.abs(want))
+        assert gap < 1e-11, (n, gap)
+    if A == (1.0, 1e-20):
+        assert isinstance(built[20], SobolevError) and "ill-conditioned" in str(built[20])
 
 
 @pytest.mark.parametrize("n", [40, 60])

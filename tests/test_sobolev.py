@@ -86,6 +86,72 @@ def test_a_column_is_dropped_only_at_rounding():
     assert compare_monomial(sn_kernel(20, ones, TAB), oracle, 0) > 1e-2
 
 
+GAMMAS = {"near_parallel": [[1, 1], [1, 1 + 1e-11]],
+          "wide": [[1, 1 + 1e-9, 0.3], [2, 2 - 1e-9, -1]],
+          "complex": [[1, 0.5j, 0], [0.5, 1, 1e-6], [0, 2j, 1 + 1e-8]],
+          "unit": [[0, 1], [1, 0]], "mixed": [[1, 0.3], [0, 1]]}
+
+
+def _lane_gap(n, spec, table=TAB):
+    """The largest coefficient gap between the lanes, over the largest coefficient."""
+    want = sn_lambda(n, spec, table).coeffs
+    return np.max(np.abs(sn_kernel(n, spec, table).coeffs - want)) / np.max(np.abs(want))
+
+
+def test_the_rank_is_bounded_by_the_rows():
+    # the first two columns are 1e-9 apart and the third leaves them: two rows
+    # hold at most rank 2, and the pivoted pass keeps the third column, not
+    # the near-parallel second (the sequential least-squares rule read rank 3,
+    # and the lanes were 2.2 apart at n = 20)
+    spec = SobolevSpec((SobolevTerm(2.0, GAMMAS["wide"]),))
+    (t,) = spec.terms
+    assert t.rank == 2 and t.U.tolist() == t.gamma[:, [0, 2]].tolist()
+    for n in (12, 20, 40):
+        assert _lane_gap(n, spec) < 1e-12, n
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("name", sorted(GAMMAS))
+def test_u_is_read_through_an_orthonormal_basis(name, scale):
+    # U = B T with B's columns orthonormal, for every scale of gamma: its
+    # columns are scaled by exact powers of two, so no norm overflows or rounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t = SobolevTerm(2.0, scale * np.array(GAMMAS[name]))
+    assert np.max(np.abs(t.B.conj().T @ t.B - np.eye(t.rank))) < 1e-15
+    assert np.max(np.abs(t.B @ t.T - t.U)) < 1e-15 * np.max(np.abs(t.U))
+    for matrix in (t.B, t.T):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+
+
+def test_a_unit_column_of_u_comes_back_exactly():
+    # a unit column reads as itself, so a diagonal or anti-diagonal gamma of
+    # ones (every bundled coupling) gives the blocks U gave
+    for gamma in ([[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 0], [0, 1]]):
+        t = SobolevTerm(2.0, gamma)
+        assert np.array_equal(t.B, t.U) and np.array_equal(t.T, np.eye(t.rank))
+    t = SobolevTerm(2.0, GAMMAS["mixed"])
+    assert np.array_equal((t.B @ t.T)[:, 0], t.U[:, 0])
+
+
+def test_near_parallel_columns_keep_the_ladder_falling():
+    # columns 1e-11 apart at c = 2: W = U^T E formed in double cancelled them
+    # and the ladder rose from n = 40 on (12 violations, 1.6e-2 at n = 320);
+    # read through B it falls like diag(1, 1)'s, on the extended lane's rows
+    spec = SobolevSpec((SobolevTerm(2.0, GAMMAS["near_parallel"]),))
+    cfg = dataclasses.replace(scenario("sobolev_point_pair"), target=spec, jets=0,
+                              n_ladder=(20, 40, 80, 160, 320))
+    rows = run_ratio_ladder(cfg)
+    assert monotone_violations(rows) == []
+    assert max(r.abs_err for r in rows if r.n == 320) < 2e-6
+    ext = run_ratio_ladder(dataclasses.replace(cfg, n_ladder=(20, 40, 80), precision="extended"))
+    low = [r for r in rows if r.n <= 80]
+    assert [(r.n, r.z) for r in low] == [(r.n, r.z) for r in ext]
+    for r, e in zip(low, ext):
+        assert abs(r.ratio - e.ratio) < 1e-12 * abs(e.ratio), (r.n, r.z)
+
+
 def test_spec_validation():
     with pytest.raises(SobolevError):
         SobolevSpec.diagonal([(0.5, [1.0])])           # on the cut
