@@ -28,17 +28,21 @@ roots() takes one of two routes:
   k roots, where Aberth steps converge only linearly, restarts from the
   zeros of the degree-k Taylor polynomial of p at its centroid (the
   cluster analysis of Bini & Fiorentino, Numer. Algorithms 23, 2000),
-  and every off-band root then takes Aberth steps on p until they are
-  below POLISH_TOL or |p| is at its rounding level.  On real data the
-  roots are then paired under conjugation, so that real roots are
-  exactly real and the others come in exact conjugate pairs.  A solve
-  that does not converge, or real-data roots that do not pair, refuse
-  with the kind "unconverged"; no route falls back to another.
+  and the off-band roots then take Aberth steps on p, all of them in
+  each round, until the steps are below POLISH_TOL or |p| is at its
+  rounding level.  On real data the roots are then paired under
+  conjugation, so that real roots are exactly real and the others come
+  in exact conjugate pairs.  A solve that does not converge, or
+  real-data roots that do not pair, refuse with the kind "unconverged";
+  no route falls back to another.
 
-The weights and the residual gate read one forward sweep of the
-orthonormal recurrence (_orthonormal_rows): l_k, and l_k' for the gate,
-at every point form one flat row, five in-place ufunc calls per degree
-(six with l_k'), contracted a block of degrees at a time.  The gate
+The weights, the residual gate and the extended precision finish read
+one forward sweep of the orthonormal recurrence (_orthonormal_rows), in
+double or in clongdouble: the Taylor coefficients l_k^(j) / j! through
+the order each needs (0 for the weights, 1 for the gate and the Aberth
+rounds, k for a cluster's restart) at every point form one flat row,
+four in-place ufunc calls per degree (five with derivatives) and one per
+block, contracted a block of degrees at a time (_taylor).  The gate
 scales |p| by its rounding level sum_k |c_k l_k|, which grows no faster
 than the values it sums, plus ||A|| |p'|.  A sweep out of the double
 range refuses, and a degree whose tau_n is out of it refuses first.
@@ -170,68 +174,41 @@ def _comrade_norm(table: RecurrenceTable, f: np.ndarray) -> float:
     return max(float(rows.max()), float(last.sum()))
 
 
-def _sweep(c: np.ndarray, table: RecurrenceTable, z, order: int = 1):
-    """Taylor coefficients p^(j)(z) / j!, j = 0..order, at one point z of
-    type np.clongdouble, from one forward sweep of the orthonormal recurrence
-    over the orthonormal coefficients c of p in extended precision, and the
-    rounding level u sum_k |c_k l_k(z)| of p(z).  Differentiating the recurrence j times and
-    dividing by j! gives t_{k+1,j} = ((z - b_k) t_{k,j} + t_{k,j-1}
-    - a_k t_{k-1,j}) / a_{k+1} for t_{k,j} = l_k^(j)(z) / j!.  A sweep that
-    overflows refuses."""
-    n = len(c) - 1
-    c = list(c.astype(np.clongdouble))
-    a = list(table.a[: n + 1].astype(np.longdouble))
-    shifted = list(z - table.b[:n].astype(np.longdouble))
-    orders = range(1, order + 1)
+def _taylor(c: np.ndarray, table: RecurrenceTable, z: np.ndarray, order: int,
+            work: np.ndarray):
+    """Taylor coefficients p^(j)(z) / j!, j = 0..order, at the m points z as
+    an (order + 1, m) array, and sum_k |c_k l_k(z)|, p(z)'s rounding level
+    over the unit roundoff; c the orthonormal coefficients of p.  One sweep
+    in z's number type (_orthonormal_rows), contracted with c and |c| a
+    block of degrees at a time.  A sweep that overflows refuses."""
+    m, n = z.size, len(c) - 1
+    c = c.astype(z.dtype)
+    acc, total = np.zeros((order + 1) * m, dtype=z.dtype), np.zeros(m, dtype=z.real.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        prev = [0.0] * (order + 1)
-        row = [np.longdouble(table.tau[0])] + [0.0] * order
-        acc = [c[0] * row[0]] + [0.0] * order
-        level = abs(acc[0])
-        for g, ak, a_next, ck in zip(shifted, a, a[1:], c[1:]):
-            v = (g * row[0] - ak * prev[0]) / a_next
-            nxt = [v]
-            term = ck * v
-            acc[0] += term
-            level += abs(term)
-            for j in orders:
-                v = (g * row[j] + row[j - 1] - ak * prev[j]) / a_next
-                nxt.append(v)
-                acc[j] += ck * v
-            prev, row = row, nxt
-    if not all(np.isfinite(t) for t in acc + [level]):
+        for degrees, rows in _orthonormal_rows(table, z, n + 1, order, work):
+            acc += c[degrees] @ rows
+            total += np.abs(c[degrees]) @ np.abs(rows[:, :m])
+    if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
         raise ZerosError(f"recurrence sweep overflows the double range at degree {n}",
                          kind="overflow")
-    return acc, LD_EPS * level
+    return acc.reshape(order + 1, m), total
 
 
 def _root_residuals(c: np.ndarray, table: RecurrenceTable, z: np.ndarray,
                     norm_a: float) -> np.ndarray:
     """|p(z)| / scale at every z, c the orthonormal coefficients of p.  The
     scale is the first-order rounding level sum_k |c_k l_k(z)| of the sum
-    p = sum c_k l_k, the level _sweep gives the polish, plus ||A|| |p'(z)|,
+    p = sum c_k l_k, the level the polish stops at, plus ||A|| |p'(z)|,
     since z sits an O(eps ||A||) eigenvalue perturbation away from the true
-    root.
-
-    One sweep over all m roots (_orthonormal_rows, order 1, in a workspace
-    of its own): per block of degrees one product with c adds to p and p',
-    one with |c| to the level.  A sweep that leaves the double range
-    refuses instead of passing a nan residual."""
+    root.  p, p' and the level come from one order-1 sweep over all m roots
+    in double (_taylor, in a workspace of its own)."""
     z = np.asarray(z, dtype=complex)
-    m, n = z.size, len(c) - 1
-    acc, total = np.zeros(2 * m, dtype=complex), np.zeros(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for degrees, rows in _orthonormal_rows(table, z, n + 1, 1, _workspace(m)):
-            acc += c[degrees] @ rows
-            total += np.abs(c[degrees]) @ np.abs(rows[:, :m])
-    if not (np.all(np.isfinite(acc)) and np.all(np.isfinite(total))):
-        raise ZerosError(f"recurrence sweep overflows the double range at degree {n}",
-                         kind="overflow")
+    (val, der), total = _taylor(c, table, z, 1, _workspace(z.size))
     # a root where p is exactly 0 has residual 0, whatever its scale
-    val, scale = np.abs(acc[:m]), total + norm_a * np.abs(acc[m:])
+    val, scale = np.abs(val), total + norm_a * np.abs(der)
     if np.any((scale == 0.0) & (val > 0.0)):
         raise ZerosError("zero evaluation scale at computed root")
-    return np.divide(val, scale, out=np.zeros(m), where=val > 0.0)
+    return np.divide(val, scale, out=np.zeros(z.size), where=val > 0.0)
 
 
 def _secular_weights(table: RecurrenceTable, f: np.ndarray, work: np.ndarray):
@@ -274,7 +251,7 @@ def _secular_roots(c: np.ndarray, table: RecurrenceTable, f: np.ndarray) -> np.n
     z = t.astype(complex)
     live = np.abs(beta) > EPS * np.max(np.abs(t))
     z[live] = _aberth(t[live], beta[live], len(f), work)
-    _polish(c, table, z)
+    _polish(c, table, z, work)
     if not np.any(f.imag):
         _pair_conjugates(z, work)
     return z
@@ -299,33 +276,45 @@ def _row_blocks(work: np.ndarray, count: int, m: int):
 
 def _orthonormal_rows(table: RecurrenceTable, z: np.ndarray, count: int, order: int,
                       work: np.ndarray):
-    """l_k at the m points z, and l_k' for order 1, for the degrees k < count,
-    by one forward sweep, a block of degrees at a time in the workspace
-    viewed in z's number type: yields (degrees, block), block[i] the flat
-    row [l_k, l_k'] of degree k = degrees.start + i.  A degree is one step
-    l_{k+1} = ((z - b_k) l_k + [0, l_k] - a_k l_{k-1}) / a_{k+1} of the whole
-    row, with a_k applied to its floats.  The caller owns np.errstate."""
+    """Taylor rows t_{k,j} = l_k^(j)(z) / j!, j = 0..order, at the m points z,
+    for the degrees k < count, by one forward sweep, a block of degrees at a
+    time in the workspace viewed in z's number type: yields (degrees, block),
+    block[i] the flat row [t_{k,0}, ..., t_{k,order}] of degree
+    k = degrees.start + i.  Differentiating the recurrence j times and
+    dividing by j! makes a degree one step of the whole row,
+    t_{k+1} = ((z - b_k) t_k + [0, t_{k,0..order-1}] - a_k t_{k-1}) / a_{k+1},
+    with a_k applied to the row viewed as reals.  The caller owns np.errstate."""
     m, zz = z.size, np.tile(z, order + 1)
-    # the rows of degrees k - 2 and k - 1, and the floats of a_k l_{k-1}
-    edge, tmp = np.zeros((2, zz.size), dtype=z.dtype), np.empty(zz.nbytes // 8)
-    # 0-d views, not scalars, which numpy converts on every call at the call's cost
-    b = table.b[: count - 1].astype(z.dtype)
-    b, a = [b[k, ...] for k in range(count - 1)], [table.a[k, ...] for k in range(count)]
+    # the rows of degrees k - 2 and k - 1, and a_k t_{k-1} viewed as reals
+    real = zz.real.dtype
+    edge, tmp = np.zeros((2, zz.size), dtype=z.dtype), np.empty(zz.nbytes // real.itemsize, real)
+    # b_{k-1} at degree k; a_{k-1} and a_k as 0-d views, not scalars, which
+    # numpy converts on every call at the call's cost; the ufuncs as locals,
+    # since rows of a few points make a degree's cost the calls' own
+    add, mul, sub, div = np.add, np.multiply, np.subtract, np.divide
+    b = np.append(0.0, table.b[: count - 1]).astype(z.dtype)
+    a = table.a[:count].astype(real)
+    a = [a[k, ...] for k in range(count)]
+    a_prev = [None, *a[:-1]]
     for degrees, block in _row_blocks(work.view(z.dtype), count, zz.size):
-        rows, flat = [*edge, *block], [*edge.view(float), *block.view(float)]
-        val, der = [*edge[:, :m], *block[:, :m]], [*edge[:, m:], *block[:, m:]]
-        for i, k in enumerate(range(degrees.start, degrees.stop)):
-            out = rows[i + 2]
-            if k == 0:
-                out[:], out[:m] = 0.0, table.tau[0]
-                continue
-            np.subtract(zz, b[k - 1], out=out)
-            np.multiply(out, rows[i + 1], out=out)
+        rows, flat = [*edge, *block], [*edge.view(real), *block.view(real)]
+        low, high = [*edge[:, :-m], *block[:, :-m]], [*edge[:, m:], *block[:, m:]]
+        # z - b_{k-1} in every row of the block, which each step multiplies in place
+        np.subtract(zz, b[degrees, None], out=block)
+        # per degree k: rows k - 1 and k, the real views of rows k - 2 and k,
+        # the orders of row k - 1 below its top and of row k above 0, a_{k-1}, a_k
+        steps = zip(rows[1:], rows[2:], flat, flat[2:], low[1:], high[2:],
+                    a_prev[degrees], a[degrees])
+        if degrees.start == 0:
+            next(steps)
+            block[0], block[0, :m] = 0.0, table.tau[0]
+        for prev, out, back, out_r, lo, hi, a_back, a_k in steps:
+            mul(out, prev, out)
             if order:
-                np.add(der[i + 2], val[i + 1], out=der[i + 2])
-            np.multiply(flat[i], a[k - 1], out=tmp)
-            np.subtract(flat[i + 2], tmp, out=flat[i + 2])
-            np.divide(flat[i + 2], a[k], out=flat[i + 2])
+                add(hi, lo, hi)
+            mul(back, a_back, tmp)
+            sub(out_r, tmp, out_r)
+            div(out_r, a_k, out_r)
         edge[:] = rows[-2:]
         yield degrees, block
 
@@ -437,44 +426,47 @@ def _clusters(z: np.ndarray, idx, dist: np.ndarray) -> list:
     return groups
 
 
-def _polish(c: np.ndarray, table: RecurrenceTable, z: np.ndarray) -> None:
+def _polish(c: np.ndarray, table: RecurrenceTable, z: np.ndarray, work: np.ndarray) -> None:
     """Finish the roots off the band in place, in extended precision: in
     double, the recurrence's rounding error alone moves a near-double
     attracted pair by ~1e-8.  A cluster of k > 1 roots first moves to the k
     zeros of the degree-k Taylor polynomial of p at its centroid, from one
-    sweep that carries orders 0..k.  Then each off-band root takes Aberth
-    steps on p until a step is at most POLISH_TOL |z| or |p| is at its
-    rounding level, where a step is noise; a root still moving after
-    POLISH_STEPS refuses."""
+    sweep that carries orders 0..k.  Then the off-band roots take Aberth
+    steps on p, one order-1 sweep over all of them per round, until a step
+    is at most POLISH_TOL |z| or |p| is at its rounding level, where a step
+    is noise; a root still moving after POLISH_STEPS rounds refuses.  The
+    sweeps run in a clongdouble workspace of BLOCK entries (or one row),
+    the sums of 1/(z_j - z_i) a block of rows at a time in the solve's."""
     dist = dist_to_cut(z)
-    off = np.flatnonzero(dist > SUPPORT_BAND).tolist()
+    off = np.flatnonzero(dist > SUPPORT_BAND)
+    ext = np.empty(max(BLOCK, 2 * off.size), dtype=np.clongdouble)
     with np.errstate(divide="ignore", invalid="ignore"):
         for group in _clusters(z, off, dist):
             if len(group) > 1:
-                center = np.clongdouble(z[group].mean())
-                taylor = _sweep(c, table, center, len(group))[0]
+                center = z[group].mean()
+                taylor = _taylor(c, table, np.full(1, center, np.clongdouble), len(group), ext)
+                taylor = taylor[0][:, 0]
                 if taylor[-1] != 0:   # monic in extended precision: no double overflow
-                    monic = np.array([t / taylor[-1] for t in taylor[::-1]], dtype=complex)
-                    z[group] = complex(center) + np.roots(monic)
+                    z[group] = center + np.roots((taylor[::-1] / taylor[-1]).astype(complex))
         for _ in range(POLISH_STEPS):
-            moving = []
-            for j in off:
-                zj = np.clongdouble(z[j])
-                (val, der), level = _sweep(c, table, zj)
-                if der == 0 or abs(val) <= level:
-                    continue
-                newton = val / der
-                gaps = z[j] - z
-                gaps[j] = np.inf
-                step = newton / (1 - newton * np.sum(1.0 / gaps))
-                z[j] = complex(zj - step)
-                if abs(step) > POLISH_TOL * abs(z[j]):
-                    moving.append(j)
-            if not moving:
+            if not off.size:
                 return
-            off = moving
-    raise ZerosError(f"root polish did not converge at degree {z.size}",
-                     kind="unconverged")
+            zl = z[off].astype(np.clongdouble)
+            (val, der), total = _taylor(c, table, zl, 1, ext)
+            live = (der != 0) & (np.abs(val) > LD_EPS * total)
+            off, newton = off[live], val[live] / der[live]
+            near = np.empty(off.size, dtype=complex)
+            for rows, blk in _row_blocks(work, off.size, z.size):
+                np.subtract.outer(z[off[rows]], z, out=blk)
+                blk[np.arange(len(blk)), off[rows]] = np.inf
+                np.reciprocal(blk, out=blk)
+                near[rows] = blk.sum(axis=1)
+            step = newton / (1 - newton * near)
+            z[off] = (zl[live] - step).astype(complex)
+            off = off[np.abs(step) > POLISH_TOL * np.abs(z[off])]
+    if off.size:
+        raise ZerosError(f"root polish did not converge at degree {z.size}",
+                         kind="unconverged")
 
 
 def roots(p: PolyInBasis) -> list[complex]:

@@ -5,14 +5,18 @@ point c to conj(c) and every probe z to conj(z) conjugates the Sobolev
 ratio S_n(z) / L_n(z) exactly, bit for bit, and refuses the same degrees
 with the same kind: every step of the double lane is a field operation
 or a modulus, and IEEE arithmetic commutes with conjugation in both.
+The roots of S_n, polish included, come out as the exact conjugates of
+the roots at c for the same reason.
 """
 import random
 
 import numpy as np
 import pytest
 
-from relasym import BaseMeasureSpec, SobolevSpec, recurrence_for
+from relasym import BaseMeasureSpec, SobolevSpec, recurrence_for, roots, sn_kernel
+from relasym.joukowski import dist_to_cut
 from relasym.sobolev import SobolevTerm, coupling_jets, sn_kernel_many
+from relasym.zeros import SUPPORT_BAND
 
 LADDER = (4, 10, 20, 40, 80, 160, 320, 500)
 PROBES = (3.0, -2.5, 1.5 + 1.5j, 0.4 + 0.7j)
@@ -74,3 +78,21 @@ def test_conjugation_conjugates_the_ratio_exactly(seed):
             assert mirrored[n] == given[n], (seed, n)
         else:
             np.testing.assert_array_equal(mirrored[n], np.conj(given[n]), err_msg=f"n = {n}")
+
+
+@pytest.mark.parametrize("measure", [BaseMeasureSpec("legendre"),
+                                     BaseMeasureSpec("jacobi", 0.5, -0.5, ((1.8, 0.3),))],
+                         ids=["legendre", "jacobi_atom"])
+@pytest.mark.parametrize("c, gamma", [(2j, np.eye(2)), (1.5 + 0.5j, np.eye(3)),
+                                      (0.3 + 1.2j, np.array([[1.0, 0.5], [0.5, 2.0]])),
+                                      (-2.0 + 1j, np.diag([0.0, 1.0]))],
+                         ids=["diag11", "I3", "full", "diag01"])
+@pytest.mark.parametrize("n", [60, 180])
+def test_conjugation_conjugates_the_roots_exactly(measure, c, gamma, n):
+    # the secular solve, the extended precision polish of the roots c
+    # attracts (clusters included) and the residual gate, bit for bit
+    table = recurrence_for(measure, n + 2)
+    given, mirrored = (np.array(roots(sn_kernel(n, SobolevSpec((SobolevTerm(w, gamma),)), table)))
+                       for w in (c, np.conj(c)))
+    assert np.any(dist_to_cut(given) > SUPPORT_BAND)
+    np.testing.assert_array_equal(np.sort_complex(mirrored), np.sort_complex(np.conj(given)))

@@ -268,7 +268,7 @@ def test_every_pole_term_has_full_rank(A):
 
 
 def test_a_nearly_singular_pole_term_meets_the_cond_gate():
-    # full rank, but its kernel system is past COND_LIMIT (cond ~ 7.09e14):
+    # full rank, but its kernel system is past COND_LIMIT (cond ~ 1.77e20):
     # a numerical limit, refused as one
     f = StieltjesFn(LEG, ((2.0, (1.0, 1e-20)),))
     assert to_sobolev_spec(f).terms[0].rank == 2

@@ -59,7 +59,8 @@ def test_regularity_does_not_depend_on_the_scale_of_gamma(scale):
         singular = term([[1.0, 1.0], [1.0, 1.0]])
     assert singular.rank == 1
     assert singular.U.tolist() == [[scale], [scale]]
-    np.testing.assert_allclose(singular.V, [[1], [1]], rtol=1e-15)    # lstsq's coordinates
+    # the Gram-Schmidt pass's coordinates
+    np.testing.assert_allclose(singular.V, [[1], [1]], rtol=1e-15)
 
 
 def test_a_column_is_dropped_only_at_rounding():

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import tracemalloc
 import warnings
+from math import factorial
 
 import mpmath as mp
 import numpy as np
@@ -399,31 +400,39 @@ def test_secular_weights_match_the_lagrange_form(measure):
 @pytest.mark.parametrize("n", [180, 400])
 @pytest.mark.parametrize("layout", ["one block", "ten blocks"])
 def test_orthonormal_rows_match_the_jets_across_blocks(n, layout):
-    # the sweep the weights and the gate share, order 0 at the Chebyshev
-    # points and order 1 at the roots of both secular routes, is tau_k
-    # times the monic jets at every degree, in a workspace that holds every
-    # degree and in one that cuts them into at least 10 blocks, so that a
-    # row dropped or repeated at a block boundary fails
+    # the sweep the weights, the gate and the polish share is tau_k / j!
+    # times the monic jets at every degree and order: order 0 at the
+    # Chebyshev points, order 1 at the roots of both secular routes, and
+    # orders 2 and 3, as a cluster's Taylor restart reads them, at the
+    # roots in double and in clongdouble.  It holds in a workspace that
+    # holds every degree and in one that cuts them into at least 10
+    # blocks, so that a row dropped or repeated at a block boundary fails
     cheb = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
-    for name, z, order in [("pade_gonchar", cheb, 0), ("pade_gonchar", None, 1),
-                           ("sobolev_point_pair", None, 1)]:
+    for name, z, order, dtype in [("pade_gonchar", cheb, 0, float),
+                                  ("pade_gonchar", None, 1, complex),
+                                  ("sobolev_point_pair", None, 1, complex),
+                                  ("pade_gonchar", None, 2, complex),
+                                  ("sobolev_point_pair", None, 1, np.clongdouble),
+                                  ("pade_gonchar", None, 2, np.clongdouble),
+                                  ("sobolev_point_pair", None, 3, np.clongdouble)]:
         p = _target(name, n)
-        z = np.array(roots(p)) if z is None else z
+        z = np.array(roots(p) if z is None else z)
         width = (order + 1) * z.size
         height = n + 1 if layout == "one block" else n // 11
-        work = np.empty(height * width, dtype=z.dtype)
+        work = np.empty(height * width, dtype=dtype)
         blocks = [(degrees, block.copy()) for degrees, block
-                  in zeros_module._orthonormal_rows(p.table, z, n + 1, order, work)]
+                  in zeros_module._orthonormal_rows(p.table, z.astype(dtype), n + 1, order, work)]
         assert len(blocks) == 1 if layout == "one block" else len(blocks) >= 10
+        assert all(block.dtype == dtype for _, block in blocks)
         degrees = np.concatenate([np.arange(n + 1)[d] for d, _ in blocks])
         np.testing.assert_array_equal(degrees, np.arange(n + 1))
         # per degree and order, relative to the largest value over the points:
         # the sweep and the jets round differently next to a zero of l_k
         got = np.concatenate([block for _, block in blocks]).reshape(n + 1, order + 1, -1)
         jets = basis_jets(p.table, n, z, order) * p.table.tau[: n + 1, None]
-        want = jets.transpose(1, 0, 2)
+        want = jets.transpose(1, 0, 2) / [[factorial(j)] for j in range(order + 1)]
         scale = np.max(np.abs(want), axis=2, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (name, order, dtype)
 
 
 def _kernel_poly(measure, n, rng, real):
@@ -637,23 +646,25 @@ def test_attracted_pair_finishes_within_sweep_budget(monkeypatch, n):
     # the pair pade_gonchar attracts to 2i is a k = 2 cluster.  It leaves
     # the secular sweeps once its steps shrink linearly, within 18 sweeps
     # (their rounding stall comes at 21 or 22); then one Taylor sweep at its
-    # centroid and at most two Aberth rounds finish it, 2k + 1 extended
-    # sweeps in all, within 1e-8 of its 50-digit values
+    # centroid and at most two Aberth rounds, each one sweep over both
+    # roots, finish it: 3 extended precision sweeps in all, within 1e-8 of
+    # its 50-digit values
     monkeypatch.setattr(zeros_module, "MAX_SWEEPS", 18)
     cfg = scenario("pade_gonchar")
     q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
     sweeps = []
-    real_sweep = zeros_module._sweep
+    real_rows = zeros_module._orthonormal_rows
 
-    def counting(*args):
-        sweeps.append(args)
-        return real_sweep(*args)
+    def counting(table, z, *args):
+        if z.dtype == np.clongdouble:
+            sweeps.append(z)
+        return real_rows(table, z, *args)
 
-    monkeypatch.setattr(zeros_module, "_sweep", counting)
+    monkeypatch.setattr(zeros_module, "_orthonormal_rows", counting)
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
     assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
-    assert len(sweeps) <= 2 * pair.size + 1
+    assert 1 <= len(sweeps) <= 3
     for t in _mp_refined(q, _ring(2j, 2)):
         assert np.min(np.abs(pair - t)) <= 1e-8
 
