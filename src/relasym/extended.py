@@ -9,10 +9,10 @@ its pole jets from it (`_mp_square_jets`); its error sum runs in double.
 
 The lane is the double lane's code on another table: `_mp_ab` rebuilds
 the recurrence table in mp with the double table's own builder
-(`measures._table`, a, b and tau alike), and
-`coupling_jets` (`basis_jets`) and `_kernel_system` run on it in its
-number type.  So the lane derives no measure, sweeps no jets and
-assembles no gate of its own, and uses no quadrature anywhere.
+(`measures._table`, a, b and tau alike), and `coupling_jets` (one
+`_orthonormal_rows` sweep) and `_kernel_system` run on it in its number
+type.  So the lane derives no measure, sweeps no jets and assembles no
+gate of its own, and uses no quadrature anywhere.
 """
 from __future__ import annotations
 
@@ -61,7 +61,8 @@ def _mp_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable, dps: int) -> di
     if refused:
         raise refused[n]
     with mpmath.workdps(dps):
-        table, jets = coupling_jets(spec, _mp_ab(base, n), n)
+        table = _mp_ab(base, n)
+        jets = coupling_jets(spec, table, n)
         cond = _kernel_system(n, spec, jets)[-1]
         # converted once, not per product; factor rows past E's are zero
         mpc = np.frompyfunc(mpmath.mpc, 1, 1)

@@ -319,9 +319,13 @@ def _table(spec: BaseMeasureSpec, nmax: int, alpha, beta, mass) -> RecurrenceTab
     """
     if nmax < 1:
         raise MeasureError("nmax must be >= 1")
+    too_deep = MeasureError(f"a table through degree {nmax:.3g} is more than numpy can allocate")
     if nmax > MAX_DEPTH:
-        raise MeasureError(f"a table through degree {nmax:.3g} is more than numpy can allocate")
-    b, asq = _jacobi_ab(alpha, beta, nmax + 1)
+        raise too_deep
+    try:
+        b, asq = _jacobi_ab(alpha, beta, nmax + 1)
+    except MemoryError:    # a depth numpy accepts but the host cannot hold
+        raise too_deep from None
     num = type(mass)    # the atoms are summed and swept in mass's number type
     # a second sweep at a node the discrete measure already has absorbs
     # its delta wrongly

@@ -38,7 +38,7 @@ from .measures import DEGREE_REFUSALS, RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import solve_Q  # noqa: F401
-from .polybasis import PolyInBasis, basis_jets
+from .polybasis import PolyInBasis, _orthonormal_rows
 
 __all__ = [
     "SobolevTerm",
@@ -257,30 +257,28 @@ def _kernel_system(n: int, spec: SobolevSpec, jets: list) -> tuple:
     return M, Qw, np.concatenate(rhs), cond
 
 
-def coupling_jets(spec: SobolevSpec, base: RecurrenceTable, top: int,
-                  probes: tuple = (), order: int = 0) -> tuple[RecurrenceTable, list]:
-    """The table sn_kernel needs through degree top, and on it the
-    orthonormal jets at each coupling point through degree top, to the
-    highest derivative its gamma couples.
+def coupling_jets(spec: SobolevSpec, table: RecurrenceTable, top: int) -> list:
+    """The orthonormal jets at each coupling point through degree top, to the
+    highest derivative its gamma couples: per point an (order + 1, top + 1)
+    array, [j, m] = l_m^(j)(c), on a table through top.
 
-    One forward sweep serves every point and every degree n <= top: a value
-    at degree k depends neither on how far the sweep runs nor on the other
-    points and orders swept with it.  Each point's slice is scaled to
-    orthonormal on its own.  The probes, if any, ride the same sweep to
-    `order`; their monic jets (order+1, top+1, len(probes)) come last.
-    The jets take the table's number type.
+    One forward sweep of the orthonormal recurrence (`_orthonormal_rows`),
+    in one block, serves every point and every degree n <= top: a value at
+    degree m depends neither on how far the sweep runs nor on the other
+    points and orders swept with it.  The sweep gives l_m^(j) / j!, so the
+    rows of order j >= 2 are multiplied by j!.  The jets take the table's
+    number type: complex on a double table, mpmath's mpc on the mp lane's.
     """
-    deg = max(top, 0)
-    orders = [t.order for t in spec.terms]
+    dtype = np.result_type(table.b, complex)
+    order = max(t.order for t in spec.terms)
+    z = np.array([t.c for t in spec.terms], dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
-        base = table_through(base, top)
-        swept = basis_jets(base, deg, np.array([t.c for t in spec.terms] + list(probes)),
-                           max(orders + [order]))
-        tau = base.tau[: deg + 1]
-        out = [swept[: k + 1, :, i] * tau for i, k in enumerate(orders)]
-    if probes:
-        out.append(swept[: order + 1, :, len(orders):])
-    return base, out
+        (_, rows), = _orthonormal_rows(table, z, top + 1, order,
+                                       np.empty((top + 1) * (order + 1) * z.size, dtype))
+        rows = rows.reshape(top + 1, order + 1, z.size)
+        for j in range(2, order + 1):
+            rows[:, j] *= math.factorial(j)
+    return [np.ascontiguousarray(rows[:, : t.order + 1, i].T) for i, t in enumerate(spec.terms)]
 
 
 def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
@@ -297,22 +295,22 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
     leave the double range refuses with kind "overflow"; nothing else S_n
     is built from can.
     """
-    s = sn_kernel_many((n,), spec, *coupling_jets(spec, base, n))[n]
+    s = sn_kernel_many((n,), spec, base)[n]
     if isinstance(s, Exception):
         raise s
     return s
 
 
-def sn_kernel_many(degrees, spec: SobolevSpec, base: RecurrenceTable,
-                   jets: list) -> dict:
-    """sn_kernel at each degree, from (base, jets) = coupling_jets(spec, table,
-    top) with top >= every degree: degree -> S_n as a PolyInBasis, or the
+def sn_kernel_many(degrees, spec: SobolevSpec, table: RecurrenceTable) -> dict:
+    """sn_kernel at each degree: degree -> S_n as a PolyInBasis, or the
     SobolevError that degree refuses with.
 
-    The spec's refusals are checked once; then each degree's bordered system
+    The spec's refusals are checked once and the jets swept once, through
+    the deepest degree (`coupling_jets`); then each degree's bordered system
     is assembled, gated and solved on its own.
     """
-    base, out = _refusals(degrees, spec, base)
+    base, out = _refusals(degrees, spec, table)
+    jets = coupling_jets(spec, base, max(degrees))
     for n in degrees:
         if n not in out:
             try:

@@ -33,7 +33,7 @@ from .measures import DEGREE_REFUSALS, BaseMeasureSpec, RecurrenceTable, recurre
 from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
 from .pade import StieltjesFn, to_sobolev_spec
 from .polybasis import PolyInBasis, basis_jets
-from .sobolev import SobolevSpec, coupling_jets, sn_kernel_many, sn_lambda
+from .sobolev import SobolevSpec, sn_kernel_many, sn_lambda
 from .zeros import cluster, roots
 
 __all__ = [
@@ -258,13 +258,11 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     sn_kernel_many in double, or sn_lambda per degree in mpmath when the
     precision is extended.  A target that is the base (_reads_base) is L_n.
 
-    Callers build the table two degrees past the deepest target.  The double
-    kernel builder sweeps the jets at every coupling point once, through
-    that degree (coupling_jets), and the probes ride the same sweep:
+    Callers build the table two degrees past the deepest target, and the
+    probes' monic jets come from one basis_jets call through that degree:
     probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order` (None without probes).
     """
     degrees = list(dict.fromkeys(degrees))
-    top = max([table.nmax - 2, *degrees])
     if _reads_base(cfg):
         built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
     elif cfg.target_kind == "modified":
@@ -272,16 +270,15 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
     else:
         sob = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
         if cfg.precision == "double":
-            base, jets = coupling_jets(sob, table, top, probes, order)
-            probe_jets = jets.pop() if probes else None
-            return sn_kernel_many(degrees, sob, base, jets), probe_jets
-        built = {}
-        for n in degrees:
-            try:
-                built[n] = sn_lambda(n, sob, table)
-            except DEGREE_REFUSALS as exc:
-                built[n] = exc
-    probe_jets = basis_jets(table, top, np.array(probes), order) if probes else None
+            built = sn_kernel_many(degrees, sob, table)
+        else:
+            built = {}
+            for n in degrees:
+                try:
+                    built[n] = sn_lambda(n, sob, table)
+                except DEGREE_REFUSALS as exc:
+                    built[n] = exc
+    probe_jets = basis_jets(table, table.nmax - 2, np.array(probes), order) if probes else None
     return built, probe_jets
 
 
@@ -376,7 +373,7 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
         degrees = sorted({m for n in cfg.n_ladder
                           for m in ((n, n + 1) if "step" in target_forms else (n,))}
                          ) if target_forms else []
-        # every probe, degree and order a law reads in the builder's own sweep
+        # every probe, degree and order a law reads, from one sweep of the probes
         built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + max(
             _EXTRA_ORDER[_LAWS[law][1]] for law in laws))
         target = _target_jets(built, probe_jets, cfg.jets + max(

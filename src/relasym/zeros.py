@@ -62,7 +62,7 @@ import numpy as np
 
 from .joukowski import dist_to_cut
 from .measures import RecurrenceTable, table_through
-from .polybasis import PolyInBasis
+from .polybasis import PolyInBasis, _orthonormal_rows, _row_blocks
 from .reader import ConfigError, Refusal
 
 __all__ = [
@@ -262,61 +262,6 @@ def _workspace(n: int) -> np.ndarray:
     roots: BLOCK entries, n x n if fewer, or a gate row of 2n if more; its
     blocks tie the root bits past n = 128 to BLOCK (_secular_weights)."""
     return np.empty(max(2 * n, min(n * n, BLOCK)), dtype=complex)
-
-
-def _row_blocks(work: np.ndarray, count: int, m: int):
-    """(rows, block) per run of max(1, work.size // m) consecutive rows out
-    of count: rows the slice of the row range, block a (rows, m) view of
-    the workspace."""
-    height = max(1, work.size // max(1, m))
-    for start in range(0, count, height):
-        stop = min(start + height, count)
-        yield slice(start, stop), work[: (stop - start) * m].reshape(stop - start, m)
-
-
-def _orthonormal_rows(table: RecurrenceTable, z: np.ndarray, count: int, order: int,
-                      work: np.ndarray):
-    """Taylor rows t_{k,j} = l_k^(j)(z) / j!, j = 0..order, at the m points z,
-    for the degrees k < count, by one forward sweep, a block of degrees at a
-    time in the workspace viewed in z's number type: yields (degrees, block),
-    block[i] the flat row [t_{k,0}, ..., t_{k,order}] of degree
-    k = degrees.start + i.  Differentiating the recurrence j times and
-    dividing by j! makes a degree one step of the whole row,
-    t_{k+1} = ((z - b_k) t_k + [0, t_{k,0..order-1}] - a_k t_{k-1}) / a_{k+1},
-    with a_k applied to the row viewed as reals.  The caller owns np.errstate."""
-    m, zz = z.size, np.tile(z, order + 1)
-    # the rows of degrees k - 2 and k - 1, and a_k t_{k-1} viewed as reals
-    real = zz.real.dtype
-    edge, tmp = np.zeros((2, zz.size), dtype=z.dtype), np.empty(zz.nbytes // real.itemsize, real)
-    # b_{k-1} at degree k; a_{k-1} and a_k as 0-d views, not scalars, which
-    # numpy converts on every call at the call's cost; the ufuncs as locals,
-    # since rows of a few points make a degree's cost the calls' own
-    add, mul, sub, div = np.add, np.multiply, np.subtract, np.divide
-    b = np.append(0.0, table.b[: count - 1]).astype(z.dtype)
-    a = table.a[:count].astype(real)
-    a = [a[k, ...] for k in range(count)]
-    a_prev = [None, *a[:-1]]
-    for degrees, block in _row_blocks(work.view(z.dtype), count, zz.size):
-        rows, flat = [*edge, *block], [*edge.view(real), *block.view(real)]
-        low, high = [*edge[:, :-m], *block[:, :-m]], [*edge[:, m:], *block[:, m:]]
-        # z - b_{k-1} in every row of the block, which each step multiplies in place
-        np.subtract(zz, b[degrees, None], out=block)
-        # per degree k: rows k - 1 and k, the real views of rows k - 2 and k,
-        # the orders of row k - 1 below its top and of row k above 0, a_{k-1}, a_k
-        steps = zip(rows[1:], rows[2:], flat, flat[2:], low[1:], high[2:],
-                    a_prev[degrees], a[degrees])
-        if degrees.start == 0:
-            next(steps)
-            block[0], block[0, :m] = 0.0, table.tau[0]
-        for prev, out, back, out_r, lo, hi, a_back, a_k in steps:
-            mul(out, prev, out)
-            if order:
-                add(hi, lo, hi)
-            mul(back, a_back, tmp)
-            sub(out_r, tmp, out_r)
-            div(out_r, a_k, out_r)
-        edge[:] = rows[-2:]
-        yield degrees, block
 
 
 def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:

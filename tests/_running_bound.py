@@ -2,7 +2,7 @@
 absolute values, kept as an oracle: the gate's rounding level must never
 read a smaller residual than this bound, so the gate rejects every root set
 the bound rejected.  The rows of l_k and l_k' come from the gate's own sweep
-(zeros._orthonormal_rows), and p, p' and the bound are contracted per block
+(polybasis._orthonormal_rows), and p, p' and the bound are contracted per block
 as the gate contracts p, p' and its level, so the two residuals compare
 without a tolerance."""
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from relasym.measures import RecurrenceTable
-from relasym.zeros import ZerosError, _orthonormal_rows, _workspace
+from relasym.polybasis import _orthonormal_rows
+from relasym.zeros import ZerosError, _workspace
 
 
 def running_bound_residuals(c: np.ndarray, table: RecurrenceTable, z: np.ndarray,

@@ -360,6 +360,10 @@ BAD_CONFIGS = {
                   "degree 4.61e+18 is more than numpy can allocate"),
     "nmax_1e300": ("recurrence", {"weight_kind": "legendre", "nmax": 1e300},
                    "degree 1e+300 is more than numpy can allocate"),
+    # a size numpy accepts but no 64-bit address space holds: its allocation
+    # fails at once, and ended in a MemoryError's traceback, exit 1
+    "nmax_1e17": ("recurrence", {"weight_kind": "legendre", "nmax": 1e17},
+                  "degree 1e+17 is more than numpy can allocate"),
     "n_ladder_1e300": ("verify", {"measure": LEGENDRE, "n_ladder": [10, 1e300]},
                        "more than numpy can allocate"),
     "zero_degree_1e300": ("zeros", {"measure": LEGENDRE, "zero_degrees": [1e300]},

@@ -13,9 +13,9 @@ import random
 import numpy as np
 import pytest
 
-from relasym import BaseMeasureSpec, SobolevSpec, recurrence_for, roots, sn_kernel
+from relasym import BaseMeasureSpec, SobolevSpec, basis_jets, recurrence_for, roots, sn_kernel
 from relasym.joukowski import dist_to_cut
-from relasym.sobolev import SobolevTerm, coupling_jets, sn_kernel_many
+from relasym.sobolev import SobolevTerm, sn_kernel_many
 from relasym.zeros import SUPPORT_BAND
 
 LADDER = (4, 10, 20, 40, 80, 160, 320, 500)
@@ -56,10 +56,9 @@ def _case(seed: int) -> tuple:
 
 def _ratios(spec: SobolevSpec, table, probes) -> dict:
     """degree -> S_n(z) / L_n(z) at the probes, or the refusal's (type, kind)."""
-    base, jets = coupling_jets(spec, table, LADDER[-1], probes)
-    monic = jets.pop()[0]
+    monic = basis_jets(table, LADDER[-1], np.array(probes))[0]
     out = {}
-    for n, s in sn_kernel_many(LADDER, spec, base, jets).items():
+    for n, s in sn_kernel_many(LADDER, spec, table).items():
         out[n] = ((type(s), s.kind) if isinstance(s, Exception)
                   else s.coeffs @ monic[: n + 1] / monic[n])
     return out

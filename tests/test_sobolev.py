@@ -234,7 +234,7 @@ def test_kernel_vs_lambda_paths(name):
 
 def _cond(n, spec, table):
     """The double lane's gated condition number at degree n."""
-    return _kernel_system(n, spec, coupling_jets(spec, table, n)[1])[-1]
+    return _kernel_system(n, spec, coupling_jets(spec, table, n))[-1]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -327,7 +327,7 @@ def test_kernel_builds_until_what_s_n_is_built_from_overflows(kind):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)    # tau_1025 or tau_1026 is inf
             table = recurrence_for(measure, first)
-        out = sn_kernel_many(degrees, spec, *coupling_jets(spec, table, first))
+        out = sn_kernel_many(degrees, spec, table)
         refused = out.pop(first)
         assert isinstance(refused, SobolevError) and refused.kind == "overflow", refused
         for n, s in out.items():

@@ -389,14 +389,17 @@ def _pointwise_ratio(law, table, polys, n, z, nu):
 
 
 def test_batched_ladder_matches_pointwise(monkeypatch):
-    # one basis_jets call per run: the builder's points, then the probes
-    calls = _count_jets(monkeypatch)
+    # per run, one basis_jets call over exactly the probes, and one
+    # orthonormal sweep over exactly the coupling points per kernel build
+    calls, sweeps = _count_sweeps(monkeypatch)
     for name in SCENARIOS:
         cfg = scenario(name)
         calls.clear()
+        sweeps.clear()
         rows = run_ratio_ladder(cfg)
-        assert [list(np.atleast_1d(z)) for z in calls] == [
-            _builder_points(cfg) + list(cfg.probe_points)]
+        assert calls == [list(cfg.probe_points)]
+        points = _builder_points(cfg)
+        assert sweeps == ([points] if points else [])
         table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
         polys = _targets(cfg, table, {m for n in cfg.n_ladder for m in (n, n + 1)})[0]
         for row in rows:
@@ -424,8 +427,7 @@ def test_probes_swept_to_the_orders_their_laws_read(monkeypatch):
             return orig(*args, **kwargs)
         return wrapped
 
-    for fname in ("coupling_jets", "basis_jets"):
-        monkeypatch.setattr(verify, fname, recording(fname))
+    monkeypatch.setattr(verify, "basis_jets", recording("basis_jets"))
     got = {}
     for name in SCENARIOS:
         orders.clear()
@@ -509,8 +511,8 @@ def _per_degree_target(cfg, n, table):
 
 
 def _builder_points(cfg) -> list:
-    """The points the double builder sweeps its jets at, in sweep order; the
-    modified table reads no jets."""
+    """The points the double kernel builder sweeps its jets at, in sweep
+    order; the modified table reads no jets."""
     if cfg.target_kind == "sobolev":
         return [t.c for t in cfg.target.terms]
     if cfg.target_kind == "pade":
@@ -518,18 +520,25 @@ def _builder_points(cfg) -> list:
     return []
 
 
-def _count_jets(monkeypatch) -> list:
-    calls = []
-    orig = polybasis.basis_jets
+def _count_sweeps(monkeypatch) -> tuple:
+    """(calls, sweeps): the points of each basis_jets call in the package,
+    and of each orthonormal sweep the kernel builder makes, in call order."""
+    calls, sweeps = [], []
+    orig_jets, orig_rows = polybasis.basis_jets, polybasis._orthonormal_rows
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return orig(*args, **kwargs)
+    def counting_jets(*args, **kwargs):
+        calls.append(list(np.atleast_1d(args[2])))
+        return orig_jets(*args, **kwargs)
+
+    def counting_rows(*args, **kwargs):
+        sweeps.append(list(args[1]))
+        return orig_rows(*args, **kwargs)
 
     for key, mod in list(sys.modules.items()):
-        if key.startswith("relasym") and getattr(mod, "basis_jets", None) is orig:
-            monkeypatch.setattr(mod, "basis_jets", counting)
-    return calls
+        if key.startswith("relasym") and getattr(mod, "basis_jets", None) is orig_jets:
+            monkeypatch.setattr(mod, "basis_jets", counting_jets)
+    monkeypatch.setattr(sobolev, "_orthonormal_rows", counting_rows)
+    return calls, sweeps
 
 
 @pytest.mark.parametrize("name", [*SCENARIOS, "atom_rational"])
@@ -537,11 +546,13 @@ def test_shared_jets_match_per_degree_builders(monkeypatch, name):
     # one sweep per coupling point serves every rung, bit for bit: a value
     # at degree k does not depend on how far the forward recurrence runs
     cfg = ATOM_RATIONAL if name == "atom_rational" else scenario(name)
-    calls = _count_jets(monkeypatch)
+    calls, sweeps = _count_sweeps(monkeypatch)
     rows = run_ratio_ladder(cfg)
     assert not any(r.flag for r in rows)
-    # the probes ride the builder's one sweep
-    assert [list(z) for z in calls] == [_builder_points(cfg) + list(cfg.probe_points)]
+    # the probes take one monic sweep, the builder's points one orthonormal sweep
+    assert calls == [list(cfg.probe_points)]
+    points = _builder_points(cfg)
+    assert sweeps == ([points] if points else [])
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
     degrees = sorted({m for n in cfg.n_ladder for m in (n, n + 1)})
     polys = _targets(cfg, table, degrees)[0]
