@@ -38,7 +38,7 @@ from .measures import DEGREE_REFUSALS, RecurrenceTable, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import solve_Q  # noqa: F401
-from .polybasis import PolyInBasis, _orthonormal_rows
+from .polybasis import PolyInBasis, _jets, _orthonormal_rows
 
 __all__ = [
     "SobolevTerm",
@@ -262,23 +262,16 @@ def coupling_jets(spec: SobolevSpec, table: RecurrenceTable, top: int) -> list:
     highest derivative its gamma couples: per point an (order + 1, top + 1)
     array, [j, m] = l_m^(j)(c), on a table through top.
 
-    One forward sweep of the orthonormal recurrence (`_orthonormal_rows`),
-    in one block, serves every point and every degree n <= top: a value at
-    degree m depends neither on how far the sweep runs nor on the other
-    points and orders swept with it.  The sweep gives l_m^(j) / j!, so the
-    rows of order j >= 2 are multiplied by j!.  The jets take the table's
+    One block of the package's forward sweep (`polybasis._jets`) on the
+    orthonormal recurrence serves every point and every degree n <= top: a
+    value at degree m depends neither on how far the sweep runs nor on the
+    other points and orders swept with it.  The jets take the table's
     number type: complex on a double table, mpmath's mpc on the mp lane's.
     """
-    dtype = np.result_type(table.b, complex)
-    order = max(t.order for t in spec.terms)
-    z = np.array([t.c for t in spec.terms], dtype=dtype)
+    z = np.array([t.c for t in spec.terms], dtype=np.result_type(table.b, complex))
     with np.errstate(over="ignore", invalid="ignore"):    # refused per degree
-        (_, rows), = _orthonormal_rows(table, z, top + 1, order,
-                                       np.empty((top + 1) * (order + 1) * z.size, dtype))
-        rows = rows.reshape(top + 1, order + 1, z.size)
-        for j in range(2, order + 1):
-            rows[:, j] *= math.factorial(j)
-    return [np.ascontiguousarray(rows[:, : t.order + 1, i].T) for i, t in enumerate(spec.terms)]
+        rows = _jets(z, top, max(t.order for t in spec.terms), _orthonormal_rows, table)
+    return [np.ascontiguousarray(rows[: t.order + 1, :, i]) for i, t in enumerate(spec.terms)]
 
 
 def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:

@@ -103,10 +103,18 @@ def _same_bits(x, y):
                                   BaseMeasureSpec("legendre", mass_points=((2.0, 0.5),))],
                          ids=["legendre", "legendre_atom"])
 def test_jets_all_orders_match_per_order_recurrence_bitwise(spec):
-    # one array step per degree for every order must round exactly as the
-    # per-order loop does, batched and per point (complex multiply rounds
-    # differently on 2-d operands, so a reshaped derivative block would not)
+    # batched and per point give the same bits (complex multiply rounds
+    # differently on 2-d operands and in place on one element, so a reshaped
+    # derivative block or a lone point's row would not).  Against the
+    # per-order loop, orders <= 2 are equal in value: the sweep steps the
+    # Taylor rows L^(j) / j!, exact at j <= 2, and takes a_k^2 L_{k-1} on
+    # real views, so only the signs of exactly-zero imaginary parts differ.
+    # Orders >= 3 round once more, by j!: they stay within 1e-14 of the
+    # 50-digit jets of the same table, relative to the largest |L_m^(j)(z)|,
+    # m <= k (both sweeps read at most 1.4e-15 here)
     tab = recurrence_for(spec, 120)
+    with mpmath.workdps(50):
+        a2, b = [mpmath.mpf(v) ** 2 for v in tab.a], [mpmath.mpf(v) for v in tab.b]
     rng = np.random.default_rng(11)
     cases = [(81, np.array([3.0, -2.5, 2j, 1.5 + 1.5j]), 3),
              (40, np.array([1.3 - 0.4j]), 1), (0, np.array([0.0j]), 2),
@@ -122,10 +130,30 @@ def test_jets_all_orders_match_per_order_recurrence_bitwise(spec):
         want = _jets_by_order(tab, deg, z, order)
         got = basis_jets(tab, deg, z, order)
         assert got.flags.c_contiguous
-        assert _same_bits(got, want), (deg, z, order)
+        np.testing.assert_array_equal(got[:3], want[:3], err_msg=str((deg, z, order)))
         for p in range(z.size):
             one = basis_jets(tab, deg, z[p], order)
-            assert _same_bits(one, want[:, :, p]), (deg, z[p], order)
+            assert _same_bits(one, got[:, :, p]), (deg, z[p], order)
+            with mpmath.workdps(50):
+                exact = _mp_basis_jets(deg, order, mpmath.mpc(z[p]), a2, b)
+            for j in range(3, order + 1):
+                w = np.array([complex(v) for v in exact[j]])
+                scale = np.maximum.accumulate(np.abs(w))
+                assert np.all(np.abs(got[j, :, p] - w) <= 1e-14 * scale), (deg, z[p], j)
+
+
+def test_monic_jets_reach_the_deep_ladder_probes():
+    # monic jets grow like |phi(z)/2|^k, orthonormal ones like |phi(z)|^k.
+    # On Legendre the monic ones first leave the double range at degree 654
+    # at z = 3, and at the probes of a ladder to 2000 (|phi(z)| / 2 <= 1.39)
+    # they stay finite through 2003.  Unscaled orthonormal rows leave it
+    # from degree 398 at 3 and from 688 to 921 at the other four
+    table = recurrence_for(BaseMeasureSpec("legendre"), 2003)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = basis_jets(table, 2003, np.array([3.0, 1.5, -1.3, 1.2j, 0.5 + 1j]), 2)
+    finite = np.all(np.isfinite(jets), axis=0)
+    assert np.argmin(finite[:, 0]) == 654
+    assert np.all(finite[:, 1:])
 
 
 # the atom keeps off the points: at an atom l_k decays, and a forward sweep

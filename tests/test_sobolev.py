@@ -237,6 +237,20 @@ def _cond(n, spec, table):
     return _kernel_system(n, spec, coupling_jets(spec, table, n))[-1]
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_coupling_jets_of_a_point_do_not_depend_on_the_points_beside_it(order):
+    # at order 0 a lone point's rows are one entry wide, where numpy's
+    # in-place complex multiply rounds unlike a longer row's: the sweep
+    # keeps z - b apart there, so the point's jets alone and beside another
+    # point are the same bits
+    table = recurrence_for(LEG, 200)
+    alone = SobolevTerm(1.2 + 0.6j, np.eye(order + 1))
+    beside = SobolevTerm(3.0, np.eye(order + 1))
+    (one,) = coupling_jets(SobolevSpec((alone,)), table, 200)
+    two = coupling_jets(SobolevSpec((alone, beside)), table, 200)[0]
+    assert one.tobytes() == two.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_both_lanes_report_the_same_cond(name):
     # the mpmath lane gates on the double lane's equilibrated system

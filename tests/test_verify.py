@@ -522,22 +522,23 @@ def _builder_points(cfg) -> list:
 
 def _count_sweeps(monkeypatch) -> tuple:
     """(calls, sweeps): the points of each basis_jets call in the package,
-    and of each orthonormal sweep the kernel builder makes, in call order."""
+    and of each orthonormal sweep the kernel builder reads (`_jets`), in
+    call order."""
     calls, sweeps = [], []
-    orig_jets, orig_rows = polybasis.basis_jets, polybasis._orthonormal_rows
+    orig_jets, orig_block = polybasis.basis_jets, polybasis._jets
 
     def counting_jets(*args, **kwargs):
         calls.append(list(np.atleast_1d(args[2])))
         return orig_jets(*args, **kwargs)
 
-    def counting_rows(*args, **kwargs):
-        sweeps.append(list(args[1]))
-        return orig_rows(*args, **kwargs)
+    def counting_blocks(*args, **kwargs):
+        sweeps.append(list(args[0]))
+        return orig_block(*args, **kwargs)
 
     for key, mod in list(sys.modules.items()):
         if key.startswith("relasym") and getattr(mod, "basis_jets", None) is orig_jets:
             monkeypatch.setattr(mod, "basis_jets", counting_jets)
-    monkeypatch.setattr(sobolev, "_orthonormal_rows", counting_rows)
+    monkeypatch.setattr(sobolev, "_jets", counting_blocks)
     return calls, sweeps
 
 
