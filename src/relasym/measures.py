@@ -28,6 +28,7 @@ __all__ = [
     "RecurrenceTable",
     "QuadratureRule",
     "recurrence_for",
+    "per_degree",
     "gauss_rule",
     "rule_for",
     "table_through",
@@ -54,8 +55,21 @@ class MeasureError(reader.ConfigError):
     """Invalid measure description or table request."""
 
 
-# what refuses one degree, or one ladder row, and leaves the others to their own builds
-DEGREE_REFUSALS = (reader.Refusal, MeasureError, np.linalg.LinAlgError)
+# what refuses one degree, or one ladder row, and leaves the others to their own
+# builds; a MeasureError is a ConfigError and refuses the whole config
+DEGREE_REFUSALS = (reader.Refusal, np.linalg.LinAlgError)
+
+
+def per_degree(degrees, build) -> dict:
+    """Degree -> build(n), or the refusal (DEGREE_REFUSALS) it raised: the
+    one place a failed degree is told from a failed config."""
+    out: dict = {}
+    for n in dict.fromkeys(degrees):
+        try:
+            out[n] = build(n)
+        except DEGREE_REFUSALS as exc:
+            out[n] = exc
+    return out
 
 
 @dataclass(frozen=True)

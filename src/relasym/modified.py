@@ -21,8 +21,8 @@ import numpy as np
 
 from . import reader
 from .joukowski import NEAR_ATOM, apart, point
-from .measures import (DEGREE_REFUSALS, MAX_DEPTH, RecurrenceTable, christoffel_step,
-                       geronimus_step, minimal_solution_depth, table_through)
+from .measures import (MAX_DEPTH, RecurrenceTable, christoffel_step, geronimus_step,
+                       minimal_solution_depth, per_degree, table_through)
 from .polybasis import PolyInBasis
 
 __all__ = [
@@ -212,18 +212,8 @@ def solve_Q(n: int, r: RationalModifier, base: RecurrenceTable) -> PolyInBasis:
 
 def solve_Q_many(degrees, r: RationalModifier, base: RecurrenceTable) -> dict:
     """solve_Q at each degree, from one table through the deepest: degree ->
-    Q_n, or the error that degree refuses with."""
-    try:
-        table = modified_table(r, base, max(degrees))
-    except DEGREE_REFUSALS as exc:
-        return {n: exc for n in degrees}
-    out: dict = {}
-    for n in degrees:
-        try:
-            out[n] = table.op(n)
-        except DEGREE_REFUSALS as exc:
-            out[n] = exc
-    return out
+    Q_n, or the refusal of that degree (`per_degree`)."""
+    return per_degree(degrees, modified_table(r, base, max(degrees)).op)
 
 
 def weak_limit_probe(f: PolyInBasis, nu: int, n: int, r: RationalModifier,

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import reader
 from .joukowski import NEAR_ATOM, apart, phi, point
-from .measures import DEGREE_REFUSALS, RecurrenceTable, table_through
+from .measures import RecurrenceTable, per_degree, table_through
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import solve_Q  # noqa: F401
@@ -296,33 +296,33 @@ def sn_kernel(n: int, spec: SobolevSpec, base: RecurrenceTable) -> PolyInBasis:
 
 def sn_kernel_many(degrees, spec: SobolevSpec, table: RecurrenceTable) -> dict:
     """sn_kernel at each degree: degree -> S_n as a PolyInBasis, or the
-    SobolevError that degree refuses with.
+    refusal of that degree (`per_degree`).
 
     The spec's refusals are checked once and the jets swept once, through
     the deepest degree (`coupling_jets`); then each degree's bordered system
     is assembled, gated and solved on its own.
     """
-    base, out = _refusals(degrees, spec, table)
+    base, refused = _refusals(degrees, spec, table)
     jets = coupling_jets(spec, base, max(degrees))
-    for n in degrees:
-        if n not in out:
-            try:
-                # the double range, refused before anything divides by tau_n or a jet
-                if not np.isfinite(base.tau[n]):
-                    raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
-                for t, E in zip(spec.terms, jets):
-                    if not np.all(np.isfinite(E[:, : n + 1])):
-                        raise SobolevError(f"jets at c = {t.c} overflow the double range "
-                                           f"at n={n}", kind="overflow")
-                M, Qw, rhs, _ = _kernel_system(n, spec, jets)
-                inv_tau = 1.0 / base.tau[n]
-                # the gate leaves no singular matrix for the solve
-                v = np.linalg.solve(M, rhs * inv_tau)
-                # c_m l_m = (c_m tau_m) L_m
-                out[n] = PolyInBasis(np.append(-(Qw.T @ v), inv_tau) * base.tau[: n + 1], base)
-            except DEGREE_REFUSALS as exc:
-                out[n] = exc
-    return {n: out[n] for n in degrees}
+
+    def build(n: int) -> PolyInBasis:
+        if n in refused:
+            raise refused[n]
+        # the double range, refused before anything divides by tau_n or a jet
+        if not np.isfinite(base.tau[n]):
+            raise SobolevError(f"tau_{n} overflows the double range", kind="overflow")
+        for t, E in zip(spec.terms, jets):
+            if not np.all(np.isfinite(E[:, : n + 1])):
+                raise SobolevError(f"jets at c = {t.c} overflow the double range "
+                                   f"at n={n}", kind="overflow")
+        M, Qw, rhs, _ = _kernel_system(n, spec, jets)
+        inv_tau = 1.0 / base.tau[n]
+        # the gate leaves no singular matrix for the solve
+        v = np.linalg.solve(M, rhs * inv_tau)
+        # c_m l_m = (c_m tau_m) L_m
+        return PolyInBasis(np.append(-(Qw.T @ v), inv_tau) * base.tau[: n + 1], base)
+
+    return per_degree(degrees, build)
 
 
 def digit_loss(n: int, spec: SobolevSpec) -> float:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import reader
 from .joukowski import apart, limit_modified, limit_sobolev, phi, point, sqrt_z2m1
-from .measures import DEGREE_REFUSALS, BaseMeasureSpec, RecurrenceTable, recurrence_for
+from .measures import (DEGREE_REFUSALS, BaseMeasureSpec, RecurrenceTable, per_degree,
+                       recurrence_for)
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
@@ -249,37 +250,22 @@ def _reads_base(cfg: ExperimentConfig) -> bool:
     return kind == "base_only" or (kind == "pade" and not t.poles)
 
 
-def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees,
-             probes: tuple = (), order: int = 0) -> tuple:
-    """(built, probe_jets): built maps each degree to its monic target
-    polynomial, or the refusal of its build, from one builder call.
-    Modified targets are read off the table of r dmu (solve_Q_many); Sobolev
-    targets and Pade denominators come from the kernel identity:
+def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees) -> dict:
+    """Degree -> the monic target polynomial, or the refusal of its build
+    (`per_degree`), from one builder call on a table through the deepest
+    degree.  Modified targets are read off the table of r dmu (solve_Q_many);
+    Sobolev targets and Pade denominators come from the kernel identity:
     sn_kernel_many in double, or sn_lambda per degree in mpmath when the
     precision is extended.  A target that is the base (_reads_base) is L_n.
-
-    Callers build the table two degrees past the deepest target, and the
-    probes' monic jets come from one basis_jets call through that degree:
-    probe_jets[j, k, p] = L_k^(j)(probes[p]), to `order` (None without probes).
     """
-    degrees = list(dict.fromkeys(degrees))
     if _reads_base(cfg):
-        built = {n: PolyInBasis.basis_poly(table, n) for n in degrees}
-    elif cfg.target_kind == "modified":
-        built = solve_Q_many(degrees, cfg.target, table)
-    else:
-        sob = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
-        if cfg.precision == "double":
-            built = sn_kernel_many(degrees, sob, table)
-        else:
-            built = {}
-            for n in degrees:
-                try:
-                    built[n] = sn_lambda(n, sob, table)
-                except DEGREE_REFUSALS as exc:
-                    built[n] = exc
-    probe_jets = basis_jets(table, table.nmax - 2, np.array(probes), order) if probes else None
-    return built, probe_jets
+        return {n: PolyInBasis.basis_poly(table, n) for n in degrees}
+    if cfg.target_kind == "modified":
+        return solve_Q_many(degrees, cfg.target, table)
+    sob = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
+    if cfg.precision == "double":
+        return sn_kernel_many(degrees, sob, table)
+    return per_degree(degrees, lambda n: sn_lambda(n, sob, table))
 
 
 def _target_jets(built: dict, pj: np.ndarray, order: int) -> dict:
@@ -345,8 +331,8 @@ _NAN = complex(float("nan"), float("nan"))
 
 
 def _refusal_flag(exc: Exception) -> str:
-    # a Refusal carries its kind; any other refusal is a degree the
-    # construction cannot reach yet
+    # a Refusal carries its kind; numpy's LinAlgError, the other degree
+    # refusal, is a degree the construction cannot reach yet
     return f"{getattr(exc, 'kind', 'pre_asymptotic')}: {exc}"
 
 
@@ -362,21 +348,23 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     reads pre_asymptotic, and ratios or limits that leave the double range
     overflow, instead of aborting the run.  Each limit is computed once per (law, probe).
     """
-    table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
     laws = cfg.resolved_laws
+    forms = [_LAWS[law][1] for law in laws]
     factors = attraction_factors(cfg)
+    # a target that is the base reads the base jets, as the base laws do
+    target_forms = [] if _reads_base(cfg) else [
+        form for law, form in zip(laws, forms) if _LAWS[law][0] != "base_only"]
+    degrees = sorted({m for n in cfg.n_ladder
+                      for m in ((n, n + 1) if "step" in target_forms else (n,))})
+    # the deepest degree a law reads: a step reads n + 1
+    top = max(cfg.n_ladder) + ("step" in forms)
+    table = recurrence_for(cfg.measure, max(top, 1))    # a table has degree 1 at least
     rows: list[RatioRow] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        # a target that is the base reads the base jets, as the base laws do
-        target_forms = [] if _reads_base(cfg) else [
-            _LAWS[law][1] for law in laws if _LAWS[law][0] != "base_only"]
-        degrees = sorted({m for n in cfg.n_ladder
-                          for m in ((n, n + 1) if "step" in target_forms else (n,))}
-                         ) if target_forms else []
         # every probe, degree and order a law reads, from one sweep of the probes
-        built, probe_jets = _targets(cfg, table, degrees, cfg.probe_points, cfg.jets + max(
-            _EXTRA_ORDER[_LAWS[law][1]] for law in laws))
-        target = _target_jets(built, probe_jets, cfg.jets + max(
+        probe_jets = basis_jets(table, top, np.array(cfg.probe_points),
+                                cfg.jets + max(map(_EXTRA_ORDER.get, forms)))
+        target = _target_jets(_targets(cfg, table, degrees), probe_jets, cfg.jets + max(
             map(_EXTRA_ORDER.get, target_forms))) if target_forms else None
         for law in laws:
             kind, form = _LAWS[law]
@@ -426,8 +414,7 @@ def run_zero_attraction(cfg: ExperimentConfig) -> dict:
     the config's target polynomial."""
     degs = cfg.zero_degrees or cfg.n_ladder
     centers = [c for c, _ in attraction_factors(cfg)]
-    table = recurrence_for(cfg.measure, max(degs) + 2)
-    built, _ = _targets(cfg, table, degs)
+    built = _targets(cfg, recurrence_for(cfg.measure, max(1, *degs)), degs)
     out = {}
     for n in degs:
         if isinstance(built[n], Exception):

@@ -273,10 +273,10 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.nda
     level m eps (1 + sum_i |beta_i / (z - x_i)|), or once it is off the
     band and shrinks only linearly (CLUSTER_STEP, CLUSTER_RATE): _polish
     resolves such a cluster from its centroid.  The Cauchy matrices
-    1/(z - x_i) and 1/(z - z_j) are formed a block of rows at a time in the
-    workspace (_workspace), so temporaries are (rows, m), rows = BLOCK // m
-    once m^2 passes BLOCK: the memory is O(m), and retired roots cost
-    nothing.  A row's arithmetic does not depend on its block, and the
+    1/(z - x_i) and 1/(z - z_j) (_aberth_steps) are formed a block of rows
+    at a time in the workspace (_workspace), so temporaries are (rows, m),
+    rows = BLOCK // m once m^2 passes BLOCK: the memory is O(m), and
+    retired roots cost nothing.  A row's arithmetic does not depend on its block, and the
     retire decisions run once per sweep on the whole active set.
 
     On real data every start is real, and real steps would never leave
@@ -308,7 +308,7 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.nda
             if not active.size:
                 return z
             za = z[active]
-            step = np.empty(active.size, dtype=complex)
+            newton = np.empty(active.size, dtype=complex)
             done = np.empty(active.size, dtype=bool)
             for rows, blk in _row_blocks(work, active.size, m):
                 np.subtract.outer(za[rows], x, out=blk)
@@ -317,11 +317,8 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.nda
                 done[rows] = np.abs(g) <= m * EPS * (1.0 + np.abs(blk) @ abs_beta)
                 poles = blk.sum(axis=1)
                 np.multiply(blk, blk, out=blk)
-                newton = g / (poles * g - blk @ beta)
-                np.subtract(za[rows, None], z, out=blk)
-                blk[np.arange(len(blk)), active[rows]] = np.inf
-                np.reciprocal(blk, out=blk)
-                step[rows] = newton / (1.0 - newton * blk.sum(axis=1))
+                newton[rows] = g / (poles * g - blk @ beta)
+            step = _aberth_steps(z, active, newton, work)
             step[done] = 0.0
             za = z[active] = za - step
             size, dist = np.abs(step), dist_to_cut(za)
@@ -333,6 +330,21 @@ def _aberth(x: np.ndarray, beta: np.ndarray, n: int, work: np.ndarray) -> np.nda
         raise ZerosError(f"root iteration did not converge at degree {n}",
                          kind="unconverged")
     return z
+
+
+def _aberth_steps(z: np.ndarray, idx: np.ndarray, newton: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """Aberth steps newton_i / (1 - newton_i sum_{j != i} 1/(z_i - z_j)) of the
+    roots z[idx], whose Newton steps are newton, in newton's number type.  The
+    sums are formed a block of rows at a time in the workspace; a row's sum
+    does not depend on its block."""
+    near = np.empty(idx.size, dtype=complex)
+    for rows, blk in _row_blocks(work, idx.size, z.size):
+        np.subtract.outer(z[idx[rows]], z, out=blk)
+        blk[np.arange(len(blk)), idx[rows]] = np.inf
+        np.reciprocal(blk, out=blk)
+        near[rows] = blk.sum(axis=1)
+    return newton / (1 - newton * near)
 
 
 def _pair_conjugates(z: np.ndarray, work: np.ndarray) -> None:
@@ -381,7 +393,7 @@ def _polish(c: np.ndarray, table: RecurrenceTable, z: np.ndarray, work: np.ndarr
     is at most POLISH_TOL |z| or |p| is at its rounding level, where a step
     is noise; a root still moving after POLISH_STEPS rounds refuses.  The
     sweeps run in a clongdouble workspace of BLOCK entries (or one row),
-    the sums of 1/(z_j - z_i) a block of rows at a time in the solve's."""
+    the steps (_aberth_steps) in the solve's."""
     dist = dist_to_cut(z)
     off = np.flatnonzero(dist > SUPPORT_BAND)
     ext = np.empty(max(BLOCK, 2 * off.size), dtype=np.clongdouble)
@@ -399,14 +411,8 @@ def _polish(c: np.ndarray, table: RecurrenceTable, z: np.ndarray, work: np.ndarr
             zl = z[off].astype(np.clongdouble)
             (val, der), total = _taylor(c, table, zl, 1, ext)
             live = (der != 0) & (np.abs(val) > LD_EPS * total)
-            off, newton = off[live], val[live] / der[live]
-            near = np.empty(off.size, dtype=complex)
-            for rows, blk in _row_blocks(work, off.size, z.size):
-                np.subtract.outer(z[off[rows]], z, out=blk)
-                blk[np.arange(len(blk)), off[rows]] = np.inf
-                np.reciprocal(blk, out=blk)
-                near[rows] = blk.sum(axis=1)
-            step = newton / (1 - newton * near)
+            off = off[live]
+            step = _aberth_steps(z, off, val[live] / der[live], work)
             z[off] = (zl[live] - step).astype(complex)
             off = off[np.abs(step) > POLISH_TOL * np.abs(z[off])]
     if off.size:

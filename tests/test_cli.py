@@ -158,6 +158,27 @@ def test_huge_multiplicity_is_config_error_at_once(tmp_path, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["verify", "zeros"])
+def test_near_cut_pole_is_config_error_in_every_command(tmp_path, sub):
+    # a pole 2e-12 off the cut needs a base tail through degree 1.56e13 for its
+    # backward recurrence: a table numpy cannot allocate refuses the config, in
+    # verify as in zeros, not every ladder row.  The cap on the child's
+    # address space keeps a host that overcommits from letting it go ahead.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+
+    modifier = {"poles": [{"d": [0.5, 2e-12], "mult": 1}]}
+    cfg = _write_json(tmp_path / "m.json", {"measure": LEGENDRE,
+                                            "target": {"kind": "modified", "modifier": modifier}})
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "relasym.cli", sub, "--config", cfg,
+                          "--out", str(out)], capture_output=True, text=True, timeout=60,
+                         preexec_fn=cap)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("config error: ") and "numpy can allocate" in run.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_refused_zero_degree_is_numerical_error(tmp_path, precision, capsys):
     # degree 1 is at the highest coupled derivative: its builder refuses it

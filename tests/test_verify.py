@@ -28,7 +28,7 @@ from relasym import (
     solve_Q,
     to_sobolev_spec,
 )
-from relasym import modified, polybasis, reader, sobolev
+from relasym import modified, polybasis, reader, sobolev, verify
 from relasym.reader import ConfigError as _CONFIG_ERRORS
 from relasym.polybasis import basis_jets
 from relasym.scenarios import SCENARIOS
@@ -222,7 +222,7 @@ def test_pade_extended_precision_reaches_extended_lane(name):
     cfg = dataclasses.replace(scenario(name), precision="extended")
     spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 2)
-    got = _targets(cfg, table, cfg.n_ladder)[0]
+    got = _targets(cfg, table, cfg.n_ladder)
     assert list(got) == list(cfg.n_ladder)
     for n in cfg.n_ladder:
         assert np.array_equal(got[n].coeffs, sn_lambda(n, spec, table).coeffs), n
@@ -234,7 +234,7 @@ def test_double_precision_reaches_kernel_lane(name):
     cfg = scenario(name)
     spec = cfg.target if cfg.target_kind == "sobolev" else to_sobolev_spec(cfg.target)
     table = recurrence_for(cfg.measure, 22)
-    got = _targets(cfg, table, (20,))[0][20]
+    got = _targets(cfg, table, (20,))[20]
     assert np.array_equal(got.coeffs, sn_kernel(20, spec, table).coeffs)
 
 
@@ -401,7 +401,7 @@ def test_batched_ladder_matches_pointwise(monkeypatch):
         points = _builder_points(cfg)
         assert sweeps == ([points] if points else [])
         table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
-        polys = _targets(cfg, table, {m for n in cfg.n_ladder for m in (n, n + 1)})[0]
+        polys = _targets(cfg, table, {m for n in cfg.n_ladder for m in (n, n + 1)})
         for row in rows:
             assert not row.flag
             want = complex(_pointwise_ratio(row.law, table, polys, row.n, row.z, row.nu))
@@ -463,13 +463,41 @@ def test_limits_computed_once_per_law_and_probe(monkeypatch, name):
 
 
 def test_builder_refusal_flags_only_its_rows():
-    cfg = dataclasses.replace(scenario("sobolev_point_derivative"), n_ladder=(1, 10, 20))
+    # the double kernel and the extended lane's per-degree builds refuse alike
+    for precision in ("double", "extended"):
+        cfg = dataclasses.replace(scenario("sobolev_point_derivative"), n_ladder=(1, 10, 20),
+                                  precision=precision)
+        rows = run_ratio_ladder(cfg)
+        want = "pre_asymptotic: need n > 1, the highest coupled derivative, got 1"
+        order = [(z, nu, n) for z in cfg.probe_points for nu in (0, 1) for n in (1, 10, 20)]
+        assert [(r.z, r.nu, r.n) for r in rows] == order, precision
+        assert [r.flag for r in rows] == [want if n == 1 else "" for _, _, n in order], precision
+        assert all(r.law == "sobolev_vs_base" for r in rows)
+
+
+# the laws whose form is the step X_{n+1} / X_n: their rung n reads degree n + 1
+STEP_LAWS = {"base_ratio", "modified_ratio"}
+
+
+@pytest.mark.parametrize("name", [*SCENARIOS, "log_derivative_only"])
+def test_runs_build_their_table_through_the_deepest_degree_they_read(monkeypatch, name):
+    # a table is the leading part of any longer one, so a run needs none past
+    # the deepest degree a row or a zero solve reads
+    cfg = (_small_base(laws=("base_log_derivative",)) if name == "log_derivative_only"
+           else scenario(name))
+    depths = []
+    orig = verify.recurrence_for
+
+    def recording(spec, nmax):
+        depths.append(nmax)
+        return orig(spec, nmax)
+
+    monkeypatch.setattr(verify, "recurrence_for", recording)
     rows = run_ratio_ladder(cfg)
-    want = "pre_asymptotic: need n > 1, the highest coupled derivative, got 1"
-    order = [(z, nu, n) for z in cfg.probe_points for nu in (0, 1) for n in (1, 10, 20)]
-    assert [(r.z, r.nu, r.n) for r in rows] == order
-    assert [r.flag for r in rows] == [want if n == 1 else "" for _, _, n in order]
-    assert all(r.law == "sobolev_vs_base" for r in rows)
+    assert depths == [max(r.n + (r.law in STEP_LAWS) for r in rows)]
+    depths.clear()
+    run_zero_attraction(dataclasses.replace(cfg, zero_degrees=(7, 12)))
+    assert depths == [12]
 
 
 def test_flagged_rows_write_strict_json(tmp_path):
@@ -556,7 +584,7 @@ def test_shared_jets_match_per_degree_builders(monkeypatch, name):
     assert sweeps == ([points] if points else [])
     table = recurrence_for(cfg.measure, max(cfg.n_ladder) + 3)
     degrees = sorted({m for n in cfg.n_ladder for m in (n, n + 1)})
-    polys = _targets(cfg, table, degrees)[0]
+    polys = _targets(cfg, table, degrees)
     shared = {n: repr(polys[n].coeffs.tolist()) for n in degrees}
     monkeypatch.undo()
     for n in degrees:
@@ -569,7 +597,7 @@ def test_shared_jets_refuse_like_the_per_degree_builder():
     # does on its own
     cfg = dataclasses.replace(scenario("sobolev_point_pair"), n_ladder=(100, 600))
     table = recurrence_for(cfg.measure, 603)
-    polys = _targets(cfg, table, cfg.n_ladder)[0]
+    polys = _targets(cfg, table, cfg.n_ladder)
     got = polys[100].coeffs
     assert repr(got.tolist()) == repr(sn_kernel(100, cfg.target, table).coeffs.tolist())
     shared = polys[600]
@@ -598,7 +626,7 @@ def test_modified_ladder_keeps_per_degree_refusals():
     assert [r.flag for r in rows] == [want(r) for r in rows]
     # each degree of the batch is the one solve_Q reads alone
     table = recurrence_for(cfg.measure, 13)
-    polys = _targets(cfg, table, (1, 2, 3, 10, 11))[0]
+    polys = _targets(cfg, table, (1, 2, 3, 10, 11))
     for n in (1, 2, 10):
         alone = solve_Q(n, cfg.target, table)
         assert repr(polys[n].coeffs.tolist()) == repr(alone.coeffs.tolist())

@@ -54,7 +54,7 @@ ROUTES = ["base_legendre", "sobolev_point_pair", "pade_gonchar"]
 def _target(name: str, n: int) -> PolyInBasis:
     """The degree-n target polynomial of a bundled scenario."""
     cfg = scenario(name)
-    return _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    return _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[n]
 
 
 def _comrade_matrix(c: np.ndarray, table) -> np.ndarray:
@@ -141,7 +141,7 @@ def test_roots_gate_refuses_moved_roots(monkeypatch, tmp_path, capsys):
                         lambda c, table, f: orig(c, table, f) * (1.0 + 1e-3))
     cfg = scenario("pade_gonchar")
     n = cfg.zero_degrees[0]
-    p = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    p = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[n]
     with pytest.raises(ZerosError, match=r"root residual .* exceeds 1\.0e-07"):
         roots(p)
     assert main(["zeros", "--config", "pade_gonchar", "--out", str(tmp_path)]) == 4
@@ -267,7 +267,7 @@ def test_valid_root_sets_keep_their_headroom(name, degrees):
     if degrees is None:
         degrees = tuple(sorted(set(cfg.zero_degrees or cfg.n_ladder) | {180}))
     cfg = dataclasses.replace(cfg, zero_degrees=degrees)
-    built = _targets(cfg, recurrence_for(cfg.measure, max(degrees) + 2), degrees)[0]
+    built = _targets(cfg, recurrence_for(cfg.measure, max(degrees) + 2), degrees)
     for n in degrees:
         z, c, norm_a = _gate_inputs(built[n])
         worst = np.max(_root_residuals(c, built[n].table, z, norm_a))
@@ -622,7 +622,7 @@ def test_attracted_pair_matches_extended_precision_refinement():
     # double coefficients
     n = 180
     cfg = scenario("pade_gonchar")
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[n]
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
     assert pair.size == 2 and np.all(np.abs(pair - 2j) < 1e-3)
@@ -637,7 +637,7 @@ def test_real_route_polishes_the_attracted_pair(n):
     # lands within 1e-8 of its 50-digit values after the extended precision
     # finish, as on complex data
     cfg = scenario("sobolev_point_pair")
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[n]
     assert not np.any(_last_row(_orth(q), q.table).imag)
     got = np.array(roots(q))
     pair = got[dist_to_cut(got) > 0.05]
@@ -661,7 +661,7 @@ def test_attracted_pair_finishes_within_sweep_budget(monkeypatch, n):
     # its 50-digit values
     monkeypatch.setattr(zeros_module, "MAX_SWEEPS", 18)
     cfg = scenario("pade_gonchar")
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[n]
     sweeps = []
     real_rows = zeros_module._orthonormal_rows
 
@@ -713,7 +713,7 @@ def test_triple_cluster_converges_at_its_rounding_level(c):
 
 def test_unconverged_polish_refuses(monkeypatch):
     cfg = scenario("pade_gonchar")
-    q = _targets(cfg, recurrence_for(cfg.measure, 62), (60,))[0][60]
+    q = _targets(cfg, recurrence_for(cfg.measure, 62), (60,))[60]
     monkeypatch.setattr(zeros_module, "POLISH_STEPS", 0)
     with pytest.raises(ZerosError, match="did not converge") as info:
         roots(q)
@@ -725,7 +725,7 @@ def test_secular_solve_memory_stays_linear():
     # the traced peak of one roots call at n = 800 stays below 2 MB, where
     # the 800 x 800 matrices alone take 10 MB each
     cfg = scenario("modified_rational")
-    p = _targets(cfg, recurrence_for(cfg.measure, 802), (800,))[0][800]
+    p = _targets(cfg, recurrence_for(cfg.measure, 802), (800,))[800]
     tracemalloc.start()
     try:
         assert len(roots(p)) == 800
@@ -745,7 +745,7 @@ def test_eigensolver_runs_only_on_the_gauss_route(monkeypatch, name, n):
     # takes the Gauss route: one eigvalsh of J_n and nothing else.  np.roots
     # holds its own reference to eigvals, so the spy replaces both
     cfg = scenario(name)
-    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[0][n]
+    q = _targets(cfg, recurrence_for(cfg.measure, n + 2), (n,))[n]
     seen = {"eigvals": [], "eigh": [], "eigvalsh": []}
 
     def spy(kind):
