@@ -268,50 +268,39 @@ def _targets(cfg: ExperimentConfig, table: RecurrenceTable, degrees) -> dict:
     return per_degree(degrees, lambda n: sn_lambda(n, sob, table))
 
 
-def _target_jets(built: dict, pj: np.ndarray, order: int) -> dict:
-    """Degree -> block of each built target's jets at the probes whose basis
-    jets are pj, or the refusal of its build: block[j, p] is the order-j
-    value (j <= order) at the p-th probe, from one product over every order
-    and probe."""
-    out: dict = {}
+def _target_jets(built: dict, pj: np.ndarray, order: int):
+    """(X, refused) at the probes whose basis jets are pj: X[j, n, p], in pj's
+    shape, is the degree-n target's order-j value (j <= order) at the p-th
+    probe, one product per built degree, NaN elsewhere; refused maps each
+    degree whose build was refused (`per_degree`) to its refusal."""
+    X = np.full(pj.shape, np.nan, dtype=complex)
+    refused: dict = {}
     for n, poly in built.items():
         if isinstance(poly, Exception):
-            out[n] = poly
+            refused[n] = poly
             continue
         rows = np.ascontiguousarray(pj[: order + 1, : n + 1].transpose(0, 2, 1))
-        out[n] = (rows.reshape(-1, n + 1) @ poly.coeffs).reshape(order + 1, -1)
-    return out
+        X[: order + 1, n] = (rows.reshape(-1, n + 1) @ poly.coeffs).reshape(order + 1, -1)
+    return X, refused
 
 
-def _jets(source: dict | None, base: np.ndarray, n: int, p: int, top: int):
-    """Orders 0..top of X_n at probe p, X as the law's form reads it: L_n from
-    base[j, k] = L_k^(j)(z) when source is None, else the built target's block
-    (as _target_jets makes it); raises the refusal of a degree not built."""
-    if source is None:
-        return base[: top + 1, n]
-    got = source[n]
-    if isinstance(got, Exception):
-        raise got
-    return got[: top + 1, p]
-
-
-def _law_ratio(form: str, source: dict | None, base: np.ndarray, n: int, nu: int, p: int):
-    """The ratio of one form at one (n, z, nu), z the p-th probe and X read by
-    _jets."""
+def _law_ratio(form: str, X: np.ndarray, base: np.ndarray, n: int, nu: int, p: int):
+    """The ratio of one form at one (n, z, nu), z the p-th probe, read off
+    X[j, k, p] = X_k^(j)(z); an over-base ratio divides by base, the probe
+    jets L_k^(j)(z) in the same layout."""
     if form == "step":
-        return _jets(source, base, n + 1, p, nu)[nu] / _jets(source, base, n, p, nu)[nu]
+        return X[nu, n + 1, p] / X[nu, n, p]
     if form == "over_base":
         # L_n / L_n is 1, which numpy's complex quotient of a value by itself
         # can miss by an ulp
-        return 1.0 if source is None else _jets(source, base, n, p, nu)[nu] / base[nu, n]
-    jets = _jets(source, base, n, p, nu + _EXTRA_ORDER[form])
+        return 1.0 if X is base else X[nu, n, p] / base[nu, n, p]
     if form == "log_derivative":
-        return jets[nu + 1] / (n * jets[nu])
+        return X[nu + 1, n, p] / (n * X[nu, n, p])
     # degree-drop normalization n(n-1): the leading coefficient of the
     # second derivative carries exactly that factor, so the finite-n ratio
     # is centered on the same limit without the structural 1/n offset a
     # flat n^2 would add
-    return jets[nu + 2] / (n * (n - 1) * jets[nu])
+    return X[nu + 2, n, p] / (n * (n - 1) * X[nu, n, p])
 
 
 def _law_limit(form: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
@@ -341,11 +330,13 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
 
     Rows are ordered deterministically and each carries the two-point
     geometric rate log(err_prev/err_cur)/(n_cur - n_prev) against the
-    previous ladder degree (nan on the first rung).  Degrees the target
-    cannot be built at are flagged with the refusal's kind (overflow past
-    the double range, degree_collapse where the recurrence of r dmu breaks
-    down, else pre_asymptotic), degrees below the derivative order the law
-    reads pre_asymptotic, and ratios or limits that leave the double range
+    previous ladder degree (nan on the first rung).  A law reads one jets
+    array, the probes' or the targets' (_target_jets).  A rung reading a
+    degree the target cannot be built at, X_{n+1} before X_n for a step, is
+    flagged with the refusal's kind (overflow past the double range,
+    degree_collapse where the recurrence of r dmu breaks down, else
+    pre_asymptotic), degrees below the derivative order the law reads
+    pre_asymptotic, and ratios or limits that leave the double range
     overflow, instead of aborting the run.  Each limit is computed once per (law, probe).
     """
     laws = cfg.resolved_laws
@@ -364,14 +355,13 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
         # every probe, degree and order a law reads, from one sweep of the probes
         probe_jets = basis_jets(table, top, np.array(cfg.probe_points),
                                 cfg.jets + max(map(_EXTRA_ORDER.get, forms)))
-        target = _target_jets(_targets(cfg, table, degrees), probe_jets, cfg.jets + max(
-            map(_EXTRA_ORDER.get, target_forms))) if target_forms else None
+        target, refused = _target_jets(_targets(cfg, table, degrees), probe_jets, cfg.jets + max(
+            map(_EXTRA_ORDER.get, target_forms))) if target_forms else (probe_jets, {})
         for law in laws:
             kind, form = _LAWS[law]
-            source = None if kind == "base_only" else target
+            X, fails = (probe_jets, {}) if kind == "base_only" else (target, refused)
             extra = _EXTRA_ORDER[form]
             for p, z in enumerate(cfg.probe_points):
-                base = probe_jets[:, :, p]
                 try:
                     limit, refusal = complex(_law_limit(form, cfg, factors, z)), ""
                 except DEGREE_REFUSALS as exc:
@@ -380,16 +370,18 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
                     prev: RatioRow | None = None
                     order = nu + extra
                     for n in cfg.n_ladder:
+                        # a step reads its numerator X_{n+1} first
+                        refusals = [fails[m] for m in ((n + 1, n) if form == "step" else (n,))
+                                    if m in fails]
                         # a refused ratio names the flag before a refused limit
                         if order > n:
                             ratio, flag = _NAN, (f"pre_asymptotic: derivative order "
                                                  f"{order} exceeds degree {n}")
+                        elif refusals:
+                            ratio, flag = _NAN, _refusal_flag(refusals[0])
                         else:
-                            try:
-                                ratio = complex(_law_ratio(form, source, base, n, nu, p))
-                                flag = refusal
-                            except DEGREE_REFUSALS as exc:
-                                ratio, flag = _NAN, _refusal_flag(exc)
+                            ratio = complex(_law_ratio(form, X, probe_jets, n, nu, p))
+                            flag = refusal
                         if not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
                             flag = "overflow: ratio or limit leaves the double range"
                         # no abs() of a nan complex: CPython leaves errno alone

@@ -475,6 +475,35 @@ def test_builder_refusal_flags_only_its_rows():
         assert all(r.law == "sobolev_vs_base" for r in rows)
 
 
+def test_step_law_reads_its_numerators_refusal(tmp_path):
+    # a modifier zero at the outside zero of L_5 on Legendre plus the atom
+    # (1.2, 0.05): r dmu has no Q_5, and degree 5 alone is refused.  Every
+    # law's rung-5 rows carry that refusal, and so do modified_ratio's rung-4
+    # rows, whose numerator is Q_5; rungs 8 and 16 are clean
+    from relasym.cli import main
+    from relasym.polybasis import PolyInBasis
+    measure = BaseMeasureSpec("legendre", mass_points=((1.2, 0.05),))
+    table = recurrence_for(measure, 17)
+    c = max(roots(PolyInBasis.basis_poly(table, 5)), key=lambda z: z.real)
+    assert abs(c - 1.130614321509967) < 1e-12
+    cfg = ExperimentConfig(measure=measure, target=RationalModifier(zeros=((c.real, 1),)),
+                           jets=1, n_ladder=(4, 5, 8, 16))
+    built = _targets(cfg, table, (4, 5, 6, 8, 9, 16, 17))
+    refused = [n for n, poly in built.items() if isinstance(poly, Exception)]
+    assert refused == [5] and built[5].kind == "degree_collapse"
+    rows = run_ratio_ladder(cfg)
+    want = f"degree_collapse: {built[5]}"
+    assert [r.flag for r in rows] == [
+        want if r.n == 5 or (r.n == 4 and r.law == "modified_ratio") else "" for r in rows]
+    assert sum(bool(r.flag) for r in rows) == 40
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [(row[0], row[4], row[5]) for row in summary["flagged"]] == [
+        (r.law, r.n, r.flag) for r in rows if r.flag]
+
+
 # the laws whose form is the step X_{n+1} / X_n: their rung n reads degree n + 1
 STEP_LAWS = {"base_ratio", "modified_ratio"}
 
