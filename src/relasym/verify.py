@@ -27,8 +27,7 @@ import numpy as np
 
 from . import reader
 from .joukowski import apart, limit_modified, limit_sobolev, phi, point, sqrt_z2m1
-from .measures import (DEGREE_REFUSALS, BaseMeasureSpec, RecurrenceTable, per_degree,
-                       recurrence_for)
+from .measures import BaseMeasureSpec, RecurrenceTable, per_degree, recurrence_for
 # solve_Q is unused here; perfbench's tracer test checks that this module's
 # name for it is wrapped, so it stays until that test changes
 from .modified import RationalModifier, solve_Q, solve_Q_many  # noqa: F401
@@ -68,9 +67,17 @@ _LAWS = {
     "sobolev_vs_base": ("sobolev", "over_base"),
     "pade_vs_base": ("pade", "over_base"),
 }
-# the derivative orders a form reads above nu: L_n^(k) = 0 for k > n, so such
-# a row is 0/0 or x/0, not a ratio
-_EXTRA_ORDER = {"step": 0, "log_derivative": 1, "derivative_gap": 2, "over_base": 0}
+# the form table: form -> (the derivative orders it reads above nu, its
+# limit at z for the config), the forms of the module docstring.
+# L_n^(k) = 0 for k > n, so a row reading such an order is 0/0 or x/0, not
+# a ratio; no limit depends on n or nu
+_FORMS = {
+    "step": (0, lambda cfg, z: phi(z) / 2.0),
+    "log_derivative": (1, lambda cfg, z: 1.0 / sqrt_z2m1(z)),
+    "derivative_gap": (2, lambda cfg, z: 1.0 / (z * z - 1.0)),
+    "over_base": (0, lambda cfg, z: (limit_modified(z, cfg.target) if cfg.target_kind == "modified"
+                                     else limit_sobolev(z, attraction_factors(cfg)))),
+}
 
 # the report and summary order is the table's
 LAWS_BY_TARGET = {kind: tuple(law for law, (k, _) in _LAWS.items() if k == kind)
@@ -284,36 +291,25 @@ def _target_jets(built: dict, pj: np.ndarray, order: int):
     return X, refused
 
 
-def _law_ratio(form: str, X: np.ndarray, base: np.ndarray, n: int, nu: int, p: int):
-    """The ratio of one form at one (n, z, nu), z the p-th probe, read off
-    X[j, k, p] = X_k^(j)(z); an over-base ratio divides by base, the probe
-    jets L_k^(j)(z) in the same layout."""
+def _law_values(form: str, X: np.ndarray, base: np.ndarray, ns: np.ndarray, jets: int):
+    """V[nu, rung, p]: the ratio of one form at every nu <= jets, every
+    degree n of ns and every probe z_p, read off X[j, n, p] = X_n^(j)(z_p);
+    an over-base ratio divides by base, the probe jets L_n^(j)(z_p) in the
+    same layout."""
+    lo = X[: jets + 1, ns]
     if form == "step":
-        return X[nu, n + 1, p] / X[nu, n, p]
+        return X[: jets + 1, ns + 1] / lo
     if form == "over_base":
         # L_n / L_n is 1, which numpy's complex quotient of a value by itself
         # can miss by an ulp
-        return 1.0 if X is base else X[nu, n, p] / base[nu, n, p]
+        return np.ones_like(lo) if X is base else lo / base[: jets + 1, ns]
     if form == "log_derivative":
-        return X[nu + 1, n, p] / (n * X[nu, n, p])
+        return X[1: jets + 2, ns] / (ns[:, None] * lo)
     # degree-drop normalization n(n-1): the leading coefficient of the
     # second derivative carries exactly that factor, so the finite-n ratio
     # is centered on the same limit without the structural 1/n offset a
     # flat n^2 would add
-    return X[nu + 2, n, p] / (n * (n - 1) * X[nu, n, p])
-
-
-def _law_limit(form: str, cfg: ExperimentConfig, factors: list, z: complex) -> complex:
-    """The closed-form limit of one form at z; it depends on neither n nor nu."""
-    if form == "step":
-        return phi(z) / 2.0
-    if form == "log_derivative":
-        return 1.0 / sqrt_z2m1(z)
-    if form == "derivative_gap":
-        return 1.0 / (z * z - 1.0)
-    if cfg.target_kind == "modified":
-        return limit_modified(z, cfg.target)
-    return limit_sobolev(z, factors)
+    return X[2: jets + 3, ns] / ((ns * (ns - 1))[:, None] * lo)
 
 
 _NAN = complex(float("nan"), float("nan"))
@@ -325,23 +321,47 @@ def _refusal_flag(exc: Exception) -> str:
     return f"{getattr(exc, 'kind', 'pre_asymptotic')}: {exc}"
 
 
+def _ladder_rows(law: str, z: complex, nu: int, order: int, ladder: tuple,
+                 ratios, limit: complex, refusals: list) -> list:
+    """The rows of one (law, probe, nu) ladder: a rung's ratio, and its
+    refusal flag or "", at each degree of ladder; order is the highest
+    derivative order the law reads.  A degree below order is flagged
+    pre_asymptotic, else a refused rung keeps its flag, else a ratio or
+    limit past the double range is flagged overflow.  A row's abs_err is
+    |ratio - limit|, and its est_rate log(err_prev/err_cur)/(n_cur - n_prev)
+    against the previous rung when both errors are positive, else nan."""
+    rows, prev_n, prev_err = [], 0, math.nan
+    for n, ratio, flag in zip(ladder, ratios, refusals):
+        ratio = complex(ratio)
+        if order > n:
+            flag = f"pre_asymptotic: derivative order {order} exceeds degree {n}"
+        elif not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
+            flag = "overflow: ratio or limit leaves the double range"
+        # no abs() of a nan complex: CPython leaves errno alone there, so an
+        # ERANGE left by a refused build would raise OverflowError
+        abs_err = math.nan if flag else abs(ratio - limit)
+        rate = (math.log(prev_err / abs_err) / (n - prev_n)
+                if prev_err > 0 and abs_err > 0 else math.nan)
+        rows.append(RatioRow(law, n, z, nu, _NAN if flag else ratio,
+                             _NAN if flag else limit, abs_err, rate, flag))
+        prev_n, prev_err = n, abs_err
+    return rows
+
+
 def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     """All rows for the config: law x probe x derivative order x degree.
 
-    Rows are ordered deterministically and each carries the two-point
-    geometric rate log(err_prev/err_cur)/(n_cur - n_prev) against the
-    previous ladder degree (nan on the first rung).  A law reads one jets
-    array, the probes' or the targets' (_target_jets).  A rung reading a
-    degree the target cannot be built at, X_{n+1} before X_n for a step, is
-    flagged with the refusal's kind (overflow past the double range,
-    degree_collapse where the recurrence of r dmu breaks down, else
-    pre_asymptotic), degrees below the derivative order the law reads
-    pre_asymptotic, and ratios or limits that leave the double range
-    overflow, instead of aborting the run.  Each limit is computed once per (law, probe).
+    A law's ratios at every rung, order and probe are one array expression
+    of its form (_law_values) on one jets array, the probes' or the
+    targets' (_target_jets), and its limit is computed once per probe.  A
+    rung reading a degree the target cannot be built at, X_{n+1} before X_n
+    for a step, is flagged with the refusal's kind (overflow past the
+    double range, degree_collapse where the recurrence of r dmu breaks
+    down, else pre_asymptotic) instead of aborting the run; _ladder_rows
+    makes every row, its other flags, its error and its rate.
     """
     laws = cfg.resolved_laws
     forms = [_LAWS[law][1] for law in laws]
-    factors = attraction_factors(cfg)
     # a target that is the base reads the base jets, as the base laws do
     target_forms = [] if _reads_base(cfg) else [
         form for law, form in zip(laws, forms) if _LAWS[law][0] != "base_only"]
@@ -350,54 +370,28 @@ def run_ratio_ladder(cfg: ExperimentConfig) -> list:
     # the deepest degree a law reads: a step reads n + 1
     top = max(cfg.n_ladder) + ("step" in forms)
     table = recurrence_for(cfg.measure, max(top, 1))    # a table has degree 1 at least
+    ns = np.array(cfg.n_ladder)
     rows: list[RatioRow] = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a row reading an order above its degree divides by L_n^(k) = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # every probe, degree and order a law reads, from one sweep of the probes
         probe_jets = basis_jets(table, top, np.array(cfg.probe_points),
-                                cfg.jets + max(map(_EXTRA_ORDER.get, forms)))
+                                cfg.jets + max(_FORMS[form][0] for form in forms))
         target, refused = _target_jets(_targets(cfg, table, degrees), probe_jets, cfg.jets + max(
-            map(_EXTRA_ORDER.get, target_forms))) if target_forms else (probe_jets, {})
-        for law in laws:
-            kind, form = _LAWS[law]
-            X, fails = (probe_jets, {}) if kind == "base_only" else (target, refused)
-            extra = _EXTRA_ORDER[form]
+            _FORMS[form][0] for form in target_forms)) if target_forms else (probe_jets, {})
+        for law, form in zip(laws, forms):
+            X, fails = (probe_jets, {}) if _LAWS[law][0] == "base_only" else (target, refused)
+            extra, limit_at = _FORMS[form]
+            values = _law_values(form, X, probe_jets, ns, cfg.jets)
+            # a step reads its numerator X_{n+1} first
+            reads = [(n + 1, n) if form == "step" else (n,) for n in cfg.n_ladder]
+            refusals = [next((_refusal_flag(fails[m]) for m in ms if m in fails), "")
+                        for ms in reads]
             for p, z in enumerate(cfg.probe_points):
-                try:
-                    limit, refusal = complex(_law_limit(form, cfg, factors, z)), ""
-                except DEGREE_REFUSALS as exc:
-                    limit, refusal = _NAN, _refusal_flag(exc)
+                limit = complex(limit_at(cfg, z))
                 for nu in range(cfg.jets + 1):
-                    prev: RatioRow | None = None
-                    order = nu + extra
-                    for n in cfg.n_ladder:
-                        # a step reads its numerator X_{n+1} first
-                        refusals = [fails[m] for m in ((n + 1, n) if form == "step" else (n,))
-                                    if m in fails]
-                        # a refused ratio names the flag before a refused limit
-                        if order > n:
-                            ratio, flag = _NAN, (f"pre_asymptotic: derivative order "
-                                                 f"{order} exceeds degree {n}")
-                        elif refusals:
-                            ratio, flag = _NAN, _refusal_flag(refusals[0])
-                        else:
-                            ratio = complex(_law_ratio(form, X, probe_jets, n, nu, p))
-                            flag = refusal
-                        if not flag and not (cmath.isfinite(ratio) and cmath.isfinite(limit)):
-                            flag = "overflow: ratio or limit leaves the double range"
-                        # no abs() of a nan complex: CPython leaves errno alone
-                        # there, so an ERANGE left by a refused build would
-                        # raise OverflowError
-                        if flag:
-                            ratio, row_limit, abs_err = _NAN, _NAN, math.nan
-                        else:
-                            row_limit, abs_err = limit, abs(ratio - limit)
-                        rate = math.nan
-                        if (prev is not None and not flag and not prev.flag
-                                and prev.abs_err > 0 and abs_err > 0):
-                            rate = math.log(prev.abs_err / abs_err) / (n - prev.n)
-                        row = RatioRow(law, n, z, nu, ratio, row_limit, abs_err, rate, flag)
-                        rows.append(row)
-                        prev = row
+                    rows += _ladder_rows(law, z, nu, nu + extra, cfg.n_ladder,
+                                         values[nu, :, p], limit, refusals)
     return rows
 
 

@@ -692,7 +692,7 @@ def test_overflowed_ladder_rows_are_flagged(tmp_path):
 def test_derivative_order_above_degree_is_pre_asymptotic(tmp_path, capsys):
     # L_n^(k) = 0 for k > n, so a row whose law reads such an order is 0/0
     # or x/0: it is flagged by the order it reads (nu for base_ratio, nu + 1
-    # for the log-derivative), without a division and without a warning
+    # for the log-derivative), and its division raises no warning
     payload = scenario("base_legendre").to_json_dict()
     payload["jets"] = 3
     payload["n_ladder"] = [1, 2, 10]

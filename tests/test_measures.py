@@ -19,6 +19,7 @@ from relasym.measures import MAX_DEPTH, gauss_rule, rule_for
 from relasym.polybasis import PolyInBasis
 
 CHEB = BaseMeasureSpec("chebyshev_first_kind")
+CHEB2 = BaseMeasureSpec("chebyshev_second_kind")
 LEG = BaseMeasureSpec("legendre")
 ATOM = BaseMeasureSpec("chebyshev_first_kind", mass_points=((2.0, 0.5),))
 
@@ -29,6 +30,12 @@ def test_chebyshev_table_closed_form():
     assert t.a[1] == pytest.approx(np.sqrt(0.5), rel=1e-15)
     assert np.allclose(t.a[2:], 0.5, atol=1e-15)
     assert t.tau[0] == pytest.approx(0.56418958354775629, rel=1e-14)
+
+
+def test_chebyshev_second_kind_table_closed_form():
+    # U_n: every coefficient is exact, a_k = 1/2 from k = 1 and b_k = 0
+    t = recurrence_for(CHEB2, 40)
+    assert np.all(t.a[1:] == 0.5) and np.all(t.b == 0.0)
 
 
 def test_legendre_table_closed_form():
@@ -43,6 +50,7 @@ def test_legendre_table_closed_form():
 def test_total_mass():
     assert recurrence_for(CHEB, 4).total_mass == pytest.approx(np.pi, rel=1e-14)
     assert recurrence_for(LEG, 4).total_mass == pytest.approx(2.0, rel=1e-14)
+    assert recurrence_for(CHEB2, 4).total_mass == pytest.approx(np.pi / 2, rel=1e-14)
     assert recurrence_for(ATOM, 4).total_mass == pytest.approx(np.pi + 0.5, rel=1e-12)
 
 

@@ -185,7 +185,23 @@ def test_ladder_rows_and_rate():
     # base ratio error decays, so the two-point rate must be positive
     assert rows[1].abs_err < rows[0].abs_err
     assert rows[1].est_rate > 0
-    assert rows[0].abs_err == abs(rows[0].ratio - rows[0].limit)
+    # every unflagged row of every bundled scenario: abs_err is Python's abs
+    # of the complex difference and est_rate math.log of the error ratio to
+    # the previous rung of its ladder, bit for bit (numpy's complex abs of an
+    # array differs in the last bit), and nan where either error is not positive
+    for name in SCENARIOS:
+        last = {}
+        for row in run_ratio_ladder(scenario(name)):
+            prev = last.get((row.law, row.z, row.nu))
+            last[row.law, row.z, row.nu] = row
+            if row.flag:
+                continue
+            assert row.abs_err == abs(row.ratio - row.limit), (name, row)
+            if prev is not None and prev.abs_err > 0 and row.abs_err > 0:
+                rate = math.log(prev.abs_err / row.abs_err) / (row.n - prev.n)
+                assert row.est_rate == rate, (name, row)
+            else:
+                assert math.isnan(row.est_rate), (name, row)
 
 
 def test_pre_asymptotic_degrees_flagged_not_fatal():
@@ -479,7 +495,9 @@ def test_step_law_reads_its_numerators_refusal(tmp_path):
     # a modifier zero at the outside zero of L_5 on Legendre plus the atom
     # (1.2, 0.05): r dmu has no Q_5, and degree 5 alone is refused.  Every
     # law's rung-5 rows carry that refusal, and so do modified_ratio's rung-4
-    # rows, whose numerator is Q_5; rungs 8 and 16 are clean
+    # rows, whose numerator is Q_5; rungs 8 and 16 are clean.  At jets 4 a
+    # row whose derivative order exceeds its degree is flagged by that order
+    # first
     from relasym.cli import main
     from relasym.polybasis import PolyInBasis
     measure = BaseMeasureSpec("legendre", mass_points=((1.2, 0.05),))
@@ -491,17 +509,32 @@ def test_step_law_reads_its_numerators_refusal(tmp_path):
     built = _targets(cfg, table, (4, 5, 6, 8, 9, 16, 17))
     refused = [n for n, poly in built.items() if isinstance(poly, Exception)]
     assert refused == [5] and built[5].kind == "degree_collapse"
-    rows = run_ratio_ladder(cfg)
-    want = f"degree_collapse: {built[5]}"
-    assert [r.flag for r in rows] == [
-        want if r.n == 5 or (r.n == 4 and r.law == "modified_ratio") else "" for r in rows]
-    assert sum(bool(r.flag) for r in rows) == 40
-    path = tmp_path / "step.json"
-    path.write_text(json.dumps(cfg.to_json_dict()))
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert [(row[0], row[4], row[5]) for row in summary["flagged"]] == [
-        (r.law, r.n, r.flag) for r in rows if r.flag]
+    extra = {"modified_vs_base": 0, "modified_ratio": 0,
+             "modified_log_derivative": 1, "modified_derivative_gap": 2}
+
+    def want(r):
+        order = r.nu + extra[r.law]
+        if order > r.n:
+            return f"pre_asymptotic: derivative order {order} exceeds degree {r.n}"
+        refused = r.n == 5 or (r.n == 4 and r.law == "modified_ratio")
+        return f"degree_collapse: {built[5]}" if refused else ""
+
+    for jets, flagged in ((1, 40), (4, 112)):
+        cfg = dataclasses.replace(cfg, jets=jets)
+        rows = run_ratio_ladder(cfg)
+        assert [r.flag for r in rows] == [want(r) for r in rows], jets
+        assert sum(bool(r.flag) for r in rows) == flagged
+        path, out = tmp_path / f"step_{jets}.json", tmp_path / f"out_{jets}"
+        path.write_text(json.dumps(cfg.to_json_dict()))
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(row[0], row[4], row[5]) for row in summary["flagged"]] == [
+            (r.law, r.n, r.flag) for r in rows if r.flag]
+    # at the refused degree the gap at nu = 4 reads order 6, which names its flag
+    assert {r.nu: r.flag.split(":")[0] for r in rows
+            if r.law == "modified_derivative_gap" and r.n == 5} == {
+        0: "degree_collapse", 1: "degree_collapse", 2: "degree_collapse",
+        3: "degree_collapse", 4: "pre_asymptotic"}
 
 
 # the laws whose form is the step X_{n+1} / X_n: their rung n reads degree n + 1
